@@ -1,0 +1,9 @@
+"""Put the benchmark modules and the package sources on the import path."""
+
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+BENCH = os.path.dirname(HERE)
+sys.path.insert(0, BENCH)
+sys.path.insert(0, os.path.join(os.path.dirname(BENCH), "src"))
