@@ -99,6 +99,8 @@ def centred_mesh(profile, t_values, base_count: int, *, seed: int = 0,
                  rho_max: float = 1.2) -> Mesh:
     """Mesh of F(x, t) = x * w(t) over a t-grid and a fixed quadric sample."""
     t_values = np.asarray(t_values, dtype=float)
+    if hasattr(profile, "prefetch"):
+        profile.prefetch(t_values)
     xs = quadric_base_points(profile.lambdas, base_count, seed=seed, rho_max=rho_max)
     pts, pars, thetas, bases = [], [], [], []
     for t in t_values:
@@ -117,6 +119,8 @@ def translator_mesh(profile, t_values, base_count: int, *, radius: float = 1.5,
                     seed: int = 0) -> Mesh:
     """Mesh of a translator immersion over a t-grid and a base-ball sample."""
     t_values = np.asarray(t_values, dtype=float)
+    if hasattr(profile.base, "prefetch"):
+        profile.base.prefetch(t_values)   # an orbit base: t is its s
     xs = ball_points(profile.n - 1, base_count, radius=radius, seed=seed)
     pts, pars, thetas, bases = [], [], [], []
     for t in t_values:
@@ -144,6 +148,8 @@ def flow_slice_mesh(profile, t: float, s_values, base_count: int, *, seed: int =
     if not 1 <= m < n:
         raise ValidationError("flow slices need mixed-sign lambdas")
     s_values = np.asarray(s_values, dtype=float)
+    if hasattr(profile, "prefetch"):
+        profile.prefetch(s_values)
     rng = np.random.default_rng(seed)
     omega = _sphere_factor(m, base_count, rng)
     eta = _sphere_factor(n - m, base_count, rng)

@@ -17,7 +17,7 @@ strictly inside the domain.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,9 +60,20 @@ class OdeResult:
         return len(self.s)
 
 
+def _finite(v) -> bool:
+    return all(map(math.isfinite, v))
+
+
 def _error_norm(err, y0, y1, rtol, atol):
-    scale = atol + rtol * np.maximum(np.abs(y0), np.abs(y1))
-    return float(np.sqrt(np.mean((err / scale) ** 2)))
+    """RMS of err / (atol + rtol max(|y0|, |y1|)) over Python float lists.
+
+    A NaN in y1 propagates into the norm, as it does through np.maximum.
+    """
+    total = 0.0
+    for e, a, b in zip(err, y0, y1):
+        a, b = abs(a), abs(b)
+        total += (e / (atol + rtol * (a if a >= b else b))) ** 2
+    return math.sqrt(total / len(err))
 
 
 def _initial_step(rhs, s0, y0, f0, direction, rtol, atol):
@@ -72,7 +83,7 @@ def _initial_step(rhs, s0, y0, f0, direction, rtol, atol):
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     y1 = y0 + h0 * direction * f0
     f1 = rhs(s0 + h0 * direction, y1)
-    if np.all(np.isfinite(f1)):
+    if _finite(f1):
         d2 = float(np.sqrt(np.mean(((f1 - f0) / scale) ** 2))) / h0
     else:
         d2 = 2.0 / h0
@@ -140,8 +151,8 @@ def integrate(
     while ti < len(tgt) and (tgt[ti] - s) * direction <= 1e-14 * max(1.0, abs(s)):
         ti += 1
 
-    f = rhs(s, y)
-    if not np.all(np.isfinite(f)):
+    f = np.asarray(rhs(s, y), dtype=float)
+    if not _finite(f):
         raise DomainEscape(s, "initial state is outside the admissible domain")
     I_prev = float(conserved(y)) if conserved is not None else 0.0
 
@@ -172,15 +183,15 @@ def integrate(
         bad = False
         for i in range(1, 6):
             yi = y + hd * (K[:i].T @ _A[i])
-            K[i] = rhs(s + _C[i] * hd, yi)
-            if not np.all(np.isfinite(K[i])):
+            K[i] = k = rhs(s + _C[i] * hd, yi)
+            if not _finite(k):
                 bad = True
                 break
         if not bad:
             y_new = y + hd * (K[:6].T @ _B)
             s_new = s + hd
-            K[6] = rhs(s_new, y_new)
-            bad = not np.all(np.isfinite(K[6]))
+            K[6] = k = rhs(s_new, y_new)
+            bad = not _finite(k)
         if bad:
             res.n_rejected_error += 1
             h *= 0.5
@@ -193,7 +204,7 @@ def integrate(
             continue
 
         err = hd * (K.T @ _E)
-        err_norm = _error_norm(err, y, y_new, rtol, atol)
+        err_norm = _error_norm(err.tolist(), y.tolist(), y_new.tolist(), rtol, atol)
         if not math.isfinite(err_norm) or err_norm > 1.0:
             res.n_rejected_error += 1
             h *= max(_MIN_FACTOR, _SAFETY * (max(err_norm, 1e-10)) ** -_ORDER_EXP) if math.isfinite(err_norm) else 0.5
@@ -215,7 +226,7 @@ def integrate(
             ti += 1
         s = s_new
         y = y_new
-        f = K[6]  # FSAL
+        f = K[6].copy()  # FSAL; a copy, since a rejected retry overwrites K[6]
         res.n_accepted += 1
         at_end = (s_end - s) * direction <= 1e-14 * max(1.0, abs(s_end))
         if at_end:

@@ -38,10 +38,11 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import brentq
 
+from . import odeint
 from .errors import CaseMismatch, ValidationError
 from .params import SolitonParams
 from .quadutil import DEFAULT_REL_TOL, sin2_quad
-from .reduced_ode import TrajectorySpec, sample_reduced
+from .reduced_ode import TrajectorySpec, reduced_system
 
 CASE_I_REL_TOL = 1e-12
 CONDITIONING_MARGIN = 1e-10
@@ -530,7 +531,14 @@ def hamiltonian_stationary(spec: PeriodicSpec) -> HamiltonianStationaryProfile:
 
 
 class OrbitProfile:
-    """ODE-backed centred profile for an oscillating spec, cached per s."""
+    """ODE-backed centred profile for an oscillating spec.
+
+    Exact states are cached by s, starting with the base state.  A state not
+    in the cache is integrated from the cached state nearest to it, so mesh
+    samples chain into one pass over their span and an FD stencil point
+    costs a step of length h from its centre.  The cache, and so the last
+    digits of a state, depend on the order of the queries.
+    """
 
     kind = "centred"
 
@@ -543,16 +551,34 @@ class OrbitProfile:
         self.n = self.spec.n
         self.rtol = rtol
         self.atol = atol
-        self._cache = {}
+        self._rhs, self._conserved, self._near_escape = reduced_system(self.tspec)
+        self._cache = {self.tspec.s0: self.tspec.initial_state()}
 
     def prefetch(self, s_values):
-        missing = sorted(set(float(s) for s in s_values) - set(self._cache))
-        if not missing:
-            return
-        traj = sample_reduced(self.tspec, missing, rtol=self.rtol, atol=self.atol)
-        for i, s in enumerate(traj.s):
-            st = traj.y[i]
-            self._cache[float(s)] = st
+        """Cache the states at s_values.
+
+        Each missing s resumes from the cached state nearest to it; the
+        missing values that share that start and lie on one side of it are
+        reached by one integration landing on each in turn.
+        """
+        legs = {}
+        for s in sorted(set(float(s) for s in s_values) - self._cache.keys()):
+            if not math.isfinite(s):
+                raise ValidationError(f"curve parameter {s!r} is not finite")
+            near = min(self._cache, key=lambda c: abs(c - s))
+            legs.setdefault((near, s > near), []).append(s)
+        for (near, up), targets in legs.items():
+            if not up:
+                targets.reverse()
+            res = odeint.integrate(self._rhs, near, self._cache[near], targets[-1],
+                                   targets=targets, rtol=self.rtol, atol=self.atol,
+                                   conserved=self._conserved, dense=False,
+                                   near_escape=self._near_escape)
+            # odeint does not step to targets within 1e-14 of the start, so
+            # leading targets may have no sample: they take the start state
+            landed = list(res.y[1:])
+            self._cache.update(zip(targets, [res.y[0]] * (len(targets) - len(landed))
+                                   + landed))
 
     def _state(self, s: float):
         s = float(s)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -149,30 +149,44 @@ def eval_Q(spec: TrajectorySpec, u):
 
 def reduced_rhs(spec: TrajectorySpec, y):
     """Right-hand side of the reduced system at state y = [u, phi_1.., theta]."""
-    return _make_reduced_rhs(spec)(0.0, np.asarray(y, dtype=float))
+    return np.asarray(reduced_system(spec)[0](0.0, np.asarray(y, dtype=float)))
 
 
-def _make_reduced_rhs(spec: TrajectorySpec):
-    lam = spec.lambdas
-    alphas = np.array(spec.alphas)
+def reduced_system(spec: TrajectorySpec):
+    """(rhs, conserved, near_escape) of the reduced system for odeint.integrate.
+
+    The stepper calls these on one 1-D state of n + 2 entries per stage, a
+    size at which numpy's per-call overhead outweighs the arithmetic, so
+    they work on Python floats.  rhs returns NaNs outside the band;
+    conserved is first_integral on a single state.
+    """
+    pairs = tuple(zip(spec.alphas, spec.params.lambdas))
     alpha = spec.params.alpha
     n = spec.n
-    nan = _nan_vec(n + 2)
+    nan = (math.nan,) * (n + 2)
 
     def rhs(s, y):
-        rad = alphas + lam * y[0]
-        if rad.min() <= DOMAIN_FLOOR:
+        u, *angles = y.tolist()
+        rad = [a + l * u for a, l in pairs]
+        if min(rad) <= DOMAIN_FLOOR:
             return nan
-        sq = math.sqrt(rad.prod())
-        d = y[1:n + 1].sum() - y[n + 1]
+        sq = math.sqrt(math.prod(rad))
+        d = sum(angles[:n]) - angles[n]
         sin_d = math.sin(d)
-        out = np.empty(n + 2)
-        out[0] = 2.0 * sq * math.cos(d)
-        out[1:n + 1] = (-sq * sin_d) * (lam / rad)
-        out[n + 1] = alpha * sq * sin_d
-        return out
+        c = -sq * sin_d
+        return [2.0 * sq * math.cos(d), *[c * (l / r) for (_, l), r in zip(pairs, rad)],
+                alpha * sq * sin_d]
 
-    return rhs
+    def conserved(y):
+        u, *angles = y.tolist()
+        q = math.prod([a + l * u for a, l in pairs])
+        return math.sqrt(q) * math.exp(0.5 * alpha * u) * math.sin(sum(angles[:n]) - angles[n])
+
+    def near_escape(y):
+        u = float(y[0])
+        return min(a + l * u for a, l in pairs) < ESCAPE_COLLAR
+
+    return rhs, conserved, near_escape
 
 
 def first_integral(spec: TrajectorySpec, y) -> float:
@@ -184,16 +198,6 @@ def first_integral(spec: TrajectorySpec, y) -> float:
     q = np.prod(rad, axis=-1)
     d = np.sum(y[..., 1:n + 1], axis=-1) - y[..., n + 1]
     return np.sqrt(q) * np.exp(0.5 * spec.params.alpha * u) * np.sin(d)
-
-
-def _near_escape(spec):
-    alphas = np.array(spec.alphas)
-    lam = spec.lambdas
-
-    def check(y):
-        return (alphas + lam * y[0]).min() < ESCAPE_COLLAR
-
-    return check
 
 
 class ReducedTrajectory:
@@ -310,11 +314,10 @@ def integrate_reduced(spec: TrajectorySpec, s_min: float, s_max: float, *,
                       targets=(), dense: bool = True,
                       drift_factor: float = 10.0) -> ReducedTrajectory:
     """Integrate the reduced system over [s_min, s_max] (must contain s0)."""
-    rhs = _make_reduced_rhs(spec)
-    conserved = lambda y: first_integral(spec, y)
+    rhs, conserved, near = reduced_system(spec)
     s, y, stats = _run_two_sided(rhs, spec.s0, spec.initial_state(), s_min, s_max,
                                  rtol, atol, targets, dense, conserved,
-                                 drift_factor, _near_escape(spec))
+                                 drift_factor, near)
     return ReducedTrajectory(spec, s, y, stats)
 
 

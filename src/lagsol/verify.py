@@ -40,7 +40,11 @@ class VerificationThresholds:
 
 
 class _Worst:
-    """Track the largest residual in a category and where it happened."""
+    """Track the largest residual in a category and where it happened.
+
+    A NaN residual counts as the worst value, and the first one is kept, so
+    that a non-finite point cannot pass as a small residual.
+    """
 
     __slots__ = ("value", "index")
 
@@ -49,7 +53,7 @@ class _Worst:
         self.index = -1
 
     def update(self, value: float, index: int):
-        if value > self.value:
+        if not math.isnan(self.value) and not value <= self.value:
             self.value = value
             self.index = index
 
@@ -88,7 +92,7 @@ def _finish(kind, count, worst, thresholds_by_name, rows=()):
     failures = []
     for name, w in worst.items():
         tol = thresholds_by_name[name]
-        if w.value > tol:
+        if not w.value <= tol:   # NaN is a violation
             violations.append((name, w.value, tol))
             failures.append(
                 f"{name} residual {w.value:.6e} exceeds {tol:.1e} at point {w.index}")
@@ -145,7 +149,7 @@ def _verify_centred(profile, mesh, th: VerificationThresholds,
         worst["quadric"].update(quad, i)
         worst["stored_angle"].update(
             abs(math.remainder(float(mesh.thetas[i]) - theta, 2.0 * math.pi)), i)
-        if rec > th.reconstruction or quad > th.quadric:
+        if not (rec <= th.reconstruction and quad <= th.quadric):
             # frame checks need a point that is actually on the immersion
             if collect_rows:
                 rows.append((i, t, math.nan, math.nan, math.nan))
@@ -212,7 +216,7 @@ def _verify_translator(profile: TranslatorProfile, mesh,
             abs(math.remainder(float(mesh.thetas[i]) - theta, 2.0 * math.pi)), i)
         worst["maslov"].update(
             abs(theta + alpha * z[-1].imag - maslov_ref), i)
-        if rec > th.reconstruction:
+        if not rec <= th.reconstruction:
             if collect_rows:
                 rows.append((i, t, math.nan, math.nan, math.nan))
             continue

@@ -268,6 +268,25 @@ def test_verify_detects_tampered_point(tmp_path, capsys):
     assert "exceeds" in captured.err
 
 
+def test_verify_fails_on_a_nan_point(tmp_path, capsys):
+    assert run_expander(tmp_path) == 0
+    capsys.readouterr()
+    mesh_path = tmp_path / "expander_mesh.csv"
+    lines = mesh_path.read_text().splitlines()
+    fields = lines[5].split(",")
+    fields[0] = "nan"
+    lines[5] = ",".join(fields)
+    mesh_path.write_text("\n".join(lines) + "\n")
+
+    rc = main(["verify", "--mesh", str(mesh_path),
+               "--record", str(tmp_path / "expander_record.txt"),
+               "--fd-checks", "2"])
+    assert rc == 4
+    captured = capsys.readouterr()
+    assert "verification: FAIL" in captured.out
+    assert "reconstruction residual nan" in captured.out
+
+
 def test_config_file_supplies_options(tmp_path, capsys):
     cfg = tmp_path / "job.cfg"
     cfg.write_text("# inversion job\nalpha = 1.0\ntarget = 0.4,0.4\n")
@@ -330,3 +349,26 @@ def test_reruns_are_byte_identical(tmp_path, capsys):
         b1 = (d1 / f"expander_{suffix}").read_bytes()
         b2 = (d2 / f"expander_{suffix}").read_bytes()
         assert b1 == b2, suffix
+
+
+ORBIT_EXPORTS = {
+    "periodic": ["periodic", "--lambdas", "1,-1", "--alphas", "1,3", "--A", "0.5",
+                 "--alpha", "0.6", "--mesh", "--mesh-samples", "7",
+                 "--mesh-count", "4", "--fd-checks", "3"],
+    "translator": ["translator", "--alpha", "0.7", "--lambdas", "1,-1",
+                   "--alphas", "1,3", "--A", "0.5", "--t-max", "0.6",
+                   "--mesh-samples", "6", "--mesh-count", "5", "--fd-checks", "2"],
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(ORBIT_EXPORTS))
+def test_orbit_reruns_are_byte_identical(tmp_path, capsys, cmd):
+    # orbit states depend on the order their cache was filled in
+    d1, d2 = tmp_path / "one", tmp_path / "two"
+    assert main(ORBIT_EXPORTS[cmd] + ["--outdir", str(d1)]) == 0
+    assert main(ORBIT_EXPORTS[cmd] + ["--outdir", str(d2)]) == 0
+    names = sorted(p.name for p in d1.iterdir())
+    assert f"{cmd}_mesh.csv" in names
+    assert names == sorted(p.name for p in d2.iterdir())
+    for name in names:
+        assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name

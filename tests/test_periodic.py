@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,12 +15,14 @@ from lagsol import (
     PeriodicSpec,
     SolitonParams,
     brakke_family,
+    centred_mesh,
     classify_case,
     compute_orbit,
     critical_point,
     detect_periodicity,
     hamiltonian_stationary,
     holonomies,
+    integrate_reduced,
     limit_gamma,
     limit_period,
     period,
@@ -32,7 +35,9 @@ from lagsol import (
     topology_tag,
     turning_points,
 )
+from lagsol import odeint
 from lagsol.errors import CaseMismatch, NonConvergence, ValidationError
+from lagsol.geometry import fd_step
 
 from conftest import make_orbit_spec
 
@@ -416,3 +421,60 @@ def test_orbit_profile_tracks_reduced_system():
                                atol=1e-8)
     assert prof.theta_of(0.9) == pytest.approx(traj.theta[0], abs=1e-8)
     assert prof.u_of(0.9) == pytest.approx(traj.u[0], abs=1e-8)
+
+
+ORBIT_CASES = pytest.mark.parametrize("lambdas,alpha", [
+    ((1.0, 1.0), -1.0),
+    ((1.0, -1.0), 0.5),
+], ids=["case_a", "case_b"])
+
+
+@ORBIT_CASES
+def test_orbit_profile_resumes_agree_with_one_integration(rng, lambdas, alpha):
+    # each query resumes from the nearest cached state; the states must match
+    # one integration from the base point through all of them
+    spec = make_orbit_spec(rng, lambdas, alpha)
+    S = compute_orbit(spec).S
+    prof = OrbitProfile(spec)
+    queries = list(np.linspace(0.0, S, 25))
+    for s in queries[::4]:
+        h = fd_step(prof.u_of(s))
+        queries += [s + h, s - h, s + h / 2, s - h / 2]
+    queries += [-0.37 * S, -S, 2.5 * S]
+    w = np.array([prof.w_of(s) for s in queries])
+    theta = np.array([prof.theta_of(s) for s in queries])
+
+    ref = sample_reduced(prof.tspec, queries, rtol=prof.rtol, atol=prof.atol)
+    at = {float(s): i for i, s in enumerate(ref.s)}
+    idx = [at[float(s)] for s in queries]
+    w_ref = (ref.radii() * np.exp(1j * ref.phis))[idx]
+    np.testing.assert_allclose(w, w_ref, rtol=1e-10, atol=1e-10)
+    np.testing.assert_allclose(theta, ref.theta[idx], rtol=1e-10, atol=1e-10)
+
+
+@ORBIT_CASES
+def test_orbit_mesh_costs_about_one_integration_of_its_span(rng, lambdas, alpha):
+    spec = make_orbit_spec(rng, lambdas, alpha)
+    S = compute_orbit(spec).S
+    prof = OrbitProfile(spec)
+    steps = []
+    integrate = odeint.integrate
+
+    def counted(*args, **kwargs):
+        res = integrate(*args, **kwargs)
+        steps.append(res.n_accepted)
+        return res
+
+    with mock.patch.object(odeint, "integrate", counted):
+        centred_mesh(prof, np.linspace(0.0, S, 25), 3)
+        mesh_steps = sum(steps)
+        steps.clear()
+        integrate_reduced(prof.tspec, 0.0, S, rtol=prof.rtol, atol=prof.atol)
+    assert mesh_steps <= 1.2 * sum(steps)
+
+
+def test_orbit_profile_rejects_non_finite_parameters():
+    prof = OrbitProfile(spec_of((1.0, -1.0), (1.0, 3.0), 0.5, alpha=0.6))
+    for s in (math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            prof.w_of(s)

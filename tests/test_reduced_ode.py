@@ -19,7 +19,7 @@ from lagsol import (
     sample_reduced,
 )
 from lagsol.errors import DomainEscape, ValidationError
-from lagsol.reduced_ode import export_trajectory_csv
+from lagsol.reduced_ode import DOMAIN_FLOOR, export_trajectory_csv, reduced_system
 
 
 def make_spec(lambdas, alphas, A, alpha=0.0, phi0=None, branch="principal"):
@@ -84,6 +84,33 @@ def test_reduced_rhs_zero_first_integral():
     dy = reduced_rhs(spec, spec.initial_state())
     assert dy[0] == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-14)
     np.testing.assert_allclose(dy[1:], 0.0, atol=1e-15)
+
+
+def _numpy_reduced_rhs(spec, y):
+    """Array-form reference for the stepper's float right-hand side."""
+    lam, alphas, n = np.array(spec.params.lambdas), np.array(spec.alphas), spec.n
+    rad = alphas + lam * y[0]
+    if rad.min() <= DOMAIN_FLOOR:
+        return np.full(n + 2, np.nan)
+    sq = math.sqrt(rad.prod())
+    d = y[1:n + 1].sum() - y[n + 1]
+    return np.concatenate([[2.0 * sq * math.cos(d)], -sq * math.sin(d) * lam / rad,
+                           [spec.params.alpha * sq * math.sin(d)]])
+
+
+def test_float_system_matches_array_formulas():
+    rng = np.random.default_rng(7)
+    spec = make_spec((1.0, 1.0, -1.0), (1.2, 0.8, 2.0), 0.45, alpha=0.5)
+    rhs, conserved, near_escape = reduced_system(spec)
+    lo, hi = spec.band()
+    for u in np.concatenate([rng.uniform(lo, hi, 20), [lo - 0.1, hi + 0.1]]):
+        y = np.concatenate([[u], rng.uniform(-4.0, 4.0, spec.n + 1)])
+        np.testing.assert_allclose(rhs(0.0, y), _numpy_reduced_rhs(spec, y),
+                                   rtol=1e-14, atol=1e-14)
+        if lo < u < hi:
+            assert conserved(y) == pytest.approx(first_integral(spec, y),
+                                                 rel=1e-13, abs=1e-14)
+        assert near_escape(y) == (min(u - lo, hi - u) < 1e-6)
 
 
 def test_reduced_rhs_against_finite_differences():
