@@ -29,9 +29,8 @@ from .expander import (ExpanderProfile, angle_map, asymptotic_angles,
                        invert_angle_map)
 from .meshing import centred_mesh, flow_slice_mesh, translator_mesh
 from .params import SolitonParams
-from .periodic import (OrbitProfile, PeriodicSpec, brakke_family, classify_case,
-                       compute_orbit, detect_periodicity, hamiltonian_stationary,
-                       search_periodic_data, topology_tag)
+from .periodic import (PeriodicSpec, brakke_family, compute_orbit,
+                       detect_periodicity, search_periodic_data, topology_tag)
 from .translator import TranslatorProfile
 from .verify import VerificationThresholds, require_verified, verify_mesh
 
@@ -161,6 +160,31 @@ def _fmt_list(vals):
     return ",".join(repr(float(v)) for v in vals)
 
 
+def _export_verified(cfg, name, profile, mesh, extra_pairs=()) -> int:
+    """Write the mesh (CSV, and PLY on request) and the profile record, verify
+    the mesh independently, then write its summary followed by extra_pairs."""
+    p = _outpath(cfg, name, "mesh.csv")
+    fileio.write_mesh_csv(p, mesh)
+    _wrote(p)
+    if cfg["ply"]:
+        p = _outpath(cfg, name, "mesh.ply")
+        fileio.write_mesh_ply(p, mesh, project3d=cfg["project3d"])
+        _wrote(p)
+    p = _outpath(cfg, name, "record.txt")
+    fileio.write_profile_record(p, profile)
+    _wrote(p)
+    report = verify_mesh(profile, mesh,
+                         VerificationThresholds(fd_checks=cfg["fd-checks"]))
+    p = _outpath(cfg, name, "summary.txt")
+    fileio.write_keyvalues(p, report.summary_pairs() + list(extra_pairs))
+    _wrote(p)
+    print(f"verification: {'PASS' if report.passed else 'FAIL'}")
+    for line in report.failures:
+        print(line)
+    require_verified(report)
+    return 0
+
+
 # -- expander ----------------------------------------------------------------
 
 _EXPANDER_OPTS = _COMMON + (
@@ -193,35 +217,13 @@ def cmd_expander(cfg) -> int:
 
     mesh_ts = np.linspace(-cfg["y-max"], cfg["y-max"], cfg["mesh-samples"])
     mesh = centred_mesh(profile, mesh_ts, cfg["mesh-count"], seed=cfg["seed"])
-    p = _outpath(cfg, "expander", "mesh.csv")
-    fileio.write_mesh_csv(p, mesh)
-    _wrote(p)
-    if cfg["ply"]:
-        p = _outpath(cfg, "expander", "mesh.ply")
-        fileio.write_mesh_ply(p, mesh, project3d=cfg["project3d"])
-        _wrote(p)
-
-    p = _outpath(cfg, "expander", "record.txt")
-    fileio.write_profile_record(p, profile)
-    _wrote(p)
-
-    report = verify_mesh(profile, mesh,
-                         VerificationThresholds(fd_checks=cfg["fd-checks"]))
     thetas = [profile.theta_of(float(y)) for y in mesh_ts]
     span = max(thetas) - min(thetas)
-    pairs = report.summary_pairs() + [
+    return _export_verified(cfg, "expander", profile, mesh, [
         ("theta_span", repr(span)),
         ("theta_constant", "true" if span < 1e-10 else "false"),
         ("angle_sum", repr(angles.total)),
-    ]
-    p = _outpath(cfg, "expander", "summary.txt")
-    fileio.write_keyvalues(p, pairs)
-    _wrote(p)
-    print(f"verification: {'PASS' if report.passed else 'FAIL'}")
-    for line in report.failures:
-        print(line)
-    require_verified(report)
-    return 0
+    ])
 
 
 # -- invert-angles -----------------------------------------------------------
@@ -302,32 +304,12 @@ def _periodic_report(cfg, spec) -> int:
 
     if not cfg["mesh"]:
         return 0
-    profile = (hamiltonian_stationary(spec)
-               if orbit.case == "hamiltonian_stationary" else OrbitProfile(spec))
+    profile = orbit.profile()
     span = verdict.T if verdict.periodic else orbit.S
     ts = np.linspace(0.0, span, cfg["mesh-samples"])
     mesh = centred_mesh(profile, ts, cfg["mesh-count"], seed=cfg["seed"],
                         rho_max=cfg["rho-max"])
-    p = _outpath(cfg, cfg["_name"], "mesh.csv")
-    fileio.write_mesh_csv(p, mesh)
-    _wrote(p)
-    if cfg["ply"]:
-        p = _outpath(cfg, cfg["_name"], "mesh.ply")
-        fileio.write_mesh_ply(p, mesh, project3d=cfg["project3d"])
-        _wrote(p)
-    p = _outpath(cfg, cfg["_name"], "record.txt")
-    fileio.write_profile_record(p, profile)
-    _wrote(p)
-    report = verify_mesh(profile, mesh,
-                         VerificationThresholds(fd_checks=cfg["fd-checks"]))
-    p = _outpath(cfg, cfg["_name"], "summary.txt")
-    fileio.write_keyvalues(p, report.summary_pairs())
-    _wrote(p)
-    print(f"verification: {'PASS' if report.passed else 'FAIL'}")
-    for line in report.failures:
-        print(line)
-    require_verified(report)
-    return 0
+    return _export_verified(cfg, cfg["_name"], profile, mesh)
 
 
 def cmd_periodic(cfg) -> int:
@@ -429,36 +411,14 @@ def cmd_translator(cfg) -> int:
     ts = np.linspace(t_min, t_max, cfg["mesh-samples"])
     mesh = translator_mesh(profile, ts, cfg["mesh-count"],
                            radius=cfg["radius"], seed=cfg["seed"])
-    p = _outpath(cfg, "translator", "mesh.csv")
-    fileio.write_mesh_csv(p, mesh)
-    _wrote(p)
-    if cfg["ply"]:
-        p = _outpath(cfg, "translator", "mesh.ply")
-        fileio.write_mesh_ply(p, mesh, project3d=cfg["project3d"])
-        _wrote(p)
-    p = _outpath(cfg, "translator", "record.txt")
-    fileio.write_profile_record(p, profile)
-    _wrote(p)
-
-    report = verify_mesh(profile, mesh,
-                         VerificationThresholds(fd_checks=cfg["fd-checks"]))
-    pairs = report.summary_pairs()
-    pairs += [("maslov_constant", repr(profile.alpha * profile.K.imag)),
-              ("oscillating_base", "true" if profile.oscillates else "false")]
+    pairs = [("maslov_constant", repr(profile.maslov_constant)),
+             ("oscillating_base", "true" if profile.oscillates else "false")]
     if profile.alpha != 0.0 and cfg["a"] is not None:
-        nb = profile.base.n
-        anchor = profile.immersion(np.zeros(nb), 0.0)[-1]
+        anchor = profile.immersion(np.zeros(profile.base.n), 0.0)[-1]
         pairs += [("anchor_re", repr(float(anchor.real))),
                   ("anchor_im", repr(float(anchor.imag))),
                   ("anchor_expected_im", repr(-math.pi / (2.0 * profile.alpha)))]
-    p = _outpath(cfg, "translator", "summary.txt")
-    fileio.write_keyvalues(p, pairs)
-    _wrote(p)
-    print(f"verification: {'PASS' if report.passed else 'FAIL'}")
-    for line in report.failures:
-        print(line)
-    require_verified(report)
-    return 0
+    return _export_verified(cfg, "translator", profile, mesh, pairs)
 
 
 # -- verify ------------------------------------------------------------------
@@ -494,7 +454,7 @@ _FLOW_OPTS = _COMMON + (
     _Opt("A", _f, None, "first-integral value (> 0)", required=True),
     _Opt("alpha", _f, None, "rescaling rate", required=True),
     _Opt("psi", _fs, None, "phase offsets (default zeros)"),
-    _Opt("t", _fs, None, "time values, e.g. -1,0,1", required=True),
+    _Opt("t", _fs, None, "time values, e.g. --t=-1,0,1", required=True),
     _Opt("mesh-samples", _i, 25, "curve samples per slice"),
     _Opt("mesh-count", _i, 16, "base points per curve sample"),
     _Opt("seed", _i, 0, "mesh base-point seed"),
@@ -506,8 +466,7 @@ def cmd_flow_family(cfg) -> int:
     params = SolitonParams(cfg["lambdas"], 1.0, cfg["alpha"])
     spec = PeriodicSpec(params, cfg["alphas"], cfg["A"], cfg["psi"])
     orbit = compute_orbit(spec)
-    profile = (hamiltonian_stationary(spec)
-               if orbit.case == "hamiltonian_stationary" else OrbitProfile(spec))
+    profile = orbit.profile()
     ss = np.linspace(0.0, orbit.S, cfg["mesh-samples"])
     pairs = []
     for i, t in enumerate(cfg["t"]):

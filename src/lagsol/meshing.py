@@ -74,13 +74,21 @@ def quadric_base_points(lambdas, count: int, *, seed: int = 0,
         if n == 1:
             return np.ones((count, 1))
         return _sphere_factor(n, count, rng)
-    omega = _sphere_factor(m, count, rng)
-    eta = _sphere_factor(n - m, count, rng)
     rho = rho_max * np.arange(count) / max(count - 1, 1)
-    out = np.empty((count, n))
-    out[:, :m] = np.sqrt(1.0 + rho * rho)[:, None] * omega
-    out[:, m:] = rho[:, None] * eta
-    return out
+    return _mixed_points(m, n, rho, 1, rng)
+
+
+def _mixed_points(m: int, n: int, rho, lifted: int, rng) -> np.ndarray:
+    """Rows (a omega, b eta) with omega on S^{m-1} and eta on S^{n-m-1}.
+
+    Per row, the factor named by lifted (+1: omega, -1: eta, 0: neither)
+    is scaled by sqrt(1 + rho^2) and the other by rho.
+    """
+    omega = _sphere_factor(m, len(rho), rng)
+    eta = _sphere_factor(n - m, len(rho), rng)
+    lift, flat = np.sqrt(1.0 + rho * rho)[:, None], rho[:, None]
+    return np.hstack([(lift if lifted > 0 else flat) * omega,
+                      (lift if lifted < 0 else flat) * eta])
 
 
 def ball_points(dim: int, count: int, *, radius: float = 1.0,
@@ -95,43 +103,37 @@ def ball_points(dim: int, count: int, *, radius: float = 1.0,
     return v * r
 
 
+def _mesh(kind: str, curve, t_values, xs, point) -> Mesh:
+    """Rows t-major: every base sample x of xs at each t.
+
+    curve supplies w and theta at t; point(x, t, w) is the row's z.
+    """
+    t_values = np.asarray(t_values, dtype=float)
+    if hasattr(curve, "prefetch"):
+        curve.prefetch(t_values)
+    pts, thetas = [], []
+    for t in t_values:
+        w = np.asarray(curve.w_of(t))
+        theta = float(curve.theta_of(t))
+        pts += [point(x, t, w) for x in xs]
+        thetas += [theta] * len(xs)
+    return Mesh(kind, np.array(pts), np.repeat(t_values, len(xs)), np.array(thetas),
+                np.tile(xs, (len(t_values), 1)))
+
+
 def centred_mesh(profile, t_values, base_count: int, *, seed: int = 0,
                  rho_max: float = 1.2) -> Mesh:
     """Mesh of F(x, t) = x * w(t) over a t-grid and a fixed quadric sample."""
-    t_values = np.asarray(t_values, dtype=float)
-    if hasattr(profile, "prefetch"):
-        profile.prefetch(t_values)
     xs = quadric_base_points(profile.lambdas, base_count, seed=seed, rho_max=rho_max)
-    pts, pars, thetas, bases = [], [], [], []
-    for t in t_values:
-        w = np.asarray(profile.w_of(t))
-        theta = float(profile.theta_of(t))
-        for x in xs:
-            pts.append(x * w)
-            pars.append(float(t))
-            thetas.append(theta)
-            bases.append(x)
-    return Mesh("centred", np.array(pts), np.array(pars), np.array(thetas),
-                np.array(bases))
+    return _mesh("centred", profile, t_values, xs, lambda x, t, w: x * w)
 
 
 def translator_mesh(profile, t_values, base_count: int, *, radius: float = 1.5,
                     seed: int = 0) -> Mesh:
     """Mesh of a translator immersion over a t-grid and a base-ball sample."""
-    t_values = np.asarray(t_values, dtype=float)
-    if hasattr(profile.base, "prefetch"):
-        profile.base.prefetch(t_values)   # an orbit base: t is its s
     xs = ball_points(profile.n - 1, base_count, radius=radius, seed=seed)
-    pts, pars, thetas, bases = [], [], [], []
-    for t in t_values:
-        theta = float(profile.theta_of(t))
-        for x in xs:
-            pts.append(profile.immersion(x, t))
-            pars.append(float(t))
-            thetas.append(theta)
-            bases.append(x)
-    return Mesh("translator", np.array(pts), np.array(pars), np.array(thetas),
-                np.array(bases))
+    return _mesh("translator", profile.base, t_values, xs,
+                 lambda x, t, w: profile.immersion(x, t))
 
 
 def flow_slice_mesh(profile, t: float, s_values, base_count: int, *, seed: int = 0,
@@ -147,39 +149,13 @@ def flow_slice_mesh(profile, t: float, s_values, base_count: int, *, seed: int =
     m = int(np.sum(lam > 0))
     if not 1 <= m < n:
         raise ValidationError("flow slices need mixed-sign lambdas")
-    s_values = np.asarray(s_values, dtype=float)
-    if hasattr(profile, "prefetch"):
-        profile.prefetch(s_values)
-    rng = np.random.default_rng(seed)
-    omega = _sphere_factor(m, base_count, rng)
-    eta = _sphere_factor(n - m, base_count, rng)
-    if t > 0:
+    lifted = (t > 0) - (t < 0)    # the factor carrying sqrt(1 + rho^2)
+    if lifted:
         rho = rho_max * np.arange(base_count) / max(base_count - 1, 1)
-        xs = np.empty((base_count, n))
-        xs[:, :m] = np.sqrt(1.0 + rho * rho)[:, None] * omega
-        xs[:, m:] = rho[:, None] * eta
-        scale = math.sqrt(t)
-    elif t < 0:
-        rho = rho_max * np.arange(base_count) / max(base_count - 1, 1)
-        xs = np.empty((base_count, n))
-        xs[:, :m] = rho[:, None] * omega
-        xs[:, m:] = np.sqrt(1.0 + rho * rho)[:, None] * eta
-        scale = math.sqrt(-t)
     else:
         # the cone: both factors scale with rho, apex dropped
         rho = rho_max * (1.0 + np.arange(base_count)) / base_count
-        xs = np.empty((base_count, n))
-        xs[:, :m] = rho[:, None] * omega
-        xs[:, m:] = rho[:, None] * eta
-        scale = 1.0
-    pts, pars, thetas, bases = [], [], [], []
-    for s in s_values:
-        w = np.asarray(profile.w_of(s))
-        theta = float(profile.theta_of(s))
-        for x in xs:
-            pts.append(scale * x * w)
-            pars.append(float(s))
-            thetas.append(theta)
-            bases.append(scale * x)
-    return Mesh("centred", np.array(pts), np.array(pars), np.array(thetas),
-                np.array(bases))
+    xs = _mixed_points(m, n, rho, lifted, np.random.default_rng(seed))
+    if lifted:
+        xs = math.sqrt(abs(t)) * xs
+    return _mesh("centred", profile, s_values, xs, lambda x, s, w: x * w)

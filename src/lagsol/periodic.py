@@ -39,9 +39,9 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import odeint
-from .errors import CaseMismatch, ValidationError
+from .errors import CaseMismatch, NonConvergence, ValidationError
 from .params import SolitonParams
-from .quadutil import DEFAULT_REL_TOL, sin2_quad
+from .quadutil import DEFAULT_REL_TOL, orbit_quad
 from .reduced_ode import TrajectorySpec, reduced_system
 
 CASE_I_REL_TOL = 1e-12
@@ -179,14 +179,24 @@ def _stationary_margin(spec: PeriodicSpec) -> float:
     return -math.expm1(-w0)
 
 
-def classify_case(spec: PeriodicSpec) -> str:
-    """'hamiltonian_stationary' when A^2 = G(u_*) to 1e-12 relative, else 'oscillating'."""
-    based, _ = rebase(spec)
+def _analyse(spec: PeriodicSpec):
+    """Re-base spec once and classify it.
+
+    Returns (rebased spec, u_*, case, stationary margin); raises when A lies
+    above the maximum of sqrt(G).
+    """
+    based, u_star = rebase(spec)
     margin = _stationary_margin(based)
     if margin < -CASE_I_REL_TOL:
         raise ValidationError(
             f"A = {spec.A:.12g} exceeds the maximum sqrt(G(u_*)); no bounded orbit")
-    return "hamiltonian_stationary" if abs(margin) <= CASE_I_REL_TOL else "oscillating"
+    case = "hamiltonian_stationary" if abs(margin) <= CASE_I_REL_TOL else "oscillating"
+    return based, u_star, case, margin
+
+
+def classify_case(spec: PeriodicSpec) -> str:
+    """'hamiltonian_stationary' when A^2 = G(u_*) to 1e-12 relative, else 'oscillating'."""
+    return _analyse(spec)[2]
 
 
 def turning_points(spec: PeriodicSpec):
@@ -194,97 +204,46 @@ def turning_points(spec: PeriodicSpec):
 
     Returned in the original base-height coordinates of spec.
     """
-    based, shift = rebase(spec)
-    if classify_case(spec) == "hamiltonian_stationary":
+    based, shift, case, _ = _analyse(spec)
+    if case == "hamiltonian_stationary":
         return shift, shift
     u1, u2 = _based_turning_points(based)
     return u1 + shift, u2 + shift
 
 
-def _orbit_quad(based: PeriodicSpec, u1: float, u2: float, numer, *,
-                rel_tol: float = DEFAULT_REL_TOL, what: str = "integral") -> float:
-    """Integral over one half-swing of numer(v, radii) / sqrt(G(v) - A^2).
+def _swing(spec: PeriodicSpec):
+    """(rebased spec, u1, u2) of data that must oscillate."""
+    based, _, case, _ = _analyse(spec)
+    if case == "hamiltonian_stationary":
+        raise CaseMismatch("stationary data has no oscillation band")
+    _warn_if_marginal(based)
+    return (based, *_based_turning_points(based))
 
-    Written in the angle variable of v = u1 + (u2-u1) sin^2(xi) so that the
-    offsets from the turning points keep full relative precision, and with
-    G - A^2 evaluated through log1p expansions anchored at the nearer turning
-    point.  That matters when a radius factor nearly vanishes at an endpoint
-    (the near-cone regime): the integrand then carries a spike of width
-    (alpha_j + lambda_j u1) whose location is also handed to the adaptive
-    scheme as breakpoints.
-    """
-    from scipy.integrate import quad
 
-    du = u2 - u1
-    lam = based.params.lambdas
+def _period_integral(based: PeriodicSpec, u1: float, u2: float, rel_tol: float) -> float:
     alpha = based.params.alpha
-    A2 = based.A ** 2
-    d1 = [a + l * u1 for a, l in zip(based.alphas, lam)]
-    d2 = [a + l * u2 for a, l in zip(based.alphas, lam)]
+    return orbit_quad(based, u1, u2, lambda v, rad: math.exp(0.5 * alpha * v),
+                      rel_tol=rel_tol, what="oscillation period")
 
-    def g(xi):
-        sx, cx = math.sin(xi), math.cos(xi)
-        dl = du * sx * sx       # v - u1, full relative precision
-        dr = du * cx * cx       # u2 - v
-        if dl <= dr:
-            w = alpha * dl
-            rad = [dj + lj * dl for dj, lj in zip(d1, lam)]
-            for dj, lj in zip(d1, lam):
-                w += math.log1p(lj * dl / dj)
-            v = u1 + dl
-        else:
-            w = -alpha * dr
-            rad = [dj - lj * dr for dj, lj in zip(d2, lam)]
-            for dj, lj in zip(d2, lam):
-                w += math.log1p(-lj * dr / dj)
-            v = u2 - dr
-        gap = A2 * math.expm1(w) if w > 0.0 else A2 * 1e-300
-        return numer(v, rad) / math.sqrt(gap) * du * 2.0 * sx * cx
 
-    pts = []
-    for dj in d1:
-        t = dj / du
-        if 0.0 < t < 0.05:
-            pts += [math.asin(math.sqrt(t)), math.asin(math.sqrt(min(10 * t, 0.5)))]
-    for dj in d2:
-        t = dj / du
-        if 0.0 < t < 0.05:
-            pts += [math.pi / 2 - math.asin(math.sqrt(t)),
-                    math.pi / 2 - math.asin(math.sqrt(min(10 * t, 0.5)))]
-    pts = sorted(set(p for p in pts if 0.0 < p < math.pi / 2))
-    res = quad(g, 0.0, math.pi / 2, epsabs=0.0, epsrel=rel_tol, limit=400,
-               points=pts or None, full_output=1)
-    from .quadutil import _checked
-    return _checked(res, rel_tol, what)
+def _holonomy_integrals(based: PeriodicSpec, u1: float, u2: float, rel_tol: float):
+    return [orbit_quad(based, u1, u2, lambda v, rad, j=j, lj=lj: -based.A * lj / rad[j],
+                       rel_tol=rel_tol, what="holonomy")
+            for j, lj in enumerate(based.params.lambdas)]
 
 
 def period(spec: PeriodicSpec, *, rel_tol: float = DEFAULT_REL_TOL) -> float:
     """u-oscillation period S of an oscillating spec."""
-    based, _ = rebase(spec)
-    _warn_if_marginal(based)
-    u1, u2 = _based_turning_points(based)
-    alpha = based.params.alpha
-    return _orbit_quad(based, u1, u2, lambda v, rad: math.exp(0.5 * alpha * v),
-                       rel_tol=rel_tol, what="oscillation period")
+    return _period_integral(*_swing(spec), rel_tol)
 
 
 def holonomies(spec: PeriodicSpec, *, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:
     """Per-period phase advances gamma_j of an oscillating spec."""
-    based, _ = rebase(spec)
-    _warn_if_marginal(based)
-    u1, u2 = _based_turning_points(based)
-    out = []
-    for j, lj in enumerate(based.params.lambdas):
-        out.append(_orbit_quad(
-            based, u1, u2,
-            lambda v, rad, j=j, lj=lj: -based.A * lj / rad[j],
-            rel_tol=rel_tol, what="holonomy"))
-    return np.array(out)
+    return np.array(_holonomy_integrals(*_swing(spec), rel_tol))
 
 
 def _based_turning_points(based: PeriodicSpec):
-    if classify_case(based) == "hamiltonian_stationary":
-        raise CaseMismatch("stationary data has no oscillation band")
+    """Turning points of a rebased oscillating spec."""
     lnA2 = 2.0 * math.log(based.A)
     W = lambda u: based.log_G(u) - lnA2
     lo, hi = based.band()
@@ -343,7 +302,10 @@ def _warn_if_marginal(based: PeriodicSpec):
 
 def limit_gamma(spec: PeriodicSpec) -> np.ndarray:
     """Holonomy limits as A^2 -> G(0): -2 pi lambda_j alpha_j^{-1} (2 sum alpha_k^{-2})^{-1/2}."""
-    based, _ = rebase(spec)
+    return _limit_gamma(rebase(spec)[0])
+
+
+def _limit_gamma(based: PeriodicSpec) -> np.ndarray:
     lam = np.array(based.params.lambdas)
     alphas = np.array(based.alphas)
     norm = math.sqrt(2.0 * float(np.sum(alphas ** -2.0)))
@@ -352,7 +314,10 @@ def limit_gamma(spec: PeriodicSpec) -> np.ndarray:
 
 def limit_period(spec: PeriodicSpec) -> float:
     """Small-oscillation (harmonic) limit of S as A^2 -> G(0)."""
-    based, _ = rebase(spec)
+    return _limit_period(rebase(spec)[0])
+
+
+def _limit_period(based: PeriodicSpec) -> float:
     alphas = np.array(based.alphas)
     return 2.0 * math.pi / math.sqrt(
         2.0 * float(np.prod(alphas)) * float(np.sum(alphas ** -2.0)))
@@ -376,28 +341,24 @@ class PeriodicOrbit:
     def gamma_sum(self) -> float:
         return float(sum(self.gamma))
 
+    def profile(self):
+        """The orbit's curve: the u = 0 closed form when stationary, else the ODE."""
+        cls = (HamiltonianStationaryProfile if self.case == "hamiltonian_stationary"
+               else OrbitProfile)
+        return cls.__new__(cls)._bind(self.based, self.u_shift)
+
 
 def compute_orbit(spec: PeriodicSpec, *, rel_tol: float = DEFAULT_REL_TOL) -> PeriodicOrbit:
     """Turning points, period and holonomies; stationary data gets its limits."""
-    based, shift = rebase(spec)
-    case = classify_case(spec)
-    margin = _stationary_margin(based)
+    based, shift, case, margin = _analyse(spec)
     if case == "hamiltonian_stationary":
         return PeriodicOrbit(spec, based, shift, case, shift, shift,
-                             limit_period(spec), tuple(limit_gamma(spec)), margin)
+                             _limit_period(based), tuple(_limit_gamma(based)), margin)
     _warn_if_marginal(based)
     u1, u2 = _based_turning_points(based)
-    alpha = based.params.alpha
-    S = _orbit_quad(based, u1, u2, lambda v, rad: math.exp(0.5 * alpha * v),
-                    rel_tol=rel_tol, what="oscillation period")
-    gam = []
-    for j, lj in enumerate(based.params.lambdas):
-        gam.append(_orbit_quad(
-            based, u1, u2,
-            lambda v, rad, j=j, lj=lj: -based.A * lj / rad[j],
-            rel_tol=rel_tol, what="holonomy"))
-    return PeriodicOrbit(spec, based, shift, case, u1 + shift, u2 + shift, S,
-                         tuple(gam), margin)
+    return PeriodicOrbit(spec, based, shift, case, u1 + shift, u2 + shift,
+                         _period_integral(based, u1, u2, rel_tol),
+                         tuple(_holonomy_integrals(based, u1, u2, rel_tol)), margin)
 
 
 # -- periodicity detection ---------------------------------------------------
@@ -461,7 +422,6 @@ def detect_periodicity(orbit: PeriodicOrbit, *, qmax: int = 64,
         return PeriodicityVerdict(True, orbit.case, 1, q, T, resid, qmax, tol)
 
     x = [gj / (2.0 * math.pi) for gj in orbit.gamma]
-    best = None
     # continued-fraction candidates first, then the exhaustive denominator scan
     fracs = [_best_rational(xx, qmax) for xx in x]
     R = 1
@@ -495,16 +455,21 @@ class HamiltonianStationaryProfile:
     kind = "centred"
 
     def __init__(self, spec: PeriodicSpec):
-        if classify_case(spec) != "hamiltonian_stationary":
+        based, u_shift, case, _ = _analyse(spec)
+        if case != "hamiltonian_stationary":
             raise CaseMismatch(
                 "data does not satisfy A^2 = G(u_*); the u = 0 closed form does not apply")
-        self.spec, self.u_shift = rebase(spec)
+        self._bind(based, u_shift)
+
+    def _bind(self, based: PeriodicSpec, u_shift: float):
+        self.spec, self.u_shift = based, u_shift
         self.lambdas = self.spec.params.lambdas
         self.C = 1.0
         self.alpha = self.spec.params.alpha
         self.n = self.spec.n
         self._rates = tuple(-l * self.spec.A / a
                             for l, a in zip(self.lambdas, self.spec.alphas))
+        return self
 
     def phis_of(self, s: float):
         return np.array(self.spec.psi) + np.array(self._rates) * s
@@ -543,7 +508,11 @@ class OrbitProfile:
     kind = "centred"
 
     def __init__(self, spec: PeriodicSpec, *, rtol: float = 1e-11, atol: float = 1e-13):
-        self.spec, self.u_shift = rebase(spec)
+        self._bind(*rebase(spec), rtol, atol)
+
+    def _bind(self, based: PeriodicSpec, u_shift: float, rtol: float = 1e-11,
+              atol: float = 1e-13):
+        self.spec, self.u_shift = based, u_shift
         self.tspec = self.spec.trajectory_spec()
         self.lambdas = self.spec.params.lambdas
         self.C = 1.0
@@ -553,6 +522,7 @@ class OrbitProfile:
         self.atol = atol
         self._rhs, self._conserved, self._near_escape = reduced_system(self.tspec)
         self._cache = {self.tspec.s0: self.tspec.initial_state()}
+        return self
 
     def prefetch(self, s_values):
         """Cache the states at s_values.
@@ -719,9 +689,7 @@ def search_periodic_data(lambdas, alpha: float, gamma_target, *, seed=None,
             rp, rm = residual(xp), residual(xm)
             if rp is None or rm is None:
                 # one-sided fallback at the feasibility boundary
-                rp = residual(xp) if rp is not None else r
-                rm = residual(xm) if rm is not None else r
-                J[:, k] = (rp - rm) / h
+                J[:, k] = ((r if rp is None else rp) - (r if rm is None else rm)) / h
             else:
                 J[:, k] = (rp - rm) / (2 * h)
         try:
@@ -736,12 +704,10 @@ def search_periodic_data(lambdas, alpha: float, gamma_target, *, seed=None,
                 break
             lam_d *= 0.5
         else:
-            from .errors import NonConvergence
             raise NonConvergence("periodic data search stalled (damping exhausted)")
         x, r, rnorm = trial, tr, float(np.linalg.norm(tr))
     if float(np.abs(r[1:]).max()) < tol and abs(r[0]) < tol:
         return PeriodicSpec(params, tuple(np.exp(x[:n])), math.exp(x[n]))
-    from .errors import NonConvergence
     raise NonConvergence(f"periodic data search did not converge in {max_iter} iterations")
 
 

@@ -61,31 +61,56 @@ def improper_quad(f, *, rel_tol: float = DEFAULT_REL_TOL, scale_breaks=(),
     return _checked(res, rel_tol, what)
 
 
-def sin2_quad(F, u1: float, u2: float, *, rel_tol: float = DEFAULT_REL_TOL,
-              breaks=(), what: str = "integral") -> float:
-    """Integral of F over [u1, u2] where F has 1/sqrt endpoint singularities.
+def orbit_quad(spec, u1: float, u2: float, numer, *,
+               rel_tol: float = DEFAULT_REL_TOL, what: str = "integral") -> float:
+    """Integral over one half-swing of numer(v, radii) / sqrt(G(v) - A^2).
 
-    F must blow up no faster than ((v-u1)(u2-v))^(-1/2); the substitution
-    v = u1 + (u2-u1) sin^2(xi) renders the transformed integrand smooth on
-    [0, pi/2].  breaks are v-locations of additional sharp features (spikes
-    from factors that nearly vanish inside the interval); they are mapped to
-    xi and handed to the adaptive scheme.
+    spec is a rebased orbit spec (``periodic.PeriodicSpec``) and u1 < u2 its
+    turning points.  Written in the angle variable of v = u1 + (u2-u1)
+    sin^2(xi) so that the offsets from the turning points keep full relative
+    precision, and with G - A^2 evaluated through log1p expansions anchored
+    at the nearer turning point.  That matters when a radius factor nearly
+    vanishes at an endpoint (the near-cone regime): the integrand then
+    carries a spike of width (alpha_j + lambda_j u1) whose location is also
+    handed to the adaptive scheme as breakpoints.
     """
-    if not u2 > u1:
-        raise ValueError("need u2 > u1")
     du = u2 - u1
+    lam = spec.params.lambdas
+    alpha = spec.params.alpha
+    A2 = spec.A ** 2
+    d1 = [a + l * u1 for a, l in zip(spec.alphas, lam)]
+    d2 = [a + l * u2 for a, l in zip(spec.alphas, lam)]
 
     def g(xi):
-        sx = math.sin(xi)
-        v = u1 + du * sx * sx
-        return F(v) * du * math.sin(2 * xi)
+        sx, cx = math.sin(xi), math.cos(xi)
+        dl = du * sx * sx       # v - u1, full relative precision
+        dr = du * cx * cx       # u2 - v
+        if dl <= dr:
+            w = alpha * dl
+            rad = [dj + lj * dl for dj, lj in zip(d1, lam)]
+            for dj, lj in zip(d1, lam):
+                w += math.log1p(lj * dl / dj)
+            v = u1 + dl
+        else:
+            w = -alpha * dr
+            rad = [dj - lj * dr for dj, lj in zip(d2, lam)]
+            for dj, lj in zip(d2, lam):
+                w += math.log1p(-lj * dr / dj)
+            v = u2 - dr
+        gap = A2 * math.expm1(w) if w > 0.0 else A2 * 1e-300
+        return numer(v, rad) / math.sqrt(gap) * du * 2.0 * sx * cx
 
     pts = []
-    for v in breaks:
-        t = (v - u1) / du
-        if 0.0 < t < 1.0:
-            pts.append(math.asin(math.sqrt(t)))
-    pts = sorted(set(pts))
+    for dj in d1:
+        t = dj / du
+        if 0.0 < t < 0.05:
+            pts += [math.asin(math.sqrt(t)), math.asin(math.sqrt(min(10 * t, 0.5)))]
+    for dj in d2:
+        t = dj / du
+        if 0.0 < t < 0.05:
+            pts += [math.pi / 2 - math.asin(math.sqrt(t)),
+                    math.pi / 2 - math.asin(math.sqrt(min(10 * t, 0.5)))]
+    pts = sorted(set(p for p in pts if 0.0 < p < math.pi / 2))
     res = quad(g, 0.0, math.pi / 2, epsabs=0.0, epsrel=rel_tol, limit=400,
                points=pts or None, full_output=1)
     return _checked(res, rel_tol, what)

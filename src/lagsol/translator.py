@@ -34,8 +34,7 @@ import numpy as np
 from .errors import ValidationError
 from .expander import ExpanderProfile, s_of_y
 from .geometry import FD_STEP_SCALE, FramedPoint, fd_step, mean_curvature_fd
-from .periodic import (PeriodicSpec, OrbitProfile, compute_orbit,
-                       hamiltonian_stationary)
+from .periodic import PeriodicSpec, compute_orbit
 
 
 class TranslatorProfile:
@@ -75,14 +74,8 @@ class TranslatorProfile:
     @classmethod
     def from_orbit_base(cls, spec: PeriodicSpec, *, K: complex = None):
         """Translator over a periodic-orbit (or stationary) base."""
-        from .periodic import classify_case
-        if classify_case(spec) == "hamiltonian_stationary":
-            base = hamiltonian_stationary(spec)
-            orbit = None
-        else:
-            base = OrbitProfile(spec)
-            orbit = compute_orbit(spec)
-        return cls(base, K=K, orbit=orbit)
+        orbit = compute_orbit(spec)
+        return cls(orbit.profile(), K=K, orbit=orbit)
 
     # -- scalar curve data ---------------------------------------------------
 
@@ -162,8 +155,19 @@ class TranslatorProfile:
 
     # -- invariants and residuals -------------------------------------------
 
+    @property
+    def maslov_constant(self) -> float:
+        """The value of theta + alpha Im z_n on the whole submanifold.
+
+        alpha Im K for alpha != 0; for alpha = 0 theta itself is constant and
+        this is its value at the base point, curve parameter 0.
+        """
+        if self.alpha != 0.0:
+            return self.alpha * self.K.imag
+        return float(self.theta_of(0.0))
+
     def maslov_invariant(self, x, t: float) -> float:
-        """theta + alpha Im z_n; constant (= alpha Im K) for alpha != 0."""
+        """theta + alpha Im z_n; equals maslov_constant everywhere."""
         z = self.immersion(x, t)
         return float(self.theta_of(t) + self.alpha * z[-1].imag)
 

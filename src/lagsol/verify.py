@@ -100,6 +100,64 @@ def _finish(kind, count, worst, thresholds_by_name, rows=()):
                               tuple(violations), tuple(rows))
 
 
+@dataclass(frozen=True)
+class _Kind:
+    """What one kind of profile brings to the shared verification loop."""
+
+    name: str
+    curve: object       # the centred curve sampled by the leading coordinates
+    thresholds: dict    # every invariant, in report order, with its threshold
+    gate: tuple         # invariants a point must meet before its frame is checked
+    at: object          # t -> (w, theta, data), read once per curve parameter
+    own: object         # (x, z, theta, data) -> residuals of the kind's own invariants
+    frame: object       # (x, t) -> FramedPoint
+    oracle: object      # (x, t) -> FD mean curvature
+    drive: object       # FramedPoint -> the term equal to C H on a soliton
+    C: float
+
+
+def _centred_kind(profile, th: VerificationThresholds) -> _Kind:
+    lam = np.asarray(profile.lambdas, dtype=float)
+    return _Kind(
+        "centred", profile,
+        {"reconstruction": th.reconstruction, "quadric": th.quadric,
+         "stored_angle": th.stored_angle, "lagrangian": th.lagrangian,
+         "angle": th.angle, "soliton": th.soliton},
+        ("reconstruction", "quadric"),
+        lambda t: (np.asarray(profile.w_of(t)), float(profile.theta_of(t)), None),
+        lambda x, z, theta, _: {"quadric": abs(float(np.sum(lam * x * x)) - profile.C)},
+        lambda x, t: centred_frame(profile, x, t),
+        lambda x, t: centred_fd_mean_curvature(profile, x, t),
+        lambda fp: profile.alpha * fp.normal_projection(fp.z),
+        profile.C)
+
+
+def _translator_kind(profile: TranslatorProfile, th: VerificationThresholds) -> _Kind:
+    base = profile.base
+    lam = np.asarray(base.lambdas, dtype=float)
+    maslov_ref = profile.maslov_constant
+    T = profile.translation_vector()
+
+    def own(x, z, theta, beta):
+        zn = -0.5 * float(np.sum(lam * x * x)) + beta
+        return {"last_coordinate": abs(z[-1] - zn) / (1.0 + abs(zn)),
+                "maslov": abs(theta + profile.alpha * z[-1].imag - maslov_ref)}
+
+    return _Kind(
+        "translator", base,
+        {"reconstruction": th.reconstruction, "last_coordinate": th.reconstruction,
+         "stored_angle": th.stored_angle, "maslov": th.stored_angle,
+         "lagrangian": th.lagrangian, "angle": th.angle, "soliton": th.soliton},
+        ("reconstruction",),
+        lambda t: (np.asarray(base.w_of(t)), float(profile.theta_of(t)),
+                   profile.beta_of(t)),
+        own,
+        lambda x, t: profile.frame_at(x, t),
+        lambda x, t: translator_fd_mean_curvature(profile, x, t),
+        lambda fp: fp.normal_projection(T),
+        1.0)
+
+
 def verify_mesh(profile, mesh, thresholds: VerificationThresholds = None,
                 *, collect_rows: bool = False) -> VerificationReport:
     """Recompute every invariant of a mesh and report the worst residuals.
@@ -111,135 +169,63 @@ def verify_mesh(profile, mesh, thresholds: VerificationThresholds = None,
     """
     th = thresholds or VerificationThresholds()
     if isinstance(profile, TranslatorProfile):
-        return _verify_translator(profile, mesh, th, collect_rows)
-    if getattr(profile, "kind", None) == "centred":
-        return _verify_centred(profile, mesh, th, collect_rows)
-    raise ValidationError(
-        f"cannot verify meshes for profile kind {getattr(profile, 'kind', None)!r}")
-
-
-def _verify_centred(profile, mesh, th: VerificationThresholds,
-                    collect_rows: bool = False) -> VerificationReport:
-    n = profile.n
-    if mesh.n != n:
+        kind = _translator_kind(profile, th)
+    elif getattr(profile, "kind", None) == "centred":
+        kind = _centred_kind(profile, th)
+    else:
         raise ValidationError(
-            f"mesh has {mesh.n} complex coordinates but the profile needs {n}")
+            f"cannot verify meshes for profile kind {getattr(profile, 'kind', None)!r}")
+    if mesh.n != profile.n:
+        noun = "profile" if kind.name == "centred" else "translator"
+        raise ValidationError(
+            f"mesh has {mesh.n} complex coordinates but the {noun} needs {profile.n}")
     count = len(mesh)
     ts = np.asarray(mesh.params, dtype=float)
-    if hasattr(profile, "prefetch"):
-        profile.prefetch(sorted(set(ts.tolist())))
-    wcache = {}
-    worst = {name: _Worst() for name in
-             ("reconstruction", "quadric", "stored_angle", "lagrangian",
-              "angle", "soliton")}
+    if hasattr(kind.curve, "prefetch"):
+        kind.curve.prefetch(sorted(set(ts.tolist())))
+    per_t = {}
+    worst = {name: _Worst() for name in kind.thresholds}
     fd_at = set(_fd_subset(count, th.fd_checks).tolist())
-    lam = np.asarray(profile.lambdas, dtype=float)
     rows = []
 
     for i in range(count):
         t = float(ts[i])
         z = mesh.points[i]
-        if t not in wcache:
-            wcache[t] = (np.asarray(profile.w_of(t)), float(profile.theta_of(t)))
-        w, theta = wcache[t]
-        x = (z / w).real
-        rec = float(np.max(np.abs(z - x * w))) / (1.0 + float(np.max(np.abs(z))))
-        quad = abs(float(np.sum(lam * x * x)) - profile.C)
-        worst["reconstruction"].update(rec, i)
-        worst["quadric"].update(quad, i)
-        worst["stored_angle"].update(
-            abs(math.remainder(float(mesh.thetas[i]) - theta, 2.0 * math.pi)), i)
-        if not (rec <= th.reconstruction and quad <= th.quadric):
+        if t not in per_t:
+            per_t[t] = kind.at(t)
+        w, theta, data = per_t[t]
+        zc = z[:len(w)]
+        x = (zc / w).real
+        res = {"reconstruction":
+               float(np.max(np.abs(zc - x * w))) / (1.0 + float(np.max(np.abs(z)))),
+               "stored_angle":
+               abs(math.remainder(float(mesh.thetas[i]) - theta, 2.0 * math.pi)),
+               **kind.own(x, z, theta, data)}
+        for name, value in res.items():
+            worst[name].update(value, i)
+        if not all(res[name] <= kind.thresholds[name] for name in kind.gate):
             # frame checks need a point that is actually on the immersion
             if collect_rows:
                 rows.append((i, t, math.nan, math.nan, math.nan))
             continue
-        fp = centred_frame(profile, x, t)
+        fp = kind.frame(x, t)
         worst["lagrangian"].update(fp.lagrangian_residual, i)
         worst["angle"].update(fp.angle_residual, i)
-        Fperp = fp.normal_projection(fp.z)
+        drive = kind.drive(fp)
         if collect_rows:
-            sol = float(np.linalg.norm(
-                profile.alpha * Fperp - profile.C * fp.mean_curvature()))
+            sol = float(np.linalg.norm(drive - kind.C * fp.mean_curvature()))
             rows.append((i, t, fp.lagrangian_residual, fp.angle_residual, sol))
         if i in fd_at:
-            H_fd = centred_fd_mean_curvature(profile, x, t)
+            H_fd = kind.oracle(x, t)
             H_norm = float(np.linalg.norm(H_fd))
             if profile.alpha == 0.0:
                 # minimal case: the equation is H = 0, so the check is absolute
                 worst["soliton"].update(H_norm, i)
             else:
-                num = float(np.linalg.norm(profile.alpha * Fperp - profile.C * H_fd))
+                num = float(np.linalg.norm(drive - kind.C * H_fd))
                 worst["soliton"].update(num / max(H_norm, 1e-12), i)
 
-    return _finish("centred", count, worst, {
-        "reconstruction": th.reconstruction, "quadric": th.quadric,
-        "stored_angle": th.stored_angle, "lagrangian": th.lagrangian,
-        "angle": th.angle, "soliton": th.soliton}, rows)
-
-
-def _verify_translator(profile: TranslatorProfile, mesh,
-                       th: VerificationThresholds,
-                       collect_rows: bool = False) -> VerificationReport:
-    nb = profile.base.n
-    if mesh.n != nb + 1:
-        raise ValidationError(
-            f"mesh has {mesh.n} complex coordinates but the translator needs {nb + 1}")
-    count = len(mesh)
-    ts = np.asarray(mesh.params, dtype=float)
-    base = profile.base
-    if hasattr(base, "prefetch"):
-        base.prefetch(sorted(set(ts.tolist())))
-    wcache = {}
-    worst = {name: _Worst() for name in
-             ("reconstruction", "last_coordinate", "stored_angle", "maslov",
-              "lagrangian", "angle", "soliton")}
-    fd_at = set(_fd_subset(count, th.fd_checks).tolist())
-    lam = np.asarray(base.lambdas, dtype=float)
-    alpha = profile.alpha
-    maslov_ref = alpha * profile.K.imag
-    rows = []
-
-    for i in range(count):
-        t = float(ts[i])
-        z = mesh.points[i]
-        if t not in wcache:
-            wcache[t] = (np.asarray(base.w_of(t)), float(profile.theta_of(t)),
-                         profile.beta_of(t))
-        w, theta, beta = wcache[t]
-        x = (z[:-1] / w).real
-        rec = float(np.max(np.abs(z[:-1] - x * w))) / (1.0 + float(np.max(np.abs(z))))
-        worst["reconstruction"].update(rec, i)
-        zn = -0.5 * float(np.sum(lam * x * x)) + beta
-        worst["last_coordinate"].update(abs(z[-1] - zn) / (1.0 + abs(zn)), i)
-        worst["stored_angle"].update(
-            abs(math.remainder(float(mesh.thetas[i]) - theta, 2.0 * math.pi)), i)
-        worst["maslov"].update(
-            abs(theta + alpha * z[-1].imag - maslov_ref), i)
-        if not rec <= th.reconstruction:
-            if collect_rows:
-                rows.append((i, t, math.nan, math.nan, math.nan))
-            continue
-        fp = profile.frame_at(x, t)
-        worst["lagrangian"].update(fp.lagrangian_residual, i)
-        worst["angle"].update(fp.angle_residual, i)
-        Tperp = fp.normal_projection(profile.translation_vector())
-        if collect_rows:
-            sol = float(np.linalg.norm(Tperp - fp.mean_curvature()))
-            rows.append((i, t, fp.lagrangian_residual, fp.angle_residual, sol))
-        if i in fd_at:
-            H_fd = translator_fd_mean_curvature(profile, x, t)
-            H_norm = float(np.linalg.norm(H_fd))
-            num = float(np.linalg.norm(Tperp - H_fd))
-            if alpha == 0.0:
-                worst["soliton"].update(H_norm, i)
-            else:
-                worst["soliton"].update(num / max(H_norm, 1e-12), i)
-
-    return _finish("translator", count, worst, {
-        "reconstruction": th.reconstruction, "last_coordinate": th.reconstruction,
-        "stored_angle": th.stored_angle, "maslov": th.stored_angle,
-        "lagrangian": th.lagrangian, "angle": th.angle, "soliton": th.soliton}, rows)
+    return _finish(kind.name, count, worst, kind.thresholds, rows)
 
 
 def require_verified(report: VerificationReport) -> VerificationReport:

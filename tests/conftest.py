@@ -1,4 +1,9 @@
-"""Shared helpers for the test suite: deterministic random data generators."""
+"""Shared fixtures for the test suite: deterministic random data generators.
+
+Helpers reach tests as fixtures, not imports: ``from conftest import ...``
+would resolve to whichever ``conftest`` module was imported first when this
+suite is collected together with ``perfbench/tests``.
+"""
 
 import math
 
@@ -26,3 +31,8 @@ def make_orbit_spec(rng, lambdas, alpha, *, frac=None, alpha_range=(0.5, 3.0)):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260825)
+
+
+@pytest.fixture(name="make_orbit_spec")
+def make_orbit_spec_fixture():
+    return make_orbit_spec

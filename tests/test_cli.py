@@ -197,6 +197,28 @@ def test_translator_expander_base(tmp_path, capsys):
     assert float(summary["anchor_im"]) == pytest.approx(expected, abs=1e-10)
 
 
+@pytest.mark.parametrize("base", [
+    ["--a", "1,2"],
+    ["--lambdas", "1,-1", "--alphas", "1,2", "--A", "0.4"],
+], ids=["expander_base", "orbit_base"])
+def test_translator_alpha_zero_passes(tmp_path, capsys, base):
+    """For alpha = 0 theta is constant: the Maslov reference is its value at
+    the base point, not alpha Im K = 0."""
+    rc = main(["translator", "--alpha", "0", *base, "--mesh-samples", "5",
+               "--mesh-count", "4", "--fd-checks", "2", "--outdir", str(tmp_path)])
+    assert rc == 0
+    assert "verification: PASS" in capsys.readouterr().out
+    summary = fileio.read_keyvalues(tmp_path / "translator_summary.txt")
+    assert float(summary["max_maslov"]) < 1e-14
+    record = fileio.read_profile_record(tmp_path / "translator_record.txt")
+    base_theta = record.base.theta_of(0.0)
+    assert float(summary["maslov_constant"]) == base_theta
+    if base[0] == "--a":
+        assert base_theta == pytest.approx(math.pi / 2, abs=1e-14)
+    else:
+        assert base_theta == pytest.approx(-0.2699327958334, abs=1e-12)
+
+
 def test_translator_orbit_base(tmp_path, capsys):
     rc = main(["translator", "--alpha", "0.7", "--lambdas", "1,-1",
                "--alphas", "1,3", "--A", "0.5", "--t-max", "0.6",

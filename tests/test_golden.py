@@ -1,0 +1,115 @@
+"""Golden outputs: small CLI jobs must print and write the recorded numbers.
+
+``tests/data/golden.json`` holds, per job, the exit code, stdout and the
+text of every file written, with the output directory replaced by ``<OUT>``.
+Numbers are compared to a relative tolerance of 1e-12 (``|x - ref| <=
+1e-12 * (1 + |ref|)``); everything between them must match exactly.
+
+Record the file again (only when an output change is intended) with
+``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+import contextlib
+import io
+import json
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+from lagsol.cli import main
+
+DATA = Path(__file__).parent / "data" / "golden.json"
+SMALL = ["--mesh-samples=4", "--mesh-count=3"]
+ORBIT = ["--lambdas=1,-1", "--alphas=1,2", "--A=0.4", "--alpha=0.5"]
+JOBS = {
+    "expander": ["expander", "--alpha=1", "--a=1,2", "--samples=5"] + SMALL,
+    "expander_minimal": ["expander", "--alpha=0", "--a=1,2", "--samples=5"] + SMALL,
+    "periodic": ["periodic"] + ORBIT + ["--mesh"] + SMALL,
+    "stationary": ["periodic", "--lambdas=1,-1", "--alphas=1,1", "--A=1", "--alpha=0",
+                   "--mesh"] + SMALL,
+    "translator_expander": ["translator", "--alpha=1", "--a=1"] + SMALL,
+    "translator_orbit": ["translator", "--alpha=0.5", "--lambdas=1,-1", "--alphas=1,2",
+                         "--A=0.4"] + SMALL,
+    "flow_family": ["flow-family"] + ORBIT + ["--t=-1,0,1"] + SMALL,
+}
+# verify jobs re-read the mesh and record another job wrote
+VERIFY = {
+    "verify_periodic": "periodic",
+    "verify_stationary": "stationary",
+    "verify_translator_expander": "translator_expander",
+    "verify_translator_orbit": "translator_orbit",
+}
+TOL = 1e-12
+NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\w.])")
+
+
+def run_jobs(root: Path) -> dict:
+    """Run every job under root; returns job -> {rc, stdout, files}."""
+    out = {}
+    for name, argv in JOBS.items():
+        out[name] = _run(argv, root / name)
+    for name, source in VERIFY.items():
+        src = root / source
+        prefix = JOBS[source][0]
+        argv = ["verify", f"--mesh={src / (prefix + '_mesh.csv')}",
+                f"--record={src / (prefix + '_record.txt')}",
+                f"--residuals={root / name / 'residuals.csv'}"]
+        out[name] = _run(argv, root / name)
+    return out
+
+
+def _run(argv, outdir: Path) -> dict:
+    outdir.mkdir(parents=True, exist_ok=True)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = main(argv + [f"--outdir={outdir}"])
+    root = str(outdir.parent)
+    return {"rc": rc, "stdout": buf.getvalue().replace(root, "<OUT>"),
+            "files": {p.name: p.read_text().replace(root, "<OUT>")
+                      for p in sorted(outdir.iterdir())}}
+
+
+def _mismatch(text: str, ref: str):
+    """None when text matches ref under the golden rule, else a description."""
+    if NUMBER.split(text) != NUMBER.split(ref):
+        return "text differs outside the numbers"
+    for k, (a, b) in enumerate(zip(NUMBER.findall(text), NUMBER.findall(ref))):
+        if not abs(float(a) - float(b)) <= TOL * (1.0 + abs(float(b))):
+            return f"number {k}: {a} against the recorded {b}"
+    return None
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    return run_jobs(tmp_path_factory.mktemp("golden"))
+
+
+@pytest.mark.parametrize("job", list(JOBS) + list(VERIFY))
+def test_outputs_match_the_recorded_goldens(outputs, job):
+    ref = json.loads(DATA.read_text())[job]
+    got = outputs[job]
+    assert got["rc"] == ref["rc"] == 0
+    assert sorted(got["files"]) == sorted(ref["files"])
+    assert _mismatch(got["stdout"], ref["stdout"]) is None, "stdout"
+    for name, text in ref["files"].items():
+        assert _mismatch(got["files"][name], text) is None, name
+
+
+def test_the_comparison_catches_a_changed_digit():
+    assert _mismatch("S = 1.2345678901234", "S = 1.2345678901234") is None
+    assert _mismatch("S = 1.2345678901234", "S = 1.2345678901235") is None
+    assert _mismatch("S = 1.23456789012", "S = 1.23456789013") is not None
+    assert _mismatch("case = oscillating", "case = hamiltonian") is not None
+    assert _mismatch("S1 x S0 x R1", "S1 x S0 x R1") is None
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        data = run_jobs(Path(tmp))
+    DATA.parent.mkdir(exist_ok=True)
+    DATA.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {DATA}", file=sys.stderr)

@@ -39,8 +39,6 @@ from lagsol import odeint
 from lagsol.errors import CaseMismatch, NonConvergence, ValidationError
 from lagsol.geometry import fd_step
 
-from conftest import make_orbit_spec
-
 
 def spec_of(lambdas, alphas, A, alpha=0.0, psi=None):
     return PeriodicSpec(SolitonParams(lambdas, 1.0, alpha), alphas, A, psi)
@@ -65,7 +63,7 @@ def test_critical_point_examples():
     assert critical_point(spec2) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_critical_point_is_a_maximum(rng):
+def test_critical_point_is_a_maximum(rng, make_orbit_spec):
     for lam, alpha in (((1.0, -1.0), 0.0), ((1.0, -1.0), 1.0),
                        ((1.0, 1.0), -1.5), ((1.0, 1.0, -1.0), 0.5)):
         spec = make_orbit_spec(rng, lam, alpha)
@@ -250,7 +248,7 @@ def test_conditioning_warning_near_stationary():
         period(healthy)
 
 
-def test_G_structure(rng):
+def test_G_structure(rng, make_orbit_spec):
     """G positive on the band, increasing left of the critical point,
     decreasing right of it, vanishing at the ends."""
     spec = make_orbit_spec(rng, (1.0, -1.0), 0.5)
@@ -358,6 +356,27 @@ def test_search_recovers_reference_holonomies():
     assert found.A == pytest.approx(based.A, rel=1e-5)
 
 
+def test_search_jacobian_fallback_reuses_residuals():
+    """A seed just below the ceiling makes the +h step in log A infeasible, so
+    that Jacobian column is one-sided; it must reuse the residual it holds
+    instead of computing it again."""
+    alphas = (1.0, 2.0 / 3.0)   # critical point at 0 for alpha = 0.5
+    ceiling = math.exp(0.5 * spec_of((1.0, -1.0), alphas, 1.0, alpha=0.5).log_G(0.0))
+    target = holonomies(spec_of((1.0, -1.0), alphas, 0.6 * ceiling, alpha=0.5))
+    seen = []
+    real = holonomies
+
+    def spy(spec, **kwargs):
+        seen.append((spec.alphas, spec.A))
+        return real(spec, **kwargs)
+
+    with mock.patch("lagsol.periodic.holonomies", side_effect=spy):
+        found = search_periodic_data((1.0, -1.0), 0.5, target,
+                                     seed=(alphas, (1.0 - 1e-7) * ceiling))
+    assert len(seen) == len(set(seen)) > 0
+    np.testing.assert_allclose(holonomies(found), target, atol=1e-8)
+
+
 def test_search_rejects_unnormalized_lambdas():
     with pytest.raises(ValidationError):
         search_periodic_data((2.0, -1.0), 0.0, (-1.0, 1.0))
@@ -430,7 +449,8 @@ ORBIT_CASES = pytest.mark.parametrize("lambdas,alpha", [
 
 
 @ORBIT_CASES
-def test_orbit_profile_resumes_agree_with_one_integration(rng, lambdas, alpha):
+def test_orbit_profile_resumes_agree_with_one_integration(rng, make_orbit_spec,
+                                                          lambdas, alpha):
     # each query resumes from the nearest cached state; the states must match
     # one integration from the base point through all of them
     spec = make_orbit_spec(rng, lambdas, alpha)
@@ -453,7 +473,8 @@ def test_orbit_profile_resumes_agree_with_one_integration(rng, lambdas, alpha):
 
 
 @ORBIT_CASES
-def test_orbit_mesh_costs_about_one_integration_of_its_span(rng, lambdas, alpha):
+def test_orbit_mesh_costs_about_one_integration_of_its_span(rng, make_orbit_spec,
+                                                            lambdas, alpha):
     spec = make_orbit_spec(rng, lambdas, alpha)
     S = compute_orbit(spec).S
     prof = OrbitProfile(spec)
