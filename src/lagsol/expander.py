@@ -28,13 +28,15 @@ entirely).
 
 from __future__ import annotations
 
+import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import InvalidTarget, NonConvergence, ValidationError
+from .params import require_finite
 from .quadutil import DEFAULT_REL_TOL, finite_quad, improper_quad
 
 NEWTON_MAX_ITER = 50
@@ -54,6 +56,7 @@ class ExpanderProfile:
     a: tuple
     psi: tuple = None
     u_star: float = 0.0
+    _phases: "_PhaseCache" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = tuple(float(x) for x in self.a)
@@ -62,12 +65,16 @@ class ExpanderProfile:
         object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "u_star", float(self.u_star))
+        require_finite("alpha", (self.alpha,))
+        require_finite("a", a)
+        require_finite("psi", psi)
         if self.alpha < 0:
             raise ValidationError("expander profiles need alpha >= 0")
         if any(x <= 0 for x in a):
             raise ValidationError("profile curvatures a_j must be positive")
         if len(psi) != len(a):
             raise ValidationError("psi must have the same length as a")
+        object.__setattr__(self, "_phases", _PhaseCache(self.alpha, a))
 
     @property
     def n(self) -> int:
@@ -206,25 +213,51 @@ def _scale_breaks(alpha: float, a: tuple):
     return sorted(out)
 
 
-@lru_cache(maxsize=200_000)
-def _phi_increments(alpha: float, a: tuple, y: float) -> tuple:
-    """integral_0^y of the phi_j integrands, one value per j (odd in y)."""
-    if y == 0.0:
-        return (0.0,) * len(a)
-    breaks = _scale_breaks(alpha, a)
-    out = []
-    for aj in a:
-        f = lambda t, aj=aj: aj / ((1.0 + aj * t * t)) * _inv_sqrt_P(alpha, a, t)
-        val = finite_quad(f, 0.0, abs(y), breaks=breaks, what="phi increment")
-        out.append(math.copysign(val, y))
-    return tuple(out)
+def _phase_integrands(alpha: float, a: tuple):
+    """d phi_j / dt, one function per j."""
+    return [lambda t, aj=aj: aj / ((1.0 + aj * t * t)) * _inv_sqrt_P(alpha, a, t)
+            for aj in a]
+
+
+class _PhaseCache:
+    """Exact phase increments integral_0^h d phi_j, by height h = |y| >= 0.
+
+    A height not yet held is integrated from the held height nearest to it
+    (0 is always held), so sorted heights chain into one pass over their
+    span and an FD stencil point integrates only its offset from its centre.
+    The last digits of a value depend on the order of the queries.
+    """
+
+    def __init__(self, alpha: float, a: tuple):
+        self.integrands = _phase_integrands(alpha, a)
+        self.breaks = _scale_breaks(alpha, a)
+        self.heights = [0.0]                      # sorted
+        self.values = {0.0: (0.0,) * len(a)}
+
+    def increments(self, y: float) -> tuple:
+        """integral_0^y of the phi_j integrands, one value per j (odd in y)."""
+        if not math.isfinite(y):
+            raise ValidationError(f"profile height {y!r} is not finite")
+        h = abs(y)
+        inc = self.values.get(h)
+        if inc is None:
+            k = bisect.bisect(self.heights, h)
+            near = min(self.heights[max(k - 1, 0):k + 1], key=lambda c: abs(c - h))
+            lo, hi = min(near, h), max(near, h)
+            sign = 1.0 if h > near else -1.0
+            inc = tuple(v + sign * finite_quad(f, lo, hi, breaks=self.breaks,
+                                               what="phi increment")
+                        for v, f in zip(self.values[near], self.integrands))
+            self.heights.insert(k, h)
+            self.values[h] = inc
+        return inc if y >= 0.0 else tuple(-v for v in inc)
 
 
 def profile_eval(profile: ExpanderProfile, y: float) -> ProfilePoint:
     """Radii, lifted phases and the Lagrangian angle at height y."""
     y = float(y)
     a = profile.a
-    inc = _phi_increments(profile.alpha, a, y)
+    inc = profile._phases.increments(y)
     r = tuple(math.sqrt(1.0 / aj + y * y) for aj in a)
     phis = tuple(p + i for p, i in zip(profile.psi, inc))
     theta = sum(phis) + math.atan2(_inv_sqrt_P(profile.alpha, a, y), y)
@@ -234,11 +267,8 @@ def profile_eval(profile: ExpanderProfile, y: float) -> ProfilePoint:
 @lru_cache(maxsize=10_000)
 def _phibar(alpha: float, a: tuple) -> tuple:
     breaks = _scale_breaks(alpha, a)
-    out = []
-    for aj in a:
-        f = lambda t, aj=aj: aj / ((1.0 + aj * t * t)) * _inv_sqrt_P(alpha, a, t)
-        out.append(improper_quad(f, scale_breaks=breaks, what="asymptotic angle"))
-    return tuple(out)
+    return tuple(improper_quad(f, scale_breaks=breaks, what="asymptotic angle")
+                 for f in _phase_integrands(alpha, a))
 
 
 def asymptotic_angles(profile: ExpanderProfile) -> AngleVector:
@@ -249,6 +279,8 @@ def asymptotic_angles(profile: ExpanderProfile) -> AngleVector:
 def angle_map(alpha: float, a) -> np.ndarray:
     """The angle map a -> phibar for the zero-phase profile."""
     a = tuple(float(x) for x in a)
+    require_finite("alpha", (alpha,))
+    require_finite("a", a)
     if alpha < 0:
         raise ValidationError("angle map is defined for alpha >= 0")
     if any(x <= 0 for x in a):
@@ -345,6 +377,8 @@ def invert_angle_map(alpha: float, target, *, tol: float = NEWTON_TOL,
     through a); the returned representative satisfies sum(a) = 1.
     """
     target = np.asarray(target, dtype=float)
+    require_finite("alpha", (alpha,))
+    require_finite("target angles", target.tolist())
     n = target.size
     if alpha == 0.0 and n == 1:
         # every a gives phibar = pi/2; only that target is admissible

@@ -73,9 +73,72 @@ def quadric_tangent_basis(lambdas, x):
     return basis
 
 
+def _tangent_bases(lambdas, xs) -> np.ndarray:
+    """quadric_tangent_basis at each row of xs, as one (m, n-1, n) array.
+
+    Same pivot, Gram-Schmidt order and orientation, but the dot products sum
+    over stacked rows, so entries agree with quadric_tangent_basis to
+    roundoff rather than bit for bit.  The frames use this; the FD chart
+    keeps quadric_tangent_basis, so the oracle's arithmetic stays its own.
+    """
+    lam = np.asarray(lambdas, dtype=float)
+    m, n = xs.shape
+    grad = lam * xs
+    norm = np.linalg.norm(grad, axis=-1, keepdims=True)
+    if np.any(norm == 0):
+        raise ValidationError("quadric gradient vanishes; point is singular")
+    nu = grad / norm
+    drop = np.argmax(np.abs(grad), axis=-1)
+    slots = np.arange(n - 1)
+    axes = slots + (slots >= drop[:, None])       # the kept axes, in order
+    basis = np.empty((m, n - 1, n))
+    for k in range(n - 1):
+        v = np.zeros((m, n))
+        v[np.arange(m), axes[:, k]] = 1.0
+        v -= np.sum(v * nu, axis=-1, keepdims=True) * nu
+        for e in basis[:, :k].swapaxes(0, 1):
+            v -= np.sum(v * e, axis=-1, keepdims=True) * e
+        vn = np.linalg.norm(v, axis=-1, keepdims=True)
+        if np.any(vn < 1e-12):
+            raise ValidationError("degenerate tangent basis at quadric point")
+        basis[:, k] = v / vn
+    if n > 1:
+        flip = np.linalg.det(np.concatenate([basis, nu[:, None, :]], axis=1)) < 0
+        basis[flip, 0] *= -1.0
+    return basis
+
+
+def angle_gap(d):
+    """|d| after wrapping d to [-pi, pi], elementwise; equals
+    abs(math.remainder(d, 2 pi)) exactly, and is NaN where d is not finite."""
+    with np.errstate(invalid="ignore"):
+        r = np.fmod(d, 2.0 * math.pi)
+    r = np.where(r > math.pi, r - 2.0 * math.pi, np.where(r < -math.pi, r + 2.0 * math.pi, r))
+    return _per_point(np.abs(r))
+
+
+def _per_point(values):
+    """A float for one point, the array for a stack."""
+    return float(values) if np.ndim(values) == 0 else values
+
+
+def _mv(A, v):
+    """A v over the leading axes of either."""
+    return (A @ v[..., None])[..., 0]
+
+
+def _vm(v, A):
+    """v A (v a row vector) over the leading axes of either."""
+    return (v[..., None, :] @ A)[..., 0, :]
+
+
 @dataclass
 class FramedPoint:
-    """Frame and first fundamental data at one point of the immersion."""
+    """Frame and first fundamental data at one point of the immersion.
+
+    A stack of points at one curve parameter is one FramedPoint whose arrays
+    carry a leading point axis; the residuals are then arrays over it.
+    """
 
     z: np.ndarray             # immersion point in C^n
     frame: np.ndarray         # (n, n) complex; row a is the tangent vector f_a
@@ -83,29 +146,35 @@ class FramedPoint:
     theta: float              # Lagrangian angle carried by the profile
     theta_rate: float         # d theta / dt in the chart's curve parameter
 
+    @classmethod
+    def of(cls, z, frame, theta, theta_rate, *, stacked: bool) -> "FramedPoint":
+        """Frame data from stacked z and frame; one point unless stacked."""
+        gram = frame @ np.conj(frame.swapaxes(-1, -2))
+        if not stacked:
+            z, frame, gram = z[0], frame[0], gram[0]
+        return cls(z, frame, gram, float(theta), float(theta_rate))
+
     @property
     def metric(self) -> np.ndarray:
         return self.gram.real
 
     @property
-    def lagrangian_residual(self) -> float:
-        return float(np.abs(self.gram.imag).max())
+    def lagrangian_residual(self):
+        return _per_point(np.abs(self.gram.imag).max(axis=(-2, -1)))
 
     @property
-    def angle_residual(self) -> float:
+    def angle_residual(self):
         """|arg det frame - theta| wrapped to (-pi, pi]."""
-        det = np.linalg.det(self.frame)
-        d = np.angle(det) - self.theta
-        return abs(math.remainder(d, 2.0 * math.pi))
+        return angle_gap(np.angle(np.linalg.det(self.frame)) - self.theta)
 
     def metric_inverse(self) -> np.ndarray:
         return np.linalg.inv(self.metric)
 
     def tangent_projection(self, v: np.ndarray) -> np.ndarray:
         """Real-orthogonal projection of v in C^n ~ R^2n onto the tangent space."""
-        coeff = self.frame @ np.conj(v)
-        comp = self.metric_inverse() @ coeff.real
-        return comp @ self.frame
+        coeff = _mv(self.frame, np.conj(v))
+        comp = _mv(self.metric_inverse(), coeff.real)
+        return _vm(comp, self.frame)
 
     def normal_projection(self, v: np.ndarray) -> np.ndarray:
         return v - self.tangent_projection(v)
@@ -113,30 +182,29 @@ class FramedPoint:
     def mean_curvature(self) -> np.ndarray:
         """H = J grad theta; theta varies only along the curve direction."""
         ginv = self.metric_inverse()
-        return 1j * self.theta_rate * (ginv[-1] @ self.frame)
+        return 1j * self.theta_rate * _vm(ginv[..., -1, :], self.frame)
 
 
 def centred_frame(profile, x, t: float) -> FramedPoint:
-    """Frame of F(x, t) = x * w(t) at a quadric point x and curve parameter t."""
+    """Frame of F(x, t) = x * w(t) at curve parameter t and a quadric point x,
+    or a stack of them (shape (m, n)); the curve is read once either way."""
     x = np.asarray(x, dtype=float)
     n = profile.n
-    if x.size != n:
+    if x.ndim not in (1, 2) or x.shape[-1] != n:
         raise ValidationError("quadric point has wrong dimension")
-    qc = float(np.sum(np.asarray(profile.lambdas) * x * x))
-    if abs(qc - profile.C) > 1e-9 * max(1.0, abs(profile.C)):
+    xs = x.reshape(-1, n)
+    qc = np.sum(np.asarray(profile.lambdas) * xs * xs, axis=-1)
+    off = np.abs(qc - profile.C) > 1e-9 * max(1.0, abs(profile.C))
+    if off.any():
         raise ValidationError(
-            f"point is not on the quadric: sum lambda x^2 = {qc!r}, expected {profile.C!r}")
+            f"point is not on the quadric: sum lambda x^2 = {float(qc[off][0])!r},"
+            f" expected {profile.C!r}")
     w = np.asarray(profile.w_of(t))
     wdot = np.asarray(profile.wdot_of(t))
-    z = x * w
-    if n == 1:
-        frame = (x * wdot)[None, :]
-    else:
-        basis = quadric_tangent_basis(profile.lambdas, x)
-        frame = np.vstack([basis * w[None, :], (x * wdot)[None, :]])
-    gram = frame @ np.conj(frame.T)
-    return FramedPoint(z, frame, gram, float(profile.theta_of(t)),
-                       float(profile.theta_rate_of(t)))
+    basis = _tangent_bases(profile.lambdas, xs)
+    frame = np.concatenate([basis * w, (xs * wdot)[:, None, :]], axis=1)
+    return FramedPoint.of(xs * w, frame, profile.theta_of(t), profile.theta_rate_of(t),
+                          stacked=x.ndim == 2)
 
 
 def curve_metric_coefficient(profile, x, t: float) -> float:

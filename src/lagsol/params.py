@@ -11,11 +11,20 @@ one-parameter dilation can be composed on top of it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ValidationError
+
+
+def require_finite(name: str, values) -> None:
+    """Raise ValidationError unless every entry of values is a finite number."""
+    values = tuple(values)
+    if not all(math.isfinite(v) for v in values):
+        shown = values[0] if len(values) == 1 else values
+        raise ValidationError(f"{name} must be finite, got {shown!r}")
 
 
 @dataclass(frozen=True)
@@ -36,6 +45,9 @@ class SolitonParams:
         object.__setattr__(self, "lambdas", lam)
         object.__setattr__(self, "C", float(self.C))
         object.__setattr__(self, "alpha", float(self.alpha))
+        require_finite("lambdas", lam)
+        require_finite("C", (self.C,))
+        require_finite("alpha", (self.alpha,))
         if len(lam) < 1:
             raise ValidationError("need at least one lambda")
         if any(l == 0.0 for l in lam):

@@ -40,7 +40,7 @@ from scipy.optimize import brentq
 
 from . import odeint
 from .errors import CaseMismatch, NonConvergence, ValidationError
-from .params import SolitonParams
+from .params import SolitonParams, require_finite
 from .quadutil import DEFAULT_REL_TOL, orbit_quad
 from .reduced_ode import TrajectorySpec, reduced_system
 
@@ -72,6 +72,9 @@ class PeriodicSpec:
         object.__setattr__(self, "alphas", alphas)
         object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "A", float(self.A))
+        require_finite("alphas", alphas)
+        require_finite("A", (self.A,))
+        require_finite("psi", psi)
         if not self.params.is_normalized:
             raise ValidationError("PeriodicSpec requires normalized params")
         n = self.params.n

@@ -122,31 +122,36 @@ class TranslatorProfile:
     # -- the immersion and its frame ----------------------------------------
 
     def immersion(self, x, t: float) -> np.ndarray:
+        """z at curve parameter t and a base point x, or a stack of them
+        (shape (m, n - 1))."""
         x = np.asarray(x, dtype=float)
-        if x.size != self.n - 1:
+        if x.shape[-1:] != (self.n - 1,):
             raise ValidationError("base point must have n - 1 coordinates")
         lam = np.asarray(self.base_lambdas)
         w = np.asarray(self.base.w_of(t))
-        z = np.empty(self.n, dtype=complex)
-        z[:-1] = x * w
-        z[-1] = -0.5 * float(np.sum(lam * x * x)) + self.beta_of(t)
+        z = np.empty(x.shape[:-1] + (self.n,), dtype=complex)
+        z[..., :-1] = x * w
+        z[..., -1] = -0.5 * np.sum(lam * x * x, axis=-1) + self.beta_of(t)
         return z
 
     def frame_at(self, x, t: float) -> FramedPoint:
+        """Frame at curve parameter t and a base point x, or a stack of them
+        (shape (m, n - 1)); the curve is read once either way."""
         x = np.asarray(x, dtype=float)
+        n = self.n
+        z = self.immersion(x, t).reshape(-1, n)
+        xs = x.reshape(-1, n - 1)
         lam = np.asarray(self.base_lambdas)
         w = np.asarray(self.base.w_of(t))
         wdot = np.asarray(self.base.wdot_of(t))
-        n = self.n
-        frame = np.zeros((n, n), dtype=complex)
-        for j in range(n - 1):
-            frame[j, j] = w[j]
-            frame[j, -1] = -lam[j] * x[j]
-        frame[-1, :-1] = x * wdot
-        frame[-1, -1] = self.beta_rate_of(t)
-        gram = frame @ np.conj(frame.T)
-        return FramedPoint(self.immersion(x, t), frame, gram,
-                           float(self.theta_of(t)), float(self.theta_rate_of(t)))
+        j = np.arange(n - 1)
+        frame = np.zeros((len(xs), n, n), dtype=complex)
+        frame[:, j, j] = w
+        frame[:, j, -1] = -lam * xs
+        frame[:, -1, :-1] = xs * wdot
+        frame[:, -1, -1] = self.beta_rate_of(t)
+        return FramedPoint.of(z, frame, self.theta_of(t), self.theta_rate_of(t),
+                              stacked=x.ndim > 1)
 
     def translation_vector(self) -> np.ndarray:
         T = np.zeros(self.n, dtype=complex)

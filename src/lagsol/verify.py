@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError, VerificationError
-from .geometry import centred_frame, centred_fd_mean_curvature
+from .geometry import angle_gap, centred_frame, centred_fd_mean_curvature
 from .translator import TranslatorProfile, translator_fd_mean_curvature
 
 __all__ = [
@@ -57,6 +57,14 @@ class _Worst:
             self.value = value
             self.index = index
 
+    def update_all(self, values: np.ndarray, indices: np.ndarray):
+        """update() with each value and index in turn, in one array pass."""
+        if not len(values):
+            return
+        nan = np.isnan(values)
+        k = int(np.argmax(nan)) if nan.any() else int(np.argmax(values))
+        self.update(float(values[k]), int(indices[k]))
+
 
 @dataclass
 class VerificationReport:
@@ -86,6 +94,14 @@ def _fd_subset(count: int, fd_checks: int) -> np.ndarray:
     return np.unique(np.linspace(0, count - 1, min(fd_checks, count)).round().astype(int))
 
 
+def _runs(ts: np.ndarray):
+    """(start, stop) of each run of equal consecutive curve parameters."""
+    if not len(ts):
+        return []
+    edges = [0, *(np.flatnonzero(ts[1:] != ts[:-1]) + 1).tolist(), len(ts)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
 def _finish(kind, count, worst, thresholds_by_name, rows=()):
     maxima = {name: w.value for name, w in worst.items()}
     violations = []
@@ -108,11 +124,11 @@ class _Kind:
     curve: object       # the centred curve sampled by the leading coordinates
     thresholds: dict    # every invariant, in report order, with its threshold
     gate: tuple         # invariants a point must meet before its frame is checked
-    at: object          # t -> (w, theta, data), read once per curve parameter
-    own: object         # (x, z, theta, data) -> residuals of the kind's own invariants
-    frame: object       # (x, t) -> FramedPoint
-    oracle: object      # (x, t) -> FD mean curvature
-    drive: object       # FramedPoint -> the term equal to C H on a soliton
+    at: object          # t -> (w, theta, data), read once per run of equal t
+    own: object         # (x, z, theta, data) -> per-row residuals of the kind's own invariants
+    frame: object       # (x, t) -> FramedPoint of the stacked rows x
+    oracle: object      # (x, t) -> FD mean curvature at one point
+    drive: object       # FramedPoint -> the term equal to C H on a soliton, per row
     C: float
 
 
@@ -125,7 +141,7 @@ def _centred_kind(profile, th: VerificationThresholds) -> _Kind:
          "angle": th.angle, "soliton": th.soliton},
         ("reconstruction", "quadric"),
         lambda t: (np.asarray(profile.w_of(t)), float(profile.theta_of(t)), None),
-        lambda x, z, theta, _: {"quadric": abs(float(np.sum(lam * x * x)) - profile.C)},
+        lambda x, z, theta, _: {"quadric": np.abs(np.sum(lam * x * x, axis=-1) - profile.C)},
         lambda x, t: centred_frame(profile, x, t),
         lambda x, t: centred_fd_mean_curvature(profile, x, t),
         lambda fp: profile.alpha * fp.normal_projection(fp.z),
@@ -139,9 +155,9 @@ def _translator_kind(profile: TranslatorProfile, th: VerificationThresholds) -> 
     T = profile.translation_vector()
 
     def own(x, z, theta, beta):
-        zn = -0.5 * float(np.sum(lam * x * x)) + beta
-        return {"last_coordinate": abs(z[-1] - zn) / (1.0 + abs(zn)),
-                "maslov": abs(theta + profile.alpha * z[-1].imag - maslov_ref)}
+        zn = -0.5 * np.sum(lam * x * x, axis=-1) + beta
+        return {"last_coordinate": np.abs(z[:, -1] - zn) / (1.0 + np.abs(zn)),
+                "maslov": np.abs(theta + profile.alpha * z[:, -1].imag - maslov_ref)}
 
     return _Kind(
         "translator", base,
@@ -181,48 +197,55 @@ def verify_mesh(profile, mesh, thresholds: VerificationThresholds = None,
             f"mesh has {mesh.n} complex coordinates but the {noun} needs {profile.n}")
     count = len(mesh)
     ts = np.asarray(mesh.params, dtype=float)
+    thetas = np.asarray(mesh.thetas, dtype=float)
     if hasattr(kind.curve, "prefetch"):
         kind.curve.prefetch(sorted(set(ts.tolist())))
-    per_t = {}
     worst = {name: _Worst() for name in kind.thresholds}
     fd_at = set(_fd_subset(count, th.fd_checks).tolist())
     rows = []
 
-    for i in range(count):
-        t = float(ts[i])
-        z = mesh.points[i]
-        if t not in per_t:
-            per_t[t] = kind.at(t)
-        w, theta, data = per_t[t]
-        zc = z[:len(w)]
+    # one pass per run of equal t: every row of a run shares the curve data,
+    # so its residuals and frames are computed as stacked arrays
+    for lo, hi in _runs(ts):
+        t = float(ts[lo])
+        index = np.arange(lo, hi)
+        z = mesh.points[lo:hi]
+        w, theta, data = kind.at(t)
+        zc = z[:, :len(w)]
         x = (zc / w).real
-        res = {"reconstruction":
-               float(np.max(np.abs(zc - x * w))) / (1.0 + float(np.max(np.abs(z)))),
-               "stored_angle":
-               abs(math.remainder(float(mesh.thetas[i]) - theta, 2.0 * math.pi)),
+        res = {"reconstruction": np.max(np.abs(zc - x * w), axis=1)
+               / (1.0 + np.max(np.abs(z), axis=1)),
+               "stored_angle": angle_gap(thetas[lo:hi] - theta),
                **kind.own(x, z, theta, data)}
-        for name, value in res.items():
-            worst[name].update(value, i)
-        if not all(res[name] <= kind.thresholds[name] for name in kind.gate):
-            # frame checks need a point that is actually on the immersion
+        for name, values in res.items():
+            worst[name].update_all(values, index)
+        # frame checks need points that are actually on the immersion
+        on = np.logical_and.reduce([res[name] <= kind.thresholds[name]
+                                    for name in kind.gate])
+        framed = index[on]
+        lag = ang = sol = np.empty(0)
+        if len(framed):
+            fp = kind.frame(x[on], t)
+            lag, ang = fp.lagrangian_residual, fp.angle_residual
+            worst["lagrangian"].update_all(lag, framed)
+            worst["angle"].update_all(ang, framed)
+            drive = kind.drive(fp)
             if collect_rows:
-                rows.append((i, t, math.nan, math.nan, math.nan))
-            continue
-        fp = kind.frame(x, t)
-        worst["lagrangian"].update(fp.lagrangian_residual, i)
-        worst["angle"].update(fp.angle_residual, i)
-        drive = kind.drive(fp)
+                sol = np.linalg.norm(drive - kind.C * fp.mean_curvature(), axis=-1)
         if collect_rows:
-            sol = float(np.linalg.norm(drive - kind.C * fp.mean_curvature()))
-            rows.append((i, t, fp.lagrangian_residual, fp.angle_residual, sol))
-        if i in fd_at:
-            H_fd = kind.oracle(x, t)
+            table = np.full((hi - lo, 3), math.nan)
+            table[on] = np.column_stack([lag, ang, sol])
+            rows += [(i, t, *r) for i, r in zip(range(lo, hi), table.tolist())]
+        for k, i in enumerate(framed.tolist()):
+            if i not in fd_at:
+                continue
+            H_fd = kind.oracle(x[i - lo], t)
             H_norm = float(np.linalg.norm(H_fd))
             if profile.alpha == 0.0:
                 # minimal case: the equation is H = 0, so the check is absolute
                 worst["soliton"].update(H_norm, i)
             else:
-                num = float(np.linalg.norm(drive - kind.C * H_fd))
+                num = float(np.linalg.norm(drive[k] - kind.C * H_fd))
                 worst["soliton"].update(num / max(H_norm, 1e-12), i)
 
     return _finish(kind.name, count, worst, kind.thresholds, rows)

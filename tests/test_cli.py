@@ -85,6 +85,25 @@ def test_bad_count_option_exits_2(tmp_path, capsys):
     assert "--mesh-count must be at least 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["expander", "--alpha=nan", "--a=1,2"],
+    ["expander", "--alpha=inf", "--a=1,2"],
+    ["expander", "--alpha=1", "--a=1,inf"],
+    ["translator", "--alpha=nan", "--a=1"],
+    ["invert-angles", "--alpha=1", "--target=nan,0.5"],
+    ["invert-angles", "--alpha=inf", "--target=0.5,0.5"],
+    ["shrinker", "--alphas=1,1.5", "--A=nan", "--alpha=-1"],
+    ["shrinker", "--alphas=1,1.5", "--A=0.5", "--alpha=nan"],
+    ["periodic", "--lambdas=1,-1", "--alphas=1,2", "--A=0.4", "--alpha=inf"],
+], ids=lambda argv: " ".join(argv))
+def test_non_finite_inputs_exit_2(tmp_path, capsys, argv):
+    # main returns rather than raising, so no traceback reaches the user
+    rc = main(argv + [f"--outdir={tmp_path}"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("lagsol:") and "must be finite" in err
+
+
 def test_invert_angles_round_trip(capsys):
     rc = main(["invert-angles", "--alpha", "1.0", "--target", "0.5,0.6"])
     assert rc == 0

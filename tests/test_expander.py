@@ -1,6 +1,7 @@
 """Expander and minimal profiles on the centred quadric, and the angle map."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,8 +16,11 @@ from lagsol import (
     profile_eval,
     s_of_y,
 )
+from lagsol import cli, quadutil
 from lagsol.errors import InvalidTarget, ValidationError
-from lagsol.expander import eval_P
+from lagsol.expander import _scale_breaks, eval_P
+from lagsol.geometry import fd_step
+from lagsol.quadutil import finite_quad
 
 
 def test_profile_validation():
@@ -271,3 +275,81 @@ def test_s_of_y_parametrization():
     h = 1e-6
     fd = (s_of_y(prof, h) - s_of_y(prof, -h)) / (2 * h)
     assert fd == pytest.approx(math.sqrt(2.0) / math.sqrt(4.0), rel=1e-9)
+
+
+# -- the per-profile phase cache ----------------------------------------------
+
+PHASE_CASES = [(1.0, (1.0, 2.0)), (0.0, (0.8, 1.5)), (0.5, (1e6, 1.0))]
+
+
+def _cache_heights(prof):
+    """The heights an export queries: the profile table, the mesh, FD offsets
+    +-h and +-h/2 around three mesh heights, then +-5 and 0."""
+    table = np.linspace(-1.5, 1.5, 200)
+    mesh = np.linspace(-1.5, 1.5, 30)
+    fd = []
+    for y in mesh[[3, 14, 26]]:
+        h = fd_step(prof.u_of(y))
+        fd += [y + h, y - h, y + 0.5 * h, y - 0.5 * h]
+    return [float(y) for y in (*table, *mesh, *fd, 5.0, -5.0, 0.0)]
+
+
+def _one_shot_phases(prof, y):
+    """Each phase as one quadrature over [0, |y|], as an uncached profile would."""
+    def integrand(aj):
+        return lambda t: aj / (1.0 + aj * t * t) / math.sqrt(eval_P(prof, t))
+    vals = [finite_quad(integrand(aj), 0.0, abs(y), breaks=_scale_breaks(prof.alpha, prof.a))
+            for aj in prof.a]
+    return np.copysign(vals, y)
+
+
+@pytest.mark.parametrize("alpha, a", PHASE_CASES)
+def test_cached_phases_match_one_quadrature_in_any_query_order(alpha, a):
+    heights = _cache_heights(ExpanderProfile(alpha, a))
+    forward, backward = ExpanderProfile(alpha, a), ExpanderProfile(alpha, a)
+    fwd = {y: np.array(profile_eval(forward, y).phis) for y in heights}
+    bwd = {y: np.array(profile_eval(backward, y).phis) for y in reversed(heights)}
+    for y in heights:
+        ref = _one_shot_phases(forward, y)
+        np.testing.assert_allclose(fwd[y], ref, rtol=0, atol=1e-12 * (1 + np.abs(ref).max()))
+        np.testing.assert_allclose(fwd[y], bwd[y], rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("alpha, a", PHASE_CASES)
+def test_cached_phases_are_exactly_odd(alpha, a):
+    prof = ExpanderProfile(alpha, a)
+    for y in (0.3, 1.7, 0.3 + 1e-3, 4.0):
+        assert profile_eval(prof, -y).phis == tuple(-p for p in profile_eval(prof, y).phis)
+    assert profile_eval(prof, -0.0).phis == (0.0,) * len(a)
+
+
+def test_non_finite_height_is_rejected():
+    prof = ExpanderProfile(1.0, (1.0, 2.0))
+    for y in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError):
+            profile_eval(prof, y)
+        with pytest.raises(ValidationError):
+            prof.w_of(y)
+
+
+def test_phase_cache_belongs_to_the_profile():
+    # a profile's values never depend on what another profile was asked
+    used, fresh = ExpanderProfile(1.0, (1.0, 2.0)), ExpanderProfile(1.0, (1.0, 2.0))
+    for y in np.linspace(0.0, 3.0, 13):
+        profile_eval(used, y)
+    assert used == fresh and hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh) and "phase" not in repr(used)
+    assert fresh._phases.heights == [0.0]
+
+
+def test_expander_export_integrand_budget(tmp_path):
+    fevals = []
+
+    def quad_neval(*args, **kwargs):
+        res = quad(*args, **kwargs)
+        fevals.append(res[2]["neval"])   # lagsol always asks for full_output
+        return res
+
+    with mock.patch.object(quadutil, "quad", side_effect=quad_neval):
+        assert cli.main(["expander", "--alpha=1", "--a=1,2", f"--outdir={tmp_path}"]) == 0
+    assert 0 < sum(fevals) <= 15_000

@@ -1,12 +1,19 @@
-"""The mesh verifier fails closed on non-finite residuals."""
+"""The mesh verifier fails closed on non-finite residuals, and its stacked
+per-run pass reports what a loop over single points reports."""
 
 import dataclasses
 import math
 
 import numpy as np
+import pytest
 
 from lagsol import (ExpanderProfile, OrbitProfile, PeriodicSpec, SolitonParams,
-                    TranslatorProfile, centred_mesh, translator_mesh, verify_mesh)
+                    TranslatorProfile, VerificationThresholds, centred_fd_mean_curvature,
+                    centred_frame, centred_mesh, quadric_base_points, quadric_tangent_basis,
+                    stationary_spec, translator_fd_mean_curvature, translator_mesh,
+                    verify_mesh)
+from lagsol.geometry import _tangent_bases
+from lagsol.verify import _finish, _fd_subset, _Worst
 
 
 def _with_nan_point(mesh, i):
@@ -46,3 +53,141 @@ def test_a_nan_residual_stays_the_worst():
     report = verify_mesh(prof, dataclasses.replace(bad, points=points))
     failure = next(f for f in report.failures if f.startswith("reconstruction"))
     assert "nan" in failure and "at point 2" in failure
+
+
+# -- stacked verification against a per-point loop -----------------------------
+
+def _per_point_report(profile, mesh, collect_rows=False):
+    """The verifier as one loop over points, each frame built on its own."""
+    th = VerificationThresholds()
+    if isinstance(profile, TranslatorProfile):
+        curve, lam, T = profile.base, np.asarray(profile.base.lambdas), \
+            profile.translation_vector()
+        limits = {"reconstruction": th.reconstruction, "last_coordinate": th.reconstruction,
+                  "stored_angle": th.stored_angle, "maslov": th.stored_angle,
+                  "lagrangian": th.lagrangian, "angle": th.angle, "soliton": th.soliton}
+        gate, C = ("reconstruction",), 1.0
+
+        def own(x, z, t):
+            zn = -0.5 * float(np.sum(lam * x * x)) + profile.beta_of(t)
+            return {"last_coordinate": abs(z[-1] - zn) / (1.0 + abs(zn)),
+                    "maslov": abs(profile.theta_of(t) + profile.alpha * z[-1].imag
+                                  - profile.maslov_constant)}
+        frame = profile.frame_at
+        oracle = lambda x, t: translator_fd_mean_curvature(profile, x, t)
+        drive = lambda fp: fp.normal_projection(T)
+    else:
+        curve, lam = profile, np.asarray(profile.lambdas)
+        limits = {"reconstruction": th.reconstruction, "quadric": th.quadric,
+                  "stored_angle": th.stored_angle, "lagrangian": th.lagrangian,
+                  "angle": th.angle, "soliton": th.soliton}
+        gate, C = ("reconstruction", "quadric"), profile.C
+        own = lambda x, z, t: {"quadric": abs(float(np.sum(lam * x * x)) - profile.C)}
+        frame = lambda x, t: centred_frame(profile, x, t)
+        oracle = lambda x, t: centred_fd_mean_curvature(profile, x, t)
+        drive = lambda fp: profile.alpha * fp.normal_projection(fp.z)
+    if hasattr(curve, "prefetch"):
+        curve.prefetch(sorted(set(np.asarray(mesh.params, dtype=float).tolist())))
+    worst = {name: _Worst() for name in limits}
+    fd_at = set(_fd_subset(len(mesh), th.fd_checks).tolist())
+    rows = []
+    for i in range(len(mesh)):
+        t, z = float(mesh.params[i]), mesh.points[i]
+        w = np.asarray(curve.w_of(t))
+        zc = z[:len(w)]
+        x = (zc / w).real
+        res = {"reconstruction":
+               float(np.max(np.abs(zc - x * w))) / (1.0 + float(np.max(np.abs(z)))),
+               "stored_angle": abs(math.remainder(float(mesh.thetas[i])
+                                                  - float(profile.theta_of(t)), 2.0 * math.pi)),
+               **own(x, z, t)}
+        for name, value in res.items():
+            worst[name].update(value, i)
+        if not all(res[name] <= limits[name] for name in gate):
+            if collect_rows:
+                rows.append((i, t, math.nan, math.nan, math.nan))
+            continue
+        fp = frame(x, t)
+        worst["lagrangian"].update(fp.lagrangian_residual, i)
+        worst["angle"].update(fp.angle_residual, i)
+        d = drive(fp)
+        if collect_rows:
+            sol = float(np.linalg.norm(d - C * fp.mean_curvature()))
+            rows.append((i, t, fp.lagrangian_residual, fp.angle_residual, sol))
+        if i in fd_at:
+            H_fd = oracle(x, t)
+            H_norm = float(np.linalg.norm(H_fd))
+            if profile.alpha == 0.0:
+                worst["soliton"].update(H_norm, i)
+            else:
+                worst["soliton"].update(
+                    float(np.linalg.norm(d - C * H_fd)) / max(H_norm, 1e-12), i)
+    return _finish("translator" if isinstance(profile, TranslatorProfile) else "centred",
+                   len(mesh), worst, limits, rows)
+
+
+ORBIT_SPEC = PeriodicSpec(SolitonParams((1.0, -1.0), 1.0, 0.6), (1.0, 3.0), 0.5)
+STATIONARY_SPEC = stationary_spec(SolitonParams((1.0, -1.0), 1.0, 0.5), (1.0, 2.0))
+# name -> (profile factory, mesh builder); each verification gets a fresh
+# profile, so both verifiers see the same sequence of curve queries.  Eight
+# rows per curve sample put rows 2 and 7 in one run of equal t.
+CASES = {
+    "expander": (lambda: ExpanderProfile(1.0, (1.0, 2.0, 3.0)),
+                 lambda p: centred_mesh(p, np.linspace(-1.2, 1.2, 4), 8)),
+    "minimal": (lambda: ExpanderProfile(0.0, (0.8, 1.5)),
+                lambda p: centred_mesh(p, np.linspace(-1.2, 1.2, 4), 8)),
+    "orbit": (lambda: OrbitProfile(ORBIT_SPEC),
+              lambda p: centred_mesh(p, np.linspace(0.0, 2.0, 4), 8)),
+    "translator_expander": (lambda: TranslatorProfile.from_expander_base(1.2, (1.0, 2.0)),
+                            lambda p: translator_mesh(p, np.linspace(-1.0, 1.0, 4), 8)),
+    "translator_orbit": (lambda: TranslatorProfile.from_orbit_base(ORBIT_SPEC),
+                         lambda p: translator_mesh(p, np.linspace(-1.0, 1.0, 4), 8)),
+    "translator_stationary": (lambda: TranslatorProfile.from_orbit_base(STATIONARY_SPEC),
+                              lambda p: translator_mesh(p, np.linspace(-1.0, 1.0, 4), 8)),
+}
+
+
+def _shuffled(mesh, seed=7):
+    order = np.random.default_rng(seed).permutation(len(mesh))
+    return dataclasses.replace(mesh, points=mesh.points[order], params=mesh.params[order],
+                               thetas=mesh.thetas[order])
+
+
+def _tampered(mesh, i=5):
+    points = mesh.points.copy()
+    points[i] = points[i] * 1.001
+    return dataclasses.replace(mesh, points=points)
+
+
+def _same(a, b):
+    return (math.isnan(a) and math.isnan(b)) or abs(a - b) <= 1e-13
+
+
+@pytest.mark.parametrize("edit", ["plain", "shuffled", "nan_rows", "tampered"])
+@pytest.mark.parametrize("case", list(CASES))
+def test_stacked_verification_matches_a_per_point_loop(case, edit):
+    make, build = CASES[case]
+    mesh = build(make())
+    mesh = {"plain": mesh, "shuffled": _shuffled(mesh),
+            "nan_rows": _with_nan_point(_with_nan_point(mesh, 2), 7),
+            "tampered": _tampered(mesh)}[edit]
+    ref = _per_point_report(make(), mesh, collect_rows=True)
+    got = verify_mesh(make(), mesh, collect_rows=True)
+    assert (got.kind, got.count) == (ref.kind, ref.count)
+    assert list(got.maxima) == list(ref.maxima)
+    assert all(_same(got.maxima[k], ref.maxima[k]) for k in ref.maxima), (got.maxima,
+                                                                          ref.maxima)
+    assert got.failures == ref.failures
+    assert got.passed == (edit in ("plain", "shuffled"))
+    assert len(got.rows) == len(ref.rows) == len(mesh)
+    for r, s in zip(got.rows, ref.rows):
+        assert r[:2] == s[:2]
+        assert all(_same(u, v) for u, v in zip(r[2:], s[2:])), (r, s)
+
+
+@pytest.mark.parametrize("lambdas", [(1, 1), (1, -1), (1, 1, 1), (1, 1, -1), (1, -1, -1)])
+def test_stacked_tangent_basis_matches_the_chart_basis(lambdas):
+    xs = quadric_base_points(lambdas, 40, seed=3)
+    stacked = _tangent_bases(lambdas, xs)
+    for x, basis in zip(xs, stacked):
+        np.testing.assert_allclose(basis, quadric_tangent_basis(lambdas, x), rtol=0, atol=1e-15)
