@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import InvalidTarget, NonConvergence, ValidationError
 from .params import require_finite
-from .quadutil import DEFAULT_REL_TOL, finite_quad, improper_quad
+from .quadutil import DEFAULT_REL_TOL, finite_quad, improper_quad, shared_nodes
 
 NEWTON_MAX_ITER = 50
 NEWTON_TOL = 1e-10
@@ -184,10 +184,12 @@ def eval_P(profile: ExpanderProfile, t: float) -> float:
     return math.expm1(E) / (t * t)
 
 
-def _inv_sqrt_P(alpha: float, a: tuple, t: float) -> float:
+def _inv_sqrt_P(alpha: float, a: tuple, t: float, E: float = None) -> float:
+    """P(t)^(-1/2); E, when given, is _log_growth(alpha, a, t)."""
     if t == 0.0:
         return 1.0 / math.sqrt(sum(a) + alpha)
-    E = _log_growth(alpha, a, t)
+    if E is None:
+        E = _log_growth(alpha, a, t)
     if E > 700.0:
         return abs(t) * math.exp(-0.5 * E)
     return abs(t) / math.sqrt(math.expm1(E))
@@ -213,10 +215,12 @@ def _scale_breaks(alpha: float, a: tuple):
     return sorted(out)
 
 
-def _phase_integrands(alpha: float, a: tuple):
-    """d phi_j / dt, one function per j."""
-    return [lambda t, aj=aj: aj / ((1.0 + aj * t * t)) * _inv_sqrt_P(alpha, a, t)
-            for aj in a]
+def _phase_rates(alpha: float, a: tuple):
+    """t -> [d phi_j / dt for each j]."""
+    def rates(t):
+        isp = _inv_sqrt_P(alpha, a, t)
+        return [aj / ((1.0 + aj * t * t)) * isp for aj in a]
+    return rates
 
 
 class _PhaseCache:
@@ -229,7 +233,8 @@ class _PhaseCache:
     """
 
     def __init__(self, alpha: float, a: tuple):
-        self.integrands = _phase_integrands(alpha, a)
+        self.n = len(a)
+        self.rates = _phase_rates(alpha, a)
         self.breaks = _scale_breaks(alpha, a)
         self.heights = [0.0]                      # sorted
         self.values = {0.0: (0.0,) * len(a)}
@@ -245,9 +250,10 @@ class _PhaseCache:
             near = min(self.heights[max(k - 1, 0):k + 1], key=lambda c: abs(c - h))
             lo, hi = min(near, h), max(near, h)
             sign = 1.0 if h > near else -1.0
+            fs = shared_nodes(self.rates, self.n)
             inc = tuple(v + sign * finite_quad(f, lo, hi, breaks=self.breaks,
                                                what="phi increment")
-                        for v, f in zip(self.values[near], self.integrands))
+                        for v, f in zip(self.values[near], fs))
             self.heights.insert(k, h)
             self.values[h] = inc
         return inc if y >= 0.0 else tuple(-v for v in inc)
@@ -268,7 +274,7 @@ def profile_eval(profile: ExpanderProfile, y: float) -> ProfilePoint:
 def _phibar(alpha: float, a: tuple) -> tuple:
     breaks = _scale_breaks(alpha, a)
     return tuple(improper_quad(f, scale_breaks=breaks, what="asymptotic angle")
-                 for f in _phase_integrands(alpha, a))
+                 for f in shared_nodes(_phase_rates(alpha, a), len(a)))
 
 
 def asymptotic_angles(profile: ExpanderProfile) -> AngleVector:
@@ -300,21 +306,21 @@ def angle_map_jacobian(alpha: float, a) -> np.ndarray:
     alpha = float(alpha)
     n = len(a)
     breaks = _scale_breaks(alpha, a)
-    J = np.empty((n, n))
-    for j in range(n):
-        for k in range(n):
-            def f(t, j=j, k=k):
-                t2 = t * t
-                E = _log_growth(alpha, a, t)
-                isp = _inv_sqrt_P(alpha, a, t)
-                gj = a[j] / (1.0 + a[j] * t2) * isp
-                one_minus = -math.expm1(-E) if E > 1e-8 else max(E, 1e-300)
-                val = -gj * t2 / (2.0 * one_minus * (1.0 + a[k] * t2))
-                if j == k:
-                    val += isp / (1.0 + a[j] * t2) ** 2
-                return val
-            J[j, k] = improper_quad(f, scale_breaks=breaks, what="angle map jacobian")
-    return J
+
+    def rates(t):
+        t2 = t * t
+        E = _log_growth(alpha, a, t)
+        isp = _inv_sqrt_P(alpha, a, t, E)
+        one_minus = -math.expm1(-E) if E > 1e-8 else max(E, 1e-300)
+        gs = [aj / (1.0 + aj * t2) * isp for aj in a]
+        out = [-gj * t2 / (2.0 * one_minus * (1.0 + ak * t2)) for gj in gs for ak in a]
+        for j, aj in enumerate(a):      # entry (j, j)
+            out[j * (n + 1)] += isp / (1.0 + aj * t2) ** 2
+        return out
+
+    J = [improper_quad(f, scale_breaks=breaks, what="angle map jacobian")
+         for f in shared_nodes(rates, n * n)]
+    return np.array(J).reshape(n, n)
 
 
 def _validate_target(alpha: float, target: np.ndarray):

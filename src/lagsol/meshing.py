@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .params import require_finite
 
 
 @dataclass
@@ -74,6 +75,7 @@ def quadric_base_points(lambdas, count: int, *, seed: int = 0,
         if n == 1:
             return np.ones((count, 1))
         return _sphere_factor(n, count, rng)
+    require_finite("rho_max", (rho_max,))
     rho = rho_max * np.arange(count) / max(count - 1, 1)
     return _mixed_points(m, n, rho, 1, rng)
 
@@ -94,6 +96,7 @@ def _mixed_points(m: int, n: int, rho, lifted: int, rng) -> np.ndarray:
 def ball_points(dim: int, count: int, *, radius: float = 1.0,
                 seed: int = 0) -> np.ndarray:
     """count points in the closed ball of R^dim (line grid for dim = 1)."""
+    require_finite("radius", (radius,))
     if dim == 1:
         return np.linspace(-radius, radius, count).reshape(count, 1)
     rng = np.random.default_rng(seed)

@@ -46,6 +46,7 @@ from .reduced_ode import TrajectorySpec, reduced_system
 
 CASE_I_REL_TOL = 1e-12
 CONDITIONING_MARGIN = 1e-10
+SCAN_CHUNK = 4096      # denominators tried per array pass of the periodicity scan
 
 
 class OrbitConditioningWarning(UserWarning):
@@ -150,7 +151,10 @@ def critical_point(spec: PeriodicSpec) -> float:
             b *= 2.0
             if b > 1e200:
                 raise ValidationError("critical point bracket ran away")
-    return brentq(spec.dlog_G, a, b, xtol=1e-15, rtol=8.9e-16)
+    try:
+        return brentq(spec.dlog_G, a, b, xtol=1e-15, rtol=8.9e-16)
+    except RuntimeError as exc:     # brentq's iteration budget
+        raise NonConvergence(f"critical point: {exc}") from exc
 
 
 def rebase(spec: PeriodicSpec):
@@ -223,26 +227,24 @@ def _swing(spec: PeriodicSpec):
     return (based, *_based_turning_points(based))
 
 
-def _period_integral(based: PeriodicSpec, u1: float, u2: float, rel_tol: float) -> float:
-    alpha = based.params.alpha
-    return orbit_quad(based, u1, u2, lambda v, rad: math.exp(0.5 * alpha * v),
-                      rel_tol=rel_tol, what="oscillation period")
-
-
-def _holonomy_integrals(based: PeriodicSpec, u1: float, u2: float, rel_tol: float):
-    return [orbit_quad(based, u1, u2, lambda v, rad, j=j, lj=lj: -based.A * lj / rad[j],
-                       rel_tol=rel_tol, what="holonomy")
-            for j, lj in enumerate(based.params.lambdas)]
+def _orbit_integrals(based: PeriodicSpec, u1: float, u2: float, rel_tol: float,
+                     keep: slice = slice(None)) -> list:
+    """[S, gamma_1, ..., gamma_n][keep], one QUADPACK call each on shared nodes."""
+    alpha, A = based.params.alpha, based.A
+    numers = [("oscillation period", lambda v, rad: math.exp(0.5 * alpha * v))] + [
+        ("holonomy", lambda v, rad, j=j, lj=lj: -A * lj / rad[j])
+        for j, lj in enumerate(based.params.lambdas)]
+    return orbit_quad(based, u1, u2, numers[keep], rel_tol=rel_tol)
 
 
 def period(spec: PeriodicSpec, *, rel_tol: float = DEFAULT_REL_TOL) -> float:
     """u-oscillation period S of an oscillating spec."""
-    return _period_integral(*_swing(spec), rel_tol)
+    return _orbit_integrals(*_swing(spec), rel_tol, slice(1))[0]
 
 
 def holonomies(spec: PeriodicSpec, *, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:
     """Per-period phase advances gamma_j of an oscillating spec."""
-    return np.array(_holonomy_integrals(*_swing(spec), rel_tol))
+    return np.array(_orbit_integrals(*_swing(spec), rel_tol, slice(1, None)))
 
 
 def _based_turning_points(based: PeriodicSpec):
@@ -359,9 +361,9 @@ def compute_orbit(spec: PeriodicSpec, *, rel_tol: float = DEFAULT_REL_TOL) -> Pe
                              _limit_period(based), tuple(_limit_gamma(based)), margin)
     _warn_if_marginal(based)
     u1, u2 = _based_turning_points(based)
+    S, *gamma = _orbit_integrals(based, u1, u2, rel_tol)
     return PeriodicOrbit(spec, based, shift, case, u1 + shift, u2 + shift,
-                         _period_integral(based, u1, u2, rel_tol),
-                         tuple(_holonomy_integrals(based, u1, u2, rel_tol)), margin)
+                         S, tuple(gamma), margin)
 
 
 # -- periodicity detection ---------------------------------------------------
@@ -376,11 +378,6 @@ class PeriodicityVerdict:
     max_residual: float
     qmax: int
     tol: float
-
-
-def _best_rational(x: float, qmax: int) -> Fraction:
-    """Best rational approximation with denominator <= qmax (continued fractions)."""
-    return Fraction(x).limit_denominator(qmax)
 
 
 def detect_periodicity(orbit: PeriodicOrbit, *, qmax: int = 64,
@@ -403,10 +400,8 @@ def detect_periodicity(orbit: PeriodicOrbit, *, qmax: int = 64,
         lam = based.params.lambdas
         rho = [l / a for l, a in zip(lam, based.alphas)]
         c = [x / rho[0] for x in rho]
-        fracs = [_best_rational(x, qmax) for x in c]
-        R = 1
-        for f in fracs:
-            R = R * f.denominator // math.gcd(R, f.denominator)
+        fracs = [Fraction(x).limit_denominator(qmax) for x in c]
+        R = math.lcm(*(f.denominator for f in fracs))
         if R > qmax:
             resid = max(abs(x - float(f)) for x, f in zip(c, fracs))
             return PeriodicityVerdict(False, orbit.case, None, None, None, resid, qmax, tol)
@@ -414,9 +409,7 @@ def detect_periodicity(orbit: PeriodicOrbit, *, qmax: int = 64,
         resid = max(abs(x * R - kk) / R for x, kk in zip(c, k))
         if resid > tol:
             return PeriodicityVerdict(False, orbit.case, None, None, None, resid, qmax, tol)
-        g = 0
-        for kk in k:
-            g = math.gcd(g, abs(kk))
+        g = math.gcd(*k)
         T = 2.0 * math.pi * R / (based.A * abs(rho[0]) * g)
         # with this normalization the rational multipliers q_j = k_j sign(rho_1)/g
         # are integers; report them and r = 1
@@ -425,25 +418,37 @@ def detect_periodicity(orbit: PeriodicOrbit, *, qmax: int = 64,
         return PeriodicityVerdict(True, orbit.case, 1, q, T, resid, qmax, tol)
 
     x = [gj / (2.0 * math.pi) for gj in orbit.gamma]
-    # continued-fraction candidates first, then the exhaustive denominator scan
-    fracs = [_best_rational(xx, qmax) for xx in x]
-    R = 1
-    for f in fracs:
-        R = R * f.denominator // math.gcd(R, f.denominator)
-    candidates = list(range(1, qmax + 1)) if R > qmax else [R] + list(range(1, qmax + 1))
-    for r in candidates:
+
+    def fit(r):
         p = [round(xx * r) for xx in x]
-        resid = max(abs(gj - 2.0 * math.pi * pp / r) for gj, pp in zip(orbit.gamma, p))
-        if resid <= tol:
-            g = r
-            for pp in p:
-                g = math.gcd(g, abs(pp))
-            r_min = r // g
-            p_min = tuple(pp // g for pp in p)
-            return PeriodicityVerdict(True, orbit.case, r_min, p_min,
-                                      r_min * orbit.S, resid, qmax, tol)
+        return p, max(abs(gj - 2.0 * math.pi * pp / r) for gj, pp in zip(orbit.gamma, p))
+
+    # continued-fraction candidate first, then the exhaustive denominator scan
+    fracs = [Fraction(xx).limit_denominator(qmax) for xx in x]
+    R = math.lcm(*(f.denominator for f in fracs))
+    r = R if R <= qmax and fit(R)[1] <= tol else _first_denominator(x, orbit.gamma, qmax, tol)
+    if r is not None:
+        p, resid = fit(r)
+        g = math.gcd(r, *p)
+        r_min = r // g
+        p_min = tuple(pp // g for pp in p)
+        return PeriodicityVerdict(True, orbit.case, r_min, p_min,
+                                  r_min * orbit.S, resid, qmax, tol)
     resid = max(abs(xx - float(f)) for xx, f in zip(x, fracs))
     return PeriodicityVerdict(False, orbit.case, None, None, None, resid, qmax, tol)
+
+
+def _first_denominator(x, gamma, qmax: int, tol: float):
+    """Least r in 1..qmax that ``fit`` in detect_periodicity passes, or None: the
+    same arithmetic (rint rounds half to even, like round) on chunks of r."""
+    xs, gs = np.array(x)[:, None], np.array(gamma)[:, None]
+    for lo in range(1, qmax + 1, SCAN_CHUNK):
+        r = np.arange(lo, min(lo + SCAN_CHUNK, qmax + 1), dtype=float)
+        resid = np.abs(gs - 2.0 * math.pi * np.rint(xs * r) / r).max(axis=0)
+        hit = np.flatnonzero(resid <= tol)
+        if hit.size:
+            return lo + int(hit[0])
+    return None
 
 
 # -- closed-form stationary profiles and ODE-backed orbit profiles -----------
@@ -653,14 +658,15 @@ def search_periodic_data(lambdas, alpha: float, gamma_target, *, seed=None,
     if not params.is_normalized:
         raise ValidationError("search expects normalized lambdas (+-1, positives first)")
     target = np.asarray(gamma_target, dtype=float)
+    require_finite("gamma_target", target.tolist())
     n = len(lambdas)
     if target.size != n:
         raise ValidationError("gamma_target must have length n")
 
     def residual(x):
-        alphas = tuple(np.exp(x[:n]))
-        A = math.exp(x[n])
         try:
+            alphas = tuple(np.exp(x[:n]))
+            A = math.exp(x[n])
             spec = PeriodicSpec(params, alphas, A)
             if classify_case(spec) == "hamiltonian_stationary":
                 return None

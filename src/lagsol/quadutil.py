@@ -5,11 +5,21 @@ integrand: improper integrals over [0, inf) go through t = tan(xi), and
 orbit integrals with inverse-square-root endpoint singularities go through
 v = u1 + (u2 - u1) sin^2(xi), after which the Jacobian sin(2 xi) cancels the
 singularity exactly.  Both wrap QUADPACK via scipy.
+
+A family of integrals over one interval with the same breakpoints (the
+phibar_j, the Jacobian entries d phibar_j / d a_k, the phase increments of
+one gap, an orbit's S and gamma_j) shares an expensive per-node core.
+``shared_nodes`` computes the family's values once per node and serves each
+integral, still one QUADPACK call apiece, from that memo; dyadic bisection
+puts the calls mostly on the same nodes.  Each value is the float expression
+a stand-alone integrand would compute, and QUADPACK sees only the values, so
+every integral is bit-for-bit that of a separate call.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 from scipy.integrate import quad
 
@@ -27,6 +37,12 @@ def _checked(res, rel_tol, what):
             raise ToleranceFailure(f"quadrature failed for {what}: est. error {abserr:.2e}")
         return val
     return res[0]
+
+
+def shared_nodes(rates, n: int) -> list:
+    """n scalar integrands; the j-th returns rates(x)[j], and rates runs once per x."""
+    memo = lru_cache(maxsize=None)(rates)
+    return [lambda x, j=j: memo(x)[j] for j in range(n)]
 
 
 def finite_quad(f, a: float, b: float, *, rel_tol: float = DEFAULT_REL_TOL,
@@ -61,9 +77,10 @@ def improper_quad(f, *, rel_tol: float = DEFAULT_REL_TOL, scale_breaks=(),
     return _checked(res, rel_tol, what)
 
 
-def orbit_quad(spec, u1: float, u2: float, numer, *,
-               rel_tol: float = DEFAULT_REL_TOL, what: str = "integral") -> float:
-    """Integral over one half-swing of numer(v, radii) / sqrt(G(v) - A^2).
+def orbit_quad(spec, u1: float, u2: float, numers, *,
+               rel_tol: float = DEFAULT_REL_TOL) -> list:
+    """Integrals over one half-swing of numer(v, radii) / sqrt(G(v) - A^2),
+    one per (what, numer) pair of numers, on shared nodes.
 
     spec is a rebased orbit spec (``periodic.PeriodicSpec``) and u1 < u2 its
     turning points.  Written in the angle variable of v = u1 + (u2-u1)
@@ -81,7 +98,7 @@ def orbit_quad(spec, u1: float, u2: float, numer, *,
     d1 = [a + l * u1 for a, l in zip(spec.alphas, lam)]
     d2 = [a + l * u2 for a, l in zip(spec.alphas, lam)]
 
-    def g(xi):
+    def rates(xi):
         sx, cx = math.sin(xi), math.cos(xi)
         dl = du * sx * sx       # v - u1, full relative precision
         dr = du * cx * cx       # u2 - v
@@ -98,7 +115,8 @@ def orbit_quad(spec, u1: float, u2: float, numer, *,
                 w += math.log1p(-lj * dr / dj)
             v = u2 - dr
         gap = A2 * math.expm1(w) if w > 0.0 else A2 * 1e-300
-        return numer(v, rad) / math.sqrt(gap) * du * 2.0 * sx * cx
+        root = math.sqrt(gap)
+        return [numer(v, rad) / root * du * 2.0 * sx * cx for _, numer in numers]
 
     pts = []
     for dj in d1:
@@ -111,6 +129,6 @@ def orbit_quad(spec, u1: float, u2: float, numer, *,
             pts += [math.pi / 2 - math.asin(math.sqrt(t)),
                     math.pi / 2 - math.asin(math.sqrt(min(10 * t, 0.5)))]
     pts = sorted(set(p for p in pts if 0.0 < p < math.pi / 2))
-    res = quad(g, 0.0, math.pi / 2, epsabs=0.0, epsrel=rel_tol, limit=400,
-               points=pts or None, full_output=1)
-    return _checked(res, rel_tol, what)
+    return [_checked(quad(g, 0.0, math.pi / 2, epsabs=0.0, epsrel=rel_tol, limit=400,
+                          points=pts or None, full_output=1), rel_tol, what)
+            for g, (what, _) in zip(shared_nodes(rates, len(numers)), numers)]

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .params import require_finite
 from .expander import ExpanderProfile, s_of_y
 from .geometry import FD_STEP_SCALE, FramedPoint, fd_step, mean_curvature_fd
 from .periodic import PeriodicSpec, compute_orbit
@@ -63,6 +64,7 @@ class TranslatorProfile:
         self.first_integral = float(first_integral)
         u_star = getattr(base, "u_star", 0.0)
         self.K = complex(K) if K is not None else complex(-0.5 * u_star, 0.0)
+        require_finite("K", (self.K.real, self.K.imag))
 
     # -- constructors --------------------------------------------------------
 

@@ -6,12 +6,15 @@ here; the full-size runs live in the acceptance tests.
 """
 
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lagsol import fileio
+from lagsol import cli, fileio
 from lagsol.cli import main
 
 
@@ -95,6 +98,11 @@ def test_bad_count_option_exits_2(tmp_path, capsys):
     ["shrinker", "--alphas=1,1.5", "--A=nan", "--alpha=-1"],
     ["shrinker", "--alphas=1,1.5", "--A=0.5", "--alpha=nan"],
     ["periodic", "--lambdas=1,-1", "--alphas=1,2", "--A=0.4", "--alpha=inf"],
+    ["periodic", "--lambdas=1,-1", "--alphas=1,2", "--A=0.4", "--alpha=0.5", "--mesh",
+     "--rho-max=nan"],
+    ["periodic-search", "--lambdas=1,-1", "--alpha=0.5", "--gamma=nan,1"],
+    ["translator", "--alpha=1", "--a=1", "--K-re=nan"],
+    ["translator", "--alpha=1", "--a=1", "--radius=inf"],
 ], ids=lambda argv: " ".join(argv))
 def test_non_finite_inputs_exit_2(tmp_path, capsys, argv):
     # main returns rather than raising, so no traceback reaches the user
@@ -102,6 +110,56 @@ def test_non_finite_inputs_exit_2(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("lagsol:") and "must be finite" in err
+
+
+def test_overflowing_search_step_exits_3(tmp_path, capsys):
+    # a trial step overflowed exp outside the residual's guard
+    rc = main(["periodic-search", "--lambdas=1,-1", "--alpha=-0.5", "--gamma=1,-2",
+               f"--outdir={tmp_path}"])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("lagsol:")
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text("alpha = 1.0\ntarget = 0.4,0.4\n")
+    out = f"--outdir={tmp_path}"
+    runs = [
+        ["expander", "--alpha=1", "--no-such-option"],
+        ["invert-angles", "--config", str(cfg)],
+        ["invert-angles", "--alpha=0.5", "--target=0.3,0.4"],
+        ["periodic", "--lambdas=1,-1", "--alphas=1,2", "--A=0.4", "--alpha=0.5", out],
+        ["shrinker", "--alphas=1,1.5", "--A=0.5", "--alpha=-1", out],
+    ]
+
+    def outcome(argv):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        captured = capsys.readouterr()
+        return rc, captured.out, captured.err
+
+    cli._parser.cache_clear()
+    shared = [outcome(argv) for argv in runs]
+    assert cli._parser.cache_info().misses == 1
+    fresh = []
+    for argv in runs:
+        cli._parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert [rc for rc, *_ in shared] == [2, 0, 0, 0, 0]
+    assert shared == fresh
+    # the benchmark's set-up probe builds its own parser
+    assert cli.build_parser() is not cli._parser()
+    assert cli.build_parser().parse_args(runs[2]).alpha == "0.5"
+
+
+def test_importing_the_cli_builds_no_parser():
+    code = "import lagsol.cli as c; print(c._parser.cache_info().currsize)"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert res.stdout.strip() == "0"
 
 
 def test_invert_angles_round_trip(capsys):

@@ -33,6 +33,19 @@ JOBS = {
     "translator_orbit": ["translator", "--alpha=0.5", "--lambdas=1,-1", "--alphas=1,2",
                          "--A=0.4"] + SMALL,
     "flow_family": ["flow-family"] + ORBIT + ["--t=-1,0,1"] + SMALL,
+    # solver jobs: Newton on the angle map, orbit integrals, periodicity scans
+    "invert_minimal_2": ["invert-angles", "--alpha=0", "--target=0.6,0.9707963267948966"],
+    "invert_expander_2": ["invert-angles", "--alpha=1", "--target=0.4,0.6",
+                          "--write-report"],
+    "invert_minimal_3": ["invert-angles", "--alpha=0", "--target=0.4,0.5,0.6707963267948966"],
+    "invert_expander_3": ["invert-angles", "--alpha=0.5", "--target=0.3,0.4,0.5"],
+    "periodic_qmax_4096": ["periodic"] + ORBIT + ["--qmax=4096"],
+    "shrinker_qmax_100000": ["shrinker", "--alphas=1,1.5", "--A=0.5", "--alpha=-1",
+                             "--qmax=100000"],
+    "periodic_search_harmonic": ["periodic-search", "--lambdas=1,1,-1",
+                                 "--alpha=-1.2666666666666666",
+                                 "--gamma=-3.5075391617039733,-2.338359441135982,"
+                                 "1.4030156646815894"],
 }
 # verify jobs re-read the mesh and record another job wrote
 VERIFY = {

@@ -1,5 +1,6 @@
 """Oscillating orbit invariants, stationary solutions, periodicity detection."""
 
+import dataclasses
 import math
 import warnings
 from unittest import mock
@@ -342,6 +343,55 @@ def test_detect_periodicity_generic_data_is_quasi_periodic():
     assert not verdict.periodic
     assert verdict.r is None and verdict.T is None
     assert verdict.max_residual > verdict.tol
+
+
+def per_r_verdict(orbit, qmax, tol):
+    """The oscillating-case verdict by the plain per-r loop over [R] + 1..qmax."""
+    from fractions import Fraction
+    from lagsol.periodic import PeriodicityVerdict
+
+    x = [gj / (2.0 * math.pi) for gj in orbit.gamma]
+    fracs = [Fraction(xx).limit_denominator(qmax) for xx in x]
+    R = 1
+    for f in fracs:
+        R = R * f.denominator // math.gcd(R, f.denominator)
+    candidates = list(range(1, qmax + 1)) if R > qmax else [R] + list(range(1, qmax + 1))
+    for r in candidates:
+        p = [round(xx * r) for xx in x]
+        resid = max(abs(gj - 2.0 * math.pi * pp / r) for gj, pp in zip(orbit.gamma, p))
+        if resid <= tol:
+            g = r
+            for pp in p:
+                g = math.gcd(g, abs(pp))
+            return PeriodicityVerdict(True, orbit.case, r // g, tuple(pp // g for pp in p),
+                                      (r // g) * orbit.S, resid, qmax, tol)
+    resid = max(abs(xx - float(f)) for xx, f in zip(x, fracs))
+    return PeriodicityVerdict(False, orbit.case, None, None, None, resid, qmax, tol)
+
+
+def scan_gammas():
+    """Random holonomies, and rationals 2 pi p / r nudged below and above tol."""
+    rng = np.random.default_rng(7)
+    out = [tuple(rng.uniform(-2 * math.pi, 2 * math.pi, size=n)) for n in (2, 2, 3, 3)]
+    out += [(0.0, 0.0), (math.pi, -math.pi), (0.5 * math.pi, 2.5 * math.pi)]
+    for r, p, nudge in ((7, (3, -5), 0.0), (97, (41, 13, -60), 3e-9), (1625, (-880, -471), 1e-7),
+                        (4095, (1, 2048), 0.0), (4097, (-3, 5), 2e-6), (65537, (9, -11), 5e-5),
+                        (99991, (1, 99990), 0.0), (250000, (1, 3), 0.0)):
+        out.append(tuple(2.0 * math.pi * pj / r + nudge for pj in p))
+    return out
+
+
+@pytest.mark.parametrize("qmax", [1, 64, 4096, 100000])
+@pytest.mark.parametrize("tight", [False, True], ids=["default_tol", "tol_1e-12"])
+def test_chunked_scan_matches_the_per_r_loop(qmax, tight):
+    spec = spec_of((1.0, -1.0, -1.0), (1.0, 2.0, 3.0), 0.4, alpha=0.5)
+    base = compute_orbit(spec)
+    tol = 1e-12 if tight else 1e-9 * qmax
+    # a tight tol makes most scans run to qmax; every third case keeps that quick
+    for gamma in scan_gammas()[::3] if tight else scan_gammas():
+        orbit = dataclasses.replace(base, gamma=gamma)
+        got = detect_periodicity(orbit, qmax=qmax, tol=tol if tight else None)
+        assert got == per_r_verdict(orbit, qmax, tol), gamma
 
 
 def test_search_recovers_reference_holonomies():
