@@ -13,9 +13,7 @@ from .expander import (AngleVector, ExpanderProfile, angle_map,
                        angle_map_jacobian, asymptotic_angles, invert_angle_map,
                        profile_eval, s_of_y)
 from .geometry import (CentredChart, FramedPoint, centred_fd_mean_curvature,
-                       centred_frame, curve_metric_coefficient,
-                       mean_curvature_fd, position_normal_closed_form,
-                       quadric_tangent_basis, selfsimilar_residual)
+                       centred_frame, mean_curvature_fd, quadric_tangent_basis)
 from .meshing import (Mesh, ball_points, centred_mesh, flow_slice_mesh,
                       quadric_base_points, translator_mesh)
 from .params import ScalingRecord, SolitonParams, normalize, rescale_solution
@@ -25,7 +23,7 @@ from .periodic import (FlowSlice, HamiltonianStationaryProfile,
                        brakke_family, classify_case, compute_orbit,
                        critical_point, detect_periodicity,
                        hamiltonian_stationary, holonomies, limit_gamma,
-                       limit_period, period, rebase, reduction_check,
+                       limit_period, period, rebase,
                        search_periodic_data, stationary_spec, topology_tag,
                        turning_points)
 from .reduced_ode import (FullState, FullTrajectory, ReducedState,

@@ -19,11 +19,15 @@ angle map; it satisfies sum phibar_j < pi/2 for alpha > 0 with equality in
 the minimal case alpha = 0, and is inverted here by a damped Newton
 iteration in logarithmic coordinates.
 
-All integrals are evaluated with guard rails for the two numerically
-delicate regimes: small t (P computed via expm1/log1p to avoid
-cancellation) and very large a (QUADPACK breakpoints at the peak scales
-1/sqrt(a_j), without which the adaptive rule can miss the integrand
-entirely).
+P is computed via expm1/log1p, so small t loses nothing to cancellation,
+and as t e^(-E/2) once E = log(1 + t^2 P) exceeds 700.  The angle map and
+its Jacobian are two families on one double-exponential rule each
+(``quadutil.improper_quad``, numpy integrands); the DE map spreads the
+decades between the peak scales 1/sqrt(a_j) evenly, so a ~ 1e13 needs no
+special handling.  The phase increments phi_j(y) - psi_j and s_of_y stay on
+QUADPACK, with geometric ladders of breakpoints at those scales
+(``_scale_breaks``); moving them would change the exported phases in their
+last digits.
 """
 
 from __future__ import annotations
@@ -184,12 +188,11 @@ def eval_P(profile: ExpanderProfile, t: float) -> float:
     return math.expm1(E) / (t * t)
 
 
-def _inv_sqrt_P(alpha: float, a: tuple, t: float, E: float = None) -> float:
-    """P(t)^(-1/2); E, when given, is _log_growth(alpha, a, t)."""
+def _inv_sqrt_P(alpha: float, a: tuple, t: float) -> float:
+    """P(t)^(-1/2)."""
     if t == 0.0:
         return 1.0 / math.sqrt(sum(a) + alpha)
-    if E is None:
-        E = _log_growth(alpha, a, t)
+    E = _log_growth(alpha, a, t)
     if E > 700.0:
         return abs(t) * math.exp(-0.5 * E)
     return abs(t) / math.sqrt(math.expm1(E))
@@ -270,11 +273,28 @@ def profile_eval(profile: ExpanderProfile, y: float) -> ProfilePoint:
     return ProfilePoint(y, r, phis, theta)
 
 
+def _growth_arrays(alpha: float, av: np.ndarray, t: np.ndarray):
+    """t^2, E and P^(-1/2) at nodes t > 0 (av: a as a column), as in _inv_sqrt_P."""
+    t2 = t * t
+    E = alpha * t2 + np.log1p(av * t2).sum(axis=0)
+    isp = np.where(E > 700.0, t * np.exp(-0.5 * E),
+                   t / np.sqrt(np.expm1(np.minimum(E, 700.0))))
+    return t2, E, isp
+
+
+def _phase_family(alpha: float, a: tuple):
+    """t -> (n, nodes) array of d phi_j / dt, the numpy form of _phase_rates."""
+    av = np.array(a)[:, None]
+
+    def rates(t):
+        t2, _, isp = _growth_arrays(alpha, av, t)
+        return av / (1.0 + av * t2) * isp
+    return rates
+
+
 @lru_cache(maxsize=10_000)
 def _phibar(alpha: float, a: tuple) -> tuple:
-    breaks = _scale_breaks(alpha, a)
-    return tuple(improper_quad(f, scale_breaks=breaks, what="asymptotic angle")
-                 for f in shared_nodes(_phase_rates(alpha, a), len(a)))
+    return tuple(improper_quad(_phase_family(alpha, a), what="asymptotic angle").tolist())
 
 
 def asymptotic_angles(profile: ExpanderProfile) -> AngleVector:
@@ -282,8 +302,7 @@ def asymptotic_angles(profile: ExpanderProfile) -> AngleVector:
     return AngleVector(_phibar(profile.alpha, profile.a), profile.psi)
 
 
-def angle_map(alpha: float, a) -> np.ndarray:
-    """The angle map a -> phibar for the zero-phase profile."""
+def _angle_map_args(alpha: float, a) -> tuple:
     a = tuple(float(x) for x in a)
     require_finite("alpha", (alpha,))
     require_finite("a", a)
@@ -291,7 +310,12 @@ def angle_map(alpha: float, a) -> np.ndarray:
         raise ValidationError("angle map is defined for alpha >= 0")
     if any(x <= 0 for x in a):
         raise ValidationError("angle map needs positive a_j")
-    return np.array(_phibar(float(alpha), a))
+    return float(alpha), a
+
+
+def angle_map(alpha: float, a) -> np.ndarray:
+    """The angle map a -> phibar for the zero-phase profile."""
+    return np.array(_phibar(*_angle_map_args(alpha, a)))
 
 
 def angle_map_jacobian(alpha: float, a) -> np.ndarray:
@@ -302,25 +326,21 @@ def angle_map_jacobian(alpha: float, a) -> np.ndarray:
     t^2 / ((1 - e^{-E})(1 + a_k t^2)); the k = j entry picks up the extra
     derivative of the 1/(1/a_j + t^2) prefactor.
     """
-    a = tuple(float(x) for x in a)
-    alpha = float(alpha)
+    alpha, a = _angle_map_args(alpha, a)
     n = len(a)
-    breaks = _scale_breaks(alpha, a)
+    av = np.array(a)[:, None]
+    diag = np.arange(n)
 
     def rates(t):
-        t2 = t * t
-        E = _log_growth(alpha, a, t)
-        isp = _inv_sqrt_P(alpha, a, t, E)
-        one_minus = -math.expm1(-E) if E > 1e-8 else max(E, 1e-300)
-        gs = [aj / (1.0 + aj * t2) * isp for aj in a]
-        out = [-gj * t2 / (2.0 * one_minus * (1.0 + ak * t2)) for gj in gs for ak in a]
-        for j, aj in enumerate(a):      # entry (j, j)
-            out[j * (n + 1)] += isp / (1.0 + aj * t2) ** 2
-        return out
+        t2, E, isp = _growth_arrays(alpha, av, t)
+        one_minus = np.maximum(-np.expm1(-E), 1e-300)
+        q = 1.0 / (1.0 + av * t2)                     # (n, nodes)
+        g = av * q * isp
+        out = -g[:, None, :] * (t2 / (2.0 * one_minus)) * q[None, :, :]
+        out[diag, diag] += isp * q * q                # entry (j, j)
+        return out.reshape(n * n, -1)
 
-    J = [improper_quad(f, scale_breaks=breaks, what="angle map jacobian")
-         for f in shared_nodes(rates, n * n)]
-    return np.array(J).reshape(n, n)
+    return improper_quad(rates, what="angle map jacobian").reshape(n, n)
 
 
 def _validate_target(alpha: float, target: np.ndarray):

@@ -147,6 +147,7 @@ def flow_slice_mesh(profile, t: float, s_values, base_count: int, *, seed: int =
     by sqrt(|t|); t = 0 gives the cone { sum lambda_j x_j^2 = 0 } (its apex at
     the origin is the singular point, and the rho = 0 ray collapses there).
     """
+    require_finite("rho_max", (rho_max,))
     lam = np.asarray(profile.lambdas, dtype=float)
     n = lam.size
     m = int(np.sum(lam > 0))

@@ -39,7 +39,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import odeint
-from .errors import CaseMismatch, NonConvergence, ValidationError
+from .errors import CaseMismatch, NonConvergence, ToleranceFailure, ValidationError
 from .params import SolitonParams, require_finite
 from .quadutil import DEFAULT_REL_TOL, orbit_quad
 from .reduced_ode import TrajectorySpec, reduced_system
@@ -591,57 +591,7 @@ class OrbitProfile:
         return self.alpha * self.spec.A * math.exp(-0.5 * self.alpha * self.u_of(s))
 
 
-# -- reduction path test and data search -------------------------------------
-
-def reduction_check(base: PeriodicSpec, alpha_values, *, mirror: bool = False,
-                    rel_tol: float = DEFAULT_REL_TOL):
-    """Add a slot with large base radius and track the surviving holonomies.
-
-    Default path: append a lambda = -1 slot with alpha_n -> infinity,
-    A = A_base sqrt(alpha_n), and alpha_1 adjusted to keep the critical
-    point at u = 0.  The base slots' holonomies converge to those of the
-    base spec and the new slot's to 0, at rate O(1/alpha_n).  With
-    ``mirror=True`` the new slot is a lambda = +1 slot prepended with
-    alpha_1 -> infinity (compensating on the base's first negative slot,
-    or its first slot when all lambdas are positive).  Returns a list of
-    records per alpha value.
-    """
-    base_based, _ = rebase(base)
-    gamma_ref = holonomies(base_based, rel_tol=rel_tol)
-    lam = base_based.params.lambdas
-    out = []
-    for an in alpha_values:
-        an = float(an)
-        if mirror:
-            # compensate 1/an on a slot so sum(lambda_j/alpha_j) stays put
-            alphas = list(base_based.alphas)
-            negs = [j for j, l in enumerate(lam) if l < 0]
-            j = negs[0] if negs else 0
-            inv = 1.0 / alphas[j] + (1.0 / an if negs else -1.0 / an)
-            alphas[j] = 1.0 / inv
-            params = SolitonParams((1.0,) + lam, 1.0, base_based.params.alpha)
-            spec = PeriodicSpec(params, (an,) + tuple(alphas),
-                                base_based.A * math.sqrt(an))
-            gam = holonomies(spec, rel_tol=rel_tol)
-            gam_keep, gam_new = gam[1:], gam[0]
-        else:
-            if lam[0] != 1.0:
-                raise ValidationError(
-                    "reduction path adjusts a lambda = +1 slot; need lambda_1 = +1")
-            inv_a1 = 1.0 / base_based.alphas[0] + 1.0 / an
-            alphas = (1.0 / inv_a1,) + base_based.alphas[1:] + (an,)
-            params = SolitonParams(lam + (-1.0,), 1.0, base_based.params.alpha)
-            spec = PeriodicSpec(params, alphas, base_based.A * math.sqrt(an))
-            gam = holonomies(spec, rel_tol=rel_tol)
-            gam_keep, gam_new = gam[:-1], gam[-1]
-        out.append({
-            "alpha_n": an,
-            "gamma": gam,
-            "gamma_ref": gamma_ref,
-            "deviation": float(max(np.abs(gam_keep - gamma_ref).max(), abs(gam_new))),
-        })
-    return out
-
+# -- data search -------------------------------------------------------------
 
 def search_periodic_data(lambdas, alpha: float, gamma_target, *, seed=None,
                          tol: float = 1e-8, max_iter: int = 60) -> PeriodicSpec:
@@ -650,8 +600,9 @@ def search_periodic_data(lambdas, alpha: float, gamma_target, *, seed=None,
     Unknowns are (log alpha_1..log alpha_n, log A); the system couples the
     critical-point constraint sum(lambda_j/alpha_j) + alpha = 0 (which fixes
     the re-basing gauge) with the n holonomy equations.  The Jacobian is
-    finite-difference; infeasible trials (A beyond the G maximum) are damped
-    away.
+    finite-difference; infeasible trials (A beyond the G maximum) and trials
+    whose exponentials overflow or whose holonomy quadrature fails are
+    damped away.
     """
     lambdas = tuple(float(l) for l in lambdas)
     params = SolitonParams(lambdas, 1.0, float(alpha))
@@ -665,13 +616,16 @@ def search_periodic_data(lambdas, alpha: float, gamma_target, *, seed=None,
 
     def residual(x):
         try:
-            alphas = tuple(np.exp(x[:n]))
+            with np.errstate(over="raise"):
+                alphas = tuple(np.exp(x[:n]))
             A = math.exp(x[n])
             spec = PeriodicSpec(params, alphas, A)
             if classify_case(spec) == "hamiltonian_stationary":
                 return None
             gam = holonomies(spec)
-        except (ValidationError, ValueError, OverflowError):
+        except (ValidationError, ValueError, OverflowError, FloatingPointError,
+                ToleranceFailure):
+            # infeasible, overflowing or unintegrable trial: damped away
             return None
         constraint = sum(l / a for l, a in zip(lambdas, alphas)) + alpha
         return np.concatenate([[constraint], gam - target])

@@ -1,19 +1,24 @@
 """Quadrature helpers shared by the profile and orbit modules.
 
-Two substitutions keep every integral on a finite interval with a smooth
-integrand: improper integrals over [0, inf) go through t = tan(xi), and
-orbit integrals with inverse-square-root endpoint singularities go through
-v = u1 + (u2 - u1) sin^2(xi), after which the Jacobian sin(2 xi) cancels the
-singularity exactly.  Both wrap QUADPACK via scipy.
+``improper_quad`` integrates a family over [0, inf) on one double-
+exponential (DE) rule run on numpy arrays (Takahasi-Mori 1974): nodes
+t = exp(pi/2 sinh x), the trapezoid rule in x, h halved until, for every
+member, two levels differ by at most rel_tol times that member's integral
+of |f|.  It raises ToleranceFailure when they never do, when a term is not
+finite, or when the terms have not died out at the ends of the x range.
+The angle map phibar_j and its Jacobian are one call each.
 
-A family of integrals over one interval with the same breakpoints (the
-phibar_j, the Jacobian entries d phibar_j / d a_k, the phase increments of
-one gap, an orbit's S and gamma_j) shares an expensive per-node core.
-``shared_nodes`` computes the family's values once per node and serves each
-integral, still one QUADPACK call apiece, from that memo; dyadic bisection
-puts the calls mostly on the same nodes.  Each value is the float expression
-a stand-alone integrand would compute, and QUADPACK sees only the values, so
-every integral is bit-for-bit that of a separate call.
+``finite_quad`` and ``orbit_quad`` stay on QUADPACK (via scipy): moving
+them would change the last digits of the exported phases and orbits, and
+the finite-difference check of the phases sits near its roundoff floor.
+Orbit integrals go through
+v = u1 + (u2 - u1) sin^2(xi), whose Jacobian sin(2 xi) cancels the
+inverse-square-root endpoint singularities.  A QUADPACK family over one
+interval with the same breakpoints (the phase increments of one gap, an
+orbit's S and gamma_j) shares a per-node core: ``shared_nodes`` computes it
+once per node and serves each integral, still one QUADPACK call apiece,
+with the float a stand-alone integrand would give, so every integral is
+bit-for-bit that of a separate call.
 """
 
 from __future__ import annotations
@@ -21,11 +26,22 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
+import numpy as np
 from scipy.integrate import quad
 
 from .errors import ToleranceFailure
 
 DEFAULT_REL_TOL = 1e-11
+
+# DE rule: x range, first step, tail cut-off, levels; the nodes t and
+# weights dt/dx of the finest level, of which level k takes every
+# 2^(DE_MAX_LEVEL - k)-th
+DE_X_LO, DE_X_HI, DE_H0, DE_TRIM = -5.0, 6.0, 0.5, 1e-18
+DE_MIN_LEVEL, DE_MAX_LEVEL = 2, 8
+_DE_STRIDE = 2 ** DE_MAX_LEVEL
+_DE_X = np.linspace(DE_X_LO, DE_X_HI, round((DE_X_HI - DE_X_LO) / DE_H0) * _DE_STRIDE + 1)
+_DE_T = np.exp(0.5 * math.pi * np.sinh(_DE_X))
+_DE_DT = 0.5 * math.pi * np.cosh(_DE_X) * _DE_T
 
 
 def _checked(res, rel_tol, what):
@@ -56,25 +72,41 @@ def finite_quad(f, a: float, b: float, *, rel_tol: float = DEFAULT_REL_TOL,
     return _checked(res, rel_tol, what)
 
 
-def improper_quad(f, *, rel_tol: float = DEFAULT_REL_TOL, scale_breaks=(),
-                  what: str = "integral") -> float:
-    """Adaptive integral of f over [0, inf) via t = tan(xi).
+def improper_quad(rates, *, rel_tol: float = DEFAULT_REL_TOL,
+                  what: str = "integral") -> np.ndarray:
+    """Integrals over [0, inf) of the members of rates(t) -> (members, nodes).
 
-    scale_breaks lists t-values where the integrand changes character
-    (e.g. peak widths ~ a^(-1/2) for large a); they become QUADPACK
-    breakpoints so narrow features are never skipped.
+    The first level finds where the terms matter; finer levels add
+    midpoints only there.
     """
+    def terms(nodes):
+        return rates(_DE_T[nodes]) * _DE_DT[nodes]
 
-    def g(xi):
-        t = math.tan(xi)
-        c = math.cos(xi)
-        return f(t) / (c * c)
-
-    pts = sorted({math.atan(b) for b in scale_breaks if b > 0})
-    pts = [p for p in pts if 0.0 < p < math.pi / 2]
-    res = quad(g, 0.0, math.pi / 2, epsabs=0.0, epsrel=rel_tol, limit=200,
-               points=pts or None, full_output=1)
-    return _checked(res, rel_tol, what)
+    with np.errstate(all="ignore"):
+        f = terms(slice(None, None, _DE_STRIDE))
+        if not np.isfinite(f).all():
+            raise ToleranceFailure(f"quadrature failed for {what}: integrand not finite")
+        mag = np.abs(f)
+        live = np.flatnonzero((mag > DE_TRIM * mag.sum(axis=1, keepdims=True)).any(axis=0))
+        if live.size == 0:
+            return np.zeros(len(f))
+        i0, i1 = live[0] - 1, live[-1] + 1
+        if i0 < 0 or i1 == mag.shape[1]:
+            raise ToleranceFailure(f"quadrature failed for {what}: integrand has not "
+                                   "decayed at the ends of the rule")
+        total, total_abs = f[:, i0:i1 + 1].sum(axis=1), mag[:, i0:i1 + 1].sum(axis=1)
+        h, step, est = DE_H0, _DE_STRIDE, DE_H0 * total
+        for level in range(1, DE_MAX_LEVEL + 1):
+            h, step = 0.5 * h, step // 2
+            f = terms(slice(i0 * _DE_STRIDE + step, i1 * _DE_STRIDE, 2 * step))
+            total, total_abs = total + f.sum(axis=1), total_abs + np.abs(f).sum(axis=1)
+            gap, est = np.abs(h * total - est), h * total
+            if level >= DE_MIN_LEVEL and np.all(gap <= rel_tol * h * total_abs):
+                return est
+            if not np.isfinite(gap).all():
+                break
+    raise ToleranceFailure(f"quadrature failed for {what}: levels differ by "
+                           f"{float(np.max(gap)):.2e}")
 
 
 def orbit_quad(spec, u1: float, u2: float, numers, *,

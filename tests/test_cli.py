@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +104,10 @@ def test_bad_count_option_exits_2(tmp_path, capsys):
     ["periodic-search", "--lambdas=1,-1", "--alpha=0.5", "--gamma=nan,1"],
     ["translator", "--alpha=1", "--a=1", "--K-re=nan"],
     ["translator", "--alpha=1", "--a=1", "--radius=inf"],
+    ["flow-family", "--lambdas=1,-1", "--alphas=1,2", "--A=0.4", "--alpha=0.5",
+     "--t=-1,0,1", "--rho-max=nan"],
+    ["flow-family", "--lambdas=1,-1", "--alphas=1,2", "--A=0.4", "--alpha=0.5",
+     "--t=-1,0,1", "--rho-max=inf"],
 ], ids=lambda argv: " ".join(argv))
 def test_non_finite_inputs_exit_2(tmp_path, capsys, argv):
     # main returns rather than raising, so no traceback reaches the user
@@ -113,11 +118,15 @@ def test_non_finite_inputs_exit_2(tmp_path, capsys, argv):
 
 
 def test_overflowing_search_step_exits_3(tmp_path, capsys):
-    # a trial step overflowed exp outside the residual's guard
-    rc = main(["periodic-search", "--lambdas=1,-1", "--alpha=-0.5", "--gamma=1,-2",
-               f"--outdir={tmp_path}"])
+    # trial steps overflow exp; the residual rejects them without numpy's
+    # RuntimeWarning reaching stderr
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["periodic-search", "--lambdas=1,-1", "--alpha=-0.5", "--gamma=1,-2",
+                   f"--outdir={tmp_path}"])
     assert rc == 3
     assert capsys.readouterr().err.startswith("lagsol:")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_one_parser_serves_every_call(tmp_path, capsys):

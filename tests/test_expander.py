@@ -32,6 +32,14 @@ def test_profile_validation():
         ExpanderProfile(1.0, (1.0,), psi=(0.0, 0.0))
 
 
+@pytest.mark.parametrize("alpha, a", [(1.0, (0.0, 1.0)), (-1.0, (1.0, 1.0)),
+                                      (1.0, (math.nan, 1.0))])
+def test_angle_map_and_jacobian_reject_points_outside_the_domain(alpha, a):
+    for f in (angle_map, angle_map_jacobian):
+        with pytest.raises(ValidationError):
+            f(alpha, a)
+
+
 def test_eval_P_values():
     prof = ExpanderProfile(0.0, (1.0, 1.0))
     # ((1+t^2)^2 - 1)/t^2 at t = 1

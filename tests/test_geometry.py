@@ -14,16 +14,52 @@ from lagsol import (
     SolitonParams,
     centred_fd_mean_curvature,
     centred_frame,
-    curve_metric_coefficient,
     hamiltonian_stationary,
     mean_curvature_fd,
-    position_normal_closed_form,
     quadric_tangent_basis,
-    selfsimilar_residual,
     stationary_spec,
 )
 from lagsol.errors import ValidationError
 from lagsol.geometry import fd_step
+
+
+# closed forms the frames are checked against
+
+def curve_metric_coefficient(profile, x, t: float) -> float:
+    """Closed form prod r_j^2 * sum_j lambda_j^2 x_j^2 / r_j^2 for g_tt.
+
+    Valid when the profile's curve parameter is the system parameter s of the
+    phase equations; profiles in another parameter pick up (ds/dt)^2.
+    """
+    x = np.asarray(x, dtype=float)
+    w = np.asarray(profile.w_of(t))
+    r2 = np.abs(w) ** 2
+    lam = np.asarray(profile.lambdas)
+    return float(np.prod(r2) * np.sum(lam ** 2 * x ** 2 / r2))
+
+
+def position_normal_closed_form(profile, x, t: float, *, s_rate: float = 1.0) -> np.ndarray:
+    """Normal part of the position, C prod(r_j) sin(phi - theta) (ds/dt) / g_tt * J f_t.
+
+    Cross-checks FramedPoint.normal_projection(z) on centred profiles.  s_rate
+    is ds/dt for profiles whose curve parameter t is not the system parameter
+    s (1 for those parametrized by s itself).
+    """
+    fp = centred_frame(profile, x, t)
+    w = np.asarray(profile.w_of(t))
+    # sin(phi - theta) from the full product, robust to phase wrapping
+    full = np.prod(w)
+    sin_d = np.imag(np.exp(-1j * fp.theta) * full) / np.abs(full)
+    gtt = fp.metric[-1, -1]
+    return profile.C * np.abs(full) * sin_d * s_rate / gtt * (1j * fp.frame[-1])
+
+
+def selfsimilar_residual(profile, x, t: float) -> float:
+    """| alpha F_perp - C H | at one point of a centred profile."""
+    fp = centred_frame(profile, x, t)
+    H = fp.mean_curvature()
+    Fperp = fp.normal_projection(fp.z)
+    return float(np.linalg.norm(profile.alpha * Fperp - profile.C * H))
 
 
 def sample_quadric_points(rng, lambdas, count):

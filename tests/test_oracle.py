@@ -1,0 +1,146 @@
+"""The angle map and its Jacobian against an mpmath oracle at 30 digits.
+
+The oracle integrates phibar_j = int_0^inf a_j / (1 + a_j t^2) P(t)^(-1/2) dt
+with mpmath's tanh-sinh rule, split at the scales 1/sqrt(a_k) and
+1/sqrt(sum a + alpha), with P built from log1p / expm1 at working
+precision.  Its Jacobian column k is the complex-step derivative
+Im phibar(a + i h e_k) / h: no derivative formula is shared with the code
+under test, and at h = 1e-30 a_k the step error is far below 30 digits.
+"""
+
+import math
+from functools import lru_cache
+
+import mpmath as mp
+import numpy as np
+import pytest
+from scipy.integrate import quad
+
+from lagsol import expander
+from lagsol.expander import _inv_sqrt_P, _log_growth, _scale_breaks
+
+DPS = 30
+# scaled error |got - ref| / (1 + |ref|); measured 1.1e-16 or better.  The
+# bound leaves room for other numpy builds' last bits, and still fails an
+# integrand that is 1e-14 off near t = 0 (e.g. 1 - e^-E replaced by E)
+TOL = 1e-15
+
+# the cases of tests/test_quadutil.py
+EXPANDER_CASES = [
+    (1.0, (1.0, 2.0)),
+    (0.0, (0.8, 1.5)),
+    (0.5, (0.3, 1.0, 7.0)),
+    (0.5, (1e6, 1.0)),
+    (2.0, (1e-3, 30.0, 1.0)),
+]
+# extreme curvature ratios, a minimal case with a tiny a, a steep Gaussian
+HARD_CASES = [
+    (0.0, (1e13, 1.0)),
+    (0.0, (1e13, 1.0, 1.0)),
+    (0.0, (1e-3, 30.0, 1.0)),
+    (30.0, (1.0, 2.0)),
+]
+MINIMAL_CASES = [c for c in EXPANDER_CASES + HARD_CASES if c[0] == 0.0]
+
+
+def _mp_phibar(alpha, a):
+    """phibar_j at (possibly complex) a, as mpmath numbers."""
+    @lru_cache(maxsize=None)
+    def isp(t):
+        t2 = t * t
+        E = alpha * t2 + mp.fsum(mp.log1p(x * t2) for x in a)
+        return t / mp.sqrt(mp.expm1(E))
+
+    re_a = [mp.re(x) for x in a]
+    scales = sorted({1 / mp.sqrt(x) for x in re_a} | {1 / mp.sqrt(mp.fsum(re_a) + alpha)})
+    pts = [mp.mpf(0)] + scales + [mp.inf]
+    return [mp.quad(lambda t, x=x: x / (1 + x * t * t) * isp(t), pts) for x in a]
+
+
+@lru_cache(maxsize=None)
+def oracle_phibar(alpha, a):
+    with mp.workdps(DPS):
+        return np.array([float(v) for v in _mp_phibar(mp.mpf(alpha), [mp.mpf(x) for x in a])])
+
+
+@lru_cache(maxsize=None)
+def oracle_jacobian(alpha, a):
+    n = len(a)
+    J = np.empty((n, n))
+    with mp.workdps(DPS):
+        for k in range(n):
+            h = mp.mpf(10) ** -DPS * a[k]
+            ak = [mp.mpf(x) + (1j * h if i == k else 0) for i, x in enumerate(a)]
+            J[:, k] = [float(mp.im(v) / h) for v in _mp_phibar(mp.mpf(alpha), ak)]
+    return J
+
+
+def quadpack_improper(f, alpha, a):
+    """One stand-alone QUADPACK integral over [0, inf): t = tan(xi), with
+    breakpoints at the atan of the scale ladders."""
+    pts = sorted({math.atan(b) for b in _scale_breaks(alpha, a)})
+    val, _ = quad(lambda xi: f(math.tan(xi)) / math.cos(xi) ** 2, 0.0, math.pi / 2,
+                  epsabs=0.0, epsrel=1e-11, limit=200, points=pts)
+    return val
+
+
+def phase_integrand(alpha, a, j):
+    return lambda t: a[j] / (1.0 + a[j] * t * t) * _inv_sqrt_P(alpha, a, t)
+
+
+def jacobian_integrand(alpha, a, j, k):
+    def f(t):
+        t2 = t * t
+        isp = _inv_sqrt_P(alpha, a, t)
+        one_minus = max(-math.expm1(-_log_growth(alpha, a, t)), 1e-300)
+        val = -a[j] / (1.0 + a[j] * t2) * isp * t2 / (2.0 * one_minus * (1.0 + a[k] * t2))
+        if j == k:
+            val += isp / (1.0 + a[j] * t2) ** 2
+        return val
+    return f
+
+
+def assert_close(got, ref, tol=TOL):
+    err = np.abs(np.asarray(got) - ref) / (1.0 + np.abs(ref))
+    assert err.max() <= tol, f"max scaled error {err.max():.2e}"
+
+
+def engine_phibar(alpha, a):
+    expander._phibar.cache_clear()
+    return np.array(expander._phibar(alpha, a))
+
+
+@pytest.mark.parametrize("alpha, a", EXPANDER_CASES)
+def test_phibar_family_matches_oracle_and_quadpack(alpha, a):
+    got = engine_phibar(alpha, a)
+    assert_close(got, oracle_phibar(alpha, a))
+    assert_close(got, [quadpack_improper(phase_integrand(alpha, a, j), alpha, a)
+                       for j in range(len(a))])
+
+
+@pytest.mark.parametrize("alpha, a", EXPANDER_CASES)
+def test_jacobian_family_matches_oracle_and_quadpack(alpha, a):
+    n = len(a)
+    got = expander.angle_map_jacobian(alpha, a)
+    assert_close(got, oracle_jacobian(alpha, a))
+    assert_close(got, [[quadpack_improper(jacobian_integrand(alpha, a, j, k), alpha, a)
+                        for k in range(n)] for j in range(n)])
+
+
+@pytest.mark.parametrize("alpha, a", HARD_CASES)
+def test_phibar_matches_oracle_in_hard_regimes(alpha, a):
+    assert_close(engine_phibar(alpha, a), oracle_phibar(alpha, a))
+
+
+@pytest.mark.parametrize("alpha, a", HARD_CASES)
+def test_jacobian_matches_oracle_in_hard_regimes(alpha, a):
+    assert_close(expander.angle_map_jacobian(alpha, a), oracle_jacobian(alpha, a))
+
+
+@pytest.mark.parametrize("alpha, a", MINIMAL_CASES)
+def test_minimal_angles_sum_to_half_pi(alpha, a):
+    # the identity checks the oracle itself, at its own precision
+    with mp.workdps(DPS):
+        total = mp.fsum(_mp_phibar(mp.mpf(0), [mp.mpf(x) for x in a]))
+        assert abs(total - mp.pi / 2) < mp.mpf(10) ** (5 - DPS)
+    assert abs(engine_phibar(alpha, a).sum() - math.pi / 2) <= 2 * math.ulp(math.pi / 2)

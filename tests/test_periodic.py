@@ -29,7 +29,6 @@ from lagsol import (
     period,
     rebase,
     reduced_rhs,
-    reduction_check,
     sample_reduced,
     search_periodic_data,
     stationary_spec,
@@ -37,8 +36,9 @@ from lagsol import (
     turning_points,
 )
 from lagsol import odeint
-from lagsol.errors import CaseMismatch, NonConvergence, ValidationError
+from lagsol.errors import CaseMismatch, NonConvergence, ToleranceFailure, ValidationError
 from lagsol.geometry import fd_step
+from lagsol.quadutil import DEFAULT_REL_TOL
 
 
 def spec_of(lambdas, alphas, A, alpha=0.0, psi=None):
@@ -427,6 +427,30 @@ def test_search_jacobian_fallback_reuses_residuals():
     np.testing.assert_allclose(holonomies(found), target, atol=1e-8)
 
 
+def test_search_halves_a_step_whose_quadrature_fails():
+    """A ToleranceFailure at a trial point makes that trial infeasible: the
+    step is halved and the search goes on."""
+    known = spec_of((1.0, -1.0), (1.0, 3.0), 0.8, alpha=0.6)
+    based, _ = rebase(known)
+    target = holonomies(known)
+    seed = (tuple(1.1 * a for a in based.alphas), 0.95 * based.A)
+    n = 2
+    seen = []
+    real = holonomies
+
+    def flaky(spec, **kwargs):
+        seen.append(np.log(spec.alphas + (spec.A,)))
+        if len(seen) == 2 + 2 * (n + 1):   # the first trial after seed and Jacobian
+            raise ToleranceFailure("quadrature failed for holonomy: est. error 1e-9")
+        return real(spec, **kwargs)
+
+    with mock.patch("lagsol.periodic.holonomies", side_effect=flaky):
+        found = search_periodic_data((1.0, -1.0), 0.6, target, seed=seed)
+    x0, failed, halved = seen[0], seen[2 * (n + 1) + 1], seen[2 * (n + 1) + 2]
+    np.testing.assert_allclose(halved - x0, 0.5 * (failed - x0), rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(holonomies(found), target, atol=1e-8)
+
+
 def test_search_rejects_unnormalized_lambdas():
     with pytest.raises(ValidationError):
         search_periodic_data((2.0, -1.0), 0.0, (-1.0, 1.0))
@@ -436,6 +460,56 @@ def test_search_unattainable_target_raises():
     # holonomy sums must be positive when alpha > 0; this target sums to zero
     with pytest.raises(NonConvergence):
         search_periodic_data((1.0, -1.0), 1.0, (-math.pi, math.pi), max_iter=12)
+
+
+def reduction_check(base: PeriodicSpec, alpha_values, *, mirror: bool = False,
+                    rel_tol: float = DEFAULT_REL_TOL):
+    """Add a slot with large base radius and track the surviving holonomies.
+
+    Default path: append a lambda = -1 slot with alpha_n -> infinity,
+    A = A_base sqrt(alpha_n), and alpha_1 adjusted to keep the critical
+    point at u = 0.  The base slots' holonomies converge to those of the
+    base spec and the new slot's to 0, at rate O(1/alpha_n).  With
+    ``mirror=True`` the new slot is a lambda = +1 slot prepended with
+    alpha_1 -> infinity (compensating on the base's first negative slot,
+    or its first slot when all lambdas are positive).  Returns a list of
+    records per alpha value.
+    """
+    base_based, _ = rebase(base)
+    gamma_ref = holonomies(base_based, rel_tol=rel_tol)
+    lam = base_based.params.lambdas
+    out = []
+    for an in alpha_values:
+        an = float(an)
+        if mirror:
+            # compensate 1/an on a slot so sum(lambda_j/alpha_j) stays put
+            alphas = list(base_based.alphas)
+            negs = [j for j, l in enumerate(lam) if l < 0]
+            j = negs[0] if negs else 0
+            inv = 1.0 / alphas[j] + (1.0 / an if negs else -1.0 / an)
+            alphas[j] = 1.0 / inv
+            params = SolitonParams((1.0,) + lam, 1.0, base_based.params.alpha)
+            spec = PeriodicSpec(params, (an,) + tuple(alphas),
+                                base_based.A * math.sqrt(an))
+            gam = holonomies(spec, rel_tol=rel_tol)
+            gam_keep, gam_new = gam[1:], gam[0]
+        else:
+            if lam[0] != 1.0:
+                raise ValidationError(
+                    "reduction path adjusts a lambda = +1 slot; need lambda_1 = +1")
+            inv_a1 = 1.0 / base_based.alphas[0] + 1.0 / an
+            alphas = (1.0 / inv_a1,) + base_based.alphas[1:] + (an,)
+            params = SolitonParams(lam + (-1.0,), 1.0, base_based.params.alpha)
+            spec = PeriodicSpec(params, alphas, base_based.A * math.sqrt(an))
+            gam = holonomies(spec, rel_tol=rel_tol)
+            gam_keep, gam_new = gam[:-1], gam[-1]
+        out.append({
+            "alpha_n": an,
+            "gamma": gam,
+            "gamma_ref": gamma_ref,
+            "deviation": float(max(np.abs(gam_keep - gamma_ref).max(), abs(gam_new))),
+        })
+    return out
 
 
 def test_reduction_to_fewer_slots():

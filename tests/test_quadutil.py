@@ -1,19 +1,24 @@
-"""Shared-node quadrature families.
+"""Quadrature families and the double-exponential engine.
 
-Each family (the asymptotic angles phibar_j, the Jacobian entries
-d phibar_j / d a_k, the phase increments of one gap, an orbit's period with
-its holonomies) must give bit-for-bit the values of one QUADPACK call per
-component with a stand-alone integrand, and make exactly as many calls.  The
-stand-alone integrands below are written out one function per component.
+The QUADPACK families (the phase increments of one gap, an orbit's period
+with its holonomies) must give bit-for-bit the values of one QUADPACK call
+per component with a stand-alone integrand, and make exactly as many calls.
+The stand-alone integrands below are written out one function per
+component.  The angle map and its Jacobian run on ``improper_quad``, the
+double-exponential engine; they are checked against an mpmath oracle in
+test_oracle.py.
 """
 
 import math
 from unittest import mock
 
+import numpy as np
 import pytest
 
-from lagsol import expander, periodic, quadutil
-from lagsol.expander import ExpanderProfile, _inv_sqrt_P, _log_growth, _scale_breaks
+from lagsol import periodic, quadutil
+from lagsol.errors import ToleranceFailure
+from lagsol.expander import (ExpanderProfile, _inv_sqrt_P, _phase_family, _phase_rates,
+                             _scale_breaks)
 from lagsol.params import SolitonParams
 from lagsol.periodic import PeriodicSpec
 from lagsol.quadutil import finite_quad, improper_quad, orbit_quad, shared_nodes
@@ -32,20 +37,6 @@ def phase_integrand(alpha, a, j):
     return lambda t: aj / ((1.0 + aj * t * t)) * _inv_sqrt_P(alpha, a, t)
 
 
-def jacobian_integrand(alpha, a, j, k):
-    def f(t):
-        t2 = t * t
-        E = _log_growth(alpha, a, t)
-        isp = _inv_sqrt_P(alpha, a, t)
-        gj = a[j] / (1.0 + a[j] * t2) * isp
-        one_minus = -math.expm1(-E) if E > 1e-8 else max(E, 1e-300)
-        val = -gj * t2 / (2.0 * one_minus * (1.0 + a[k] * t2))
-        if j == k:
-            val += isp / (1.0 + a[j] * t2) ** 2
-        return val
-    return f
-
-
 def counted_quad():
     return mock.patch.object(quadutil, "quad", wraps=quadutil.quad)
 
@@ -62,28 +53,32 @@ def test_shared_nodes_evaluates_each_node_once():
     assert calls == [0.5, 0.25]
 
 
-@pytest.mark.parametrize("alpha, a", EXPANDER_CASES)
-def test_phibar_family_is_bit_identical(alpha, a):
-    expander._phibar.cache_clear()
-    with counted_quad() as q:
-        got = expander._phibar(alpha, a)
-    assert q.call_count == len(a)
-    breaks = _scale_breaks(alpha, a)
-    assert got == tuple(improper_quad(phase_integrand(alpha, a, j), scale_breaks=breaks)
-                        for j in range(len(a)))
+def test_improper_quad_integrates_a_family():
+    def rates(t):
+        return np.stack([np.exp(-t), 1.0 / (1.0 + t * t), t * np.exp(-t * t)])
+    got = improper_quad(rates)
+    assert got.shape == (3,)
+    np.testing.assert_allclose(got, [1.0, math.pi / 2, 0.5], rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("rates, why", [
+    (lambda t: (t < 1.0)[None] * 1.0, "levels differ"),      # a jump: O(h) only
+    (lambda t: np.where(t < 1.0, np.nan, 0.0)[None], "not finite"),
+    (lambda t: 1.0 / (1.0 + t)[None], "not decayed"),        # diverges
+])
+def test_improper_quad_raises_unless_it_converges(rates, why):
+    with pytest.raises(ToleranceFailure, match=why):
+        improper_quad(rates, what="test integral")
 
 
 @pytest.mark.parametrize("alpha, a", EXPANDER_CASES)
-def test_jacobian_family_is_bit_identical(alpha, a):
-    n = len(a)
-    with counted_quad() as q:
-        got = expander.angle_map_jacobian(alpha, a)
-    assert q.call_count == n * n
-    breaks = _scale_breaks(alpha, a)
-    for j in range(n):
-        for k in range(n):
-            assert got[j, k] == improper_quad(jacobian_integrand(alpha, a, j, k),
-                                              scale_breaks=breaks)
+def test_numpy_phase_integrand_matches_the_scalar_one(alpha, a):
+    # at every node of the double-exponential rule; P^(-1/2) = t e^(-E/2)
+    # carries E's rounding, up to 1e-13 relative where E nears 700
+    t = quadutil._DE_T
+    scalar = _phase_rates(alpha, a)
+    want = np.array([scalar(x) for x in t]).T
+    np.testing.assert_allclose(_phase_family(alpha, a)(t), want, rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("alpha, a", EXPANDER_CASES)
