@@ -41,18 +41,6 @@ OUTDIR_ENV = "LAGSOL_OUTDIR"
 
 # -- option plumbing ---------------------------------------------------------
 
-def _f(v):
-    return float(v)
-
-
-def _i(v):
-    return int(v)
-
-
-def _s(v):
-    return str(v)
-
-
 def _fs(v):
     if isinstance(v, (tuple, list)):
         return tuple(float(x) for x in v)
@@ -83,10 +71,36 @@ class _Opt:
     flag: bool = False
 
 
+# option groups shared by several subcommands
 _COMMON = (
-    _Opt("outdir", _s, None, "output directory (default: $" + OUTDIR_ENV + " or .)"),
-    _Opt("prefix", _s, None, "output file prefix (default: the subcommand name)"),
+    _Opt("outdir", str, None, "output directory (default: $" + OUTDIR_ENV + " or .)"),
+    _Opt("prefix", str, None, "output file prefix (default: the subcommand name)"),
 )
+_PSI = _Opt("psi", _fs, None, "phase offsets (default zeros)")
+_MESH = (
+    _Opt("mesh-samples", int, 25, "curve samples in the exported mesh"),
+    _Opt("mesh-count", int, 16, "base points per curve sample"),
+    _Opt("seed", int, 0, "mesh base-point seed"),
+)
+_FD_CHECKS = _Opt("fd-checks", int, 8, "points cross-checked against the FD oracle")
+_EXPORT = (
+    _FD_CHECKS,
+    _Opt("ply", _b, False, "also write a PLY vertex cloud", flag=True),
+    _Opt("project3d", _b, False, "project the PLY cloud to 3D", flag=True),
+)
+_RHO_MAX = _Opt("rho-max", float, 1.2, "radial extent of non-compact quadric factors")
+_QMAX = _Opt("qmax", int, 64, "largest denominator tried by the rationality check")
+
+
+def _orbit_opts(required: bool = True):
+    """lambdas, alphas, A, alpha and psi: the data of a closed orbit."""
+    return (
+        _Opt("lambdas", _fs, None, "quadric signs (+-1, positives first)", required),
+        _Opt("alphas", _fs, None, "base radii squared alpha_1,...,alpha_n", required),
+        _Opt("A", float, None, "first-integral value (> 0)", required),
+        _Opt("alpha", float, None, "rescaling rate", required=True),
+        _PSI,
+    )
 
 
 def _add_options(sp, opts):
@@ -140,16 +154,15 @@ def _validate_counts(cfg):
             raise ValidationError(f"--{key} must be positive")
 
 
-def _outpath(cfg, default_prefix, suffix):
-    outdir = cfg.get("outdir") or os.environ.get(OUTDIR_ENV) or "."
-    prefix = cfg.get("prefix") or default_prefix
-    d = Path(outdir)
-    d.mkdir(parents=True, exist_ok=True)
-    return d / f"{prefix}_{suffix}"
-
-
-def _wrote(path):
+def _write(cfg, name, suffix, writer, *args, **kwargs):
+    """Write <outdir>/<prefix>_<suffix> with writer(path, *args, **kwargs),
+    report it on stdout and return its path; the prefix defaults to name."""
+    outdir = Path(cfg.get("outdir") or os.environ.get(OUTDIR_ENV) or ".")
+    outdir.mkdir(parents=True, exist_ok=True)
+    path = outdir / f"{cfg.get('prefix') or name}_{suffix}"
+    writer(path, *args, **kwargs)
     print(f"wrote {path}")
+    return path
 
 
 def _print_pairs(pairs):
@@ -164,21 +177,15 @@ def _fmt_list(vals):
 def _export_verified(cfg, name, profile, mesh, extra_pairs=()) -> int:
     """Write the mesh (CSV, and PLY on request) and the profile record, verify
     the mesh independently, then write its summary followed by extra_pairs."""
-    p = _outpath(cfg, name, "mesh.csv")
-    fileio.write_mesh_csv(p, mesh)
-    _wrote(p)
+    _write(cfg, name, "mesh.csv", fileio.write_mesh_csv, mesh)
     if cfg["ply"]:
-        p = _outpath(cfg, name, "mesh.ply")
-        fileio.write_mesh_ply(p, mesh, project3d=cfg["project3d"])
-        _wrote(p)
-    p = _outpath(cfg, name, "record.txt")
-    fileio.write_profile_record(p, profile)
-    _wrote(p)
+        _write(cfg, name, "mesh.ply", fileio.write_mesh_ply, mesh,
+               project3d=cfg["project3d"])
+    _write(cfg, name, "record.txt", fileio.write_profile_record, profile)
     report = verify_mesh(profile, mesh,
                          VerificationThresholds(fd_checks=cfg["fd-checks"]))
-    p = _outpath(cfg, name, "summary.txt")
-    fileio.write_keyvalues(p, report.summary_pairs() + list(extra_pairs))
-    _wrote(p)
+    _write(cfg, name, "summary.txt", fileio.write_keyvalues,
+           report.summary_pairs() + list(extra_pairs))
     print(f"verification: {'PASS' if report.passed else 'FAIL'}")
     for line in report.failures:
         print(line)
@@ -186,35 +193,40 @@ def _export_verified(cfg, name, profile, mesh, extra_pairs=()) -> int:
     return 0
 
 
+def _orbit_spec(cfg, lambdas=None) -> PeriodicSpec:
+    """The orbit data of cfg; lambdas, when given, replaces --lambdas."""
+    params = SolitonParams(lambdas or cfg["lambdas"], 1.0, cfg["alpha"])
+    return PeriodicSpec(params, cfg["alphas"], cfg["A"], cfg["psi"])
+
+
+def _verdict_pairs(verdict, *periodic_extra):
+    """The periodicity verdict's report lines; periodic_extra follows T."""
+    pairs = [("periodic", "true" if verdict.periodic else "false")]
+    if verdict.periodic:
+        pairs += [("r", str(verdict.r)),
+                  ("p", ",".join(str(v) for v in verdict.p)),
+                  ("T", repr(verdict.T)),
+                  *periodic_extra]
+    return pairs
+
+
 # -- expander ----------------------------------------------------------------
 
 _EXPANDER_OPTS = _COMMON + (
-    _Opt("alpha", _f, None, "expansion rate (>= 0)", required=True),
+    _Opt("alpha", float, None, "expansion rate (>= 0)", required=True),
     _Opt("a", _fs, None, "profile curvatures a_1,...,a_n", required=True),
-    _Opt("psi", _fs, None, "phase offsets (default zeros)"),
-    _Opt("samples", _i, 200, "rows in the profile table"),
-    _Opt("y-max", _f, 1.5, "profile parameter range [-y_max, y_max]"),
-    _Opt("mesh-samples", _i, 25, "curve samples in the exported mesh"),
-    _Opt("mesh-count", _i, 16, "base points per curve sample"),
-    _Opt("seed", _i, 0, "mesh base-point seed"),
-    _Opt("fd-checks", _i, 8, "points cross-checked against the FD oracle"),
-    _Opt("ply", _b, False, "also write a PLY vertex cloud", flag=True),
-    _Opt("project3d", _b, False, "project the PLY cloud to 3D", flag=True),
-)
+    _PSI,
+    _Opt("samples", int, 200, "rows in the profile table"),
+    _Opt("y-max", float, 1.5, "profile parameter range [-y_max, y_max]"),
+) + _MESH + _EXPORT
 
 
 def cmd_expander(cfg) -> int:
     profile = ExpanderProfile(cfg["alpha"], cfg["a"], cfg["psi"])
     ys = np.linspace(-cfg["y-max"], cfg["y-max"], cfg["samples"])
-
-    p = _outpath(cfg, "expander", "profile.csv")
-    fileio.write_profile_csv(p, profile, ys)
-    _wrote(p)
-
+    _write(cfg, "expander", "profile.csv", fileio.write_profile_csv, profile, ys)
     angles = asymptotic_angles(profile)
-    p = _outpath(cfg, "expander", "planes.csv")
-    fileio.write_plane_report_csv(p, angles)
-    _wrote(p)
+    _write(cfg, "expander", "planes.csv", fileio.write_plane_report_csv, angles)
 
     mesh_ts = np.linspace(-cfg["y-max"], cfg["y-max"], cfg["mesh-samples"])
     mesh = centred_mesh(profile, mesh_ts, cfg["mesh-count"], seed=cfg["seed"])
@@ -230,9 +242,9 @@ def cmd_expander(cfg) -> int:
 # -- invert-angles -----------------------------------------------------------
 
 _INVERT_OPTS = _COMMON + (
-    _Opt("alpha", _f, None, "expansion rate (>= 0)", required=True),
+    _Opt("alpha", float, None, "expansion rate (>= 0)", required=True),
     _Opt("target", _fs, None, "target asymptotic angles", required=True),
-    _Opt("tol", _f, 1e-10, "Newton tolerance"),
+    _Opt("tol", float, 1e-10, "Newton tolerance"),
     _Opt("write-report", _b, False, "also write the report file", flag=True),
 )
 
@@ -249,36 +261,22 @@ def cmd_invert_angles(cfg) -> int:
     ]
     _print_pairs(pairs)
     if cfg["write-report"]:
-        p = _outpath(cfg, "invert_angles", "report.txt")
-        fileio.write_keyvalues(p, pairs)
-        _wrote(p)
+        _write(cfg, "invert_angles", "report.txt", fileio.write_keyvalues, pairs)
     return 0
 
 
 # -- periodic / shrinker -----------------------------------------------------
 
-_PERIODIC_OPTS = _COMMON + (
-    _Opt("lambdas", _fs, None, "quadric signs (+-1, positives first)", required=True),
-    _Opt("alphas", _fs, None, "base radii squared alpha_1,...,alpha_n", required=True),
-    _Opt("A", _f, None, "first-integral value (> 0)", required=True),
-    _Opt("alpha", _f, None, "rescaling rate", required=True),
-    _Opt("psi", _fs, None, "phase offsets (default zeros)"),
-    _Opt("qmax", _i, 64, "largest denominator tried by the rationality check"),
-    _Opt("tol", _f, None, "rationality tolerance (default 1e-9 * qmax)"),
+_PERIODIC_OPTS = _COMMON + _orbit_opts() + (
+    _QMAX,
+    _Opt("tol", float, None, "rationality tolerance (default 1e-9 * qmax)"),
     _Opt("mesh", _b, False, "export a mesh (full period when periodic)", flag=True),
-    _Opt("mesh-samples", _i, 25, "curve samples in the exported mesh"),
-    _Opt("mesh-count", _i, 16, "base points per curve sample"),
-    _Opt("seed", _i, 0, "mesh base-point seed"),
-    _Opt("rho-max", _f, 1.2, "radial extent of non-compact quadric factors"),
-    _Opt("fd-checks", _i, 8, "points cross-checked against the FD oracle"),
-    _Opt("ply", _b, False, "also write a PLY vertex cloud", flag=True),
-    _Opt("project3d", _b, False, "project the PLY cloud to 3D", flag=True),
-)
+) + _MESH + (_RHO_MAX,) + _EXPORT
 
 _SHRINKER_OPTS = tuple(o for o in _PERIODIC_OPTS if o.name != "lambdas")
 
 
-def _periodic_report(cfg, spec) -> int:
+def _periodic_report(cfg, spec, name) -> int:
     orbit = compute_orbit(spec)
     kwargs = {"qmax": cfg["qmax"]}
     if cfg["tol"] is not None:
@@ -290,18 +288,10 @@ def _periodic_report(cfg, spec) -> int:
              ("u1", repr(orbit.u1)), ("u2", repr(orbit.u2)),
              ("S", repr(orbit.S)), ("gamma", _fmt_list(orbit.gamma)),
              ("gamma_sum", repr(orbit.gamma_sum)),
-             ("periodic", "true" if verdict.periodic else "false")]
-    if verdict.periodic:
-        pairs += [("r", str(verdict.r)),
-                  ("p", ",".join(str(v) for v in verdict.p)),
-                  ("T", repr(verdict.T)),
-                  ("topology", topo)]
-    pairs += [("max_residual", repr(verdict.max_residual))]
+             *_verdict_pairs(verdict, ("topology", topo)),
+             ("max_residual", repr(verdict.max_residual))]
     _print_pairs(pairs)
-
-    p = _outpath(cfg, cfg["_name"], "orbit.csv")
-    fileio.write_orbit_report_csv(p, orbit, verdict, topo)
-    _wrote(p)
+    _write(cfg, name, "orbit.csv", fileio.write_orbit_report_csv, orbit, verdict, topo)
 
     if not cfg["mesh"]:
         return 0
@@ -310,34 +300,28 @@ def _periodic_report(cfg, spec) -> int:
     ts = np.linspace(0.0, span, cfg["mesh-samples"])
     mesh = centred_mesh(profile, ts, cfg["mesh-count"], seed=cfg["seed"],
                         rho_max=cfg["rho-max"])
-    return _export_verified(cfg, cfg["_name"], profile, mesh)
+    return _export_verified(cfg, name, profile, mesh)
 
 
 def cmd_periodic(cfg) -> int:
-    params = SolitonParams(cfg["lambdas"], 1.0, cfg["alpha"])
-    spec = PeriodicSpec(params, cfg["alphas"], cfg["A"], cfg["psi"])
-    cfg["_name"] = "periodic"
-    return _periodic_report(cfg, spec)
+    return _periodic_report(cfg, _orbit_spec(cfg), "periodic")
 
 
 def cmd_shrinker(cfg) -> int:
     # compact case: every lambda positive, which forces alpha < 0
-    n = len(cfg["alphas"])
-    params = SolitonParams((1.0,) * n, 1.0, cfg["alpha"])
-    spec = PeriodicSpec(params, cfg["alphas"], cfg["A"], cfg["psi"])
-    cfg["_name"] = "shrinker"
-    return _periodic_report(cfg, spec)
+    spec = _orbit_spec(cfg, (1.0,) * len(cfg["alphas"]))
+    return _periodic_report(cfg, spec, "shrinker")
 
 
 # -- periodic-search ---------------------------------------------------------
 
 _SEARCH_OPTS = _COMMON + (
     _Opt("lambdas", _fs, None, "quadric signs (+-1, positives first)", required=True),
-    _Opt("alpha", _f, None, "rescaling rate", required=True),
+    _Opt("alpha", float, None, "rescaling rate", required=True),
     _Opt("gamma", _fs, None, "target holonomies gamma_1,...,gamma_n", required=True),
-    _Opt("tol", _f, 1e-8, "search tolerance on the holonomies"),
-    _Opt("max-iter", _i, 60, "Newton iteration budget"),
-    _Opt("qmax", _i, 64, "largest denominator tried by the rationality check"),
+    _Opt("tol", float, 1e-8, "search tolerance on the holonomies"),
+    _Opt("max-iter", int, 60, "Newton iteration budget"),
+    _QMAX,
 )
 
 
@@ -350,43 +334,25 @@ def cmd_periodic_search(cfg) -> int:
              ("gamma", _fmt_list(orbit.gamma)),
              ("residual", repr(float(np.max(np.abs(
                  np.asarray(orbit.gamma) - np.asarray(cfg["gamma"])))))),
-             ("periodic", "true" if verdict.periodic else "false")]
-    if verdict.periodic:
-        pairs += [("r", str(verdict.r)),
-                  ("p", ",".join(str(v) for v in verdict.p)),
-                  ("T", repr(verdict.T))]
+             *_verdict_pairs(verdict)]
     _print_pairs(pairs)
-    p = _outpath(cfg, "periodic_search", "search.txt")
-    fileio.write_keyvalues(p, pairs)
-    _wrote(p)
-    p = _outpath(cfg, "periodic_search", "orbit.csv")
-    fileio.write_orbit_report_csv(p, orbit, verdict,
-                                  topology_tag(spec) if verdict.periodic else "")
-    _wrote(p)
+    _write(cfg, "periodic_search", "search.txt", fileio.write_keyvalues, pairs)
+    _write(cfg, "periodic_search", "orbit.csv", fileio.write_orbit_report_csv, orbit,
+           verdict, topology_tag(spec) if verdict.periodic else "")
     return 0
 
 
 # -- translator --------------------------------------------------------------
 
 _TRANSLATOR_OPTS = _COMMON + (
-    _Opt("alpha", _f, None, "rate of the profile equations", required=True),
     _Opt("a", _fs, None, "expander-base curvatures (graphical branch)"),
-    _Opt("lambdas", _fs, None, "orbit-base quadric signs (oscillating branch)"),
-    _Opt("alphas", _fs, None, "orbit-base radii squared"),
-    _Opt("A", _f, None, "orbit-base first integral"),
-    _Opt("psi", _fs, None, "phase offsets (default zeros)"),
-    _Opt("K-re", _f, None, "real part of the integration constant K"),
-    _Opt("K-im", _f, None, "imaginary part of the integration constant K"),
-    _Opt("t-min", _f, None, "curve parameter range start (default -t-max)"),
-    _Opt("t-max", _f, 1.2, "curve parameter range end"),
-    _Opt("mesh-samples", _i, 25, "curve samples in the exported mesh"),
-    _Opt("mesh-count", _i, 16, "base points per curve sample"),
-    _Opt("radius", _f, 1.5, "radius of the flat base-coordinate ball"),
-    _Opt("seed", _i, 0, "mesh base-point seed"),
-    _Opt("fd-checks", _i, 8, "points cross-checked against the FD oracle"),
-    _Opt("ply", _b, False, "also write a PLY vertex cloud", flag=True),
-    _Opt("project3d", _b, False, "project the PLY cloud to 3D", flag=True),
-)
+) + _orbit_opts(required=False) + (
+    _Opt("K-re", float, None, "real part of the integration constant K"),
+    _Opt("K-im", float, None, "imaginary part of the integration constant K"),
+    _Opt("t-min", float, None, "curve parameter range start (default -t-max)"),
+    _Opt("t-max", float, 1.2, "curve parameter range end"),
+    _Opt("radius", float, 1.5, "radius of the flat base-coordinate ball"),
+) + _MESH + _EXPORT
 
 
 def cmd_translator(cfg) -> int:
@@ -400,9 +366,7 @@ def cmd_translator(cfg) -> int:
         if cfg["alphas"] is None or cfg["A"] is None:
             raise ValidationError(
                 "an orbit base needs --lambdas, --alphas and --A together")
-        params = SolitonParams(cfg["lambdas"], 1.0, cfg["alpha"])
-        spec = PeriodicSpec(params, cfg["alphas"], cfg["A"], cfg["psi"])
-        profile = TranslatorProfile.from_orbit_base(spec, K=K)
+        profile = TranslatorProfile.from_orbit_base(_orbit_spec(cfg), K=K)
     else:
         raise ValidationError(
             "specify the base: --a (expander base) or --lambdas/--alphas/--A")
@@ -425,10 +389,10 @@ def cmd_translator(cfg) -> int:
 # -- verify ------------------------------------------------------------------
 
 _VERIFY_OPTS = _COMMON + (
-    _Opt("mesh", _s, None, "mesh CSV to verify", required=True),
-    _Opt("record", _s, None, "profile record the mesh claims to sample", required=True),
-    _Opt("fd-checks", _i, 8, "points cross-checked against the FD oracle"),
-    _Opt("residuals", _s, None, "optional per-point residual CSV to write"),
+    _Opt("mesh", str, None, "mesh CSV to verify", required=True),
+    _Opt("record", str, None, "profile record the mesh claims to sample", required=True),
+    _FD_CHECKS,
+    _Opt("residuals", str, None, "optional per-point residual CSV to write"),
 )
 
 
@@ -441,7 +405,7 @@ def cmd_verify(cfg) -> int:
     _print_pairs(report.summary_pairs())
     if cfg["residuals"]:
         fileio.write_residual_csv(cfg["residuals"], report.rows)
-        _wrote(cfg["residuals"])
+        print(f"wrote {cfg['residuals']}")
     print(f"verification: {'PASS' if report.passed else 'FAIL'}")
     require_verified(report)
     return 0
@@ -449,23 +413,13 @@ def cmd_verify(cfg) -> int:
 
 # -- flow-family -------------------------------------------------------------
 
-_FLOW_OPTS = _COMMON + (
-    _Opt("lambdas", _fs, None, "quadric signs (mixed: 1 <= m < n)", required=True),
-    _Opt("alphas", _fs, None, "base radii squared", required=True),
-    _Opt("A", _f, None, "first-integral value (> 0)", required=True),
-    _Opt("alpha", _f, None, "rescaling rate", required=True),
-    _Opt("psi", _fs, None, "phase offsets (default zeros)"),
+_FLOW_OPTS = _COMMON + _orbit_opts() + (
     _Opt("t", _fs, None, "time values, e.g. --t=-1,0,1", required=True),
-    _Opt("mesh-samples", _i, 25, "curve samples per slice"),
-    _Opt("mesh-count", _i, 16, "base points per curve sample"),
-    _Opt("seed", _i, 0, "mesh base-point seed"),
-    _Opt("rho-max", _f, 1.2, "radial extent of non-compact quadric factors"),
-)
+) + _MESH + (_RHO_MAX,)
 
 
 def cmd_flow_family(cfg) -> int:
-    params = SolitonParams(cfg["lambdas"], 1.0, cfg["alpha"])
-    spec = PeriodicSpec(params, cfg["alphas"], cfg["A"], cfg["psi"])
+    spec = _orbit_spec(cfg)
     orbit = compute_orbit(spec)
     profile = orbit.profile()
     ss = np.linspace(0.0, orbit.S, cfg["mesh-samples"])
@@ -474,9 +428,7 @@ def cmd_flow_family(cfg) -> int:
         fam = brakke_family(spec, t)
         mesh = flow_slice_mesh(profile, t, ss, cfg["mesh-count"],
                                seed=cfg["seed"], rho_max=cfg["rho-max"])
-        p = _outpath(cfg, "flow_family", f"slice{i}.csv")
-        fileio.write_mesh_csv(p, mesh)
-        _wrote(p)
+        p = _write(cfg, "flow_family", f"slice{i}.csv", fileio.write_mesh_csv, mesh)
         pairs += [(f"t_{i}", repr(float(t))),
                   (f"topology_{i}", fam.topology),
                   (f"singular_{i}", "true" if fam.singular else "false"),
@@ -485,9 +437,7 @@ def cmd_flow_family(cfg) -> int:
         if fam.singular:
             line += " (singular at the origin)"
         print(line)
-    p = _outpath(cfg, "flow_family", "family.txt")
-    fileio.write_keyvalues(p, pairs)
-    _wrote(p)
+    _write(cfg, "flow_family", "family.txt", fileio.write_keyvalues, pairs)
     return 0
 
 
@@ -531,23 +481,14 @@ _parser = lru_cache(maxsize=None)(build_parser)     # built on main's first call
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        cfg = _merge_options(args, args._opts)
-        return args._func(cfg)
-    except VerificationError as exc:
+        return args._func(_merge_options(args, args._opts))
+    except (LagsolError, OSError) as exc:
         print(f"{PROG}: {exc}", file=sys.stderr)
-        return 4
-    except ValidationError as exc:
-        print(f"{PROG}: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"{PROG}: {exc}", file=sys.stderr)
-        return 3
-    except LagsolError as exc:  # any future subclass: treat as validation
-        print(f"{PROG}: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"{PROG}: {exc}", file=sys.stderr)
-        return 2
+        if isinstance(exc, VerificationError):
+            return 4
+        if isinstance(exc, NumericalError):
+            return 3
+        return 2    # validation errors, unreadable files and any future subclass
 
 
 if __name__ == "__main__":

@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import InvalidTarget, NonConvergence, ValidationError
 from .params import require_finite
-from .quadutil import DEFAULT_REL_TOL, finite_quad, improper_quad, shared_nodes
+from .quadutil import finite_quad, improper_quad, shared_nodes
 
 NEWTON_MAX_ITER = 50
 NEWTON_TOL = 1e-10
@@ -87,10 +87,6 @@ class ExpanderProfile:
     @property
     def lambdas(self):
         return (1.0,) * self.n
-
-    @property
-    def C(self) -> float:
-        return 1.0
 
     @property
     def first_integral_value(self) -> float:

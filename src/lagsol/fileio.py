@@ -115,8 +115,17 @@ def write_mesh_ply(path, mesh: Mesh, *, project3d: bool = False) -> None:
 # -- tabular reports ---------------------------------------------------------
 
 def write_trajectory_csv(path, traj) -> None:
-    from .reduced_ode import export_trajectory_csv
-    export_trajectory_csv(traj, path)
+    """Reduced trajectory table: s, u, phi_1..phi_n, theta, first_integral_residual."""
+    path = Path(path)
+    n = traj.spec.n
+    resid = traj.first_integral_residuals()
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["s", "u"] + [f"phi_{j + 1}" for j in range(n)]
+                        + ["theta", "first_integral_residual"])
+        for i in range(len(traj)):
+            row = [traj.s[i], traj.u[i], *traj.phis[i], traj.theta[i], resid[i]]
+            writer.writerow([_fmt(v) for v in row])
 
 
 def write_profile_csv(path, profile, y_values) -> None:
@@ -209,35 +218,26 @@ def _parse_tuple(s: str):
 
 def write_profile_record(path, profile) -> None:
     """Serialize a profile so verify can rebuild it alongside its mesh."""
-    from .translator import TranslatorProfile
-
-    if isinstance(profile, TranslatorProfile):
-        pairs = [("kind", "translator"),
-                 ("K_re", _fmt(profile.K.real)), ("K_im", _fmt(profile.K.imag))]
-        base_pairs = _profile_pairs(profile.base)
-        pairs += [("base_" + k, v) for k, v in base_pairs]
-        write_keyvalues(path, pairs)
-        return
     write_keyvalues(path, _profile_pairs(profile))
 
 
 def _profile_pairs(profile):
     from .expander import ExpanderProfile
     from .periodic import HamiltonianStationaryProfile, OrbitProfile
+    from .translator import TranslatorProfile
 
+    if isinstance(profile, TranslatorProfile):
+        return [("kind", "translator"),
+                ("K_re", _fmt(profile.K.real)), ("K_im", _fmt(profile.K.imag))] + [
+            ("base_" + k, v) for k, v in _profile_pairs(profile.base)]
     if isinstance(profile, ExpanderProfile):
         return [("kind", "expander"), ("alpha", _fmt(profile.alpha)),
                 ("a", _fmt_tuple(profile.a)), ("psi", _fmt_tuple(profile.psi)),
                 ("u_star", _fmt(profile.u_star))]
-    if isinstance(profile, HamiltonianStationaryProfile):
+    if isinstance(profile, (HamiltonianStationaryProfile, OrbitProfile)):
         sp = profile.spec
-        return [("kind", "stationary"), ("alpha", _fmt(sp.params.alpha)),
-                ("lambdas", _fmt_tuple(sp.params.lambdas)),
-                ("alphas", _fmt_tuple(sp.alphas)), ("A", _fmt(sp.A)),
-                ("psi", _fmt_tuple(sp.psi))]
-    if isinstance(profile, OrbitProfile):
-        sp = profile.spec
-        return [("kind", "orbit"), ("alpha", _fmt(sp.params.alpha)),
+        kind = "orbit" if isinstance(profile, OrbitProfile) else "stationary"
+        return [("kind", kind), ("alpha", _fmt(sp.params.alpha)),
                 ("lambdas", _fmt_tuple(sp.params.lambdas)),
                 ("alphas", _fmt_tuple(sp.alphas)), ("A", _fmt(sp.A)),
                 ("psi", _fmt_tuple(sp.psi))]
@@ -253,7 +253,8 @@ def read_profile_record(path):
 def _profile_from_keyvalues(kv: dict, prefix: str = ""):
     from .expander import ExpanderProfile
     from .params import SolitonParams
-    from .periodic import PeriodicSpec, OrbitProfile, hamiltonian_stationary
+    from .periodic import (HamiltonianStationaryProfile, OrbitProfile, PeriodicSpec,
+                           as_rebased)
     from .translator import TranslatorProfile
 
     def get(key, default=None):
@@ -275,7 +276,8 @@ def _profile_from_keyvalues(kv: dict, prefix: str = ""):
         params = SolitonParams(_parse_tuple(get("lambdas")), 1.0, float(get("alpha")))
         spec = PeriodicSpec(params, _parse_tuple(get("alphas")), float(get("A")),
                             _parse_tuple(get("psi")) or None)
+        spec = as_rebased(spec)     # the record holds the exported rebased spec
         if kind == "stationary":
-            return hamiltonian_stationary(spec)
+            return HamiltonianStationaryProfile(spec)
         return OrbitProfile(spec)
     raise ValidationError(f"unknown profile kind {kind!r}")

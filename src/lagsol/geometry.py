@@ -1,7 +1,7 @@
 """Pointwise differential geometry of the constructed Lagrangians.
 
 A centred profile (expander, shrinker or periodic orbit) immerses the product
-of a quadric { sum lambda_j x_j^2 = C } with its curve parameter via
+of a quadric { sum lambda_j x_j^2 = 1 } with its curve parameter via
 
     F(x, t) = (x_1 w_1(t), ..., x_n w_n(t)),
 
@@ -9,9 +9,10 @@ a translating profile sends a free base point x in R^{n-1} to
 
     z(x, t) = (x_1 w_1(t), ..., x_{n-1} w_{n-1}(t), -1/2 sum lambda_j x_j^2 + beta(t)).
 
-Everything here works from a small duck-typed profile surface: n, alpha, C,
-lambdas, w_of(t), wdot_of(t), theta_of(t), theta_rate_of(t) (plus beta data
-for translators, supplied by the caller through TranslatorChart).
+Everything here works from a small duck-typed profile surface: n, alpha,
+lambdas, u_of(t), w_of(t), wdot_of(t), theta_of(t), theta_rate_of(t) (plus
+beta data for translators, supplied by the caller through TranslatorChart).
+Every profile's quadric is normalized to 1 on the right-hand side.
 
 The frame at a point consists of the quadric tangent directions multiplied
 into w plus the curve velocity.  From its complex Gram matrix M = F^H F we
@@ -194,11 +195,11 @@ def centred_frame(profile, x, t: float) -> FramedPoint:
         raise ValidationError("quadric point has wrong dimension")
     xs = x.reshape(-1, n)
     qc = np.sum(np.asarray(profile.lambdas) * xs * xs, axis=-1)
-    off = np.abs(qc - profile.C) > 1e-9 * max(1.0, abs(profile.C))
+    off = np.abs(qc - 1.0) > 1e-9
     if off.any():
         raise ValidationError(
             f"point is not on the quadric: sum lambda x^2 = {float(qc[off][0])!r},"
-            f" expected {profile.C!r}")
+            " expected 1.0")
     w = np.asarray(profile.w_of(t))
     wdot = np.asarray(profile.wdot_of(t))
     basis = _tangent_bases(profile.lambdas, xs)
@@ -290,7 +291,7 @@ class CentredChart:
     """Local chart (xi, t) around (x0, t0) on a centred-profile immersion.
 
     Base points move in the tangent plane at x0 and are pulled back to the
-    quadric by the radial scaling x -> x sqrt(C / sum lambda x^2).
+    quadric by the radial scaling x -> x sqrt(1 / sum lambda x^2).
     """
 
     def __init__(self, profile, x0, t0: float):
@@ -309,7 +310,7 @@ class CentredChart:
         q = float(np.sum(self.lam * x * x))
         if q <= 0:
             raise ValidationError("chart left the quadric's radial domain")
-        return x * math.sqrt(self.profile.C / q)
+        return x * math.sqrt(1.0 / q)
 
     def __call__(self, coords):
         coords = np.asarray(coords, dtype=float)
@@ -325,5 +326,5 @@ def centred_fd_mean_curvature(profile, x, t: float, *, scale: float = FD_STEP_SC
                               richardson: bool = True) -> np.ndarray:
     """Finite-difference H at (x, t); the analytic route is mean_curvature()."""
     chart = CentredChart(profile, x, t)
-    h = fd_step(profile.u_of(t) if hasattr(profile, "u_of") else 0.0, scale)
+    h = fd_step(profile.u_of(t), scale)
     return mean_curvature_fd(chart, chart.center(), h, richardson=richardson)

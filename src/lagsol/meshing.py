@@ -106,21 +106,17 @@ def ball_points(dim: int, count: int, *, radius: float = 1.0,
     return v * r
 
 
-def _mesh(kind: str, curve, t_values, xs, point) -> Mesh:
+def _mesh(kind: str, curve, t_values, xs, rows) -> Mesh:
     """Rows t-major: every base sample x of xs at each t.
 
-    curve supplies w and theta at t; point(x, t, w) is the row's z.
+    curve supplies theta at t; rows(xs, t) is the block of z rows at t.
     """
     t_values = np.asarray(t_values, dtype=float)
     if hasattr(curve, "prefetch"):
         curve.prefetch(t_values)
-    pts, thetas = [], []
-    for t in t_values:
-        w = np.asarray(curve.w_of(t))
-        theta = float(curve.theta_of(t))
-        pts += [point(x, t, w) for x in xs]
-        thetas += [theta] * len(xs)
-    return Mesh(kind, np.array(pts), np.repeat(t_values, len(xs)), np.array(thetas),
+    pts = np.concatenate([rows(xs, t) for t in t_values])
+    thetas = np.repeat([float(curve.theta_of(t)) for t in t_values], len(xs))
+    return Mesh(kind, pts, np.repeat(t_values, len(xs)), thetas,
                 np.tile(xs, (len(t_values), 1)))
 
 
@@ -128,15 +124,14 @@ def centred_mesh(profile, t_values, base_count: int, *, seed: int = 0,
                  rho_max: float = 1.2) -> Mesh:
     """Mesh of F(x, t) = x * w(t) over a t-grid and a fixed quadric sample."""
     xs = quadric_base_points(profile.lambdas, base_count, seed=seed, rho_max=rho_max)
-    return _mesh("centred", profile, t_values, xs, lambda x, t, w: x * w)
+    return _mesh("centred", profile, t_values, xs, lambda xs, t: xs * profile.w_of(t))
 
 
 def translator_mesh(profile, t_values, base_count: int, *, radius: float = 1.5,
                     seed: int = 0) -> Mesh:
     """Mesh of a translator immersion over a t-grid and a base-ball sample."""
     xs = ball_points(profile.n - 1, base_count, radius=radius, seed=seed)
-    return _mesh("translator", profile.base, t_values, xs,
-                 lambda x, t, w: profile.immersion(x, t))
+    return _mesh("translator", profile.base, t_values, xs, profile.immersion)
 
 
 def flow_slice_mesh(profile, t: float, s_values, base_count: int, *, seed: int = 0,
@@ -162,4 +157,4 @@ def flow_slice_mesh(profile, t: float, s_values, base_count: int, *, seed: int =
     xs = _mixed_points(m, n, rho, lifted, np.random.default_rng(seed))
     if lifted:
         xs = math.sqrt(abs(t)) * xs
-    return _mesh("centred", profile, s_values, xs, lambda x, s, w: x * w)
+    return _mesh("centred", profile, s_values, xs, lambda xs, s: xs * profile.w_of(s))

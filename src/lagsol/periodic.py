@@ -33,7 +33,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import brentq
@@ -77,7 +76,8 @@ class PeriodicSpec:
         require_finite("A", (self.A,))
         require_finite("psi", psi)
         if not self.params.is_normalized:
-            raise ValidationError("PeriodicSpec requires normalized params")
+            raise ValidationError(
+                "each lambda must be +1 or -1, positives first, with C = 1")
         n = self.params.n
         if len(alphas) != n or len(psi) != n:
             raise ValidationError("alphas and psi must have length n")
@@ -161,15 +161,31 @@ def rebase(spec: PeriodicSpec):
     """Shift the base height so the critical point sits at u = 0.
 
     Returns (rebased spec, u_star).  A is rescaled by e^{-alpha u_*/2}; the
-    orbit and all its invariants are unchanged.
+    orbit and all its invariants are unchanged.  The result is marked
+    (as_rebased) and comes back from rebase as it is: its critical point is
+    0 only to roundoff, and a second shift would move its alphas by an ulp.
+    Only the mark, not the values, says a spec is rebased: search trials often
+    have d/du log G(0) = 0 exactly and are still shifted by their computed u_*.
     """
+    if getattr(spec, "_rebased", False):
+        return spec, 0.0
     u_star = critical_point(spec)
     if u_star == 0.0:
         return spec, 0.0
-    lam = spec.params.lambdas
-    alphas = tuple(a + l * u_star for a, l in zip(spec.alphas, lam))
     A = spec.A * math.exp(-0.5 * spec.params.alpha * u_star)
-    return PeriodicSpec(spec.params, alphas, A, spec.psi), u_star
+    if A == 0.0:
+        raise ValidationError(
+            f"re-basing A to the critical point u_* = {u_star:.6g} underflows:"
+            " A e^(-alpha u_*/2) is below the smallest double")
+    alphas = tuple(a + l * u_star for a, l in zip(spec.alphas, spec.params.lambdas))
+    return as_rebased(PeriodicSpec(spec.params, alphas, A, spec.psi)), u_star
+
+
+def as_rebased(spec: PeriodicSpec) -> PeriodicSpec:
+    """spec, marked as having its critical point at u = 0 so that rebase
+    returns it unchanged (profile records store rebased specs)."""
+    object.__setattr__(spec, "_rebased", True)
+    return spec
 
 
 def stationary_spec(params, alphas, psi=None) -> PeriodicSpec:
@@ -204,18 +220,6 @@ def _analyse(spec: PeriodicSpec):
 def classify_case(spec: PeriodicSpec) -> str:
     """'hamiltonian_stationary' when A^2 = G(u_*) to 1e-12 relative, else 'oscillating'."""
     return _analyse(spec)[2]
-
-
-def turning_points(spec: PeriodicSpec):
-    """Roots u_1 < 0 < u_2 of G(u) = A^2 around the (rebased) critical point.
-
-    Returned in the original base-height coordinates of spec.
-    """
-    based, shift, case, _ = _analyse(spec)
-    if case == "hamiltonian_stationary":
-        return shift, shift
-    u1, u2 = _based_turning_points(based)
-    return u1 + shift, u2 + shift
 
 
 def _swing(spec: PeriodicSpec):
@@ -472,7 +476,6 @@ class HamiltonianStationaryProfile:
     def _bind(self, based: PeriodicSpec, u_shift: float):
         self.spec, self.u_shift = based, u_shift
         self.lambdas = self.spec.params.lambdas
-        self.C = 1.0
         self.alpha = self.spec.params.alpha
         self.n = self.spec.n
         self._rates = tuple(-l * self.spec.A / a
@@ -499,10 +502,6 @@ class HamiltonianStationaryProfile:
         return self.alpha * self.spec.A
 
 
-def hamiltonian_stationary(spec: PeriodicSpec) -> HamiltonianStationaryProfile:
-    return HamiltonianStationaryProfile(spec)
-
-
 class OrbitProfile:
     """ODE-backed centred profile for an oscillating spec.
 
@@ -523,7 +522,6 @@ class OrbitProfile:
         self.spec, self.u_shift = based, u_shift
         self.tspec = self.spec.trajectory_spec()
         self.lambdas = self.spec.params.lambdas
-        self.C = 1.0
         self.alpha = self.spec.params.alpha
         self.n = self.spec.n
         self.rtol = rtol
@@ -619,13 +617,11 @@ def search_periodic_data(lambdas, alpha: float, gamma_target, *, seed=None,
             with np.errstate(over="raise"):
                 alphas = tuple(np.exp(x[:n]))
             A = math.exp(x[n])
-            spec = PeriodicSpec(params, alphas, A)
-            if classify_case(spec) == "hamiltonian_stationary":
-                return None
-            gam = holonomies(spec)
+            gam = holonomies(PeriodicSpec(params, alphas, A))
         except (ValidationError, ValueError, OverflowError, FloatingPointError,
                 ToleranceFailure):
-            # infeasible, overflowing or unintegrable trial: damped away
+            # infeasible (A beyond the G maximum, or stationary: CaseMismatch),
+            # overflowing or unintegrable trial: damped away
             return None
         constraint = sum(l / a for l, a in zip(lambdas, alphas)) + alpha
         return np.concatenate([[constraint], gam - target])

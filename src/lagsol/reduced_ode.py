@@ -20,7 +20,6 @@ alpha_j + lambda_j u > 0; leaving it raises DomainEscape.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -419,16 +418,3 @@ def lift_state(spec: TrajectorySpec, state: ReducedState) -> FullState:
         for a, l, p in zip(spec.alphas, lam, state.phis)
     )
     return FullState(state.s, ws, state.theta)
-
-
-def export_trajectory_csv(traj: ReducedTrajectory, path):
-    """Write s, u, phi_1..phi_n, theta, first_integral_residual rows."""
-    n = traj.spec.n
-    resid = traj.first_integral_residuals()
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["s", "u"] + [f"phi_{j + 1}" for j in range(n)]
-                    + ["theta", "first_integral_residual"])
-        for i in range(len(traj)):
-            row = [traj.s[i], traj.u[i], *traj.phis[i], traj.theta[i], resid[i]]
-            wr.writerow([repr(float(v)) for v in row])

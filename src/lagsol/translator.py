@@ -26,9 +26,6 @@ psi = 0 the point z(0, 0) then sits at -i pi / (2 alpha).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ValidationError
@@ -47,8 +44,6 @@ class TranslatorProfile:
                  orbit=None):
         if getattr(base, "kind", None) != "centred":
             raise ValidationError("translator base must be a centred profile")
-        if getattr(base, "C", 1.0) != 1.0:
-            raise ValidationError("translator base must be normalized to C = 1")
         self.base = base
         self.alpha = float(base.alpha)
         self.n = base.n + 1

@@ -18,20 +18,13 @@ from .errors import ValidationError, VerificationError
 from .geometry import angle_gap, centred_frame, centred_fd_mean_curvature
 from .translator import TranslatorProfile, translator_fd_mean_curvature
 
-__all__ = [
-    "VerificationThresholds",
-    "VerificationReport",
-    "verify_mesh",
-    "require_verified",
-]
-
 
 @dataclass(frozen=True)
 class VerificationThresholds:
     """Acceptance levels for each recomputed invariant."""
 
     reconstruction: float = 1e-9   # |z - x * w| / (1 + |z|)
-    quadric: float = 5e-10         # |sum lambda x^2 - C|, inside the frame validator's own gate
+    quadric: float = 5e-10         # |sum lambda x^2 - 1|, inside the frame validator's own gate
     stored_angle: float = 1e-8     # stored theta vs recomputed theta
     lagrangian: float = 1e-10      # max |Im <f_a, f_b>|
     angle: float = 1e-9            # arg det(frame) vs theta, mod 2 pi
@@ -128,8 +121,7 @@ class _Kind:
     own: object         # (x, z, theta, data) -> per-row residuals of the kind's own invariants
     frame: object       # (x, t) -> FramedPoint of the stacked rows x
     oracle: object      # (x, t) -> FD mean curvature at one point
-    drive: object       # FramedPoint -> the term equal to C H on a soliton, per row
-    C: float
+    drive: object       # FramedPoint -> the term equal to H on a soliton, per row
 
 
 def _centred_kind(profile, th: VerificationThresholds) -> _Kind:
@@ -141,11 +133,10 @@ def _centred_kind(profile, th: VerificationThresholds) -> _Kind:
          "angle": th.angle, "soliton": th.soliton},
         ("reconstruction", "quadric"),
         lambda t: (np.asarray(profile.w_of(t)), float(profile.theta_of(t)), None),
-        lambda x, z, theta, _: {"quadric": np.abs(np.sum(lam * x * x, axis=-1) - profile.C)},
+        lambda x, z, theta, _: {"quadric": np.abs(np.sum(lam * x * x, axis=-1) - 1.0)},
         lambda x, t: centred_frame(profile, x, t),
         lambda x, t: centred_fd_mean_curvature(profile, x, t),
-        lambda fp: profile.alpha * fp.normal_projection(fp.z),
-        profile.C)
+        lambda fp: profile.alpha * fp.normal_projection(fp.z))
 
 
 def _translator_kind(profile: TranslatorProfile, th: VerificationThresholds) -> _Kind:
@@ -170,8 +161,7 @@ def _translator_kind(profile: TranslatorProfile, th: VerificationThresholds) -> 
         own,
         lambda x, t: profile.frame_at(x, t),
         lambda x, t: translator_fd_mean_curvature(profile, x, t),
-        lambda fp: fp.normal_projection(T),
-        1.0)
+        lambda fp: fp.normal_projection(T))
 
 
 def verify_mesh(profile, mesh, thresholds: VerificationThresholds = None,
@@ -231,7 +221,7 @@ def verify_mesh(profile, mesh, thresholds: VerificationThresholds = None,
             worst["angle"].update_all(ang, framed)
             drive = kind.drive(fp)
             if collect_rows:
-                sol = np.linalg.norm(drive - kind.C * fp.mean_curvature(), axis=-1)
+                sol = np.linalg.norm(drive - fp.mean_curvature(), axis=-1)
         if collect_rows:
             table = np.full((hi - lo, 3), math.nan)
             table[on] = np.column_stack([lag, ang, sol])
@@ -245,7 +235,7 @@ def verify_mesh(profile, mesh, thresholds: VerificationThresholds = None,
                 # minimal case: the equation is H = 0, so the check is absolute
                 worst["soliton"].update(H_norm, i)
             else:
-                num = float(np.linalg.norm(drive[k] - kind.C * H_fd))
+                num = float(np.linalg.norm(drive[k] - H_fd))
                 worst["soliton"].update(num / max(H_norm, 1e-12), i)
 
     return _finish(kind.name, count, worst, kind.thresholds, rows)

@@ -10,7 +10,8 @@ import math
 import numpy as np
 import pytest
 
-from lagsol import PeriodicSpec, SolitonParams
+from lagsol.params import SolitonParams
+from lagsol.periodic import PeriodicSpec
 
 
 def make_orbit_spec(rng, lambdas, alpha, *, frac=None, alpha_range=(0.5, 3.0)):

@@ -89,6 +89,78 @@ def test_bad_count_option_exits_2(tmp_path, capsys):
     assert "--mesh-count must be at least 2" in capsys.readouterr().err
 
 
+# Each subcommand's options as (name, parsed type, default, required, flag),
+# spelled out here so that regrouping the shared option groups in cli cannot
+# add, drop or change an option unnoticed.
+OPTION_TABLE = {
+    "expander": {
+        ("a", "tuple", None, True, False), ("alpha", "float", None, True, False),
+        ("fd-checks", "int", 8, False, False), ("mesh-count", "int", 16, False, False),
+        ("mesh-samples", "int", 25, False, False), ("outdir", "str", None, False, False),
+        ("ply", "bool", False, False, True), ("prefix", "str", None, False, False),
+        ("project3d", "bool", False, False, True), ("psi", "tuple", None, False, False),
+        ("samples", "int", 200, False, False), ("seed", "int", 0, False, False),
+        ("y-max", "float", 1.5, False, False)},
+    "shrinker": {
+        ("A", "float", None, True, False), ("alpha", "float", None, True, False),
+        ("alphas", "tuple", None, True, False), ("fd-checks", "int", 8, False, False),
+        ("mesh", "bool", False, False, True), ("mesh-count", "int", 16, False, False),
+        ("mesh-samples", "int", 25, False, False), ("outdir", "str", None, False, False),
+        ("ply", "bool", False, False, True), ("prefix", "str", None, False, False),
+        ("project3d", "bool", False, False, True), ("psi", "tuple", None, False, False),
+        ("qmax", "int", 64, False, False), ("rho-max", "float", 1.2, False, False),
+        ("seed", "int", 0, False, False), ("tol", "float", None, False, False)},
+    "periodic": {
+        ("A", "float", None, True, False), ("alpha", "float", None, True, False),
+        ("alphas", "tuple", None, True, False), ("fd-checks", "int", 8, False, False),
+        ("lambdas", "tuple", None, True, False), ("mesh", "bool", False, False, True),
+        ("mesh-count", "int", 16, False, False), ("mesh-samples", "int", 25, False, False),
+        ("outdir", "str", None, False, False), ("ply", "bool", False, False, True),
+        ("prefix", "str", None, False, False), ("project3d", "bool", False, False, True),
+        ("psi", "tuple", None, False, False), ("qmax", "int", 64, False, False),
+        ("rho-max", "float", 1.2, False, False), ("seed", "int", 0, False, False),
+        ("tol", "float", None, False, False)},
+    "periodic-search": {
+        ("alpha", "float", None, True, False), ("gamma", "tuple", None, True, False),
+        ("lambdas", "tuple", None, True, False), ("max-iter", "int", 60, False, False),
+        ("outdir", "str", None, False, False), ("prefix", "str", None, False, False),
+        ("qmax", "int", 64, False, False), ("tol", "float", 1e-08, False, False)},
+    "translator": {
+        ("A", "float", None, False, False), ("K-im", "float", None, False, False),
+        ("K-re", "float", None, False, False), ("a", "tuple", None, False, False),
+        ("alpha", "float", None, True, False), ("alphas", "tuple", None, False, False),
+        ("fd-checks", "int", 8, False, False), ("lambdas", "tuple", None, False, False),
+        ("mesh-count", "int", 16, False, False), ("mesh-samples", "int", 25, False, False),
+        ("outdir", "str", None, False, False), ("ply", "bool", False, False, True),
+        ("prefix", "str", None, False, False), ("project3d", "bool", False, False, True),
+        ("psi", "tuple", None, False, False), ("radius", "float", 1.5, False, False),
+        ("seed", "int", 0, False, False), ("t-max", "float", 1.2, False, False),
+        ("t-min", "float", None, False, False)},
+    "invert-angles": {
+        ("alpha", "float", None, True, False), ("outdir", "str", None, False, False),
+        ("prefix", "str", None, False, False), ("target", "tuple", None, True, False),
+        ("tol", "float", 1e-10, False, False), ("write-report", "bool", False, False, True)},
+    "verify": {
+        ("fd-checks", "int", 8, False, False), ("mesh", "str", None, True, False),
+        ("outdir", "str", None, False, False), ("prefix", "str", None, False, False),
+        ("record", "str", None, True, False), ("residuals", "str", None, False, False)},
+    "flow-family": {
+        ("A", "float", None, True, False), ("alpha", "float", None, True, False),
+        ("alphas", "tuple", None, True, False), ("lambdas", "tuple", None, True, False),
+        ("mesh-count", "int", 16, False, False), ("mesh-samples", "int", 25, False, False),
+        ("outdir", "str", None, False, False), ("prefix", "str", None, False, False),
+        ("psi", "tuple", None, False, False), ("rho-max", "float", 1.2, False, False),
+        ("seed", "int", 0, False, False), ("t", "tuple", None, True, False)},
+}
+
+
+def test_every_subcommand_keeps_its_options():
+    table = {name: {(o.name, type(o.conv("1")).__name__, o.default, o.required, o.flag)
+                    for o in opts}
+             for name, opts, *_ in cli._SUBCOMMANDS}
+    assert table == OPTION_TABLE
+
+
 @pytest.mark.parametrize("argv", [
     ["expander", "--alpha=nan", "--a=1,2"],
     ["expander", "--alpha=inf", "--a=1,2"],
@@ -320,6 +392,34 @@ def test_translator_without_base_exits_2(capsys):
     rc = main(["translator", "--alpha", "1.0"])
     assert rc == 2
     assert "specify the base" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["periodic", "--lambdas=1,-1,1", "--alphas=1,1,1", "--A=0.4", "--alpha=0.5"],
+     "each lambda must be +1 or -1, positives first"),
+    (["periodic", "--lambdas=1,-1", "--alphas=1,1e12", "--A=0.4", "--alpha=0.5"],
+     "re-basing A to the critical point u_* = 1e+12 underflows"),
+], ids=["unsorted lambdas", "rebase underflow"])
+def test_validation_messages_name_the_cause(tmp_path, capsys, argv, message):
+    assert main(argv + [f"--outdir={tmp_path}"]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["periodic", "--lambdas=1,-1", "--alphas=1,2", "--A=0.4", "--alpha=0.5", "--mesh"],
+    ["translator", "--alpha=0.5", "--lambdas=1,-1", "--alphas=1,2", "--A=0.4"],
+], ids=lambda argv: argv[0])
+def test_verify_reproduces_the_export_summary(tmp_path, capsys, argv):
+    """verify rebuilds the exported profile itself, so it recomputes every
+    residual maximum of the export's own verification bit for bit."""
+    name = argv[0]
+    assert main(argv + ["--mesh-samples=4", "--mesh-count=3", f"--outdir={tmp_path}"]) == 0
+    capsys.readouterr()
+    assert main(["verify", f"--mesh={tmp_path / (name + '_mesh.csv')}",
+                 f"--record={tmp_path / (name + '_record.txt')}"]) == 0
+    printed = out_pairs(capsys.readouterr().out)
+    summary = fileio.read_keyvalues(tmp_path / f"{name}_summary.txt")
+    assert printed == {k: summary[k] for k in printed}
 
 
 def test_verify_round_trip_with_residuals(tmp_path, capsys):

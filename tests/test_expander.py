@@ -7,18 +7,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from lagsol import (
-    ExpanderProfile,
-    angle_map,
-    angle_map_jacobian,
-    asymptotic_angles,
-    invert_angle_map,
-    profile_eval,
-    s_of_y,
-)
 from lagsol import cli, quadutil
 from lagsol.errors import InvalidTarget, ValidationError
-from lagsol.expander import _scale_breaks, eval_P
+from lagsol.expander import (ExpanderProfile, _scale_breaks, angle_map,
+                             angle_map_jacobian, asymptotic_angles, eval_P,
+                             invert_angle_map, profile_eval, s_of_y)
 from lagsol.geometry import fd_step
 from lagsol.quadutil import finite_quad
 

@@ -5,38 +5,19 @@ import math
 import numpy as np
 import pytest
 
-from lagsol import (
-    ExpanderProfile,
-    OrbitProfile,
-    PeriodicSpec,
-    SolitonParams,
-    TranslatorProfile,
-    asymptotic_angles,
-    centred_mesh,
-    compute_orbit,
-    detect_periodicity,
-    hamiltonian_stationary,
-    search_periodic_data,
-    stationary_spec,
-    topology_tag,
-    translator_mesh,
-)
 from lagsol.errors import ValidationError
-from lagsol.fileio import (
-    mesh_csv_header,
-    projection_matrix,
-    read_keyvalues,
-    read_mesh_csv,
-    read_profile_record,
-    write_keyvalues,
-    write_mesh_csv,
-    write_mesh_ply,
-    write_orbit_report_csv,
-    write_plane_report_csv,
-    write_profile_csv,
-    write_profile_record,
-    write_residual_csv,
-)
+from lagsol.expander import ExpanderProfile, asymptotic_angles
+from lagsol.fileio import (mesh_csv_header, projection_matrix, read_keyvalues,
+                           read_mesh_csv, read_profile_record, write_keyvalues,
+                           write_mesh_csv, write_mesh_ply, write_orbit_report_csv,
+                           write_plane_report_csv, write_profile_csv,
+                           write_profile_record, write_residual_csv)
+from lagsol.meshing import centred_mesh, translator_mesh
+from lagsol.params import SolitonParams
+from lagsol.periodic import (HamiltonianStationaryProfile, OrbitProfile, PeriodicSpec,
+                             compute_orbit, detect_periodicity, search_periodic_data,
+                             stationary_spec, topology_tag)
+from lagsol.translator import TranslatorProfile
 
 
 def small_mesh():
@@ -234,7 +215,7 @@ def test_profile_record_expander(tmp_path):
 def test_profile_record_stationary(tmp_path):
     spec = stationary_spec(SolitonParams((1.0, -1.0), 1.0, 0.0), (1.0, 2.0),
                            (0.4, -0.1))
-    prof = hamiltonian_stationary(spec)
+    prof = HamiltonianStationaryProfile(spec)
     path = tmp_path / "prof"
     write_profile_record(path, prof)
     back = read_profile_record(path)
@@ -255,6 +236,22 @@ def test_profile_record_orbit(tmp_path):
     assert back.spec.alphas == prof.spec.alphas
     assert back.spec.A == prof.spec.A
     np.testing.assert_allclose(back.w_of(0.7), prof.w_of(0.7), atol=1e-12)
+
+
+@pytest.mark.parametrize("lambdas, alphas, A, alpha", [
+    ((1.0, -1.0), (1.0, 2.0), 0.4, 0.5),
+    ((1.0, 1.0), (1.0, 1.5), 0.5, -1.0),
+    ((1.0, -1.0), (1.0, 1.0), 1.0, 0.0),
+], ids=["orbit", "shrinker", "stationary"])
+def test_profile_record_rebuilds_the_exported_profile(tmp_path, lambdas, alphas, A, alpha):
+    orbit = compute_orbit(PeriodicSpec(SolitonParams(lambdas, 1.0, alpha), alphas, A))
+    prof = orbit.profile()
+    write_profile_record(tmp_path / "prof", prof)
+    back = read_profile_record(tmp_path / "prof")
+    assert type(back) is type(prof)
+    assert back.spec == prof.spec
+    for s in np.linspace(0.0, orbit.S, 4):
+        assert np.array_equal(back.w_of(s), prof.w_of(s))
 
 
 def test_profile_record_translator(tmp_path):

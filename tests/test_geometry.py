@@ -5,22 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from lagsol import (
-    CentredChart,
-    ExpanderProfile,
-    FramedPoint,
-    OrbitProfile,
-    PeriodicSpec,
-    SolitonParams,
-    centred_fd_mean_curvature,
-    centred_frame,
-    hamiltonian_stationary,
-    mean_curvature_fd,
-    quadric_tangent_basis,
-    stationary_spec,
-)
 from lagsol.errors import ValidationError
-from lagsol.geometry import fd_step
+from lagsol.expander import ExpanderProfile
+from lagsol.geometry import (CentredChart, FramedPoint, centred_fd_mean_curvature,
+                             centred_frame, fd_step, mean_curvature_fd,
+                             quadric_tangent_basis)
+from lagsol.params import SolitonParams
+from lagsol.periodic import (HamiltonianStationaryProfile, OrbitProfile, PeriodicSpec,
+                             stationary_spec)
 
 
 # closed forms the frames are checked against
@@ -39,7 +31,7 @@ def curve_metric_coefficient(profile, x, t: float) -> float:
 
 
 def position_normal_closed_form(profile, x, t: float, *, s_rate: float = 1.0) -> np.ndarray:
-    """Normal part of the position, C prod(r_j) sin(phi - theta) (ds/dt) / g_tt * J f_t.
+    """Normal part of the position, prod(r_j) sin(phi - theta) (ds/dt) / g_tt * J f_t.
 
     Cross-checks FramedPoint.normal_projection(z) on centred profiles.  s_rate
     is ds/dt for profiles whose curve parameter t is not the system parameter
@@ -51,15 +43,15 @@ def position_normal_closed_form(profile, x, t: float, *, s_rate: float = 1.0) ->
     full = np.prod(w)
     sin_d = np.imag(np.exp(-1j * fp.theta) * full) / np.abs(full)
     gtt = fp.metric[-1, -1]
-    return profile.C * np.abs(full) * sin_d * s_rate / gtt * (1j * fp.frame[-1])
+    return np.abs(full) * sin_d * s_rate / gtt * (1j * fp.frame[-1])
 
 
 def selfsimilar_residual(profile, x, t: float) -> float:
-    """| alpha F_perp - C H | at one point of a centred profile."""
+    """| alpha F_perp - H | at one point of a centred profile."""
     fp = centred_frame(profile, x, t)
     H = fp.mean_curvature()
     Fperp = fp.normal_projection(fp.z)
-    return float(np.linalg.norm(profile.alpha * Fperp - profile.C * H))
+    return float(np.linalg.norm(profile.alpha * Fperp - H))
 
 
 def sample_quadric_points(rng, lambdas, count):
@@ -86,7 +78,7 @@ def example_profiles():
     the ds/dt factor of that parametrization."""
     exp_prof = ExpanderProfile(1.0, (1.0, 2.0))
     minimal = ExpanderProfile(0.0, (0.8, 1.5))
-    hs = hamiltonian_stationary(
+    hs = HamiltonianStationaryProfile(
         stationary_spec(SolitonParams((1.0, -1.0), 1.0, 0.0), (1.0, 1.0)))
     orbit = OrbitProfile(
         PeriodicSpec(SolitonParams((1.0, -1.0), 1.0, 0.6), (1.0, 3.0), 0.5))
@@ -156,7 +148,7 @@ def test_position_normal_closed_form_matches_projection(rng):
 
 
 def test_selfsimilar_residual_small_on_solitons(rng):
-    """alpha F_perp = C H holds analytically on every constructed profile."""
+    """alpha F_perp = H holds analytically on every constructed profile."""
     for name, prof, (lo, hi), _ in example_profiles():
         for t in rng.uniform(lo, hi, 3):
             x = sample_quadric_points(rng, prof.lambdas, 1)[0]

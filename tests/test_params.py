@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lagsol import ScalingRecord, SolitonParams, normalize, rescale_solution
 from lagsol.errors import ValidationError
+from lagsol.params import ScalingRecord, SolitonParams, normalize, rescale_solution
 
 
 def test_validation_rejects_degenerate_data():

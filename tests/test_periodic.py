@@ -10,35 +10,18 @@ import pytest
 from scipy.linalg import null_space
 from scipy.optimize import brentq
 
-from lagsol import (
-    OrbitConditioningWarning,
-    OrbitProfile,
-    PeriodicSpec,
-    SolitonParams,
-    brakke_family,
-    centred_mesh,
-    classify_case,
-    compute_orbit,
-    critical_point,
-    detect_periodicity,
-    hamiltonian_stationary,
-    holonomies,
-    integrate_reduced,
-    limit_gamma,
-    limit_period,
-    period,
-    rebase,
-    reduced_rhs,
-    sample_reduced,
-    search_periodic_data,
-    stationary_spec,
-    topology_tag,
-    turning_points,
-)
 from lagsol import odeint
 from lagsol.errors import CaseMismatch, NonConvergence, ToleranceFailure, ValidationError
 from lagsol.geometry import fd_step
+from lagsol.meshing import centred_mesh
+from lagsol.params import SolitonParams
+from lagsol.periodic import (HamiltonianStationaryProfile, OrbitConditioningWarning,
+                             OrbitProfile, PeriodicSpec, brakke_family, classify_case,
+                             compute_orbit, critical_point, detect_periodicity,
+                             holonomies, limit_gamma, limit_period, period, rebase,
+                             search_periodic_data, stationary_spec, topology_tag)
 from lagsol.quadutil import DEFAULT_REL_TOL
+from lagsol.reduced_ode import integrate_reduced, reduced_rhs, sample_reduced
 
 
 def spec_of(lambdas, alphas, A, alpha=0.0, psi=None):
@@ -97,6 +80,22 @@ def test_rebase_preserves_orbit_invariants():
     assert orb.u2 == pytest.approx(orb_based.u2 + shift, abs=1e-9)
 
 
+# the orbit, shrinker and stationary data of the golden jobs
+REBASE_SPECS = {
+    "orbit": spec_of((1.0, -1.0), (1.0, 2.0), 0.4, alpha=0.5),
+    "shrinker": spec_of((1.0, 1.0), (1.0, 1.5), 0.5, alpha=-1.0),
+    "stationary": spec_of((1.0, -1.0), (1.0, 1.0), 1.0),
+}
+
+
+@pytest.mark.parametrize("name", REBASE_SPECS)
+def test_rebase_returns_a_rebased_spec_unchanged(name):
+    based, _ = rebase(REBASE_SPECS[name])
+    again, shift = rebase(based)
+    assert shift == 0.0
+    assert (again.alphas, again.A, again.psi) == (based.alphas, based.A, based.psi)
+
+
 def test_classify_case_branches():
     osc = spec_of((1.0, -1.0), (1.0, 3.0), 0.5)
     assert classify_case(osc) == "oscillating"
@@ -111,7 +110,7 @@ def test_classify_case_branches():
 def test_stationary_profile_closed_form():
     params = SolitonParams((1.0, -1.0), 1.0, 0.0)
     spec = stationary_spec(params, (1.0, 1.0))
-    prof = hamiltonian_stationary(spec)
+    prof = HamiltonianStationaryProfile(spec)
     for s in (0.0, 0.3, 1.7, -2.0):
         np.testing.assert_allclose(prof.phis_of(s), [-s, s], atol=1e-14)
         assert prof.theta_of(s) == pytest.approx(-math.pi / 2)
@@ -132,7 +131,7 @@ def test_stationary_detection_minimal_period():
     assert verdict.case == "hamiltonian_stationary"
     assert verdict.p == (1, -1)
     assert verdict.T == pytest.approx(2.0 * math.pi / spec.A, rel=1e-12)
-    prof = hamiltonian_stationary(spec)
+    prof = HamiltonianStationaryProfile(spec)
     np.testing.assert_allclose(prof.w_of(verdict.T), prof.w_of(0.0), atol=1e-12)
 
 
@@ -154,7 +153,8 @@ def test_turning_points_against_bisection_oracle():
 
     u1_ref = brentq(gap, -1.0 + 1e-13, 0.0, xtol=1e-14)
     u2_ref = brentq(gap, 0.0, 50.0, xtol=1e-14)
-    u1, u2 = turning_points(spec)
+    orbit = compute_orbit(spec)
+    u1, u2 = orbit.u1, orbit.u2
     assert u1 == pytest.approx(u1_ref, abs=1e-10)
     assert u2 == pytest.approx(u2_ref, abs=1e-10)
     assert u1 < 0.0 < u2
@@ -165,7 +165,8 @@ def test_turning_points_shrink_toward_stationary():
     widths = []
     for eps in (1e-4, 2.5e-5):
         A = math.sqrt(G0 * (1.0 - eps))
-        u1, u2 = turning_points(spec_of((1.0, -1.0), (1.0, 1.0), A))
+        orbit = compute_orbit(spec_of((1.0, -1.0), (1.0, 1.0), A))
+        u1, u2 = orbit.u1, orbit.u2
         widths.append(u2 - u1)
     # width scales like sqrt(eps): quartering eps halves the width
     assert widths[0] / widths[1] == pytest.approx(2.0, rel=1e-3)
@@ -448,6 +449,20 @@ def test_search_halves_a_step_whose_quadrature_fails():
         found = search_periodic_data((1.0, -1.0), 0.6, target, seed=seed)
     x0, failed, halved = seen[0], seen[2 * (n + 1) + 1], seen[2 * (n + 1) + 2]
     np.testing.assert_allclose(halved - x0, 0.5 * (failed - x0), rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(holonomies(found), target, atol=1e-8)
+
+
+def test_search_residual_analyses_each_trial_once():
+    """A trial is re-based once, inside holonomies: one critical_point call
+    per holonomies call (a stationary trial fails there as a CaseMismatch)."""
+    known = spec_of((1.0, -1.0), (1.0, 3.0), 0.8, alpha=0.6)
+    based, _ = rebase(known)
+    target = holonomies(known)
+    seed = (tuple(1.1 * a for a in based.alphas), 0.95 * based.A)
+    with mock.patch("lagsol.periodic.critical_point", wraps=critical_point) as crit, \
+            mock.patch("lagsol.periodic.holonomies", wraps=holonomies) as hol:
+        found = search_periodic_data((1.0, -1.0), 0.6, target, seed=seed)
+    assert crit.call_count == hol.call_count > 0
     np.testing.assert_allclose(holonomies(found), target, atol=1e-8)
 
 

@@ -6,20 +6,12 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from lagsol import (
-    SolitonParams,
-    TrajectorySpec,
-    eval_Q,
-    first_integral,
-    full_first_integral,
-    integrate_full,
-    integrate_reduced,
-    lift_state,
-    reduced_rhs,
-    sample_reduced,
-)
 from lagsol.errors import DomainEscape, ValidationError
-from lagsol.reduced_ode import DOMAIN_FLOOR, export_trajectory_csv, reduced_system
+from lagsol.fileio import write_trajectory_csv
+from lagsol.params import SolitonParams
+from lagsol.reduced_ode import (DOMAIN_FLOOR, TrajectorySpec, eval_Q, first_integral,
+                                full_first_integral, integrate_full, integrate_reduced,
+                                lift_state, reduced_rhs, reduced_system, sample_reduced)
 
 
 def make_spec(lambdas, alphas, A, alpha=0.0, phi0=None, branch="principal"):
@@ -214,7 +206,7 @@ def test_trajectory_csv_export(tmp_path):
     spec = make_spec((1.0, -1.0), (1.0, 2.0), 0.6, alpha=1.0)
     traj = sample_reduced(spec, np.linspace(-1, 1, 9))
     path = tmp_path / "traj.csv"
-    export_trajectory_csv(traj, path)
+    write_trajectory_csv(path, traj)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "s,u,phi_1,phi_2,theta,first_integral_residual"
     assert len(lines) == 1 + len(traj)

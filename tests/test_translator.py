@@ -1,19 +1,18 @@
 """Translating solitons over centred bases: anchors, identities, residuals."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from lagsol import (
-    PeriodicSpec,
-    SolitonParams,
-    TranslatorChart,
-    TranslatorProfile,
-    stationary_spec,
-    translator_fd_mean_curvature,
-)
+from lagsol import expander
 from lagsol.errors import ValidationError
+from lagsol.meshing import translator_mesh
+from lagsol.params import SolitonParams
+from lagsol.periodic import PeriodicSpec, stationary_spec
+from lagsol.translator import (TranslatorChart, TranslatorProfile,
+                               translator_fd_mean_curvature)
 
 
 import functools
@@ -156,6 +155,18 @@ def test_base_validation():
         TranslatorProfile(prof)                     # translator is not a centred base
     with pytest.raises(ValidationError):
         prof.immersion(np.zeros(prof.n), 0.0)       # base point has n - 1 coords
+
+
+def test_translator_mesh_reads_each_curve_sample_once():
+    """Each curve sample's rows come from one immersion call: 3 profile
+    evaluations per height (w and theta for the rows, theta for the angle),
+    and the rows equal the per-point immersion exactly."""
+    prof = TranslatorProfile.from_expander_base(1.2, (1.0, 2.0))
+    with mock.patch("lagsol.expander.profile_eval", wraps=expander.profile_eval) as ev:
+        mesh = translator_mesh(prof, np.linspace(-1.2, 1.2, 30), 20)
+    assert ev.call_count <= 90
+    rows = [prof.immersion(x, t) for x, t in zip(mesh.base, mesh.params)]
+    assert np.array_equal(mesh.points, np.array(rows))
 
 
 def test_chart_center_matches_immersion():

@@ -7,13 +7,14 @@ import math
 import numpy as np
 import pytest
 
-from lagsol import (ExpanderProfile, OrbitProfile, PeriodicSpec, SolitonParams,
-                    TranslatorProfile, VerificationThresholds, centred_fd_mean_curvature,
-                    centred_frame, centred_mesh, quadric_base_points, quadric_tangent_basis,
-                    stationary_spec, translator_fd_mean_curvature, translator_mesh,
-                    verify_mesh)
-from lagsol.geometry import _tangent_bases
-from lagsol.verify import _finish, _fd_subset, _Worst
+from lagsol.expander import ExpanderProfile
+from lagsol.geometry import (_tangent_bases, centred_fd_mean_curvature, centred_frame,
+                             quadric_tangent_basis)
+from lagsol.meshing import centred_mesh, quadric_base_points, translator_mesh
+from lagsol.params import SolitonParams
+from lagsol.periodic import OrbitProfile, PeriodicSpec, stationary_spec
+from lagsol.translator import TranslatorProfile, translator_fd_mean_curvature
+from lagsol.verify import VerificationThresholds, _Worst, _fd_subset, _finish, verify_mesh
 
 
 def _with_nan_point(mesh, i):
@@ -66,7 +67,7 @@ def _per_point_report(profile, mesh, collect_rows=False):
         limits = {"reconstruction": th.reconstruction, "last_coordinate": th.reconstruction,
                   "stored_angle": th.stored_angle, "maslov": th.stored_angle,
                   "lagrangian": th.lagrangian, "angle": th.angle, "soliton": th.soliton}
-        gate, C = ("reconstruction",), 1.0
+        gate = ("reconstruction",)
 
         def own(x, z, t):
             zn = -0.5 * float(np.sum(lam * x * x)) + profile.beta_of(t)
@@ -81,8 +82,8 @@ def _per_point_report(profile, mesh, collect_rows=False):
         limits = {"reconstruction": th.reconstruction, "quadric": th.quadric,
                   "stored_angle": th.stored_angle, "lagrangian": th.lagrangian,
                   "angle": th.angle, "soliton": th.soliton}
-        gate, C = ("reconstruction", "quadric"), profile.C
-        own = lambda x, z, t: {"quadric": abs(float(np.sum(lam * x * x)) - profile.C)}
+        gate = ("reconstruction", "quadric")
+        own = lambda x, z, t: {"quadric": abs(float(np.sum(lam * x * x)) - 1.0)}
         frame = lambda x, t: centred_frame(profile, x, t)
         oracle = lambda x, t: centred_fd_mean_curvature(profile, x, t)
         drive = lambda fp: profile.alpha * fp.normal_projection(fp.z)
@@ -112,7 +113,7 @@ def _per_point_report(profile, mesh, collect_rows=False):
         worst["angle"].update(fp.angle_residual, i)
         d = drive(fp)
         if collect_rows:
-            sol = float(np.linalg.norm(d - C * fp.mean_curvature()))
+            sol = float(np.linalg.norm(d - fp.mean_curvature()))
             rows.append((i, t, fp.lagrangian_residual, fp.angle_residual, sol))
         if i in fd_at:
             H_fd = oracle(x, t)
@@ -121,7 +122,7 @@ def _per_point_report(profile, mesh, collect_rows=False):
                 worst["soliton"].update(H_norm, i)
             else:
                 worst["soliton"].update(
-                    float(np.linalg.norm(d - C * H_fd)) / max(H_norm, 1e-12), i)
+                    float(np.linalg.norm(d - H_fd)) / max(H_norm, 1e-12), i)
     return _finish("translator" if isinstance(profile, TranslatorProfile) else "centred",
                    len(mesh), worst, limits, rows)
 
