@@ -505,11 +505,14 @@ class HamiltonianStationaryProfile:
 class OrbitProfile:
     """ODE-backed centred profile for an oscillating spec.
 
-    Exact states are cached by s, starting with the base state.  A state not
-    in the cache is integrated from the cached state nearest to it, so mesh
-    samples chain into one pass over their span and an FD stencil point
-    costs a step of length h from its centre.  The cache, and so the last
-    digits of a state, depend on the order of the queries.
+    States are cached by s, starting with the base state.  A state not in
+    the cache is integrated from the cached state nearest to it, so mesh
+    samples chain into one pass over their span: each leg ends exactly on its
+    last sample, and the samples inside a step are read from the stepper's
+    7th-order interpolant.  An FD stencil point is queried on its own, so it
+    is the exact end of an integration of length h from its centre.  The
+    cache, and so the last digits of a state, depend on the order of the
+    queries.
     """
 
     kind = "centred"
@@ -535,7 +538,7 @@ class OrbitProfile:
 
         Each missing s resumes from the cached state nearest to it; the
         missing values that share that start and lie on one side of it are
-        reached by one integration landing on each in turn.
+        sampled by one integration that ends on the farthest of them.
         """
         legs = {}
         for s in sorted(set(float(s) for s in s_values) - self._cache.keys()):
@@ -550,7 +553,7 @@ class OrbitProfile:
                                    targets=targets, rtol=self.rtol, atol=self.atol,
                                    conserved=self._conserved, dense=False,
                                    near_escape=self._near_escape)
-            # odeint does not step to targets within 1e-14 of the start, so
+            # odeint does not sample targets within 1e-14 of the start, so
             # leading targets may have no sample: they take the start state
             landed = list(res.y[1:])
             self._cache.update(zip(targets, [res.y[0]] * (len(targets) - len(landed))

@@ -1,4 +1,4 @@
-"""The soliton ODE system in full and reduced form, with conservative integration.
+"""The soliton ODE system and its reduced form, with conservative integration.
 
 Full system (state w_1..w_n in C, theta in R):
 
@@ -13,9 +13,11 @@ single shared height u with u = 0 at the base point, and the system closes on
     dphi_j/ds = -lambda_j sqrt(Q) sin(phi - theta) / (alpha_j + lambda_j u)
     dtheta/ds = alpha sqrt(Q) sin(phi - theta),    phi = sum phi_j
 
-Both routes conserve sqrt(Q) e^{alpha u / 2} sin(phi - theta); the integrator
-enforces that at step granularity.  u must stay inside the band where every
-alpha_j + lambda_j u > 0; leaving it raises DomainEscape.
+Both systems conserve sqrt(Q) e^{alpha u / 2} sin(phi - theta); the
+integrator enforces that at step granularity.  Only the reduced system is
+integrated here (the full one is the test suite's independent oracle).  u
+must stay inside the band where every alpha_j + lambda_j u > 0; leaving it
+raises DomainEscape.
 """
 
 from __future__ import annotations
@@ -34,18 +36,6 @@ ESCAPE_COLLAR = 1e-6
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
-
-_NAN_CACHE = {}
-
-
-def _nan_vec(dim):
-    v = _NAN_CACHE.get(dim)
-    if v is None:
-        v = np.full(dim, np.nan)
-        v.setflags(write=False)
-        _NAN_CACHE[dim] = v
-    return v
-
 
 @dataclass(frozen=True)
 class TrajectorySpec:
@@ -115,29 +105,6 @@ class TrajectorySpec:
         return y
 
 
-@dataclass(frozen=True)
-class ReducedState:
-    s: float
-    u: float
-    phis: tuple
-    theta: float
-
-    @property
-    def phi(self) -> float:
-        return sum(self.phis)
-
-
-@dataclass(frozen=True)
-class FullState:
-    s: float
-    ws: tuple
-    theta: float
-
-    @property
-    def radii(self):
-        return tuple(abs(w) for w in self.ws)
-
-
 def eval_Q(spec: TrajectorySpec, u):
     """Radius-squared product Q(u) = prod(alpha_j + lambda_j u)."""
     u = np.asarray(u, dtype=float)
@@ -148,16 +115,19 @@ def eval_Q(spec: TrajectorySpec, u):
 
 def reduced_rhs(spec: TrajectorySpec, y):
     """Right-hand side of the reduced system at state y = [u, phi_1.., theta]."""
-    return np.asarray(reduced_system(spec)[0](0.0, np.asarray(y, dtype=float)))
+    return np.asarray(reduced_system(spec)[0](0.0, np.asarray(y, dtype=float).tolist()))
 
 
 def reduced_system(spec: TrajectorySpec):
     """(rhs, conserved, near_escape) of the reduced system for odeint.integrate.
 
-    The stepper calls these on one 1-D state of n + 2 entries per stage, a
-    size at which numpy's per-call overhead outweighs the arithmetic, so
-    they work on Python floats.  rhs returns NaNs outside the band;
-    conserved is first_integral on a single state.
+    The stepper calls these on one state of n + 2 floats per stage, a size
+    at which numpy's per-call overhead outweighs the arithmetic, so they
+    work on Python floats: rhs(s, y) takes the state y = [u, phi_1.., theta]
+    as a list (any sequence of floats) and returns its derivative as a list,
+    all NaN outside the band; conserved(y) is first_integral on a single
+    state; near_escape(y) says whether some radius squared is under
+    ESCAPE_COLLAR.
     """
     pairs = tuple(zip(spec.alphas, spec.params.lambdas))
     alpha = spec.params.alpha
@@ -165,24 +135,24 @@ def reduced_system(spec: TrajectorySpec):
     nan = (math.nan,) * (n + 2)
 
     def rhs(s, y):
-        u, *angles = y.tolist()
+        u = y[0]
         rad = [a + l * u for a, l in pairs]
         if min(rad) <= DOMAIN_FLOOR:
             return nan
         sq = math.sqrt(math.prod(rad))
-        d = sum(angles[:n]) - angles[n]
+        d = sum(y[1:n + 1]) - y[n + 1]
         sin_d = math.sin(d)
         c = -sq * sin_d
         return [2.0 * sq * math.cos(d), *[c * (l / r) for (_, l), r in zip(pairs, rad)],
                 alpha * sq * sin_d]
 
     def conserved(y):
-        u, *angles = y.tolist()
+        u = y[0]
         q = math.prod([a + l * u for a, l in pairs])
-        return math.sqrt(q) * math.exp(0.5 * alpha * u) * math.sin(sum(angles[:n]) - angles[n])
+        return math.sqrt(q) * math.exp(0.5 * alpha * u) * math.sin(sum(y[1:n + 1]) - y[n + 1])
 
     def near_escape(y):
-        u = float(y[0])
+        u = y[0]
         return min(a + l * u for a, l in pairs) < ESCAPE_COLLAR
 
     return rhs, conserved, near_escape
@@ -230,53 +200,12 @@ class ReducedTrajectory:
     def first_integral_residuals(self):
         return first_integral(self.spec, self.y) - self.spec.first_integral_value
 
-    def state_at(self, i: int) -> ReducedState:
-        return ReducedState(float(self.s[i]), float(self.u[i]),
-                            tuple(self.phis[i]), float(self.theta[i]))
-
-    def __len__(self):
-        return len(self.s)
-
-
-class FullTrajectory:
-    """Accepted samples of one full-system integration, ordered by s.
-
-    phis holds the continuous argument lift of each w_j, anchored at the base
-    point's phi0 and accumulated through principal-branch increments between
-    consecutive samples (steps are small at the default tolerances).
-    """
-
-    def __init__(self, spec: TrajectorySpec, s, ws, theta, phis, stats=None):
-        self.spec = spec
-        self.s = s
-        self.ws = ws
-        self.theta = theta
-        self.phis = phis
-        self.stats = stats or {}
-
-    @property
-    def u(self):
-        """Height recovered from the radii, averaged over coordinates."""
-        lam = self.spec.params.lambdas
-        vals = (np.abs(self.ws) ** 2 - np.array(self.spec.alphas)) * np.array(lam)
-        return vals.mean(axis=1)
-
-    def lift_residuals(self):
-        """max_j |r_j^2 - alpha_j - lambda_j u| with the shared height estimate."""
-        lam = np.array(self.spec.params.lambdas)
-        r2 = np.abs(self.ws) ** 2
-        pred = np.array(self.spec.alphas) + np.outer(self.u, lam)
-        return np.abs(r2 - pred).max(axis=1)
-
-    def state_at(self, i: int) -> FullState:
-        return FullState(float(self.s[i]), tuple(self.ws[i]), float(self.theta[i]))
-
     def __len__(self):
         return len(self.s)
 
 
 def _run_two_sided(rhs, s0, y0, s_min, s_max, rtol, atol, targets, dense,
-                   conserved, drift_factor, near):
+                   conserved, near):
     if not (s_min <= s0 <= s_max):
         raise ValidationError("integration interval must contain the base point s0")
     targets = sorted(float(t) for t in targets)
@@ -286,14 +215,14 @@ def _run_two_sided(rhs, s0, y0, s_min, s_max, rtol, atol, targets, dense,
         back = [t for t in targets if t < s0]
         back.sort(reverse=True)
         r = odeint.integrate(rhs, s0, y0, s_min, rtol=rtol, atol=atol,
-                             conserved=conserved, drift_factor=drift_factor,
+                             conserved=conserved,
                              targets=back, dense=dense, near_escape=near)
         legs.append((r.s[::-1][:-1], r.y[::-1][:-1], r))
     legs.append((np.array([s0]), y0[None, :].copy(), None))
     if s_max > s0:
         fwd = [t for t in targets if t > s0]
         r = odeint.integrate(rhs, s0, y0, s_max, rtol=rtol, atol=atol,
-                             conserved=conserved, drift_factor=drift_factor,
+                             conserved=conserved,
                              targets=fwd, dense=dense, near_escape=near)
         legs.append((r.s[1:], r.y[1:], r))
 
@@ -310,13 +239,11 @@ def _run_two_sided(rhs, s0, y0, s_min, s_max, rtol, atol, targets, dense,
 
 def integrate_reduced(spec: TrajectorySpec, s_min: float, s_max: float, *,
                       rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
-                      targets=(), dense: bool = True,
-                      drift_factor: float = 10.0) -> ReducedTrajectory:
+                      targets=(), dense: bool = True) -> ReducedTrajectory:
     """Integrate the reduced system over [s_min, s_max] (must contain s0)."""
     rhs, conserved, near = reduced_system(spec)
     s, y, stats = _run_two_sided(rhs, spec.s0, spec.initial_state(), s_min, s_max,
-                                 rtol, atol, targets, dense, conserved,
-                                 drift_factor, near)
+                                 rtol, atol, targets, dense, conserved, near)
     return ReducedTrajectory(spec, s, y, stats)
 
 
@@ -330,91 +257,3 @@ def sample_reduced(spec: TrajectorySpec, s_points, *, rtol: float = DEFAULT_RTOL
                              targets=s_points, dense=False)
     keep = np.isin(traj.s, np.array(s_points))
     return ReducedTrajectory(spec, traj.s[keep], traj.y[keep], traj.stats)
-
-
-def _make_full_rhs(spec: TrajectorySpec):
-    lam = spec.lambdas
-    alpha = spec.params.alpha
-    n = spec.n
-    nan = _nan_vec(2 * n + 1)
-
-    def rhs(s, y):
-        w = y[0:2 * n:2] + 1j * y[1:2 * n:2]
-        if (w.real ** 2 + w.imag ** 2).min() <= DOMAIN_FLOOR:
-            return nan
-        theta = y[2 * n]
-        # prefix/suffix products give prod_{k != j} w_k without division
-        pre = np.empty(n + 1, dtype=complex)
-        suf = np.empty(n + 1, dtype=complex)
-        pre[0] = 1.0
-        suf[n] = 1.0
-        for k in range(n):
-            pre[k + 1] = pre[k] * w[k]
-            suf[n - 1 - k] = suf[n - k] * w[n - 1 - k]
-        others = pre[:n] * suf[1:]
-        eit = math.cos(theta) + 1j * math.sin(theta)
-        dw = lam * eit * np.conj(others)
-        out = np.empty(2 * n + 1)
-        out[0:2 * n:2] = dw.real
-        out[1:2 * n:2] = dw.imag
-        out[2 * n] = alpha * (np.conj(eit) * pre[n]).imag
-        return out
-
-    return rhs
-
-
-def full_first_integral(spec: TrajectorySpec, y) -> float:
-    n = spec.n
-    w = y[0:2 * n:2] + 1j * y[1:2 * n:2]
-    r2 = w.real ** 2 + w.imag ** 2
-    u = float(np.mean((r2 - np.array(spec.alphas)) * spec.params.lambdas))
-    W = np.prod(w)
-    theta = y[2 * n]
-    eit = math.cos(theta) - 1j * math.sin(theta)
-    return math.exp(0.5 * spec.params.alpha * u) * (eit * W).imag
-
-
-def integrate_full(spec: TrajectorySpec, s_min: float, s_max: float, *,
-                   rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
-                   targets=(), dense: bool = True,
-                   drift_factor: float = 10.0) -> FullTrajectory:
-    """Integrate the full system over [s_min, s_max] (must contain s0)."""
-    n = spec.n
-    alphas = np.array(spec.alphas)
-    w0 = np.sqrt(alphas) * np.exp(1j * np.array(spec.phi0))
-    y0 = np.empty(2 * n + 1)
-    y0[0:2 * n:2] = w0.real
-    y0[1:2 * n:2] = w0.imag
-    y0[2 * n] = spec.theta0
-
-    rhs = _make_full_rhs(spec)
-    conserved = lambda y: full_first_integral(spec, y)
-
-    def near(y):
-        w = y[0:2 * n:2] + 1j * y[1:2 * n:2]
-        return (w.real ** 2 + w.imag ** 2).min() < ESCAPE_COLLAR
-
-    s, y, stats = _run_two_sided(rhs, spec.s0, y0, s_min, s_max, rtol, atol,
-                                 targets, dense, conserved, drift_factor, near)
-
-    ws = y[:, 0:2 * n:2] + 1j * y[:, 1:2 * n:2]
-    theta = y[:, 2 * n]
-    # continuous argument lift anchored at the base point
-    i0 = int(np.argmin(np.abs(s - spec.s0)))
-    phis = np.empty((len(s), n))
-    phis[i0] = spec.phi0
-    for i in range(i0 + 1, len(s)):
-        phis[i] = phis[i - 1] + np.angle(ws[i] / ws[i - 1])
-    for i in range(i0 - 1, -1, -1):
-        phis[i] = phis[i + 1] + np.angle(ws[i] / ws[i + 1])
-    return FullTrajectory(spec, s, ws, theta, phis, stats)
-
-
-def lift_state(spec: TrajectorySpec, state: ReducedState) -> FullState:
-    """Rebuild the full state; r_j^2 = alpha_j + lambda_j u holds by construction."""
-    lam = spec.params.lambdas
-    ws = tuple(
-        math.sqrt(a + l * state.u) * complex(math.cos(p), math.sin(p))
-        for a, l, p in zip(spec.alphas, lam, state.phis)
-    )
-    return FullState(state.s, ws, state.theta)

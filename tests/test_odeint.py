@@ -1,4 +1,4 @@
-"""Semantics of the adaptive Dormand-Prince stepper, on toy right-hand sides."""
+"""Semantics of the adaptive DOP853 stepper, on toy right-hand sides."""
 
 import math
 
@@ -40,10 +40,9 @@ def test_violated_conserved_functional_rejects_steps():
     plain = odeint.integrate(_rotation, 0.0, [1.0, 0.0], 1.0, rtol=1e-6, atol=1e-9)
     assert plain.n_rejected_drift == 0
     # |y|^2 is conserved, the 1e-3 y_1 term is not: it moves by about 1e-3 h
-    rtol, atol, factor = 1e-6, 1e-9, 10.0
+    rtol, atol, factor = 1e-6, 1e-9, odeint.DRIFT_FACTOR
     res = odeint.integrate(_rotation, 0.0, [1.0, 0.0], 1.0, rtol=rtol, atol=atol,
-                           conserved=lambda y: y[0] ** 2 + y[1] ** 2 + 1e-3 * y[0],
-                           drift_factor=factor)
+                           conserved=lambda y: y[0] ** 2 + y[1] ** 2 + 1e-3 * y[0])
     assert res.n_rejected_drift > 0
     assert res.n_accepted > plain.n_accepted
     assert 0.0 < res.max_drift <= factor * (atol + rtol * 1.001)
@@ -89,21 +88,37 @@ def _duffing(y):
 
 def test_each_attempt_starts_from_the_slope_at_its_start():
     # the first stage of every attempt, a retry after a rejection included,
-    # is y_a + (h/5) f(y_a) at the accepted state (s_a, y_a) it starts from
+    # is y_a + c2 h f(y_a) at the accepted state (s_a, y_a) it starts from
+    c2, c3 = 0.0526001519587677318785587544488, 0.0789002279381515978178381316732
     calls = []
 
     def rhs(s, y):
         calls.append((s, np.array(y, dtype=float)))
         return _duffing(y)
 
-    res = odeint.integrate(rhs, 0.0, [1.0, 0.0], 3.0, rtol=1e-6, atol=1e-9)
+    # amplitude 2: at amplitude 1 the 8th-order pair rejects no step
+    res = odeint.integrate(rhs, 0.0, [2.0, 0.0], 3.0, rtol=1e-6, atol=1e-9)
     assert res.n_rejected_error > 0
-    # the initial slope and the initial-step probe, then 6 calls per attempt
+    # the initial slope and the initial-step probe, then 12 calls per attempt
     attempts = calls[2:]
-    assert len(attempts) == 6 * (res.n_accepted + res.n_rejected_error)
-    for k in range(0, len(attempts), 6):
+    assert len(attempts) == 12 * (res.n_accepted + res.n_rejected_error)
+    for k in range(0, len(attempts), 12):
         (s1, y1), (s2, _) = attempts[k], attempts[k + 1]
-        h = 10.0 * (s2 - s1)            # stages 1, 2 sit at s_a + h/5, s_a + 3h/10
-        i = int(np.argmin(np.abs(res.s - (s1 - h / 5))))
-        np.testing.assert_allclose((y1 - res.y[i]) / (h / 5), _duffing(res.y[i]),
+        h = (s2 - s1) / (c3 - c2)       # stages 1, 2 sit at s_a + c2 h, s_a + c3 h
+        i = int(np.argmin(np.abs(res.s - (s1 - c2 * h))))
+        np.testing.assert_allclose((y1 - res.y[i]) / (c2 * h), _duffing(res.y[i]),
                                    rtol=1e-6, atol=1e-6)
+
+
+def test_interior_targets_leave_the_steps_unchanged():
+    # targets inside a step are read from the continuous extension, so the
+    # accepted grid is the untargeted one and only the samples are added
+    targets = np.linspace(0.05, 1.95, 25).tolist()
+    clean = odeint.integrate(lambda s, y: y, 0.0, [1.0], 2.0)
+    res = odeint.integrate(lambda s, y: y, 0.0, [1.0], 2.0, targets=targets)
+    assert res.n_accepted == clean.n_accepted and res.n_rejected_error == 0
+    on_grid = ~np.isin(res.s, targets)
+    np.testing.assert_array_equal(res.s[on_grid], clean.s)
+    np.testing.assert_array_equal(res.y[on_grid], clean.y)
+    assert sorted(res.s[~on_grid].tolist()) == targets
+    np.testing.assert_allclose(res.y[~on_grid, 0], np.exp(res.s[~on_grid]), rtol=1e-9)

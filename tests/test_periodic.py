@@ -172,18 +172,28 @@ def test_turning_points_shrink_toward_stationary():
     assert widths[0] / widths[1] == pytest.approx(2.0, rel=1e-3)
 
 
-def test_orbit_matches_ode_round_trip():
-    """After one period S the height returns and each phase advances by its
-    holonomy; the angle advances by the holonomy sum."""
-    spec = spec_of((1.0, -1.0), (1.0, 3.0), 0.5, alpha=0.6)
+@pytest.mark.parametrize("lambdas,alphas,A,alpha", [
+    ((1.0, -1.0), (1.0, 2.0), 0.4, 0.5),
+    ((1.0, 1.0), (1.0, 1.5), 0.5, -1.0),
+    ((1.0, 1.0, -1.0), (1.0, 1.5, 2.0), 0.6, 0.7),
+    ((1.0, -1.0, -1.0), (0.6, 2.5, 1.3), 0.3, -1.2),
+    ((1.0, -1.0), (1.0, 3.0), 1.7, 0.6),
+    ((1.0, 1.0), (0.5, 2.9), 1.1, -0.3),
+], ids=["mixed", "shrinker", "n3_mixed", "n3_two_negative", "mixed_wide", "shrinker_wide"])
+def test_orbit_matches_ode_round_trip(lambdas, alphas, A, alpha):
+    """After k periods S the height returns and each phase advances by k
+    times its holonomy; the angle advances by k times the holonomy sum."""
+    spec = spec_of(lambdas, alphas, A, alpha=alpha)
     orbit = compute_orbit(spec)
     assert orbit.case == "oscillating"
-    assert orbit.u1 < 0.0 < orbit.u2
-    traj = sample_reduced(spec.trajectory_spec(), [0.0, orbit.S])
-    y0, yS = traj.y[0], traj.y[-1]
-    assert yS[0] - y0[0] == pytest.approx(0.0, abs=1e-6)
-    np.testing.assert_allclose(yS[1:3] - y0[1:3], orbit.gamma, atol=1e-6)
-    assert yS[3] - y0[3] == pytest.approx(orbit.gamma_sum, abs=1e-6)
+    prof = OrbitProfile(spec)
+    prof.prefetch([0.0, orbit.S, 3.0 * orbit.S])
+    for k, tol in ((1, 1e-11), (3, 1e-10)):
+        s = k * orbit.S
+        dev = max(abs(prof.u_of(s) - prof.u_of(0.0)),
+                  *np.abs(prof.phis_of(s) - prof.phis_of(0.0) - k * np.asarray(orbit.gamma)),
+                  abs(prof.theta_of(s) - prof.theta_of(0.0) - k * orbit.gamma_sum))
+        assert dev <= tol, (k, dev)
 
 
 def test_holonomy_signs_follow_slot_signs():

@@ -10,8 +10,9 @@ from lagsol.errors import DomainEscape, ValidationError
 from lagsol.fileio import write_trajectory_csv
 from lagsol.params import SolitonParams
 from lagsol.reduced_ode import (DOMAIN_FLOOR, TrajectorySpec, eval_Q, first_integral,
-                                full_first_integral, integrate_full, integrate_reduced,
-                                lift_state, reduced_rhs, reduced_system, sample_reduced)
+                                integrate_reduced, reduced_rhs, reduced_system,
+                                sample_reduced)
+from oracles import full_first_integral, integrate_full, lift_state, state_at
 
 
 def make_spec(lambdas, alphas, A, alpha=0.0, phi0=None, branch="principal"):
@@ -195,7 +196,7 @@ def test_full_first_integral_conserved():
 def test_lift_state_radius_relation():
     spec = make_spec((1.0, -1.0), (1.0, 2.0), 0.6, alpha=1.0)
     traj = integrate_reduced(spec, -2.0, 2.0)
-    st = traj.state_at(len(traj) // 3)
+    st = state_at(traj, len(traj) // 3)
     fs = lift_state(spec, st)
     lam = spec.params.lambdas
     for r, a, l in zip(fs.radii, spec.alphas, lam):
