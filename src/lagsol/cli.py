@@ -33,7 +33,7 @@ from .params import SolitonParams
 from .periodic import (PeriodicSpec, brakke_family, compute_orbit,
                        detect_periodicity, search_periodic_data, topology_tag)
 from .translator import TranslatorProfile
-from .verify import VerificationThresholds, require_verified, verify_mesh
+from .verify import FD_CHECKS, require_verified, verify_mesh
 
 PROG = "lagsol"
 OUTDIR_ENV = "LAGSOL_OUTDIR"
@@ -82,7 +82,7 @@ _MESH = (
     _Opt("mesh-count", int, 16, "base points per curve sample"),
     _Opt("seed", int, 0, "mesh base-point seed"),
 )
-_FD_CHECKS = _Opt("fd-checks", int, 8, "points cross-checked against the FD oracle")
+_FD_CHECKS = _Opt("fd-checks", int, FD_CHECKS, "points cross-checked against the FD oracle")
 _EXPORT = (
     _FD_CHECKS,
     _Opt("ply", _b, False, "also write a PLY vertex cloud", flag=True),
@@ -182,8 +182,7 @@ def _export_verified(cfg, name, profile, mesh, extra_pairs=()) -> int:
         _write(cfg, name, "mesh.ply", fileio.write_mesh_ply, mesh,
                project3d=cfg["project3d"])
     _write(cfg, name, "record.txt", fileio.write_profile_record, profile)
-    report = verify_mesh(profile, mesh,
-                         VerificationThresholds(fd_checks=cfg["fd-checks"]))
+    report = verify_mesh(profile, mesh, cfg["fd-checks"])
     _write(cfg, name, "summary.txt", fileio.write_keyvalues,
            report.summary_pairs() + list(extra_pairs))
     print(f"verification: {'PASS' if report.passed else 'FAIL'}")
@@ -399,8 +398,7 @@ _VERIFY_OPTS = _COMMON + (
 def cmd_verify(cfg) -> int:
     profile = fileio.read_profile_record(cfg["record"])
     mesh = fileio.read_mesh_csv(cfg["mesh"])
-    report = verify_mesh(profile, mesh,
-                         VerificationThresholds(fd_checks=cfg["fd-checks"]),
+    report = verify_mesh(profile, mesh, cfg["fd-checks"],
                          collect_rows=cfg["residuals"] is not None)
     _print_pairs(report.summary_pairs())
     if cfg["residuals"]:

@@ -391,8 +391,7 @@ def _symmetric_seed(alpha: float, n: int, target_sum: float) -> float:
     return math.exp(seed_for(target_sum))
 
 
-def invert_angle_map(alpha: float, target, *, tol: float = NEWTON_TOL,
-                     max_iter: int = NEWTON_MAX_ITER, seed=None) -> np.ndarray:
+def invert_angle_map(alpha: float, target, *, tol: float = NEWTON_TOL) -> np.ndarray:
     """Solve angle_map(alpha, a) = target for a by damped log-space Newton.
 
     For alpha = 0 the map is scale invariant (only defined up to the ray
@@ -409,11 +408,7 @@ def invert_angle_map(alpha: float, target, *, tol: float = NEWTON_TOL,
         return np.array([1.0])
     _validate_target(alpha, target)
 
-    if seed is not None:
-        a = np.asarray(seed, dtype=float)
-        if a.size != n or np.any(a <= 0):
-            raise ValidationError("seed must be n positive reals")
-    elif alpha == 0.0:
+    if alpha == 0.0:
         a = np.full(n, 1.0 / n)
     else:
         a = np.full(n, _symmetric_seed(alpha, n, float(target.sum())))
@@ -421,12 +416,9 @@ def invert_angle_map(alpha: float, target, *, tol: float = NEWTON_TOL,
     ell = np.log(a)
     resid = angle_map(alpha, tuple(np.exp(ell))) - target
     rnorm = float(np.linalg.norm(resid))
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         if float(np.abs(resid).max()) < tol:
-            a = np.exp(ell)
-            if alpha == 0.0:
-                a = a / a.sum()
-            return a
+            break
         a = np.exp(ell)
         J = angle_map_jacobian(alpha, tuple(a)) * a[None, :]  # d/d log a
         if alpha == 0.0:
@@ -445,13 +437,11 @@ def invert_angle_map(alpha: float, target, *, tol: float = NEWTON_TOL,
         else:
             raise NonConvergence("angle map inversion stalled (damping exhausted)")
         ell, resid, rnorm = trial, tr_resid, tr_norm
-    if float(np.abs(resid).max()) < tol:
-        a = np.exp(ell)
-        if alpha == 0.0:
-            a = a / a.sum()
-        return a
-    raise NonConvergence(
-        f"angle map inversion did not reach |residual| < {tol:g} in {max_iter} iterations")
+    if not float(np.abs(resid).max()) < tol:
+        raise NonConvergence(f"angle map inversion did not reach |residual| < {tol:g}"
+                             f" in {NEWTON_MAX_ITER} iterations")
+    a = np.exp(ell)
+    return a / a.sum() if alpha == 0.0 else a
 
 
 def s_of_y(profile: ExpanderProfile, y: float) -> float:

@@ -50,7 +50,9 @@ def read_mesh_csv(path) -> Mesh:
     path = Path(path)
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValidationError(f"{path}: empty file, not a mesh CSV")
         if len(header) < 4 or header[-2:] != ["s_or_y", "theta"] or len(header) % 2 != 0:
             raise ValidationError(f"{path}: not a mesh CSV (bad header)")
         n = (len(header) - 2) // 2
@@ -58,10 +60,16 @@ def read_mesh_csv(path) -> Mesh:
         for row in reader:
             if len(row) != len(header):
                 raise ValidationError(f"{path}: row with {len(row)} fields, expected {len(header)}")
-            vals = [float(v) for v in row]
+            try:
+                vals = [float(v) for v in row]
+            except ValueError:
+                raise ValidationError(
+                    f"{path}: line {reader.line_num} has a non-numeric field") from None
             pts.append([complex(vals[2 * j], vals[2 * j + 1]) for j in range(n)])
             pars.append(vals[-2])
             thetas.append(vals[-1])
+    if not pts:
+        raise ValidationError(f"{path}: mesh CSV has no rows")
     return Mesh("unknown", np.array(pts, dtype=complex), np.array(pars), np.array(thetas))
 
 
@@ -209,13 +217,6 @@ def _fmt_tuple(vals) -> str:
     return ",".join(_fmt(v) for v in vals)
 
 
-def _parse_tuple(s: str):
-    s = s.strip()
-    if not s:
-        return ()
-    return tuple(float(v) for v in s.split(","))
-
-
 def write_profile_record(path, profile) -> None:
     """Serialize a profile so verify can rebuild it alongside its mesh."""
     write_keyvalues(path, _profile_pairs(profile))
@@ -246,11 +247,10 @@ def _profile_pairs(profile):
 
 def read_profile_record(path):
     """Rebuild a profile object from a key=value record."""
-    kv = read_keyvalues(path)
-    return _profile_from_keyvalues(kv)
+    return _profile_from_keyvalues(read_keyvalues(path), path)
 
 
-def _profile_from_keyvalues(kv: dict, prefix: str = ""):
+def _profile_from_keyvalues(kv: dict, path, prefix: str = ""):
     from .expander import ExpanderProfile
     from .params import SolitonParams
     from .periodic import (HamiltonianStationaryProfile, OrbitProfile, PeriodicSpec,
@@ -263,19 +263,34 @@ def _profile_from_keyvalues(kv: dict, prefix: str = ""):
             raise ValidationError(f"profile record is missing '{prefix}{key}'")
         return v
 
+    def nums(key, default=None):
+        """The comma-separated numbers stored under key."""
+        v = get(key, default)
+        try:
+            return tuple(float(x) for x in v.split(",")) if v else ()
+        except ValueError:
+            raise ValidationError(
+                f"{path}: '{prefix}{key} = {v}' is not a list of numbers") from None
+
+    def num(key, default=None):
+        v = nums(key, default)
+        if len(v) != 1:
+            raise ValidationError(f"{path}: '{prefix}{key}' must hold one number")
+        return v[0]
+
     kind = get("kind")
     if kind == "translator":
-        base = _profile_from_keyvalues(kv, prefix="base_")
-        K = complex(float(get("K_re")), float(get("K_im")))
-        return TranslatorProfile(base, K=K)
+        if prefix:
+            raise ValidationError(
+                f"{path}: '{prefix}kind = translator', but a translator base must be centred")
+        base = _profile_from_keyvalues(kv, path, prefix="base_")
+        return TranslatorProfile(base, K=complex(num("K_re"), num("K_im")))
     if kind == "expander":
-        return ExpanderProfile(float(get("alpha")), _parse_tuple(get("a")),
-                               _parse_tuple(get("psi")) or None,
-                               float(get("u_star", "0.0")))
+        return ExpanderProfile(num("alpha"), nums("a"), nums("psi") or None,
+                               num("u_star", "0.0"))
     if kind in ("orbit", "stationary"):
-        params = SolitonParams(_parse_tuple(get("lambdas")), 1.0, float(get("alpha")))
-        spec = PeriodicSpec(params, _parse_tuple(get("alphas")), float(get("A")),
-                            _parse_tuple(get("psi")) or None)
+        params = SolitonParams(nums("lambdas"), 1.0, num("alpha"))
+        spec = PeriodicSpec(params, nums("alphas"), num("A"), nums("psi") or None)
         spec = as_rebased(spec)     # the record holds the exported rebased spec
         if kind == "stationary":
             return HamiltonianStationaryProfile(spec)

@@ -210,9 +210,9 @@ def centred_frame(profile, x, t: float) -> FramedPoint:
 
 # -- finite-difference mean curvature ---------------------------------------
 
-def fd_step(u: float, scale: float = FD_STEP_SCALE) -> float:
-    """Chart step h = scale * sqrt(1 + |u|), tied to the local radius scale."""
-    return scale * math.sqrt(1.0 + abs(u))
+def fd_step(u: float) -> float:
+    """Chart step h = FD_STEP_SCALE * sqrt(1 + |u|), tied to the local radius scale."""
+    return FD_STEP_SCALE * math.sqrt(1.0 + abs(u))
 
 
 def _fd_derivatives(F, xi0: np.ndarray, h: float):
@@ -322,9 +322,7 @@ class CentredChart:
         return np.zeros(self.n)
 
 
-def centred_fd_mean_curvature(profile, x, t: float, *, scale: float = FD_STEP_SCALE,
-                              richardson: bool = True) -> np.ndarray:
+def centred_fd_mean_curvature(profile, x, t: float) -> np.ndarray:
     """Finite-difference H at (x, t); the analytic route is mean_curvature()."""
     chart = CentredChart(profile, x, t)
-    h = fd_step(profile.u_of(t), scale)
-    return mean_curvature_fd(chart, chart.center(), h, richardson=richardson)
+    return mean_curvature_fd(chart, chart.center(), fd_step(profile.u_of(t)))

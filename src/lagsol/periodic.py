@@ -354,7 +354,7 @@ class PeriodicOrbit:
         """The orbit's curve: the u = 0 closed form when stationary, else the ODE."""
         cls = (HamiltonianStationaryProfile if self.case == "hamiltonian_stationary"
                else OrbitProfile)
-        return cls.__new__(cls)._bind(self.based, self.u_shift)
+        return cls(self.based)
 
 
 def compute_orbit(spec: PeriodicSpec, *, rel_tol: float = DEFAULT_REL_TOL) -> PeriodicOrbit:
@@ -467,20 +467,15 @@ class HamiltonianStationaryProfile:
     kind = "centred"
 
     def __init__(self, spec: PeriodicSpec):
-        based, u_shift, case, _ = _analyse(spec)
+        self.spec, _, case, _ = _analyse(spec)
         if case != "hamiltonian_stationary":
             raise CaseMismatch(
                 "data does not satisfy A^2 = G(u_*); the u = 0 closed form does not apply")
-        self._bind(based, u_shift)
-
-    def _bind(self, based: PeriodicSpec, u_shift: float):
-        self.spec, self.u_shift = based, u_shift
         self.lambdas = self.spec.params.lambdas
         self.alpha = self.spec.params.alpha
         self.n = self.spec.n
         self._rates = tuple(-l * self.spec.A / a
                             for l, a in zip(self.lambdas, self.spec.alphas))
-        return self
 
     def phis_of(self, s: float):
         return np.array(self.spec.psi) + np.array(self._rates) * s
@@ -516,22 +511,17 @@ class OrbitProfile:
     """
 
     kind = "centred"
+    rtol = 1e-11    # stepper tolerances: the FD oracle divides state errors by h^2
+    atol = 1e-13
 
-    def __init__(self, spec: PeriodicSpec, *, rtol: float = 1e-11, atol: float = 1e-13):
-        self._bind(*rebase(spec), rtol, atol)
-
-    def _bind(self, based: PeriodicSpec, u_shift: float, rtol: float = 1e-11,
-              atol: float = 1e-13):
-        self.spec, self.u_shift = based, u_shift
+    def __init__(self, spec: PeriodicSpec):
+        self.spec, _ = rebase(spec)
         self.tspec = self.spec.trajectory_spec()
         self.lambdas = self.spec.params.lambdas
         self.alpha = self.spec.params.alpha
         self.n = self.spec.n
-        self.rtol = rtol
-        self.atol = atol
         self._rhs, self._conserved, self._near_escape = reduced_system(self.tspec)
         self._cache = {self.tspec.s0: self.tspec.initial_state()}
-        return self
 
     def prefetch(self, s_values):
         """Cache the states at s_values.

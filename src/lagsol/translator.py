@@ -31,7 +31,7 @@ import numpy as np
 from .errors import ValidationError
 from .params import require_finite
 from .expander import ExpanderProfile, s_of_y
-from .geometry import FD_STEP_SCALE, FramedPoint, fd_step, mean_curvature_fd
+from .geometry import FramedPoint, fd_step, mean_curvature_fd
 from .periodic import PeriodicSpec, compute_orbit
 
 
@@ -40,8 +40,7 @@ class TranslatorProfile:
 
     kind = "translator"
 
-    def __init__(self, base, *, K: complex = None, first_integral: float = None,
-                 orbit=None):
+    def __init__(self, base, *, K: complex = None, orbit=None):
         if getattr(base, "kind", None) != "centred":
             raise ValidationError("translator base must be a centred profile")
         self.base = base
@@ -49,14 +48,9 @@ class TranslatorProfile:
         self.n = base.n + 1
         self.base_lambdas = tuple(base.lambdas)
         self.orbit = orbit
-        if first_integral is None:
-            if hasattr(base, "first_integral_value"):
-                first_integral = base.first_integral_value
-            elif hasattr(base, "spec"):
-                first_integral = base.spec.A
-            else:
-                raise ValidationError("base profile does not expose its first integral")
-        self.first_integral = float(first_integral)
+        # the first integral A: expanders compute it, orbit bases hold it in their spec
+        self.first_integral = float(base.first_integral_value
+                                    if isinstance(base, ExpanderProfile) else base.spec.A)
         u_star = getattr(base, "u_star", 0.0)
         self.K = complex(K) if K is not None else complex(-0.5 * u_star, 0.0)
         require_finite("K", (self.K.real, self.K.imag))
@@ -203,9 +197,6 @@ class TranslatorChart:
         return np.zeros(self.n)
 
 
-def translator_fd_mean_curvature(profile: TranslatorProfile, x, t: float, *,
-                                 scale: float = FD_STEP_SCALE,
-                                 richardson: bool = True) -> np.ndarray:
+def translator_fd_mean_curvature(profile: TranslatorProfile, x, t: float) -> np.ndarray:
     chart = TranslatorChart(profile, x, t)
-    h = fd_step(profile.base.u_of(t), scale)
-    return mean_curvature_fd(chart, chart.center(), h, richardson=richardson)
+    return mean_curvature_fd(chart, chart.center(), fd_step(profile.base.u_of(t)))

@@ -5,6 +5,9 @@ reconstructed from the raw mesh points, frames are rebuilt, and the soliton
 equation is cross-checked against a finite-difference mean curvature oracle
 on a deterministic subset of points.  Nothing is trusted from export time
 except the profile record and the point coordinates themselves.
+
+Each invariant is accepted at a fixed module constant (``RECONSTRUCTION_TOL``
+through ``SOLITON_TOL``); only the number of FD cross-checks is a parameter.
 """
 
 from __future__ import annotations
@@ -19,17 +22,14 @@ from .geometry import angle_gap, centred_frame, centred_fd_mean_curvature
 from .translator import TranslatorProfile, translator_fd_mean_curvature
 
 
-@dataclass(frozen=True)
-class VerificationThresholds:
-    """Acceptance levels for each recomputed invariant."""
-
-    reconstruction: float = 1e-9   # |z - x * w| / (1 + |z|)
-    quadric: float = 5e-10         # |sum lambda x^2 - 1|, inside the frame validator's own gate
-    stored_angle: float = 1e-8     # stored theta vs recomputed theta
-    lagrangian: float = 1e-10      # max |Im <f_a, f_b>|
-    angle: float = 1e-9            # arg det(frame) vs theta, mod 2 pi
-    soliton: float = 1e-3          # relative, against the FD oracle
-    fd_checks: int = 8             # points receiving the FD cross-check
+# acceptance level of each recomputed invariant
+RECONSTRUCTION_TOL = 1e-9   # |z - x * w| / (1 + |z|)
+QUADRIC_TOL = 5e-10         # |sum lambda x^2 - 1|, inside the frame validator's own gate
+STORED_ANGLE_TOL = 1e-8     # stored theta vs recomputed theta
+LAGRANGIAN_TOL = 1e-10      # max |Im <f_a, f_b>|
+ANGLE_TOL = 1e-9            # arg det(frame) vs theta, mod 2 pi
+SOLITON_TOL = 1e-3          # relative, against the FD oracle
+FD_CHECKS = 8               # default number of points receiving the FD cross-check
 
 
 class _Worst:
@@ -124,13 +124,13 @@ class _Kind:
     drive: object       # FramedPoint -> the term equal to H on a soliton, per row
 
 
-def _centred_kind(profile, th: VerificationThresholds) -> _Kind:
+def _centred_kind(profile) -> _Kind:
     lam = np.asarray(profile.lambdas, dtype=float)
     return _Kind(
         "centred", profile,
-        {"reconstruction": th.reconstruction, "quadric": th.quadric,
-         "stored_angle": th.stored_angle, "lagrangian": th.lagrangian,
-         "angle": th.angle, "soliton": th.soliton},
+        {"reconstruction": RECONSTRUCTION_TOL, "quadric": QUADRIC_TOL,
+         "stored_angle": STORED_ANGLE_TOL, "lagrangian": LAGRANGIAN_TOL,
+         "angle": ANGLE_TOL, "soliton": SOLITON_TOL},
         ("reconstruction", "quadric"),
         lambda t: (np.asarray(profile.w_of(t)), float(profile.theta_of(t)), None),
         lambda x, z, theta, _: {"quadric": np.abs(np.sum(lam * x * x, axis=-1) - 1.0)},
@@ -139,7 +139,7 @@ def _centred_kind(profile, th: VerificationThresholds) -> _Kind:
         lambda fp: profile.alpha * fp.normal_projection(fp.z))
 
 
-def _translator_kind(profile: TranslatorProfile, th: VerificationThresholds) -> _Kind:
+def _translator_kind(profile: TranslatorProfile) -> _Kind:
     base = profile.base
     lam = np.asarray(base.lambdas, dtype=float)
     maslov_ref = profile.maslov_constant
@@ -152,9 +152,9 @@ def _translator_kind(profile: TranslatorProfile, th: VerificationThresholds) -> 
 
     return _Kind(
         "translator", base,
-        {"reconstruction": th.reconstruction, "last_coordinate": th.reconstruction,
-         "stored_angle": th.stored_angle, "maslov": th.stored_angle,
-         "lagrangian": th.lagrangian, "angle": th.angle, "soliton": th.soliton},
+        {"reconstruction": RECONSTRUCTION_TOL, "last_coordinate": RECONSTRUCTION_TOL,
+         "stored_angle": STORED_ANGLE_TOL, "maslov": STORED_ANGLE_TOL,
+         "lagrangian": LAGRANGIAN_TOL, "angle": ANGLE_TOL, "soliton": SOLITON_TOL},
         ("reconstruction",),
         lambda t: (np.asarray(base.w_of(t)), float(profile.theta_of(t)),
                    profile.beta_of(t)),
@@ -164,20 +164,20 @@ def _translator_kind(profile: TranslatorProfile, th: VerificationThresholds) -> 
         lambda fp: fp.normal_projection(T))
 
 
-def verify_mesh(profile, mesh, thresholds: VerificationThresholds = None,
+def verify_mesh(profile, mesh, fd_checks: int = FD_CHECKS,
                 *, collect_rows: bool = False) -> VerificationReport:
     """Recompute every invariant of a mesh and report the worst residuals.
 
-    The returned report carries one failure line per violated invariant,
-    naming it and locating the worst offending point.  With collect_rows the
-    per-point residual table (closed-form soliton residual, not the FD one)
-    is kept on the report.
+    fd_checks points, spread evenly over the mesh, also get the FD mean
+    curvature cross-check.  The returned report carries one failure line per
+    violated invariant, naming it and locating the worst offending point.
+    With collect_rows the per-point residual table (closed-form soliton
+    residual, not the FD one) is kept on the report.
     """
-    th = thresholds or VerificationThresholds()
     if isinstance(profile, TranslatorProfile):
-        kind = _translator_kind(profile, th)
+        kind = _translator_kind(profile)
     elif getattr(profile, "kind", None) == "centred":
-        kind = _centred_kind(profile, th)
+        kind = _centred_kind(profile)
     else:
         raise ValidationError(
             f"cannot verify meshes for profile kind {getattr(profile, 'kind', None)!r}")
@@ -191,7 +191,7 @@ def verify_mesh(profile, mesh, thresholds: VerificationThresholds = None,
     if hasattr(kind.curve, "prefetch"):
         kind.curve.prefetch(sorted(set(ts.tolist())))
     worst = {name: _Worst() for name in kind.thresholds}
-    fd_at = set(_fd_subset(count, th.fd_checks).tolist())
+    fd_at = set(_fd_subset(count, fd_checks).tolist())
     rows = []
 
     # one pass per run of equal t: every row of a run shares the curve data,

@@ -7,6 +7,7 @@ here; the full-size runs live in the acceptance tests.
 
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -493,6 +494,43 @@ def test_verify_fails_on_a_nan_point(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "verification: FAIL" in captured.out
     assert "reconstruction residual nan" in captured.out
+
+
+_PERIODIC_MESH = ["periodic", "--lambdas=1,-1", "--alphas=1,2", "--A=0.4", "--alpha=0.5",
+                  "--mesh"]
+_TRANSLATOR = ["translator", "--alpha=0.5", "--lambdas=1,-1", "--alphas=1,2", "--A=0.4"]
+
+
+def _replace_field(text, line, value):
+    lines = text.splitlines()
+    lines[line] = ",".join([value] + lines[line].split(",")[1:])
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("argv, name, corrupt, message", [
+    (_PERIODIC_MESH, "mesh.csv", lambda text: "", "empty file"),
+    (_PERIODIC_MESH, "mesh.csv", lambda text: text.splitlines(True)[0], "no rows"),
+    (_PERIODIC_MESH, "mesh.csv", lambda text: _replace_field(text, 2, "abc"),
+     "line 3 has a non-numeric field"),
+    (_PERIODIC_MESH, "record.txt",
+     lambda text: re.sub(r"^alphas = .*$", "alphas = 1,x", text, flags=re.M),
+     "'alphas = 1,x' is not a list of numbers"),
+    (_TRANSLATOR, "record.txt",
+     lambda text: text.replace("base_kind = orbit", "base_kind = translator"),
+     "'base_kind = translator'"),
+], ids=["empty mesh", "header-only mesh", "non-numeric mesh field",
+        "non-numeric record value", "translator base"])
+def test_verify_rejects_malformed_files(tmp_path, capsys, argv, name, corrupt, message):
+    prefix = argv[0]
+    assert main(argv + ["--mesh-samples=4", "--mesh-count=3", f"--outdir={tmp_path}"]) == 0
+    capsys.readouterr()
+    bad = tmp_path / f"{prefix}_{name}"
+    bad.write_text(corrupt(bad.read_text()))
+    rc = main(["verify", f"--mesh={tmp_path / (prefix + '_mesh.csv')}",
+               f"--record={tmp_path / (prefix + '_record.txt')}"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"lagsol: {bad}: ") and message in err
 
 
 def test_config_file_supplies_options(tmp_path, capsys):

@@ -5,8 +5,10 @@ text of every file written, with the output directory replaced by ``<OUT>``.
 Numbers are compared to a relative tolerance of 1e-12 (``|x - ref| <=
 1e-12 * (1 + |ref|)``); everything between them must match exactly.
 
-Record the file again (only when an output change is intended) with
-``PYTHONPATH=src python tests/test_golden.py``.
+Record entries again (only when an output change is intended) with
+``PYTHONPATH=src python tests/test_golden.py NAME ...``: only the named
+entries are re-recorded (a ``verify_*`` entry reruns its source job) and every
+other entry is kept byte for byte.  With no names every entry is re-recorded.
 """
 
 import contextlib
@@ -14,6 +16,7 @@ import io
 import json
 import re
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -58,12 +61,18 @@ TOL = 1e-12
 NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\w.])")
 
 
-def run_jobs(root: Path) -> dict:
-    """Run every job under root; returns job -> {rc, stdout, files}."""
+def run_jobs(root: Path, names=None) -> dict:
+    """Run the named jobs (every job by default) under root, each verify job
+    after its source job; returns job -> {rc, stdout, files}."""
+    names = set(JOBS) | set(VERIFY) if names is None else set(names)
+    verify = [name for name in VERIFY if name in names]
+    needed = names | {VERIFY[name] for name in verify}
     out = {}
     for name, argv in JOBS.items():
-        out[name] = _run(argv, root / name)
-    for name, source in VERIFY.items():
+        if name in needed:
+            out[name] = _run(argv, root / name)
+    for name in verify:
+        source = VERIFY[name]
         src = root / source
         prefix = JOBS[source][0]
         argv = ["verify", f"--mesh={src / (prefix + '_mesh.csv')}",
@@ -71,6 +80,19 @@ def run_jobs(root: Path) -> dict:
                 f"--residuals={root / name / 'residuals.csv'}"]
         out[name] = _run(argv, root / name)
     return out
+
+
+def record(names=(), path: Path = DATA) -> None:
+    """Re-record the named entries of path, or every entry when names is
+    empty; the other entries are kept as they are."""
+    unknown = sorted(set(names) - set(JOBS) - set(VERIFY))
+    if unknown:
+        raise ValueError(f"unknown golden jobs: {', '.join(unknown)}")
+    with tempfile.TemporaryDirectory() as tmp:
+        fresh = run_jobs(Path(tmp), names or None)
+    data = json.loads(path.read_text()) if names else {}
+    data.update({name: fresh[name] for name in (names or fresh)})
+    path.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
 
 
 def _run(argv, outdir: Path) -> dict:
@@ -118,11 +140,28 @@ def test_the_comparison_catches_a_changed_digit():
     assert _mismatch("S1 x S0 x R1", "S1 x S0 x R1") is None
 
 
-if __name__ == "__main__":
-    import tempfile
+def test_recording_one_entry_keeps_every_other_entry(tmp_path):
+    text = DATA.read_text()
+    before = json.loads(text)
+    # the file is in the recorder's own layout, so kept entries keep their bytes
+    assert json.dumps(before, indent=1, sort_keys=True) + "\n" == text
+    copy = tmp_path / "golden.json"
+    copy.write_text(text)
+    record(["verify_stationary"], copy)
+    after = json.loads(copy.read_text())
+    assert sorted(after) == sorted(before)
+    assert {k: v for k, v in after.items() if k != "verify_stationary"} == \
+        {k: v for k, v in before.items() if k != "verify_stationary"}
+    got, ref = after["verify_stationary"], before["verify_stationary"]
+    assert sorted(got["files"]) == sorted(ref["files"])
+    assert _mismatch(got["stdout"], ref["stdout"]) is None
+    with pytest.raises(ValueError, match="unknown golden jobs: nope"):
+        record(["nope"], copy)
 
-    with tempfile.TemporaryDirectory() as tmp:
-        data = run_jobs(Path(tmp))
-    DATA.parent.mkdir(exist_ok=True)
-    DATA.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+
+if __name__ == "__main__":
+    try:
+        record(sys.argv[1:])
+    except ValueError as exc:
+        sys.exit(f"{sys.argv[0]}: {exc}")
     print(f"wrote {DATA}", file=sys.stderr)

@@ -1,4 +1,5 @@
-"""The angle map and its Jacobian against an mpmath oracle at 30 digits.
+"""The angle map, its Jacobian and the orbit integrals against an mpmath
+oracle at 30 digits.
 
 The oracle integrates phibar_j = int_0^inf a_j / (1 + a_j t^2) P(t)^(-1/2) dt
 with mpmath's tanh-sinh rule, split at the scales 1/sqrt(a_k) and
@@ -18,6 +19,8 @@ from scipy.integrate import quad
 
 from lagsol import expander
 from lagsol.expander import _inv_sqrt_P, _log_growth, _scale_breaks
+from lagsol.params import SolitonParams
+from lagsol.periodic import PeriodicSpec, compute_orbit, critical_point
 
 DPS = 30
 # scaled error |got - ref| / (1 + |ref|); measured 1.1e-16 or better.  The
@@ -144,3 +147,72 @@ def test_minimal_angles_sum_to_half_pi(alpha, a):
         total = mp.fsum(_mp_phibar(mp.mpf(0), [mp.mpf(x) for x in a]))
         assert abs(total - mp.pi / 2) < mp.mpf(10) ** (5 - DPS)
     assert abs(engine_phibar(alpha, a).sum() - math.pi / 2) <= 2 * math.ulp(math.pi / 2)
+
+
+# -- orbit period and holonomies ----------------------------------------------
+
+# (lambdas, alpha, alphas, A): mixed signs, an all-positive shrinker, n = 3
+# with one and with two positive lambdas, and a wider swing
+ORBIT_CASES = [
+    ((1, -1), 0.5, (1, 2), 0.4),
+    ((1, 1), -1.0, (1, 1.5), 0.5),
+    ((1, -1, -1), 0.5, (1, 2, 3), 0.4),
+    ((1, 1, -1), -0.3, (0.7, 1.3, 2), 0.3),
+    ((1, -1), 0.6, (1, 3), 0.5),
+]
+# scaled error; measured 1.2e-15 or better
+ORBIT_TOL = 1e-14
+
+
+def oracle_orbit(lambdas, alpha, alphas, A, u_star, u1, u2):
+    """[S, gamma_1, ..., gamma_n] at DPS digits.
+
+    The critical point and the turning points (roots of log G = log A^2) are
+    found again with findroot, bracketed around the float seeds.  With v = u1 + (u2 - u1)
+    sin^2(xi) each integrand is smooth on [0, pi/2]; G(v) - A^2 is taken as
+    G(end) expm1(log G(v) - log G(end)) from the nearer turning point, so no
+    digits cancel next to either end.
+    """
+    with mp.workdps(DPS):
+        lam = [mp.mpf(l) for l in lambdas]
+        al = [mp.mpf(a) for a in alphas]
+        alpha, A = mp.mpf(alpha), mp.mpf(A)
+
+        def log_growth(anchor, d):      # log G(anchor + d) - log G(anchor)
+            return alpha * d + mp.fsum(mp.log1p(l * d / (a + l * anchor))
+                                       for a, l in zip(al, lam))
+
+        def root(f, seed):
+            """The root of f within 1e-12 of the float seed, by bracketing."""
+            d = 1e-12 * (1 + abs(seed))
+            return mp.findroot(f, (mp.mpf(seed) - d, mp.mpf(seed) + d), solver="anderson")
+
+        log_G = lambda u: log_growth(0, u) + mp.fsum(mp.log(a) for a in al)
+        u_star = root(lambda u: alpha + mp.fsum(l / (a + l * u) for a, l in zip(al, lam)),
+                      u_star)
+        u1, u2 = (root(lambda u: log_G(u) - 2 * mp.log(A), u) for u in (u1, u2))
+        assert u1 < u_star < u2
+        du = u2 - u1
+
+        @lru_cache(maxsize=None)
+        def at(xi):
+            """(v, dv/dxi / sqrt(G(v) - A^2)) at xi."""
+            s, c = mp.sin(xi), mp.cos(xi)
+            anchor, d = (u1, du * s * s) if xi <= mp.pi / 4 else (u2, -du * c * c)
+            gap = mp.exp(log_G(anchor)) * mp.expm1(log_growth(anchor, d))
+            return anchor + d, 2 * du * s * c / mp.sqrt(gap)
+
+        numers = [lambda v: mp.exp(alpha * v / 2)] + [
+            lambda v, a=a, l=l: -A * l / (a + l * v) for a, l in zip(al, lam)]
+        pts = [0, mp.pi / 4, mp.pi / 2]
+        return np.array([float(mp.quad(lambda xi, f=f: f(at(xi)[0]) * at(xi)[1], pts))
+                         for f in numers])
+
+
+@pytest.mark.parametrize("lambdas, alpha, alphas, A", ORBIT_CASES)
+def test_period_and_holonomies_match_oracle(lambdas, alpha, alphas, A):
+    spec = PeriodicSpec(SolitonParams(lambdas, 1.0, alpha), alphas, A)
+    orbit = compute_orbit(spec)
+    assert orbit.case == "oscillating"
+    ref = oracle_orbit(lambdas, alpha, alphas, A, critical_point(spec), orbit.u1, orbit.u2)
+    assert_close([orbit.S, *orbit.gamma], ref, ORBIT_TOL)

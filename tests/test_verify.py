@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from lagsol import verify as V
 from lagsol.expander import ExpanderProfile
 from lagsol.geometry import (_tangent_bases, centred_fd_mean_curvature, centred_frame,
                              quadric_tangent_basis)
@@ -14,7 +15,7 @@ from lagsol.meshing import centred_mesh, quadric_base_points, translator_mesh
 from lagsol.params import SolitonParams
 from lagsol.periodic import OrbitProfile, PeriodicSpec, stationary_spec
 from lagsol.translator import TranslatorProfile, translator_fd_mean_curvature
-from lagsol.verify import VerificationThresholds, _Worst, _fd_subset, _finish, verify_mesh
+from lagsol.verify import _Worst, _fd_subset, _finish, verify_mesh
 
 
 def _with_nan_point(mesh, i):
@@ -60,13 +61,12 @@ def test_a_nan_residual_stays_the_worst():
 
 def _per_point_report(profile, mesh, collect_rows=False):
     """The verifier as one loop over points, each frame built on its own."""
-    th = VerificationThresholds()
     if isinstance(profile, TranslatorProfile):
         curve, lam, T = profile.base, np.asarray(profile.base.lambdas), \
             profile.translation_vector()
-        limits = {"reconstruction": th.reconstruction, "last_coordinate": th.reconstruction,
-                  "stored_angle": th.stored_angle, "maslov": th.stored_angle,
-                  "lagrangian": th.lagrangian, "angle": th.angle, "soliton": th.soliton}
+        limits = {"reconstruction": V.RECONSTRUCTION_TOL, "last_coordinate": V.RECONSTRUCTION_TOL,
+                  "stored_angle": V.STORED_ANGLE_TOL, "maslov": V.STORED_ANGLE_TOL,
+                  "lagrangian": V.LAGRANGIAN_TOL, "angle": V.ANGLE_TOL, "soliton": V.SOLITON_TOL}
         gate = ("reconstruction",)
 
         def own(x, z, t):
@@ -79,9 +79,9 @@ def _per_point_report(profile, mesh, collect_rows=False):
         drive = lambda fp: fp.normal_projection(T)
     else:
         curve, lam = profile, np.asarray(profile.lambdas)
-        limits = {"reconstruction": th.reconstruction, "quadric": th.quadric,
-                  "stored_angle": th.stored_angle, "lagrangian": th.lagrangian,
-                  "angle": th.angle, "soliton": th.soliton}
+        limits = {"reconstruction": V.RECONSTRUCTION_TOL, "quadric": V.QUADRIC_TOL,
+                  "stored_angle": V.STORED_ANGLE_TOL, "lagrangian": V.LAGRANGIAN_TOL,
+                  "angle": V.ANGLE_TOL, "soliton": V.SOLITON_TOL}
         gate = ("reconstruction", "quadric")
         own = lambda x, z, t: {"quadric": abs(float(np.sum(lam * x * x)) - 1.0)}
         frame = lambda x, t: centred_frame(profile, x, t)
@@ -90,7 +90,7 @@ def _per_point_report(profile, mesh, collect_rows=False):
     if hasattr(curve, "prefetch"):
         curve.prefetch(sorted(set(np.asarray(mesh.params, dtype=float).tolist())))
     worst = {name: _Worst() for name in limits}
-    fd_at = set(_fd_subset(len(mesh), th.fd_checks).tolist())
+    fd_at = set(_fd_subset(len(mesh), V.FD_CHECKS).tolist())
     rows = []
     for i in range(len(mesh)):
         t, z = float(mesh.params[i]), mesh.points[i]
