@@ -17,6 +17,7 @@ import argparse
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -30,8 +31,9 @@ from .expander import (ExpanderProfile, angle_map, asymptotic_angles,
                        invert_angle_map)
 from .meshing import centred_mesh, flow_slice_mesh, translator_mesh
 from .params import SolitonParams
-from .periodic import (PeriodicSpec, brakke_family, compute_orbit,
-                       detect_periodicity, search_periodic_data, topology_tag)
+from .periodic import (OrbitConditioningWarning, PeriodicSpec, brakke_family,
+                       compute_orbit, detect_periodicity, search_periodic_data,
+                       topology_tag)
 from .translator import TranslatorProfile
 from .verify import FD_CHECKS, require_verified, verify_mesh
 
@@ -476,17 +478,29 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = lru_cache(maxsize=None)(build_parser)     # built on main's first call
 
 
+def _show_warning(show):
+    """showwarning printing an OrbitConditioningWarning as one lagsol line."""
+    def shown(message, category, *rest):
+        if issubclass(category, OrbitConditioningWarning):
+            print(f"{PROG}: warning: {message}", file=sys.stderr)
+        else:
+            show(message, category, *rest)
+    return shown
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    try:
-        return args._func(_merge_options(args, args._opts))
-    except (LagsolError, OSError) as exc:
-        print(f"{PROG}: {exc}", file=sys.stderr)
-        if isinstance(exc, VerificationError):
-            return 4
-        if isinstance(exc, NumericalError):
-            return 3
-        return 2    # validation errors, unreadable files and any future subclass
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning(warnings.showwarning)
+        try:
+            return args._func(_merge_options(args, args._opts))
+        except (LagsolError, OSError) as exc:
+            print(f"{PROG}: {exc}", file=sys.stderr)
+            if isinstance(exc, VerificationError):
+                return 4
+            if isinstance(exc, NumericalError):
+                return 3
+            return 2    # validation errors, unreadable files and any future subclass
 
 
 if __name__ == "__main__":

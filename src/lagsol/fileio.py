@@ -253,8 +253,7 @@ def read_profile_record(path):
 def _profile_from_keyvalues(kv: dict, path, prefix: str = ""):
     from .expander import ExpanderProfile
     from .params import SolitonParams
-    from .periodic import (HamiltonianStationaryProfile, OrbitProfile, PeriodicSpec,
-                           as_rebased)
+    from .periodic import HamiltonianStationaryProfile, OrbitProfile, PeriodicSpec
     from .translator import TranslatorProfile
 
     def get(key, default=None):
@@ -290,8 +289,9 @@ def _profile_from_keyvalues(kv: dict, path, prefix: str = ""):
                                num("u_star", "0.0"))
     if kind in ("orbit", "stationary"):
         params = SolitonParams(nums("lambdas"), 1.0, num("alpha"))
+        # the record holds the exported profile's spec, already rebased; the
+        # profiles take it as it is
         spec = PeriodicSpec(params, nums("alphas"), num("A"), nums("psi") or None)
-        spec = as_rebased(spec)     # the record holds the exported rebased spec
         if kind == "stationary":
             return HamiltonianStationaryProfile(spec)
         return OrbitProfile(spec)

@@ -6,10 +6,12 @@ Admissible data (normalized lambdas, C = 1, A > 0) comes in two families:
   case (b): lambdas (+1 x m, -1 x (n-m)) with 1 <= m < n, any alpha.
 
 On the band where all radii are positive, G(u) = Q(u) e^{alpha u} is strictly
-log-concave with a unique interior critical point u_*.  Every computation
-here first re-bases the data so u_* = 0; the shift alpha_j -> alpha_j +
-lambda_j u_* must be accompanied by A -> A e^{-alpha u_*/2}, which leaves the
-orbit, its period and its holonomies unchanged.
+log-concave with a unique interior critical point u_*.  The orbit analysis
+re-bases the data once so u_* = 0; the shift alpha_j -> alpha_j + lambda_j u_*
+must be accompanied by A -> A e^{-alpha u_*/2}, which leaves the orbit, its
+period and its holonomies unchanged.  The orbit profiles take the spec they
+are handed: PeriodicOrbit.profile() hands them the rebased one, and a
+profile record stores it.
 
 With G(0) = A^2 exactly, u stays pinned at 0 and the angles evolve linearly
 (Hamiltonian stationary case).  With A^2 < G(0), u oscillates between the two
@@ -40,7 +42,7 @@ from scipy.optimize import brentq
 from . import odeint
 from .errors import CaseMismatch, NonConvergence, ToleranceFailure, ValidationError
 from .params import SolitonParams, require_finite
-from .quadutil import DEFAULT_REL_TOL, orbit_quad
+from .quadutil import orbit_quad
 from .reduced_ode import TrajectorySpec, reduced_system
 
 CASE_I_REL_TOL = 1e-12
@@ -161,31 +163,18 @@ def rebase(spec: PeriodicSpec):
     """Shift the base height so the critical point sits at u = 0.
 
     Returns (rebased spec, u_star).  A is rescaled by e^{-alpha u_*/2}; the
-    orbit and all its invariants are unchanged.  The result is marked
-    (as_rebased) and comes back from rebase as it is: its critical point is
-    0 only to roundoff, and a second shift would move its alphas by an ulp.
-    Only the mark, not the values, says a spec is rebased: search trials often
-    have d/du log G(0) = 0 exactly and are still shifted by their computed u_*.
+    orbit and all its invariants are unchanged.  Orbit data is rebased once,
+    in _analyse: the critical point of a rebased spec is 0 only to roundoff,
+    so rebasing it again would move its alphas by an ulp.
     """
-    if getattr(spec, "_rebased", False):
-        return spec, 0.0
     u_star = critical_point(spec)
-    if u_star == 0.0:
-        return spec, 0.0
     A = spec.A * math.exp(-0.5 * spec.params.alpha * u_star)
     if A == 0.0:
         raise ValidationError(
             f"re-basing A to the critical point u_* = {u_star:.6g} underflows:"
             " A e^(-alpha u_*/2) is below the smallest double")
     alphas = tuple(a + l * u_star for a, l in zip(spec.alphas, spec.params.lambdas))
-    return as_rebased(PeriodicSpec(spec.params, alphas, A, spec.psi)), u_star
-
-
-def as_rebased(spec: PeriodicSpec) -> PeriodicSpec:
-    """spec, marked as having its critical point at u = 0 so that rebase
-    returns it unchanged (profile records store rebased specs)."""
-    object.__setattr__(spec, "_rebased", True)
-    return spec
+    return PeriodicSpec(spec.params, alphas, A, spec.psi), u_star
 
 
 def stationary_spec(params, alphas, psi=None) -> PeriodicSpec:
@@ -222,33 +211,22 @@ def classify_case(spec: PeriodicSpec) -> str:
     return _analyse(spec)[2]
 
 
-def _swing(spec: PeriodicSpec):
-    """(rebased spec, u1, u2) of data that must oscillate."""
-    based, _, case, _ = _analyse(spec)
-    if case == "hamiltonian_stationary":
-        raise CaseMismatch("stationary data has no oscillation band")
-    _warn_if_marginal(based)
-    return (based, *_based_turning_points(based))
-
-
-def _orbit_integrals(based: PeriodicSpec, u1: float, u2: float, rel_tol: float,
+def _orbit_integrals(based: PeriodicSpec, u1: float, u2: float,
                      keep: slice = slice(None)) -> list:
     """[S, gamma_1, ..., gamma_n][keep], one QUADPACK call each on shared nodes."""
     alpha, A = based.params.alpha, based.A
     numers = [("oscillation period", lambda v, rad: math.exp(0.5 * alpha * v))] + [
         ("holonomy", lambda v, rad, j=j, lj=lj: -A * lj / rad[j])
         for j, lj in enumerate(based.params.lambdas)]
-    return orbit_quad(based, u1, u2, numers[keep], rel_tol=rel_tol)
+    return orbit_quad(based, u1, u2, numers[keep])
 
 
-def period(spec: PeriodicSpec, *, rel_tol: float = DEFAULT_REL_TOL) -> float:
-    """u-oscillation period S of an oscillating spec."""
-    return _orbit_integrals(*_swing(spec), rel_tol, slice(1))[0]
-
-
-def holonomies(spec: PeriodicSpec, *, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:
+def holonomies(spec: PeriodicSpec) -> np.ndarray:
     """Per-period phase advances gamma_j of an oscillating spec."""
-    return np.array(_orbit_integrals(*_swing(spec), rel_tol, slice(1, None)))
+    based, _, case, _ = _analyse(spec)
+    if case == "hamiltonian_stationary":
+        raise CaseMismatch("stationary data has no oscillation band")
+    return np.array(_orbit_integrals(based, *_based_turning_points(based), slice(1, None)))
 
 
 def _based_turning_points(based: PeriodicSpec):
@@ -300,51 +278,28 @@ def _polish_root(based: PeriodicSpec, W, u: float, lo: float, hi: float) -> floa
     return u
 
 
-def _warn_if_marginal(based: PeriodicSpec):
-    margin = _stationary_margin(based)
-    if 0 < margin < CONDITIONING_MARGIN:
-        warnings.warn(
-            f"(G(0) - A^2)/G(0) = {margin:.3e}; turning points and period are"
-            " ill-conditioned this close to the stationary case",
-            OrbitConditioningWarning, stacklevel=2)
-
-
-def limit_gamma(spec: PeriodicSpec) -> np.ndarray:
-    """Holonomy limits as A^2 -> G(0): -2 pi lambda_j alpha_j^{-1} (2 sum alpha_k^{-2})^{-1/2}."""
-    return _limit_gamma(rebase(spec)[0])
-
-
-def _limit_gamma(based: PeriodicSpec) -> np.ndarray:
-    lam = np.array(based.params.lambdas)
+def _harmonic_limits(based: PeriodicSpec):
+    """(S, gamma) in the limit A^2 -> G(0) of small oscillations:
+    S = 2 pi (2 prod alpha_k sum alpha_k^{-2})^{-1/2} and
+    gamma_j = -2 pi lambda_j alpha_j^{-1} (2 sum alpha_k^{-2})^{-1/2}."""
     alphas = np.array(based.alphas)
-    norm = math.sqrt(2.0 * float(np.sum(alphas ** -2.0)))
-    return -2.0 * math.pi * lam / (alphas * norm)
-
-
-def limit_period(spec: PeriodicSpec) -> float:
-    """Small-oscillation (harmonic) limit of S as A^2 -> G(0)."""
-    return _limit_period(rebase(spec)[0])
-
-
-def _limit_period(based: PeriodicSpec) -> float:
-    alphas = np.array(based.alphas)
-    return 2.0 * math.pi / math.sqrt(
-        2.0 * float(np.prod(alphas)) * float(np.sum(alphas ** -2.0)))
+    inv_sq = float(np.sum(alphas ** -2.0))
+    gamma = -2.0 * math.pi * np.array(based.params.lambdas) / (
+        alphas * math.sqrt(2.0 * inv_sq))
+    return 2.0 * math.pi / math.sqrt(2.0 * float(np.prod(alphas)) * inv_sq), tuple(gamma)
 
 
 @dataclass(frozen=True)
 class PeriodicOrbit:
-    """Computed orbit invariants of a PeriodicSpec (rebased internally)."""
+    """Computed orbit invariants of a PeriodicSpec; u1 and u2 are heights
+    over the given spec's base point."""
 
-    spec: PeriodicSpec          # as given
-    based: PeriodicSpec         # rebased so the critical point sits at u = 0
-    u_shift: float              # critical point of the original spec
+    based: PeriodicSpec         # the spec rebased so the critical point sits at u = 0
     case: str                   # 'hamiltonian_stationary' or 'oscillating'
     u1: float
     u2: float
     S: float
     gamma: tuple
-    stationary_margin: float
 
     @property
     def gamma_sum(self) -> float:
@@ -357,17 +312,20 @@ class PeriodicOrbit:
         return cls(self.based)
 
 
-def compute_orbit(spec: PeriodicSpec, *, rel_tol: float = DEFAULT_REL_TOL) -> PeriodicOrbit:
-    """Turning points, period and holonomies; stationary data gets its limits."""
+def compute_orbit(spec: PeriodicSpec) -> PeriodicOrbit:
+    """Turning points, period and holonomies; stationary data gets the harmonic
+    limits, and data within CONDITIONING_MARGIN of it an OrbitConditioningWarning."""
     based, shift, case, margin = _analyse(spec)
     if case == "hamiltonian_stationary":
-        return PeriodicOrbit(spec, based, shift, case, shift, shift,
-                             _limit_period(based), tuple(_limit_gamma(based)), margin)
-    _warn_if_marginal(based)
+        return PeriodicOrbit(based, case, shift, shift, *_harmonic_limits(based))
+    if margin < CONDITIONING_MARGIN:
+        warnings.warn(
+            f"(G(0) - A^2)/G(0) = {margin:.3e}; turning points and period are"
+            " ill-conditioned this close to the stationary case",
+            OrbitConditioningWarning, stacklevel=2)
     u1, u2 = _based_turning_points(based)
-    S, *gamma = _orbit_integrals(based, u1, u2, rel_tol)
-    return PeriodicOrbit(spec, based, shift, case, u1 + shift, u2 + shift,
-                         S, tuple(gamma), margin)
+    S, *gamma = _orbit_integrals(based, u1, u2)
+    return PeriodicOrbit(based, case, u1 + shift, u2 + shift, S, tuple(gamma))
 
 
 # -- periodicity detection ---------------------------------------------------
@@ -380,7 +338,6 @@ class PeriodicityVerdict:
     p: tuple | None
     T: float | None
     max_residual: float
-    qmax: int
     tol: float
 
 
@@ -408,18 +365,18 @@ def detect_periodicity(orbit: PeriodicOrbit, *, qmax: int = 64,
         R = math.lcm(*(f.denominator for f in fracs))
         if R > qmax:
             resid = max(abs(x - float(f)) for x, f in zip(c, fracs))
-            return PeriodicityVerdict(False, orbit.case, None, None, None, resid, qmax, tol)
+            return PeriodicityVerdict(False, orbit.case, None, None, None, resid, tol)
         k = [round(x * R) for x in c]
         resid = max(abs(x * R - kk) / R for x, kk in zip(c, k))
         if resid > tol:
-            return PeriodicityVerdict(False, orbit.case, None, None, None, resid, qmax, tol)
+            return PeriodicityVerdict(False, orbit.case, None, None, None, resid, tol)
         g = math.gcd(*k)
         T = 2.0 * math.pi * R / (based.A * abs(rho[0]) * g)
         # with this normalization the rational multipliers q_j = k_j sign(rho_1)/g
         # are integers; report them and r = 1
         sgn = 1 if rho[0] > 0 else -1
         q = tuple(sgn * kk // g for kk in k)
-        return PeriodicityVerdict(True, orbit.case, 1, q, T, resid, qmax, tol)
+        return PeriodicityVerdict(True, orbit.case, 1, q, T, resid, tol)
 
     x = [gj / (2.0 * math.pi) for gj in orbit.gamma]
 
@@ -437,9 +394,9 @@ def detect_periodicity(orbit: PeriodicOrbit, *, qmax: int = 64,
         r_min = r // g
         p_min = tuple(pp // g for pp in p)
         return PeriodicityVerdict(True, orbit.case, r_min, p_min,
-                                  r_min * orbit.S, resid, qmax, tol)
+                                  r_min * orbit.S, resid, tol)
     resid = max(abs(xx - float(f)) for xx, f in zip(x, fracs))
-    return PeriodicityVerdict(False, orbit.case, None, None, None, resid, qmax, tol)
+    return PeriodicityVerdict(False, orbit.case, None, None, None, resid, tol)
 
 
 def _first_denominator(x, gamma, qmax: int, tol: float):
@@ -462,15 +419,17 @@ class HamiltonianStationaryProfile:
 
     phi_j(s) = psi_j - lambda_j A s / alpha_j
     theta(s) = sum(psi) - pi/2 + alpha A s
+
+    spec is kept as handed, so it must be rebased stationary data: A^2 = G(0).
     """
 
     kind = "centred"
 
     def __init__(self, spec: PeriodicSpec):
-        self.spec, _, case, _ = _analyse(spec)
-        if case != "hamiltonian_stationary":
-            raise CaseMismatch(
-                "data does not satisfy A^2 = G(u_*); the u = 0 closed form does not apply")
+        if abs(_stationary_margin(spec)) > CASE_I_REL_TOL:
+            raise CaseMismatch("data does not satisfy A^2 = G(0); the u = 0 closed"
+                               " form needs rebased stationary data")
+        self.spec = spec
         self.lambdas = self.spec.params.lambdas
         self.alpha = self.spec.params.alpha
         self.n = self.spec.n
@@ -498,7 +457,8 @@ class HamiltonianStationaryProfile:
 
 
 class OrbitProfile:
-    """ODE-backed centred profile for an oscillating spec.
+    """ODE-backed centred profile of an oscillating spec, kept as handed: the
+    rebased spec of a PeriodicOrbit or a profile record, integrated from u = 0.
 
     States are cached by s, starting with the base state.  A state not in
     the cache is integrated from the cached state nearest to it, so mesh
@@ -515,13 +475,13 @@ class OrbitProfile:
     atol = 1e-13
 
     def __init__(self, spec: PeriodicSpec):
-        self.spec, _ = rebase(spec)
+        self.spec = spec
         self.tspec = self.spec.trajectory_spec()
         self.lambdas = self.spec.params.lambdas
         self.alpha = self.spec.params.alpha
         self.n = self.spec.n
         self._rhs, self._conserved, self._near_escape = reduced_system(self.tspec)
-        self._cache = {self.tspec.s0: self.tspec.initial_state()}
+        self._cache = {0.0: self.tspec.initial_state()}
 
     def prefetch(self, s_values):
         """Cache the states at s_values.
@@ -725,9 +685,6 @@ def topology_tag(spec: PeriodicSpec) -> str:
 class FlowSlice:
     """Topology descriptor of the time-t slice of the associated flow."""
 
-    m: int
-    n: int
-    t: float
     topology: str
     singular: bool
 
@@ -751,4 +708,4 @@ def brakke_family(spec: PeriodicSpec, t: float) -> FlowSlice:
     else:
         topo = f"cone over S1 x S{m - 1} x S{n - m - 1}"
         singular = True
-    return FlowSlice(m, n, float(t), topo, singular)
+    return FlowSlice(topo, singular)

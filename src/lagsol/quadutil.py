@@ -3,7 +3,7 @@
 ``improper_quad`` integrates a family over [0, inf) on one double-
 exponential (DE) rule run on numpy arrays (Takahasi-Mori 1974): nodes
 t = exp(pi/2 sinh x), the trapezoid rule in x, h halved until, for every
-member, two levels differ by at most rel_tol times that member's integral
+member, two levels differ by at most REL_TOL times that member's integral
 of |f|.  It raises ToleranceFailure when they never do, when a term is not
 finite, or when the terms have not died out at the ends of the x range.
 The angle map phibar_j and its Jacobian are one call each.
@@ -31,7 +31,7 @@ from scipy.integrate import quad
 
 from .errors import ToleranceFailure
 
-DEFAULT_REL_TOL = 1e-11
+REL_TOL = 1e-11         # relative tolerance of every integral here
 
 # DE rule: x range, first step, tail cut-off, levels; the nodes t and
 # weights dt/dx of the finest level, of which level k takes every
@@ -44,12 +44,12 @@ _DE_T = np.exp(0.5 * math.pi * np.sinh(_DE_X))
 _DE_DT = 0.5 * math.pi * np.cosh(_DE_X) * _DE_T
 
 
-def _checked(res, rel_tol, what):
+def _checked(res, what):
     if len(res) > 3:
         # QUADPACK attached a warning message; accept only if the error
         # estimate still meets the requested accuracy.
         val, abserr = res[0], res[1]
-        if abserr > max(100 * rel_tol * abs(val), 1e-12):
+        if abserr > max(100 * REL_TOL * abs(val), 1e-12):
             raise ToleranceFailure(f"quadrature failed for {what}: est. error {abserr:.2e}")
         return val
     return res[0]
@@ -61,19 +61,17 @@ def shared_nodes(rates, n: int) -> list:
     return [lambda x, j=j: memo(x)[j] for j in range(n)]
 
 
-def finite_quad(f, a: float, b: float, *, rel_tol: float = DEFAULT_REL_TOL,
-                breaks=(), what: str = "integral") -> float:
+def finite_quad(f, a: float, b: float, *, breaks=(), what: str = "integral") -> float:
     """Adaptive integral of f over [a, b] with optional interior breakpoints."""
     if a == b:
         return 0.0
     pts = sorted(p for p in breaks if min(a, b) < p < max(a, b))
-    res = quad(f, a, b, epsabs=0.0, epsrel=rel_tol, limit=200,
+    res = quad(f, a, b, epsabs=0.0, epsrel=REL_TOL, limit=200,
                points=pts or None, full_output=1)
-    return _checked(res, rel_tol, what)
+    return _checked(res, what)
 
 
-def improper_quad(rates, *, rel_tol: float = DEFAULT_REL_TOL,
-                  what: str = "integral") -> np.ndarray:
+def improper_quad(rates, *, what: str = "integral") -> np.ndarray:
     """Integrals over [0, inf) of the members of rates(t) -> (members, nodes).
 
     The first level finds where the terms matter; finer levels add
@@ -101,7 +99,7 @@ def improper_quad(rates, *, rel_tol: float = DEFAULT_REL_TOL,
             f = terms(slice(i0 * _DE_STRIDE + step, i1 * _DE_STRIDE, 2 * step))
             total, total_abs = total + f.sum(axis=1), total_abs + np.abs(f).sum(axis=1)
             gap, est = np.abs(h * total - est), h * total
-            if level >= DE_MIN_LEVEL and np.all(gap <= rel_tol * h * total_abs):
+            if level >= DE_MIN_LEVEL and np.all(gap <= REL_TOL * h * total_abs):
                 return est
             if not np.isfinite(gap).all():
                 break
@@ -109,8 +107,7 @@ def improper_quad(rates, *, rel_tol: float = DEFAULT_REL_TOL,
                            f"{float(np.max(gap)):.2e}")
 
 
-def orbit_quad(spec, u1: float, u2: float, numers, *,
-               rel_tol: float = DEFAULT_REL_TOL) -> list:
+def orbit_quad(spec, u1: float, u2: float, numers) -> list:
     """Integrals over one half-swing of numer(v, radii) / sqrt(G(v) - A^2),
     one per (what, numer) pair of numers, on shared nodes.
 
@@ -161,6 +158,6 @@ def orbit_quad(spec, u1: float, u2: float, numers, *,
             pts += [math.pi / 2 - math.asin(math.sqrt(t)),
                     math.pi / 2 - math.asin(math.sqrt(min(10 * t, 0.5)))]
     pts = sorted(set(p for p in pts if 0.0 < p < math.pi / 2))
-    return [_checked(quad(g, 0.0, math.pi / 2, epsabs=0.0, epsrel=rel_tol, limit=400,
-                          points=pts or None, full_output=1), rel_tol, what)
+    return [_checked(quad(g, 0.0, math.pi / 2, epsabs=0.0, epsrel=REL_TOL, limit=400,
+                          points=pts or None, full_output=1), what)
             for g, (what, _) in zip(shared_nodes(rates, len(numers)), numers)]

@@ -41,20 +41,18 @@ DEFAULT_ATOL = 1e-12
 class TrajectorySpec:
     """Initial data for one trajectory of the (normalized) soliton system.
 
-    alphas are the squared radii at the base point s0, i.e. u(s0) = 0.
+    alphas are the squared radii at the base point s = 0, i.e. u(0) = 0.
     """
 
     params: SolitonParams
     alphas: tuple
     phi0: tuple
     theta0: float
-    s0: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
         object.__setattr__(self, "phi0", tuple(float(p) for p in self.phi0))
         object.__setattr__(self, "theta0", float(self.theta0))
-        object.__setattr__(self, "s0", float(self.s0))
         if not self.params.is_normalized:
             raise ValidationError("TrajectorySpec requires normalized params (lambdas +-1, C=1)")
         if len(self.alphas) != self.params.n or len(self.phi0) != self.params.n:
@@ -63,8 +61,8 @@ class TrajectorySpec:
             raise ValidationError("alphas must be positive")
 
     @classmethod
-    def with_first_integral(cls, params, alphas, A, phi0=None, s0=0.0, branch="principal"):
-        """Choose theta0 so the conserved quantity equals A at the base point."""
+    def with_first_integral(cls, params, alphas, A, phi0=None):
+        """theta0 with cos(phi - theta) > 0 and the conserved quantity A at s = 0."""
         alphas = tuple(float(a) for a in alphas)
         n = len(alphas)
         phi0 = tuple(float(p) for p in (phi0 if phi0 is not None else (0.0,) * n))
@@ -72,10 +70,7 @@ class TrajectorySpec:
         ratio = A / root_q
         if abs(ratio) > 1.0:
             raise ValidationError(f"|A| = {abs(A):.6g} exceeds sqrt(Q(0)) = {root_q:.6g}")
-        delta = math.asin(ratio)
-        if branch == "reflected":
-            delta = math.pi - delta
-        return cls(params, alphas, phi0, sum(phi0) - delta, s0)
+        return cls(params, alphas, phi0, sum(phi0) - math.asin(ratio))
 
     @property
     def n(self) -> int:
@@ -89,13 +84,6 @@ class TrajectorySpec:
     def first_integral_value(self) -> float:
         """Value of sqrt(Q) e^{alpha u/2} sin(phi - theta) at the base point."""
         return math.sqrt(math.prod(self.alphas)) * math.sin(sum(self.phi0) - self.theta0)
-
-    def band(self):
-        """Open u-interval on which all radii stay positive."""
-        lam = self.params.lambdas
-        lo = max((-a for a, l in zip(self.alphas, lam) if l > 0), default=-math.inf)
-        hi = min((a for a, l in zip(self.alphas, lam) if l < 0), default=math.inf)
-        return lo, hi
 
     def initial_state(self):
         y = np.empty(self.n + 2)
@@ -207,7 +195,7 @@ class ReducedTrajectory:
 def _run_two_sided(rhs, s0, y0, s_min, s_max, rtol, atol, targets, dense,
                    conserved, near):
     if not (s_min <= s0 <= s_max):
-        raise ValidationError("integration interval must contain the base point s0")
+        raise ValidationError("integration interval must contain the base point s = 0")
     targets = sorted(float(t) for t in targets)
 
     legs = []
@@ -240,9 +228,9 @@ def _run_two_sided(rhs, s0, y0, s_min, s_max, rtol, atol, targets, dense,
 def integrate_reduced(spec: TrajectorySpec, s_min: float, s_max: float, *,
                       rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
                       targets=(), dense: bool = True) -> ReducedTrajectory:
-    """Integrate the reduced system over [s_min, s_max] (must contain s0)."""
+    """Integrate the reduced system over [s_min, s_max] (must contain 0)."""
     rhs, conserved, near = reduced_system(spec)
-    s, y, stats = _run_two_sided(rhs, spec.s0, spec.initial_state(), s_min, s_max,
+    s, y, stats = _run_two_sided(rhs, 0.0, spec.initial_state(), s_min, s_max,
                                  rtol, atol, targets, dense, conserved, near)
     return ReducedTrajectory(spec, s, y, stats)
 
@@ -251,8 +239,8 @@ def sample_reduced(spec: TrajectorySpec, s_points, *, rtol: float = DEFAULT_RTOL
                    atol: float = DEFAULT_ATOL) -> ReducedTrajectory:
     """States at exactly the requested s values (plus the base point)."""
     s_points = sorted(set(float(t) for t in s_points))
-    lo = min(s_points + [spec.s0])
-    hi = max(s_points + [spec.s0])
+    lo = min(s_points + [0.0])
+    hi = max(s_points + [0.0])
     traj = integrate_reduced(spec, lo, hi, rtol=rtol, atol=atol,
                              targets=s_points, dense=False)
     keep = np.isin(traj.s, np.array(s_points))

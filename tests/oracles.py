@@ -129,7 +129,7 @@ def full_first_integral(spec: TrajectorySpec, y) -> float:
 def integrate_full(spec: TrajectorySpec, s_min: float, s_max: float, *,
                    rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
                    targets=(), dense: bool = True) -> FullTrajectory:
-    """Integrate the full system over [s_min, s_max] (must contain s0)."""
+    """Integrate the full system over [s_min, s_max] (must contain 0)."""
     n = spec.n
     alphas = np.array(spec.alphas)
     w0 = np.sqrt(alphas) * np.exp(1j * np.array(spec.phi0))
@@ -146,13 +146,13 @@ def integrate_full(spec: TrajectorySpec, s_min: float, s_max: float, *,
         w = y[0:2 * n:2] + 1j * y[1:2 * n:2]
         return (w.real ** 2 + w.imag ** 2).min() < ESCAPE_COLLAR
 
-    s, y, stats = _run_two_sided(rhs, spec.s0, y0, s_min, s_max, rtol, atol,
+    s, y, stats = _run_two_sided(rhs, 0.0, y0, s_min, s_max, rtol, atol,
                                  targets, dense, conserved, near)
 
     ws = y[:, 0:2 * n:2] + 1j * y[:, 1:2 * n:2]
     theta = y[:, 2 * n]
     # continuous argument lift anchored at the base point
-    i0 = int(np.argmin(np.abs(s - spec.s0)))
+    i0 = int(np.argmin(np.abs(s)))
     phis = np.empty((len(s), n))
     phis[i0] = spec.phi0
     for i in range(i0 + 1, len(s)):

@@ -202,6 +202,17 @@ def test_overflowing_search_step_exits_3(tmp_path, capsys):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+def test_near_stationary_job_warns_on_one_line(tmp_path, capsys):
+    rc = main(["periodic", "--lambdas=1,-1", "--alphas=1,1", "--alpha=0",
+               "--A=0.99999999999", f"--outdir={tmp_path}"])
+    assert rc == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert re.fullmatch(r"lagsol: warning: \(G\(0\) - A\^2\)/G\(0\) = \S+; turning points"
+                        r" and period are ill-conditioned this close to the stationary case",
+                        err[0])
+
+
 def test_one_parser_serves_every_call(tmp_path, capsys):
     cfg = tmp_path / "job.cfg"
     cfg.write_text("alpha = 1.0\ntarget = 0.4,0.4\n")

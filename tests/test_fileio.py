@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lagsol.errors import ValidationError
 from lagsol.expander import ExpanderProfile, asymptotic_angles
@@ -14,9 +16,8 @@ from lagsol.fileio import (mesh_csv_header, projection_matrix, read_keyvalues,
                            write_profile_record, write_residual_csv)
 from lagsol.meshing import centred_mesh, translator_mesh
 from lagsol.params import SolitonParams
-from lagsol.periodic import (HamiltonianStationaryProfile, OrbitProfile, PeriodicSpec,
-                             compute_orbit, detect_periodicity, search_periodic_data,
-                             stationary_spec, topology_tag)
+from lagsol.periodic import (OrbitProfile, PeriodicSpec, compute_orbit, detect_periodicity,
+                             search_periodic_data, stationary_spec, topology_tag)
 from lagsol.translator import TranslatorProfile
 
 
@@ -215,7 +216,7 @@ def test_profile_record_expander(tmp_path):
 def test_profile_record_stationary(tmp_path):
     spec = stationary_spec(SolitonParams((1.0, -1.0), 1.0, 0.0), (1.0, 2.0),
                            (0.4, -0.1))
-    prof = HamiltonianStationaryProfile(spec)
+    prof = compute_orbit(spec).profile()
     path = tmp_path / "prof"
     write_profile_record(path, prof)
     back = read_profile_record(path)
@@ -227,7 +228,7 @@ def test_profile_record_stationary(tmp_path):
 
 def test_profile_record_orbit(tmp_path):
     spec = PeriodicSpec(SolitonParams((1.0, -1.0), 1.0, 0.6), (1.0, 3.0), 0.8)
-    prof = OrbitProfile(spec)
+    prof = compute_orbit(spec).profile()
     path = tmp_path / "prof"
     write_profile_record(path, prof)
     back = read_profile_record(path)
@@ -252,6 +253,31 @@ def test_profile_record_rebuilds_the_exported_profile(tmp_path, lambdas, alphas,
     assert back.spec == prof.spec
     for s in np.linspace(0.0, orbit.S, 4):
         assert np.array_equal(back.w_of(s), prof.w_of(s))
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lambdas=st.sampled_from([(1.0, 1.0), (1.0, 1.0, 1.0),                 # case (a)
+                                (1.0, -1.0), (1.0, 1.0, -1.0), (1.0, -1.0, -1.0)]),
+       rate=st.floats(0.2, 2.0), flip=st.booleans(), stationary=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_profile_record_round_trip_is_exact(tmp_path, make_orbit_spec, lambdas, rate,
+                                            flip, stationary, seed):
+    """A record holds the rebased spec of the exported profile, and reading it
+    back rebuilds that profile bit for bit."""
+    alpha = -rate if min(lambdas) > 0 or flip else rate   # case (a) needs alpha < 0
+    spec = make_orbit_spec(np.random.default_rng(seed), lambdas, alpha)
+    if stationary:
+        spec = stationary_spec(spec.params, spec.alphas)
+    orbit = compute_orbit(spec)
+    prof = orbit.profile()
+    write_profile_record(tmp_path / "prof", prof)
+    back = read_profile_record(tmp_path / "prof")
+    assert type(back) is type(prof)
+    assert back.spec == prof.spec == orbit.based
+    for s in (0.0, 0.3 * orbit.S, orbit.S, -0.7 * orbit.S):
+        assert np.array_equal(back.w_of(s), prof.w_of(s))
+        assert back.theta_of(s) == prof.theta_of(s)
 
 
 def test_profile_record_translator(tmp_path):

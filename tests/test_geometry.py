@@ -11,8 +11,7 @@ from lagsol.geometry import (CentredChart, FramedPoint, centred_fd_mean_curvatur
                              centred_frame, fd_step, mean_curvature_fd,
                              quadric_tangent_basis)
 from lagsol.params import SolitonParams
-from lagsol.periodic import (HamiltonianStationaryProfile, OrbitProfile, PeriodicSpec,
-                             stationary_spec)
+from lagsol.periodic import PeriodicSpec, compute_orbit, stationary_spec
 
 
 # closed forms the frames are checked against
@@ -78,10 +77,10 @@ def example_profiles():
     the ds/dt factor of that parametrization."""
     exp_prof = ExpanderProfile(1.0, (1.0, 2.0))
     minimal = ExpanderProfile(0.0, (0.8, 1.5))
-    hs = HamiltonianStationaryProfile(
-        stationary_spec(SolitonParams((1.0, -1.0), 1.0, 0.0), (1.0, 1.0)))
-    orbit = OrbitProfile(
-        PeriodicSpec(SolitonParams((1.0, -1.0), 1.0, 0.6), (1.0, 3.0), 0.5))
+    hs = compute_orbit(
+        stationary_spec(SolitonParams((1.0, -1.0), 1.0, 0.0), (1.0, 1.0))).profile()
+    orbit = compute_orbit(
+        PeriodicSpec(SolitonParams((1.0, -1.0), 1.0, 0.6), (1.0, 3.0), 0.5)).profile()
     return [
         ("expander", exp_prof, (-1.5, 1.5), lambda t: exp_prof.s_rate_of(t)),
         ("minimal", minimal, (-1.5, 1.5), lambda t: minimal.s_rate_of(t)),
@@ -227,8 +226,8 @@ def test_detectors_see_tampering():
 
 
 def test_chart_stays_on_quadric():
-    prof = OrbitProfile(
-        PeriodicSpec(SolitonParams((1.0, -1.0), 1.0, 0.0), (1.0, 3.0), 0.8))
+    prof = compute_orbit(
+        PeriodicSpec(SolitonParams((1.0, -1.0), 1.0, 0.0), (1.0, 3.0), 0.8)).profile()
     x0 = np.array([math.cosh(0.4), math.sinh(0.4)])
     chart = CentredChart(prof, x0, 0.2)
     for xi in ([0.0], [0.05], [-0.08]):

@@ -16,11 +16,9 @@ from lagsol.geometry import fd_step
 from lagsol.meshing import centred_mesh
 from lagsol.params import SolitonParams
 from lagsol.periodic import (HamiltonianStationaryProfile, OrbitConditioningWarning,
-                             OrbitProfile, PeriodicSpec, brakke_family, classify_case,
-                             compute_orbit, critical_point, detect_periodicity,
-                             holonomies, limit_gamma, limit_period, period, rebase,
+                             PeriodicSpec, brakke_family, classify_case, compute_orbit,
+                             critical_point, detect_periodicity, holonomies, rebase,
                              search_periodic_data, stationary_spec, topology_tag)
-from lagsol.quadutil import DEFAULT_REL_TOL
 from lagsol.reduced_ode import integrate_reduced, reduced_rhs, sample_reduced
 
 
@@ -80,22 +78,6 @@ def test_rebase_preserves_orbit_invariants():
     assert orb.u2 == pytest.approx(orb_based.u2 + shift, abs=1e-9)
 
 
-# the orbit, shrinker and stationary data of the golden jobs
-REBASE_SPECS = {
-    "orbit": spec_of((1.0, -1.0), (1.0, 2.0), 0.4, alpha=0.5),
-    "shrinker": spec_of((1.0, 1.0), (1.0, 1.5), 0.5, alpha=-1.0),
-    "stationary": spec_of((1.0, -1.0), (1.0, 1.0), 1.0),
-}
-
-
-@pytest.mark.parametrize("name", REBASE_SPECS)
-def test_rebase_returns_a_rebased_spec_unchanged(name):
-    based, _ = rebase(REBASE_SPECS[name])
-    again, shift = rebase(based)
-    assert shift == 0.0
-    assert (again.alphas, again.A, again.psi) == (based.alphas, based.A, based.psi)
-
-
 def test_classify_case_branches():
     osc = spec_of((1.0, -1.0), (1.0, 3.0), 0.5)
     assert classify_case(osc) == "oscillating"
@@ -110,7 +92,8 @@ def test_classify_case_branches():
 def test_stationary_profile_closed_form():
     params = SolitonParams((1.0, -1.0), 1.0, 0.0)
     spec = stationary_spec(params, (1.0, 1.0))
-    prof = HamiltonianStationaryProfile(spec)
+    prof = compute_orbit(spec).profile()
+    assert isinstance(prof, HamiltonianStationaryProfile)
     for s in (0.0, 0.3, 1.7, -2.0):
         np.testing.assert_allclose(prof.phis_of(s), [-s, s], atol=1e-14)
         assert prof.theta_of(s) == pytest.approx(-math.pi / 2)
@@ -131,7 +114,7 @@ def test_stationary_detection_minimal_period():
     assert verdict.case == "hamiltonian_stationary"
     assert verdict.p == (1, -1)
     assert verdict.T == pytest.approx(2.0 * math.pi / spec.A, rel=1e-12)
-    prof = HamiltonianStationaryProfile(spec)
+    prof = orbit.profile()
     np.testing.assert_allclose(prof.w_of(verdict.T), prof.w_of(0.0), atol=1e-12)
 
 
@@ -186,7 +169,7 @@ def test_orbit_matches_ode_round_trip(lambdas, alphas, A, alpha):
     spec = spec_of(lambdas, alphas, A, alpha=alpha)
     orbit = compute_orbit(spec)
     assert orbit.case == "oscillating"
-    prof = OrbitProfile(spec)
+    prof = orbit.profile()
     prof.prefetch([0.0, orbit.S, 3.0 * orbit.S])
     for k, tol in ((1, 1e-11), (3, 1e-10)):
         s = k * orbit.S
@@ -217,15 +200,17 @@ def test_angle_advance_sign_tracks_alpha():
 
 
 def test_limit_gamma_one_dimensional():
-    spec = spec_of((1.0,), (2.0,), 0.5, alpha=-1.0)
-    np.testing.assert_allclose(limit_gamma(spec), [-math.sqrt(2.0) * math.pi],
-                               rtol=1e-14)
+    spec = stationary_spec(SolitonParams((1.0,), 1.0, -1.0), (2.0,))
+    orbit = compute_orbit(spec)
+    assert orbit.case == "hamiltonian_stationary"
+    np.testing.assert_allclose(orbit.gamma, [-math.sqrt(2.0) * math.pi], rtol=1e-14)
 
 
 def test_limit_gamma_balanced_pair():
-    spec = spec_of((1.0, -1.0), (1.0, 1.0), 0.5)
-    np.testing.assert_allclose(limit_gamma(spec), [-math.pi, math.pi], rtol=1e-14)
-    assert limit_period(spec) == pytest.approx(math.pi, rel=1e-14)
+    orbit = compute_orbit(stationary_spec(SolitonParams((1.0, -1.0), 1.0, 0.0), (1.0, 1.0)))
+    assert orbit.case == "hamiltonian_stationary"
+    np.testing.assert_allclose(orbit.gamma, [-math.pi, math.pi], rtol=1e-14)
+    assert orbit.S == pytest.approx(math.pi, rel=1e-14)
 
 
 def test_harmonic_limits_attained():
@@ -236,8 +221,9 @@ def test_harmonic_limits_attained():
     stat = stationary_spec(params, alphas)
     near = PeriodicSpec(params, alphas, stat.A * (1.0 - 1e-6))
     orbit = compute_orbit(near)
-    np.testing.assert_allclose(orbit.gamma, limit_gamma(near), atol=1e-2)
-    assert orbit.S == pytest.approx(limit_period(near), abs=1e-2)
+    limit = compute_orbit(stat)
+    np.testing.assert_allclose(orbit.gamma, limit.gamma, atol=1e-2)
+    assert orbit.S == pytest.approx(limit.S, abs=1e-2)
 
 
 def test_abresch_langer_interval_spot_checks():
@@ -249,15 +235,30 @@ def test_abresch_langer_interval_spot_checks():
 
 
 def test_conditioning_warning_near_stationary():
+    """compute_orbit warns once on near-stationary data; holonomies, which the
+    search residual calls on every trial, leaves the warning to it."""
     params = SolitonParams((1.0, -1.0), 1.0, 0.0)
     stat = stationary_spec(params, (1.0, 1.0))
     marginal = PeriodicSpec(params, (1.0, 1.0), stat.A * (1.0 - 1e-11))
-    with pytest.warns(OrbitConditioningWarning):
-        period(marginal)
+    with pytest.warns(OrbitConditioningWarning) as caught:
+        compute_orbit(marginal)
+    assert len(caught) == 1
     healthy = PeriodicSpec(params, (1.0, 1.0), 0.5 * stat.A)
     with warnings.catch_warnings():
-        warnings.simplefilter("error", OrbitConditioningWarning)
-        period(healthy)
+        warnings.simplefilter("error")
+        compute_orbit(healthy)
+        holonomies(marginal)
+
+
+def test_stationary_profile_takes_its_spec_as_handed():
+    """The closed form needs rebased data: the stationary spec of radii
+    (1, 2) has its critical point at u = 1/2, not 0."""
+    spec = stationary_spec(SolitonParams((1.0, -1.0), 1.0, 0.0), (1.0, 2.0))
+    assert classify_case(spec) == "hamiltonian_stationary"
+    with pytest.raises(CaseMismatch):
+        HamiltonianStationaryProfile(spec)
+    based = compute_orbit(spec).based
+    assert HamiltonianStationaryProfile(based).spec is based
 
 
 def test_G_structure(rng, make_orbit_spec):
@@ -300,7 +301,7 @@ def test_balanced_pair_is_isochronous():
         spec = spec_of((1.0, -1.0), (a, a), A)
         np.testing.assert_allclose(holonomies(spec), [-math.pi, math.pi],
                                    atol=1e-10)
-        assert period(spec) == pytest.approx(math.pi, abs=1e-10)
+        assert compute_orbit(spec).S == pytest.approx(math.pi, abs=1e-10)
 
 
 def test_holonomy_map_restricted_jacobian_full_rank(rng):
@@ -375,9 +376,9 @@ def per_r_verdict(orbit, qmax, tol):
             for pp in p:
                 g = math.gcd(g, abs(pp))
             return PeriodicityVerdict(True, orbit.case, r // g, tuple(pp // g for pp in p),
-                                      (r // g) * orbit.S, resid, qmax, tol)
+                                      (r // g) * orbit.S, resid, tol)
     resid = max(abs(xx - float(f)) for xx, f in zip(x, fracs))
-    return PeriodicityVerdict(False, orbit.case, None, None, None, resid, qmax, tol)
+    return PeriodicityVerdict(False, orbit.case, None, None, None, resid, tol)
 
 
 def scan_gammas():
@@ -487,8 +488,7 @@ def test_search_unattainable_target_raises():
         search_periodic_data((1.0, -1.0), 1.0, (-math.pi, math.pi), max_iter=12)
 
 
-def reduction_check(base: PeriodicSpec, alpha_values, *, mirror: bool = False,
-                    rel_tol: float = DEFAULT_REL_TOL):
+def reduction_check(base: PeriodicSpec, alpha_values, *, mirror: bool = False):
     """Add a slot with large base radius and track the surviving holonomies.
 
     Default path: append a lambda = -1 slot with alpha_n -> infinity,
@@ -501,7 +501,7 @@ def reduction_check(base: PeriodicSpec, alpha_values, *, mirror: bool = False,
     records per alpha value.
     """
     base_based, _ = rebase(base)
-    gamma_ref = holonomies(base_based, rel_tol=rel_tol)
+    gamma_ref = holonomies(base_based)
     lam = base_based.params.lambdas
     out = []
     for an in alpha_values:
@@ -516,7 +516,7 @@ def reduction_check(base: PeriodicSpec, alpha_values, *, mirror: bool = False,
             params = SolitonParams((1.0,) + lam, 1.0, base_based.params.alpha)
             spec = PeriodicSpec(params, (an,) + tuple(alphas),
                                 base_based.A * math.sqrt(an))
-            gam = holonomies(spec, rel_tol=rel_tol)
+            gam = holonomies(spec)
             gam_keep, gam_new = gam[1:], gam[0]
         else:
             if lam[0] != 1.0:
@@ -526,7 +526,7 @@ def reduction_check(base: PeriodicSpec, alpha_values, *, mirror: bool = False,
             alphas = (1.0 / inv_a1,) + base_based.alphas[1:] + (an,)
             params = SolitonParams(lam + (-1.0,), 1.0, base_based.params.alpha)
             spec = PeriodicSpec(params, alphas, base_based.A * math.sqrt(an))
-            gam = holonomies(spec, rel_tol=rel_tol)
+            gam = holonomies(spec)
             gam_keep, gam_new = gam[:-1], gam[-1]
         out.append({
             "alpha_n": an,
@@ -579,9 +579,9 @@ def test_brakke_family_slices():
 
 
 def test_orbit_profile_tracks_reduced_system():
-    # the profile is gauge-fixed: it integrates from the rebased base point
+    # the orbit's profile is gauge-fixed: it integrates from the rebased base point
     spec = spec_of((1.0, -1.0), (1.0, 3.0), 0.5, alpha=0.6)
-    prof = OrbitProfile(spec)
+    prof = compute_orbit(spec).profile()
     based, _ = rebase(spec)
     traj = sample_reduced(based.trajectory_spec(), [0.9])
     np.testing.assert_allclose(prof.w_of(0.9),
@@ -602,9 +602,8 @@ def test_orbit_profile_resumes_agree_with_one_integration(rng, make_orbit_spec,
                                                           lambdas, alpha):
     # each query resumes from the nearest cached state; the states must match
     # one integration from the base point through all of them
-    spec = make_orbit_spec(rng, lambdas, alpha)
-    S = compute_orbit(spec).S
-    prof = OrbitProfile(spec)
+    orbit = compute_orbit(make_orbit_spec(rng, lambdas, alpha))
+    S, prof = orbit.S, orbit.profile()
     queries = list(np.linspace(0.0, S, 25))
     for s in queries[::4]:
         h = fd_step(prof.u_of(s))
@@ -624,9 +623,8 @@ def test_orbit_profile_resumes_agree_with_one_integration(rng, make_orbit_spec,
 @ORBIT_CASES
 def test_orbit_mesh_costs_about_one_integration_of_its_span(rng, make_orbit_spec,
                                                             lambdas, alpha):
-    spec = make_orbit_spec(rng, lambdas, alpha)
-    S = compute_orbit(spec).S
-    prof = OrbitProfile(spec)
+    orbit = compute_orbit(make_orbit_spec(rng, lambdas, alpha))
+    S, prof = orbit.S, orbit.profile()
     steps = []
     integrate = odeint.integrate
 
@@ -644,7 +642,7 @@ def test_orbit_mesh_costs_about_one_integration_of_its_span(rng, make_orbit_spec
 
 
 def test_orbit_profile_rejects_non_finite_parameters():
-    prof = OrbitProfile(spec_of((1.0, -1.0), (1.0, 3.0), 0.5, alpha=0.6))
+    prof = compute_orbit(spec_of((1.0, -1.0), (1.0, 3.0), 0.5, alpha=0.6)).profile()
     for s in (math.nan, math.inf):
         with pytest.raises(ValidationError):
             prof.w_of(s)

@@ -15,10 +15,9 @@ from lagsol.reduced_ode import (DOMAIN_FLOOR, TrajectorySpec, eval_Q, first_inte
 from oracles import full_first_integral, integrate_full, lift_state, state_at
 
 
-def make_spec(lambdas, alphas, A, alpha=0.0, phi0=None, branch="principal"):
+def make_spec(lambdas, alphas, A, alpha=0.0, phi0=None):
     params = SolitonParams(lambdas, 1.0, alpha)
-    return TrajectorySpec.with_first_integral(params, alphas, A, phi0=phi0,
-                                              branch=branch)
+    return TrajectorySpec.with_first_integral(params, alphas, A, phi0=phi0)
 
 
 def test_spec_validation():
@@ -50,14 +49,6 @@ def test_first_integral_matches_requested_value():
         y0 = spec.initial_state()
         assert first_integral(spec, y0) == pytest.approx(A, abs=1e-15)
         assert spec.first_integral_value == pytest.approx(A, abs=1e-15)
-
-
-def test_first_integral_reflected_branch():
-    spec = make_spec((1.0, 1.0), (1.0, 1.0), 0.4, branch="reflected")
-    assert spec.first_integral_value == pytest.approx(0.4, abs=1e-15)
-    # reflected branch has cos(phi - theta) < 0, the other intersection
-    d = sum(spec.phi0) - spec.theta0
-    assert math.cos(d) < 0
 
 
 def test_reduced_rhs_stationary_slopes():
@@ -95,7 +86,7 @@ def test_float_system_matches_array_formulas():
     rng = np.random.default_rng(7)
     spec = make_spec((1.0, 1.0, -1.0), (1.2, 0.8, 2.0), 0.45, alpha=0.5)
     rhs, conserved, near_escape = reduced_system(spec)
-    lo, hi = spec.band()
+    lo, hi = -0.8, 2.0      # the band of radii squared 1.2 + u, 0.8 + u and 2 - u
     for u in np.concatenate([rng.uniform(lo, hi, 20), [lo - 0.1, hi + 0.1]]):
         y = np.concatenate([[u], rng.uniform(-4.0, 4.0, spec.n + 1)])
         np.testing.assert_allclose(rhs(0.0, y), _numpy_reduced_rhs(spec, y),

@@ -13,7 +13,7 @@ from lagsol.geometry import (_tangent_bases, centred_fd_mean_curvature, centred_
                              quadric_tangent_basis)
 from lagsol.meshing import centred_mesh, quadric_base_points, translator_mesh
 from lagsol.params import SolitonParams
-from lagsol.periodic import OrbitProfile, PeriodicSpec, stationary_spec
+from lagsol.periodic import PeriodicSpec, compute_orbit, stationary_spec
 from lagsol.translator import TranslatorProfile, translator_fd_mean_curvature
 from lagsol.verify import _Worst, _fd_subset, _finish, verify_mesh
 
@@ -26,7 +26,7 @@ def _with_nan_point(mesh, i):
 
 def test_centred_mesh_with_a_nan_point_fails():
     spec = PeriodicSpec(SolitonParams((1.0, -1.0), 1.0, 0.6), (1.0, 3.0), 0.5)
-    for prof in (ExpanderProfile(1.0, (1.0, 2.0)), OrbitProfile(spec)):
+    for prof in (ExpanderProfile(1.0, (1.0, 2.0)), compute_orbit(spec).profile()):
         mesh = centred_mesh(prof, np.linspace(0.0, 1.0, 4), 3)
         assert verify_mesh(prof, mesh).passed
         report = verify_mesh(prof, _with_nan_point(mesh, 5))
@@ -137,7 +137,7 @@ CASES = {
                  lambda p: centred_mesh(p, np.linspace(-1.2, 1.2, 4), 8)),
     "minimal": (lambda: ExpanderProfile(0.0, (0.8, 1.5)),
                 lambda p: centred_mesh(p, np.linspace(-1.2, 1.2, 4), 8)),
-    "orbit": (lambda: OrbitProfile(ORBIT_SPEC),
+    "orbit": (lambda: compute_orbit(ORBIT_SPEC).profile(),
               lambda p: centred_mesh(p, np.linspace(0.0, 2.0, 4), 8)),
     "translator_expander": (lambda: TranslatorProfile.from_expander_base(1.2, (1.0, 2.0)),
                             lambda p: translator_mesh(p, np.linspace(-1.0, 1.0, 4), 8)),
