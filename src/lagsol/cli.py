@@ -30,7 +30,7 @@ from .errors import (LagsolError, NumericalError, ValidationError,
 from .expander import (ExpanderProfile, angle_map, asymptotic_angles,
                        invert_angle_map)
 from .meshing import centred_mesh, flow_slice_mesh, translator_mesh
-from .params import SolitonParams
+from .params import SolitonParams, require_finite
 from .periodic import (OrbitConditioningWarning, PeriodicSpec, brakke_family,
                        compute_orbit, detect_periodicity, search_periodic_data,
                        topology_tag)
@@ -152,8 +152,10 @@ def _validate_counts(cfg):
         if cfg.get(key) is not None and cfg[key] < 2:
             raise ValidationError(f"--{key} must be at least 2")
     for key in ("tol", "qmax", "y-max", "t-max", "radius", "rho-max", "fd-checks"):
-        if cfg.get(key) is not None and cfg[key] <= 0:
-            raise ValidationError(f"--{key} must be positive")
+        if cfg.get(key) is not None:
+            require_finite(f"--{key}", (cfg[key],))
+            if cfg[key] <= 0:
+                raise ValidationError(f"--{key} must be positive")
 
 
 def _write(cfg, name, suffix, writer, *args, **kwargs):

@@ -159,29 +159,11 @@ class AngleVector:
         """Coordinate angles of the y -> -inf asymptotic plane."""
         return tuple(p - b for p, b in zip(self.psi, self.phibar))
 
-    @property
-    def theta_limits(self) -> tuple:
-        """(lim_{y -> -inf} theta, lim_{y -> +inf} theta)."""
-        sp = sum(self.psi)
-        return (sp - self.total + math.pi, sp + self.total)
-
 
 def _log_growth(alpha: float, a: tuple, t: float) -> float:
     """E(t) = alpha t^2 + sum log(1 + a_k t^2); P = expm1(E)/t^2."""
     t2 = t * t
     return alpha * t2 + sum(math.log1p(x * t2) for x in a)
-
-
-def eval_P(profile: ExpanderProfile, t: float) -> float:
-    """P(t), stable near t = 0; returns the limit sum(a) + alpha there."""
-    a = profile.a
-    alpha = profile.alpha
-    if t == 0.0:
-        return sum(a) + alpha
-    E = _log_growth(alpha, a, t)
-    if E > 700.0:
-        return math.inf
-    return math.expm1(E) / (t * t)
 
 
 def _inv_sqrt_P(alpha: float, a: tuple, t: float) -> float:

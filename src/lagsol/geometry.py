@@ -10,17 +10,22 @@ a translating profile sends a free base point x in R^{n-1} to
     z(x, t) = (x_1 w_1(t), ..., x_{n-1} w_{n-1}(t), -1/2 sum lambda_j x_j^2 + beta(t)).
 
 Everything here works from a small duck-typed profile surface: n, alpha,
-lambdas, u_of(t), w_of(t), wdot_of(t), theta_of(t), theta_rate_of(t) (plus
-beta data for translators, supplied by the caller through TranslatorChart).
+lambdas, u_of(t), w_of(t), wdot_of(t), theta_of(t), theta_rate_of(t).
 Every profile's quadric is normalized to 1 on the right-hand side.
 
 The frame at a point consists of the quadric tangent directions multiplied
 into w plus the curve velocity.  From its complex Gram matrix M = F^H F we
 get the induced metric g = Re M, the Lagrangian defect max |Im M|, the
 Lagrangian angle as arg det of the frame, the mean curvature H = J grad
-theta, and the normal projections entering the soliton equations.  A slow
-finite-difference mean curvature (Laplace-Beltrami of the immersion on a
-local chart, Richardson extrapolated) serves as an independent cross-check.
+theta, and the normal projections entering the soliton equations.
+
+A finite-difference mean curvature serves as an independent cross-check, for
+centred profiles and translators alike: the Laplace-Beltrami operator of the
+immersion on a local chart (xi, t), Richardson extrapolated.  curve_chart
+pairs a base map of the chart offsets xi with the immersion rows of a kind;
+the whole central-difference stencil of both Richardson levels is one array
+of offsets, the curve is read once per distinct t, and the differences and
+Laplace-Beltrami contractions run over the stacked values.
 """
 
 from __future__ import annotations
@@ -215,114 +220,87 @@ def fd_step(u: float) -> float:
     return FD_STEP_SCALE * math.sqrt(1.0 + abs(u))
 
 
-def _fd_derivatives(F, xi0: np.ndarray, h: float):
-    """Central first and second derivatives of F: R^n -> C^n on a full stencil."""
-    n = xi0.size
-    F0 = F(xi0)
-    d1 = np.empty((n,) + F0.shape, dtype=complex)
-    d2 = np.empty((n, n) + F0.shape, dtype=complex)
-    plus = []
-    minus = []
-    for a in range(n):
-        xp = xi0.copy(); xp[a] += h
-        xm = xi0.copy(); xm[a] -= h
-        Fp, Fm = F(xp), F(xm)
-        plus.append(Fp); minus.append(Fm)
-        d1[a] = (Fp - Fm) / (2.0 * h)
-        d2[a, a] = (Fp - 2.0 * F0 + Fm) / (h * h)
-    for a in range(n):
-        for b in range(a + 1, n):
-            xpp = xi0.copy(); xpp[a] += h; xpp[b] += h
-            xpm = xi0.copy(); xpm[a] += h; xpm[b] -= h
-            xmp = xi0.copy(); xmp[a] -= h; xmp[b] += h
-            xmm = xi0.copy(); xmm[a] -= h; xmm[b] -= h
-            mixed = (F(xpp) - F(xpm) - F(xmp) + F(xmm)) / (4.0 * h * h)
-            d2[a, b] = mixed
-            d2[b, a] = mixed
-    return d1, d2
+def _fd_levels(F, n: int, steps) -> np.ndarray:
+    """Second-order FD mean curvature at each step, one row per step.
 
-
-def _laplace_beltrami(d1, d2):
-    """Mean curvature from chart derivatives: g^{ab}(d2_ab - Gamma^c_ab d1_c)."""
-    n = d1.shape[0]
-    g = np.empty((n, n))
-    for a in range(n):
-        for b in range(n):
-            g[a, b] = float(np.sum(d1[a] * np.conj(d1[b])).real)
-    ginv = np.linalg.inv(g)
-    # dg[a, b, d] = partial_a g_{bd} = <d2_ab, d1_d> + <d1_b, d2_ad>
-    dg = np.empty((n, n, n))
-    for a in range(n):
-        for b in range(n):
-            for d in range(n):
-                dg[a, b, d] = float(
-                    np.sum(d2[a, b] * np.conj(d1[d])).real
-                    + np.sum(d1[b] * np.conj(d2[a, d])).real)
-    H = np.zeros(d1.shape[1:], dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            acc = d2[a, b].astype(complex).copy()
-            for c in range(n):
-                gamma = 0.0
-                for d in range(n):
-                    gamma += 0.5 * ginv[c, d] * (dg[a, b, d] + dg[b, a, d] - dg[d, a, b])
-                acc -= gamma * d1[c]
-            H += ginv[a, b] * acc
-    return H
-
-
-def mean_curvature_fd(F, xi0, h: float, *, richardson: bool = True) -> np.ndarray:
-    """Finite-difference H = Laplace-Beltrami of the immersion F at chart point xi0.
-
-    Second-order central differences; with richardson=True the h and h/2
-    results are extrapolated to fourth order.
+    F maps an (m, n) stack of chart offsets to the (m, k) immersion values.
+    One stacked stencil covers every step: per step, the centre, then +-h
+    along each axis a, then (+h, +h), (+h, -h), (-h, +h), (-h, -h) along each
+    pair a < b.  Differences are central, elementwise over the stack.
     """
-    xi0 = np.asarray(xi0, dtype=float)
-    d1, d2 = _fd_derivatives(F, xi0, h)
-    Hh = _laplace_beltrami(d1, d2)
-    if not richardson:
-        return Hh
-    d1, d2 = _fd_derivatives(F, xi0, 0.5 * h)
-    Hh2 = _laplace_beltrami(d1, d2)
+    ia, ib = np.triu_indices(n, 1)
+    axes = np.arange(n)
+    signs = np.zeros((1 + 2 * n + 4 * len(ia), n))
+    signs[1 + 2 * axes, axes], signs[2 + 2 * axes, axes] = 1.0, -1.0
+    pair_rows = 1 + 2 * n + 4 * np.arange(len(ia))
+    for k, (sa, sb) in enumerate(((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))):
+        signs[pair_rows + k, ia], signs[pair_rows + k, ib] = sa, sb
+    h = np.asarray(steps, dtype=float)[:, None, None]
+    V = np.asarray(F((h * signs).reshape(-1, n)), dtype=complex)
+    k = V.shape[-1]
+    V = V.reshape(len(h), len(signs), k)
+    F0, Fp, Fm = V[:, :1], V[:, 1:2 * n + 1:2], V[:, 2:2 * n + 1:2]
+    Q = V[:, 2 * n + 1:].reshape(len(h), len(ia), 4, k)
+    d1 = (Fp - Fm) / (2.0 * h)
+    d2 = np.empty((len(h), n, n, k), dtype=complex)
+    d2[:, axes, axes] = (Fp - 2.0 * F0 + Fm) / (h * h)
+    mixed = (Q[:, :, 0] - Q[:, :, 1] - Q[:, :, 2] + Q[:, :, 3]) / (4.0 * h * h)
+    d2[:, ia, ib] = d2[:, ib, ia] = mixed
+    # Laplace-Beltrami g^ab (d2_ab - Gamma^c_ab d1_c) of the chart metric
+    # g_ab = Re<d1_a, d1_b>, whose Christoffel symbols are Gamma_ab,d = Re<d2_ab, d1_d>
+    ginv = np.linalg.inv(np.einsum("lak,lbk->lab", d1, d1.conj()).real)
+    gamma = np.einsum("lcd,labk,ldk->labc", ginv, d2, d1.conj()).real
+    return np.einsum("lab,labk->lk", ginv, d2 - np.einsum("labc,lck->labk", gamma, d1))
+
+
+def mean_curvature_fd(F, n: int, h: float) -> np.ndarray:
+    """Finite-difference H = Laplace-Beltrami of the immersion at the origin of
+    the n-dimensional chart F: the h and h/2 levels of _fd_levels,
+    Richardson extrapolated to fourth order."""
+    Hh, Hh2 = _fd_levels(F, n, (h, 0.5 * h))
     return (4.0 * Hh2 - Hh) / 3.0
 
 
-class CentredChart:
-    """Local chart (xi, t) around (x0, t0) on a centred-profile immersion.
+def curve_chart(base, rows, t0: float):
+    """The chart (xi, t) -> rows(base(xi), t0 + t) on (m, n) stacks of offsets,
+    for an immersion of an n-fold in C^n.
 
-    Base points move in the tangent plane at x0 and are pulled back to the
-    quadric by the radial scaling x -> x sqrt(1 / sum lambda x^2).
+    base maps stacked offsets xi to base points; rows(xs, t) immerses a stack
+    of base points at curve parameter t.  The curve is read once per distinct
+    t, in the order the stack first reaches it, so profiles whose caches
+    depend on query order see the queries of a point-by-point chart.
     """
+    def chart(coords):
+        xs, dts = base(coords[:, :-1]), coords[:, -1]
+        out = np.empty(coords.shape, dtype=complex)     # n-folds in C^n
+        for dt in dict.fromkeys(dts.tolist()):
+            at = dts == dt
+            out[at] = rows(xs[at], t0 + dt)
+        return out
+    return chart
 
-    def __init__(self, profile, x0, t0: float):
-        self.profile = profile
-        self.x0 = np.asarray(x0, dtype=float)
-        self.t0 = float(t0)
-        self.n = profile.n
-        self.lam = np.asarray(profile.lambdas, dtype=float)
-        if self.n > 1:
-            self.basis = quadric_tangent_basis(profile.lambdas, self.x0)
 
-    def base_point(self, xi):
-        if self.n == 1:
-            return self.x0
-        x = self.x0 + np.asarray(xi) @ self.basis
-        q = float(np.sum(self.lam * x * x))
-        if q <= 0:
+def _quadric_base(lambdas, x0):
+    """Base map of a chart around the quadric point x0: offsets move in the
+    tangent plane at x0 and are pulled back to the quadric by the radial
+    scaling x -> x sqrt(1 / sum lambda x^2)."""
+    lam = np.asarray(lambdas, dtype=float)
+    x0 = np.asarray(x0, dtype=float)
+    if x0.size == 1:            # the quadric is two points: the chart moves in t only
+        return lambda xi: np.tile(x0, (len(xi), 1))
+    basis = quadric_tangent_basis(lam, x0)
+
+    def base(xi):
+        x = x0 + xi @ basis
+        q = np.sum(lam * x * x, axis=-1, keepdims=True)
+        if np.any(q <= 0):
             raise ValidationError("chart left the quadric's radial domain")
-        return x * math.sqrt(1.0 / q)
-
-    def __call__(self, coords):
-        coords = np.asarray(coords, dtype=float)
-        x = self.base_point(coords[:-1])
-        t = self.t0 + coords[-1]
-        return x * np.asarray(self.profile.w_of(t))
-
-    def center(self):
-        return np.zeros(self.n)
+        return x * np.sqrt(1.0 / q)
+    return base
 
 
 def centred_fd_mean_curvature(profile, x, t: float) -> np.ndarray:
     """Finite-difference H at (x, t); the analytic route is mean_curvature()."""
-    chart = CentredChart(profile, x, t)
-    return mean_curvature_fd(chart, chart.center(), fd_step(profile.u_of(t)))
+    chart = curve_chart(_quadric_base(profile.lambdas, x),
+                        lambda xs, s: xs * np.asarray(profile.w_of(s)), t)
+    return mean_curvature_fd(chart, profile.n, fd_step(profile.u_of(t)))

@@ -177,14 +177,6 @@ def rebase(spec: PeriodicSpec):
     return PeriodicSpec(spec.params, alphas, A, spec.psi), u_star
 
 
-def stationary_spec(params, alphas, psi=None) -> PeriodicSpec:
-    """Data with A pinned at sqrt(G(u_*)), the Hamiltonian stationary value."""
-    probe = PeriodicSpec(params, alphas, 1.0, psi)
-    u_star = critical_point(probe)
-    A = math.exp(0.5 * probe.log_G(u_star))
-    return PeriodicSpec(params, alphas, A, psi)
-
-
 def _stationary_margin(spec: PeriodicSpec) -> float:
     """(G(0) - A^2)/G(0) for a rebased spec; 0 exactly at the stationary case."""
     w0 = spec.log_G(0.0) - 2.0 * math.log(spec.A)
@@ -696,6 +688,7 @@ def brakke_family(spec: PeriodicSpec, t: float) -> FlowSlice:
     negative ones; t = 0 is the cone with an isolated singular point at the
     origin.
     """
+    require_finite("t", (t,))
     m, n = spec.m, spec.n
     if not 1 <= m < n:
         raise CaseMismatch("the eternal flow family needs mixed signs (1 <= m < n)")

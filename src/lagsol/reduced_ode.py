@@ -93,19 +93,6 @@ class TrajectorySpec:
         return y
 
 
-def eval_Q(spec: TrajectorySpec, u):
-    """Radius-squared product Q(u) = prod(alpha_j + lambda_j u)."""
-    u = np.asarray(u, dtype=float)
-    rad = np.array(spec.alphas) + np.outer(u, spec.lambdas) if u.ndim else \
-        np.array(spec.alphas) + u * np.array(spec.lambdas)
-    return rad.prod(axis=-1)
-
-
-def reduced_rhs(spec: TrajectorySpec, y):
-    """Right-hand side of the reduced system at state y = [u, phi_1.., theta]."""
-    return np.asarray(reduced_system(spec)[0](0.0, np.asarray(y, dtype=float).tolist()))
-
-
 def reduced_system(spec: TrajectorySpec):
     """(rhs, conserved, near_escape) of the reduced system for odeint.integrate.
 

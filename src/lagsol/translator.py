@@ -22,6 +22,9 @@ first integral A of the base.
 
 The default K = -u_*/2 places the waist at Re beta = 0; with base phases
 psi = 0 the point z(0, 0) then sits at -i pi / (2 alpha).
+
+The base coordinates x are already flat, so the FD mean curvature cross-check
+at (x, t) runs geometry's stacked stencil on the chart (xi, s) -> z(x + xi, t + s).
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import numpy as np
 from .errors import ValidationError
 from .params import require_finite
 from .expander import ExpanderProfile, s_of_y
-from .geometry import FramedPoint, fd_step, mean_curvature_fd
+from .geometry import FramedPoint, curve_chart, fd_step, mean_curvature_fd
 from .periodic import PeriodicSpec, compute_orbit
 
 
@@ -162,41 +165,14 @@ class TranslatorProfile:
             return self.alpha * self.K.imag
         return float(self.theta_of(0.0))
 
-    def maslov_invariant(self, x, t: float) -> float:
-        """theta + alpha Im z_n; equals maslov_constant everywhere."""
-        z = self.immersion(x, t)
-        return float(self.theta_of(t) + self.alpha * z[-1].imag)
-
-    def soliton_residual(self, x, t: float) -> float:
-        """| T_perp - H | at one point."""
-        fp = self.frame_at(x, t)
-        H = fp.mean_curvature()
-        Tp = fp.normal_projection(self.translation_vector())
-        return float(np.linalg.norm(Tp - H))
-
     @property
     def oscillates(self) -> bool:
         """True when the base orbit oscillates in u (case (ii) base)."""
         return self.orbit is not None and self.orbit.case == "oscillating"
 
 
-class TranslatorChart:
-    """Chart (xi, t) around (x0, t0); the base coordinates are already flat."""
-
-    def __init__(self, profile: TranslatorProfile, x0, t0: float):
-        self.profile = profile
-        self.x0 = np.asarray(x0, dtype=float)
-        self.t0 = float(t0)
-        self.n = profile.n
-
-    def __call__(self, coords):
-        coords = np.asarray(coords, dtype=float)
-        return self.profile.immersion(self.x0 + coords[:-1], self.t0 + coords[-1])
-
-    def center(self):
-        return np.zeros(self.n)
-
-
 def translator_fd_mean_curvature(profile: TranslatorProfile, x, t: float) -> np.ndarray:
-    chart = TranslatorChart(profile, x, t)
-    return mean_curvature_fd(chart, chart.center(), fd_step(profile.base.u_of(t)))
+    """Finite-difference H at (x, t); the base coordinates are already flat."""
+    x0 = np.asarray(x, dtype=float)
+    chart = curve_chart(lambda xi: x0 + xi, profile.immersion, t)
+    return mean_curvature_fd(chart, profile.n, fd_step(profile.base.u_of(t)))

@@ -1,4 +1,4 @@
-"""The full soliton system, integrated independently of the reduction.
+"""Independent references the tests check the package against.
 
 The package integrates only the reduced system (u, phi_1..phi_n, theta).
 Here the full system in w_1..w_n in C and theta runs through the same
@@ -8,15 +8,36 @@ stepper, so the tests can check the reduction against it:
     dtheta/ds = alpha Im(e^{-i theta} w_1 ... w_n)
 
 The real state is [Re w_1, Im w_1, ..., Re w_n, Im w_n, theta].
+
+The module also holds the point-by-point finite-difference mean curvature
+the package's stacked one replaced, and small helpers only tests call.
 """
 
 import math
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 
+from lagsol import geometry, translator
+from lagsol.errors import ValidationError
+from lagsol.geometry import fd_step, quadric_tangent_basis
+from lagsol.periodic import PeriodicSpec, critical_point
 from lagsol.reduced_ode import (DEFAULT_ATOL, DEFAULT_RTOL, DOMAIN_FLOOR, ESCAPE_COLLAR,
-                                TrajectorySpec, _run_two_sided)
+                                TrajectorySpec, _run_two_sided, reduced_system)
+
+
+def stationary_spec(params, alphas, psi=None) -> PeriodicSpec:
+    """Data with A pinned at sqrt(G(u_*)), the Hamiltonian stationary value."""
+    probe = PeriodicSpec(params, alphas, 1.0, psi)
+    u_star = critical_point(probe)
+    A = math.exp(0.5 * probe.log_G(u_star))
+    return PeriodicSpec(params, alphas, A, psi)
+
+
+def reduced_rhs(spec: TrajectorySpec, y):
+    """Right-hand side of the reduced system at state y = [u, phi_1.., theta]."""
+    return np.asarray(reduced_system(spec)[0](0.0, np.asarray(y, dtype=float).tolist()))
 
 
 @dataclass(frozen=True)
@@ -170,3 +191,149 @@ def lift_state(spec: TrajectorySpec, state: ReducedState) -> FullState:
         for a, l, p in zip(spec.alphas, lam, state.phis)
     )
     return FullState(state.s, ws, state.theta)
+
+
+# -- the per-point finite-difference oracle ----------------------------------
+#
+# The package's FD mean curvature reads one stacked stencil through
+# geometry.curve_chart.  This is the point-by-point form it replaced: a chart
+# object called once per stencil point, and a looped Laplace-Beltrami.
+
+class CentredChart:
+    """Local chart (xi, t) around (x0, t0) on a centred-profile immersion.
+
+    Base points move in the tangent plane at x0 and are pulled back to the
+    quadric by the radial scaling x -> x sqrt(1 / sum lambda x^2).
+    """
+
+    def __init__(self, profile, x0, t0: float):
+        self.profile = profile
+        self.x0 = np.asarray(x0, dtype=float)
+        self.t0 = float(t0)
+        self.n = profile.n
+        self.lam = np.asarray(profile.lambdas, dtype=float)
+        if self.n > 1:
+            self.basis = quadric_tangent_basis(profile.lambdas, self.x0)
+
+    def base_point(self, xi):
+        if self.n == 1:
+            return self.x0
+        x = self.x0 + np.asarray(xi) @ self.basis
+        q = float(np.sum(self.lam * x * x))
+        if q <= 0:
+            raise ValidationError("chart left the quadric's radial domain")
+        return x * math.sqrt(1.0 / q)
+
+    def __call__(self, coords):
+        coords = np.asarray(coords, dtype=float)
+        x = self.base_point(coords[:-1])
+        t = self.t0 + coords[-1]
+        return x * np.asarray(self.profile.w_of(t))
+
+
+class TranslatorChart:
+    """Chart (xi, t) around (x0, t0); the base coordinates are already flat."""
+
+    def __init__(self, profile, x0, t0: float):
+        self.profile = profile
+        self.x0 = np.asarray(x0, dtype=float)
+        self.t0 = float(t0)
+
+    def __call__(self, coords):
+        coords = np.asarray(coords, dtype=float)
+        return self.profile.immersion(self.x0 + coords[:-1], self.t0 + coords[-1])
+
+
+def fd_derivatives(F, xi0: np.ndarray, h: float):
+    """Central first and second derivatives of F: R^n -> C^n on a full stencil."""
+    n = xi0.size
+    F0 = F(xi0)
+    d1 = np.empty((n,) + F0.shape, dtype=complex)
+    d2 = np.empty((n, n) + F0.shape, dtype=complex)
+    for a in range(n):
+        xp = xi0.copy(); xp[a] += h
+        xm = xi0.copy(); xm[a] -= h
+        Fp, Fm = F(xp), F(xm)
+        d1[a] = (Fp - Fm) / (2.0 * h)
+        d2[a, a] = (Fp - 2.0 * F0 + Fm) / (h * h)
+    for a in range(n):
+        for b in range(a + 1, n):
+            xpp = xi0.copy(); xpp[a] += h; xpp[b] += h
+            xpm = xi0.copy(); xpm[a] += h; xpm[b] -= h
+            xmp = xi0.copy(); xmp[a] -= h; xmp[b] += h
+            xmm = xi0.copy(); xmm[a] -= h; xmm[b] -= h
+            mixed = (F(xpp) - F(xpm) - F(xmp) + F(xmm)) / (4.0 * h * h)
+            d2[a, b] = mixed
+            d2[b, a] = mixed
+    return d1, d2
+
+
+def laplace_beltrami(d1, d2):
+    """Mean curvature from chart derivatives: g^{ab}(d2_ab - Gamma^c_ab d1_c)."""
+    n = d1.shape[0]
+    g = np.empty((n, n))
+    for a in range(n):
+        for b in range(n):
+            g[a, b] = float(np.sum(d1[a] * np.conj(d1[b])).real)
+    ginv = np.linalg.inv(g)
+    # dg[a, b, d] = partial_a g_{bd} = <d2_ab, d1_d> + <d1_b, d2_ad>
+    dg = np.empty((n, n, n))
+    for a in range(n):
+        for b in range(n):
+            for d in range(n):
+                dg[a, b, d] = float(
+                    np.sum(d2[a, b] * np.conj(d1[d])).real
+                    + np.sum(d1[b] * np.conj(d2[a, d])).real)
+    H = np.zeros(d1.shape[1:], dtype=complex)
+    for a in range(n):
+        for b in range(n):
+            acc = d2[a, b].astype(complex).copy()
+            for c in range(n):
+                gamma = 0.0
+                for d in range(n):
+                    gamma += 0.5 * ginv[c, d] * (dg[a, b, d] + dg[b, a, d] - dg[d, a, b])
+                acc -= gamma * d1[c]
+            H += ginv[a, b] * acc
+    return H
+
+
+def pointwise_fd_mean_curvature(profile, x, t: float):
+    """(H, values): the per-point FD mean curvature at (x, t), h and h/2
+    Richardson extrapolated, and every chart value in the order it was read."""
+    if profile.kind == "translator":
+        chart, u = TranslatorChart(profile, x, t), profile.base.u_of(t)
+    else:
+        chart, u = CentredChart(profile, x, t), profile.u_of(t)
+    values = []
+
+    def F(coords):
+        values.append(chart(coords))
+        return values[-1]
+
+    h = fd_step(u)
+    levels = [laplace_beltrami(*fd_derivatives(F, np.zeros(profile.n), step))
+              for step in (h, 0.5 * h)]
+    return (4.0 * levels[1] - levels[0]) / 3.0, np.array(values)
+
+
+def stacked_fd_mean_curvature(profile, x, t: float):
+    """(H, values): the package's FD mean curvature at (x, t), and the values
+    its stacked chart returned, in stencil order."""
+    real = geometry.curve_chart
+    values = []
+
+    def spy(base, rows, t0):
+        chart = real(base, rows, t0)
+
+        def recorded(coords):
+            values.append(chart(coords))
+            return values[-1]
+        return recorded
+
+    with mock.patch.object(geometry, "curve_chart", spy), \
+            mock.patch.object(translator, "curve_chart", spy):
+        if profile.kind == "translator":
+            H = translator.translator_fd_mean_curvature(profile, x, t)
+        else:
+            H = geometry.centred_fd_mean_curvature(profile, x, t)
+    return H, np.concatenate(values)

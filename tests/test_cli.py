@@ -181,6 +181,15 @@ def test_every_subcommand_keeps_its_options():
      "--t=-1,0,1", "--rho-max=nan"],
     ["flow-family", "--lambdas=1,-1", "--alphas=1,2", "--A=0.4", "--alpha=0.5",
      "--t=-1,0,1", "--rho-max=inf"],
+    ["invert-angles", "--alpha=1", "--target=0.4,0.6", "--tol=inf"],
+    ["invert-angles", "--alpha=1", "--target=0.4,0.6", "--tol=nan"],
+    ["periodic-search", "--lambdas=1,1,-1", "--alpha=-1.2666666666666666",
+     "--gamma=-3.5075391617039733,-2.338359441135982,1.4030156646815894", "--tol=inf"],
+    ["periodic-search", "--lambdas=1,1,-1", "--alpha=-1.2666666666666666",
+     "--gamma=-3.5075391617039733,-2.338359441135982,1.4030156646815894", "--tol=nan"],
+    ["periodic", "--lambdas=1,-1", "--alphas=1,2", "--A=0.4", "--alpha=0.5", "--tol=nan"],
+    ["flow-family", "--lambdas=1,-1", "--alphas=1,2", "--A=0.4", "--alpha=0.5", "--t=nan"],
+    ["flow-family", "--lambdas=1,-1", "--alphas=1,2", "--A=0.4", "--alpha=0.5", "--t=inf"],
 ], ids=lambda argv: " ".join(argv))
 def test_non_finite_inputs_exit_2(tmp_path, capsys, argv):
     # main returns rather than raising, so no traceback reaches the user

@@ -17,8 +17,9 @@ from lagsol.fileio import (mesh_csv_header, projection_matrix, read_keyvalues,
 from lagsol.meshing import centred_mesh, translator_mesh
 from lagsol.params import SolitonParams
 from lagsol.periodic import (OrbitProfile, PeriodicSpec, compute_orbit, detect_periodicity,
-                             search_periodic_data, stationary_spec, topology_tag)
+                             search_periodic_data, topology_tag)
 from lagsol.translator import TranslatorProfile
+from oracles import stationary_spec
 
 
 def small_mesh():

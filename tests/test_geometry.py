@@ -7,11 +7,14 @@ import pytest
 
 from lagsol.errors import ValidationError
 from lagsol.expander import ExpanderProfile
-from lagsol.geometry import (CentredChart, FramedPoint, centred_fd_mean_curvature,
-                             centred_frame, fd_step, mean_curvature_fd,
-                             quadric_tangent_basis)
+from lagsol.geometry import (FramedPoint, _fd_levels, _quadric_base,
+                             centred_fd_mean_curvature, centred_frame, fd_step,
+                             mean_curvature_fd, quadric_tangent_basis)
 from lagsol.params import SolitonParams
-from lagsol.periodic import PeriodicSpec, compute_orbit, stationary_spec
+from lagsol.periodic import PeriodicSpec, compute_orbit
+from lagsol.translator import TranslatorProfile
+from oracles import (pointwise_fd_mean_curvature, stacked_fd_mean_curvature,
+                     stationary_spec)
 
 
 # closed forms the frames are checked against
@@ -156,10 +159,9 @@ def test_selfsimilar_residual_small_on_solitons(rng):
 
 def test_mean_curvature_fd_on_circle_oracle():
     R = 1.7
-    t0 = np.array([0.4])
-    F = lambda t: np.array([R * np.exp(1j * float(t[0]))])
-    H = mean_curvature_fd(F, t0, 1e-3)
-    np.testing.assert_allclose(H, -F(t0) / R ** 2, atol=1e-10)
+    F = lambda c: R * np.exp(1j * (0.4 + c))
+    H = mean_curvature_fd(F, 1, 1e-3)
+    np.testing.assert_allclose(H, -F(np.zeros((1, 1)))[0] / R ** 2, atol=1e-10)
 
 
 def test_mean_curvature_fd_on_sphere_oracle():
@@ -169,20 +171,54 @@ def test_mean_curvature_fd_on_sphere_oracle():
     th0, ph0 = math.acos(x0[2]), math.atan2(x0[1], x0[0])
 
     def F(ab):
-        th = th0 + ab[0] + 0.3 * ab[1]
-        ph = ph0 + ab[1]
-        return np.array([math.sin(th) * math.cos(ph),
-                         math.sin(th) * math.sin(ph),
-                         math.cos(th)], dtype=complex)
+        th = th0 + ab[:, 0] + 0.3 * ab[:, 1]
+        ph = ph0 + ab[:, 1]
+        return np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)],
+                        axis=-1).astype(complex)
 
-    center = np.zeros(2)
-    H = mean_curvature_fd(F, center, 1e-3)
-    np.testing.assert_allclose(H, -2.0 * F(center), atol=1e-8)
-    plain = mean_curvature_fd(F, center, 1e-3, richardson=False)
-    err_rich = np.abs(H - (-2.0 * F(center))).max()
-    err_plain = np.abs(plain - (-2.0 * F(center))).max()
+    centre = F(np.zeros((1, 2)))[0]
+    H = mean_curvature_fd(F, 2, 1e-3)
+    np.testing.assert_allclose(H, -2.0 * centre, atol=1e-8)
+    plain = _fd_levels(F, 2, (1e-3,))[0]
+    err_rich = np.abs(H - (-2.0 * centre)).max()
+    err_plain = np.abs(plain - (-2.0 * centre)).max()
     assert err_plain < 1e-4
     assert err_rich < err_plain
+
+
+FD_CASES = {
+    "expander-n1": (lambda: ExpanderProfile(1.0, (1.5,)), (1.0,), 0.4),
+    "expander-n2": (lambda: ExpanderProfile(1.0, (1.0, 2.0)), (0.6, 0.8), 0.5),
+    "expander-n3": (lambda: ExpanderProfile(0.7, (1.0, 2.0, 0.5)), (0.6, 0.0, 0.8), -0.9),
+    "minimal": (lambda: ExpanderProfile(0.0, (0.8, 1.5)), (0.8, 0.6), 0.7),
+    "orbit": (lambda: compute_orbit(PeriodicSpec(
+        SolitonParams((1.0, -1.0), 1.0, 0.6), (1.0, 3.0), 0.5)).profile(),
+        (math.cosh(0.4), math.sinh(0.4)), 0.3),
+    "stationary": (lambda: compute_orbit(stationary_spec(
+        SolitonParams((1.0, -1.0), 1.0, 0.0), (1.0, 1.0))).profile(),
+        (math.cosh(0.2), math.sinh(0.2)), -1.1),
+    "shrinker": (lambda: compute_orbit(PeriodicSpec(
+        SolitonParams((1.0, 1.0), 1.0, -1.0), (1.0, 1.5), 0.5)).profile(), (0.6, 0.8), 0.8),
+    "translator-expander": (lambda: TranslatorProfile.from_expander_base(1.2, (1.0, 2.0)),
+                            (0.7, -0.3), 0.4),
+    "translator-orbit": (lambda: TranslatorProfile.from_orbit_base(PeriodicSpec(
+        SolitonParams((1.0, -1.0), 1.0, 0.5), (1.0, 2.0), 0.4)), (0.7, -0.3), 0.4),
+    "translator-stationary": (lambda: TranslatorProfile.from_orbit_base(stationary_spec(
+        SolitonParams((1.0, -1.0), 1.0, 0.0), (1.0, 1.0))), (0.7, -0.3), -0.6),
+}
+
+
+@pytest.mark.parametrize("name", FD_CASES)
+def test_stacked_fd_oracle_matches_the_pointwise_one(name):
+    """Each kind's stacked stencil reads the same immersion values, bit for
+    bit, as a chart called point by point on fresh profiles (so the
+    order-dependent curve caches see the same first queries), and its
+    Laplace-Beltrami agrees with the looped one to roundoff."""
+    make, x, t = FD_CASES[name]
+    H_ref, ref_values = pointwise_fd_mean_curvature(make(), np.array(x), t)
+    H, values = stacked_fd_mean_curvature(make(), np.array(x), t)
+    assert np.array_equal(values, ref_values)
+    assert np.abs(H - H_ref).max() <= 1e-13 * (1.0 + np.linalg.norm(H_ref))
 
 
 def test_fd_matches_analytic_mean_curvature(rng):
@@ -229,14 +265,13 @@ def test_chart_stays_on_quadric():
     prof = compute_orbit(
         PeriodicSpec(SolitonParams((1.0, -1.0), 1.0, 0.0), (1.0, 3.0), 0.8)).profile()
     x0 = np.array([math.cosh(0.4), math.sinh(0.4)])
-    chart = CentredChart(prof, x0, 0.2)
-    for xi in ([0.0], [0.05], [-0.08]):
-        x = chart.base_point(np.array(xi))
+    base = _quadric_base(prof.lambdas, x0)
+    for x in base(np.array([[0.0], [0.05], [-0.08]])):
         assert np.sum(np.array(prof.lambdas) * x * x) == pytest.approx(1.0, abs=1e-12)
-    np.testing.assert_allclose(chart(np.array([0.0, 0.0])),
-                               x0 * np.asarray(prof.w_of(0.2)), atol=1e-12)
-    with pytest.raises(ValidationError):
-        chart.base_point(np.array([50.0]))          # radial pullback undefined
+    _, values = stacked_fd_mean_curvature(prof, x0, 0.2)
+    np.testing.assert_allclose(values[0], x0 * np.asarray(prof.w_of(0.2)), atol=1e-12)
+    with pytest.raises(ValidationError, match="radial domain"):
+        base(np.array([[50.0]]))                    # radial pullback undefined
 
 
 def test_fd_step_scales_with_height():

@@ -18,8 +18,9 @@ from lagsol.params import SolitonParams
 from lagsol.periodic import (HamiltonianStationaryProfile, OrbitConditioningWarning,
                              PeriodicSpec, brakke_family, classify_case, compute_orbit,
                              critical_point, detect_periodicity, holonomies, rebase,
-                             search_periodic_data, stationary_spec, topology_tag)
-from lagsol.reduced_ode import integrate_reduced, reduced_rhs, sample_reduced
+                             search_periodic_data, topology_tag)
+from lagsol.reduced_ode import integrate_reduced, sample_reduced
+from oracles import reduced_rhs, stationary_spec
 
 
 def spec_of(lambdas, alphas, A, alpha=0.0, psi=None):

@@ -9,10 +9,10 @@ from scipy.optimize import brentq
 from lagsol.errors import DomainEscape, ValidationError
 from lagsol.fileio import write_trajectory_csv
 from lagsol.params import SolitonParams
-from lagsol.reduced_ode import (DOMAIN_FLOOR, TrajectorySpec, eval_Q, first_integral,
-                                integrate_reduced, reduced_rhs, reduced_system,
-                                sample_reduced)
-from oracles import full_first_integral, integrate_full, lift_state, state_at
+from lagsol.reduced_ode import (DOMAIN_FLOOR, TrajectorySpec, first_integral,
+                                integrate_reduced, reduced_system, sample_reduced)
+from oracles import (full_first_integral, integrate_full, lift_state, reduced_rhs,
+                     state_at)
 
 
 def make_spec(lambdas, alphas, A, alpha=0.0, phi0=None):
@@ -31,6 +31,14 @@ def test_spec_validation():
         TrajectorySpec(good, (1.0, -1.0), (0.0, 0.0), 0.0)
     with pytest.raises(ValidationError):
         TrajectorySpec.with_first_integral(good, (1.0, 1.0), 1.5)  # A > sqrt(Q(0))
+
+
+def eval_Q(spec: TrajectorySpec, u):
+    """Radius-squared product Q(u) = prod(alpha_j + lambda_j u)."""
+    u = np.asarray(u, dtype=float)
+    rad = np.array(spec.alphas) + np.outer(u, spec.lambdas) if u.ndim else \
+        np.array(spec.alphas) + u * np.array(spec.lambdas)
+    return rad.prod(axis=-1)
 
 
 def test_eval_Q_values():

@@ -13,9 +13,10 @@ from lagsol.geometry import (_tangent_bases, centred_fd_mean_curvature, centred_
                              quadric_tangent_basis)
 from lagsol.meshing import centred_mesh, quadric_base_points, translator_mesh
 from lagsol.params import SolitonParams
-from lagsol.periodic import PeriodicSpec, compute_orbit, stationary_spec
+from lagsol.periodic import PeriodicSpec, compute_orbit
 from lagsol.translator import TranslatorProfile, translator_fd_mean_curvature
 from lagsol.verify import _Worst, _fd_subset, _finish, verify_mesh
+from oracles import stationary_spec
 
 
 def _with_nan_point(mesh, i):
