@@ -425,9 +425,9 @@ def cmd_flow_family(cfg) -> int:
     orbit = compute_orbit(spec)
     profile = orbit.profile()
     ss = np.linspace(0.0, orbit.S, cfg["mesh-samples"])
+    families = [brakke_family(spec, t) for t in cfg["t"]]   # every t checked first
     pairs = []
-    for i, t in enumerate(cfg["t"]):
-        fam = brakke_family(spec, t)
+    for i, (t, fam) in enumerate(zip(cfg["t"], families)):
         mesh = flow_slice_mesh(profile, t, ss, cfg["mesh-count"],
                                seed=cfg["seed"], rho_max=cfg["rho-max"])
         p = _write(cfg, "flow_family", f"slice{i}.csv", fileio.write_mesh_csv, mesh)

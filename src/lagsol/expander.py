@@ -20,14 +20,19 @@ the minimal case alpha = 0, and is inverted here by a damped Newton
 iteration in logarithmic coordinates.
 
 P is computed via expm1/log1p, so small t loses nothing to cancellation,
-and as t e^(-E/2) once E = log(1 + t^2 P) exceeds 700.  The angle map and
-its Jacobian are two families on one double-exponential rule each
-(``quadutil.improper_quad``, numpy integrands); the DE map spreads the
-decades between the peak scales 1/sqrt(a_j) evenly, so a ~ 1e13 needs no
-special handling.  The phase increments phi_j(y) - psi_j and s_of_y stay on
-QUADPACK, with geometric ladders of breakpoints at those scales
-(``_scale_breaks``); moving them would change the exported phases in their
-last digits.
+and as t e^(-E/2) once E = log(1 + t^2 P) exceeds 700.  Each quantity runs
+on one rule of ``quadutil``:
+
+- the angle map phibar and its Jacobian: one double-exponential family each
+  (``improper_quad``); the DE map spreads the decades between the peak
+  scales 1/sqrt(a_j) evenly, so a ~ 1e13 needs no special handling;
+- the phases phi_j(y) - psi_j: Gauss-Legendre panels over the gaps between
+  heights (``gauss_panels``) on phibar's integrand ``_phase_family``, a
+  whole batch of heights in one call; the profile table and the meshes
+  fill the per-profile cache this way (``ExpanderProfile.prefetch``), and
+  a single height is a batch of one;
+- s_of_y, which only minimal-base translators read: QUADPACK, with
+  geometric ladders of breakpoints at the peak scales (``_scale_breaks``).
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ import numpy as np
 
 from .errors import InvalidTarget, NonConvergence, ValidationError
 from .params import require_finite
-from .quadutil import finite_quad, improper_quad, shared_nodes
+from .quadutil import finite_quad, gauss_panels, improper_quad
 
 NEWTON_MAX_ITER = 50
 NEWTON_TOL = 1e-10
@@ -108,6 +113,10 @@ class ExpanderProfile:
 
     def u_of(self, y: float) -> float:
         return self.u_star + y * y
+
+    def prefetch(self, ys) -> None:
+        """Hold the phases at every height of ys, integrated as one batch."""
+        self._phases.fill([abs(float(y)) for y in ys])
 
     def wdot_of(self, y: float):
         """dw/dy: radii grow like y/r_j, phases like 1/(r_j^2 sqrt(P))."""
@@ -179,7 +188,7 @@ def _inv_sqrt_P(alpha: float, a: tuple, t: float) -> float:
 def _scale_breaks(alpha: float, a: tuple):
     """Characteristic t-scales, each expanded into a geometric ladder.
 
-    The phase integrands turn over at t ~ a_j^{-1/2} but their power-law
+    The s_of_y integrand turns over at t ~ a_j^{-1/2} but its power-law
     shoulders extend for several decades; a single breakpoint lets the
     adaptive rule skip the shoulder entirely when the scales are extreme
     (a ~ 1e13 say), so each scale contributes a 10^k ladder of breakpoints.
@@ -196,47 +205,50 @@ def _scale_breaks(alpha: float, a: tuple):
     return sorted(out)
 
 
-def _phase_rates(alpha: float, a: tuple):
-    """t -> [d phi_j / dt for each j]."""
-    def rates(t):
-        isp = _inv_sqrt_P(alpha, a, t)
-        return [aj / ((1.0 + aj * t * t)) * isp for aj in a]
-    return rates
-
-
 class _PhaseCache:
     """Exact phase increments integral_0^h d phi_j, by height h = |y| >= 0.
 
     A height not yet held is integrated from the held height nearest to it
-    (0 is always held), so sorted heights chain into one pass over their
-    span and an FD stencil point integrates only its offset from its centre.
-    The last digits of a value depend on the order of the queries.
+    (0 is always held); the missing heights that share that start and lie
+    on one side of it chain outward from it, gap by gap.  So sorted heights
+    make one pass over their span, an FD stencil point integrates only its
+    offset from its centre, and every gap of a batch is one Gauss-Legendre
+    family.  The last digits of a value depend on the order of the queries.
     """
 
     def __init__(self, alpha: float, a: tuple):
-        self.n = len(a)
-        self.rates = _phase_rates(alpha, a)
-        self.breaks = _scale_breaks(alpha, a)
+        self.rates = _phase_family(alpha, a)
         self.heights = [0.0]                      # sorted
         self.values = {0.0: (0.0,) * len(a)}
 
+    def fill(self, hs) -> None:
+        """Hold every height of hs (each >= 0)."""
+        legs = {}
+        for h in sorted(set(hs) - self.values.keys()):
+            if not math.isfinite(h):
+                raise ValidationError(f"profile height {h!r} is not finite")
+            k = bisect.bisect(self.heights, h)
+            near = min(self.heights[max(k - 1, 0):k + 1], key=lambda c: abs(c - h))
+            legs.setdefault((near, h > near), []).append(h)
+        if not legs:
+            return
+        chains = [[near] + (targets if up else targets[::-1])
+                  for (near, up), targets in legs.items()]
+        gaps = gauss_panels(self.rates, [c for ch in chains for c in ch[:-1]],
+                            [c for ch in chains for c in ch[1:]], what="phi increment")
+        ends = np.cumsum([len(ch) - 1 for ch in chains])[:-1]
+        for ch, steps in zip(chains, np.split(gaps, ends, axis=1)):
+            vals = np.cumsum(np.column_stack([self.values[ch[0]], steps]), axis=1)
+            self.values.update(zip(ch[1:], map(tuple, vals[:, 1:].T.tolist())))
+        self.heights = sorted(self.values)
+
     def increments(self, y: float) -> tuple:
         """integral_0^y of the phi_j integrands, one value per j (odd in y)."""
-        if not math.isfinite(y):
-            raise ValidationError(f"profile height {y!r} is not finite")
         h = abs(y)
         inc = self.values.get(h)
         if inc is None:
-            k = bisect.bisect(self.heights, h)
-            near = min(self.heights[max(k - 1, 0):k + 1], key=lambda c: abs(c - h))
-            lo, hi = min(near, h), max(near, h)
-            sign = 1.0 if h > near else -1.0
-            fs = shared_nodes(self.rates, self.n)
-            inc = tuple(v + sign * finite_quad(f, lo, hi, breaks=self.breaks,
-                                               what="phi increment")
-                        for v, f in zip(self.values[near], fs))
-            self.heights.insert(k, h)
-            self.values[h] = inc
+            self.fill((h,))
+            inc = self.values[h]
         return inc if y >= 0.0 else tuple(-v for v in inc)
 
 
@@ -251,6 +263,19 @@ def profile_eval(profile: ExpanderProfile, y: float) -> ProfilePoint:
     return ProfilePoint(y, r, phis, theta)
 
 
+def profile_table(profile: ExpanderProfile, ys):
+    """profile_eval at each height of ys, as arrays: radii and lifted phases
+    (len(ys), n) and theta (len(ys),).  The phases are one batch."""
+    ys = np.asarray(ys, dtype=float)
+    profile.prefetch(ys)
+    held = profile._phases.values
+    inc = np.array([held[abs(y)] for y in ys.tolist()]).reshape(len(ys), profile.n)
+    phis = np.array(profile.psi) + np.where(ys[:, None] >= 0.0, inc, -inc)
+    r = np.sqrt(1.0 / np.array(profile.a) + (ys * ys)[:, None])
+    arg = [math.atan2(_inv_sqrt_P(profile.alpha, profile.a, y), y) for y in ys.tolist()]
+    return r, phis, phis.sum(axis=1) + arg
+
+
 def _growth_arrays(alpha: float, av: np.ndarray, t: np.ndarray):
     """t^2, E and P^(-1/2) at nodes t > 0 (av: a as a column), as in _inv_sqrt_P."""
     t2 = t * t
@@ -261,7 +286,7 @@ def _growth_arrays(alpha: float, av: np.ndarray, t: np.ndarray):
 
 
 def _phase_family(alpha: float, a: tuple):
-    """t -> (n, nodes) array of d phi_j / dt, the numpy form of _phase_rates."""
+    """t -> (n, nodes) array of d phi_j / dt = a_j / (1 + a_j t^2) P(t)^(-1/2), t > 0."""
     av = np.array(a)[:, None]
 
     def rates(t):

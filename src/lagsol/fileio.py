@@ -138,17 +138,16 @@ def write_trajectory_csv(path, traj) -> None:
 
 def write_profile_csv(path, profile, y_values) -> None:
     """Expander-style profile table: y, r_1..r_n, phi_1..phi_n, theta."""
-    from .expander import profile_eval
+    from .expander import profile_table
     path = Path(path)
     n = profile.n
+    r, phis, theta = profile_table(profile, y_values)
+    rows = np.column_stack([np.asarray(y_values, dtype=float), r, phis, theta])
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["y"] + [f"r_{j}" for j in range(1, n + 1)]
                         + [f"phi_{j}" for j in range(1, n + 1)] + ["theta"])
-        for y in y_values:
-            pt = profile_eval(profile, float(y))
-            writer.writerow([_fmt(y)] + [_fmt(r) for r in pt.r]
-                            + [_fmt(p) for p in pt.phis] + [_fmt(pt.theta)])
+        writer.writerows([_fmt(v) for v in row] for row in rows.tolist())
 
 
 def write_plane_report_csv(path, angles) -> None:

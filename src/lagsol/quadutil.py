@@ -1,24 +1,25 @@
-"""Quadrature helpers shared by the profile and orbit modules.
+"""Quadrature rules shared by the profile and orbit modules.
 
-``improper_quad`` integrates a family over [0, inf) on one double-
-exponential (DE) rule run on numpy arrays (Takahasi-Mori 1974): nodes
-t = exp(pi/2 sinh x), the trapezoid rule in x, h halved until, for every
-member, two levels differ by at most REL_TOL times that member's integral
-of |f|.  It raises ToleranceFailure when they never do, when a term is not
-finite, or when the terms have not died out at the ends of the x range.
-The angle map phibar_j and its Jacobian are one call each.
+Each quantity runs on one rule:
 
-``finite_quad`` and ``orbit_quad`` stay on QUADPACK (via scipy): moving
-them would change the last digits of the exported phases and orbits, and
-the finite-difference check of the phases sits near its roundoff floor.
-Orbit integrals go through
-v = u1 + (u2 - u1) sin^2(xi), whose Jacobian sin(2 xi) cancels the
-inverse-square-root endpoint singularities.  A QUADPACK family over one
-interval with the same breakpoints (the phase increments of one gap, an
-orbit's S and gamma_j) shares a per-node core: ``shared_nodes`` computes it
-once per node and serves each integral, still one QUADPACK call apiece,
-with the float a stand-alone integrand would give, so every integral is
-bit-for-bit that of a separate call.
+- the angle map phibar_j and its Jacobian, integrals over [0, inf): one
+  double-exponential (DE) family each, ``improper_quad`` (Takahasi-Mori
+  1974): nodes t = exp(pi/2 sinh x), the trapezoid rule in x, h halved
+  until, for every member, two levels differ by at most REL_TOL times that
+  member's integral of |f|;
+- the expander phase increments phi_j(y) - psi_j, integrals over finite
+  gaps between heights: Gauss-Legendre panels, ``gauss_panels``, every gap
+  of a batch and every member in one numpy call per level;
+- the translator arc parameter s_of_y (``finite_quad``) and an orbit's
+  period and holonomies (``orbit_quad``): QUADPACK, via scipy.
+
+Orbit integrals go through v = u1 + (u2 - u1) sin^2(xi), whose Jacobian
+sin(2 xi) cancels the inverse-square-root endpoint singularities.  The
+orbit family over one interval shares a per-node core: ``shared_nodes``
+computes it once per node and serves each integral, still one QUADPACK
+call apiece, with the float a stand-alone integrand would give, so every
+integral is bit-for-bit that of a separate call.  Every rule raises
+ToleranceFailure when it cannot meet REL_TOL.
 """
 
 from __future__ import annotations
@@ -42,6 +43,18 @@ _DE_STRIDE = 2 ** DE_MAX_LEVEL
 _DE_X = np.linspace(DE_X_LO, DE_X_HI, round((DE_X_HI - DE_X_LO) / DE_H0) * _DE_STRIDE + 1)
 _DE_T = np.exp(0.5 * math.pi * np.sinh(_DE_X))
 _DE_DT = 0.5 * math.pi * np.cosh(_DE_X) * _DE_T
+
+# Gauss-Legendre panels: the bisection levels and the live panels a family
+# may use before it gives up; the 8-point nodes and weights on [-1, 1], as
+# numpy.polynomial.legendre.leggauss(8) gives them, written out because
+# computing them at import runs LAPACK's eigensolver (0.9 MB more memory)
+GL_MAX_LEVEL, GL_MAX_PANELS = 50, 100_000
+_GL_X = np.array([0.18343464249564978, 0.525532409916329, 0.7966664774136267,
+                  0.9602898564975362])
+_GL_W = np.array([0.36268378337836166, 0.3137066458778869, 0.22238103445337443,
+                  0.10122853629037706])
+_GL_X, _GL_W = np.concatenate([-_GL_X[::-1], _GL_X]), np.concatenate([_GL_W[::-1], _GL_W])
+GL_ORDER = len(_GL_X)
 
 
 def _checked(res, what):
@@ -105,6 +118,47 @@ def improper_quad(rates, *, what: str = "integral") -> np.ndarray:
                 break
     raise ToleranceFailure(f"quadrature failed for {what}: levels differ by "
                            f"{float(np.max(gap)):.2e}")
+
+
+def gauss_panels(rates, lo, hi, *, what: str = "integral") -> np.ndarray:
+    """Integrals over the gaps [lo_g, hi_g] of the members of rates(t) ->
+    (members, nodes), as a (members, gaps) array; hi_g < lo_g negates.
+
+    Each gap is a GL_ORDER-point panel checked against its two halves: the
+    halves are taken when, for every member, their sum is within REL_TOL of
+    the panel relative to that sum.  Otherwise each half becomes a panel,
+    checked against its own halves.  A level is one rates call over the
+    nodes of every panel it checks.
+    """
+    def panels(lo, hi):
+        half = 0.5 * (hi - lo)
+        f = rates(((lo + half)[:, None] + half[:, None] * _GL_X).ravel())
+        return (f.reshape(len(f), len(lo), GL_ORDER) @ _GL_W) * half
+
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    m, mid, owner = len(lo), 0.5 * (lo + hi), np.arange(len(lo))
+    with np.errstate(all="ignore"):
+        f = panels(np.concatenate([lo, lo, mid]), np.concatenate([hi, mid, hi]))
+        whole, parts = f[:, :m], f[:, m:]
+        out = np.zeros_like(whole)
+        for _ in range(GL_MAX_LEVEL):
+            fine = parts[:, :m] + parts[:, m:]
+            if not np.isfinite(fine).all():
+                raise ToleranceFailure(f"quadrature failed for {what}: integrand not finite")
+            gap = np.abs(fine - whole)
+            done = (gap <= REL_TOL * np.abs(fine)).all(axis=0)
+            np.add.at(out.T, owner[done], fine[:, done].T)
+            if done.all():
+                return out
+            split = np.concatenate([~done, ~done])
+            if np.count_nonzero(split) > GL_MAX_PANELS:
+                break
+            lo, hi = np.concatenate([lo, mid])[split], np.concatenate([mid, hi])[split]
+            whole, owner = parts[:, split], np.concatenate([owner, owner])[split]
+            m, mid = len(lo), 0.5 * (lo + hi)
+            parts = panels(np.concatenate([lo, mid]), np.concatenate([mid, hi]))
+    raise ToleranceFailure(f"quadrature failed for {what}: panels and their halves "
+                           f"differ by {float(np.max(gap)):.2e}")
 
 
 def orbit_quad(spec, u1: float, u2: float, numers) -> list:

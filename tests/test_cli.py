@@ -599,6 +599,16 @@ def test_flow_family_slices(tmp_path, capsys):
     assert "singular at the origin" in out
 
 
+def test_flow_family_checks_every_time_before_writing(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main(["flow-family", "--lambdas=1,-1", "--alphas=1,2", "--A=0.4", "--alpha=0.5",
+               "--t=1,inf", "--mesh-samples=4", "--mesh-count=3", f"--outdir={out}"])
+    assert rc == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_flow_family_rejects_compact_case(capsys):
     rc = main(["flow-family", "--lambdas", "1,1", "--alphas", "1,1",
                "--A", "0.7", "--alpha", "-1", "--t", "0,1"])

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from lagsol import cli, quadutil
+from lagsol import cli, expander, quadutil
 from lagsol.errors import InvalidTarget, ValidationError
 from lagsol.expander import (ExpanderProfile, _log_growth, _scale_breaks, angle_map,
                              angle_map_jacobian, asymptotic_angles, invert_angle_map,
-                             profile_eval, s_of_y)
+                             profile_eval, profile_table, s_of_y)
 from lagsol.geometry import fd_step
-from lagsol.quadutil import finite_quad
+from lagsol.quadutil import finite_quad, gauss_panels
 
 
 def eval_P(profile: ExpanderProfile, t: float) -> float:
@@ -353,13 +353,41 @@ def test_phase_cache_belongs_to_the_profile():
 
 
 def test_expander_export_integrand_budget(tmp_path):
-    fevals = []
+    # integrand nodes of the phase rule over a default-size export; the
+    # expander curve makes no QUADPACK call
+    nodes = []
 
-    def quad_neval(*args, **kwargs):
-        res = quad(*args, **kwargs)
-        fevals.append(res[2]["neval"])   # lagsol always asks for full_output
-        return res
+    def counted(rates, lo, hi, **kwargs):
+        def rates_counted(t):
+            nodes.append(t.size)
+            return rates(t)
+        return gauss_panels(rates_counted, lo, hi, **kwargs)
 
-    with mock.patch.object(quadutil, "quad", side_effect=quad_neval):
+    with mock.patch.object(expander, "gauss_panels", side_effect=counted), \
+            mock.patch.object(quadutil, "quad", wraps=quadutil.quad) as q:
         assert cli.main(["expander", "--alpha=1", "--a=1,2", f"--outdir={tmp_path}"]) == 0
-    assert 0 < sum(fevals) <= 15_000
+    assert 0 < sum(nodes) <= 15_000
+    assert q.call_count == 0
+
+
+def test_profile_table_is_profile_eval_on_arrays():
+    prof = ExpanderProfile(0.5, (0.3, 1.0, 7.0), (0.1, -0.2, 0.3))
+    ys = np.concatenate([np.linspace(-1.5, 1.5, 200), [-0.0, 0.0, 4.0]])
+    r, phis, theta = profile_table(prof, ys)
+    for k, y in enumerate(ys.tolist()):
+        pt = profile_eval(prof, y)
+        assert (pt.r, pt.phis, pt.theta) == (tuple(r[k]), tuple(phis[k]), theta[k])
+
+
+def test_prefetch_fills_the_phase_cache_in_one_batch():
+    prof = ExpanderProfile(1.0, (1.0, 2.0))
+    with mock.patch.object(expander, "gauss_panels", wraps=expander.gauss_panels) as gp:
+        prof.prefetch(np.linspace(-1.5, 1.5, 200))
+        prof.prefetch(np.linspace(-1.5, 1.5, 30))
+        assert gp.call_count == 2
+        prof.prefetch([1.5, -1.5, 0.0, -0.0])          # held already
+        assert gp.call_count == 2
+        profile_eval(prof, 0.3 + 1e-3)                # a single height: a batch of one
+        assert gp.call_count == 3
+    with pytest.raises(ValidationError, match="not finite"):
+        prof.prefetch([0.5, math.nan])

@@ -275,6 +275,6 @@ def test_chart_stays_on_quadric():
 
 
 def test_fd_step_scales_with_height():
-    assert fd_step(0.0) == pytest.approx(1e-3)
-    assert fd_step(3.0) == pytest.approx(2e-3)
+    assert fd_step(0.0) == pytest.approx(2e-3)
+    assert fd_step(3.0) == pytest.approx(4e-3)
     assert fd_step(-3.0) == fd_step(3.0)

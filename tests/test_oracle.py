@@ -1,5 +1,5 @@
-"""The angle map, its Jacobian and the orbit integrals against an mpmath
-oracle at 30 digits.
+"""The angle map, its Jacobian, the expander phases and the orbit integrals
+against an mpmath oracle at 30 digits.
 
 The oracle integrates phibar_j = int_0^inf a_j / (1 + a_j t^2) P(t)^(-1/2) dt
 with mpmath's tanh-sinh rule, split at the scales 1/sqrt(a_k) and
@@ -7,6 +7,8 @@ with mpmath's tanh-sinh rule, split at the scales 1/sqrt(a_k) and
 precision.  Its Jacobian column k is the complex-step derivative
 Im phibar(a + i h e_k) / h: no derivative formula is shared with the code
 under test, and at h = 1e-30 a_k the step error is far below 30 digits.
+The phases phi_j(y) are the same integrand over [0, y], summed over the
+gaps between the checked heights.
 """
 
 import math
@@ -18,7 +20,8 @@ import pytest
 from scipy.integrate import quad
 
 from lagsol import expander
-from lagsol.expander import _inv_sqrt_P, _log_growth, _scale_breaks
+from lagsol.expander import ExpanderProfile, _inv_sqrt_P, _log_growth, _scale_breaks
+from lagsol.geometry import fd_step
 from lagsol.params import SolitonParams
 from lagsol.periodic import PeriodicSpec, compute_orbit, critical_point
 
@@ -147,6 +150,74 @@ def test_minimal_angles_sum_to_half_pi(alpha, a):
         total = mp.fsum(_mp_phibar(mp.mpf(0), [mp.mpf(x) for x in a]))
         assert abs(total - mp.pi / 2) < mp.mpf(10) ** (5 - DPS)
     assert abs(engine_phibar(alpha, a).sum() - math.pi / 2) <= 2 * math.ulp(math.pi / 2)
+
+
+# -- expander phases ------------------------------------------------------------
+
+# tests/test_expander.py's PHASE_CASES, then extreme curvature ratios at alpha = 0
+PHASE_CASES = [(1.0, (1.0, 2.0)), (0.0, (0.8, 1.5)), (0.5, (1e6, 1.0)),
+               (0.0, (1e-4, 1.0)), (0.0, (1e13, 1.0))]
+# scaled error; measured 6.1e-16 or better
+PHASE_TOL = 1e-12
+
+
+def oracle_phases(alpha, a, heights):
+    """{y: [phi_1, ..., phi_n, theta]} at psi = 0, at DPS digits.
+
+    The phases accumulate over the gaps between the sorted |y|, each gap
+    split at the decades of the scales 1/sqrt(a_k) and 1/sqrt(sum a + alpha)
+    inside it; phi_j is odd in y.
+    """
+    with mp.workdps(DPS):
+        al, av = mp.mpf(alpha), [mp.mpf(x) for x in a]
+
+        def isp(t):
+            if t == 0:
+                return 1 / mp.sqrt(mp.fsum(av) + al)
+            t2 = t * t
+            return t / mp.sqrt(mp.expm1(al * t2 + mp.fsum(mp.log1p(x * t2) for x in av)))
+
+        scales = {1 / mp.sqrt(x) for x in av} | {1 / mp.sqrt(mp.fsum(av) + al)}
+        ladder = sorted(s * 10 ** k for s in scales for k in range(8))
+        by_height, acc, prev = {}, [mp.mpf(0)] * len(a), mp.mpf(0)
+        for h in sorted({abs(y) for y in heights}):
+            pts = [prev] + [b for b in ladder if prev < b < h] + [mp.mpf(h)]
+            acc = [v + mp.quad(lambda t, x=x: x / (1 + x * t * t) * isp(t), pts)
+                   for v, x in zip(acc, av)]
+            by_height[h], prev = (acc, isp(mp.mpf(h))), mp.mpf(h)
+        out = {}
+        for y in heights:
+            acc, q = by_height[abs(y)]
+            phis = [v if y >= 0 else -v for v in acc]
+            out[y] = np.array([float(v) for v in phis]
+                              + [float(mp.fsum(phis) + mp.atan2(q, mp.mpf(y)))])
+        return out
+
+
+def export_queries(prof):
+    """Query prof as an expander export does: the 200-row table and the 30
+    mesh heights as batches, then the FD stencil around three mesh heights
+    one height at a time; returns a sample of the heights queried."""
+    table, mesh = np.linspace(-1.5, 1.5, 200), np.linspace(-1.5, 1.5, 30)
+    prof.prefetch(table)
+    prof.prefetch(mesh)
+    fd = []
+    for y in mesh[[3, 14, 26]]:
+        h = fd_step(prof.u_of(y))
+        fd += [y + h, y - h, y + 0.5 * h, y - 0.5 * h]
+    for y in fd:
+        prof.w_of(float(y))
+    return [float(y) for y in (*table[::20], table[-1], *mesh[::5], *fd)]
+
+
+@pytest.mark.parametrize("alpha, a", PHASE_CASES)
+def test_phases_match_oracle_at_export_heights(alpha, a):
+    prof = ExpanderProfile(alpha, a)
+    heights = export_queries(prof)
+    ref = oracle_phases(alpha, a, heights)
+    for y in heights:
+        pt = expander.profile_eval(prof, y)
+        assert_close([*pt.phis, pt.theta], ref[y], PHASE_TOL)
 
 
 # -- orbit period and holonomies ----------------------------------------------

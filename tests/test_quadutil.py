@@ -1,12 +1,12 @@
-"""Quadrature families and the double-exponential engine.
+"""Quadrature families: the double-exponential engine, Gauss-Legendre
+panels and the QUADPACK orbit family.
 
-The QUADPACK families (the phase increments of one gap, an orbit's period
-with its holonomies) must give bit-for-bit the values of one QUADPACK call
-per component with a stand-alone integrand, and make exactly as many calls.
-The stand-alone integrands below are written out one function per
-component.  The angle map and its Jacobian run on ``improper_quad``, the
-double-exponential engine; they are checked against an mpmath oracle in
-test_oracle.py.
+The orbit family (period and holonomies) must give bit-for-bit the values of
+one QUADPACK call per component with a stand-alone integrand, and make
+exactly as many calls; the stand-alone integrands below are written out one
+function per component.  The angle map and its Jacobian run on
+``improper_quad``, the expander phases on ``gauss_panels``; both are checked
+against an mpmath oracle in test_oracle.py.
 """
 
 import math
@@ -17,11 +17,10 @@ import pytest
 
 from lagsol import periodic, quadutil
 from lagsol.errors import ToleranceFailure
-from lagsol.expander import (ExpanderProfile, _inv_sqrt_P, _phase_family, _phase_rates,
-                             _scale_breaks)
+from lagsol.expander import _inv_sqrt_P, _phase_family
 from lagsol.params import SolitonParams
 from lagsol.periodic import PeriodicSpec
-from lagsol.quadutil import finite_quad, improper_quad, orbit_quad, shared_nodes
+from lagsol.quadutil import gauss_panels, improper_quad, orbit_quad, shared_nodes
 
 EXPANDER_CASES = [
     (1.0, (1.0, 2.0)),
@@ -76,32 +75,51 @@ def test_numpy_phase_integrand_matches_the_scalar_one(alpha, a):
     # at every node of the double-exponential rule; P^(-1/2) = t e^(-E/2)
     # carries E's rounding, up to 1e-13 relative where E nears 700
     t = quadutil._DE_T
-    scalar = _phase_rates(alpha, a)
-    want = np.array([scalar(x) for x in t]).T
+    want = np.array([[phase_integrand(alpha, a, j)(x) for j in range(len(a))] for x in t]).T
     np.testing.assert_allclose(_phase_family(alpha, a)(t), want, rtol=1e-13, atol=0)
 
 
-@pytest.mark.parametrize("alpha, a", EXPANDER_CASES)
-def test_phase_increment_family_is_bit_identical(alpha, a):
-    n = len(a)
-    breaks = _scale_breaks(alpha, a)
-    phases = ExpanderProfile(alpha, a)._phases
+def test_gauss_legendre_nodes_are_numpys():
+    x, w = np.polynomial.legendre.leggauss(quadutil.GL_ORDER)
+    assert np.array_equal(quadutil._GL_X, x) and np.array_equal(quadutil._GL_W, w)
 
-    def gap(lo, hi, j):
-        return finite_quad(phase_integrand(alpha, a, j), lo, hi, breaks=breaks)
 
-    # (height, nearest held height it is integrated from)
-    want = {}
-    for h, near in ((1.0, 0.0), (1.5, 1.0), (0.2, 0.0), (0.9, 1.0), (3.0, 1.5)):
-        base = want.get(near, (0.0,) * n)
-        if h > near:
-            want[h] = tuple(base[j] + gap(near, h, j) for j in range(n))
-        else:
-            want[h] = tuple(base[j] - gap(h, near, j) for j in range(n))
-        with counted_quad() as q:
-            assert phases.increments(h) == want[h]
-        assert q.call_count == n
-    assert phases.increments(-0.9) == tuple(-v for v in want[0.9])
+def test_gauss_panels_integrate_a_family_over_many_gaps():
+    def rates(t):
+        return np.stack([np.exp(-t), 1.0 / (1.0 + t * t), np.cos(t)])
+    lo, hi = np.array([0.0, 0.5, 3.0, 2.0]), np.array([0.5, 3.0, 2.0, 10.0])
+    got = gauss_panels(rates, lo, hi)
+    want = np.array([np.exp(-lo) - np.exp(-hi), np.arctan(hi) - np.arctan(lo),
+                     np.sin(hi) - np.sin(lo)])
+    assert got.shape == (3, 4)
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-16)
+    assert got[0, 2] < 0.0                          # hi < lo negates
+
+
+def test_gauss_panels_bisect_only_where_needed():
+    # a peak of width 1e-4 at t = 0: only the panels next to it are bisected,
+    # so each level checks a few panels (measured: at most 4), not 2^level
+    nodes = []
+
+    def rates(t):
+        nodes.append(t.size // quadutil.GL_ORDER)
+        return (1e-4 / (1e-8 + t * t))[None]
+    got = gauss_panels(rates, [0.0, 1.0], [1.0, 2.0])
+    want = [np.arctan(1e4), np.arctan(2e4) - np.arctan(1e4)]
+    np.testing.assert_allclose(got[0], want, rtol=1e-11, atol=0)
+    assert nodes[0] == 3 * 2                        # both gaps and their halves
+    assert len(nodes) < 20 and max(nodes[1:]) <= 2 * 4
+
+
+@pytest.mark.parametrize("rates, why", [
+    (lambda t: (t < 0.3)[None] * 1.0, "differ"),             # a jump: O(width) only
+    (lambda t: np.where(t < 0.3, np.nan, 0.0)[None], "not finite"),
+    (lambda t: np.sin(1e9 * t)[None], "differ"),             # every panel fails
+])
+def test_gauss_panels_raise_unless_they_converge(rates, why):
+    with mock.patch.object(quadutil, "GL_MAX_PANELS", 64), \
+            pytest.raises(ToleranceFailure, match=why):
+        gauss_panels(rates, [0.0], [1.0], what="test integral")
 
 
 ORBIT_CASES = [
