@@ -233,8 +233,7 @@ def cmd_expander(cfg) -> int:
 
     mesh_ts = np.linspace(-cfg["y-max"], cfg["y-max"], cfg["mesh-samples"])
     mesh = centred_mesh(profile, mesh_ts, cfg["mesh-count"], seed=cfg["seed"])
-    thetas = [profile.theta_of(float(y)) for y in mesh_ts]
-    span = max(thetas) - min(thetas)
+    span = float(mesh.thetas.max() - mesh.thetas.min())
     return _export_verified(cfg, "expander", profile, mesh, [
         ("theta_span", repr(span)),
         ("theta_constant", "true" if span < 1e-10 else "false"),
@@ -382,7 +381,8 @@ def cmd_translator(cfg) -> int:
     pairs = [("maslov_constant", repr(profile.maslov_constant)),
              ("oscillating_base", "true" if profile.oscillates else "false")]
     if profile.alpha != 0.0 and cfg["a"] is not None:
-        anchor = profile.immersion(np.zeros(profile.base.n), 0.0)[-1]
+        anchor = profile.immersion(np.zeros(profile.base.n),
+                                   profile.base.curve([0.0]).row(0))[-1]
         pairs += [("anchor_re", repr(float(anchor.real))),
                   ("anchor_im", repr(float(anchor.imag))),
                   ("anchor_expected_im", repr(-math.pi / (2.0 * profile.alpha)))]

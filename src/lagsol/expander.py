@@ -28,9 +28,8 @@ on one rule of ``quadutil``:
   scales 1/sqrt(a_j) evenly, so a ~ 1e13 needs no special handling;
 - the phases phi_j(y) - psi_j: Gauss-Legendre panels over the gaps between
   heights (``gauss_panels``) on phibar's integrand ``_phase_family``, a
-  whole batch of heights in one call; the profile table and the meshes
-  fill the per-profile cache this way (``ExpanderProfile.prefetch``), and
-  a single height is a batch of one;
+  whole batch of heights in one call; each ``curve`` read fills the
+  per-profile cache this way, and a single height is a batch of one;
 - s_of_y, which only minimal-base translators read: QUADPACK, with
   geometric ladders of breakpoints at the peak scales (``_scale_breaks``).
 """
@@ -45,11 +44,13 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidTarget, NonConvergence, ValidationError
+from .geometry import CurveRecord, curve_views
 from .params import require_finite
 from .quadutil import finite_quad, gauss_panels, improper_quad
 
 NEWTON_MAX_ITER = 50
 NEWTON_TOL = 1e-10
+EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -102,49 +103,13 @@ class ExpanderProfile:
     def kind(self) -> str:
         return "centred"
 
-    # -- pointwise evaluation (geometry-facing surface) ----------------------
+    def curve(self, ys) -> CurveRecord:
+        """The curve record at the heights ys (see profile_eval)."""
+        return profile_eval(self, ys)
 
-    def w_of(self, y: float):
-        pt = profile_eval(self, y)
-        return np.array(pt.w)
-
-    def theta_of(self, y: float) -> float:
-        return profile_eval(self, y).theta
-
-    def u_of(self, y: float) -> float:
-        return self.u_star + y * y
-
-    def prefetch(self, ys) -> None:
-        """Hold the phases at every height of ys, integrated as one batch."""
-        self._phases.fill([abs(float(y)) for y in ys])
-
-    def wdot_of(self, y: float):
-        """dw/dy: radii grow like y/r_j, phases like 1/(r_j^2 sqrt(P))."""
-        pt = profile_eval(self, y)
-        isp = _inv_sqrt_P(self.alpha, self.a, y)
-        r = np.array(pt.r)
-        return np.exp(1j * np.array(pt.phis)) * (y / r + 1j * isp / r)
-
-    def theta_rate_of(self, y: float) -> float:
-        """d theta/dy = -alpha / sqrt(P(y)); zero for minimal (alpha = 0) profiles."""
-        return -self.alpha * _inv_sqrt_P(self.alpha, self.a, y)
-
-    def s_rate_of(self, y: float) -> float:
-        """ds/dy relating y to the system parameter: e^{alpha y^2/2} sqrt(prod a / P)."""
-        pref = math.exp(0.5 * self.alpha * y * y) * math.sqrt(math.prod(self.a))
-        return pref * _inv_sqrt_P(self.alpha, self.a, y)
-
-
-@dataclass(frozen=True)
-class ProfilePoint:
-    y: float
-    r: tuple
-    phis: tuple
-    theta: float
-
-    @property
-    def w(self) -> tuple:
-        return tuple(r * complex(math.cos(p), math.sin(p)) for r, p in zip(self.r, self.phis))
+    # called nowhere in lagsol: perfbench's tracer wraps these names, so they
+    # stay until it stops (ROADMAP item 1)
+    w_of, wdot_of, theta_of = curve_views("w", "wdot", "theta")
 
 
 @dataclass(frozen=True)
@@ -167,22 +132,6 @@ class AngleVector:
     def plane_minus(self) -> tuple:
         """Coordinate angles of the y -> -inf asymptotic plane."""
         return tuple(p - b for p, b in zip(self.psi, self.phibar))
-
-
-def _log_growth(alpha: float, a: tuple, t: float) -> float:
-    """E(t) = alpha t^2 + sum log(1 + a_k t^2); P = expm1(E)/t^2."""
-    t2 = t * t
-    return alpha * t2 + sum(math.log1p(x * t2) for x in a)
-
-
-def _inv_sqrt_P(alpha: float, a: tuple, t: float) -> float:
-    """P(t)^(-1/2)."""
-    if t == 0.0:
-        return 1.0 / math.sqrt(sum(a) + alpha)
-    E = _log_growth(alpha, a, t)
-    if E > 700.0:
-        return abs(t) * math.exp(-0.5 * E)
-    return abs(t) / math.sqrt(math.expm1(E))
 
 
 def _scale_breaks(alpha: float, a: tuple):
@@ -242,46 +191,50 @@ class _PhaseCache:
             self.values.update(zip(ch[1:], map(tuple, vals[:, 1:].T.tolist())))
         self.heights = sorted(self.values)
 
-    def increments(self, y: float) -> tuple:
-        """integral_0^y of the phi_j integrands, one value per j (odd in y)."""
-        h = abs(y)
-        inc = self.values.get(h)
-        if inc is None:
-            self.fill((h,))
-            inc = self.values[h]
-        return inc if y >= 0.0 else tuple(-v for v in inc)
 
-
-def profile_eval(profile: ExpanderProfile, y: float) -> ProfilePoint:
-    """Radii, lifted phases and the Lagrangian angle at height y."""
-    y = float(y)
-    a = profile.a
-    inc = profile._phases.increments(y)
-    r = tuple(math.sqrt(1.0 / aj + y * y) for aj in a)
-    phis = tuple(p + i for p, i in zip(profile.psi, inc))
-    theta = sum(phis) + math.atan2(_inv_sqrt_P(profile.alpha, a, y), y)
-    return ProfilePoint(y, r, phis, theta)
-
-
-def profile_table(profile: ExpanderProfile, ys):
-    """profile_eval at each height of ys, as arrays: radii and lifted phases
-    (len(ys), n) and theta (len(ys),).  The phases are one batch."""
+def profile_eval(profile: ExpanderProfile, ys) -> CurveRecord:
+    """The curve record at the heights ys, which fill the phase cache as one
+    batch: radii r_j = sqrt(1/a_j + y^2), lifted phases, theta, and the
+    rates in y, dw_j/dy = e^(i phi_j) (y + i P^(-1/2)) / r_j and
+    d theta/dy = -alpha P^(-1/2).  ds/dy = e^(alpha y^2 / 2) sqrt(prod a / P)
+    relates y to the system parameter."""
     ys = np.asarray(ys, dtype=float)
-    profile.prefetch(ys)
+    hs = np.abs(ys)
+    profile._phases.fill(hs.tolist())
     held = profile._phases.values
-    inc = np.array([held[abs(y)] for y in ys.tolist()]).reshape(len(ys), profile.n)
+    inc = np.array([held[h] for h in hs.tolist()]).reshape(len(ys), profile.n)
     phis = np.array(profile.psi) + np.where(ys[:, None] >= 0.0, inc, -inc)
-    r = np.sqrt(1.0 / np.array(profile.a) + (ys * ys)[:, None])
-    arg = [math.atan2(_inv_sqrt_P(profile.alpha, profile.a, y), y) for y in ys.tolist()]
-    return r, phis, phis.sum(axis=1) + arg
+    alpha, a = profile.alpha, profile.a
+    t2, E, isp = _growth_arrays(alpha, np.array(a)[:, None], hs)
+    r = np.sqrt(1.0 / np.array(a) + t2[:, None])
+    turn = np.exp(1j * phis)
+    # math.atan2: numpy's arctan2 differs from it in the last bit for a few
+    # percent of arguments, and theta reaches the translator FD through beta
+    arg = [math.atan2(i, y) for i, y in zip(isp.tolist(), ys.tolist())]
+    # past E = 700, P^(-1/2) = |y| e^(-E/2), so the exponents of ds/dy combine
+    spread = np.where(E > 700.0, hs * np.exp(0.5 * (alpha * t2 - E)),
+                      isp * np.exp(0.5 * np.minimum(alpha * t2, 700.0)))
+    return CurveRecord(ys, profile.u_star + t2, r, phis, r * turn,
+                       turn * (ys[:, None] / r + 1j * isp[:, None] / r),
+                       phis.sum(axis=1) + arg, -alpha * isp, 2.0 * ys,
+                       math.sqrt(math.prod(a)) * spread)
 
 
 def _growth_arrays(alpha: float, av: np.ndarray, t: np.ndarray):
-    """t^2, E and P^(-1/2) at nodes t > 0 (av: a as a column), as in _inv_sqrt_P."""
+    """t^2, E and P(t)^(-1/2) at heights t >= 0 (av: a as a column).
+
+    E = alpha t^2 + sum log1p(a_k t^2) and P = expm1(E) / t^2, so P^(-1/2) is
+    t / sqrt(expm1(E)), and t e^(-E/2) once E exceeds 700.  P(t) = P(0)(1 + d)
+    with 0 <= d <= t^2 P(0) / 2 and E = t^2 P(0) to first order, so where
+    E <= eps, t^2 cannot move P and P^(-1/2) is its t -> 0 limit
+    (sum a + alpha)^(-1/2).  The quotient loses digits there and is 0 / 0
+    once t^2 underflows, so it sees E floored at eps and is discarded.
+    """
     t2 = t * t
     E = alpha * t2 + np.log1p(av * t2).sum(axis=0)
     isp = np.where(E > 700.0, t * np.exp(-0.5 * E),
-                   t / np.sqrt(np.expm1(np.minimum(E, 700.0))))
+                   t / np.sqrt(np.expm1(np.minimum(np.maximum(E, EPS), 700.0))))
+    isp[E <= EPS] = 1.0 / math.sqrt(float(av.sum()) + alpha)
     return t2, E, isp
 
 
@@ -459,11 +412,14 @@ def s_of_y(profile: ExpanderProfile, y: float) -> float:
     """
     alpha, a = profile.alpha, profile.a
     pref = math.exp(0.5 * sum(math.log(x) for x in a))
+    P0 = sum(a) + alpha
 
+    # scalar arithmetic: QUADPACK calls the integrand once per node
     def integrand(t):
-        if t == 0.0:
-            return pref / math.sqrt(sum(a) + alpha)
-        E = _log_growth(alpha, a, t)
+        t2 = t * t
+        E = alpha * t2 + sum(math.log1p(x * t2) for x in a)
+        if E <= EPS:                # t^2 cannot move P, as in _growth_arrays
+            return pref / math.sqrt(P0)
         halfe = 0.5 * alpha * t * t - 0.5 * E
         # e^{alpha t^2/2} / sqrt(P) = |t| e^{alpha t^2/2 - E/2} / sqrt(1 - e^{-E})
         one_minus = -math.expm1(-E)

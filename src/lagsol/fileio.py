@@ -138,11 +138,10 @@ def write_trajectory_csv(path, traj) -> None:
 
 def write_profile_csv(path, profile, y_values) -> None:
     """Expander-style profile table: y, r_1..r_n, phi_1..phi_n, theta."""
-    from .expander import profile_table
     path = Path(path)
     n = profile.n
-    r, phis, theta = profile_table(profile, y_values)
-    rows = np.column_stack([np.asarray(y_values, dtype=float), r, phis, theta])
+    c = profile.curve(y_values)
+    rows = np.column_stack([c.t, c.r, c.phis, c.theta])
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["y"] + [f"r_{j}" for j in range(1, n + 1)]

@@ -9,9 +9,10 @@ a translating profile sends a free base point x in R^{n-1} to
 
     z(x, t) = (x_1 w_1(t), ..., x_{n-1} w_{n-1}(t), -1/2 sum lambda_j x_j^2 + beta(t)).
 
-Everything here works from a small duck-typed profile surface: n, alpha,
-lambdas, u_of(t), w_of(t), wdot_of(t), theta_of(t), theta_rate_of(t).
-Every profile's quadric is normalized to 1 on the right-hand side.
+Everything here reads a profile through n, lambdas and one method,
+curve(ts): the CurveRecord of the curve at an array of parameters ts, from
+one batch of the profile's cache.  Every profile's quadric is normalized to 1
+on the right-hand side.
 
 The frame at a point consists of the quadric tangent directions multiplied
 into w plus the curve velocity.  From its complex Gram matrix M = F^H F we
@@ -32,12 +33,40 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ValidationError
 
 FD_STEP_SCALE = 2e-3
+
+
+class CurveRecord(NamedTuple):
+    """A profile curve at m parameters t: one entry per parameter, (m,) or
+    (m, n) arrays.  The rates are derivatives in t; s is the system parameter
+    of the phase equations, so s_rate is 1 for curves parametrized by s."""
+
+    t: np.ndarray           # curve parameters
+    u: np.ndarray           # u = mean of lambda_j (|w_j|^2 - alpha_j)
+    r: np.ndarray           # (m, n) radii |w_j|
+    phis: np.ndarray        # (m, n) lifted phases arg w_j
+    w: np.ndarray           # (m, n) complex curve points
+    wdot: np.ndarray        # (m, n) dw/dt
+    theta: np.ndarray       # Lagrangian angle
+    theta_rate: np.ndarray  # d theta/dt
+    u_rate: np.ndarray      # du/dt
+    s_rate: np.ndarray      # ds/dt
+
+    def row(self, i: int) -> "CurveRecord":
+        """The entries at the i-th parameter: scalars, and (n,) arrays."""
+        return CurveRecord(*(field[i] for field in self))
+
+
+def curve_views(*fields):
+    """Per-point views of a profile's curve(), one method t -> curve([t]).field[0]
+    for each field named."""
+    return tuple(lambda self, t, f=f: getattr(self.curve([t]), f)[0] for f in fields)
 
 
 def quadric_tangent_basis(lambdas, x):
@@ -191,9 +220,9 @@ class FramedPoint:
         return 1j * self.theta_rate * _vm(ginv[..., -1, :], self.frame)
 
 
-def centred_frame(profile, x, t: float) -> FramedPoint:
-    """Frame of F(x, t) = x * w(t) at curve parameter t and a quadric point x,
-    or a stack of them (shape (m, n)); the curve is read once either way."""
+def centred_frame(profile, x, c: CurveRecord) -> FramedPoint:
+    """Frame of F(x, t) = x * w(t) at a quadric point x, or a stack of them
+    (shape (m, n)), on the row c of the profile's curve record at t."""
     x = np.asarray(x, dtype=float)
     n = profile.n
     if x.ndim not in (1, 2) or x.shape[-1] != n:
@@ -205,12 +234,9 @@ def centred_frame(profile, x, t: float) -> FramedPoint:
         raise ValidationError(
             f"point is not on the quadric: sum lambda x^2 = {float(qc[off][0])!r},"
             " expected 1.0")
-    w = np.asarray(profile.w_of(t))
-    wdot = np.asarray(profile.wdot_of(t))
     basis = _tangent_bases(profile.lambdas, xs)
-    frame = np.concatenate([basis * w, (xs * wdot)[:, None, :]], axis=1)
-    return FramedPoint.of(xs * w, frame, profile.theta_of(t), profile.theta_rate_of(t),
-                          stacked=x.ndim == 2)
+    frame = np.concatenate([basis * c.w, (xs * c.wdot)[:, None, :]], axis=1)
+    return FramedPoint.of(xs * c.w, frame, c.theta, c.theta_rate, stacked=x.ndim == 2)
 
 
 # -- finite-difference mean curvature ---------------------------------------
@@ -269,21 +295,22 @@ def mean_curvature_fd(F, n: int, h: float) -> np.ndarray:
     return (4.0 * Hh2 - Hh) / 3.0
 
 
-def curve_chart(base, rows, t0: float):
-    """The chart (xi, t) -> rows(base(xi), t0 + t) on (m, n) stacks of offsets,
-    for an immersion of an n-fold in C^n.
+def curve_chart(base, rows, curve, c0: CurveRecord):
+    """The chart (xi, t) -> rows(base(xi), curve at t0 + t) on (m, n) stacks
+    of offsets, for an immersion of an n-fold in C^n.
 
-    base maps stacked offsets xi to base points; rows(xs, t) immerses a stack
-    of base points at curve parameter t.  The curve is read once per distinct
-    t, in the order the stack first reaches it, so profiles whose caches
-    depend on query order see the queries of a point-by-point chart.
+    base maps stacked offsets xi to base points; rows(xs, c) immerses a stack
+    of base points on the curve record row c; c0 is the row at the centre
+    t0.  Every other distinct t is one curve([t0 + t]) read, in the order the
+    stack first reaches it, so profiles whose caches depend on query order
+    see the queries of a point-by-point chart.
     """
     def chart(coords):
         xs, dts = base(coords[:, :-1]), coords[:, -1]
         out = np.empty(coords.shape, dtype=complex)     # n-folds in C^n
         for dt in dict.fromkeys(dts.tolist()):
             at = dts == dt
-            out[at] = rows(xs[at], t0 + dt)
+            out[at] = rows(xs[at], c0 if dt == 0.0 else curve([c0.t + dt]).row(0))
         return out
     return chart
 
@@ -309,6 +336,7 @@ def _quadric_base(lambdas, x0):
 
 def centred_fd_mean_curvature(profile, x, t: float) -> np.ndarray:
     """Finite-difference H at (x, t); the analytic route is mean_curvature()."""
-    chart = curve_chart(_quadric_base(profile.lambdas, x),
-                        lambda xs, s: xs * np.asarray(profile.w_of(s)), t)
-    return mean_curvature_fd(chart, profile.n, fd_step(profile.u_of(t)))
+    base = _quadric_base(profile.lambdas, x)
+    c0 = profile.curve([t]).row(0)
+    chart = curve_chart(base, lambda xs, c: xs * c.w, profile.curve, c0)
+    return mean_curvature_fd(chart, profile.n, fd_step(c0.u))

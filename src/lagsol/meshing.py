@@ -106,17 +106,16 @@ def ball_points(dim: int, count: int, *, radius: float = 1.0,
     return v * r
 
 
-def _mesh(kind: str, curve, t_values, xs, rows) -> Mesh:
+def _mesh(kind: str, profile, t_values, xs, rows) -> Mesh:
     """Rows t-major: every base sample x of xs at each t.
 
-    curve supplies theta at t; rows(xs, t) is the block of z rows at t.
+    The profile's curve is read once, over all of t_values; rows(xs, c) is
+    the block of z rows on the curve record row c.
     """
     t_values = np.asarray(t_values, dtype=float)
-    if hasattr(curve, "prefetch"):
-        curve.prefetch(t_values)
-    pts = np.concatenate([rows(xs, t) for t in t_values])
-    thetas = np.repeat([float(curve.theta_of(t)) for t in t_values], len(xs))
-    return Mesh(kind, pts, np.repeat(t_values, len(xs)), thetas,
+    c = profile.curve(t_values)
+    pts = np.concatenate([rows(xs, c.row(i)) for i in range(len(t_values))])
+    return Mesh(kind, pts, np.repeat(t_values, len(xs)), np.repeat(c.theta, len(xs)),
                 np.tile(xs, (len(t_values), 1)))
 
 
@@ -124,7 +123,7 @@ def centred_mesh(profile, t_values, base_count: int, *, seed: int = 0,
                  rho_max: float = 1.2) -> Mesh:
     """Mesh of F(x, t) = x * w(t) over a t-grid and a fixed quadric sample."""
     xs = quadric_base_points(profile.lambdas, base_count, seed=seed, rho_max=rho_max)
-    return _mesh("centred", profile, t_values, xs, lambda xs, t: xs * profile.w_of(t))
+    return _mesh("centred", profile, t_values, xs, lambda xs, c: xs * c.w)
 
 
 def translator_mesh(profile, t_values, base_count: int, *, radius: float = 1.5,
@@ -157,4 +156,4 @@ def flow_slice_mesh(profile, t: float, s_values, base_count: int, *, seed: int =
     xs = _mixed_points(m, n, rho, lifted, np.random.default_rng(seed))
     if lifted:
         xs = math.sqrt(abs(t)) * xs
-    return _mesh("centred", profile, s_values, xs, lambda xs, s: xs * profile.w_of(s))
+    return _mesh("centred", profile, s_values, xs, lambda xs, c: xs * c.w)

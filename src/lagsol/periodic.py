@@ -41,6 +41,7 @@ from scipy.optimize import brentq
 
 from . import odeint
 from .errors import CaseMismatch, NonConvergence, ToleranceFailure, ValidationError
+from .geometry import CurveRecord, curve_views
 from .params import SolitonParams, require_finite
 from .quadutil import orbit_quad
 from .reduced_ode import TrajectorySpec, reduced_system
@@ -428,24 +429,23 @@ class HamiltonianStationaryProfile:
         self._rates = tuple(-l * self.spec.A / a
                             for l, a in zip(self.lambdas, self.spec.alphas))
 
-    def phis_of(self, s: float):
-        return np.array(self.spec.psi) + np.array(self._rates) * s
+    def curve(self, ts) -> CurveRecord:
+        """The curve record at the parameters ts, in closed form."""
+        ts = np.asarray(ts, dtype=float)
+        rates = np.array(self._rates)
+        phis = np.array(self.spec.psi) + rates * ts[:, None]
+        r = np.broadcast_to(np.sqrt(np.array(self.spec.alphas)), phis.shape)
+        w = r * np.exp(1j * phis)
+        wdot = 1j * rates * w
+        rate, zero = self.alpha * self.spec.A, np.zeros(len(ts))
+        return CurveRecord(ts, zero, r, phis, w, wdot,
+                           sum(self.spec.psi) - 0.5 * math.pi + rate * ts,
+                           zero + rate, zero, zero + 1.0)
 
-    def w_of(self, s: float):
-        r = np.sqrt(np.array(self.spec.alphas))
-        return r * np.exp(1j * self.phis_of(s))
-
-    def theta_of(self, s: float) -> float:
-        return sum(self.spec.psi) - 0.5 * math.pi + self.alpha * self.spec.A * s
-
-    def u_of(self, s: float) -> float:
-        return 0.0
-
-    def wdot_of(self, s: float):
-        return 1j * np.array(self._rates) * self.w_of(s)
-
-    def theta_rate_of(self, s: float) -> float:
-        return self.alpha * self.spec.A
+    # called nowhere in lagsol: perfbench's tracer wraps these names, so they
+    # stay until it stops (ROADMAP item 1)
+    w_of, wdot_of, theta_of, u_of, phis_of, theta_rate_of = curve_views(
+        "w", "wdot", "theta", "u", "phis", "theta_rate")
 
 
 class OrbitProfile:
@@ -501,37 +501,29 @@ class OrbitProfile:
             self._cache.update(zip(targets, [res.y[0]] * (len(targets) - len(landed))
                                    + landed))
 
-    def _state(self, s: float):
-        s = float(s)
-        if s not in self._cache:
-            self.prefetch([s])
-        return self._cache[s]
-
-    def u_of(self, s: float) -> float:
-        return float(self._state(s)[0])
-
-    def phis_of(self, s: float):
-        return self._state(s)[1:self.n + 1]
-
-    def w_of(self, s: float):
-        st = self._state(s)
-        lam = np.array(self.lambdas)
-        r = np.sqrt(np.array(self.spec.alphas) + lam * st[0])
-        return r * np.exp(1j * st[1:self.n + 1])
-
-    def theta_of(self, s: float) -> float:
-        return float(self._state(s)[-1])
-
-    def wdot_of(self, s: float):
-        w = self.w_of(s)
-        theta = self.theta_of(s)
-        lam = np.array(self.lambdas)
+    def curve(self, ts) -> CurveRecord:
+        """The curve record at the parameters ts; the states missing from the
+        cache are integrated first (prefetch)."""
+        ts = np.asarray(ts, dtype=float)
+        self.prefetch(ts.tolist())
+        st = np.array([self._cache[s] for s in ts.tolist()]).reshape(len(ts), self.n + 2)
+        n, lam = self.n, np.array(self.lambdas)
+        u, phis, theta = st[:, 0], st[:, 1:n + 1], st[:, -1]
+        r = np.sqrt(np.array(self.spec.alphas) + lam * u[:, None])
+        w = r * np.exp(1j * phis)
         # dw_j/ds = lambda_j e^{i theta} conj(prod_{k != j} w_k)
-        full = np.prod(w)
-        return lam * np.exp(1j * theta) * np.conj(full / w)
+        full = np.prod(w, axis=1, keepdims=True)
+        wdot = lam * np.exp(1j * theta)[:, None] * np.conj(full / w)
+        theta_rate = self.alpha * self.spec.A * np.exp(-0.5 * self.alpha * u)
+        # u = mean of lambda_j (|w_j|^2 - alpha_j)
+        u_rate = np.mean(2.0 * lam * (np.conj(w) * wdot).real, axis=1)
+        return CurveRecord(ts, u, r, phis, w, wdot, theta, theta_rate, u_rate,
+                           np.ones(len(ts)))
 
-    def theta_rate_of(self, s: float) -> float:
-        return self.alpha * self.spec.A * math.exp(-0.5 * self.alpha * self.u_of(s))
+    # called nowhere in lagsol: perfbench's tracer wraps these names, so they
+    # stay until it stops (ROADMAP item 1)
+    w_of, wdot_of, theta_of, u_of, phis_of, theta_rate_of = curve_views(
+        "w", "wdot", "theta", "u", "phis", "theta_rate")
 
 
 # -- data search -------------------------------------------------------------

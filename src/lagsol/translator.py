@@ -18,7 +18,9 @@ beta in closed form: for alpha != 0,
 so theta + alpha Im z_n is constant on the whole submanifold (the angle is a
 linear function of the translation direction).  For alpha = 0 the real part
 is still u/2 + Re K while Im beta = -A s + Im K drifts linearly in s by the
-first integral A of the base.
+first integral A of the base.  Both forms, and d beta/dt, are read off the
+base's curve record (u, theta and their rates, ds/dt); s itself is the
+curve parameter of an orbit base and s_of_y of an expander base.
 
 The default K = -u_*/2 places the waist at Re beta = 0; with base phases
 psi = 0 the point z(0, 0) then sits at -i pi / (2 alpha).
@@ -71,81 +73,49 @@ class TranslatorProfile:
         orbit = compute_orbit(spec)
         return cls(orbit.profile(), K=K, orbit=orbit)
 
-    # -- scalar curve data ---------------------------------------------------
+    # -- beta and the immersion on rows of the base's curve record ----------
 
-    def s_of(self, t: float) -> float:
-        """System parameter s of the base at curve parameter t."""
-        if isinstance(self.base, ExpanderProfile):
-            return s_of_y(self.base, t)
-        return float(t)
-
-    def s_rate_of(self, t: float) -> float:
-        if isinstance(self.base, ExpanderProfile):
-            return self.base.s_rate_of(t)
-        return 1.0
-
-    def theta_of(self, t: float) -> float:
-        return self.base.theta_of(t)
-
-    def theta_rate_of(self, t: float) -> float:
-        return self.base.theta_rate_of(t)
-
-    def beta_of(self, t: float) -> complex:
-        u = self.base.u_of(t)
+    def beta(self, c) -> complex:
+        """beta on the row c of the base's curve record."""
         if self.alpha != 0.0:
-            return 0.5 * u - 1j * self.base.theta_of(t) / self.alpha + self.K
-        return complex(0.5 * u + self.K.real,
-                       -self.first_integral * self.s_of(t) + self.K.imag)
+            return 0.5 * c.u + self.K.real + 1j * (self.K.imag - c.theta / self.alpha)
+        s = s_of_y(self.base, c.t) if isinstance(self.base, ExpanderProfile) else c.t
+        return 0.5 * c.u + self.K.real + 1j * (self.K.imag - self.first_integral * s)
 
-    def beta_rate_of(self, t: float) -> complex:
-        """d beta/dt; equals e^{i theta} conj(prod w) ds/dt."""
+    def beta_rate(self, c) -> complex:
+        """d beta/dt on the row c of the base's curve record; equals
+        e^{i theta} conj(prod w) ds/dt."""
         if self.alpha != 0.0:
-            udot = self._u_rate(t)
-            return 0.5 * udot - 1j * self.base.theta_rate_of(t) / self.alpha
-        return complex(0.5 * self._u_rate(t), -self.first_integral * self.s_rate_of(t))
+            return 0.5 * c.u_rate - 1j * (c.theta_rate / self.alpha)
+        return 0.5 * c.u_rate - 1j * (self.first_integral * c.s_rate)
 
-    def _u_rate(self, t: float) -> float:
-        if isinstance(self.base, ExpanderProfile):
-            return 2.0 * t
-        w = np.asarray(self.base.w_of(t))
-        wdot = np.asarray(self.base.wdot_of(t))
-        lam = np.asarray(self.base_lambdas)
-        # u = mean of lambda_j (|w_j|^2 - alpha_j): du/dt = 2 lambda_j Re(conj(w) wdot)
-        return float(np.mean(2.0 * lam * (np.conj(w) * wdot).real))
-
-    # -- the immersion and its frame ----------------------------------------
-
-    def immersion(self, x, t: float) -> np.ndarray:
-        """z at curve parameter t and a base point x, or a stack of them
-        (shape (m, n - 1))."""
+    def immersion(self, x, c) -> np.ndarray:
+        """z at a base point x, or a stack of them (shape (m, n - 1)), on the
+        row c of the base's curve record."""
         x = np.asarray(x, dtype=float)
         if x.shape[-1:] != (self.n - 1,):
             raise ValidationError("base point must have n - 1 coordinates")
         lam = np.asarray(self.base_lambdas)
-        w = np.asarray(self.base.w_of(t))
         z = np.empty(x.shape[:-1] + (self.n,), dtype=complex)
-        z[..., :-1] = x * w
-        z[..., -1] = -0.5 * np.sum(lam * x * x, axis=-1) + self.beta_of(t)
+        z[..., :-1] = x * c.w
+        z[..., -1] = -0.5 * np.sum(lam * x * x, axis=-1) + self.beta(c)
         return z
 
-    def frame_at(self, x, t: float) -> FramedPoint:
-        """Frame at curve parameter t and a base point x, or a stack of them
-        (shape (m, n - 1)); the curve is read once either way."""
+    def frame_at(self, x, c) -> FramedPoint:
+        """Frame at a base point x, or a stack of them (shape (m, n - 1)), on
+        the row c of the base's curve record."""
         x = np.asarray(x, dtype=float)
         n = self.n
-        z = self.immersion(x, t).reshape(-1, n)
+        z = self.immersion(x, c).reshape(-1, n)
         xs = x.reshape(-1, n - 1)
         lam = np.asarray(self.base_lambdas)
-        w = np.asarray(self.base.w_of(t))
-        wdot = np.asarray(self.base.wdot_of(t))
         j = np.arange(n - 1)
         frame = np.zeros((len(xs), n, n), dtype=complex)
-        frame[:, j, j] = w
+        frame[:, j, j] = c.w
         frame[:, j, -1] = -lam * xs
-        frame[:, -1, :-1] = xs * wdot
-        frame[:, -1, -1] = self.beta_rate_of(t)
-        return FramedPoint.of(z, frame, self.theta_of(t), self.theta_rate_of(t),
-                              stacked=x.ndim > 1)
+        frame[:, -1, :-1] = xs * c.wdot
+        frame[:, -1, -1] = self.beta_rate(c)
+        return FramedPoint.of(z, frame, c.theta, c.theta_rate, stacked=x.ndim > 1)
 
     def translation_vector(self) -> np.ndarray:
         T = np.zeros(self.n, dtype=complex)
@@ -163,7 +133,7 @@ class TranslatorProfile:
         """
         if self.alpha != 0.0:
             return self.alpha * self.K.imag
-        return float(self.theta_of(0.0))
+        return float(self.base.curve([0.0]).theta[0])
 
     @property
     def oscillates(self) -> bool:
@@ -174,5 +144,6 @@ class TranslatorProfile:
 def translator_fd_mean_curvature(profile: TranslatorProfile, x, t: float) -> np.ndarray:
     """Finite-difference H at (x, t); the base coordinates are already flat."""
     x0 = np.asarray(x, dtype=float)
-    chart = curve_chart(lambda xi: x0 + xi, profile.immersion, t)
-    return mean_curvature_fd(chart, profile.n, fd_step(profile.base.u_of(t)))
+    c0 = profile.base.curve([t]).row(0)
+    chart = curve_chart(lambda xi: x0 + xi, profile.immersion, profile.base.curve, c0)
+    return mean_curvature_fd(chart, profile.n, fd_step(c0.u))

@@ -114,12 +114,12 @@ class _Kind:
     """What one kind of profile brings to the shared verification loop."""
 
     name: str
-    curve: object       # the centred curve sampled by the leading coordinates
+    curve: object       # the centred profile sampled by the leading coordinates
     thresholds: dict    # every invariant, in report order, with its threshold
     gate: tuple         # invariants a point must meet before its frame is checked
-    at: object          # t -> (w, theta, data), read once per run of equal t
+    data: object        # curve record row -> the kind's own data at that t
     own: object         # (x, z, theta, data) -> per-row residuals of the kind's own invariants
-    frame: object       # (x, t) -> FramedPoint of the stacked rows x
+    frame: object       # (x, c) -> FramedPoint of the stacked rows x on curve row c
     oracle: object      # (x, t) -> FD mean curvature at one point
     drive: object       # FramedPoint -> the term equal to H on a soliton, per row
 
@@ -132,9 +132,9 @@ def _centred_kind(profile) -> _Kind:
          "stored_angle": STORED_ANGLE_TOL, "lagrangian": LAGRANGIAN_TOL,
          "angle": ANGLE_TOL, "soliton": SOLITON_TOL},
         ("reconstruction", "quadric"),
-        lambda t: (np.asarray(profile.w_of(t)), float(profile.theta_of(t)), None),
+        lambda c: None,
         lambda x, z, theta, _: {"quadric": np.abs(np.sum(lam * x * x, axis=-1) - 1.0)},
-        lambda x, t: centred_frame(profile, x, t),
+        lambda x, c: centred_frame(profile, x, c),
         lambda x, t: centred_fd_mean_curvature(profile, x, t),
         lambda fp: profile.alpha * fp.normal_projection(fp.z))
 
@@ -156,10 +156,9 @@ def _translator_kind(profile: TranslatorProfile) -> _Kind:
          "stored_angle": STORED_ANGLE_TOL, "maslov": STORED_ANGLE_TOL,
          "lagrangian": LAGRANGIAN_TOL, "angle": ANGLE_TOL, "soliton": SOLITON_TOL},
         ("reconstruction",),
-        lambda t: (np.asarray(base.w_of(t)), float(profile.theta_of(t)),
-                   profile.beta_of(t)),
+        profile.beta,
         own,
-        lambda x, t: profile.frame_at(x, t),
+        profile.frame_at,
         lambda x, t: translator_fd_mean_curvature(profile, x, t),
         lambda fp: fp.normal_projection(T))
 
@@ -188,8 +187,9 @@ def verify_mesh(profile, mesh, fd_checks: int = FD_CHECKS,
     count = len(mesh)
     ts = np.asarray(mesh.params, dtype=float)
     thetas = np.asarray(mesh.thetas, dtype=float)
-    if hasattr(kind.curve, "prefetch"):
-        kind.curve.prefetch(sorted(set(ts.tolist())))
+    # one curve read over the distinct parameters; each run of equal t reads its row
+    grid, row_of = np.unique(ts, return_inverse=True)
+    curve = kind.curve.curve(grid)
     worst = {name: _Worst() for name in kind.thresholds}
     fd_at = set(_fd_subset(count, fd_checks).tolist())
     rows = []
@@ -200,7 +200,8 @@ def verify_mesh(profile, mesh, fd_checks: int = FD_CHECKS,
         t = float(ts[lo])
         index = np.arange(lo, hi)
         z = mesh.points[lo:hi]
-        w, theta, data = kind.at(t)
+        c = curve.row(row_of[lo])
+        w, theta, data = c.w, float(c.theta), kind.data(c)
         zc = z[:, :len(w)]
         x = (zc / w).real
         res = {"reconstruction": np.max(np.abs(zc - x * w), axis=1)
@@ -215,7 +216,7 @@ def verify_mesh(profile, mesh, fd_checks: int = FD_CHECKS,
         framed = index[on]
         lag = ang = sol = np.empty(0)
         if len(framed):
-            fp = kind.frame(x[on], t)
+            fp = kind.frame(x[on], c)
             lag, ang = fp.lagrangian_residual, fp.angle_residual
             worst["lagrangian"].update_all(lag, framed)
             worst["angle"].update_all(ang, framed)

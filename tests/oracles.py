@@ -35,6 +35,23 @@ def stationary_spec(params, alphas, psi=None) -> PeriodicSpec:
     return PeriodicSpec(params, alphas, A, psi)
 
 
+def log_growth(alpha: float, a, t: float) -> float:
+    """E(t) = alpha t^2 + sum log1p(a_k t^2) of an expander, so P = expm1(E) / t^2."""
+    t2 = t * t
+    return alpha * t2 + sum(math.log1p(x * t2) for x in a)
+
+
+def inv_sqrt_P(alpha: float, a, t: float) -> float:
+    """P(t)^(-1/2) of an expander in scalar arithmetic, the limit
+    (sum a + alpha)^(-1/2) at t = 0 and |t| e^(-E/2) past E = 700."""
+    if t == 0.0:
+        return 1.0 / math.sqrt(sum(a) + alpha)
+    E = log_growth(alpha, a, t)
+    if E > 700.0:
+        return abs(t) * math.exp(-0.5 * E)
+    return abs(t) / math.sqrt(math.expm1(E))
+
+
 def reduced_rhs(spec: TrajectorySpec, y):
     """Right-hand side of the reduced system at state y = [u, phi_1.., theta]."""
     return np.asarray(reduced_system(spec)[0](0.0, np.asarray(y, dtype=float).tolist()))
@@ -228,7 +245,7 @@ class CentredChart:
         coords = np.asarray(coords, dtype=float)
         x = self.base_point(coords[:-1])
         t = self.t0 + coords[-1]
-        return x * np.asarray(self.profile.w_of(t))
+        return x * self.profile.curve([t]).w[0]
 
 
 class TranslatorChart:
@@ -241,7 +258,8 @@ class TranslatorChart:
 
     def __call__(self, coords):
         coords = np.asarray(coords, dtype=float)
-        return self.profile.immersion(self.x0 + coords[:-1], self.t0 + coords[-1])
+        c = self.profile.base.curve([self.t0 + coords[-1]]).row(0)
+        return self.profile.immersion(self.x0 + coords[:-1], c)
 
 
 def fd_derivatives(F, xi0: np.ndarray, h: float):
@@ -301,9 +319,9 @@ def pointwise_fd_mean_curvature(profile, x, t: float):
     """(H, values): the per-point FD mean curvature at (x, t), h and h/2
     Richardson extrapolated, and every chart value in the order it was read."""
     if profile.kind == "translator":
-        chart, u = TranslatorChart(profile, x, t), profile.base.u_of(t)
+        chart, u = TranslatorChart(profile, x, t), profile.base.curve([t]).u[0]
     else:
-        chart, u = CentredChart(profile, x, t), profile.u_of(t)
+        chart, u = CentredChart(profile, x, t), profile.curve([t]).u[0]
     values = []
 
     def F(coords):
@@ -322,8 +340,8 @@ def stacked_fd_mean_curvature(profile, x, t: float):
     real = geometry.curve_chart
     values = []
 
-    def spy(base, rows, t0):
-        chart = real(base, rows, t0)
+    def spy(base, rows, curve, c0):
+        chart = real(base, rows, curve, c0)
 
         def recorded(coords):
             values.append(chart(coords))

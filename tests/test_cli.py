@@ -12,6 +12,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -197,6 +198,51 @@ def test_non_finite_inputs_exit_2(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("lagsol:") and "must be finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["expander", "--alpha=1", "--a=1,2", "--y-max=1e-170"],
+    ["translator", "--alpha=1", "--a=1", "--t-max=1e-170"],
+], ids=lambda argv: " ".join(argv))
+def test_heights_whose_square_underflows_exit_0(tmp_path, capsys, argv):
+    # t^2 underflows to 0 below |t| ~ 1e-154; P^(-1/2) takes its t -> 0 limit
+    assert main(argv + [f"--outdir={tmp_path}"]) == 0
+    assert "verification: PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, cls", [
+    (["expander", "--alpha=1", "--a=1,2", "--samples=5"], "ExpanderProfile"),
+    (["periodic", "--lambdas=1,-1", "--alphas=1,2", "--A=0.4", "--alpha=0.5", "--mesh"],
+     "OrbitProfile"),
+], ids=lambda v: v if isinstance(v, str) else v[0])
+def test_exports_read_the_curve_once_per_batch(tmp_path, capsys, argv, cls):
+    """An export reads its curve once for the profile table (expanders), once
+    for the mesh, once for verify's distinct parameters, and once per
+    distinct stencil parameter of each FD point, in that order."""
+    from lagsol import expander, periodic
+    owner = getattr(expander if cls == "ExpanderProfile" else periodic, cls)
+    real, reads = owner.curve, []
+
+    def spy(self, ts):
+        reads.append(np.array(ts, dtype=float))
+        return real(self, ts)
+
+    with mock.patch.object(owner, "curve", spy):
+        assert main(argv + ["--mesh-samples=4", "--mesh-count=3",
+                            f"--outdir={tmp_path}"]) == 0
+    mesh = fileio.read_mesh_csv(tmp_path / f"{argv[0]}_mesh.csv")
+    params = np.unique(mesh.params)
+    batches = [np.linspace(-1.5, 1.5, 5)] if cls == "ExpanderProfile" else []
+    batches += [params, params]                         # the mesh and verify
+    assert len(reads) == len(batches) + 8 * 5          # 8 FD points, 5 distinct t each
+    for got, want in zip(reads, batches):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+    stencils = [np.concatenate(reads[k:k + 5])
+                for k in range(len(batches), len(reads), 5)]
+    for ts in stencils:
+        assert len(set(ts.tolist())) == 5 and ts[0] in params
+        h = ts[1] - ts[0]
+        np.testing.assert_allclose(ts - ts[0], [0.0, h, -h, 0.5 * h, -0.5 * h], atol=1e-15)
 
 
 def test_overflowing_search_step_exits_3(tmp_path, capsys):

@@ -9,21 +9,27 @@ from scipy.integrate import quad
 
 from lagsol import cli, expander, quadutil
 from lagsol.errors import InvalidTarget, ValidationError
-from lagsol.expander import (ExpanderProfile, _log_growth, _scale_breaks, angle_map,
+from lagsol.expander import (ExpanderProfile, _scale_breaks, angle_map,
                              angle_map_jacobian, asymptotic_angles, invert_angle_map,
-                             profile_eval, profile_table, s_of_y)
+                             s_of_y)
 from lagsol.geometry import fd_step
 from lagsol.quadutil import finite_quad, gauss_panels
+from oracles import log_growth
 
 
 def eval_P(profile: ExpanderProfile, t: float) -> float:
     """P(t), stable near t = 0; returns the limit sum(a) + alpha there."""
     if t == 0.0:
         return sum(profile.a) + profile.alpha
-    E = _log_growth(profile.alpha, profile.a, t)
+    E = log_growth(profile.alpha, profile.a, t)
     if E > 700.0:
         return math.inf
     return math.expm1(E) / (t * t)
+
+
+def point(profile: ExpanderProfile, y: float):
+    """The row of the curve record at height y."""
+    return profile.curve([y]).row(0)
 
 
 def test_profile_validation():
@@ -57,16 +63,29 @@ def test_eval_P_values():
 
 def test_profile_eval_at_origin():
     prof = ExpanderProfile(0.0, (1.0, 1.0))
-    pt = profile_eval(prof, 0.0)
-    assert pt.r == pytest.approx((1.0, 1.0))
-    assert pt.phis == pytest.approx((0.0, 0.0))
+    pt = point(prof, 0.0)
+    assert tuple(pt.r) == pytest.approx((1.0, 1.0))
+    assert tuple(pt.phis) == pytest.approx((0.0, 0.0))
     assert pt.theta == pytest.approx(math.pi / 2, abs=1e-15)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.0])
+def test_phases_where_the_height_squared_underflows(alpha):
+    """Below |y| ~ 1e-154, y^2 underflows to 0 and P^(-1/2) takes its
+    limit P(0)^(-1/2): phi_j - psi_j = y a_j P(0)^(-1/2) to roundoff."""
+    prof = ExpanderProfile(alpha, (1.0, 2.0))
+    y = 1e-170
+    c = prof.curve([y, -y])
+    expect = y * np.array(prof.a) / math.sqrt(sum(prof.a) + alpha)
+    np.testing.assert_allclose(c.phis, [expect, -expect], rtol=1e-14, atol=0)
+    for field in c:
+        assert np.isfinite(field).all()
 
 
 def test_minimal_profile_has_constant_angle():
     prof = ExpanderProfile(0.0, (1.0, 1.0), psi=(0.1, -0.3))
     for y in (-3.0, -0.5, 0.0, 0.7, 2.0, 6.0):
-        assert profile_eval(prof, y).theta == pytest.approx(
+        assert point(prof, y).theta == pytest.approx(
             0.1 - 0.3 + math.pi / 2, abs=1e-12)
 
 
@@ -75,11 +94,11 @@ def test_symmetric_minimal_phases_closed_form():
     prof = ExpanderProfile(0.0, (1.0, 1.0))
     for y in (0.3, 1.0, 2.5, 8.0):
         expect = math.atan(y / math.sqrt(2.0 + y * y))
-        pt = profile_eval(prof, y)
+        pt = point(prof, y)
         assert pt.phis[0] == pytest.approx(expect, abs=1e-10)
         assert pt.phis[1] == pytest.approx(expect, abs=1e-10)
         # odd in y
-        mt = profile_eval(prof, -y)
+        mt = point(prof, -y)
         assert mt.phis[0] == pytest.approx(-expect, abs=1e-10)
 
 
@@ -225,25 +244,25 @@ def test_theta_range_matches_angle_data():
     ang = asymptotic_angles(prof)
     lo_expect = sum(prof.psi) + ang.total
     hi_expect = sum(prof.psi) + math.pi - ang.total
-    thetas = [profile_eval(prof, y).theta for y in np.linspace(-12, 12, 41)]
+    thetas = [point(prof, y).theta for y in np.linspace(-12, 12, 41)]
     assert min(thetas) > lo_expect - 1e-9
     assert max(thetas) < hi_expect + 1e-9
     # approached at the far ends
-    assert profile_eval(prof, 30.0).theta == pytest.approx(lo_expect, abs=1e-6)
-    assert profile_eval(prof, -30.0).theta == pytest.approx(hi_expect, abs=1e-6)
+    assert point(prof, 30.0).theta == pytest.approx(lo_expect, abs=1e-6)
+    assert point(prof, -30.0).theta == pytest.approx(hi_expect, abs=1e-6)
 
 
 def test_theta_strictly_decreasing_for_expanding():
     prof = ExpanderProfile(0.7, (1.0, 0.5))
     ys = np.linspace(-4, 4, 33)
-    thetas = np.array([profile_eval(prof, y).theta for y in ys])
+    thetas = np.array([point(prof, y).theta for y in ys])
     assert np.all(np.diff(thetas) < 0)
 
 
 def test_phases_increase_with_bounded_total_swing():
     prof = ExpanderProfile(0.4, (0.8, 1.9))
     ys = np.linspace(-5, 5, 41)
-    phis = np.array([profile_eval(prof, y).phis for y in ys])
+    phis = np.array([point(prof, y).phis for y in ys])
     assert np.all(np.diff(phis, axis=0) > 0)
     ang = asymptotic_angles(prof)
     for j in range(2):
@@ -257,8 +276,8 @@ def test_lawlor_dilation_identity():
     prof = ExpanderProfile(0.0, a)
     prof_t = ExpanderProfile(0.0, tuple(t * x for x in a))
     for y in (0.0, 0.4, 1.3, -2.2):
-        w_scaled = prof_t.w_of(y)
-        w_orig = prof.w_of(math.sqrt(t) * y)
+        w_scaled = point(prof_t, y).w
+        w_orig = point(prof, math.sqrt(t) * y).w
         np.testing.assert_allclose(w_scaled, w_orig / math.sqrt(t), atol=1e-8)
 
 
@@ -268,9 +287,9 @@ def test_first_integral_constant_along_profile():
     A = prof.first_integral_value
     assert A == pytest.approx(-math.sqrt(0.5))
     for y in (0.0, 0.5, 1.5, -2.0):
-        pt = profile_eval(prof, y)
+        pt = point(prof, y)
         q = math.prod(r * r for r in pt.r)
-        val = math.sqrt(q) * math.exp(0.5 * prof.alpha * pt.y ** 2) * math.sin(
+        val = math.sqrt(q) * math.exp(0.5 * prof.alpha * pt.t ** 2) * math.sin(
             sum(pt.phis) - pt.theta)
         assert val == pytest.approx(A, rel=1e-10)
 
@@ -299,7 +318,7 @@ def _cache_heights(prof):
     mesh = np.linspace(-1.5, 1.5, 30)
     fd = []
     for y in mesh[[3, 14, 26]]:
-        h = fd_step(prof.u_of(y))
+        h = fd_step(point(prof, y).u)
         fd += [y + h, y - h, y + 0.5 * h, y - 0.5 * h]
     return [float(y) for y in (*table, *mesh, *fd, 5.0, -5.0, 0.0)]
 
@@ -317,8 +336,8 @@ def _one_shot_phases(prof, y):
 def test_cached_phases_match_one_quadrature_in_any_query_order(alpha, a):
     heights = _cache_heights(ExpanderProfile(alpha, a))
     forward, backward = ExpanderProfile(alpha, a), ExpanderProfile(alpha, a)
-    fwd = {y: np.array(profile_eval(forward, y).phis) for y in heights}
-    bwd = {y: np.array(profile_eval(backward, y).phis) for y in reversed(heights)}
+    fwd = {y: point(forward, y).phis for y in heights}
+    bwd = {y: point(backward, y).phis for y in reversed(heights)}
     for y in heights:
         ref = _one_shot_phases(forward, y)
         np.testing.assert_allclose(fwd[y], ref, rtol=0, atol=1e-12 * (1 + np.abs(ref).max()))
@@ -329,24 +348,22 @@ def test_cached_phases_match_one_quadrature_in_any_query_order(alpha, a):
 def test_cached_phases_are_exactly_odd(alpha, a):
     prof = ExpanderProfile(alpha, a)
     for y in (0.3, 1.7, 0.3 + 1e-3, 4.0):
-        assert profile_eval(prof, -y).phis == tuple(-p for p in profile_eval(prof, y).phis)
-    assert profile_eval(prof, -0.0).phis == (0.0,) * len(a)
+        assert np.array_equal(point(prof, -y).phis, -point(prof, y).phis)
+    assert np.array_equal(point(prof, -0.0).phis, np.zeros(len(a)))
 
 
 def test_non_finite_height_is_rejected():
     prof = ExpanderProfile(1.0, (1.0, 2.0))
     for y in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValidationError):
-            profile_eval(prof, y)
-        with pytest.raises(ValidationError):
-            prof.w_of(y)
+            prof.curve([0.5, y])
 
 
 def test_phase_cache_belongs_to_the_profile():
     # a profile's values never depend on what another profile was asked
     used, fresh = ExpanderProfile(1.0, (1.0, 2.0)), ExpanderProfile(1.0, (1.0, 2.0))
     for y in np.linspace(0.0, 3.0, 13):
-        profile_eval(used, y)
+        used.curve([y])
     assert used == fresh and hash(used) == hash(fresh)
     assert repr(used) == repr(fresh) and "phase" not in repr(used)
     assert fresh._phases.heights == [0.0]
@@ -370,24 +387,24 @@ def test_expander_export_integrand_budget(tmp_path):
     assert q.call_count == 0
 
 
-def test_profile_table_is_profile_eval_on_arrays():
+def test_curve_on_a_batch_is_curve_at_each_height():
     prof = ExpanderProfile(0.5, (0.3, 1.0, 7.0), (0.1, -0.2, 0.3))
     ys = np.concatenate([np.linspace(-1.5, 1.5, 200), [-0.0, 0.0, 4.0]])
-    r, phis, theta = profile_table(prof, ys)
+    batch = prof.curve(ys)
     for k, y in enumerate(ys.tolist()):
-        pt = profile_eval(prof, y)
-        assert (pt.r, pt.phis, pt.theta) == (tuple(r[k]), tuple(phis[k]), theta[k])
+        pt = point(prof, y)
+        assert all(np.array_equal(a, b) for a, b in zip(batch.row(k), pt))
 
 
-def test_prefetch_fills_the_phase_cache_in_one_batch():
+def test_curve_fills_the_phase_cache_in_one_batch():
     prof = ExpanderProfile(1.0, (1.0, 2.0))
     with mock.patch.object(expander, "gauss_panels", wraps=expander.gauss_panels) as gp:
-        prof.prefetch(np.linspace(-1.5, 1.5, 200))
-        prof.prefetch(np.linspace(-1.5, 1.5, 30))
+        prof.curve(np.linspace(-1.5, 1.5, 200))
+        prof.curve(np.linspace(-1.5, 1.5, 30))
         assert gp.call_count == 2
-        prof.prefetch([1.5, -1.5, 0.0, -0.0])          # held already
+        prof.curve([1.5, -1.5, 0.0, -0.0])            # held already
         assert gp.call_count == 2
-        profile_eval(prof, 0.3 + 1e-3)                # a single height: a batch of one
+        prof.curve([0.3 + 1e-3])                      # a single height: a batch of one
         assert gp.call_count == 3
     with pytest.raises(ValidationError, match="not finite"):
-        prof.prefetch([0.5, math.nan])
+        prof.curve([0.5, math.nan])

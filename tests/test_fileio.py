@@ -237,7 +237,7 @@ def test_profile_record_orbit(tmp_path):
     # records store the gauge-fixed spec the profile integrates
     assert back.spec.alphas == prof.spec.alphas
     assert back.spec.A == prof.spec.A
-    np.testing.assert_allclose(back.w_of(0.7), prof.w_of(0.7), atol=1e-12)
+    np.testing.assert_allclose(back.curve([0.7]).w, prof.curve([0.7]).w, atol=1e-12)
 
 
 @pytest.mark.parametrize("lambdas, alphas, A, alpha", [
@@ -253,7 +253,7 @@ def test_profile_record_rebuilds_the_exported_profile(tmp_path, lambdas, alphas,
     assert type(back) is type(prof)
     assert back.spec == prof.spec
     for s in np.linspace(0.0, orbit.S, 4):
-        assert np.array_equal(back.w_of(s), prof.w_of(s))
+        assert np.array_equal(back.curve([s]).w, prof.curve([s]).w)
 
 
 @settings(max_examples=25, deadline=None,
@@ -277,8 +277,9 @@ def test_profile_record_round_trip_is_exact(tmp_path, make_orbit_spec, lambdas, 
     assert type(back) is type(prof)
     assert back.spec == prof.spec == orbit.based
     for s in (0.0, 0.3 * orbit.S, orbit.S, -0.7 * orbit.S):
-        assert np.array_equal(back.w_of(s), prof.w_of(s))
-        assert back.theta_of(s) == prof.theta_of(s)
+        mine, theirs = back.curve([s]), prof.curve([s])
+        assert np.array_equal(mine.w, theirs.w)
+        assert mine.theta[0] == theirs.theta[0]
 
 
 def test_profile_record_translator(tmp_path):
@@ -290,8 +291,8 @@ def test_profile_record_translator(tmp_path):
     assert back.K == prof.K
     assert back.base.a == prof.base.a
     x = np.array([0.3, -0.8])
-    np.testing.assert_allclose(back.immersion(x, 0.6), prof.immersion(x, 0.6),
-                               atol=1e-12)
+    np.testing.assert_allclose(back.immersion(x, back.base.curve([0.6]).row(0)),
+                               prof.immersion(x, prof.base.curve([0.6]).row(0)), atol=1e-12)
 
 
 def test_profile_record_rejects_unknown_kind(tmp_path):

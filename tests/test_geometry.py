@@ -5,16 +5,23 @@ import math
 import numpy as np
 import pytest
 
+from lagsol import geometry
 from lagsol.errors import ValidationError
-from lagsol.expander import ExpanderProfile
+from lagsol.expander import ExpanderProfile, s_of_y
 from lagsol.geometry import (FramedPoint, _fd_levels, _quadric_base,
-                             centred_fd_mean_curvature, centred_frame, fd_step,
+                             centred_fd_mean_curvature, fd_step,
                              mean_curvature_fd, quadric_tangent_basis)
 from lagsol.params import SolitonParams
 from lagsol.periodic import PeriodicSpec, compute_orbit
 from lagsol.translator import TranslatorProfile
 from oracles import (pointwise_fd_mean_curvature, stacked_fd_mean_curvature,
                      stationary_spec)
+
+
+def centred_frame(profile, x, t: float):
+    """The package's frame at curve parameter t: geometry.centred_frame on
+    the row of the curve record at t."""
+    return geometry.centred_frame(profile, x, profile.curve([t]).row(0))
 
 
 # closed forms the frames are checked against
@@ -26,7 +33,7 @@ def curve_metric_coefficient(profile, x, t: float) -> float:
     phase equations; profiles in another parameter pick up (ds/dt)^2.
     """
     x = np.asarray(x, dtype=float)
-    w = np.asarray(profile.w_of(t))
+    w = profile.curve([t]).w[0]
     r2 = np.abs(w) ** 2
     lam = np.asarray(profile.lambdas)
     return float(np.prod(r2) * np.sum(lam ** 2 * x ** 2 / r2))
@@ -40,7 +47,7 @@ def position_normal_closed_form(profile, x, t: float, *, s_rate: float = 1.0) ->
     s (1 for those parametrized by s itself).
     """
     fp = centred_frame(profile, x, t)
-    w = np.asarray(profile.w_of(t))
+    w = profile.curve([t]).w[0]
     # sin(phi - theta) from the full product, robust to phase wrapping
     full = np.prod(w)
     sin_d = np.imag(np.exp(-1j * fp.theta) * full) / np.abs(full)
@@ -85,8 +92,8 @@ def example_profiles():
     orbit = compute_orbit(
         PeriodicSpec(SolitonParams((1.0, -1.0), 1.0, 0.6), (1.0, 3.0), 0.5)).profile()
     return [
-        ("expander", exp_prof, (-1.5, 1.5), lambda t: exp_prof.s_rate_of(t)),
-        ("minimal", minimal, (-1.5, 1.5), lambda t: minimal.s_rate_of(t)),
+        ("expander", exp_prof, (-1.5, 1.5), lambda t: exp_prof.curve([t]).s_rate[0]),
+        ("minimal", minimal, (-1.5, 1.5), lambda t: minimal.curve([t]).s_rate[0]),
         ("stationary", hs, (-2.0, 2.0), lambda t: 1.0),
         ("orbit", orbit, (-2.0, 2.0), lambda t: 1.0),
     ]
@@ -221,6 +228,33 @@ def test_stacked_fd_oracle_matches_the_pointwise_one(name):
     assert np.abs(H - H_ref).max() <= 1e-13 * (1.0 + np.linalg.norm(H_ref))
 
 
+CENTRED_CASES = ("expander-n1", "expander-n2", "expander-n3", "minimal", "orbit",
+                 "stationary", "shrinker")
+
+
+@pytest.mark.parametrize("name", CENTRED_CASES)
+def test_curve_record_rates_and_batches(name, rng):
+    """Each rate of the record is the central difference of its value (s is
+    s_of_y on an expander, t itself on an orbit), and a shuffled batch over
+    held parameters returns exactly the rows of one-parameter reads."""
+    prof = FD_CASES[name][0]()
+    ts, h = np.linspace(-1.2, 1.2, 7), 1e-5
+    c, up, down = prof.curve(ts), prof.curve(ts + h), prof.curve(ts - h)
+    if isinstance(prof, ExpanderProfile):
+        s_of = lambda rec: np.array([s_of_y(prof, t) for t in rec.t])
+    else:
+        s_of = lambda rec: rec.t
+    for rate, value in (("wdot", lambda rec: rec.w), ("theta_rate", lambda rec: rec.theta),
+                        ("u_rate", lambda rec: rec.u), ("s_rate", s_of)):
+        fd = (value(up) - value(down)) / (2.0 * h)
+        np.testing.assert_allclose(getattr(c, rate), fd, rtol=0, atol=1e-7, err_msg=rate)
+    held = rng.permutation(np.concatenate([ts, ts + h, ts - h]))
+    batch = prof.curve(held)
+    for k, t in enumerate(held.tolist()):
+        one = prof.curve([t]).row(0)
+        assert all(np.array_equal(a, b) for a, b in zip(batch.row(k), one)), t
+
+
 def test_fd_matches_analytic_mean_curvature(rng):
     for name, prof, (lo, hi), _ in example_profiles():
         t = float(rng.uniform(lo + 0.3, hi - 0.3))
@@ -235,7 +269,7 @@ def test_fd_matches_analytic_mean_curvature(rng):
 def test_minimal_profile_fd_mean_curvature_vanishes(rng):
     prof = ExpanderProfile(0.0, (0.8, 1.5))
     x = sample_quadric_points(rng, prof.lambdas, 1)[0]
-    assert np.linalg.norm(prof.theta_rate_of(0.7)) == 0.0
+    assert np.linalg.norm(prof.curve([0.7]).theta_rate) == 0.0
     H_fd = centred_fd_mean_curvature(prof, x, 0.7)
     assert np.linalg.norm(H_fd) < 1e-4
 
@@ -269,7 +303,7 @@ def test_chart_stays_on_quadric():
     for x in base(np.array([[0.0], [0.05], [-0.08]])):
         assert np.sum(np.array(prof.lambdas) * x * x) == pytest.approx(1.0, abs=1e-12)
     _, values = stacked_fd_mean_curvature(prof, x0, 0.2)
-    np.testing.assert_allclose(values[0], x0 * np.asarray(prof.w_of(0.2)), atol=1e-12)
+    np.testing.assert_allclose(values[0], x0 * prof.curve([0.2]).w[0], atol=1e-12)
     with pytest.raises(ValidationError, match="radial domain"):
         base(np.array([[50.0]]))                    # radial pullback undefined
 

@@ -20,10 +20,11 @@ import pytest
 from scipy.integrate import quad
 
 from lagsol import expander
-from lagsol.expander import ExpanderProfile, _inv_sqrt_P, _log_growth, _scale_breaks
+from lagsol.expander import ExpanderProfile, _scale_breaks
 from lagsol.geometry import fd_step
 from lagsol.params import SolitonParams
 from lagsol.periodic import PeriodicSpec, compute_orbit, critical_point
+from oracles import inv_sqrt_P, log_growth
 
 DPS = 30
 # scaled error |got - ref| / (1 + |ref|); measured 1.1e-16 or better.  The
@@ -91,14 +92,14 @@ def quadpack_improper(f, alpha, a):
 
 
 def phase_integrand(alpha, a, j):
-    return lambda t: a[j] / (1.0 + a[j] * t * t) * _inv_sqrt_P(alpha, a, t)
+    return lambda t: a[j] / (1.0 + a[j] * t * t) * inv_sqrt_P(alpha, a, t)
 
 
 def jacobian_integrand(alpha, a, j, k):
     def f(t):
         t2 = t * t
-        isp = _inv_sqrt_P(alpha, a, t)
-        one_minus = max(-math.expm1(-_log_growth(alpha, a, t)), 1e-300)
+        isp = inv_sqrt_P(alpha, a, t)
+        one_minus = max(-math.expm1(-log_growth(alpha, a, t)), 1e-300)
         val = -a[j] / (1.0 + a[j] * t2) * isp * t2 / (2.0 * one_minus * (1.0 + a[k] * t2))
         if j == k:
             val += isp / (1.0 + a[j] * t2) ** 2
@@ -199,14 +200,14 @@ def export_queries(prof):
     mesh heights as batches, then the FD stencil around three mesh heights
     one height at a time; returns a sample of the heights queried."""
     table, mesh = np.linspace(-1.5, 1.5, 200), np.linspace(-1.5, 1.5, 30)
-    prof.prefetch(table)
-    prof.prefetch(mesh)
+    prof.curve(table)
+    prof.curve(mesh)
     fd = []
     for y in mesh[[3, 14, 26]]:
-        h = fd_step(prof.u_of(y))
+        h = fd_step(prof.curve([y]).u[0])
         fd += [y + h, y - h, y + 0.5 * h, y - 0.5 * h]
     for y in fd:
-        prof.w_of(float(y))
+        prof.curve([float(y)])
     return [float(y) for y in (*table[::20], table[-1], *mesh[::5], *fd)]
 
 
@@ -216,7 +217,7 @@ def test_phases_match_oracle_at_export_heights(alpha, a):
     heights = export_queries(prof)
     ref = oracle_phases(alpha, a, heights)
     for y in heights:
-        pt = expander.profile_eval(prof, y)
+        pt = prof.curve([y]).row(0)
         assert_close([*pt.phis, pt.theta], ref[y], PHASE_TOL)
 
 

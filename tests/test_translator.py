@@ -15,15 +15,21 @@ from lagsol.translator import TranslatorProfile, translator_fd_mean_curvature
 from oracles import stacked_fd_mean_curvature, stationary_spec
 
 
+def at(prof: TranslatorProfile, t: float):
+    """The row of the base's curve record at curve parameter t."""
+    return prof.base.curve([t]).row(0)
+
+
 def maslov_invariant(prof: TranslatorProfile, x, t: float) -> float:
     """theta + alpha Im z_n; equals maslov_constant everywhere."""
-    z = prof.immersion(x, t)
-    return float(prof.theta_of(t) + prof.alpha * z[-1].imag)
+    c = at(prof, t)
+    z = prof.immersion(x, c)
+    return float(c.theta + prof.alpha * z[-1].imag)
 
 
 def soliton_residual(prof: TranslatorProfile, x, t: float) -> float:
     """| T_perp - H | at one point."""
-    fp = prof.frame_at(x, t)
+    fp = prof.frame_at(x, at(prof, t))
     Tp = fp.normal_projection(prof.translation_vector())
     return float(np.linalg.norm(Tp - fp.mean_curvature()))
 
@@ -41,7 +47,7 @@ def test_last_coordinate_anchor():
     """At the base origin and curve origin the last coordinate is -i pi/(2 alpha)."""
     for alpha in (2.0, 0.5):
         prof = TranslatorProfile.from_expander_base(alpha, (1.0, 1.5))
-        z = prof.immersion(np.zeros(2), 0.0)
+        z = prof.immersion(np.zeros(2), at(prof, 0.0))
         np.testing.assert_allclose(z[:-1], 0.0, atol=1e-14)
         assert abs(z[-1] - (-1j * math.pi / (2.0 * alpha))) < 1e-10
 
@@ -53,29 +59,28 @@ def test_beta_rate_closed_form(rng):
     for prof, ts in ((exp_prof, rng.uniform(-2.0, 2.0, 5)),
                      (orb_prof, rng.uniform(-3.0, 3.0, 5))):
         for t in ts:
-            t = float(t)
-            w = np.asarray(prof.base.w_of(t))
-            expect = (np.exp(1j * prof.theta_of(t)) * np.conj(np.prod(w))
-                      * prof.s_rate_of(t))
-            assert abs(prof.beta_rate_of(t) - expect) < 1e-9
+            c = at(prof, float(t))
+            expect = np.exp(1j * c.theta) * np.conj(np.prod(c.w)) * c.s_rate
+            assert abs(prof.beta_rate(c) - expect) < 1e-9
 
 
 def test_beta_rate_matches_finite_difference():
     prof = orbit_translator()
     h = 1e-5
     for t in (0.0, 0.8, -1.3):
-        fd = (prof.beta_of(t + h) - prof.beta_of(t - h)) / (2.0 * h)
-        assert abs(prof.beta_rate_of(t) - fd) < 1e-7
+        fd = (prof.beta(at(prof, t + h)) - prof.beta(at(prof, t - h))) / (2.0 * h)
+        assert abs(prof.beta_rate(at(prof, t)) - fd) < 1e-7
 
 
 def test_im_beta_strictly_monotone():
     ts = np.linspace(-4.0, 4.0, 161)
     prof = orbit_translator()
-    prof.base.prefetch(ts)
-    falling = np.array([prof.beta_of(float(t)).imag for t in ts])
+    c = prof.base.curve(ts)
+    falling = np.array([prof.beta(c.row(k)).imag for k in range(len(ts))])
     assert np.all(np.diff(falling) < 0)     # base first integral A > 0
     rising_prof = TranslatorProfile.from_expander_base(1.2, (1.0, 2.0))
-    rising = np.array([rising_prof.beta_of(float(t)).imag for t in ts])
+    c = rising_prof.base.curve(ts)
+    rising = np.array([rising_prof.beta(c.row(k)).imag for k in range(len(ts))])
     assert np.all(np.diff(rising) > 0)      # expander base has A < 0
 
 
@@ -101,8 +106,8 @@ def test_translation_identity():
     np.testing.assert_allclose(T, [0.0, 0.0, alpha], atol=0)
     x = np.array([0.4, -1.1])
     for t in (0.0, 0.9, -0.6):
-        np.testing.assert_allclose(prof1.immersion(x, t),
-                                   prof0.immersion(x, t) + tau * T, atol=1e-12)
+        np.testing.assert_allclose(prof1.immersion(x, at(prof1, t)),
+                                   prof0.immersion(x, at(prof0, t)) + tau * T, atol=1e-12)
 
 
 def test_frames_lagrangian_with_matching_angle(rng):
@@ -111,7 +116,7 @@ def test_frames_lagrangian_with_matching_angle(rng):
         for _ in range(5):
             x = rng.normal(size=prof.n - 1) * 1.2
             t = float(rng.uniform(-2.0, 2.0))
-            fp = prof.frame_at(x, t)
+            fp = prof.frame_at(x, at(prof, t))
             assert fp.lagrangian_residual < 1e-10
             assert fp.angle_residual < 1e-9
             assert np.linalg.eigvalsh(fp.metric).min() > 0
@@ -131,7 +136,7 @@ def test_fd_mean_curvature_matches_translation_part():
     prof = orbit_translator()
     x = np.array([0.7, -0.3])
     t = 0.4
-    fp = prof.frame_at(x, t)
+    fp = prof.frame_at(x, at(prof, t))
     Tp = fp.normal_projection(prof.translation_vector())
     H_fd = translator_fd_mean_curvature(prof, x, t)
     assert np.linalg.norm(H_fd - Tp) / np.linalg.norm(H_fd) < 1e-3
@@ -141,8 +146,8 @@ def test_u_rate_matches_finite_difference():
     prof = orbit_translator()
     h = 1e-5
     for t in (0.2, -0.9):
-        fd = (prof.base.u_of(t + h) - prof.base.u_of(t - h)) / (2.0 * h)
-        assert prof._u_rate(t) == pytest.approx(fd, abs=1e-7)
+        fd = (at(prof, t + h).u - at(prof, t - h).u) / (2.0 * h)
+        assert at(prof, t).u_rate == pytest.approx(fd, abs=1e-7)
 
 
 def test_oscillates_flag():
@@ -157,7 +162,7 @@ def test_stationary_base_beta_is_linear():
     stat = stationary_spec(SolitonParams((1.0, -1.0), 1.0, 0.0), (1.0, 1.0))
     prof = TranslatorProfile.from_orbit_base(stat, K=1.0 + 2.0j)
     for t in (0.0, 0.5, -1.7):
-        b = prof.beta_of(t)
+        b = prof.beta(at(prof, t))
         assert b.real == pytest.approx(1.0, abs=1e-12)
         assert b.imag == pytest.approx(2.0 - stat.A * t, abs=1e-12)
 
@@ -167,18 +172,17 @@ def test_base_validation():
     with pytest.raises(ValidationError):
         TranslatorProfile(prof)                     # translator is not a centred base
     with pytest.raises(ValidationError):
-        prof.immersion(np.zeros(prof.n), 0.0)       # base point has n - 1 coords
+        prof.immersion(np.zeros(prof.n), at(prof, 0.0))     # base point has n - 1 coords
 
 
 def test_translator_mesh_reads_each_curve_sample_once():
-    """Each curve sample's rows come from one immersion call: 3 profile
-    evaluations per height (w and theta for the rows, theta for the angle),
-    and the rows equal the per-point immersion exactly."""
+    """The mesh reads the base curve once, over all its heights (one profile
+    evaluation), and its rows equal the per-point immersion exactly."""
     prof = TranslatorProfile.from_expander_base(1.2, (1.0, 2.0))
     with mock.patch("lagsol.expander.profile_eval", wraps=expander.profile_eval) as ev:
         mesh = translator_mesh(prof, np.linspace(-1.2, 1.2, 30), 20)
-    assert ev.call_count <= 90
-    rows = [prof.immersion(x, t) for x, t in zip(mesh.base, mesh.params)]
+    assert ev.call_count == 1
+    rows = [prof.immersion(x, at(prof, t)) for x, t in zip(mesh.base, mesh.params)]
     assert np.array_equal(mesh.points, np.array(rows))
 
 
@@ -186,4 +190,4 @@ def test_chart_center_matches_immersion():
     prof = orbit_translator()
     x0 = np.array([0.5, -0.2])
     _, values = stacked_fd_mean_curvature(prof, x0, 0.3)
-    np.testing.assert_allclose(values[0], prof.immersion(x0, 0.3), atol=1e-14)
+    np.testing.assert_allclose(values[0], prof.immersion(x0, at(prof, 0.3)), atol=1e-14)

@@ -70,10 +70,10 @@ def _per_point_report(profile, mesh, collect_rows=False):
                   "lagrangian": V.LAGRANGIAN_TOL, "angle": V.ANGLE_TOL, "soliton": V.SOLITON_TOL}
         gate = ("reconstruction",)
 
-        def own(x, z, t):
-            zn = -0.5 * float(np.sum(lam * x * x)) + profile.beta_of(t)
+        def own(x, z, c):
+            zn = -0.5 * float(np.sum(lam * x * x)) + profile.beta(c)
             return {"last_coordinate": abs(z[-1] - zn) / (1.0 + abs(zn)),
-                    "maslov": abs(profile.theta_of(t) + profile.alpha * z[-1].imag
+                    "maslov": abs(c.theta + profile.alpha * z[-1].imag
                                   - profile.maslov_constant)}
         frame = profile.frame_at
         oracle = lambda x, t: translator_fd_mean_curvature(profile, x, t)
@@ -84,32 +84,32 @@ def _per_point_report(profile, mesh, collect_rows=False):
                   "stored_angle": V.STORED_ANGLE_TOL, "lagrangian": V.LAGRANGIAN_TOL,
                   "angle": V.ANGLE_TOL, "soliton": V.SOLITON_TOL}
         gate = ("reconstruction", "quadric")
-        own = lambda x, z, t: {"quadric": abs(float(np.sum(lam * x * x)) - 1.0)}
-        frame = lambda x, t: centred_frame(profile, x, t)
+        own = lambda x, z, c: {"quadric": abs(float(np.sum(lam * x * x)) - 1.0)}
+        frame = lambda x, c: centred_frame(profile, x, c)
         oracle = lambda x, t: centred_fd_mean_curvature(profile, x, t)
         drive = lambda fp: profile.alpha * fp.normal_projection(fp.z)
-    if hasattr(curve, "prefetch"):
-        curve.prefetch(sorted(set(np.asarray(mesh.params, dtype=float).tolist())))
+    curve.curve(sorted(set(np.asarray(mesh.params, dtype=float).tolist())))
     worst = {name: _Worst() for name in limits}
     fd_at = set(_fd_subset(len(mesh), V.FD_CHECKS).tolist())
     rows = []
     for i in range(len(mesh)):
         t, z = float(mesh.params[i]), mesh.points[i]
-        w = np.asarray(curve.w_of(t))
+        c = curve.curve([t]).row(0)
+        w = c.w
         zc = z[:len(w)]
         x = (zc / w).real
         res = {"reconstruction":
                float(np.max(np.abs(zc - x * w))) / (1.0 + float(np.max(np.abs(z)))),
                "stored_angle": abs(math.remainder(float(mesh.thetas[i])
-                                                  - float(profile.theta_of(t)), 2.0 * math.pi)),
-               **own(x, z, t)}
+                                                  - float(c.theta), 2.0 * math.pi)),
+               **own(x, z, c)}
         for name, value in res.items():
             worst[name].update(value, i)
         if not all(res[name] <= limits[name] for name in gate):
             if collect_rows:
                 rows.append((i, t, math.nan, math.nan, math.nan))
             continue
-        fp = frame(x, t)
+        fp = frame(x, c)
         worst["lagrangian"].update(fp.lagrangian_residual, i)
         worst["angle"].update(fp.angle_residual, i)
         d = drive(fp)
