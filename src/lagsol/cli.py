@@ -381,8 +381,8 @@ def cmd_translator(cfg) -> int:
     pairs = [("maslov_constant", repr(profile.maslov_constant)),
              ("oscillating_base", "true" if profile.oscillates else "false")]
     if profile.alpha != 0.0 and cfg["a"] is not None:
-        anchor = profile.immersion(np.zeros(profile.base.n),
-                                   profile.base.curve([0.0]).row(0))[-1]
+        # z at the base origin and curve origin is beta there
+        anchor = profile.beta(profile.base.curve([0.0]).row(0))
         pairs += [("anchor_re", repr(float(anchor.real))),
                   ("anchor_im", repr(float(anchor.imag))),
                   ("anchor_expected_im", repr(-math.pi / (2.0 * profile.alpha)))]

@@ -22,11 +22,12 @@ theta, and the normal projections entering the soliton equations.
 
 A finite-difference mean curvature serves as an independent cross-check, for
 centred profiles and translators alike: the Laplace-Beltrami operator of the
-immersion on a local chart (xi, t), Richardson extrapolated.  curve_chart
-pairs a base map of the chart offsets xi with the immersion rows of a kind;
-the whole central-difference stencil of both Richardson levels is one array
-of offsets, the curve is read once per distinct t, and the differences and
-Laplace-Beltrami contractions run over the stacked values.
+immersion on a local chart (xi, t) around each point, Richardson
+extrapolated.  The FD points of a mesh are one batch: the central-difference
+stencils of every point and both Richardson levels are one array of offsets,
+curve_chart reads the curve once over their sorted distinct parameters, and
+the differences and Laplace-Beltrami contractions run over the stacked
+values.
 """
 
 from __future__ import annotations
@@ -58,8 +59,9 @@ class CurveRecord(NamedTuple):
     u_rate: np.ndarray      # du/dt
     s_rate: np.ndarray      # ds/dt
 
-    def row(self, i: int) -> "CurveRecord":
-        """The entries at the i-th parameter: scalars, and (n,) arrays."""
+    def row(self, i) -> "CurveRecord":
+        """The entries at the i-th parameter: scalars, and (n,) arrays; for an
+        index array, the record at those parameters."""
         return CurveRecord(*(field[i] for field in self))
 
 
@@ -69,52 +71,14 @@ def curve_views(*fields):
     return tuple(lambda self, t, f=f: getattr(self.curve([t]), f)[0] for f in fields)
 
 
-def quadric_tangent_basis(lambdas, x):
-    """Orthonormal tangent basis of { sum lambda_j x_j^2 = C } at x.
-
-    Returns an (n-1, n) array of row vectors orthogonal to the gradient
-    direction nu ~ (lambda_1 x_1, ..., lambda_n x_n), built by Gram-Schmidt
-    from the coordinate axes with the axis of largest |lambda_j x_j| dropped
-    (deterministic pivot).  The orientation is fixed so that the rows followed
-    by nu form a right-handed basis of R^n.
-    """
-    lam = np.asarray(lambdas, dtype=float)
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    grad = lam * x
-    norm = np.linalg.norm(grad)
-    if norm == 0:
-        raise ValidationError("quadric gradient vanishes; point is singular")
-    nu = grad / norm
-    drop = int(np.argmax(np.abs(grad)))
-    rows = []
-    for k in range(n):
-        if k == drop:
-            continue
-        v = np.zeros(n)
-        v[k] = 1.0
-        v -= (v @ nu) * nu
-        for e in rows:
-            v -= (v @ e) * e
-        vn = np.linalg.norm(v)
-        if vn < 1e-12:
-            raise ValidationError("degenerate tangent basis at quadric point")
-        rows.append(v / vn)
-    basis = np.array(rows).reshape(n - 1, n)
-    if n > 1:
-        full = np.vstack([basis, nu[None, :]])
-        if np.linalg.det(full) < 0:
-            basis[0] = -basis[0]
-    return basis
-
-
 def _tangent_bases(lambdas, xs) -> np.ndarray:
-    """quadric_tangent_basis at each row of xs, as one (m, n-1, n) array.
+    """Orthonormal tangent bases of { sum lambda_j x_j^2 = 1 } at the rows of
+    xs, as one (m, n-1, n) array.
 
-    Same pivot, Gram-Schmidt order and orientation, but the dot products sum
-    over stacked rows, so entries agree with quadric_tangent_basis to
-    roundoff rather than bit for bit.  The frames use this; the FD chart
-    keeps quadric_tangent_basis, so the oracle's arithmetic stays its own.
+    Each basis is Gram-Schmidt on the coordinate axes, with the axis of
+    largest |lambda_j x_j| dropped (a deterministic pivot), against the
+    gradient direction nu ~ (lambda_1 x_1, ..., lambda_n x_n); its rows
+    followed by nu are right-handed.  At n = 1 the bases are empty.
     """
     lam = np.asarray(lambdas, dtype=float)
     m, n = xs.shape
@@ -241,8 +205,9 @@ def centred_frame(profile, x, c: CurveRecord) -> FramedPoint:
 
 # -- finite-difference mean curvature ---------------------------------------
 
-def fd_step(u: float) -> float:
-    """Chart step h = FD_STEP_SCALE * sqrt(1 + |u|), tied to the local radius scale.
+def fd_step(u):
+    """Chart step h = FD_STEP_SCALE * sqrt(1 + |u|), tied to the local radius
+    scale; elementwise over an array of heights u.
 
     The scale balances the two errors of the Richardson pair: roundoff in
     the second differences grows like eps / h^2, truncation like h^4.  At
@@ -251,7 +216,7 @@ def fd_step(u: float) -> float:
     the benchmark's export jobs by 2-4x.  At 4e-3 truncation took over: the
     worst orbit-export residual rose from 4.8e-9 to 7.8e-8.
     """
-    return FD_STEP_SCALE * math.sqrt(1.0 + abs(u))
+    return FD_STEP_SCALE * np.sqrt(1.0 + np.abs(u))
 
 
 def _fd_levels(F, n: int, steps) -> np.ndarray:
@@ -287,46 +252,49 @@ def _fd_levels(F, n: int, steps) -> np.ndarray:
     return np.einsum("lab,labk->lk", ginv, d2 - np.einsum("labc,lck->labk", gamma, d1))
 
 
-def mean_curvature_fd(F, n: int, h: float) -> np.ndarray:
+def mean_curvature_fd(F, n: int, h) -> np.ndarray:
     """Finite-difference H = Laplace-Beltrami of the immersion at the origin of
     the n-dimensional chart F: the h and h/2 levels of _fd_levels,
-    Richardson extrapolated to fourth order."""
-    Hh, Hh2 = _fd_levels(F, n, (h, 0.5 * h))
-    return (4.0 * Hh2 - Hh) / 3.0
+    Richardson extrapolated to fourth order.
+
+    With an (m,) array of steps, one per point, F reads the stencils of the m
+    points in turn (each point's h level, then its h/2 level) and the result
+    is (m, k), one Richardson pair per point.
+    """
+    h = np.asarray(h, dtype=float)
+    steps = np.stack([h, 0.5 * h], axis=-1)
+    levels = _fd_levels(F, n, steps.ravel()).reshape(steps.shape + (-1,))
+    return (4.0 * levels[..., 1, :] - levels[..., 0, :]) / 3.0
 
 
-def curve_chart(base, rows, curve, c0: CurveRecord):
-    """The chart (xi, t) -> rows(base(xi), curve at t0 + t) on (m, n) stacks
-    of offsets, for an immersion of an n-fold in C^n.
+def curve_chart(base, rows, curve, ts):
+    """The charts (xi, t) -> rows(base(xi), curve at ts_i + t) of m points at
+    the curve parameters ts, for immersions of n-folds in C^n.
 
-    base maps stacked offsets xi to base points; rows(xs, c) immerses a stack
-    of base points on the curve record row c; c0 is the row at the centre
-    t0.  Every other distinct t is one curve([t0 + t]) read, in the order the
-    stack first reaches it, so profiles whose caches depend on query order
-    see the queries of a point-by-point chart.
+    The chart maps an (m R, n) stack of offsets, R consecutive ones per
+    point in the order of ts, to their (m R, n) immersion values.  base maps
+    the (m, R, n - 1) offsets xi of the points to base points; rows(xs, c, at)
+    immerses the stacked base point xs[k] on row at[k] of the curve record c.
+    The curve is read once, over the sorted distinct parameters of the whole
+    stack.
     """
     def chart(coords):
-        xs, dts = base(coords[:, :-1]), coords[:, -1]
-        out = np.empty(coords.shape, dtype=complex)     # n-folds in C^n
-        for dt in dict.fromkeys(dts.tolist()):
-            at = dts == dt
-            out[at] = rows(xs[at], c0 if dt == 0.0 else curve([c0.t + dt]).row(0))
-        return out
+        coords = coords.reshape(len(ts), -1, coords.shape[-1])
+        xs = base(coords[..., :-1])
+        grid, at = np.unique((ts[:, None] + coords[..., -1]).ravel(), return_inverse=True)
+        return rows(xs.reshape(-1, xs.shape[-1]), curve(grid), at)
     return chart
 
 
-def _quadric_base(lambdas, x0):
-    """Base map of a chart around the quadric point x0: offsets move in the
-    tangent plane at x0 and are pulled back to the quadric by the radial
-    scaling x -> x sqrt(1 / sum lambda x^2)."""
+def _quadric_base(lambdas, x0s):
+    """Base map of the charts around the quadric points x0s: each point's
+    offsets move in its tangent plane and are pulled back to the quadric by
+    the radial scaling x -> x sqrt(1 / sum lambda x^2)."""
     lam = np.asarray(lambdas, dtype=float)
-    x0 = np.asarray(x0, dtype=float)
-    if x0.size == 1:            # the quadric is two points: the chart moves in t only
-        return lambda xi: np.tile(x0, (len(xi), 1))
-    basis = quadric_tangent_basis(lam, x0)
+    bases = _tangent_bases(lam, x0s)
 
     def base(xi):
-        x = x0 + xi @ basis
+        x = x0s[:, None, :] + xi @ bases
         q = np.sum(lam * x * x, axis=-1, keepdims=True)
         if np.any(q <= 0):
             raise ValidationError("chart left the quadric's radial domain")
@@ -334,9 +302,11 @@ def _quadric_base(lambdas, x0):
     return base
 
 
-def centred_fd_mean_curvature(profile, x, t: float) -> np.ndarray:
-    """Finite-difference H at (x, t); the analytic route is mean_curvature()."""
-    base = _quadric_base(profile.lambdas, x)
-    c0 = profile.curve([t]).row(0)
-    chart = curve_chart(base, lambda xs, c: xs * c.w, profile.curve, c0)
-    return mean_curvature_fd(chart, profile.n, fd_step(c0.u))
+def centred_fd_mean_curvature(profile, xs, c: CurveRecord) -> np.ndarray:
+    """Finite-difference H at the quadric points xs (m, n) on the rows c of
+    the profile's curve record, one per point, as an (m, n) array; the
+    analytic route is mean_curvature()."""
+    xs = np.asarray(xs, dtype=float)
+    chart = curve_chart(_quadric_base(profile.lambdas, xs),
+                        lambda x, grid, at: x * grid.w[at], profile.curve, c.t)
+    return mean_curvature_fd(chart, profile.n, fd_step(c.u))

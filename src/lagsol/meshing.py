@@ -130,7 +130,8 @@ def translator_mesh(profile, t_values, base_count: int, *, radius: float = 1.5,
                     seed: int = 0) -> Mesh:
     """Mesh of a translator immersion over a t-grid and a base-ball sample."""
     xs = ball_points(profile.n - 1, base_count, radius=radius, seed=seed)
-    return _mesh("translator", profile.base, t_values, xs, profile.immersion)
+    return _mesh("translator", profile.base, t_values, xs,
+                 lambda xs, c: profile.immersion(xs, c, profile.beta(c)))
 
 
 def flow_slice_mesh(profile, t: float, s_values, base_count: int, *, seed: int = 0,

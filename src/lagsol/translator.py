@@ -20,13 +20,15 @@ linear function of the translation direction).  For alpha = 0 the real part
 is still u/2 + Re K while Im beta = -A s + Im K drifts linearly in s by the
 first integral A of the base.  Both forms, and d beta/dt, are read off the
 base's curve record (u, theta and their rates, ds/dt); s itself is the
-curve parameter of an orbit base and s_of_y of an expander base.
+curve parameter of an orbit base and s_of_y of an expander base, a
+quadrature, so callers compute beta once per curve parameter and hand it on.
 
 The default K = -u_*/2 places the waist at Re beta = 0; with base phases
 psi = 0 the point z(0, 0) then sits at -i pi / (2 alpha).
 
 The base coordinates x are already flat, so the FD mean curvature cross-check
-at (x, t) runs geometry's stacked stencil on the chart (xi, s) -> z(x + xi, t + s).
+at points (x, t) runs geometry's stacked stencils on the charts
+(xi, s) -> z(x + xi, t + s), with beta on their distinct parameters.
 """
 
 from __future__ import annotations
@@ -75,11 +77,14 @@ class TranslatorProfile:
 
     # -- beta and the immersion on rows of the base's curve record ----------
 
-    def beta(self, c) -> complex:
-        """beta on the row c of the base's curve record."""
+    def beta(self, c):
+        """beta on the base's curve record c: a row, or arrays over its
+        parameters."""
         if self.alpha != 0.0:
             return 0.5 * c.u + self.K.real + 1j * (self.K.imag - c.theta / self.alpha)
-        s = s_of_y(self.base, c.t) if isinstance(self.base, ExpanderProfile) else c.t
+        s = c.t
+        if isinstance(self.base, ExpanderProfile):
+            s = np.reshape([s_of_y(self.base, t) for t in np.ravel(s).tolist()], np.shape(s))
         return 0.5 * c.u + self.K.real + 1j * (self.K.imag - self.first_integral * s)
 
     def beta_rate(self, c) -> complex:
@@ -89,24 +94,25 @@ class TranslatorProfile:
             return 0.5 * c.u_rate - 1j * (c.theta_rate / self.alpha)
         return 0.5 * c.u_rate - 1j * (self.first_integral * c.s_rate)
 
-    def immersion(self, x, c) -> np.ndarray:
+    def immersion(self, x, c, beta) -> np.ndarray:
         """z at a base point x, or a stack of them (shape (m, n - 1)), on the
-        row c of the base's curve record."""
+        row c of the base's curve record, with beta = self.beta(c); or at one
+        point per row of a record c of arrays."""
         x = np.asarray(x, dtype=float)
         if x.shape[-1:] != (self.n - 1,):
             raise ValidationError("base point must have n - 1 coordinates")
         lam = np.asarray(self.base_lambdas)
         z = np.empty(x.shape[:-1] + (self.n,), dtype=complex)
         z[..., :-1] = x * c.w
-        z[..., -1] = -0.5 * np.sum(lam * x * x, axis=-1) + self.beta(c)
+        z[..., -1] = -0.5 * np.sum(lam * x * x, axis=-1) + beta
         return z
 
-    def frame_at(self, x, c) -> FramedPoint:
+    def frame_at(self, x, c, beta) -> FramedPoint:
         """Frame at a base point x, or a stack of them (shape (m, n - 1)), on
-        the row c of the base's curve record."""
+        the row c of the base's curve record, with beta = self.beta(c)."""
         x = np.asarray(x, dtype=float)
         n = self.n
-        z = self.immersion(x, c).reshape(-1, n)
+        z = self.immersion(x, c, beta).reshape(-1, n)
         xs = x.reshape(-1, n - 1)
         lam = np.asarray(self.base_lambdas)
         j = np.arange(n - 1)
@@ -141,9 +147,13 @@ class TranslatorProfile:
         return self.orbit is not None and self.orbit.case == "oscillating"
 
 
-def translator_fd_mean_curvature(profile: TranslatorProfile, x, t: float) -> np.ndarray:
-    """Finite-difference H at (x, t); the base coordinates are already flat."""
-    x0 = np.asarray(x, dtype=float)
-    c0 = profile.base.curve([t]).row(0)
-    chart = curve_chart(lambda xi: x0 + xi, profile.immersion, profile.base.curve, c0)
-    return mean_curvature_fd(chart, profile.n, fd_step(c0.u))
+def translator_fd_mean_curvature(profile: TranslatorProfile, xs, c) -> np.ndarray:
+    """Finite-difference H at the base points xs (m, n - 1) on the rows c of
+    the base's curve record, one per point, as an (m, n) array; the base
+    coordinates are already flat."""
+    xs = np.asarray(xs, dtype=float)
+
+    def rows(x, grid, at):
+        return profile.immersion(x, grid.row(at), profile.beta(grid)[at])
+    chart = curve_chart(lambda xi: xs[:, None, :] + xi, rows, profile.base.curve, c.t)
+    return mean_curvature_fd(chart, profile.n, fd_step(c.u))

@@ -3,8 +3,9 @@
 The checks here recompute everything from scratch: intrinsic coordinates are
 reconstructed from the raw mesh points, frames are rebuilt, and the soliton
 equation is cross-checked against a finite-difference mean curvature oracle
-on a deterministic subset of points.  Nothing is trusted from export time
-except the profile record and the point coordinates themselves.
+on a deterministic subset of points, all checked in one batch after the
+other invariants.  Nothing is trusted from export time except the profile
+record and the point coordinates themselves.
 
 Each invariant is accepted at a fixed module constant (``RECONSTRUCTION_TOL``
 through ``SOLITON_TOL``); only the number of FD cross-checks is a parameter.
@@ -119,8 +120,8 @@ class _Kind:
     gate: tuple         # invariants a point must meet before its frame is checked
     data: object        # curve record row -> the kind's own data at that t
     own: object         # (x, z, theta, data) -> per-row residuals of the kind's own invariants
-    frame: object       # (x, c) -> FramedPoint of the stacked rows x on curve row c
-    oracle: object      # (x, t) -> FD mean curvature at one point
+    frame: object       # (x, c, data) -> FramedPoint of the stacked rows x on curve row c
+    oracle: object      # (xs, c) -> FD mean curvature at the points xs on their record rows c
     drive: object       # FramedPoint -> the term equal to H on a soliton, per row
 
 
@@ -134,8 +135,8 @@ def _centred_kind(profile) -> _Kind:
         ("reconstruction", "quadric"),
         lambda c: None,
         lambda x, z, theta, _: {"quadric": np.abs(np.sum(lam * x * x, axis=-1) - 1.0)},
-        lambda x, c: centred_frame(profile, x, c),
-        lambda x, t: centred_fd_mean_curvature(profile, x, t),
+        lambda x, c, _: centred_frame(profile, x, c),
+        lambda xs, c: centred_fd_mean_curvature(profile, xs, c),
         lambda fp: profile.alpha * fp.normal_projection(fp.z))
 
 
@@ -159,7 +160,7 @@ def _translator_kind(profile: TranslatorProfile) -> _Kind:
         profile.beta,
         own,
         profile.frame_at,
-        lambda x, t: translator_fd_mean_curvature(profile, x, t),
+        lambda xs, c: translator_fd_mean_curvature(profile, xs, c),
         lambda fp: fp.normal_projection(T))
 
 
@@ -168,8 +169,9 @@ def verify_mesh(profile, mesh, fd_checks: int = FD_CHECKS,
     """Recompute every invariant of a mesh and report the worst residuals.
 
     fd_checks points, spread evenly over the mesh, also get the FD mean
-    curvature cross-check.  The returned report carries one failure line per
-    violated invariant, naming it and locating the worst offending point.
+    curvature cross-check, as one batch once every run is checked.  The
+    returned report carries one failure line per violated invariant, naming
+    it and locating the worst offending point.
     With collect_rows the per-point residual table (closed-form soliton
     residual, not the FD one) is kept on the report.
     """
@@ -191,8 +193,8 @@ def verify_mesh(profile, mesh, fd_checks: int = FD_CHECKS,
     grid, row_of = np.unique(ts, return_inverse=True)
     curve = kind.curve.curve(grid)
     worst = {name: _Worst() for name in kind.thresholds}
-    fd_at = set(_fd_subset(count, fd_checks).tolist())
-    rows = []
+    fd_points = _fd_subset(count, fd_checks)
+    rows, fd_batch = [], []
 
     # one pass per run of equal t: every row of a run shares the curve data,
     # so its residuals and frames are computed as stacked arrays
@@ -216,28 +218,32 @@ def verify_mesh(profile, mesh, fd_checks: int = FD_CHECKS,
         framed = index[on]
         lag = ang = sol = np.empty(0)
         if len(framed):
-            fp = kind.frame(x[on], c)
+            fp = kind.frame(x[on], c, data)
             lag, ang = fp.lagrangian_residual, fp.angle_residual
             worst["lagrangian"].update_all(lag, framed)
             worst["angle"].update_all(ang, framed)
             drive = kind.drive(fp)
             if collect_rows:
                 sol = np.linalg.norm(drive - fp.mean_curvature(), axis=-1)
+            fd = np.isin(framed, fd_points)
+            if fd.any():
+                fd_batch.append((framed[fd], x[on][fd], drive[fd]))
         if collect_rows:
             table = np.full((hi - lo, 3), math.nan)
             table[on] = np.column_stack([lag, ang, sol])
             rows += [(i, t, *r) for i, r in zip(range(lo, hi), table.tolist())]
-        for k, i in enumerate(framed.tolist()):
-            if i not in fd_at:
-                continue
-            H_fd = kind.oracle(x[i - lo], t)
-            H_norm = float(np.linalg.norm(H_fd))
-            if profile.alpha == 0.0:
-                # minimal case: the equation is H = 0, so the check is absolute
-                worst["soliton"].update(H_norm, i)
-            else:
-                num = float(np.linalg.norm(drive[k] - H_fd))
-                worst["soliton"].update(num / max(H_norm, 1e-12), i)
+
+    # the FD cross-check of the framed points of the subset, as one batch
+    if fd_batch:
+        index, x, drive = (np.concatenate(a) for a in zip(*fd_batch))
+        H_fd = kind.oracle(x, curve.row(row_of[index]))
+        H_norm = np.linalg.norm(H_fd, axis=-1)
+        if profile.alpha == 0.0:
+            # minimal case: the equation is H = 0, so the check is absolute
+            worst["soliton"].update_all(H_norm, index)
+        else:
+            num = np.linalg.norm(drive - H_fd, axis=-1)
+            worst["soliton"].update_all(num / np.maximum(H_norm, 1e-12), index)
 
     return _finish(kind.name, count, worst, kind.thresholds, rows)
 

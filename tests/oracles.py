@@ -10,7 +10,9 @@ stepper, so the tests can check the reduction against it:
 The real state is [Re w_1, Im w_1, ..., Re w_n, Im w_n, theta].
 
 The module also holds the point-by-point finite-difference mean curvature
-the package's stacked one replaced, and small helpers only tests call.
+the package's batched one replaced, the one-point tangent basis of the
+quadric that the package's stacked _tangent_bases is checked against, and
+small helpers only tests call.
 """
 
 import math
@@ -21,7 +23,7 @@ import numpy as np
 
 from lagsol import geometry, translator
 from lagsol.errors import ValidationError
-from lagsol.geometry import fd_step, quadric_tangent_basis
+from lagsol.geometry import _tangent_bases, fd_step
 from lagsol.periodic import PeriodicSpec, critical_point
 from lagsol.reduced_ode import (DEFAULT_ATOL, DEFAULT_RTOL, DOMAIN_FLOOR, ESCAPE_COLLAR,
                                 TrajectorySpec, _run_two_sided, reduced_system)
@@ -210,31 +212,68 @@ def lift_state(spec: TrajectorySpec, state: ReducedState) -> FullState:
     return FullState(state.s, ws, state.theta)
 
 
+def quadric_tangent_basis(lambdas, x):
+    """Orthonormal tangent basis of { sum lambda_j x_j^2 = C } at x.
+
+    Returns an (n-1, n) array of row vectors orthogonal to the gradient
+    direction nu ~ (lambda_1 x_1, ..., lambda_n x_n), built by Gram-Schmidt
+    from the coordinate axes with the axis of largest |lambda_j x_j| dropped
+    (deterministic pivot).  The orientation is fixed so that the rows followed
+    by nu form a right-handed basis of R^n.
+    """
+    lam = np.asarray(lambdas, dtype=float)
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    grad = lam * x
+    norm = np.linalg.norm(grad)
+    if norm == 0:
+        raise ValidationError("quadric gradient vanishes; point is singular")
+    nu = grad / norm
+    drop = int(np.argmax(np.abs(grad)))
+    rows = []
+    for k in range(n):
+        if k == drop:
+            continue
+        v = np.zeros(n)
+        v[k] = 1.0
+        v -= (v @ nu) * nu
+        for e in rows:
+            v -= (v @ e) * e
+        vn = np.linalg.norm(v)
+        if vn < 1e-12:
+            raise ValidationError("degenerate tangent basis at quadric point")
+        rows.append(v / vn)
+    basis = np.array(rows).reshape(n - 1, n)
+    if n > 1:
+        full = np.vstack([basis, nu[None, :]])
+        if np.linalg.det(full) < 0:
+            basis[0] = -basis[0]
+    return basis
+
+
 # -- the per-point finite-difference oracle ----------------------------------
 #
-# The package's FD mean curvature reads one stacked stencil through
-# geometry.curve_chart.  This is the point-by-point form it replaced: a chart
-# object called once per stencil point, and a looped Laplace-Beltrami.
+# The package's FD mean curvature reads the stacked stencils of all its points
+# through geometry.curve_chart, with one curve read.  This is the
+# point-by-point form it replaced: a chart object called once per stencil
+# point, with one curve read per call, and a looped Laplace-Beltrami.
 
 class CentredChart:
     """Local chart (xi, t) around (x0, t0) on a centred-profile immersion.
 
     Base points move in the tangent plane at x0 and are pulled back to the
-    quadric by the radial scaling x -> x sqrt(1 / sum lambda x^2).
+    quadric by the radial scaling x -> x sqrt(1 / sum lambda x^2).  The
+    tangent basis is the package's, so both charts read the same base points.
     """
 
     def __init__(self, profile, x0, t0: float):
         self.profile = profile
         self.x0 = np.asarray(x0, dtype=float)
         self.t0 = float(t0)
-        self.n = profile.n
         self.lam = np.asarray(profile.lambdas, dtype=float)
-        if self.n > 1:
-            self.basis = quadric_tangent_basis(profile.lambdas, self.x0)
+        self.basis = _tangent_bases(profile.lambdas, self.x0[None])[0]
 
     def base_point(self, xi):
-        if self.n == 1:
-            return self.x0
         x = self.x0 + np.asarray(xi) @ self.basis
         q = float(np.sum(self.lam * x * x))
         if q <= 0:
@@ -259,7 +298,7 @@ class TranslatorChart:
     def __call__(self, coords):
         coords = np.asarray(coords, dtype=float)
         c = self.profile.base.curve([self.t0 + coords[-1]]).row(0)
-        return self.profile.immersion(self.x0 + coords[:-1], c)
+        return self.profile.immersion(self.x0 + coords[:-1], c, self.profile.beta(c))
 
 
 def fd_derivatives(F, xi0: np.ndarray, h: float):
@@ -334,14 +373,21 @@ def pointwise_fd_mean_curvature(profile, x, t: float):
     return (4.0 * levels[1] - levels[0]) / 3.0, np.array(values)
 
 
-def stacked_fd_mean_curvature(profile, x, t: float):
-    """(H, values): the package's FD mean curvature at (x, t), and the values
-    its stacked chart returned, in stencil order."""
+def stacked_fd_mean_curvature(profile, xs, ts):
+    """(H, values, grid): the package's FD mean curvature at the points
+    (xs[i], ts[i]) after one read of their curve records, as verify reads
+    them, then the values its chart returned, in stencil order, and the
+    parameters of its one curve read."""
+    curve = profile.base.curve if profile.kind == "translator" else profile.curve
+    c = curve(np.asarray(ts, dtype=float))
     real = geometry.curve_chart
-    values = []
+    values, grids = [], []
 
-    def spy(base, rows, curve, c0):
-        chart = real(base, rows, curve, c0)
+    def spy(base, rows, curve, ts):
+        def read(grid):
+            grids.append(grid)
+            return curve(grid)
+        chart = real(base, rows, read, ts)
 
         def recorded(coords):
             values.append(chart(coords))
@@ -351,7 +397,8 @@ def stacked_fd_mean_curvature(profile, x, t: float):
     with mock.patch.object(geometry, "curve_chart", spy), \
             mock.patch.object(translator, "curve_chart", spy):
         if profile.kind == "translator":
-            H = translator.translator_fd_mean_curvature(profile, x, t)
+            H = translator.translator_fd_mean_curvature(profile, xs, c)
         else:
-            H = geometry.centred_fd_mean_curvature(profile, x, t)
-    return H, np.concatenate(values)
+            H = geometry.centred_fd_mean_curvature(profile, xs, c)
+    assert len(values) == len(grids) == 1
+    return H, values[0], grids[0]

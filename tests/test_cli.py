@@ -217,8 +217,8 @@ def test_heights_whose_square_underflows_exit_0(tmp_path, capsys, argv):
 ], ids=lambda v: v if isinstance(v, str) else v[0])
 def test_exports_read_the_curve_once_per_batch(tmp_path, capsys, argv, cls):
     """An export reads its curve once for the profile table (expanders), once
-    for the mesh, once for verify's distinct parameters, and once per
-    distinct stencil parameter of each FD point, in that order."""
+    for the mesh, once for verify's distinct parameters, and once for the
+    sorted distinct stencil parameters of all its FD points, in that order."""
     from lagsol import expander, periodic
     owner = getattr(expander if cls == "ExpanderProfile" else periodic, cls)
     real, reads = owner.curve, []
@@ -234,15 +234,30 @@ def test_exports_read_the_curve_once_per_batch(tmp_path, capsys, argv, cls):
     params = np.unique(mesh.params)
     batches = [np.linspace(-1.5, 1.5, 5)] if cls == "ExpanderProfile" else []
     batches += [params, params]                         # the mesh and verify
-    assert len(reads) == len(batches) + 8 * 5          # 8 FD points, 5 distinct t each
+    assert len(reads) == len(batches) + 1
     for got, want in zip(reads, batches):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
-    stencils = [np.concatenate(reads[k:k + 5])
-                for k in range(len(batches), len(reads), 5)]
-    for ts in stencils:
-        assert len(set(ts.tolist())) == 5 and ts[0] in params
-        h = ts[1] - ts[0]
-        np.testing.assert_allclose(ts - ts[0], [0.0, h, -h, 0.5 * h, -0.5 * h], atol=1e-15)
+    # the 8 FD points sit at the 4 mesh parameters: each centre t0 with
+    # t0 +- h and t0 +- h/2 for its step h, sorted, each parameter once
+    stencil = reads[-1]
+    assert np.array_equal(stencil, np.unique(stencil)) and len(stencil) == 4 * 5
+    centres = stencil[np.isin(stencil, params)]
+    np.testing.assert_array_equal(centres, params)
+    for k in np.searchsorted(stencil, centres):
+        h = stencil[k + 2] - stencil[k]
+        np.testing.assert_allclose(stencil[k - 2:k + 3] - stencil[k],
+                                   [-h, -0.5 * h, 0.0, 0.5 * h, h], rtol=0, atol=1e-15)
+
+
+def test_alpha_0_translator_export_computes_beta_once_per_parameter(tmp_path, capsys):
+    """Over an alpha = 0 expander base, each beta costs one s_of_y quadrature:
+    30 for the mesh, 30 for verify's rows (shared by the last-coordinate check
+    and the frames) and 40 for the distinct stencil parameters of 8 FD points."""
+    from lagsol import translator
+    with mock.patch.object(translator, "s_of_y", wraps=translator.s_of_y) as s_of_y:
+        assert main(["translator", "--alpha=0", "--a=1,2", "--mesh-samples=30",
+                     "--mesh-count=20", f"--outdir={tmp_path}"]) == 0
+    assert s_of_y.call_count == 100
 
 
 def test_overflowing_search_step_exits_3(tmp_path, capsys):

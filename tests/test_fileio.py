@@ -291,8 +291,9 @@ def test_profile_record_translator(tmp_path):
     assert back.K == prof.K
     assert back.base.a == prof.base.a
     x = np.array([0.3, -0.8])
-    np.testing.assert_allclose(back.immersion(x, back.base.curve([0.6]).row(0)),
-                               prof.immersion(x, prof.base.curve([0.6]).row(0)), atol=1e-12)
+    mine, theirs = back.base.curve([0.6]).row(0), prof.base.curve([0.6]).row(0)
+    np.testing.assert_allclose(back.immersion(x, mine, back.beta(mine)),
+                               prof.immersion(x, theirs, prof.beta(theirs)), atol=1e-12)
 
 
 def test_profile_record_rejects_unknown_kind(tmp_path):

@@ -8,9 +8,9 @@ import pytest
 from lagsol import geometry
 from lagsol.errors import ValidationError
 from lagsol.expander import ExpanderProfile, s_of_y
-from lagsol.geometry import (FramedPoint, _fd_levels, _quadric_base,
-                             centred_fd_mean_curvature, fd_step,
-                             mean_curvature_fd, quadric_tangent_basis)
+from lagsol.geometry import (FramedPoint, _fd_levels, _quadric_base, _tangent_bases,
+                             centred_fd_mean_curvature, fd_step, mean_curvature_fd)
+from lagsol.meshing import centred_mesh, translator_mesh
 from lagsol.params import SolitonParams
 from lagsol.periodic import PeriodicSpec, compute_orbit
 from lagsol.translator import TranslatorProfile
@@ -22,6 +22,12 @@ def centred_frame(profile, x, t: float):
     """The package's frame at curve parameter t: geometry.centred_frame on
     the row of the curve record at t."""
     return geometry.centred_frame(profile, x, profile.curve([t]).row(0))
+
+
+def centred_fd(profile, x, t: float):
+    """The package's FD oracle at one point: a batch of one, on the curve
+    record read at t."""
+    return centred_fd_mean_curvature(profile, [x], profile.curve([t]))[0]
 
 
 # closed forms the frames are checked against
@@ -102,7 +108,7 @@ def example_profiles():
 def test_tangent_basis_orthonormal_and_oriented(rng):
     for lam in ((1.0, 1.0), (1.0, -1.0), (1.0, 1.0, -1.0), (1.0, -1.0, -1.0)):
         for x in sample_quadric_points(rng, lam, 5):
-            B = quadric_tangent_basis(lam, x)
+            B = _tangent_bases(lam, x[None])[0]
             n = len(lam)
             assert B.shape == (n - 1, n)
             np.testing.assert_allclose(B @ B.T, np.eye(n - 1), atol=1e-12)
@@ -110,16 +116,16 @@ def test_tangent_basis_orthonormal_and_oriented(rng):
             np.testing.assert_allclose(B @ grad, 0.0, atol=1e-12)
             full = np.vstack([B, grad[None, :] / np.linalg.norm(grad)])
             assert np.linalg.det(full) > 0
-            np.testing.assert_array_equal(B, quadric_tangent_basis(lam, x))
+            np.testing.assert_array_equal(B, _tangent_bases(lam, x[None])[0])
 
 
 def test_tangent_basis_rejects_singular_point():
     with pytest.raises(ValidationError):
-        quadric_tangent_basis((1.0, -1.0), (0.0, 0.0))
+        _tangent_bases((1.0, -1.0), np.zeros((1, 2)))
 
 
 def test_tangent_basis_one_dimensional():
-    assert quadric_tangent_basis((1.0,), (1.0,)).shape == (0, 1)
+    assert _tangent_bases((1.0,), np.ones((3, 1))).shape == (3, 0, 1)
 
 
 def test_frames_are_lagrangian_with_matching_angle(rng):
@@ -215,17 +221,71 @@ FD_CASES = {
 }
 
 
+def curve_of(profile):
+    """The curve the FD oracle of a profile reads: its own, or a translator's base's."""
+    return profile.base.curve if profile.kind == "translator" else profile.curve
+
+
+def pointwise_after_the_same_reads(make, xs, ts, grid):
+    """(H, values) of the per-point oracle at each point (xs[i], ts[i]), on a
+    fresh profile whose cache first took the package oracle's reads: the
+    records at ts, then the stencil batch grid.  The order-dependent caches
+    then hold the same states, and every per-point read is a cache hit."""
+    ref = make()
+    for batch in (ts, grid):
+        curve_of(ref)(np.asarray(batch, dtype=float))
+    out = [pointwise_fd_mean_curvature(ref, np.asarray(x), t) for x, t in zip(xs, ts)]
+    return np.array([H for H, _ in out]), np.concatenate([v for _, v in out])
+
+
 @pytest.mark.parametrize("name", FD_CASES)
 def test_stacked_fd_oracle_matches_the_pointwise_one(name):
     """Each kind's stacked stencil reads the same immersion values, bit for
-    bit, as a chart called point by point on fresh profiles (so the
-    order-dependent curve caches see the same first queries), and its
-    Laplace-Beltrami agrees with the looped one to roundoff."""
+    bit, as a chart called point by point on a profile whose cache took the
+    same stencil batch, and its Laplace-Beltrami agrees with the looped one
+    to roundoff."""
     make, x, t = FD_CASES[name]
-    H_ref, ref_values = pointwise_fd_mean_curvature(make(), np.array(x), t)
-    H, values = stacked_fd_mean_curvature(make(), np.array(x), t)
+    H, values, grid = stacked_fd_mean_curvature(make(), [x], [t])
+    H_ref, ref_values = pointwise_after_the_same_reads(make, [x], [t], grid)
     assert np.array_equal(values, ref_values)
     assert np.abs(H - H_ref).max() <= 1e-13 * (1.0 + np.linalg.norm(H_ref))
+
+
+MESH_CASES = {
+    "expander-n1": (FD_CASES["expander-n1"][0], centred_mesh),
+    "expander-n3": (FD_CASES["expander-n3"][0], centred_mesh),
+    "orbit": (FD_CASES["orbit"][0], centred_mesh),
+    "translator-minimal": (lambda: TranslatorProfile.from_expander_base(0.0, (1.0, 2.0)),
+                           translator_mesh),
+}
+
+
+@pytest.mark.parametrize("name", MESH_CASES)
+def test_one_call_checks_several_points_of_a_mesh(name):
+    """Five FD points of one mesh, two pairs sharing a curve parameter, in
+    one call: one curve read of the sorted distinct stencil parameters, and
+    per point the values and H of the per-point oracle."""
+    make, build = MESH_CASES[name]
+    mesh = build(make(), np.linspace(-0.9, 0.9, 4), 3)
+    pick = [0, 2, 3, 7, 11]
+    xs, ts = mesh.base[pick], mesh.params[pick]
+    H, values, grid = stacked_fd_mean_curvature(make(), xs, ts)
+    assert np.array_equal(grid, np.unique(grid)) and set(ts.tolist()) <= set(grid.tolist())
+    assert len(grid) == 5 * len(set(ts.tolist()))
+    H_ref, ref_values = pointwise_after_the_same_reads(make, xs, ts, grid)
+    assert H.shape == H_ref.shape == (len(pick), mesh.n)
+    assert np.array_equal(values, ref_values)
+    assert np.all(np.abs(H - H_ref).max(axis=1) <= 1e-13 * (1.0 + np.linalg.norm(H_ref, axis=1)))
+
+
+@pytest.mark.parametrize("name", FD_CASES)
+def test_fd_oracle_matches_a_fresh_pointwise_one(name):
+    """Without a shared cache the stencil states come from other integration
+    legs, so the two oracles agree to FD roundoff, not bit for bit."""
+    make, x, t = FD_CASES[name]
+    H, _, _ = stacked_fd_mean_curvature(make(), [x], [t])
+    H_ref, _ = pointwise_fd_mean_curvature(make(), np.array(x), t)
+    assert np.abs(H[0] - H_ref).max() <= 1e-9 * (1.0 + np.linalg.norm(H_ref))
 
 
 CENTRED_CASES = ("expander-n1", "expander-n2", "expander-n3", "minimal", "orbit",
@@ -261,7 +321,7 @@ def test_fd_matches_analytic_mean_curvature(rng):
         x = sample_quadric_points(rng, prof.lambdas, 1)[0]
         fp = centred_frame(prof, x, t)
         H = fp.mean_curvature()
-        H_fd = centred_fd_mean_curvature(prof, x, t)
+        H_fd = centred_fd(prof, x, t)
         scale = max(np.linalg.norm(H), 1e-6)
         assert np.linalg.norm(H_fd - H) / scale < 1e-3, name
 
@@ -270,7 +330,7 @@ def test_minimal_profile_fd_mean_curvature_vanishes(rng):
     prof = ExpanderProfile(0.0, (0.8, 1.5))
     x = sample_quadric_points(rng, prof.lambdas, 1)[0]
     assert np.linalg.norm(prof.curve([0.7]).theta_rate) == 0.0
-    H_fd = centred_fd_mean_curvature(prof, x, 0.7)
+    H_fd = centred_fd(prof, x, 0.7)
     assert np.linalg.norm(H_fd) < 1e-4
 
 
@@ -299,13 +359,13 @@ def test_chart_stays_on_quadric():
     prof = compute_orbit(
         PeriodicSpec(SolitonParams((1.0, -1.0), 1.0, 0.0), (1.0, 3.0), 0.8)).profile()
     x0 = np.array([math.cosh(0.4), math.sinh(0.4)])
-    base = _quadric_base(prof.lambdas, x0)
-    for x in base(np.array([[0.0], [0.05], [-0.08]])):
+    base = _quadric_base(prof.lambdas, x0[None])
+    for x in base(np.array([[[0.0], [0.05], [-0.08]]]))[0]:
         assert np.sum(np.array(prof.lambdas) * x * x) == pytest.approx(1.0, abs=1e-12)
-    _, values = stacked_fd_mean_curvature(prof, x0, 0.2)
+    _, values, _ = stacked_fd_mean_curvature(prof, [x0], [0.2])
     np.testing.assert_allclose(values[0], x0 * prof.curve([0.2]).w[0], atol=1e-12)
     with pytest.raises(ValidationError, match="radial domain"):
-        base(np.array([[50.0]]))                    # radial pullback undefined
+        base(np.array([[[50.0]]]))                  # radial pullback undefined
 
 
 def test_fd_step_scales_with_height():

@@ -9,11 +9,14 @@ Record entries again (only when an output change is intended) with
 ``PYTHONPATH=src python tests/test_golden.py NAME ...``: only the named
 entries are re-recorded (a ``verify_*`` entry reruns its source job) and every
 other entry is kept byte for byte.  With no names every entry is re-recorded.
+Recording by name prints each number of the named entries that moved beyond
+the tolerance: entry, file, recorded value, new value and relative change.
 """
 
 import contextlib
 import io
 import json
+import math
 import re
 import sys
 import tempfile
@@ -82,17 +85,39 @@ def run_jobs(root: Path, names=None) -> dict:
     return out
 
 
-def record(names=(), path: Path = DATA) -> None:
+def record(names=(), path: Path = DATA) -> list:
     """Re-record the named entries of path, or every entry when names is
-    empty; the other entries are kept as they are."""
+    empty; the other entries are kept as they are.  Returns a line for each
+    number of a named entry that moved beyond TOL (see moved_numbers)."""
     unknown = sorted(set(names) - set(JOBS) - set(VERIFY))
     if unknown:
         raise ValueError(f"unknown golden jobs: {', '.join(unknown)}")
     with tempfile.TemporaryDirectory() as tmp:
         fresh = run_jobs(Path(tmp), names or None)
     data = json.loads(path.read_text()) if names else {}
+    moved = [line for name in names if name in data
+             for line in moved_numbers(name, data[name], fresh[name])]
     data.update({name: fresh[name] for name in (names or fresh)})
     path.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+    return moved
+
+
+def moved_numbers(name: str, old: dict, new: dict) -> list:
+    """'entry file: recorded -> new (relative change r)' for each number that
+    moved beyond TOL between two recordings of an entry, and a line for each
+    output whose text changed outside the numbers."""
+    texts = {"stdout": (old["stdout"], new["stdout"])}
+    for file in sorted(set(old["files"]) | set(new["files"])):
+        texts[file] = (old["files"].get(file), new["files"].get(file))
+    lines = []
+    for file, (ref, text) in texts.items():
+        if ref is None or text is None or NUMBER.split(text) != NUMBER.split(ref):
+            lines.append(f"{name} {file}: text differs outside the numbers")
+            continue
+        for _, a, b in _moved(text, ref):
+            change = (float(a) - float(b)) / abs(float(b)) if float(b) else math.inf
+            lines.append(f"{name} {file}: {b} -> {a} (relative change {change:+.2e})")
+    return lines
 
 
 def _run(argv, outdir: Path) -> dict:
@@ -106,13 +131,19 @@ def _run(argv, outdir: Path) -> dict:
                       for p in sorted(outdir.iterdir())}}
 
 
+def _moved(text: str, ref: str):
+    """(k, number, recorded number) for each number k of text that differs
+    from its counterpart in ref beyond the golden rule."""
+    return [(k, a, b) for k, (a, b) in enumerate(zip(NUMBER.findall(text), NUMBER.findall(ref)))
+            if not abs(float(a) - float(b)) <= TOL * (1.0 + abs(float(b)))]
+
+
 def _mismatch(text: str, ref: str):
     """None when text matches ref under the golden rule, else a description."""
     if NUMBER.split(text) != NUMBER.split(ref):
         return "text differs outside the numbers"
-    for k, (a, b) in enumerate(zip(NUMBER.findall(text), NUMBER.findall(ref))):
-        if not abs(float(a) - float(b)) <= TOL * (1.0 + abs(float(b))):
-            return f"number {k}: {a} against the recorded {b}"
+    for k, a, b in _moved(text, ref)[:1]:
+        return f"number {k}: {a} against the recorded {b}"
     return None
 
 
@@ -159,9 +190,23 @@ def test_recording_one_entry_keeps_every_other_entry(tmp_path):
         record(["nope"], copy)
 
 
+def test_recording_reports_each_moved_number(tmp_path):
+    copy = tmp_path / "golden.json"
+    data = json.loads(DATA.read_text())
+    entry = data["verify_stationary"]
+    old = NUMBER.findall(entry["stdout"].split("max_quadric = ")[1])[0]
+    entry["stdout"] = entry["stdout"].replace(f"max_quadric = {old}", "max_quadric = 0.5")
+    copy.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+    moved = record(["verify_stationary"], copy)
+    assert moved == [f"verify_stationary stdout: 0.5 -> {old} "
+                     f"(relative change {(float(old) - 0.5) / 0.5:+.2e})"]
+    assert record(["verify_stationary"], copy) == []
+
+
 if __name__ == "__main__":
     try:
-        record(sys.argv[1:])
+        moved = record(sys.argv[1:])
     except ValueError as exc:
         sys.exit(f"{sys.argv[0]}: {exc}")
+    print("\n".join(moved or ["no number moved beyond the tolerance"]))
     print(f"wrote {DATA}", file=sys.stderr)

@@ -1,5 +1,6 @@
 """Source hygiene checks that need no linter: every import in the package is
-used, and every dataclass field it declares is read somewhere."""
+used, every dataclass field it declares is read somewhere, and every function,
+class and curve view it defines is named elsewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -92,3 +93,56 @@ def test_the_check_finds_a_never_read_field():
 def test_every_dataclass_field_is_read():
     reading = [p.read_text() for p in READERS]
     assert unread_fields([p.read_text() for p in SOURCES], reading) == []
+
+
+# Definitions nothing in the package names, each with the reason it stays.
+# The list is exact, so an entry that gains a caller or disappears fails the
+# check too; it is the deletion list of ROADMAP item 1.
+UNNAMED = {
+    **dict.fromkeys(("w_of", "wdot_of", "theta_of", "u_of", "phis_of", "theta_rate_of"),
+                    "per-point curve views the benchmark tracer counts (COUNTED_METHODS)"),
+    "classify_case": "the benchmark tracer spans it (SPAN_FUNCTIONS)",
+    "sample_reduced": "the benchmark tracer spans it (SPAN_FUNCTIONS)",
+    "write_trajectory_csv": "the benchmark tracer spans it (SPAN_FUNCTIONS)",
+    "phi": "ReducedTrajectory.phi: only tests read it (ROADMAP item 4)",
+    "radii": "ReducedTrajectory.radii: only tests read it (ROADMAP item 4)",
+}
+
+
+def defined_names(source: str):
+    """Each def and class in source, methods included, and each name bound
+    to a curve_views(...) call; dunder methods aside."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+              and getattr(node.value.func, "id", None) == "curve_views"):
+            names += [e.id for t in node.targets
+                      for e in (t.elts if isinstance(t, ast.Tuple) else [t])]
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
+def loaded_names(source: str) -> set:
+    """Names read in source, bare or as an attribute."""
+    return {getattr(node, "id", getattr(node, "attr", None))
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+
+
+def unnamed_definitions(sources):
+    """Sorted names defined in some source and read in none."""
+    read = set().union(*map(loaded_names, sources))
+    return sorted({n for source in sources for n in defined_names(source)} - read)
+
+
+def test_the_check_finds_an_unnamed_definition():
+    source = ("def used():\n    pass\n\n\ndef unused():\n    used()\n\n\n"
+              "class C:\n    def __init__(self):\n        self.m = 1\n\n"
+              "    def m(self):\n        pass\n\n    v, w = curve_views('a', 'b')\n\n\n"
+              "print(C().v)\n")
+    assert unnamed_definitions([source]) == ["m", "unused", "w"]
+
+
+def test_every_definition_is_named_in_the_package():
+    assert unnamed_definitions([p.read_text() for p in SOURCES]) == sorted(UNNAMED)

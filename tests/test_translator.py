@@ -20,16 +20,27 @@ def at(prof: TranslatorProfile, t: float):
     return prof.base.curve([t]).row(0)
 
 
+def immersion(prof: TranslatorProfile, x, t: float):
+    """z at base point x and curve parameter t, with beta on the row at t."""
+    c = at(prof, t)
+    return prof.immersion(x, c, prof.beta(c))
+
+
+def frame(prof: TranslatorProfile, x, t: float):
+    """The frame at base point x and curve parameter t, with beta on the row at t."""
+    c = at(prof, t)
+    return prof.frame_at(x, c, prof.beta(c))
+
+
 def maslov_invariant(prof: TranslatorProfile, x, t: float) -> float:
     """theta + alpha Im z_n; equals maslov_constant everywhere."""
-    c = at(prof, t)
-    z = prof.immersion(x, c)
-    return float(c.theta + prof.alpha * z[-1].imag)
+    z = immersion(prof, x, t)
+    return float(at(prof, t).theta + prof.alpha * z[-1].imag)
 
 
 def soliton_residual(prof: TranslatorProfile, x, t: float) -> float:
     """| T_perp - H | at one point."""
-    fp = prof.frame_at(x, at(prof, t))
+    fp = frame(prof, x, t)
     Tp = fp.normal_projection(prof.translation_vector())
     return float(np.linalg.norm(Tp - fp.mean_curvature()))
 
@@ -47,7 +58,7 @@ def test_last_coordinate_anchor():
     """At the base origin and curve origin the last coordinate is -i pi/(2 alpha)."""
     for alpha in (2.0, 0.5):
         prof = TranslatorProfile.from_expander_base(alpha, (1.0, 1.5))
-        z = prof.immersion(np.zeros(2), at(prof, 0.0))
+        z = immersion(prof, np.zeros(2), 0.0)
         np.testing.assert_allclose(z[:-1], 0.0, atol=1e-14)
         assert abs(z[-1] - (-1j * math.pi / (2.0 * alpha))) < 1e-10
 
@@ -106,8 +117,8 @@ def test_translation_identity():
     np.testing.assert_allclose(T, [0.0, 0.0, alpha], atol=0)
     x = np.array([0.4, -1.1])
     for t in (0.0, 0.9, -0.6):
-        np.testing.assert_allclose(prof1.immersion(x, at(prof1, t)),
-                                   prof0.immersion(x, at(prof0, t)) + tau * T, atol=1e-12)
+        np.testing.assert_allclose(immersion(prof1, x, t),
+                                   immersion(prof0, x, t) + tau * T, atol=1e-12)
 
 
 def test_frames_lagrangian_with_matching_angle(rng):
@@ -116,7 +127,7 @@ def test_frames_lagrangian_with_matching_angle(rng):
         for _ in range(5):
             x = rng.normal(size=prof.n - 1) * 1.2
             t = float(rng.uniform(-2.0, 2.0))
-            fp = prof.frame_at(x, at(prof, t))
+            fp = frame(prof, x, t)
             assert fp.lagrangian_residual < 1e-10
             assert fp.angle_residual < 1e-9
             assert np.linalg.eigvalsh(fp.metric).min() > 0
@@ -136,9 +147,9 @@ def test_fd_mean_curvature_matches_translation_part():
     prof = orbit_translator()
     x = np.array([0.7, -0.3])
     t = 0.4
-    fp = prof.frame_at(x, at(prof, t))
+    fp = frame(prof, x, t)
     Tp = fp.normal_projection(prof.translation_vector())
-    H_fd = translator_fd_mean_curvature(prof, x, t)
+    H_fd = translator_fd_mean_curvature(prof, [x], prof.base.curve([t]))[0]
     assert np.linalg.norm(H_fd - Tp) / np.linalg.norm(H_fd) < 1e-3
 
 
@@ -172,7 +183,7 @@ def test_base_validation():
     with pytest.raises(ValidationError):
         TranslatorProfile(prof)                     # translator is not a centred base
     with pytest.raises(ValidationError):
-        prof.immersion(np.zeros(prof.n), at(prof, 0.0))     # base point has n - 1 coords
+        immersion(prof, np.zeros(prof.n), 0.0)      # base point has n - 1 coords
 
 
 def test_translator_mesh_reads_each_curve_sample_once():
@@ -182,12 +193,12 @@ def test_translator_mesh_reads_each_curve_sample_once():
     with mock.patch("lagsol.expander.profile_eval", wraps=expander.profile_eval) as ev:
         mesh = translator_mesh(prof, np.linspace(-1.2, 1.2, 30), 20)
     assert ev.call_count == 1
-    rows = [prof.immersion(x, at(prof, t)) for x, t in zip(mesh.base, mesh.params)]
+    rows = [immersion(prof, x, t) for x, t in zip(mesh.base, mesh.params)]
     assert np.array_equal(mesh.points, np.array(rows))
 
 
 def test_chart_center_matches_immersion():
     prof = orbit_translator()
     x0 = np.array([0.5, -0.2])
-    _, values = stacked_fd_mean_curvature(prof, x0, 0.3)
-    np.testing.assert_allclose(values[0], prof.immersion(x0, at(prof, 0.3)), atol=1e-14)
+    _, values, _ = stacked_fd_mean_curvature(prof, [x0], [0.3])
+    np.testing.assert_allclose(values[0], immersion(prof, x0, 0.3), atol=1e-14)

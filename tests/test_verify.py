@@ -9,14 +9,13 @@ import pytest
 
 from lagsol import verify as V
 from lagsol.expander import ExpanderProfile
-from lagsol.geometry import (_tangent_bases, centred_fd_mean_curvature, centred_frame,
-                             quadric_tangent_basis)
+from lagsol.geometry import _tangent_bases, centred_fd_mean_curvature, centred_frame
 from lagsol.meshing import centred_mesh, quadric_base_points, translator_mesh
 from lagsol.params import SolitonParams
 from lagsol.periodic import PeriodicSpec, compute_orbit
 from lagsol.translator import TranslatorProfile, translator_fd_mean_curvature
 from lagsol.verify import _Worst, _fd_subset, _finish, verify_mesh
-from oracles import stationary_spec
+from oracles import quadric_tangent_basis, stationary_spec
 
 
 def _with_nan_point(mesh, i):
@@ -61,7 +60,11 @@ def test_a_nan_residual_stays_the_worst():
 # -- stacked verification against a per-point loop -----------------------------
 
 def _per_point_report(profile, mesh, collect_rows=False):
-    """The verifier as one loop over points, each frame built on its own."""
+    """The verifier as one loop over points, each frame built on its own.
+
+    The FD oracle is checked against its per-point form in test_geometry;
+    here it gets the FD points in one batch, as verify_mesh hands them, and
+    each point is scored on its own."""
     if isinstance(profile, TranslatorProfile):
         curve, lam, T = profile.base, np.asarray(profile.base.lambdas), \
             profile.translation_vector()
@@ -75,8 +78,8 @@ def _per_point_report(profile, mesh, collect_rows=False):
             return {"last_coordinate": abs(z[-1] - zn) / (1.0 + abs(zn)),
                     "maslov": abs(c.theta + profile.alpha * z[-1].imag
                                   - profile.maslov_constant)}
-        frame = profile.frame_at
-        oracle = lambda x, t: translator_fd_mean_curvature(profile, x, t)
+        frame = lambda x, c: profile.frame_at(x, c, profile.beta(c))
+        oracle = lambda xs, c: translator_fd_mean_curvature(profile, xs, c)
         drive = lambda fp: fp.normal_projection(T)
     else:
         curve, lam = profile, np.asarray(profile.lambdas)
@@ -86,12 +89,12 @@ def _per_point_report(profile, mesh, collect_rows=False):
         gate = ("reconstruction", "quadric")
         own = lambda x, z, c: {"quadric": abs(float(np.sum(lam * x * x)) - 1.0)}
         frame = lambda x, c: centred_frame(profile, x, c)
-        oracle = lambda x, t: centred_fd_mean_curvature(profile, x, t)
+        oracle = lambda xs, c: centred_fd_mean_curvature(profile, xs, c)
         drive = lambda fp: profile.alpha * fp.normal_projection(fp.z)
     curve.curve(sorted(set(np.asarray(mesh.params, dtype=float).tolist())))
     worst = {name: _Worst() for name in limits}
     fd_at = set(_fd_subset(len(mesh), V.FD_CHECKS).tolist())
-    rows = []
+    rows, fd_points = [], []
     for i in range(len(mesh)):
         t, z = float(mesh.params[i]), mesh.points[i]
         c = curve.curve([t]).row(0)
@@ -117,7 +120,11 @@ def _per_point_report(profile, mesh, collect_rows=False):
             sol = float(np.linalg.norm(d - fp.mean_curvature()))
             rows.append((i, t, fp.lagrangian_residual, fp.angle_residual, sol))
         if i in fd_at:
-            H_fd = oracle(x, t)
+            fd_points.append((i, x, d))
+    if fd_points:
+        index, xs, drives = zip(*fd_points)
+        H = oracle(np.array(xs), curve.curve(np.asarray(mesh.params, dtype=float)[list(index)]))
+        for i, d, H_fd in zip(index, drives, H):
             H_norm = float(np.linalg.norm(H_fd))
             if profile.alpha == 0.0:
                 worst["soliton"].update(H_norm, i)
