@@ -3,6 +3,10 @@
 All floats are written with repr(), which round-trips doubles exactly and
 keeps outputs byte-stable across runs.  Mesh CSV columns are
 Re z1, Im z1, ..., Re zn, Im zn, s_or_y, theta in that order.
+
+The numeric tables (mesh CSV and PLY, profile, trajectory and residual
+tables) are formatted as whole arrays by one row writer, and each file is
+written in one block; the CSV bytes are those of csv.writer.
 """
 
 from __future__ import annotations
@@ -24,6 +28,25 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
+def _write_rows(path, header, rows, *, sep: str = ",", end: str = "\r\n") -> None:
+    """Write the header lines, then one line per row of rows (lists of Python
+    floats and ints, as array.tolist() gives): the repr() of its values
+    joined by sep.  Every line ends with end, and the file is written in one
+    block.  With the defaults the bytes are those csv.writer writes, as no
+    header field or number needs quoting."""
+    lines = [*header, *(sep.join(map(repr, row)) for row in rows)]
+    with Path(path).open("w", newline="") as fh:
+        fh.write(end.join(lines) + end)
+
+
+def _real_coordinates(mesh: Mesh) -> np.ndarray:
+    """The mesh points as (N, 2n) reals Re z1, Im z1, Re z2, ..."""
+    real = np.empty((len(mesh), 2 * mesh.n))
+    real[:, 0::2] = mesh.points.real
+    real[:, 1::2] = mesh.points.imag
+    return real
+
+
 # -- mesh CSV ----------------------------------------------------------------
 
 def mesh_csv_header(n: int):
@@ -34,16 +57,8 @@ def mesh_csv_header(n: int):
 
 
 def write_mesh_csv(path, mesh: Mesh) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(mesh_csv_header(mesh.n))
-        for z, t, theta in zip(mesh.points, mesh.params, mesh.thetas):
-            row = []
-            for zz in z:
-                row += [_fmt(zz.real), _fmt(zz.imag)]
-            row += [_fmt(t), _fmt(theta)]
-            writer.writerow(row)
+    table = np.column_stack([_real_coordinates(mesh), mesh.params, mesh.thetas])
+    _write_rows(path, [",".join(mesh_csv_header(mesh.n))], table.tolist())
 
 
 def read_mesh_csv(path) -> Mesh:
@@ -91,11 +106,7 @@ def write_mesh_ply(path, mesh: Mesh, *, project3d: bool = False) -> None:
     s_or_y and theta); with project3d a fixed orthonormal projection maps the
     full R^{2n} embedding onto x/y/z.
     """
-    path = Path(path)
-    # interleave to (Re z1, Im z1, Re z2, ...) ordering
-    real = np.empty((len(mesh), 2 * mesh.n))
-    real[:, 0::2] = mesh.points.real
-    real[:, 1::2] = mesh.points.imag
+    real = _real_coordinates(mesh)
     if project3d:
         coords = real @ projection_matrix(2 * mesh.n).T
         extra_names = []
@@ -109,44 +120,33 @@ def write_mesh_ply(path, mesh: Mesh, *, project3d: bool = False) -> None:
             coords = np.column_stack([real, np.zeros((len(mesh), 3 - dim))])
             extras = np.empty((len(mesh), 0))
         extra_names = [f"c{k + 4}" for k in range(extras.shape[1])]
-    with path.open("w") as fh:
-        fh.write("ply\nformat ascii 1.0\n")
-        fh.write(f"element vertex {len(mesh)}\n")
-        for name in ["x", "y", "z"] + extra_names + ["s_or_y", "theta"]:
-            fh.write(f"property double {name}\n")
-        fh.write("end_header\n")
-        for i in range(len(mesh)):
-            vals = [*coords[i], *extras[i], mesh.params[i], mesh.thetas[i]]
-            fh.write(" ".join(_fmt(v) for v in vals) + "\n")
+    header = ["ply", "format ascii 1.0", f"element vertex {len(mesh)}"]
+    header += [f"property double {name}"
+               for name in ["x", "y", "z"] + extra_names + ["s_or_y", "theta"]]
+    table = np.column_stack([coords, extras, mesh.params, mesh.thetas])
+    _write_rows(path, header + ["end_header"], table.tolist(), sep=" ", end="\n")
 
 
 # -- tabular reports ---------------------------------------------------------
 
 def write_trajectory_csv(path, traj) -> None:
     """Reduced trajectory table: s, u, phi_1..phi_n, theta, first_integral_residual."""
-    path = Path(path)
     n = traj.spec.n
-    resid = traj.first_integral_residuals()
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["s", "u"] + [f"phi_{j + 1}" for j in range(n)]
-                        + ["theta", "first_integral_residual"])
-        for i in range(len(traj)):
-            row = [traj.s[i], traj.u[i], *traj.phis[i], traj.theta[i], resid[i]]
-            writer.writerow([_fmt(v) for v in row])
+    header = (["s", "u"] + [f"phi_{j + 1}" for j in range(n)]
+              + ["theta", "first_integral_residual"])
+    table = np.column_stack([traj.s, traj.u, traj.phis, traj.theta,
+                             traj.first_integral_residuals()])
+    _write_rows(path, [",".join(header)], table.tolist())
 
 
 def write_profile_csv(path, profile, y_values) -> None:
     """Expander-style profile table: y, r_1..r_n, phi_1..phi_n, theta."""
-    path = Path(path)
     n = profile.n
     c = profile.curve(y_values)
-    rows = np.column_stack([c.t, c.r, c.phis, c.theta])
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["y"] + [f"r_{j}" for j in range(1, n + 1)]
-                        + [f"phi_{j}" for j in range(1, n + 1)] + ["theta"])
-        writer.writerows([_fmt(v) for v in row] for row in rows.tolist())
+    header = (["y"] + [f"r_{j}" for j in range(1, n + 1)]
+              + [f"phi_{j}" for j in range(1, n + 1)] + ["theta"])
+    table = np.column_stack([c.t, c.r, c.phis, c.theta])
+    _write_rows(path, [",".join(header)], table.tolist())
 
 
 def write_plane_report_csv(path, angles) -> None:
@@ -177,13 +177,10 @@ def write_orbit_report_csv(path, orbit, verdict=None, topology: str = "") -> Non
 
 def write_residual_csv(path, rows) -> None:
     """Residual report: point_id, s_or_y, lagrangian_residual, angle_residual, soliton_residual."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["point_id", "s_or_y", "lagrangian_residual",
-                         "angle_residual", "soliton_residual"])
-        for pid, t, lag, ang, sol in rows:
-            writer.writerow([str(pid), _fmt(t), _fmt(lag), _fmt(ang), _fmt(sol)])
+    rows = list(rows)
+    values = np.array([r[1:] for r in rows], dtype=float).reshape(len(rows), 4).tolist()
+    _write_rows(path, ["point_id,s_or_y,lagrangian_residual,angle_residual,soliton_residual"],
+                [[int(r[0]), *v] for r, v in zip(rows, values)])
 
 
 # -- key=value records -------------------------------------------------------

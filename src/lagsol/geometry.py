@@ -135,23 +135,25 @@ def _vm(v, A):
 class FramedPoint:
     """Frame and first fundamental data at one point of the immersion.
 
-    A stack of points at one curve parameter is one FramedPoint whose arrays
-    carry a leading point axis; the residuals are then arrays over it.
+    A stack of points is one FramedPoint whose arrays carry a leading point
+    axis, theta and theta_rate included, one entry per point; the residuals
+    are then arrays over it.
     """
 
     z: np.ndarray             # immersion point in C^n
     frame: np.ndarray         # (n, n) complex; row a is the tangent vector f_a
     gram: np.ndarray          # complex Gram matrix M = conj(frame) frame^T
-    theta: float              # Lagrangian angle carried by the profile
-    theta_rate: float         # d theta / dt in the chart's curve parameter
+    theta: float              # Lagrangian angle carried by the profile, per point if stacked
+    theta_rate: float         # d theta / dt in the chart's curve parameter, likewise
 
     @classmethod
     def of(cls, z, frame, theta, theta_rate, *, stacked: bool) -> "FramedPoint":
-        """Frame data from stacked z and frame; one point unless stacked."""
+        """Frame data from stacked z and frame; one point unless stacked, when
+        theta and theta_rate are scalars or arrays with one entry per point."""
         gram = frame @ np.conj(frame.swapaxes(-1, -2))
         if not stacked:
-            z, frame, gram = z[0], frame[0], gram[0]
-        return cls(z, frame, gram, float(theta), float(theta_rate))
+            return cls(z[0], frame[0], gram[0], float(theta), float(theta_rate))
+        return cls(z, frame, gram, theta, theta_rate)
 
     @property
     def metric(self) -> np.ndarray:
@@ -181,12 +183,13 @@ class FramedPoint:
     def mean_curvature(self) -> np.ndarray:
         """H = J grad theta; theta varies only along the curve direction."""
         ginv = self.metric_inverse()
-        return 1j * self.theta_rate * _vm(ginv[..., -1, :], self.frame)
+        return 1j * np.expand_dims(self.theta_rate, -1) * _vm(ginv[..., -1, :], self.frame)
 
 
 def centred_frame(profile, x, c: CurveRecord) -> FramedPoint:
-    """Frame of F(x, t) = x * w(t) at a quadric point x, or a stack of them
-    (shape (m, n)), on the row c of the profile's curve record at t."""
+    """Frame of F(x, t) = x * w(t) at a quadric point x on the row c of the
+    profile's curve record at t, or at a stack of them (shape (m, n)) on one
+    row c or on a record c with one row per point."""
     x = np.asarray(x, dtype=float)
     n = profile.n
     if x.ndim not in (1, 2) or x.shape[-1] != n:
@@ -199,7 +202,8 @@ def centred_frame(profile, x, c: CurveRecord) -> FramedPoint:
             f"point is not on the quadric: sum lambda x^2 = {float(qc[off][0])!r},"
             " expected 1.0")
     basis = _tangent_bases(profile.lambdas, xs)
-    frame = np.concatenate([basis * c.w, (xs * c.wdot)[:, None, :]], axis=1)
+    w = np.expand_dims(c.w, -2)
+    frame = np.concatenate([basis * w, (xs * c.wdot)[:, None, :]], axis=1)
     return FramedPoint.of(xs * c.w, frame, c.theta, c.theta_rate, stacked=x.ndim == 2)
 
 

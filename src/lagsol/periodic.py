@@ -456,10 +456,10 @@ class OrbitProfile:
     the cache is integrated from the cached state nearest to it, so mesh
     samples chain into one pass over their span: each leg ends exactly on its
     last sample, and the samples inside a step are read from the stepper's
-    7th-order interpolant.  An FD stencil point is queried on its own, so it
-    is the exact end of an integration of length h from its centre.  The
-    cache, and so the last digits of a state, depend on the order of the
-    queries.
+    7th-order interpolant.  The FD oracle reads every stencil point of a
+    mesh in one sorted batch: the points on each side of a cached centre are
+    one integration from it, ending exactly on the farthest.  The cache, and
+    so the last digits of a state, depend on the order of the queries.
     """
 
     kind = "centred"

@@ -107,9 +107,15 @@ class TranslatorProfile:
         z[..., -1] = -0.5 * np.sum(lam * x * x, axis=-1) + beta
         return z
 
+    def immerse_rows(self, xs, c, at) -> np.ndarray:
+        """z at the stacked base points xs (m, n - 1), xs[k] on row at[k] of
+        the base's curve record c; beta is computed once per row of c."""
+        return self.immersion(xs, c.row(at), self.beta(c)[at])
+
     def frame_at(self, x, c, beta) -> FramedPoint:
         """Frame at a base point x, or a stack of them (shape (m, n - 1)), on
-        the row c of the base's curve record, with beta = self.beta(c)."""
+        the row c of the base's curve record, with beta = self.beta(c); or at
+        one point per row of a record c of arrays."""
         x = np.asarray(x, dtype=float)
         n = self.n
         z = self.immersion(x, c, beta).reshape(-1, n)
@@ -152,8 +158,6 @@ def translator_fd_mean_curvature(profile: TranslatorProfile, xs, c) -> np.ndarra
     the base's curve record, one per point, as an (m, n) array; the base
     coordinates are already flat."""
     xs = np.asarray(xs, dtype=float)
-
-    def rows(x, grid, at):
-        return profile.immersion(x, grid.row(at), profile.beta(grid)[at])
-    chart = curve_chart(lambda xi: xs[:, None, :] + xi, rows, profile.base.curve, c.t)
+    chart = curve_chart(lambda xi: xs[:, None, :] + xi, profile.immerse_rows,
+                        profile.base.curve, c.t)
     return mean_curvature_fd(chart, profile.n, fd_step(c.u))

@@ -3,9 +3,13 @@
 The checks here recompute everything from scratch: intrinsic coordinates are
 reconstructed from the raw mesh points, frames are rebuilt, and the soliton
 equation is cross-checked against a finite-difference mean curvature oracle
-on a deterministic subset of points, all checked in one batch after the
-other invariants.  Nothing is trusted from export time except the profile
-record and the point coordinates themselves.
+on a deterministic subset of points.  Nothing is trusted from export time
+except the profile record and the point coordinates themselves.
+
+A mesh is checked in one pass of whole arrays: one curve read over its
+distinct parameters, one record row per point, each invariant as one array
+over the points, one stack of frames over the points that pass the gate,
+and one FD batch.
 
 Each invariant is accepted at a fixed module constant (``RECONSTRUCTION_TOL``
 through ``SOLITON_TOL``); only the number of FD cross-checks is a parameter.
@@ -88,14 +92,6 @@ def _fd_subset(count: int, fd_checks: int) -> np.ndarray:
     return np.unique(np.linspace(0, count - 1, min(fd_checks, count)).round().astype(int))
 
 
-def _runs(ts: np.ndarray):
-    """(start, stop) of each run of equal consecutive curve parameters."""
-    if not len(ts):
-        return []
-    edges = [0, *(np.flatnonzero(ts[1:] != ts[:-1]) + 1).tolist(), len(ts)]
-    return list(zip(edges[:-1], edges[1:]))
-
-
 def _finish(kind, count, worst, thresholds_by_name, rows=()):
     maxima = {name: w.value for name, w in worst.items()}
     violations = []
@@ -112,17 +108,17 @@ def _finish(kind, count, worst, thresholds_by_name, rows=()):
 
 @dataclass(frozen=True)
 class _Kind:
-    """What one kind of profile brings to the shared verification loop."""
+    """What one kind of profile brings to the shared verification pass."""
 
     name: str
     curve: object       # the centred profile sampled by the leading coordinates
     thresholds: dict    # every invariant, in report order, with its threshold
     gate: tuple         # invariants a point must meet before its frame is checked
-    data: object        # curve record row -> the kind's own data at that t
-    own: object         # (x, z, theta, data) -> per-row residuals of the kind's own invariants
-    frame: object       # (x, c, data) -> FramedPoint of the stacked rows x on curve row c
+    data: object        # (record c, rows at) -> the kind's own data at each row at of c
+    own: object         # (x, z, theta, data) -> per-point residuals of the kind's own invariants
+    frame: object       # (x, c, data) -> FramedPoint of the stacked points x, one row of c each
     oracle: object      # (xs, c) -> FD mean curvature at the points xs on their record rows c
-    drive: object       # FramedPoint -> the term equal to H on a soliton, per row
+    drive: object       # FramedPoint -> the term equal to H on a soliton, per point
 
 
 def _centred_kind(profile) -> _Kind:
@@ -133,7 +129,7 @@ def _centred_kind(profile) -> _Kind:
          "stored_angle": STORED_ANGLE_TOL, "lagrangian": LAGRANGIAN_TOL,
          "angle": ANGLE_TOL, "soliton": SOLITON_TOL},
         ("reconstruction", "quadric"),
-        lambda c: None,
+        lambda c, at: None,
         lambda x, z, theta, _: {"quadric": np.abs(np.sum(lam * x * x, axis=-1) - 1.0)},
         lambda x, c, _: centred_frame(profile, x, c),
         lambda xs, c: centred_fd_mean_curvature(profile, xs, c),
@@ -157,7 +153,7 @@ def _translator_kind(profile: TranslatorProfile) -> _Kind:
          "stored_angle": STORED_ANGLE_TOL, "maslov": STORED_ANGLE_TOL,
          "lagrangian": LAGRANGIAN_TOL, "angle": ANGLE_TOL, "soliton": SOLITON_TOL},
         ("reconstruction",),
-        profile.beta,
+        lambda c, at: profile.beta(c)[at],
         own,
         profile.frame_at,
         lambda xs, c: translator_fd_mean_curvature(profile, xs, c),
@@ -168,8 +164,11 @@ def verify_mesh(profile, mesh, fd_checks: int = FD_CHECKS,
                 *, collect_rows: bool = False) -> VerificationReport:
     """Recompute every invariant of a mesh and report the worst residuals.
 
-    fd_checks points, spread evenly over the mesh, also get the FD mean
-    curvature cross-check, as one batch once every run is checked.  The
+    One pass over the whole mesh: the curve is read once over its distinct
+    parameters, every point gets the record row of its parameter, and each
+    invariant is one array over the points.  The frames are one stack over
+    the points that pass the gate, and fd_checks points spread evenly over
+    the mesh also get the FD mean curvature cross-check, as one batch.  The
     returned report carries one failure line per violated invariant, naming
     it and locating the worst offending point.
     With collect_rows the per-point residual table (closed-form soliton
@@ -188,63 +187,50 @@ def verify_mesh(profile, mesh, fd_checks: int = FD_CHECKS,
             f"mesh has {mesh.n} complex coordinates but the {noun} needs {profile.n}")
     count = len(mesh)
     ts = np.asarray(mesh.params, dtype=float)
-    thetas = np.asarray(mesh.thetas, dtype=float)
-    # one curve read over the distinct parameters; each run of equal t reads its row
+    index = np.arange(count)
+    # one curve read over the distinct parameters, gathered to one row per point
     grid, row_of = np.unique(ts, return_inverse=True)
     curve = kind.curve.curve(grid)
+    c, data = curve.row(row_of), kind.data(curve, row_of)
+    z = mesh.points
+    zc = z[:, :c.w.shape[-1]]
+    x = (zc / c.w).real
+    res = {"reconstruction": np.max(np.abs(zc - x * c.w), axis=1)
+           / (1.0 + np.max(np.abs(z), axis=1)),
+           "stored_angle": angle_gap(np.asarray(mesh.thetas, dtype=float) - c.theta),
+           **kind.own(x, z, c.theta, data)}
     worst = {name: _Worst() for name in kind.thresholds}
-    fd_points = _fd_subset(count, fd_checks)
-    rows, fd_batch = [], []
+    for name, values in res.items():
+        worst[name].update_all(values, index)
 
-    # one pass per run of equal t: every row of a run shares the curve data,
-    # so its residuals and frames are computed as stacked arrays
-    for lo, hi in _runs(ts):
-        t = float(ts[lo])
-        index = np.arange(lo, hi)
-        z = mesh.points[lo:hi]
-        c = curve.row(row_of[lo])
-        w, theta, data = c.w, float(c.theta), kind.data(c)
-        zc = z[:, :len(w)]
-        x = (zc / w).real
-        res = {"reconstruction": np.max(np.abs(zc - x * w), axis=1)
-               / (1.0 + np.max(np.abs(z), axis=1)),
-               "stored_angle": angle_gap(thetas[lo:hi] - theta),
-               **kind.own(x, z, theta, data)}
-        for name, values in res.items():
-            worst[name].update_all(values, index)
-        # frame checks need points that are actually on the immersion
-        on = np.logical_and.reduce([res[name] <= kind.thresholds[name]
-                                    for name in kind.gate])
-        framed = index[on]
-        lag = ang = sol = np.empty(0)
-        if len(framed):
-            fp = kind.frame(x[on], c, data)
-            lag, ang = fp.lagrangian_residual, fp.angle_residual
-            worst["lagrangian"].update_all(lag, framed)
-            worst["angle"].update_all(ang, framed)
-            drive = kind.drive(fp)
-            if collect_rows:
-                sol = np.linalg.norm(drive - fp.mean_curvature(), axis=-1)
-            fd = np.isin(framed, fd_points)
-            if fd.any():
-                fd_batch.append((framed[fd], x[on][fd], drive[fd]))
+    # frame checks need points that are actually on the immersion
+    on = np.logical_and.reduce([res[name] <= kind.thresholds[name] for name in kind.gate])
+    framed = index[on]
+    lag = ang = sol = np.empty(0)
+    if len(framed):
+        fp = kind.frame(x[on], c.row(on), None if data is None else data[on])
+        lag, ang = fp.lagrangian_residual, fp.angle_residual
+        worst["lagrangian"].update_all(lag, framed)
+        worst["angle"].update_all(ang, framed)
+        drive = kind.drive(fp)
         if collect_rows:
-            table = np.full((hi - lo, 3), math.nan)
-            table[on] = np.column_stack([lag, ang, sol])
-            rows += [(i, t, *r) for i, r in zip(range(lo, hi), table.tolist())]
-
-    # the FD cross-check of the framed points of the subset, as one batch
-    if fd_batch:
-        index, x, drive = (np.concatenate(a) for a in zip(*fd_batch))
-        H_fd = kind.oracle(x, curve.row(row_of[index]))
-        H_norm = np.linalg.norm(H_fd, axis=-1)
-        if profile.alpha == 0.0:
-            # minimal case: the equation is H = 0, so the check is absolute
-            worst["soliton"].update_all(H_norm, index)
-        else:
-            num = np.linalg.norm(drive - H_fd, axis=-1)
-            worst["soliton"].update_all(num / np.maximum(H_norm, 1e-12), index)
-
+            sol = np.linalg.norm(drive - fp.mean_curvature(), axis=-1)
+        # the FD cross-check of the framed points of the subset, as one batch
+        fd = np.isin(framed, _fd_subset(count, fd_checks))
+        if fd.any():
+            H_fd = kind.oracle(x[on][fd], c.row(framed[fd]))
+            H_norm = np.linalg.norm(H_fd, axis=-1)
+            if profile.alpha == 0.0:
+                # minimal case: the equation is H = 0, so the check is absolute
+                worst["soliton"].update_all(H_norm, framed[fd])
+            else:
+                num = np.linalg.norm(drive[fd] - H_fd, axis=-1)
+                worst["soliton"].update_all(num / np.maximum(H_norm, 1e-12), framed[fd])
+    rows = ()
+    if collect_rows:
+        table = np.full((count, 3), math.nan)
+        table[on] = np.column_stack([lag, ang, sol])
+        rows = [(i, t, *r) for i, t, r in zip(range(count), ts.tolist(), table.tolist())]
     return _finish(kind.name, count, worst, kind.thresholds, rows)
 
 

@@ -11,10 +11,13 @@ The real state is [Re w_1, Im w_1, ..., Re w_n, Im w_n, theta].
 
 The module also holds the point-by-point finite-difference mean curvature
 the package's batched one replaced, the one-point tangent basis of the
-quadric that the package's stacked _tangent_bases is checked against, and
-small helpers only tests call.
+quadric that the package's stacked _tangent_bases is checked against, the
+per-value file writers (csv.writer rows of repr(float) fields) that the
+package's whole-array row writer must match byte for byte, and small
+helpers only tests call.
 """
 
+import csv
 import math
 from dataclasses import dataclass
 from unittest import mock
@@ -23,6 +26,7 @@ import numpy as np
 
 from lagsol import geometry, translator
 from lagsol.errors import ValidationError
+from lagsol.fileio import projection_matrix
 from lagsol.geometry import _tangent_bases, fd_step
 from lagsol.periodic import PeriodicSpec, critical_point
 from lagsol.reduced_ode import (DEFAULT_ATOL, DEFAULT_RTOL, DOMAIN_FLOOR, ESCAPE_COLLAR,
@@ -402,3 +406,80 @@ def stacked_fd_mean_curvature(profile, xs, ts):
             H = geometry.centred_fd_mean_curvature(profile, xs, c)
     assert len(values) == len(grids) == 1
     return H, values[0], grids[0]
+
+
+# -- per-value file writers ----------------------------------------------------
+
+def _fmt(v) -> str:
+    return repr(float(v))
+
+
+def write_mesh_csv(path, mesh) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        header = []
+        for j in range(1, mesh.n + 1):
+            header += [f"Re z{j}", f"Im z{j}"]
+        writer.writerow(header + ["s_or_y", "theta"])
+        for z, t, theta in zip(mesh.points, mesh.params, mesh.thetas):
+            row = []
+            for zz in z:
+                row += [_fmt(zz.real), _fmt(zz.imag)]
+            row += [_fmt(t), _fmt(theta)]
+            writer.writerow(row)
+
+
+def write_mesh_ply(path, mesh, *, project3d: bool = False) -> None:
+    real = np.empty((len(mesh), 2 * mesh.n))
+    real[:, 0::2] = mesh.points.real
+    real[:, 1::2] = mesh.points.imag
+    if project3d:
+        coords = real @ projection_matrix(2 * mesh.n).T
+        extras, extra_names = np.empty((len(mesh), 0)), []
+    elif real.shape[1] >= 3:
+        coords, extras = real[:, :3], real[:, 3:]
+        extra_names = [f"c{k + 4}" for k in range(extras.shape[1])]
+    else:
+        coords = np.column_stack([real, np.zeros((len(mesh), 3 - real.shape[1]))])
+        extras, extra_names = np.empty((len(mesh), 0)), []
+    with open(path, "w") as fh:
+        fh.write("ply\nformat ascii 1.0\n")
+        fh.write(f"element vertex {len(mesh)}\n")
+        for name in ["x", "y", "z"] + extra_names + ["s_or_y", "theta"]:
+            fh.write(f"property double {name}\n")
+        fh.write("end_header\n")
+        for i in range(len(mesh)):
+            vals = [*coords[i], *extras[i], mesh.params[i], mesh.thetas[i]]
+            fh.write(" ".join(_fmt(v) for v in vals) + "\n")
+
+
+def write_profile_csv(path, profile, y_values) -> None:
+    n = profile.n
+    c = profile.curve(y_values)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["y"] + [f"r_{j}" for j in range(1, n + 1)]
+                        + [f"phi_{j}" for j in range(1, n + 1)] + ["theta"])
+        for i in range(len(c.t)):
+            writer.writerow([_fmt(v) for v in [c.t[i], *c.r[i], *c.phis[i], c.theta[i]]])
+
+
+def write_trajectory_csv(path, traj) -> None:
+    n = traj.spec.n
+    resid = traj.first_integral_residuals()
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["s", "u"] + [f"phi_{j + 1}" for j in range(n)]
+                        + ["theta", "first_integral_residual"])
+        for i in range(len(traj)):
+            row = [traj.s[i], traj.u[i], *traj.phis[i], traj.theta[i], resid[i]]
+            writer.writerow([_fmt(v) for v in row])
+
+
+def write_residual_csv(path, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["point_id", "s_or_y", "lagrangian_residual",
+                         "angle_residual", "soliton_residual"])
+        for pid, t, lag, ang, sol in rows:
+            writer.writerow([str(pid), _fmt(t), _fmt(lag), _fmt(ang), _fmt(sol)])

@@ -1,23 +1,27 @@
 """CSV/PLY writers, key=value records, and byte-stable round trips."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from lagsol.errors import ValidationError
 from lagsol.expander import ExpanderProfile, asymptotic_angles
 from lagsol.fileio import (mesh_csv_header, projection_matrix, read_keyvalues,
                            read_mesh_csv, read_profile_record, write_keyvalues,
                            write_mesh_csv, write_mesh_ply, write_orbit_report_csv,
                            write_plane_report_csv, write_profile_csv,
-                           write_profile_record, write_residual_csv)
-from lagsol.meshing import centred_mesh, translator_mesh
+                           write_profile_record, write_residual_csv,
+                           write_trajectory_csv)
+from lagsol.meshing import Mesh, centred_mesh, translator_mesh
 from lagsol.params import SolitonParams
 from lagsol.periodic import (OrbitProfile, PeriodicSpec, compute_orbit, detect_periodicity,
                              search_periodic_data, topology_tag)
+from lagsol.reduced_ode import sample_reduced
 from lagsol.translator import TranslatorProfile
 from oracles import stationary_spec
 
@@ -311,3 +315,87 @@ def test_translator_mesh_survives_csv(tmp_path):
     back = read_mesh_csv(path)
     assert back.n == prof.n
     np.testing.assert_array_equal(back.points, mesh.points)
+
+
+# -- the row writer against the per-value writers it replaced -------------------
+
+# every value repr() spells differently from a plain decimal, and some that
+# it does not; the tables cycle through them so each column meets each value
+SPECIAL = (math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, -1e300, 0.1, -2.5, 1.0)
+
+
+def special_table(rows, cols, shift=0):
+    i, j = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
+    return np.array(SPECIAL)[(i + 3 * j + shift) % len(SPECIAL)]
+
+
+def special_mesh(n, rows=2 * len(SPECIAL)):
+    points = np.empty((rows, n), dtype=complex)
+    points.real, points.imag = special_table(rows, n), special_table(rows, n, 1)
+    return Mesh("centred", points, special_table(rows, 1, 2)[:, 0],
+                special_table(rows, 1, 5)[:, 0])
+
+
+def same_bytes(tmp_path, package_writer, oracle_writer, *args, **kwargs):
+    mine, theirs = tmp_path / "package", tmp_path / "oracle"
+    package_writer(mine, *args, **kwargs)
+    oracle_writer(theirs, *args, **kwargs)
+    assert mine.read_bytes() == theirs.read_bytes()
+    return mine.read_bytes()
+
+
+@pytest.mark.parametrize("rows", [0, 2 * len(SPECIAL)])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_mesh_csv_matches_the_per_value_writer(tmp_path, n, rows):
+    text = same_bytes(tmp_path, write_mesh_csv, oracles.write_mesh_csv, special_mesh(n, rows))
+    assert text.count(b"\r\n") == 1 + rows and b"\n" not in text.replace(b"\r\n", b"")
+    if rows:
+        assert all(repr(v).encode() in text for v in SPECIAL)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
+@pytest.mark.parametrize("project3d", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_mesh_ply_matches_the_per_value_writer(tmp_path, n, project3d):
+    for mesh in (special_mesh(n), small_mesh() if n == 2 else special_mesh(n, 0)):
+        text = same_bytes(tmp_path, write_mesh_ply, oracles.write_mesh_ply, mesh,
+                          project3d=project3d)
+        assert b"\r" not in text
+
+
+def test_profile_csv_matches_the_per_value_writer(tmp_path):
+    same_bytes(tmp_path, write_profile_csv, oracles.write_profile_csv,
+               ExpanderProfile(1.0, (1.0, 2.0, 3.0)), np.linspace(-1.5, 1.5, 7))
+    for n in (1, 2, 3):
+        m = 2 * len(SPECIAL)
+        record = SimpleNamespace(t=special_table(m, 1)[:, 0], r=special_table(m, n, 1),
+                                 phis=special_table(m, n, 2), theta=special_table(m, 1, 3)[:, 0])
+        profile = SimpleNamespace(n=n, curve=lambda ys, record=record: record)
+        same_bytes(tmp_path, write_profile_csv, oracles.write_profile_csv, profile, None)
+
+
+class _Trajectory(SimpleNamespace):
+    def __len__(self):
+        return len(self.s)
+
+
+def test_trajectory_csv_matches_the_per_value_writer(tmp_path):
+    spec = PeriodicSpec(SolitonParams((1.0, -1.0), 1.0, 0.6), (1.0, 3.0), 0.5)
+    same_bytes(tmp_path, write_trajectory_csv, oracles.write_trajectory_csv,
+               sample_reduced(spec.trajectory_spec(), np.linspace(-1.0, 1.0, 9)))
+    for n in (1, 2, 3):
+        m = 2 * len(SPECIAL)
+        resid = special_table(m, 1, 4)[:, 0]
+        traj = _Trajectory(spec=SimpleNamespace(n=n), s=special_table(m, 1)[:, 0],
+                           u=special_table(m, 1, 1)[:, 0], phis=special_table(m, n, 2),
+                           theta=special_table(m, 1, 3)[:, 0],
+                           first_integral_residuals=lambda resid=resid: resid)
+        same_bytes(tmp_path, write_trajectory_csv, oracles.write_trajectory_csv, traj)
+
+
+def test_residual_csv_matches_the_per_value_writer(tmp_path):
+    table = special_table(2 * len(SPECIAL), 4)
+    rows = [(i, *r) for i, r in enumerate(table.tolist())]
+    rows += [(np.int64(7), *np.float64(table[3]))]        # numpy scalars write alike
+    same_bytes(tmp_path, write_residual_csv, oracles.write_residual_csv, rows)
+    same_bytes(tmp_path, write_residual_csv, oracles.write_residual_csv, [])

@@ -1,11 +1,13 @@
-"""The mesh verifier fails closed on non-finite residuals, and its stacked
-per-run pass reports what a loop over single points reports."""
+"""The mesh verifier fails closed on non-finite residuals, and its single
+whole-array pass reports what a loop over single points reports."""
 
 import dataclasses
 import math
 
 import numpy as np
 import pytest
+
+from unittest import mock
 
 from lagsol import verify as V
 from lagsol.expander import ExpanderProfile
@@ -139,7 +141,7 @@ ORBIT_SPEC = PeriodicSpec(SolitonParams((1.0, -1.0), 1.0, 0.6), (1.0, 3.0), 0.5)
 STATIONARY_SPEC = stationary_spec(SolitonParams((1.0, -1.0), 1.0, 0.5), (1.0, 2.0))
 # name -> (profile factory, mesh builder); each verification gets a fresh
 # profile, so both verifiers see the same sequence of curve queries.  Eight
-# rows per curve sample put rows 2 and 7 in one run of equal t.
+# rows per curve sample put rows 2 and 7 at one t.
 CASES = {
     "expander": (lambda: ExpanderProfile(1.0, (1.0, 2.0, 3.0)),
                  lambda p: centred_mesh(p, np.linspace(-1.2, 1.2, 4), 8)),
@@ -147,6 +149,8 @@ CASES = {
                 lambda p: centred_mesh(p, np.linspace(-1.2, 1.2, 4), 8)),
     "orbit": (lambda: compute_orbit(ORBIT_SPEC).profile(),
               lambda p: centred_mesh(p, np.linspace(0.0, 2.0, 4), 8)),
+    "stationary": (lambda: compute_orbit(STATIONARY_SPEC).profile(),
+                   lambda p: centred_mesh(p, np.linspace(-1.0, 1.0, 4), 8)),
     "translator_expander": (lambda: TranslatorProfile.from_expander_base(1.2, (1.0, 2.0)),
                             lambda p: translator_mesh(p, np.linspace(-1.0, 1.0, 4), 8)),
     "translator_orbit": (lambda: TranslatorProfile.from_orbit_base(ORBIT_SPEC),
@@ -192,6 +196,30 @@ def test_stacked_verification_matches_a_per_point_loop(case, edit):
     for r, s in zip(got.rows, ref.rows):
         assert r[:2] == s[:2]
         assert all(_same(u, v) for u, v in zip(r[2:], s[2:])), (r, s)
+
+
+@pytest.mark.parametrize("edit", ["plain", "nan_rows"])
+@pytest.mark.parametrize("case", list(CASES))
+def test_one_frame_call_on_the_gated_points(case, edit):
+    """verify_mesh builds every frame in one centred_frame or frame_at call,
+    on exactly the points that pass the gate: all of them on a clean mesh,
+    all but the two NaN rows otherwise."""
+    make, build = CASES[case]
+    mesh = build(make())
+    if edit == "nan_rows":
+        mesh = _with_nan_point(_with_nan_point(mesh, 2), 7)
+    profile = make()
+    if isinstance(profile, TranslatorProfile):
+        spy = mock.patch.object(TranslatorProfile, "frame_at", autospec=True,
+                                side_effect=TranslatorProfile.frame_at)
+    else:
+        spy = mock.patch.object(V, "centred_frame", wraps=V.centred_frame)
+    with spy as frame:
+        report = verify_mesh(profile, mesh)
+    assert frame.call_count == 1
+    x = frame.call_args.args[1]          # after the profile, or the bound translator
+    assert len(x) == len(mesh) - (2 if edit == "nan_rows" else 0)
+    assert report.passed == (edit == "plain")
 
 
 @pytest.mark.parametrize("lambdas", [(1, 1), (1, -1), (1, 1, 1), (1, 1, -1), (1, -1, -1)])
