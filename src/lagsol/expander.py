@@ -26,17 +26,16 @@ on one rule of ``quadutil``:
 - the angle map phibar and its Jacobian: one double-exponential family each
   (``improper_quad``); the DE map spreads the decades between the peak
   scales 1/sqrt(a_j) evenly, so a ~ 1e13 needs no special handling;
-- the phases phi_j(y) - psi_j: Gauss-Legendre panels over the gaps between
-  heights (``gauss_panels``) on phibar's integrand ``_phase_family``, a
-  whole batch of heights in one call; each ``curve`` read fills the
-  per-profile cache this way, and a single height is a batch of one;
-- s_of_y, which only minimal-base translators read: QUADPACK, with
-  geometric ladders of breakpoints at the peak scales (``_scale_breaks``).
+- the phases phi_j(y) - psi_j and the arc parameter s(y), which only
+  minimal-base translators read: Gauss-Legendre panels over the gaps
+  between heights (``gauss_panels``), on phibar's integrand
+  ``_phase_family`` and on ds/dy (``_arc_rate``).  Each profile holds one
+  ``geometry.ChainCache`` of each, so a batch of heights is one call per
+  quantity, and a single height is a batch of one.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -44,9 +43,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidTarget, NonConvergence, ValidationError
-from .geometry import CurveRecord, curve_views
+from .geometry import ChainCache, CurveRecord, curve_views
 from .params import require_finite
-from .quadutil import finite_quad, gauss_panels, improper_quad
+from .quadutil import gauss_panels, improper_quad
 
 NEWTON_MAX_ITER = 50
 NEWTON_TOL = 1e-10
@@ -66,7 +65,8 @@ class ExpanderProfile:
     a: tuple
     psi: tuple = None
     u_star: float = 0.0
-    _phases: "_PhaseCache" = field(default=None, init=False, repr=False, compare=False)
+    _phases: ChainCache = field(default=None, init=False, repr=False, compare=False)
+    _arcs: ChainCache = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = tuple(float(x) for x in self.a)
@@ -84,7 +84,11 @@ class ExpanderProfile:
             raise ValidationError("profile curvatures a_j must be positive")
         if len(psi) != len(a):
             raise ValidationError("psi must have the same length as a")
-        object.__setattr__(self, "_phases", _PhaseCache(self.alpha, a))
+        # the exact integrals from 0 to h = |y| of d phi_j and ds, by h
+        object.__setattr__(self, "_phases", ChainCache(_gauss_chains(
+            _phase_family(self.alpha, a), "phi increment"), np.zeros(len(a)), "profile height"))
+        object.__setattr__(self, "_arcs", ChainCache(_gauss_chains(
+            _arc_family(self.alpha, a), "arc parameter"), np.zeros(1), "profile height"))
 
     @property
     def n(self) -> int:
@@ -134,96 +138,48 @@ class AngleVector:
         return tuple(p - b for p, b in zip(self.psi, self.phibar))
 
 
-def _scale_breaks(alpha: float, a: tuple):
-    """Characteristic t-scales, each expanded into a geometric ladder.
-
-    The s_of_y integrand turns over at t ~ a_j^{-1/2} but its power-law
-    shoulders extend for several decades; a single breakpoint lets the
-    adaptive rule skip the shoulder entirely when the scales are extreme
-    (a ~ 1e13 say), so each scale contributes a 10^k ladder of breakpoints.
-    """
-    base = {1.0 / math.sqrt(x) for x in a}
-    base.add(1.0 / math.sqrt(sum(a) + alpha))
-    out = set()
-    for b in base:
-        for k in range(-1, 8):
-            v = b * 10.0 ** k
-            if v < 10.0:
-                out.add(v)
-    out.add(1.0)
-    return sorted(out)
-
-
-class _PhaseCache:
-    """Exact phase increments integral_0^h d phi_j, by height h = |y| >= 0.
-
-    A height not yet held is integrated from the held height nearest to it
-    (0 is always held); the missing heights that share that start and lie
-    on one side of it chain outward from it, gap by gap.  So sorted heights
-    make one pass over their span, an FD stencil point integrates only its
-    offset from its centre, and every gap of a batch is one Gauss-Legendre
-    family.  The last digits of a value depend on the order of the queries.
-    """
-
-    def __init__(self, alpha: float, a: tuple):
-        self.rates = _phase_family(alpha, a)
-        self.heights = [0.0]                      # sorted
-        self.values = {0.0: (0.0,) * len(a)}
-
-    def fill(self, hs) -> None:
-        """Hold every height of hs (each >= 0)."""
-        legs = {}
-        for h in sorted(set(hs) - self.values.keys()):
-            if not math.isfinite(h):
-                raise ValidationError(f"profile height {h!r} is not finite")
-            k = bisect.bisect(self.heights, h)
-            near = min(self.heights[max(k - 1, 0):k + 1], key=lambda c: abs(c - h))
-            legs.setdefault((near, h > near), []).append(h)
-        if not legs:
-            return
-        chains = [[near] + (targets if up else targets[::-1])
-                  for (near, up), targets in legs.items()]
-        gaps = gauss_panels(self.rates, [c for ch in chains for c in ch[:-1]],
-                            [c for ch in chains for c in ch[1:]], what="phi increment")
+def _gauss_chains(rates, what: str):
+    """The advance of a ChainCache of integrals from 0 of the members of
+    rates(t) -> (members, nodes): the gaps of every chain are one
+    gauss_panels family, and each chain adds its gaps to its start row in
+    turn."""
+    def advance(chains, starts):
+        gaps = gauss_panels(rates, np.concatenate([ch[:-1] for ch in chains]),
+                            np.concatenate([ch[1:] for ch in chains]), what=what)
         ends = np.cumsum([len(ch) - 1 for ch in chains])[:-1]
-        for ch, steps in zip(chains, np.split(gaps, ends, axis=1)):
-            vals = np.cumsum(np.column_stack([self.values[ch[0]], steps]), axis=1)
-            self.values.update(zip(ch[1:], map(tuple, vals[:, 1:].T.tolist())))
-        self.heights = sorted(self.values)
+        return [np.cumsum(np.column_stack([row, steps]), axis=1)[:, 1:].T
+                for row, steps in zip(starts, np.split(gaps, ends, axis=1))]
+    return advance
 
 
 def profile_eval(profile: ExpanderProfile, ys) -> CurveRecord:
-    """The curve record at the heights ys, which fill the phase cache as one
-    batch: radii r_j = sqrt(1/a_j + y^2), lifted phases, theta, and the
-    rates in y, dw_j/dy = e^(i phi_j) (y + i P^(-1/2)) / r_j and
-    d theta/dy = -alpha P^(-1/2).  ds/dy = e^(alpha y^2 / 2) sqrt(prod a / P)
-    relates y to the system parameter."""
+    """The curve record at the heights ys, one batch of the phase cache:
+    radii r_j = sqrt(1/a_j + y^2), lifted phases, theta, and the rates in y,
+    dw_j/dy = e^(i phi_j) (y + i P^(-1/2)) / r_j, d theta/dy = -alpha P^(-1/2)
+    and ds/dy (_arc_rate), which relates y to the system parameter."""
     ys = np.asarray(ys, dtype=float)
     hs = np.abs(ys)
-    profile._phases.fill(hs.tolist())
-    held = profile._phases.values
-    inc = np.array([held[h] for h in hs.tolist()]).reshape(len(ys), profile.n)
+    inc = profile._phases.get(hs)
     phis = np.array(profile.psi) + np.where(ys[:, None] >= 0.0, inc, -inc)
     alpha, a = profile.alpha, profile.a
-    t2, E, isp = _growth_arrays(alpha, np.array(a)[:, None], hs)
+    grown = _growth_arrays(alpha, np.array(a)[:, None], hs)
+    t2, _, isp, _ = grown
     r = np.sqrt(1.0 / np.array(a) + t2[:, None])
     turn = np.exp(1j * phis)
     # math.atan2: numpy's arctan2 differs from it in the last bit for a few
     # percent of arguments, and theta reaches the translator FD through beta
     arg = [math.atan2(i, y) for i, y in zip(isp.tolist(), ys.tolist())]
-    # past E = 700, P^(-1/2) = |y| e^(-E/2), so the exponents of ds/dy combine
-    spread = np.where(E > 700.0, hs * np.exp(0.5 * (alpha * t2 - E)),
-                      isp * np.exp(0.5 * np.minimum(alpha * t2, 700.0)))
     return CurveRecord(ys, profile.u_star + t2, r, phis, r * turn,
                        turn * (ys[:, None] / r + 1j * isp[:, None] / r),
                        phis.sum(axis=1) + arg, -alpha * isp, 2.0 * ys,
-                       math.sqrt(math.prod(a)) * spread)
+                       _arc_rate(alpha, a, hs, grown))
 
 
 def _growth_arrays(alpha: float, av: np.ndarray, t: np.ndarray):
-    """t^2, E and P(t)^(-1/2) at heights t >= 0 (av: a as a column).
+    """t^2, E, P(t)^(-1/2) and L = sum log1p(a_k t^2) at heights t >= 0 (av:
+    a as a column).
 
-    E = alpha t^2 + sum log1p(a_k t^2) and P = expm1(E) / t^2, so P^(-1/2) is
+    E = alpha t^2 + L and P = expm1(E) / t^2, so P^(-1/2) is
     t / sqrt(expm1(E)), and t e^(-E/2) once E exceeds 700.  P(t) = P(0)(1 + d)
     with 0 <= d <= t^2 P(0) / 2 and E = t^2 P(0) to first order, so where
     E <= eps, t^2 cannot move P and P^(-1/2) is its t -> 0 limit
@@ -231,11 +187,28 @@ def _growth_arrays(alpha: float, av: np.ndarray, t: np.ndarray):
     once t^2 underflows, so it sees E floored at eps and is discarded.
     """
     t2 = t * t
-    E = alpha * t2 + np.log1p(av * t2).sum(axis=0)
+    L = np.log1p(av * t2).sum(axis=0)
+    E = alpha * t2 + L
     isp = np.where(E > 700.0, t * np.exp(-0.5 * E),
                    t / np.sqrt(np.expm1(np.minimum(np.maximum(E, EPS), 700.0))))
     isp[E <= EPS] = 1.0 / math.sqrt(float(av.sum()) + alpha)
-    return t2, E, isp
+    return t2, E, isp, L
+
+
+def _arc_rate(alpha: float, a: tuple, t: np.ndarray, grown) -> np.ndarray:
+    """ds/dy = e^(alpha t^2 / 2) sqrt(prod a / P(t)) at heights t >= 0, from
+    grown = _growth_arrays(alpha, a, t).  Past E = 700, P^(-1/2) = t e^(-E/2)
+    and the exponents combine to -L / 2, which forming alpha t^2 - E would
+    cancel."""
+    t2, E, isp, L = grown
+    return math.sqrt(math.prod(a)) * np.where(
+        E > 700.0, t * np.exp(-0.5 * L), isp * np.exp(0.5 * np.minimum(alpha * t2, 700.0)))
+
+
+def _arc_family(alpha: float, a: tuple):
+    """t -> (1, nodes) array of ds/dy, t > 0."""
+    av = np.array(a)[:, None]
+    return lambda t: _arc_rate(alpha, a, t, _growth_arrays(alpha, av, t))[None]
 
 
 def _phase_family(alpha: float, a: tuple):
@@ -243,7 +216,7 @@ def _phase_family(alpha: float, a: tuple):
     av = np.array(a)[:, None]
 
     def rates(t):
-        t2, _, isp = _growth_arrays(alpha, av, t)
+        t2, _, isp, _ = _growth_arrays(alpha, av, t)
         return av / (1.0 + av * t2) * isp
     return rates
 
@@ -288,7 +261,7 @@ def angle_map_jacobian(alpha: float, a) -> np.ndarray:
     diag = np.arange(n)
 
     def rates(t):
-        t2, E, isp = _growth_arrays(alpha, av, t)
+        t2, E, isp, _ = _growth_arrays(alpha, av, t)
         one_minus = np.maximum(-np.expm1(-E), 1e-300)
         q = 1.0 / (1.0 + av * t2)                     # (n, nodes)
         g = av * q * isp
@@ -404,27 +377,9 @@ def invert_angle_map(alpha: float, target, *, tol: float = NEWTON_TOL) -> np.nda
     return a / a.sum() if alpha == 0.0 else a
 
 
-def s_of_y(profile: ExpanderProfile, y: float) -> float:
-    """Arc parameter of the enclosing ODE flow, measured from the turning point.
-
-    ds/dy = e^{alpha y^2 / 2} prod(a_k)^{1/2} / sqrt(P(y)), smooth through
-    y = 0.
-    """
-    alpha, a = profile.alpha, profile.a
-    pref = math.exp(0.5 * sum(math.log(x) for x in a))
-    P0 = sum(a) + alpha
-
-    # scalar arithmetic: QUADPACK calls the integrand once per node
-    def integrand(t):
-        t2 = t * t
-        E = alpha * t2 + sum(math.log1p(x * t2) for x in a)
-        if E <= EPS:                # t^2 cannot move P, as in _growth_arrays
-            return pref / math.sqrt(P0)
-        halfe = 0.5 * alpha * t * t - 0.5 * E
-        # e^{alpha t^2/2} / sqrt(P) = |t| e^{alpha t^2/2 - E/2} / sqrt(1 - e^{-E})
-        one_minus = -math.expm1(-E)
-        return pref * abs(t) * math.exp(halfe) / math.sqrt(one_minus)
-
-    val = finite_quad(integrand, 0.0, abs(y), breaks=_scale_breaks(alpha, a),
-                      what="arc parameter")
-    return math.copysign(val, y)
+def s_of_y(profile: ExpanderProfile, ys) -> np.ndarray:
+    """Arc parameter of the enclosing ODE flow at the heights ys (any shape),
+    measured from the turning point: odd in y, and read from the profile's
+    arc cache, the integrals of ds/dy (_arc_rate) from 0 to |y|."""
+    ys = np.asarray(ys, dtype=float)
+    return np.copysign(profile._arcs.get(np.abs(ys).ravel()).reshape(ys.shape), ys)

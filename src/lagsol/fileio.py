@@ -91,7 +91,7 @@ def read_mesh_csv(path) -> Mesh:
 # -- PLY vertex clouds -------------------------------------------------------
 
 def projection_matrix(real_dim: int) -> np.ndarray:
-    """Fixed orthonormal 3 x real_dim projection for viewing n >= 2 clouds."""
+    """Fixed orthonormal min(3, real_dim) x real_dim projection for viewing clouds."""
     rng = np.random.default_rng(_PROJECTION_SEED)
     mat = rng.normal(size=(real_dim, real_dim))
     q, _ = np.linalg.qr(mat)
@@ -101,29 +101,19 @@ def projection_matrix(real_dim: int) -> np.ndarray:
 def write_mesh_ply(path, mesh: Mesh, *, project3d: bool = False) -> None:
     """ASCII PLY vertex cloud.
 
-    Without projection, x/y/z are the first three real coordinates and the
-    remaining ones are kept as extra float properties c4..c{2n} (plus
-    s_or_y and theta); with project3d a fixed orthonormal projection maps the
-    full R^{2n} embedding onto x/y/z.
+    The coordinates are the real ones of the R^{2n} embedding, or with
+    project3d their image under a fixed orthonormal projection onto R^3 (R^2
+    at n = 1).  The first three, zero-padded, are x/y/z and the rest are
+    kept as extra float properties c4..c{2n}, followed by s_or_y and theta.
     """
-    real = _real_coordinates(mesh)
+    coords = _real_coordinates(mesh)
     if project3d:
-        coords = real @ projection_matrix(2 * mesh.n).T
-        extra_names = []
-        extras = np.empty((len(mesh), 0))
-    else:
-        dim = real.shape[1]
-        if dim >= 3:
-            coords = real[:, :3]
-            extras = real[:, 3:]
-        else:
-            coords = np.column_stack([real, np.zeros((len(mesh), 3 - dim))])
-            extras = np.empty((len(mesh), 0))
-        extra_names = [f"c{k + 4}" for k in range(extras.shape[1])]
+        coords = coords @ projection_matrix(2 * mesh.n).T
+    coords = np.column_stack([coords, np.zeros((len(mesh), max(3 - coords.shape[1], 0)))])
     header = ["ply", "format ascii 1.0", f"element vertex {len(mesh)}"]
-    header += [f"property double {name}"
-               for name in ["x", "y", "z"] + extra_names + ["s_or_y", "theta"]]
-    table = np.column_stack([coords, extras, mesh.params, mesh.thetas])
+    header += [f"property double {name}" for name in ["x", "y", "z"] + [
+        f"c{k}" for k in range(4, coords.shape[1] + 1)] + ["s_or_y", "theta"]]
+    table = np.column_stack([coords, mesh.params, mesh.thetas])
     _write_rows(path, header + ["end_header"], table.tolist(), sep=" ", end="\n")
 
 

@@ -11,8 +11,9 @@ a translating profile sends a free base point x in R^{n-1} to
 
 Everything here reads a profile through n, lambdas and one method,
 curve(ts): the CurveRecord of the curve at an array of parameters ts, from
-one batch of the profile's cache.  Every profile's quadric is normalized to 1
-on the right-hand side.
+one batch of the profile's cache, a ChainCache (expander phases and arc
+parameter, orbit states).  Every profile's quadric is normalized to 1 on the
+right-hand side.
 
 The frame at a point consists of the quadric tangent directions multiplied
 into w plus the curve velocity.  From its complex Gram matrix M = F^H F we
@@ -32,6 +33,7 @@ values.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -63,6 +65,50 @@ class CurveRecord(NamedTuple):
         """The entries at the i-th parameter: scalars, and (n,) arrays; for an
         index array, the record at those parameters."""
         return CurveRecord(*(field[i] for field in self))
+
+
+class ChainCache:
+    """Rows of a curve quantity held by parameter, the first the row at
+    parameter 0, and reached by chaining.
+
+    get(ts) first reaches the parameters it does not hold, each from the held
+    parameter nearest to it (one searchsorted over the sorted held ones; the
+    lower on a tie).  The missing parameters that share a start and lie on
+    one side of it form one chain, running outward from it; advance(chains,
+    starts) takes the chains, each a list of parameters led by its start,
+    with their start rows, and returns each chain's rows after its start.
+    So sorted parameters make one pass over their span, and an FD stencil
+    point is reached from its centre.  The last digits of a row depend on
+    the order of the queries.  The rows are held in a dict: the batches are
+    small, and numpy's per-call cost on them outweighed the array work.
+    """
+
+    def __init__(self, advance, row, what: str):
+        self.advance, self.what = advance, what
+        self.ts, self.rows = [0.0], {0.0: np.asarray(row, dtype=float)}
+
+    def get(self, ts) -> np.ndarray:
+        """The rows at the parameters ts, one per parameter."""
+        ts, rows = np.asarray(ts, dtype=float).tolist(), self.rows
+        missing = [t for t in ts if t not in rows]
+        if missing:
+            self._reach(missing)
+        return np.array([rows[t] for t in ts]).reshape((len(ts),) + rows[0.0].shape)
+
+    def _reach(self, ts):
+        """Hold the parameters ts, none of them held yet."""
+        bad = [t for t in ts if not math.isfinite(t)]
+        if bad:
+            raise ValidationError(f"{self.what} {bad[0]!r} is not finite")
+        ts = sorted(set(ts))
+        held, legs = [-math.inf, *self.ts, math.inf], {}     # held[k] < t < held[k + 1]
+        for t, k in zip(ts, np.searchsorted(self.ts, ts).tolist()):
+            up = t - held[k] <= held[k + 1] - t
+            legs.setdefault((held[k + 1 - up], up), []).append(t)
+        chains = [[t0, *(leg if up else leg[::-1])] for (t0, up), leg in legs.items()]
+        for chain, rows in zip(chains, self.advance(chains, [self.rows[c[0]] for c in chains])):
+            self.rows.update(zip(chain[1:], rows))
+        self.ts = list(heapq.merge(self.ts, ts))
 
 
 def curve_views(*fields):
@@ -271,22 +317,22 @@ def mean_curvature_fd(F, n: int, h) -> np.ndarray:
     return (4.0 * levels[..., 1, :] - levels[..., 0, :]) / 3.0
 
 
-def curve_chart(base, rows, curve, ts):
-    """The charts (xi, t) -> rows(base(xi), curve at ts_i + t) of m points at
-    the curve parameters ts, for immersions of n-folds in C^n.
+def curve_chart(base, immerse, curve, ts):
+    """The charts (xi, t) -> immerse(base(xi), curve at ts_i + t) of m points
+    at the curve parameters ts, for immersions of n-folds in C^n.
 
     The chart maps an (m R, n) stack of offsets, R consecutive ones per
     point in the order of ts, to their (m R, n) immersion values.  base maps
-    the (m, R, n - 1) offsets xi of the points to base points; rows(xs, c, at)
-    immerses the stacked base point xs[k] on row at[k] of the curve record c.
-    The curve is read once, over the sorted distinct parameters of the whole
-    stack.
+    the (m, R, n - 1) offsets xi of the points to base points; immerse(xs, c)
+    immerses the stacked base points xs on a curve record c with one row per
+    point.  The curve is read once, over the sorted distinct parameters of
+    the whole stack.
     """
     def chart(coords):
         coords = coords.reshape(len(ts), -1, coords.shape[-1])
         xs = base(coords[..., :-1])
         grid, at = np.unique((ts[:, None] + coords[..., -1]).ravel(), return_inverse=True)
-        return rows(xs.reshape(-1, xs.shape[-1]), curve(grid), at)
+        return immerse(xs.reshape(-1, xs.shape[-1]), curve(grid).row(at))
     return chart
 
 
@@ -312,5 +358,5 @@ def centred_fd_mean_curvature(profile, xs, c: CurveRecord) -> np.ndarray:
     analytic route is mean_curvature()."""
     xs = np.asarray(xs, dtype=float)
     chart = curve_chart(_quadric_base(profile.lambdas, xs),
-                        lambda x, grid, at: x * grid.w[at], profile.curve, c.t)
+                        lambda x, c: x * c.w, profile.curve, c.t)
     return mean_curvature_fd(chart, profile.n, fd_step(c.u))

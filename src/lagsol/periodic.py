@@ -41,7 +41,7 @@ from scipy.optimize import brentq
 
 from . import odeint
 from .errors import CaseMismatch, NonConvergence, ToleranceFailure, ValidationError
-from .geometry import CurveRecord, curve_views
+from .geometry import ChainCache, CurveRecord, curve_views
 from .params import SolitonParams, require_finite
 from .quadutil import orbit_quad
 from .reduced_ode import TrajectorySpec, reduced_system
@@ -452,14 +452,14 @@ class OrbitProfile:
     """ODE-backed centred profile of an oscillating spec, kept as handed: the
     rebased spec of a PeriodicOrbit or a profile record, integrated from u = 0.
 
-    States are cached by s, starting with the base state.  A state not in
-    the cache is integrated from the cached state nearest to it, so mesh
-    samples chain into one pass over their span: each leg ends exactly on its
-    last sample, and the samples inside a step are read from the stepper's
-    7th-order interpolant.  The FD oracle reads every stencil point of a
-    mesh in one sorted batch: the points on each side of a cached centre are
-    one integration from it, ending exactly on the farthest.  The cache, and
-    so the last digits of a state, depend on the order of the queries.
+    States are held by s in a geometry.ChainCache, starting with the base
+    state: each chain of missing parameters is one integration from its
+    start that ends exactly on its farthest parameter, and the parameters
+    inside a step are read from the stepper's 7th-order interpolant.  So
+    mesh samples chain into one pass over their span, and the points of the
+    FD oracle's one sorted stencil batch on each side of a held centre are
+    one integration from it.  The last digits of a state depend on the
+    order of the queries.
     """
 
     kind = "centred"
@@ -473,40 +473,31 @@ class OrbitProfile:
         self.alpha = self.spec.params.alpha
         self.n = self.spec.n
         self._rhs, self._conserved, self._near_escape = reduced_system(self.tspec)
-        self._cache = {0.0: self.tspec.initial_state()}
+        self._states = ChainCache(self._advance, self.tspec.initial_state(), "curve parameter")
 
-    def prefetch(self, s_values):
-        """Cache the states at s_values.
-
-        Each missing s resumes from the cached state nearest to it; the
-        missing values that share that start and lie on one side of it are
-        sampled by one integration that ends on the farthest of them.
-        """
-        legs = {}
-        for s in sorted(set(float(s) for s in s_values) - self._cache.keys()):
-            if not math.isfinite(s):
-                raise ValidationError(f"curve parameter {s!r} is not finite")
-            near = min(self._cache, key=lambda c: abs(c - s))
-            legs.setdefault((near, s > near), []).append(s)
-        for (near, up), targets in legs.items():
-            if not up:
-                targets.reverse()
-            res = odeint.integrate(self._rhs, near, self._cache[near], targets[-1],
-                                   targets=targets, rtol=self.rtol, atol=self.atol,
+    def _advance(self, chains, starts):
+        """The states along each chain: one integration, sampled at its parameters."""
+        out = []
+        for ch, y0 in zip(chains, starts):
+            res = odeint.integrate(self._rhs, ch[0], y0, ch[-1], targets=ch[1:],
+                                   rtol=self.rtol, atol=self.atol,
                                    conserved=self._conserved, dense=False,
                                    near_escape=self._near_escape)
             # odeint does not sample targets within 1e-14 of the start, so
             # leading targets may have no sample: they take the start state
-            landed = list(res.y[1:])
-            self._cache.update(zip(targets, [res.y[0]] * (len(targets) - len(landed))
-                                   + landed))
+            out.append([res.y[0]] * (len(ch) - len(res.y)) + list(res.y[1:]))
+        return out
+
+    # curve reads the states through prefetch because perfbench's tracer
+    # spans it (ROADMAP item 1)
+    def prefetch(self, s_values) -> np.ndarray:
+        """The states at s_values, one read of the state cache."""
+        return self._states.get(s_values)
 
     def curve(self, ts) -> CurveRecord:
-        """The curve record at the parameters ts; the states missing from the
-        cache are integrated first (prefetch)."""
+        """The curve record at the parameters ts, from one prefetch."""
         ts = np.asarray(ts, dtype=float)
-        self.prefetch(ts.tolist())
-        st = np.array([self._cache[s] for s in ts.tolist()]).reshape(len(ts), self.n + 2)
+        st = self.prefetch(ts)
         n, lam = self.n, np.array(self.lambdas)
         u, phis, theta = st[:, 0], st[:, 1:n + 1], st[:, -1]
         r = np.sqrt(np.array(self.spec.alphas) + lam * u[:, None])

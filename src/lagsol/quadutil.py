@@ -7,11 +7,14 @@ Each quantity runs on one rule:
   1974): nodes t = exp(pi/2 sinh x), the trapezoid rule in x, h halved
   until, for every member, two levels differ by at most REL_TOL times that
   member's integral of |f|;
-- the expander phase increments phi_j(y) - psi_j, integrals over finite
-  gaps between heights: Gauss-Legendre panels, ``gauss_panels``, every gap
-  of a batch and every member in one numpy call per level;
-- the translator arc parameter s_of_y (``finite_quad``) and an orbit's
-  period and holonomies (``orbit_quad``): QUADPACK, via scipy.
+- the expander phase increments phi_j(y) - psi_j and arc parameter s(y),
+  integrals over finite gaps between heights: Gauss-Legendre panels,
+  ``gauss_panels``, every gap of a batch and every member in one numpy
+  call per level;
+- an orbit's period and holonomies (``orbit_quad``): QUADPACK, via scipy.
+
+``finite_quad`` (QUADPACK over a finite interval) is left for perfbench's
+tracer, which spans it, and for the tests' QUADPACK references.
 
 Orbit integrals go through v = u1 + (u2 - u1) sin^2(xi), whose Jacobian
 sin(2 xi) cancels the inverse-square-root endpoint singularities.  The

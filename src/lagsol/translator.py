@@ -20,15 +20,15 @@ linear function of the translation direction).  For alpha = 0 the real part
 is still u/2 + Re K while Im beta = -A s + Im K drifts linearly in s by the
 first integral A of the base.  Both forms, and d beta/dt, are read off the
 base's curve record (u, theta and their rates, ds/dt); s itself is the
-curve parameter of an orbit base and s_of_y of an expander base, a
-quadrature, so callers compute beta once per curve parameter and hand it on.
+curve parameter of an orbit base and s_of_y of an expander base, one read
+of its arc cache per record.
 
 The default K = -u_*/2 places the waist at Re beta = 0; with base phases
 psi = 0 the point z(0, 0) then sits at -i pi / (2 alpha).
 
 The base coordinates x are already flat, so the FD mean curvature cross-check
 at points (x, t) runs geometry's stacked stencils on the charts
-(xi, s) -> z(x + xi, t + s), with beta on their distinct parameters.
+(xi, s) -> z(x + xi, t + s).
 """
 
 from __future__ import annotations
@@ -82,9 +82,7 @@ class TranslatorProfile:
         parameters."""
         if self.alpha != 0.0:
             return 0.5 * c.u + self.K.real + 1j * (self.K.imag - c.theta / self.alpha)
-        s = c.t
-        if isinstance(self.base, ExpanderProfile):
-            s = np.reshape([s_of_y(self.base, t) for t in np.ravel(s).tolist()], np.shape(s))
+        s = s_of_y(self.base, c.t) if isinstance(self.base, ExpanderProfile) else c.t
         return 0.5 * c.u + self.K.real + 1j * (self.K.imag - self.first_integral * s)
 
     def beta_rate(self, c) -> complex:
@@ -94,31 +92,26 @@ class TranslatorProfile:
             return 0.5 * c.u_rate - 1j * (c.theta_rate / self.alpha)
         return 0.5 * c.u_rate - 1j * (self.first_integral * c.s_rate)
 
-    def immersion(self, x, c, beta) -> np.ndarray:
+    def immersion(self, x, c) -> np.ndarray:
         """z at a base point x, or a stack of them (shape (m, n - 1)), on the
-        row c of the base's curve record, with beta = self.beta(c); or at one
-        point per row of a record c of arrays."""
+        row c of the base's curve record, or at one point per row of a record
+        c of arrays."""
         x = np.asarray(x, dtype=float)
         if x.shape[-1:] != (self.n - 1,):
             raise ValidationError("base point must have n - 1 coordinates")
         lam = np.asarray(self.base_lambdas)
         z = np.empty(x.shape[:-1] + (self.n,), dtype=complex)
         z[..., :-1] = x * c.w
-        z[..., -1] = -0.5 * np.sum(lam * x * x, axis=-1) + beta
+        z[..., -1] = -0.5 * np.sum(lam * x * x, axis=-1) + self.beta(c)
         return z
 
-    def immerse_rows(self, xs, c, at) -> np.ndarray:
-        """z at the stacked base points xs (m, n - 1), xs[k] on row at[k] of
-        the base's curve record c; beta is computed once per row of c."""
-        return self.immersion(xs, c.row(at), self.beta(c)[at])
-
-    def frame_at(self, x, c, beta) -> FramedPoint:
+    def frame_at(self, x, c) -> FramedPoint:
         """Frame at a base point x, or a stack of them (shape (m, n - 1)), on
-        the row c of the base's curve record, with beta = self.beta(c); or at
-        one point per row of a record c of arrays."""
+        the row c of the base's curve record, or at one point per row of a
+        record c of arrays."""
         x = np.asarray(x, dtype=float)
         n = self.n
-        z = self.immersion(x, c, beta).reshape(-1, n)
+        z = self.immersion(x, c).reshape(-1, n)
         xs = x.reshape(-1, n - 1)
         lam = np.asarray(self.base_lambdas)
         j = np.arange(n - 1)
@@ -158,6 +151,6 @@ def translator_fd_mean_curvature(profile: TranslatorProfile, xs, c) -> np.ndarra
     the base's curve record, one per point, as an (m, n) array; the base
     coordinates are already flat."""
     xs = np.asarray(xs, dtype=float)
-    chart = curve_chart(lambda xi: xs[:, None, :] + xi, profile.immerse_rows,
+    chart = curve_chart(lambda xi: xs[:, None, :] + xi, profile.immersion,
                         profile.base.curve, c.t)
     return mean_curvature_fd(chart, profile.n, fd_step(c.u))

@@ -114,9 +114,8 @@ class _Kind:
     curve: object       # the centred profile sampled by the leading coordinates
     thresholds: dict    # every invariant, in report order, with its threshold
     gate: tuple         # invariants a point must meet before its frame is checked
-    data: object        # (record c, rows at) -> the kind's own data at each row at of c
-    own: object         # (x, z, theta, data) -> per-point residuals of the kind's own invariants
-    frame: object       # (x, c, data) -> FramedPoint of the stacked points x, one row of c each
+    own: object         # (x, z, c) -> per-point residuals of the kind's own invariants
+    frame: object       # (x, c) -> FramedPoint of the stacked points x, one row of c each
     oracle: object      # (xs, c) -> FD mean curvature at the points xs on their record rows c
     drive: object       # FramedPoint -> the term equal to H on a soliton, per point
 
@@ -129,31 +128,27 @@ def _centred_kind(profile) -> _Kind:
          "stored_angle": STORED_ANGLE_TOL, "lagrangian": LAGRANGIAN_TOL,
          "angle": ANGLE_TOL, "soliton": SOLITON_TOL},
         ("reconstruction", "quadric"),
-        lambda c, at: None,
-        lambda x, z, theta, _: {"quadric": np.abs(np.sum(lam * x * x, axis=-1) - 1.0)},
-        lambda x, c, _: centred_frame(profile, x, c),
+        lambda x, z, c: {"quadric": np.abs(np.sum(lam * x * x, axis=-1) - 1.0)},
+        lambda x, c: centred_frame(profile, x, c),
         lambda xs, c: centred_fd_mean_curvature(profile, xs, c),
         lambda fp: profile.alpha * fp.normal_projection(fp.z))
 
 
 def _translator_kind(profile: TranslatorProfile) -> _Kind:
-    base = profile.base
-    lam = np.asarray(base.lambdas, dtype=float)
     maslov_ref = profile.maslov_constant
     T = profile.translation_vector()
 
-    def own(x, z, theta, beta):
-        zn = -0.5 * np.sum(lam * x * x, axis=-1) + beta
+    def own(x, z, c):
+        zn = profile.immersion(x, c)[:, -1]
         return {"last_coordinate": np.abs(z[:, -1] - zn) / (1.0 + np.abs(zn)),
-                "maslov": np.abs(theta + profile.alpha * z[:, -1].imag - maslov_ref)}
+                "maslov": np.abs(c.theta + profile.alpha * z[:, -1].imag - maslov_ref)}
 
     return _Kind(
-        "translator", base,
+        "translator", profile.base,
         {"reconstruction": RECONSTRUCTION_TOL, "last_coordinate": RECONSTRUCTION_TOL,
          "stored_angle": STORED_ANGLE_TOL, "maslov": STORED_ANGLE_TOL,
          "lagrangian": LAGRANGIAN_TOL, "angle": ANGLE_TOL, "soliton": SOLITON_TOL},
         ("reconstruction",),
-        lambda c, at: profile.beta(c)[at],
         own,
         profile.frame_at,
         lambda xs, c: translator_fd_mean_curvature(profile, xs, c),
@@ -190,15 +185,14 @@ def verify_mesh(profile, mesh, fd_checks: int = FD_CHECKS,
     index = np.arange(count)
     # one curve read over the distinct parameters, gathered to one row per point
     grid, row_of = np.unique(ts, return_inverse=True)
-    curve = kind.curve.curve(grid)
-    c, data = curve.row(row_of), kind.data(curve, row_of)
+    c = kind.curve.curve(grid).row(row_of)
     z = mesh.points
     zc = z[:, :c.w.shape[-1]]
     x = (zc / c.w).real
     res = {"reconstruction": np.max(np.abs(zc - x * c.w), axis=1)
            / (1.0 + np.max(np.abs(z), axis=1)),
            "stored_angle": angle_gap(np.asarray(mesh.thetas, dtype=float) - c.theta),
-           **kind.own(x, z, c.theta, data)}
+           **kind.own(x, z, c)}
     worst = {name: _Worst() for name in kind.thresholds}
     for name, values in res.items():
         worst[name].update_all(values, index)
@@ -208,7 +202,7 @@ def verify_mesh(profile, mesh, fd_checks: int = FD_CHECKS,
     framed = index[on]
     lag = ang = sol = np.empty(0)
     if len(framed):
-        fp = kind.frame(x[on], c.row(on), None if data is None else data[on])
+        fp = kind.frame(x[on], c.row(on))
         lag, ang = fp.lagrangian_residual, fp.angle_residual
         worst["lagrangian"].update_all(lag, framed)
         worst["angle"].update_all(ang, framed)

@@ -13,7 +13,8 @@ The module also holds the point-by-point finite-difference mean curvature
 the package's batched one replaced, the one-point tangent basis of the
 quadric that the package's stacked _tangent_bases is checked against, the
 per-value file writers (csv.writer rows of repr(float) fields) that the
-package's whole-array row writer must match byte for byte, and small
+package's whole-array row writer must match byte for byte, the breakpoint
+ladders of the QUADPACK references for expander integrals, and small
 helpers only tests call.
 """
 
@@ -56,6 +57,27 @@ def inv_sqrt_P(alpha: float, a, t: float) -> float:
     if E > 700.0:
         return abs(t) * math.exp(-0.5 * E)
     return abs(t) / math.sqrt(math.expm1(E))
+
+
+def scale_breaks(alpha: float, a: tuple):
+    """Characteristic t-scales of an expander, each expanded into a geometric
+    ladder: breakpoints for QUADPACK references over [0, y].
+
+    The phase and arc integrands turn over at t ~ a_j^{-1/2} but their
+    power-law shoulders extend for several decades; a single breakpoint lets
+    the adaptive rule skip the shoulder entirely when the scales are extreme
+    (a ~ 1e13 say), so each scale contributes a 10^k ladder of breakpoints.
+    """
+    base = {1.0 / math.sqrt(x) for x in a}
+    base.add(1.0 / math.sqrt(sum(a) + alpha))
+    out = set()
+    for b in base:
+        for k in range(-1, 8):
+            v = b * 10.0 ** k
+            if v < 10.0:
+                out.add(v)
+    out.add(1.0)
+    return sorted(out)
 
 
 def reduced_rhs(spec: TrajectorySpec, y):
@@ -302,7 +324,7 @@ class TranslatorChart:
     def __call__(self, coords):
         coords = np.asarray(coords, dtype=float)
         c = self.profile.base.curve([self.t0 + coords[-1]]).row(0)
-        return self.profile.immersion(self.x0 + coords[:-1], c, self.profile.beta(c))
+        return self.profile.immersion(self.x0 + coords[:-1], c)
 
 
 def fd_derivatives(F, xi0: np.ndarray, h: float):
@@ -434,9 +456,8 @@ def write_mesh_ply(path, mesh, *, project3d: bool = False) -> None:
     real[:, 0::2] = mesh.points.real
     real[:, 1::2] = mesh.points.imag
     if project3d:
-        coords = real @ projection_matrix(2 * mesh.n).T
-        extras, extra_names = np.empty((len(mesh), 0)), []
-    elif real.shape[1] >= 3:
+        real = real @ projection_matrix(2 * mesh.n).T
+    if real.shape[1] >= 3:
         coords, extras = real[:, :3], real[:, 3:]
         extra_names = [f"c{k + 4}" for k in range(extras.shape[1])]
     else:

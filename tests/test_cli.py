@@ -250,14 +250,35 @@ def test_exports_read_the_curve_once_per_batch(tmp_path, capsys, argv, cls):
 
 
 def test_alpha_0_translator_export_computes_beta_once_per_parameter(tmp_path, capsys):
-    """Over an alpha = 0 expander base, each beta costs one s_of_y quadrature:
-    30 for the mesh, 30 for verify's rows (shared by the last-coordinate check
-    and the frames) and 40 for the distinct stencil parameters of 8 FD points."""
-    from lagsol import translator
-    with mock.patch.object(translator, "s_of_y", wraps=translator.s_of_y) as s_of_y:
+    """Over an alpha = 0 expander base, beta reads s from the base's arc
+    cache, which integrates each distinct height |t| once, in two
+    Gauss-Legendre batches: the 30 mesh parameters, then the 40 distinct
+    stencil parameters of 8 FD points.  Every other read, verify's
+    included, is a cache hit."""
+    from lagsol import expander, translator
+    gauss_panels, arcs, misses = expander.gauss_panels, [], []
+
+    def counted(rates, lo, hi, what):
+        if what == "arc parameter":
+            arcs.append(np.asarray(hi))
+        return gauss_panels(rates, lo, hi, what=what)
+
+    def s_of_y(base, ys):
+        held = base._arcs.ts
+        out = expander.s_of_y(base, ys)
+        if len(base._arcs.ts) != len(held):
+            misses.append((np.unique(ys), held))
+        return out
+
+    with mock.patch.object(expander, "gauss_panels", side_effect=counted), \
+            mock.patch.object(translator, "s_of_y", side_effect=s_of_y) as spy:
         assert main(["translator", "--alpha=0", "--a=1,2", "--mesh-samples=30",
                      "--mesh-count=20", f"--outdir={tmp_path}"]) == 0
-    assert s_of_y.call_count == 100
+    assert spy.call_count > 2 and len(misses) == len(arcs) == 2
+    (mesh, _), (stencil, held) = misses
+    assert len(mesh) == 30 and len(stencil) == 40
+    for ys, hi, before in ((mesh, arcs[0], [0.0]), (stencil, arcs[1], held)):
+        assert np.array_equal(np.sort(hi), np.setdiff1d(np.abs(ys), before))
 
 
 def test_overflowing_search_step_exits_3(tmp_path, capsys):

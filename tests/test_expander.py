@@ -5,16 +5,18 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.integrate
 from scipy.integrate import quad
 
-from lagsol import cli, expander, quadutil
+from lagsol import cli, expander, odeint, quadutil
 from lagsol.errors import InvalidTarget, ValidationError
-from lagsol.expander import (ExpanderProfile, _scale_breaks, angle_map,
-                             angle_map_jacobian, asymptotic_angles, invert_angle_map,
-                             s_of_y)
+from lagsol.expander import (ExpanderProfile, angle_map, angle_map_jacobian,
+                             asymptotic_angles, invert_angle_map, s_of_y)
 from lagsol.geometry import fd_step
+from lagsol.params import SolitonParams
+from lagsol.periodic import PeriodicSpec, compute_orbit
 from lagsol.quadutil import finite_quad, gauss_panels
-from oracles import log_growth
+from oracles import log_growth, scale_breaks
 
 
 def eval_P(profile: ExpanderProfile, t: float) -> float:
@@ -306,9 +308,18 @@ def test_s_of_y_parametrization():
     assert fd == pytest.approx(math.sqrt(2.0) / math.sqrt(4.0), rel=1e-9)
 
 
-# -- the per-profile phase cache ----------------------------------------------
+def test_s_of_y_takes_any_shape():
+    prof = ExpanderProfile(0.0, (1.0, 2.0))
+    ys = np.array([[0.5, -1.0], [2.0, -0.0]])
+    s = s_of_y(prof, ys)
+    assert s.shape == ys.shape and s.ndim == 2
+    assert np.array_equal(s.ravel(), [float(s_of_y(prof, y)) for y in ys.ravel().tolist()])
+    assert np.signbit(s[1, 1]) and s_of_y(prof, 3.0).shape == ()
 
-PHASE_CASES = [(1.0, (1.0, 2.0)), (0.0, (0.8, 1.5)), (0.5, (1e6, 1.0))]
+
+# -- the per-profile phase and arc caches -------------------------------------
+
+PHASE_CASES = [(1.0, (1.0, 2.0)), (0.0, (0.8, 1.5)), (0.5, (1e6, 1.0)), (0.0, (1e13, 1.0))]
 
 
 def _cache_heights(prof):
@@ -327,21 +338,43 @@ def _one_shot_phases(prof, y):
     """Each phase as one quadrature over [0, |y|], as an uncached profile would."""
     def integrand(aj):
         return lambda t: aj / (1.0 + aj * t * t) / math.sqrt(eval_P(prof, t))
-    vals = [finite_quad(integrand(aj), 0.0, abs(y), breaks=_scale_breaks(prof.alpha, prof.a))
+    vals = [finite_quad(integrand(aj), 0.0, abs(y), breaks=scale_breaks(prof.alpha, prof.a))
             for aj in prof.a]
     return np.copysign(vals, y)
 
 
+def _one_shot_arc(prof, y):
+    """s(y) as one QUADPACK quadrature over [0, |y|] of ds/dy =
+    sqrt(prod a) t e^(-sum log1p(a_k t^2) / 2) / sqrt(1 - e^(-E)) in scalar
+    arithmetic."""
+    alpha, a = prof.alpha, prof.a
+
+    def rate(t):
+        E = log_growth(alpha, a, t)
+        if E <= np.finfo(float).eps:
+            return math.sqrt(math.prod(a) / (sum(a) + alpha))
+        L = sum(math.log1p(x * t * t) for x in a)
+        return math.sqrt(math.prod(a)) * t * math.exp(-0.5 * L) / math.sqrt(-math.expm1(-E))
+    return math.copysign(finite_quad(rate, 0.0, abs(y), breaks=scale_breaks(alpha, a)), y)
+
+
 @pytest.mark.parametrize("alpha, a", PHASE_CASES)
 def test_cached_phases_match_one_quadrature_in_any_query_order(alpha, a):
+    """Phases and arc parameters read forward, backward and (arcs) in one
+    batch match one stand-alone QUADPACK quadrature each."""
     heights = _cache_heights(ExpanderProfile(alpha, a))
-    forward, backward = ExpanderProfile(alpha, a), ExpanderProfile(alpha, a)
-    fwd = {y: point(forward, y).phis for y in heights}
-    bwd = {y: point(backward, y).phis for y in reversed(heights)}
+    forward, backward, batch = (ExpanderProfile(alpha, a) for _ in range(3))
+    fwd = {y: (point(forward, y).phis, s_of_y(forward, y)) for y in heights}
+    bwd = {y: (point(backward, y).phis, s_of_y(backward, y)) for y in reversed(heights)}
+    arcs = dict(zip(heights, s_of_y(batch, heights).tolist()))
     for y in heights:
         ref = _one_shot_phases(forward, y)
-        np.testing.assert_allclose(fwd[y], ref, rtol=0, atol=1e-12 * (1 + np.abs(ref).max()))
-        np.testing.assert_allclose(fwd[y], bwd[y], rtol=0, atol=1e-13)
+        np.testing.assert_allclose(fwd[y][0], ref, rtol=0, atol=1e-12 * (1 + np.abs(ref).max()))
+        np.testing.assert_allclose(fwd[y][0], bwd[y][0], rtol=0, atol=1e-13)
+        if alpha == 0.0:
+            ref = _one_shot_arc(forward, y)
+            for got in (fwd[y][1], bwd[y][1], arcs[y]):
+                assert abs(got - ref) <= 1e-13 * abs(ref), (y, got, ref)
 
 
 @pytest.mark.parametrize("alpha, a", PHASE_CASES)
@@ -366,7 +399,63 @@ def test_phase_cache_belongs_to_the_profile():
         used.curve([y])
     assert used == fresh and hash(used) == hash(fresh)
     assert repr(used) == repr(fresh) and "phase" not in repr(used)
-    assert fresh._phases.heights == [0.0]
+    assert fresh._phases.ts == fresh._arcs.ts == [0.0]
+
+
+def _gl_spy():
+    return mock.patch.object(expander, "gauss_panels", wraps=expander.gauss_panels)
+
+
+def _ode_spy():
+    return mock.patch.object(odeint, "integrate", wraps=odeint.integrate)
+
+
+def _orbit_profile():
+    spec = PeriodicSpec(SolitonParams((1, -1), 1.0, 0.5), (1.0, 2.0), 0.4)
+    return compute_orbit(spec).profile()
+
+
+# (profile, read, spy, start and end of the spied call) of each ChainCache client
+CHAIN_CLIENTS = {
+    "phases": (lambda: ExpanderProfile(1.0, (1.0, 2.0)), lambda p, ts: p.curve(ts), _gl_spy,
+               lambda call: (call.args[1][0], call.args[2][0])),
+    "arcs": (lambda: ExpanderProfile(0.0, (1.0, 2.0)), s_of_y, _gl_spy,
+             lambda call: (call.args[1][0], call.args[2][0])),
+    "orbit": (_orbit_profile, lambda p, ts: p.curve(ts), _ode_spy,
+              lambda call: (call.args[1], call.args[3])),
+}
+
+
+@pytest.mark.parametrize("name", CHAIN_CLIENTS)
+def test_a_query_midway_between_held_parameters_chains_from_the_lower(name):
+    make, read, spy, span = CHAIN_CLIENTS[name]
+    prof = make()
+    read(prof, [1.0, 2.0])
+    with spy() as called:
+        read(prof, [1.5])
+    assert called.call_count == 1
+    assert span(called.call_args) == (1.0, 1.5)
+
+
+@pytest.mark.parametrize("name", CHAIN_CLIENTS)
+def test_a_non_finite_parameter_raises_before_any_integration(name):
+    make, read, spy, _ = CHAIN_CLIENTS[name]
+    prof = make()
+    what = "curve parameter" if name == "orbit" else "profile height"
+    for t in (math.nan, math.inf, -math.inf):
+        with spy() as called, pytest.raises(ValidationError, match=f"^{what} .* is not finite"):
+            read(prof, [0.5, t, 1.0])
+        assert called.call_count == 0
+
+
+def test_s_of_y_makes_no_quadpack_call():
+    prof = ExpanderProfile(0.0, (1e13, 1.0))
+    with mock.patch.object(quadutil, "finite_quad") as fq, \
+            mock.patch.object(quadutil, "quad") as q, \
+            mock.patch.object(scipy.integrate, "quad") as sq:
+        s_of_y(prof, np.linspace(-1e4, 1e4, 41))
+        s_of_y(prof, 0.3)
+    assert fq.call_count == q.call_count == sq.call_count == 0
 
 
 def test_expander_export_integrand_budget(tmp_path):

@@ -296,8 +296,8 @@ def test_profile_record_translator(tmp_path):
     assert back.base.a == prof.base.a
     x = np.array([0.3, -0.8])
     mine, theirs = back.base.curve([0.6]).row(0), prof.base.curve([0.6]).row(0)
-    np.testing.assert_allclose(back.immersion(x, mine, back.beta(mine)),
-                               prof.immersion(x, theirs, prof.beta(theirs)), atol=1e-12)
+    np.testing.assert_allclose(back.immersion(x, mine), prof.immersion(x, theirs),
+                               atol=1e-12)
 
 
 def test_profile_record_rejects_unknown_kind(tmp_path):
@@ -361,6 +361,21 @@ def test_mesh_ply_matches_the_per_value_writer(tmp_path, n, project3d):
         text = same_bytes(tmp_path, write_mesh_ply, oracles.write_mesh_ply, mesh,
                           project3d=project3d)
         assert b"\r" not in text
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
+@pytest.mark.parametrize("project3d", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_every_ply_vertex_line_holds_one_value_per_property(tmp_path, n, project3d):
+    path = tmp_path / "mesh.ply"
+    write_mesh_ply(path, special_mesh(n), project3d=project3d)
+    lines = path.read_text().splitlines()
+    props = [l.split()[-1] for l in lines if l.startswith("property")]
+    assert props[:3] == ["x", "y", "z"] and props[-2:] == ["s_or_y", "theta"]
+    assert len(props) == (5 if project3d else max(5, 2 * n + 2))
+    body = lines[lines.index("end_header") + 1:]
+    assert len(body) == len(special_mesh(n))
+    assert all(len(row.split()) == len(props) for row in body)
 
 
 def test_profile_csv_matches_the_per_value_writer(tmp_path):

@@ -229,11 +229,14 @@ def curve_of(profile):
 def pointwise_after_the_same_reads(make, xs, ts, grid):
     """(H, values) of the per-point oracle at each point (xs[i], ts[i]), on a
     fresh profile whose cache first took the package oracle's reads: the
-    records at ts, then the stencil batch grid.  The order-dependent caches
-    then hold the same states, and every per-point read is a cache hit."""
+    records at ts, then the stencil batch grid, which alone reaches a
+    minimal base's arc cache.  The order-dependent caches then hold the same
+    states, and every per-point read is a cache hit."""
     ref = make()
     for batch in (ts, grid):
         curve_of(ref)(np.asarray(batch, dtype=float))
+    if isinstance(getattr(ref, "base", None), ExpanderProfile):
+        s_of_y(ref.base, grid)
     out = [pointwise_fd_mean_curvature(ref, np.asarray(x), t) for x, t in zip(xs, ts)]
     return np.array([H for H, _ in out]), np.concatenate([v for _, v in out])
 
@@ -301,7 +304,7 @@ def test_curve_record_rates_and_batches(name, rng):
     ts, h = np.linspace(-1.2, 1.2, 7), 1e-5
     c, up, down = prof.curve(ts), prof.curve(ts + h), prof.curve(ts - h)
     if isinstance(prof, ExpanderProfile):
-        s_of = lambda rec: np.array([s_of_y(prof, t) for t in rec.t])
+        s_of = lambda rec: s_of_y(prof, rec.t)
     else:
         s_of = lambda rec: rec.t
     for rate, value in (("wdot", lambda rec: rec.w), ("theta_rate", lambda rec: rec.theta),

@@ -102,6 +102,8 @@ UNNAMED = {
     **dict.fromkeys(("w_of", "wdot_of", "theta_of", "u_of", "phis_of", "theta_rate_of"),
                     "per-point curve views the benchmark tracer counts (COUNTED_METHODS)"),
     "classify_case": "the benchmark tracer spans it (SPAN_FUNCTIONS)",
+    "finite_quad": "the benchmark tracer spans it (SPAN_FUNCTIONS), and the tests'"
+                   " QUADPACK references call it",
     "sample_reduced": "the benchmark tracer spans it (SPAN_FUNCTIONS)",
     "write_trajectory_csv": "the benchmark tracer spans it (SPAN_FUNCTIONS)",
     "phi": "ReducedTrajectory.phi: only tests read it (ROADMAP item 4)",

@@ -8,7 +8,8 @@ precision.  Its Jacobian column k is the complex-step derivative
 Im phibar(a + i h e_k) / h: no derivative formula is shared with the code
 under test, and at h = 1e-30 a_k the step error is far below 30 digits.
 The phases phi_j(y) are the same integrand over [0, y], summed over the
-gaps between the checked heights.
+gaps between the checked heights, and the arc parameter s(y) is its rate
+ds/dy over [0, y], checked far out, where ds/dy's exponents nearly cancel.
 """
 
 import math
@@ -20,11 +21,11 @@ import pytest
 from scipy.integrate import quad
 
 from lagsol import expander
-from lagsol.expander import ExpanderProfile, _scale_breaks
+from lagsol.expander import ExpanderProfile, s_of_y
 from lagsol.geometry import fd_step
 from lagsol.params import SolitonParams
 from lagsol.periodic import PeriodicSpec, compute_orbit, critical_point
-from oracles import inv_sqrt_P, log_growth
+from oracles import inv_sqrt_P, log_growth, scale_breaks
 
 DPS = 30
 # scaled error |got - ref| / (1 + |ref|); measured 1.1e-16 or better.  The
@@ -85,7 +86,7 @@ def oracle_jacobian(alpha, a):
 def quadpack_improper(f, alpha, a):
     """One stand-alone QUADPACK integral over [0, inf): t = tan(xi), with
     breakpoints at the atan of the scale ladders."""
-    pts = sorted({math.atan(b) for b in _scale_breaks(alpha, a)})
+    pts = sorted({math.atan(b) for b in scale_breaks(alpha, a)})
     val, _ = quad(lambda xi: f(math.tan(xi)) / math.cos(xi) ** 2, 0.0, math.pi / 2,
                   epsabs=0.0, epsrel=1e-11, limit=200, points=pts)
     return val
@@ -219,6 +220,46 @@ def test_phases_match_oracle_at_export_heights(alpha, a):
     for y in heights:
         pt = prof.curve([y]).row(0)
         assert_close([*pt.phis, pt.theta], ref[y], PHASE_TOL)
+
+
+# -- the arc parameter s(y) and its rate ---------------------------------------
+
+# alpha > 0, then minimal cases; past E = 700 ds/dy once formed
+# e^((alpha t^2 - E) / 2), whose terms cancel: 3.4e-9 off at y = 1e4
+ARC_CASES = [(1.0, (1.0, 2.0)), (2.0, (1e-3, 30.0, 1.0)), (0.0, (1.0, 2.0)),
+             (0.0, (1e13, 1.0))]
+ARC_HEIGHTS = (1.0, 1e3, 1e4)
+# relative error; measured 1.5e-15 or better
+ARC_TOL = 1e-14
+
+
+def oracle_arc(alpha, a, heights):
+    """[[s(y), ds/dy] for y in heights] at DPS digits, with ds/dy =
+    e^(alpha y^2 / 2) sqrt(prod a y^2 / expm1(E)) as written, and s its
+    integral over [0, y] split at the decades of the scales."""
+    with mp.workdps(DPS):
+        al, av = mp.mpf(alpha), [mp.mpf(x) for x in a]
+
+        def rate(t):
+            if t == 0:
+                return mp.sqrt(mp.fprod(av) / (mp.fsum(av) + al))
+            E = al * t * t + mp.fsum(mp.log1p(x * t * t) for x in av)
+            return mp.exp(al * t * t / 2) * mp.sqrt(mp.fprod(av) * t * t / mp.expm1(E))
+
+        scales = {1 / mp.sqrt(x) for x in av} | {1 / mp.sqrt(mp.fsum(av) + al)}
+        ladder = sorted(s * 10 ** k for s in scales for k in range(-1, 9))
+        return np.array([[float(mp.quad(rate, [0] + [b for b in ladder if b < y] + [y])),
+                          float(rate(mp.mpf(y)))] for y in heights])
+
+
+@pytest.mark.parametrize("alpha, a", ARC_CASES)
+def test_arc_parameter_and_rate_match_oracle_far_out(alpha, a):
+    prof = ExpanderProfile(alpha, a)
+    ys = np.array(ARC_HEIGHTS)
+    ref = oracle_arc(alpha, a, ARC_HEIGHTS)
+    got = np.column_stack([s_of_y(prof, ys), prof.curve(ys).s_rate])
+    err = np.abs(got - ref) / ref
+    assert err.max() <= ARC_TOL, f"max relative error {err.max():.2e}"
 
 
 # -- orbit period and holonomies ----------------------------------------------

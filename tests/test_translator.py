@@ -21,15 +21,13 @@ def at(prof: TranslatorProfile, t: float):
 
 
 def immersion(prof: TranslatorProfile, x, t: float):
-    """z at base point x and curve parameter t, with beta on the row at t."""
-    c = at(prof, t)
-    return prof.immersion(x, c, prof.beta(c))
+    """z at base point x and curve parameter t."""
+    return prof.immersion(x, at(prof, t))
 
 
 def frame(prof: TranslatorProfile, x, t: float):
-    """The frame at base point x and curve parameter t, with beta on the row at t."""
-    c = at(prof, t)
-    return prof.frame_at(x, c, prof.beta(c))
+    """The frame at base point x and curve parameter t."""
+    return prof.frame_at(x, at(prof, t))
 
 
 def maslov_invariant(prof: TranslatorProfile, x, t: float) -> float:

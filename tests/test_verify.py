@@ -10,7 +10,7 @@ import pytest
 from unittest import mock
 
 from lagsol import verify as V
-from lagsol.expander import ExpanderProfile
+from lagsol.expander import ExpanderProfile, s_of_y
 from lagsol.geometry import _tangent_bases, centred_fd_mean_curvature, centred_frame
 from lagsol.meshing import centred_mesh, quadric_base_points, translator_mesh
 from lagsol.params import SolitonParams
@@ -80,7 +80,7 @@ def _per_point_report(profile, mesh, collect_rows=False):
             return {"last_coordinate": abs(z[-1] - zn) / (1.0 + abs(zn)),
                     "maslov": abs(c.theta + profile.alpha * z[-1].imag
                                   - profile.maslov_constant)}
-        frame = lambda x, c: profile.frame_at(x, c, profile.beta(c))
+        frame = profile.frame_at
         oracle = lambda xs, c: translator_fd_mean_curvature(profile, xs, c)
         drive = lambda fp: fp.normal_projection(T)
     else:
@@ -93,7 +93,10 @@ def _per_point_report(profile, mesh, collect_rows=False):
         frame = lambda x, c: centred_frame(profile, x, c)
         oracle = lambda xs, c: centred_fd_mean_curvature(profile, xs, c)
         drive = lambda fp: profile.alpha * fp.normal_projection(fp.z)
-    curve.curve(sorted(set(np.asarray(mesh.params, dtype=float).tolist())))
+    grid = sorted(set(np.asarray(mesh.params, dtype=float).tolist()))
+    curve.curve(grid)
+    if isinstance(curve, ExpanderProfile) and profile is not curve:
+        s_of_y(curve, grid)         # verify_mesh's one batch into a minimal base's arc cache
     worst = {name: _Worst() for name in limits}
     fd_at = set(_fd_subset(len(mesh), V.FD_CHECKS).tolist())
     rows, fd_points = [], []
@@ -153,6 +156,8 @@ CASES = {
                    lambda p: centred_mesh(p, np.linspace(-1.0, 1.0, 4), 8)),
     "translator_expander": (lambda: TranslatorProfile.from_expander_base(1.2, (1.0, 2.0)),
                             lambda p: translator_mesh(p, np.linspace(-1.0, 1.0, 4), 8)),
+    "translator_minimal": (lambda: TranslatorProfile.from_expander_base(0.0, (1.0, 2.0)),
+                           lambda p: translator_mesh(p, np.linspace(-1.0, 1.0, 4), 8)),
     "translator_orbit": (lambda: TranslatorProfile.from_orbit_base(ORBIT_SPEC),
                          lambda p: translator_mesh(p, np.linspace(-1.0, 1.0, 4), 8)),
     "translator_stationary": (lambda: TranslatorProfile.from_orbit_base(STATIONARY_SPEC),
