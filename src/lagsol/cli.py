@@ -151,6 +151,9 @@ def _validate_counts(cfg):
     for key in ("samples", "mesh-samples", "mesh-count"):
         if cfg.get(key) is not None and cfg[key] < 2:
             raise ValidationError(f"--{key} must be at least 2")
+    for key in ("seed", "max-iter"):
+        if cfg.get(key) is not None and cfg[key] < 0:
+            raise ValidationError(f"--{key} must be non-negative")
     for key in ("tol", "qmax", "y-max", "t-max", "radius", "rho-max", "fd-checks"):
         if cfg.get(key) is not None:
             require_finite(f"--{key}", (cfg[key],))
@@ -406,7 +409,7 @@ def cmd_verify(cfg) -> int:
                          collect_rows=cfg["residuals"] is not None)
     _print_pairs(report.summary_pairs())
     if cfg["residuals"]:
-        fileio.write_residual_csv(cfg["residuals"], report.rows)
+        fileio.write_residual_csv(cfg["residuals"], report.table)
         print(f"wrote {cfg['residuals']}")
     print(f"verification: {'PASS' if report.passed else 'FAIL'}")
     require_verified(report)
@@ -481,9 +484,10 @@ _parser = lru_cache(maxsize=None)(build_parser)     # built on main's first call
 
 
 def _show_warning(show):
-    """showwarning printing an OrbitConditioningWarning as one lagsol line."""
+    """showwarning printing an OrbitConditioningWarning or a RuntimeWarning
+    (numpy's overflow and invalid-value warnings) as one lagsol line."""
     def shown(message, category, *rest):
-        if issubclass(category, OrbitConditioningWarning):
+        if issubclass(category, (OrbitConditioningWarning, RuntimeWarning)):
             print(f"{PROG}: warning: {message}", file=sys.stderr)
         else:
             show(message, category, *rest)

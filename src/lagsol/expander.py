@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .errors import InvalidTarget, NonConvergence, ValidationError
 from .geometry import ChainCache, CurveRecord, curve_views
@@ -297,8 +298,6 @@ def _symmetric_seed(alpha: float, n: int, target_sum: float) -> float:
     (the deficit is below quadrature noise); those are seeded by extrapolating
     the near-ceiling power law of the deficit from two resolvable values.
     """
-    from scipy.optimize import brentq
-
     def sum_of(lc):
         return n * float(angle_map(alpha, (math.exp(lc),) * n)[0])
 

@@ -17,7 +17,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
+from .expander import ExpanderProfile
 from .meshing import Mesh
+from .params import SolitonParams
+from .periodic import HamiltonianStationaryProfile, OrbitProfile, PeriodicSpec
+from .translator import TranslatorProfile
 
 # fixed projection matrix seed for 3D PLY export; changing it would silently
 # break byte-stability of archived outputs
@@ -165,12 +169,12 @@ def write_orbit_report_csv(path, orbit, verdict=None, topology: str = "") -> Non
                         + [orbit.case, r, topology])
 
 
-def write_residual_csv(path, rows) -> None:
-    """Residual report: point_id, s_or_y, lagrangian_residual, angle_residual, soliton_residual."""
-    rows = list(rows)
-    values = np.array([r[1:] for r in rows], dtype=float).reshape(len(rows), 4).tolist()
+def write_residual_csv(path, table) -> None:
+    """Residual report of a (count, 4) table [s_or_y, lagrangian_residual,
+    angle_residual, soliton_residual], each row led by its point_id 0..count-1."""
+    rows = np.asarray(table, dtype=float).tolist()
     _write_rows(path, ["point_id,s_or_y,lagrangian_residual,angle_residual,soliton_residual"],
-                [[int(r[0]), *v] for r, v in zip(rows, values)])
+                [[i, *row] for i, row in enumerate(rows)])
 
 
 # -- key=value records -------------------------------------------------------
@@ -208,10 +212,6 @@ def write_profile_record(path, profile) -> None:
 
 
 def _profile_pairs(profile):
-    from .expander import ExpanderProfile
-    from .periodic import HamiltonianStationaryProfile, OrbitProfile
-    from .translator import TranslatorProfile
-
     if isinstance(profile, TranslatorProfile):
         return [("kind", "translator"),
                 ("K_re", _fmt(profile.K.real)), ("K_im", _fmt(profile.K.imag))] + [
@@ -236,11 +236,6 @@ def read_profile_record(path):
 
 
 def _profile_from_keyvalues(kv: dict, path, prefix: str = ""):
-    from .expander import ExpanderProfile
-    from .params import SolitonParams
-    from .periodic import HamiltonianStationaryProfile, OrbitProfile, PeriodicSpec
-    from .translator import TranslatorProfile
-
     def get(key, default=None):
         v = kv.get(prefix + key, default)
         if v is None:

@@ -154,17 +154,12 @@ def _tangent_bases(lambdas, xs) -> np.ndarray:
 
 
 def angle_gap(d):
-    """|d| after wrapping d to [-pi, pi], elementwise; equals
+    """|d| after wrapping d to [-pi, pi], elementwise over an array; equals
     abs(math.remainder(d, 2 pi)) exactly, and is NaN where d is not finite."""
     with np.errstate(invalid="ignore"):
         r = np.fmod(d, 2.0 * math.pi)
-    r = np.where(r > math.pi, r - 2.0 * math.pi, np.where(r < -math.pi, r + 2.0 * math.pi, r))
-    return _per_point(np.abs(r))
-
-
-def _per_point(values):
-    """A float for one point, the array for a stack."""
-    return float(values) if np.ndim(values) == 0 else values
+    return np.abs(np.where(r > math.pi, r - 2.0 * math.pi,
+                           np.where(r < -math.pi, r + 2.0 * math.pi, r)))
 
 
 def _mv(A, v):
@@ -179,27 +174,20 @@ def _vm(v, A):
 
 @dataclass
 class FramedPoint:
-    """Frame and first fundamental data at one point of the immersion.
+    """Frames and first fundamental data at a stack of m points of the
+    immersion: every array carries a leading point axis, theta and
+    theta_rate included, and the residuals are arrays over it."""
 
-    A stack of points is one FramedPoint whose arrays carry a leading point
-    axis, theta and theta_rate included, one entry per point; the residuals
-    are then arrays over it.
-    """
-
-    z: np.ndarray             # immersion point in C^n
-    frame: np.ndarray         # (n, n) complex; row a is the tangent vector f_a
-    gram: np.ndarray          # complex Gram matrix M = conj(frame) frame^T
-    theta: float              # Lagrangian angle carried by the profile, per point if stacked
-    theta_rate: float         # d theta / dt in the chart's curve parameter, likewise
+    z: np.ndarray             # (m, n) immersion points in C^n
+    frame: np.ndarray         # (m, n, n) complex; row a of frame[i] is the tangent vector f_a
+    gram: np.ndarray          # complex Gram matrices M = conj(frame) frame^T
+    theta: np.ndarray         # Lagrangian angle carried by the profile, per point
+    theta_rate: np.ndarray    # d theta / dt in the chart's curve parameter, per point
 
     @classmethod
-    def of(cls, z, frame, theta, theta_rate, *, stacked: bool) -> "FramedPoint":
-        """Frame data from stacked z and frame; one point unless stacked, when
-        theta and theta_rate are scalars or arrays with one entry per point."""
-        gram = frame @ np.conj(frame.swapaxes(-1, -2))
-        if not stacked:
-            return cls(z[0], frame[0], gram[0], float(theta), float(theta_rate))
-        return cls(z, frame, gram, theta, theta_rate)
+    def of(cls, z, frame, theta, theta_rate) -> "FramedPoint":
+        """Frame data from the stacked z and frame."""
+        return cls(z, frame, frame @ np.conj(frame.swapaxes(-1, -2)), theta, theta_rate)
 
     @property
     def metric(self) -> np.ndarray:
@@ -207,7 +195,7 @@ class FramedPoint:
 
     @property
     def lagrangian_residual(self):
-        return _per_point(np.abs(self.gram.imag).max(axis=(-2, -1)))
+        return np.abs(self.gram.imag).max(axis=(-2, -1))
 
     @property
     def angle_residual(self):
@@ -232,15 +220,13 @@ class FramedPoint:
         return 1j * np.expand_dims(self.theta_rate, -1) * _vm(ginv[..., -1, :], self.frame)
 
 
-def centred_frame(profile, x, c: CurveRecord) -> FramedPoint:
-    """Frame of F(x, t) = x * w(t) at a quadric point x on the row c of the
-    profile's curve record at t, or at a stack of them (shape (m, n)) on one
-    row c or on a record c with one row per point."""
-    x = np.asarray(x, dtype=float)
+def centred_frame(profile, xs, c: CurveRecord) -> FramedPoint:
+    """Frames of F(x, t) = x * w(t) at a stack of quadric points xs (shape
+    (m, n)), on a curve record c with one row per point."""
+    xs = np.asarray(xs, dtype=float)
     n = profile.n
-    if x.ndim not in (1, 2) or x.shape[-1] != n:
-        raise ValidationError("quadric point has wrong dimension")
-    xs = x.reshape(-1, n)
+    if xs.ndim != 2 or xs.shape[-1] != n:
+        raise ValidationError(f"quadric points must be an (m, {n}) stack")
     qc = np.sum(np.asarray(profile.lambdas) * xs * xs, axis=-1)
     off = np.abs(qc - 1.0) > 1e-9
     if off.any():
@@ -248,9 +234,8 @@ def centred_frame(profile, x, c: CurveRecord) -> FramedPoint:
             f"point is not on the quadric: sum lambda x^2 = {float(qc[off][0])!r},"
             " expected 1.0")
     basis = _tangent_bases(profile.lambdas, xs)
-    w = np.expand_dims(c.w, -2)
-    frame = np.concatenate([basis * w, (xs * c.wdot)[:, None, :]], axis=1)
-    return FramedPoint.of(xs * c.w, frame, c.theta, c.theta_rate, stacked=x.ndim == 2)
+    frame = np.concatenate([basis * c.w[:, None, :], (xs * c.wdot)[:, None, :]], axis=1)
+    return FramedPoint.of(xs * c.w, frame, c.theta, c.theta_rate)
 
 
 # -- finite-difference mean curvature ---------------------------------------

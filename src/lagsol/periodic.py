@@ -336,7 +336,7 @@ class PeriodicityVerdict:
 
 def detect_periodicity(orbit: PeriodicOrbit, *, qmax: int = 64,
                        tol: float = None) -> PeriodicityVerdict:
-    """Decide whether the orbit closes up and compute its minimal period.
+    """Decide whether the orbit closes up, and report a period.
 
     Stationary case: periodic iff the ratios (lambda_j/alpha_j) /
     (lambda_1/alpha_1) are rational with common denominator <= qmax; the
@@ -344,7 +344,13 @@ def detect_periodicity(orbit: PeriodicOrbit, *, qmax: int = 64,
     denominator and g the gcd of the numerators.
 
     Oscillating case: periodic iff every gamma_j is within tol of 2 pi p_j / r
-    for a common r <= qmax; the minimal period is r S.
+    for a common r <= qmax, and the period reported is r S.  The r tried
+    first is the lcm R of the denominators of the continued-fraction
+    approximations of gamma_j / 2 pi (Fraction.limit_denominator(qmax)),
+    taken when R <= qmax and R fits within tol; otherwise r is the least
+    r in 1..qmax that fits.  r and p are then divided by gcd(r, p).  So the
+    r reported need not be the least one within tol: at qmax 4096 the
+    gammas 2 pi (1/4095, 2048/4095) report r = 4095, though r = 4085 fits.
     """
     if tol is None:
         tol = 1e-9 * qmax

@@ -165,13 +165,6 @@ class ReducedTrajectory:
     def theta(self):
         return self.y[:, -1]
 
-    @property
-    def phi(self):
-        return self.phis.sum(axis=1)
-
-    def radii(self):
-        return np.sqrt(np.array(self.spec.alphas) + np.outer(self.u, self.spec.params.lambdas))
-
     def first_integral_residuals(self):
         return first_integral(self.spec, self.y) - self.spec.first_integral_value
 

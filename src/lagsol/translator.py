@@ -39,7 +39,7 @@ from .errors import ValidationError
 from .params import require_finite
 from .expander import ExpanderProfile, s_of_y
 from .geometry import FramedPoint, curve_chart, fd_step, mean_curvature_fd
-from .periodic import PeriodicSpec, compute_orbit
+from .periodic import OrbitProfile, PeriodicSpec, compute_orbit
 
 
 class TranslatorProfile:
@@ -47,14 +47,13 @@ class TranslatorProfile:
 
     kind = "translator"
 
-    def __init__(self, base, *, K: complex = None, orbit=None):
+    def __init__(self, base, *, K: complex = None):
         if getattr(base, "kind", None) != "centred":
             raise ValidationError("translator base must be a centred profile")
         self.base = base
         self.alpha = float(base.alpha)
         self.n = base.n + 1
         self.base_lambdas = tuple(base.lambdas)
-        self.orbit = orbit
         # the first integral A: expanders compute it, orbit bases hold it in their spec
         self.first_integral = float(base.first_integral_value
                                     if isinstance(base, ExpanderProfile) else base.spec.A)
@@ -72,8 +71,7 @@ class TranslatorProfile:
     @classmethod
     def from_orbit_base(cls, spec: PeriodicSpec, *, K: complex = None):
         """Translator over a periodic-orbit (or stationary) base."""
-        orbit = compute_orbit(spec)
-        return cls(orbit.profile(), K=K, orbit=orbit)
+        return cls(compute_orbit(spec).profile(), K=K)
 
     # -- beta and the immersion on rows of the base's curve record ----------
 
@@ -105,14 +103,14 @@ class TranslatorProfile:
         z[..., -1] = -0.5 * np.sum(lam * x * x, axis=-1) + self.beta(c)
         return z
 
-    def frame_at(self, x, c) -> FramedPoint:
-        """Frame at a base point x, or a stack of them (shape (m, n - 1)), on
-        the row c of the base's curve record, or at one point per row of a
-        record c of arrays."""
-        x = np.asarray(x, dtype=float)
+    def frame_at(self, xs, c) -> FramedPoint:
+        """Frames at a stack of base points xs (shape (m, n - 1)), on a
+        record c of the base's curve with one row per point."""
+        xs = np.asarray(xs, dtype=float)
         n = self.n
-        z = self.immersion(x, c).reshape(-1, n)
-        xs = x.reshape(-1, n - 1)
+        if xs.ndim != 2:
+            raise ValidationError("base points must be an (m, n - 1) stack")
+        z = self.immersion(xs, c)
         lam = np.asarray(self.base_lambdas)
         j = np.arange(n - 1)
         frame = np.zeros((len(xs), n, n), dtype=complex)
@@ -120,7 +118,7 @@ class TranslatorProfile:
         frame[:, j, -1] = -lam * xs
         frame[:, -1, :-1] = xs * c.wdot
         frame[:, -1, -1] = self.beta_rate(c)
-        return FramedPoint.of(z, frame, c.theta, c.theta_rate, stacked=x.ndim > 1)
+        return FramedPoint.of(z, frame, c.theta, c.theta_rate)
 
     def translation_vector(self) -> np.ndarray:
         T = np.zeros(self.n, dtype=complex)
@@ -142,8 +140,9 @@ class TranslatorProfile:
 
     @property
     def oscillates(self) -> bool:
-        """True when the base orbit oscillates in u (case (ii) base)."""
-        return self.orbit is not None and self.orbit.case == "oscillating"
+        """True when the base orbit oscillates in u (case (ii) base), the one
+        kind of base that is an OrbitProfile."""
+        return isinstance(self.base, OrbitProfile)
 
 
 def translator_fd_mean_curvature(profile: TranslatorProfile, xs, c) -> np.ndarray:

@@ -37,31 +37,16 @@ SOLITON_TOL = 1e-3          # relative, against the FD oracle
 FD_CHECKS = 8               # default number of points receiving the FD cross-check
 
 
-class _Worst:
-    """Track the largest residual in a category and where it happened.
-
-    A NaN residual counts as the worst value, and the first one is kept, so
-    that a non-finite point cannot pass as a small residual.
-    """
-
-    __slots__ = ("value", "index")
-
-    def __init__(self):
-        self.value = 0.0
-        self.index = -1
-
-    def update(self, value: float, index: int):
-        if not math.isnan(self.value) and not value <= self.value:
-            self.value = value
-            self.index = index
-
-    def update_all(self, values: np.ndarray, indices: np.ndarray):
-        """update() with each value and index in turn, in one array pass."""
-        if not len(values):
-            return
-        nan = np.isnan(values)
-        k = int(np.argmax(nan)) if nan.any() else int(np.argmax(values))
-        self.update(float(values[k]), int(indices[k]))
+def _worst(values, index):
+    """The largest of one invariant's residuals and the point it is at: the
+    first NaN, else the first maximum, else (0.0, -1) when no point was
+    checked.  A NaN counts as the worst value, so that a non-finite point
+    cannot pass as a small residual."""
+    if not len(values):
+        return 0.0, -1
+    nan = np.isnan(values)
+    k = int(np.argmax(nan)) if nan.any() else int(np.argmax(values))
+    return float(values[k]), int(index[k])
 
 
 @dataclass
@@ -71,7 +56,7 @@ class VerificationReport:
     maxima: dict = field(default_factory=dict)
     failures: tuple = ()
     violations: tuple = ()
-    rows: tuple = ()  # per-point residuals when collected
+    table: np.ndarray = None    # (count, 4) [t, lagrangian, angle, soliton] when collected
 
     @property
     def passed(self) -> bool:
@@ -90,20 +75,6 @@ def _fd_subset(count: int, fd_checks: int) -> np.ndarray:
     if fd_checks <= 0 or count == 0:
         return np.array([], dtype=int)
     return np.unique(np.linspace(0, count - 1, min(fd_checks, count)).round().astype(int))
-
-
-def _finish(kind, count, worst, thresholds_by_name, rows=()):
-    maxima = {name: w.value for name, w in worst.items()}
-    violations = []
-    failures = []
-    for name, w in worst.items():
-        tol = thresholds_by_name[name]
-        if not w.value <= tol:   # NaN is a violation
-            violations.append((name, w.value, tol))
-            failures.append(
-                f"{name} residual {w.value:.6e} exceeds {tol:.1e} at point {w.index}")
-    return VerificationReport(kind, count, maxima, tuple(failures),
-                              tuple(violations), tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -166,8 +137,9 @@ def verify_mesh(profile, mesh, fd_checks: int = FD_CHECKS,
     the mesh also get the FD mean curvature cross-check, as one batch.  The
     returned report carries one failure line per violated invariant, naming
     it and locating the worst offending point.
-    With collect_rows the per-point residual table (closed-form soliton
-    residual, not the FD one) is kept on the report.
+    With collect_rows the report also keeps the per-point residual table,
+    one row [t, lagrangian, angle, soliton] per point (the closed-form
+    soliton residual, not the FD one; NaN where the gate left no frame).
     """
     if isinstance(profile, TranslatorProfile):
         kind = _translator_kind(profile)
@@ -193,22 +165,24 @@ def verify_mesh(profile, mesh, fd_checks: int = FD_CHECKS,
            / (1.0 + np.max(np.abs(z), axis=1)),
            "stored_angle": angle_gap(np.asarray(mesh.thetas, dtype=float) - c.theta),
            **kind.own(x, z, c)}
-    worst = {name: _Worst() for name in kind.thresholds}
-    for name, values in res.items():
-        worst[name].update_all(values, index)
+    # each invariant's residuals and the points they belong to
+    checked = {name: (values, index) for name, values in res.items()}
 
     # frame checks need points that are actually on the immersion
     on = np.logical_and.reduce([res[name] <= kind.thresholds[name] for name in kind.gate])
     framed = index[on]
-    lag = ang = sol = np.empty(0)
+    table = None
+    if collect_rows:
+        table = np.full((count, 4), math.nan)
+        table[:, 0] = ts
     if len(framed):
         fp = kind.frame(x[on], c.row(on))
         lag, ang = fp.lagrangian_residual, fp.angle_residual
-        worst["lagrangian"].update_all(lag, framed)
-        worst["angle"].update_all(ang, framed)
+        checked["lagrangian"], checked["angle"] = (lag, framed), (ang, framed)
         drive = kind.drive(fp)
         if collect_rows:
-            sol = np.linalg.norm(drive - fp.mean_curvature(), axis=-1)
+            table[on, 1:] = np.column_stack(
+                [lag, ang, np.linalg.norm(drive - fp.mean_curvature(), axis=-1)])
         # the FD cross-check of the framed points of the subset, as one batch
         fd = np.isin(framed, _fd_subset(count, fd_checks))
         if fd.any():
@@ -216,16 +190,20 @@ def verify_mesh(profile, mesh, fd_checks: int = FD_CHECKS,
             H_norm = np.linalg.norm(H_fd, axis=-1)
             if profile.alpha == 0.0:
                 # minimal case: the equation is H = 0, so the check is absolute
-                worst["soliton"].update_all(H_norm, framed[fd])
+                checked["soliton"] = (H_norm, framed[fd])
             else:
                 num = np.linalg.norm(drive[fd] - H_fd, axis=-1)
-                worst["soliton"].update_all(num / np.maximum(H_norm, 1e-12), framed[fd])
-    rows = ()
-    if collect_rows:
-        table = np.full((count, 3), math.nan)
-        table[on] = np.column_stack([lag, ang, sol])
-        rows = [(i, t, *r) for i, t, r in zip(range(count), ts.tolist(), table.tolist())]
-    return _finish(kind.name, count, worst, kind.thresholds, rows)
+                checked["soliton"] = (num / np.maximum(H_norm, 1e-12), framed[fd])
+
+    maxima, failures, violations = {}, [], []
+    for name, tol in kind.thresholds.items():
+        value, at = _worst(*checked.get(name, ((), ())))
+        maxima[name] = value
+        if not value <= tol:   # NaN is a violation
+            violations.append((name, value, tol))
+            failures.append(f"{name} residual {value:.6e} exceeds {tol:.1e} at point {at}")
+    return VerificationReport(kind.name, count, maxima, tuple(failures),
+                              tuple(violations), table)
 
 
 def require_verified(report: VerificationReport) -> VerificationReport:

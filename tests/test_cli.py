@@ -91,6 +91,43 @@ def test_bad_count_option_exits_2(tmp_path, capsys):
     assert "--mesh-count must be at least 2" in capsys.readouterr().err
 
 
+ORBIT = ["--lambdas=1,-1", "--alphas=1,2", "--A=0.4", "--alpha=0.5"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["expander", "--alpha=1", "--a=1,2", "--seed=-1"],
+    ["translator", "--alpha=1", "--a=1,2", "--seed=-1"],
+    ["shrinker", "--alphas=1,1.5", "--A=0.5", "--alpha=-1", "--mesh", "--seed=-1"],
+    ["periodic", *ORBIT, "--mesh", "--seed=-3"],
+    ["flow-family", *ORBIT, "--t=-1,0,1", "--seed=-1"],
+    ["periodic-search", "--lambdas=1,-1", "--alpha=1.0", "--gamma=-3.5,3.2", "--max-iter=-5"],
+], ids=lambda argv: " ".join(argv))
+def test_negative_counts_exit_2(tmp_path, capsys, argv):
+    # checked with the other options, before any file is written
+    rc = main(argv + [f"--outdir={tmp_path}"])
+    key = argv[-1].split("=")[0]
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [f"lagsol: {key} must be non-negative"]
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["expander", "--alpha=1", "--a=1,2", "--y-max=1e300"],
+    ["translator", "--alpha=1", "--a=1", "--t-max=1e300"],
+    ["translator", "--alpha=1", "--a=1,2", "--radius=1e300"],
+], ids=lambda argv: " ".join(argv))
+def test_numpy_warnings_print_one_lagsol_line_each(tmp_path, capsys, argv):
+    # the overflowing curve reaches numpy, whose RuntimeWarnings come out as
+    # "lagsol: warning: ..." lines, never as a source path and line; the NaN
+    # mesh then fails verification
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        assert main(argv + [f"--outdir={tmp_path}"]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert any(line.startswith("lagsol: warning: ") for line in err)
+    assert all(line.startswith("lagsol: ") for line in err), err
+
+
 # Each subcommand's options as (name, parsed type, default, required, flag),
 # spelled out here so that regrouping the shared option groups in cli cannot
 # add, drop or change an option unnoticed.

@@ -172,8 +172,8 @@ def test_orbit_report_periodic_records_r(tmp_path):
 
 def test_residual_report(tmp_path):
     path = tmp_path / "residuals.csv"
-    write_residual_csv(path, [(0, 0.5, 1e-12, 2e-11, 3e-10),
-                              (1, 0.7, 0.0, 0.0, 0.0)])
+    write_residual_csv(path, np.array([[0.5, 1e-12, 2e-11, 3e-10],
+                                       [0.7, 0.0, 0.0, 0.0]]))
     lines = path.read_text().splitlines()
     assert lines[0].split(",") == ["point_id", "s_or_y", "lagrangian_residual",
                                    "angle_residual", "soliton_residual"]
@@ -409,8 +409,15 @@ def test_trajectory_csv_matches_the_per_value_writer(tmp_path):
 
 
 def test_residual_csv_matches_the_per_value_writer(tmp_path):
-    table = special_table(2 * len(SPECIAL), 4)
-    rows = [(i, *r) for i, r in enumerate(table.tolist())]
-    rows += [(np.int64(7), *np.float64(table[3]))]        # numpy scalars write alike
-    same_bytes(tmp_path, write_residual_csv, oracles.write_residual_csv, rows)
-    same_bytes(tmp_path, write_residual_csv, oracles.write_residual_csv, [])
+    """The package writes a (count, 4) table and numbers its rows itself; the
+    oracle writes (point_id, ...) rows built from the same table."""
+    special = special_table(2 * len(SPECIAL), 4)
+    unframed = np.array([[0.5, math.nan, math.nan, math.nan]] * 3)   # points the gate stopped
+    for table in (special, np.vstack([np.zeros((3, 4)), unframed, special]),
+                  np.empty((0, 4))):
+        rows = [(np.int64(i), *r) for i, r in enumerate(table)]   # numpy scalars write alike
+        mine, theirs = tmp_path / "package", tmp_path / "oracle"
+        write_residual_csv(mine, table)
+        oracles.write_residual_csv(theirs, rows)
+        assert mine.read_bytes() == theirs.read_bytes()
+        assert mine.read_bytes().count(b"\r\n") == 1 + len(table)

@@ -19,9 +19,10 @@ from oracles import (pointwise_fd_mean_curvature, stacked_fd_mean_curvature,
 
 
 def centred_frame(profile, x, t: float):
-    """The package's frame at curve parameter t: geometry.centred_frame on
-    the row of the curve record at t."""
-    return geometry.centred_frame(profile, x, profile.curve([t]).row(0))
+    """The package's frame at quadric point x and curve parameter t:
+    geometry.centred_frame on a stack of one point, on the curve record read
+    at t."""
+    return geometry.centred_frame(profile, np.array([x], dtype=float), profile.curve([t]))
 
 
 def centred_fd(profile, x, t: float):
@@ -56,16 +57,16 @@ def position_normal_closed_form(profile, x, t: float, *, s_rate: float = 1.0) ->
     w = profile.curve([t]).w[0]
     # sin(phi - theta) from the full product, robust to phase wrapping
     full = np.prod(w)
-    sin_d = np.imag(np.exp(-1j * fp.theta) * full) / np.abs(full)
-    gtt = fp.metric[-1, -1]
-    return np.abs(full) * sin_d * s_rate / gtt * (1j * fp.frame[-1])
+    sin_d = np.imag(np.exp(-1j * fp.theta[0]) * full) / np.abs(full)
+    gtt = fp.metric[0, -1, -1]
+    return np.abs(full) * sin_d * s_rate / gtt * (1j * fp.frame[0, -1])
 
 
 def selfsimilar_residual(profile, x, t: float) -> float:
     """| alpha F_perp - H | at one point of a centred profile."""
     fp = centred_frame(profile, x, t)
-    H = fp.mean_curvature()
-    Fperp = fp.normal_projection(fp.z)
+    H = fp.mean_curvature()[0]
+    Fperp = fp.normal_projection(fp.z)[0]
     return float(np.linalg.norm(profile.alpha * Fperp - H))
 
 
@@ -134,10 +135,11 @@ def test_frames_are_lagrangian_with_matching_angle(rng):
         for t in rng.uniform(lo, hi, 4):
             for x in sample_quadric_points(rng, lam, 3):
                 fp = centred_frame(prof, x, float(t))
-                assert fp.lagrangian_residual < 1e-10, name
-                assert fp.angle_residual < 1e-9, name
+                assert fp.lagrangian_residual.shape == fp.angle_residual.shape == (1,)
+                assert fp.lagrangian_residual[0] < 1e-10, name
+                assert fp.angle_residual[0] < 1e-9, name
                 # curve direction orthogonal to the base-slice directions
-                np.testing.assert_allclose(fp.metric[:-1, -1], 0.0,
+                np.testing.assert_allclose(fp.metric[0, :-1, -1], 0.0,
                                            atol=1e-12, err_msg=name)
                 assert np.linalg.eigvalsh(fp.metric).min() > 0, name
 
@@ -148,7 +150,7 @@ def test_curve_metric_closed_form(rng):
             x = sample_quadric_points(rng, prof.lambdas, 1)[0]
             fp = centred_frame(prof, x, float(t))
             expected = curve_metric_coefficient(prof, x, float(t)) * s_rate(float(t)) ** 2
-            assert fp.metric[-1, -1] == pytest.approx(expected, rel=1e-10), name
+            assert fp.metric[0, -1, -1] == pytest.approx(expected, rel=1e-10), name
 
 
 def test_position_normal_closed_form_matches_projection(rng):
@@ -156,7 +158,7 @@ def test_position_normal_closed_form_matches_projection(rng):
         for t in rng.uniform(lo, hi, 3):
             x = sample_quadric_points(rng, prof.lambdas, 1)[0]
             fp = centred_frame(prof, x, float(t))
-            direct = fp.normal_projection(fp.z)
+            direct = fp.normal_projection(fp.z)[0]
             closed = position_normal_closed_form(prof, x, float(t),
                                                  s_rate=s_rate(float(t)))
             np.testing.assert_allclose(closed, direct, atol=1e-9, err_msg=name)
@@ -323,7 +325,7 @@ def test_fd_matches_analytic_mean_curvature(rng):
         t = float(rng.uniform(lo + 0.3, hi - 0.3))
         x = sample_quadric_points(rng, prof.lambdas, 1)[0]
         fp = centred_frame(prof, x, t)
-        H = fp.mean_curvature()
+        H = fp.mean_curvature()[0]
         H_fd = centred_fd(prof, x, t)
         scale = max(np.linalg.norm(H), 1e-6)
         assert np.linalg.norm(H_fd - H) / scale < 1e-3, name
@@ -343,6 +345,11 @@ def test_frame_rejects_off_quadric_point():
         centred_frame(prof, (1.0, 1.0), 0.0)        # sum x^2 = 2 != 1
     with pytest.raises(ValidationError):
         centred_frame(prof, (1.0, 0.0, 0.0), 0.0)   # wrong dimension
+    c = prof.curve([0.0])
+    with pytest.raises(ValidationError, match="stack"):
+        geometry.centred_frame(prof, np.array([0.6, 0.8]), c)      # one point, not a stack
+    with pytest.raises(ValidationError, match="stack"):
+        geometry.centred_frame(prof, np.full((1, 1, 2), 0.6), c)   # a stack of stacks
 
 
 def test_detectors_see_tampering():
@@ -350,12 +357,12 @@ def test_detectors_see_tampering():
     x = np.array([0.6, 0.8])
     fp = centred_frame(prof, x, 0.5)
     off_angle = FramedPoint(fp.z, fp.frame, fp.gram, fp.theta + 1e-3, fp.theta_rate)
-    assert off_angle.angle_residual > 5e-4
+    assert off_angle.angle_residual[0] > 5e-4
     frame = fp.frame.copy()
-    frame[0] = frame[0] + 1e-3j * frame[1]          # rotate out of the Lagrangian cone
-    gram = frame @ np.conj(frame.T)
+    frame[0, 0] = frame[0, 0] + 1e-3j * frame[0, 1]     # rotate out of the Lagrangian cone
+    gram = frame @ np.conj(frame.swapaxes(-1, -2))
     off_plane = FramedPoint(fp.z, frame, gram, fp.theta, fp.theta_rate)
-    assert off_plane.lagrangian_residual > 1e-4
+    assert off_plane.lagrangian_residual[0] > 1e-4
 
 
 def test_chart_stays_on_quadric():

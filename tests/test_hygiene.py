@@ -1,6 +1,7 @@
 """Source hygiene checks that need no linter: every import in the package is
-used, every dataclass field it declares is read somewhere, and every function,
-class and curve view it defines is named elsewhere in the package."""
+used and at module level, every dataclass field it declares is read somewhere,
+and every function, class and curve view it defines is named elsewhere in the
+package."""
 
 import ast
 from pathlib import Path
@@ -47,6 +48,26 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def nested_imports(source: str):
+    """Line numbers of the import statements in source that are not at
+    module level (inside a function, class or block)."""
+    tree = ast.parse(source)
+    top = set(map(id, tree.body))
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top)
+
+
+def test_the_check_finds_a_nested_import():
+    src = ("import math\n\n\ndef f():\n    from os import path\n    return path\n\n\n"
+           "class C:\n    import sys\n\n\nif math:\n    import json\n")
+    assert nested_imports(src) == [5, 10, 14]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_import_is_at_module_level(path):
+    assert nested_imports(path.read_text()) == []
 
 
 def dataclass_fields(source: str):
@@ -106,8 +127,6 @@ UNNAMED = {
                    " QUADPACK references call it",
     "sample_reduced": "the benchmark tracer spans it (SPAN_FUNCTIONS)",
     "write_trajectory_csv": "the benchmark tracer spans it (SPAN_FUNCTIONS)",
-    "phi": "ReducedTrajectory.phi: only tests read it (ROADMAP item 4)",
-    "radii": "ReducedTrajectory.radii: only tests read it (ROADMAP item 4)",
 }
 
 

@@ -289,7 +289,7 @@ def test_sin_phase_gap_positive_along_orbit():
     """sin(phi - theta) keeps one sign on orbits with A > 0."""
     spec = spec_of((1.0, 1.0), (1.0, 1.4), 0.6, alpha=-1.0)
     traj = sample_reduced(spec.trajectory_spec(), np.linspace(-8.0, 8.0, 81))
-    d = traj.phi - traj.theta
+    d = traj.phis.sum(axis=1) - traj.theta
     assert np.all(np.sin(d) > 0)
 
 
@@ -585,9 +585,8 @@ def test_orbit_profile_tracks_reduced_system():
     prof = compute_orbit(spec).profile()
     based, _ = rebase(spec)
     traj = sample_reduced(based.trajectory_spec(), [0.9])
-    np.testing.assert_allclose(prof.w_of(0.9),
-                               traj.radii()[0] * np.exp(1j * traj.phis[0]),
-                               atol=1e-8)
+    r = np.sqrt(np.array(based.alphas) + np.array(based.params.lambdas) * traj.u[0])
+    np.testing.assert_allclose(prof.w_of(0.9), r * np.exp(1j * traj.phis[0]), atol=1e-8)
     assert prof.theta_of(0.9) == pytest.approx(traj.theta[0], abs=1e-8)
     assert prof.u_of(0.9) == pytest.approx(traj.u[0], abs=1e-8)
 
@@ -616,7 +615,8 @@ def test_orbit_profile_resumes_agree_with_one_integration(rng, make_orbit_spec,
     ref = sample_reduced(prof.tspec, queries, rtol=prof.rtol, atol=prof.atol)
     at = {float(s): i for i, s in enumerate(ref.s)}
     idx = [at[float(s)] for s in queries]
-    w_ref = (ref.radii() * np.exp(1j * ref.phis))[idx]
+    radii = np.sqrt(np.array(ref.spec.alphas) + np.outer(ref.u, ref.spec.params.lambdas))
+    w_ref = (radii * np.exp(1j * ref.phis))[idx]
     np.testing.assert_allclose(w, w_ref, rtol=1e-10, atol=1e-10)
     np.testing.assert_allclose(theta, ref.theta[idx], rtol=1e-10, atol=1e-10)
 

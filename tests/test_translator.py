@@ -8,6 +8,7 @@ import pytest
 
 from lagsol import expander
 from lagsol.errors import ValidationError
+from lagsol.fileio import read_profile_record, write_profile_record
 from lagsol.meshing import translator_mesh
 from lagsol.params import SolitonParams
 from lagsol.periodic import PeriodicSpec
@@ -26,8 +27,9 @@ def immersion(prof: TranslatorProfile, x, t: float):
 
 
 def frame(prof: TranslatorProfile, x, t: float):
-    """The frame at base point x and curve parameter t."""
-    return prof.frame_at(x, at(prof, t))
+    """The frame at base point x and curve parameter t: frame_at on a stack
+    of one point, on the base's curve record read at t."""
+    return prof.frame_at(np.array([x], dtype=float), prof.base.curve([t]))
 
 
 def maslov_invariant(prof: TranslatorProfile, x, t: float) -> float:
@@ -39,8 +41,8 @@ def maslov_invariant(prof: TranslatorProfile, x, t: float) -> float:
 def soliton_residual(prof: TranslatorProfile, x, t: float) -> float:
     """| T_perp - H | at one point."""
     fp = frame(prof, x, t)
-    Tp = fp.normal_projection(prof.translation_vector())
-    return float(np.linalg.norm(Tp - fp.mean_curvature()))
+    Tp = fp.normal_projection(prof.translation_vector())[0]
+    return float(np.linalg.norm(Tp - fp.mean_curvature()[0]))
 
 
 import functools
@@ -126,8 +128,9 @@ def test_frames_lagrangian_with_matching_angle(rng):
             x = rng.normal(size=prof.n - 1) * 1.2
             t = float(rng.uniform(-2.0, 2.0))
             fp = frame(prof, x, t)
-            assert fp.lagrangian_residual < 1e-10
-            assert fp.angle_residual < 1e-9
+            assert fp.lagrangian_residual.shape == fp.angle_residual.shape == (1,)
+            assert fp.lagrangian_residual[0] < 1e-10
+            assert fp.angle_residual[0] < 1e-9
             assert np.linalg.eigvalsh(fp.metric).min() > 0
 
 
@@ -146,7 +149,7 @@ def test_fd_mean_curvature_matches_translation_part():
     x = np.array([0.7, -0.3])
     t = 0.4
     fp = frame(prof, x, t)
-    Tp = fp.normal_projection(prof.translation_vector())
+    Tp = fp.normal_projection(prof.translation_vector())[0]
     H_fd = translator_fd_mean_curvature(prof, [x], prof.base.curve([t]))[0]
     assert np.linalg.norm(H_fd - Tp) / np.linalg.norm(H_fd) < 1e-3
 
@@ -166,6 +169,15 @@ def test_oscillates_flag():
     assert not TranslatorProfile.from_orbit_base(stat).oscillates
 
 
+def test_oscillates_flag_survives_the_record(tmp_path):
+    stat = stationary_spec(SolitonParams((1.0, -1.0), 1.0, 0.0), (1.0, 1.0))
+    for prof in (orbit_translator(), TranslatorProfile.from_expander_base(1.0, (1.0, 1.0)),
+                 TranslatorProfile.from_orbit_base(stat)):
+        path = tmp_path / "record.txt"
+        write_profile_record(path, prof)
+        assert read_profile_record(path).oscillates == prof.oscillates
+
+
 def test_stationary_base_beta_is_linear():
     # alpha = 0 base: Im beta falls at exactly the first-integral rate
     stat = stationary_spec(SolitonParams((1.0, -1.0), 1.0, 0.0), (1.0, 1.0))
@@ -182,6 +194,10 @@ def test_base_validation():
         TranslatorProfile(prof)                     # translator is not a centred base
     with pytest.raises(ValidationError):
         immersion(prof, np.zeros(prof.n), 0.0)      # base point has n - 1 coords
+    with pytest.raises(ValidationError, match="stack"):
+        prof.frame_at(np.zeros(prof.n - 1), prof.base.curve([0.0]))   # not a stack
+    with pytest.raises(ValidationError):
+        frame(prof, np.zeros(prof.n), 0.0)          # a stack of points with n coords
 
 
 def test_translator_mesh_reads_each_curve_sample_once():

@@ -16,7 +16,7 @@ from lagsol.meshing import centred_mesh, quadric_base_points, translator_mesh
 from lagsol.params import SolitonParams
 from lagsol.periodic import PeriodicSpec, compute_orbit
 from lagsol.translator import TranslatorProfile, translator_fd_mean_curvature
-from lagsol.verify import _Worst, _fd_subset, _finish, verify_mesh
+from lagsol.verify import _fd_subset, _worst, verify_mesh
 from oracles import quadric_tangent_basis, stationary_spec
 
 
@@ -59,10 +59,38 @@ def test_a_nan_residual_stays_the_worst():
     assert "nan" in failure and "at point 2" in failure
 
 
+def test_the_worst_residual_is_the_first_nan_then_the_first_maximum():
+    at = np.array([10, 11, 12, 13, 14])
+    value, i = _worst(np.array([1.0, math.nan, 5.0, math.nan, 5.0]), at)
+    assert math.isnan(value) and i == 11
+    assert _worst(np.array([1.0, 5.0, 2.0, 5.0, 0.0]), at) == (5.0, 11)
+    value, i = _worst(np.zeros(5), at)
+    assert value == 0.0 and type(value) is float
+    assert _worst(np.empty(0), np.empty(0, dtype=int)) == (0.0, -1)
+
+
+def test_an_invariant_that_checks_no_point_reports_zero():
+    # no FD point, then no framed point: the unchecked invariants read 0.0 and pass
+    prof = ExpanderProfile(1.0, (1.0, 2.0))
+    mesh = centred_mesh(prof, np.linspace(0.0, 1.0, 3), 3)
+    report = verify_mesh(prof, mesh, fd_checks=0)
+    assert report.passed and report.maxima["soliton"] == 0.0
+    for i in range(len(mesh)):
+        mesh = _with_nan_point(mesh, i)
+    report = verify_mesh(prof, mesh, collect_rows=True)
+    assert {k: report.maxima[k] for k in ("lagrangian", "angle", "soliton")} == dict.fromkeys(
+        ("lagrangian", "angle", "soliton"), 0.0)
+    assert [f.split()[0] for f in report.failures] == ["reconstruction", "quadric"]
+    assert all("at point 0" in f for f in report.failures)
+    assert np.isnan(report.table[:, 1:]).all()
+    assert np.array_equal(report.table[:, 0], mesh.params)
+
+
 # -- stacked verification against a per-point loop -----------------------------
 
 def _per_point_report(profile, mesh, collect_rows=False):
-    """The verifier as one loop over points, each frame built on its own.
+    """The verifier as one loop over points, each frame built on a stack of
+    one point, and each invariant's worst value tracked point by point.
 
     The FD oracle is checked against its per-point form in test_geometry;
     here it gets the FD points in one batch, as verify_mesh hands them, and
@@ -97,12 +125,19 @@ def _per_point_report(profile, mesh, collect_rows=False):
     curve.curve(grid)
     if isinstance(curve, ExpanderProfile) and profile is not curve:
         s_of_y(curve, grid)         # verify_mesh's one batch into a minimal base's arc cache
-    worst = {name: _Worst() for name in limits}
+    worst = {name: (0.0, -1) for name in limits}
+
+    def note(name, value, i):
+        # a larger value replaces the worst; a NaN stays, and the first one is kept
+        if not math.isnan(worst[name][0]) and not value <= worst[name][0]:
+            worst[name] = (value, i)
+
     fd_at = set(_fd_subset(len(mesh), V.FD_CHECKS).tolist())
     rows, fd_points = [], []
     for i in range(len(mesh)):
         t, z = float(mesh.params[i]), mesh.points[i]
-        c = curve.curve([t]).row(0)
+        record = curve.curve([t])
+        c = record.row(0)
         w = c.w
         zc = z[:len(w)]
         x = (zc / w).real
@@ -112,18 +147,16 @@ def _per_point_report(profile, mesh, collect_rows=False):
                                                   - float(c.theta), 2.0 * math.pi)),
                **own(x, z, c)}
         for name, value in res.items():
-            worst[name].update(value, i)
+            note(name, value, i)
         if not all(res[name] <= limits[name] for name in gate):
-            if collect_rows:
-                rows.append((i, t, math.nan, math.nan, math.nan))
+            rows.append([t, math.nan, math.nan, math.nan])
             continue
-        fp = frame(x, c)
-        worst["lagrangian"].update(fp.lagrangian_residual, i)
-        worst["angle"].update(fp.angle_residual, i)
-        d = drive(fp)
-        if collect_rows:
-            sol = float(np.linalg.norm(d - fp.mean_curvature()))
-            rows.append((i, t, fp.lagrangian_residual, fp.angle_residual, sol))
+        fp = frame(x[None], record)
+        lag, ang = float(fp.lagrangian_residual[0]), float(fp.angle_residual[0])
+        note("lagrangian", lag, i)
+        note("angle", ang, i)
+        d = drive(fp)[0]
+        rows.append([t, lag, ang, float(np.linalg.norm(d - fp.mean_curvature()[0]))])
         if i in fd_at:
             fd_points.append((i, x, d))
     if fd_points:
@@ -132,12 +165,17 @@ def _per_point_report(profile, mesh, collect_rows=False):
         for i, d, H_fd in zip(index, drives, H):
             H_norm = float(np.linalg.norm(H_fd))
             if profile.alpha == 0.0:
-                worst["soliton"].update(H_norm, i)
+                note("soliton", H_norm, i)
             else:
-                worst["soliton"].update(
-                    float(np.linalg.norm(d - H_fd)) / max(H_norm, 1e-12), i)
-    return _finish("translator" if isinstance(profile, TranslatorProfile) else "centred",
-                   len(mesh), worst, limits, rows)
+                note("soliton", float(np.linalg.norm(d - H_fd)) / max(H_norm, 1e-12), i)
+    failed = [(name, v, i) for name, (v, i) in worst.items() if not v <= limits[name]]
+    return V.VerificationReport(
+        "translator" if isinstance(profile, TranslatorProfile) else "centred", len(mesh),
+        {name: v for name, (v, _) in worst.items()},
+        tuple(f"{name} residual {v:.6e} exceeds {limits[name]:.1e} at point {i}"
+              for name, v, i in failed),
+        tuple((name, v, limits[name]) for name, v, _ in failed),
+        np.array(rows).reshape(-1, 4) if collect_rows else None)
 
 
 ORBIT_SPEC = PeriodicSpec(SolitonParams((1.0, -1.0), 1.0, 0.6), (1.0, 3.0), 0.5)
@@ -196,11 +234,12 @@ def test_stacked_verification_matches_a_per_point_loop(case, edit):
     assert all(_same(got.maxima[k], ref.maxima[k]) for k in ref.maxima), (got.maxima,
                                                                           ref.maxima)
     assert got.failures == ref.failures
+    assert [v[0] for v in got.violations] == [v[0] for v in ref.violations]
     assert got.passed == (edit in ("plain", "shuffled"))
-    assert len(got.rows) == len(ref.rows) == len(mesh)
-    for r, s in zip(got.rows, ref.rows):
-        assert r[:2] == s[:2]
-        assert all(_same(u, v) for u, v in zip(r[2:], s[2:])), (r, s)
+    assert got.table.shape == ref.table.shape == (len(mesh), 4)
+    for r, s in zip(got.table.tolist(), ref.table.tolist()):
+        assert r[0] == s[0]
+        assert all(_same(u, v) for u, v in zip(r[1:], s[1:])), (r, s)
 
 
 @pytest.mark.parametrize("edit", ["plain", "nan_rows"])
