@@ -296,16 +296,14 @@ def _periodic_report(cfg, spec, name) -> int:
              *_verdict_pairs(verdict, ("topology", topo)),
              ("max_residual", repr(verdict.max_residual))]
     _print_pairs(pairs)
+    if cfg["mesh"]:     # before any file is written, so a failing mesh writes none
+        profile = orbit.profile()
+        span = verdict.T if verdict.periodic else orbit.S
+        ts = np.linspace(0.0, span, cfg["mesh-samples"])
+        mesh = centred_mesh(profile, ts, cfg["mesh-count"], seed=cfg["seed"],
+                            rho_max=cfg["rho-max"])
     _write(cfg, name, "orbit.csv", fileio.write_orbit_report_csv, orbit, verdict, topo)
-
-    if not cfg["mesh"]:
-        return 0
-    profile = orbit.profile()
-    span = verdict.T if verdict.periodic else orbit.S
-    ts = np.linspace(0.0, span, cfg["mesh-samples"])
-    mesh = centred_mesh(profile, ts, cfg["mesh-count"], seed=cfg["seed"],
-                        rho_max=cfg["rho-max"])
-    return _export_verified(cfg, name, profile, mesh)
+    return _export_verified(cfg, name, profile, mesh) if cfg["mesh"] else 0
 
 
 def cmd_periodic(cfg) -> int:

@@ -50,7 +50,9 @@ from .quadutil import gauss_panels, improper_quad
 
 NEWTON_MAX_ITER = 50
 NEWTON_TOL = 1e-10
+NEWTON_HALVINGS = 15    # step halvings before a damped Newton solve stalls
 EPS = float(np.finfo(float).eps)
+MAX_HEIGHT = math.sqrt(np.finfo(float).max)    # the largest height whose square is finite
 
 
 @dataclass(frozen=True)
@@ -160,6 +162,10 @@ def profile_eval(profile: ExpanderProfile, ys) -> CurveRecord:
     and ds/dy (_arc_rate), which relates y to the system parameter."""
     ys = np.asarray(ys, dtype=float)
     hs = np.abs(ys)
+    huge = np.isfinite(hs) & (hs > MAX_HEIGHT)     # the phase cache rejects inf and nan
+    if huge.any():
+        raise ValidationError(f"profile height {ys[np.argmax(huge)]:g} is too large:"
+                              " its square overflows")
     inc = profile._phases.get(hs)
     phis = np.array(profile.psi) + np.where(ys[:, None] >= 0.0, inc, -inc)
     alpha, a = profile.alpha, profile.a
@@ -323,6 +329,33 @@ def _symmetric_seed(alpha: float, n: int, target_sum: float) -> float:
     return math.exp(seed_for(target_sum))
 
 
+def damped_newton(residual, jacobian, x, r, *, tol: float, max_iter: int, what: str,
+                  solve=np.linalg.solve) -> np.ndarray:
+    """The x with max |residual(x)| < tol, by damped Newton from x, whose
+    residual is r.  Each step is solve(J, -r), J = jacobian(x, r), by least
+    squares where J is singular, and is halved until the trial's residual is
+    not None (infeasible) and its norm falls, at most NEWTON_HALVINGS times."""
+    for _ in range(max_iter):
+        if float(np.abs(r).max()) < tol:
+            return x
+        J, rnorm = jacobian(x, r), float(np.linalg.norm(r))
+        try:
+            step = solve(J, -r)
+        except np.linalg.LinAlgError:
+            step = np.linalg.lstsq(J, -r, rcond=None)[0]
+        for k in range(NEWTON_HALVINGS):
+            trial = x + 0.5 ** k * step
+            tr = residual(trial)
+            if tr is not None and float(np.linalg.norm(tr)) < rnorm:
+                break
+        else:
+            raise NonConvergence(f"{what} stalled (damping exhausted)")
+        x, r = trial, tr
+    if float(np.abs(r).max()) < tol:
+        return x
+    raise NonConvergence(f"{what} did not converge in {max_iter} iterations")
+
+
 def invert_angle_map(alpha: float, target, *, tol: float = NEWTON_TOL) -> np.ndarray:
     """Solve angle_map(alpha, a) = target for a by damped log-space Newton.
 
@@ -345,34 +378,20 @@ def invert_angle_map(alpha: float, target, *, tol: float = NEWTON_TOL) -> np.nda
     else:
         a = np.full(n, _symmetric_seed(alpha, n, float(target.sum())))
 
-    ell = np.log(a)
-    resid = angle_map(alpha, tuple(np.exp(ell))) - target
-    rnorm = float(np.linalg.norm(resid))
-    for _ in range(NEWTON_MAX_ITER):
-        if float(np.abs(resid).max()) < tol:
-            break
+    def residual(ell):
+        return angle_map(alpha, tuple(np.exp(ell))) - target
+
+    def jacobian(ell, r):
         a = np.exp(ell)
-        J = angle_map_jacobian(alpha, tuple(a)) * a[None, :]  # d/d log a
-        if alpha == 0.0:
-            step, *_ = np.linalg.lstsq(J, -resid, rcond=None)
-        else:
-            step = np.linalg.solve(J, -resid)
-        # damped update: halve until the residual actually decreases
-        lam = 1.0
-        for _ in range(12):
-            trial = ell + lam * step
-            tr_resid = angle_map(alpha, tuple(np.exp(trial))) - target
-            tr_norm = float(np.linalg.norm(tr_resid))
-            if tr_norm < rnorm:
-                break
-            lam *= 0.5
-        else:
-            raise NonConvergence("angle map inversion stalled (damping exhausted)")
-        ell, resid, rnorm = trial, tr_resid, tr_norm
-    if not float(np.abs(resid).max()) < tol:
-        raise NonConvergence(f"angle map inversion did not reach |residual| < {tol:g}"
-                             f" in {NEWTON_MAX_ITER} iterations")
-    a = np.exp(ell)
+        return angle_map_jacobian(alpha, tuple(a)) * a[None, :]  # d/d log a
+
+    def least_squares(J, b):    # at alpha = 0, where the map is scale invariant
+        return np.linalg.lstsq(J, b, rcond=None)[0]
+
+    ell = np.log(a)
+    a = np.exp(damped_newton(residual, jacobian, ell, residual(ell), tol=tol,
+                             max_iter=NEWTON_MAX_ITER, what="angle map inversion",
+                             solve=least_squares if alpha == 0.0 else np.linalg.solve))
     return a / a.sum() if alpha == 0.0 else a
 
 

@@ -4,9 +4,9 @@ All floats are written with repr(), which round-trips doubles exactly and
 keeps outputs byte-stable across runs.  Mesh CSV columns are
 Re z1, Im z1, ..., Re zn, Im zn, s_or_y, theta in that order.
 
-The numeric tables (mesh CSV and PLY, profile, trajectory and residual
-tables) are formatted as whole arrays by one row writer, and each file is
-written in one block; the CSV bytes are those of csv.writer.
+Every table (mesh CSV and PLY, the profile, trajectory, residual, plane and
+orbit reports) goes through one row writer, and each file is written in one
+block; the CSV bytes are those of csv.writer.
 """
 
 from __future__ import annotations
@@ -34,11 +34,12 @@ def _fmt(v) -> str:
 
 def _write_rows(path, header, rows, *, sep: str = ",", end: str = "\r\n") -> None:
     """Write the header lines, then one line per row of rows (lists of Python
-    floats and ints, as array.tolist() gives): the repr() of its values
-    joined by sep.  Every line ends with end, and the file is written in one
-    block.  With the defaults the bytes are those csv.writer writes, as no
-    header field or number needs quoting."""
-    lines = [*header, *(sep.join(map(repr, row)) for row in rows)]
+    floats, ints and strings; array.tolist() gives the first two): the str()
+    of its values joined by sep, which for a float is its repr().  Every line
+    ends with end, and the file is written in one block.  With the defaults
+    the bytes are those csv.writer writes, as no header field, number or tag
+    needs quoting."""
+    lines = [*header, *(sep.join(map(str, row)) for row in rows)]
     with Path(path).open("w", newline="") as fh:
         fh.write(end.join(lines) + end)
 
@@ -89,7 +90,7 @@ def read_mesh_csv(path) -> Mesh:
             thetas.append(vals[-1])
     if not pts:
         raise ValidationError(f"{path}: mesh CSV has no rows")
-    return Mesh("unknown", np.array(pts, dtype=complex), np.array(pars), np.array(thetas))
+    return Mesh(np.array(pts, dtype=complex), np.array(pars), np.array(thetas))
 
 
 # -- PLY vertex clouds -------------------------------------------------------
@@ -145,28 +146,19 @@ def write_profile_csv(path, profile, y_values) -> None:
 
 def write_plane_report_csv(path, angles) -> None:
     """Asymptotic-plane angles of an expander: psi_j +/- phibar_j per axis."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["j", "plane1_angle", "plane2_angle"])
-        for j, (p, q) in enumerate(zip(angles.plane_plus, angles.plane_minus), start=1):
-            writer.writerow([str(j), _fmt(p), _fmt(q)])
+    _write_rows(path, ["j,plane1_angle,plane2_angle"],
+                [[j, float(p), float(q)] for j, (p, q) in
+                 enumerate(zip(angles.plane_plus, angles.plane_minus), start=1)])
 
 
 def write_orbit_report_csv(path, orbit, verdict=None, topology: str = "") -> None:
     """One-row orbit summary: u1, u2, S, gamma_1..gamma_n, case_tag, periodic_r, topology_tag."""
-    path = Path(path)
-    n = len(orbit.gamma)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["u1", "u2", "S"] + [f"gamma_{j}" for j in range(1, n + 1)]
-                        + ["case_tag", "periodic_r", "topology_tag"])
-        r = ""
-        if verdict is not None and verdict.periodic:
-            r = str(verdict.r)
-        writer.writerow([_fmt(orbit.u1), _fmt(orbit.u2), _fmt(orbit.S)]
-                        + [_fmt(g) for g in orbit.gamma]
-                        + [orbit.case, r, topology])
+    header = (["u1", "u2", "S"] + [f"gamma_{j}" for j in range(1, len(orbit.gamma) + 1)]
+              + ["case_tag", "periodic_r", "topology_tag"])
+    r = verdict.r if verdict is not None and verdict.periodic else ""
+    _write_rows(path, [",".join(header)], [
+        [float(v) for v in (orbit.u1, orbit.u2, orbit.S, *orbit.gamma)]
+        + [orbit.case, r, topology]])
 
 
 def write_residual_csv(path, table) -> None:

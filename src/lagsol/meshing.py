@@ -30,7 +30,6 @@ class Mesh:
     used to generate each row; readers reconstruct it from z instead.
     """
 
-    kind: str                      # 'centred' or 'translator'
     points: np.ndarray             # (N, n) complex
     params: np.ndarray             # (N,) curve parameter s or y
     thetas: np.ndarray             # (N,)
@@ -106,32 +105,39 @@ def ball_points(dim: int, count: int, *, radius: float = 1.0,
     return v * r
 
 
-def _mesh(kind: str, profile, t_values, xs, immerse) -> Mesh:
+def _mesh(profile, t_values, xs, immerse) -> Mesh:
     """Rows t-major: every base sample x of xs at each t.
 
     The profile's curve is read once, over all of t_values, and one call
     immerse(X, c.row(at)) immerses every row: the base point X[k] on row
-    at[k] of the curve record c.
+    at[k] of the curve record c.  A point that is not finite (an overflowing
+    immersion) raises ValidationError.
     """
     t_values = np.asarray(t_values, dtype=float)
     c = profile.curve(t_values)
     at = np.repeat(np.arange(len(t_values)), len(xs))
     base = np.tile(xs, (len(t_values), 1))
-    return Mesh(kind, immerse(base, c.row(at)), t_values[at], c.theta[at], base)
+    points = immerse(base, c.row(at))
+    finite = np.isfinite(points).all(axis=1)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ValidationError(f"mesh point {k}, at curve parameter {t_values[at[k]]:g},"
+                              " is not finite")
+    return Mesh(points, t_values[at], c.theta[at], base)
 
 
 def centred_mesh(profile, t_values, base_count: int, *, seed: int = 0,
                  rho_max: float = 1.2) -> Mesh:
     """Mesh of F(x, t) = x * w(t) over a t-grid and a fixed quadric sample."""
     xs = quadric_base_points(profile.lambdas, base_count, seed=seed, rho_max=rho_max)
-    return _mesh("centred", profile, t_values, xs, lambda x, c: x * c.w)
+    return _mesh(profile, t_values, xs, lambda x, c: x * c.w)
 
 
 def translator_mesh(profile, t_values, base_count: int, *, radius: float = 1.5,
                     seed: int = 0) -> Mesh:
     """Mesh of a translator immersion over a t-grid and a base-ball sample."""
     xs = ball_points(profile.n - 1, base_count, radius=radius, seed=seed)
-    return _mesh("translator", profile.base, t_values, xs, profile.immersion)
+    return _mesh(profile.base, t_values, xs, profile.immersion)
 
 
 def flow_slice_mesh(profile, t: float, s_values, base_count: int, *, seed: int = 0,
@@ -157,4 +163,4 @@ def flow_slice_mesh(profile, t: float, s_values, base_count: int, *, seed: int =
     xs = _mixed_points(m, n, rho, lifted, np.random.default_rng(seed))
     if lifted:
         xs = math.sqrt(abs(t)) * xs
-    return _mesh("centred", profile, s_values, xs, lambda x, c: x * c.w)
+    return _mesh(profile, s_values, xs, lambda x, c: x * c.w)

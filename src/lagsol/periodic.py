@@ -41,6 +41,7 @@ from scipy.optimize import brentq
 
 from . import odeint
 from .errors import CaseMismatch, NonConvergence, ToleranceFailure, ValidationError
+from .expander import damped_newton
 from .geometry import ChainCache, CurveRecord, curve_views
 from .params import SolitonParams, require_finite
 from .quadutil import orbit_quad
@@ -227,19 +228,9 @@ def _based_turning_points(based: PeriodicSpec):
     lnA2 = 2.0 * math.log(based.A)
     W = lambda u: based.log_G(u) - lnA2
     lo, hi = based.band()
-    t = 0.5
-    while W(lo + (0.0 - lo) * t) > 0:
-        t *= 0.5
-        if t < 1e-14:
-            raise ValidationError("left turning point collapsed onto the band edge")
-    u1 = brentq(W, lo + (0.0 - lo) * t, 0.0, xtol=1e-15, rtol=8.9e-16)
+    u1 = brentq(W, _edge_bracket(W, lo, "left"), 0.0, xtol=1e-15, rtol=8.9e-16)
     if math.isfinite(hi):
-        t = 0.5
-        while W(hi - hi * t) > 0:
-            t *= 0.5
-            if t < 1e-14:
-                raise ValidationError("right turning point collapsed onto the band edge")
-        u2 = brentq(W, 0.0, hi - hi * t, xtol=1e-15, rtol=8.9e-16)
+        u2 = brentq(W, 0.0, _edge_bracket(W, hi, "right"), xtol=1e-15, rtol=8.9e-16)
     else:
         b = 1.0
         while W(b) > 0:
@@ -250,10 +241,18 @@ def _based_turning_points(based: PeriodicSpec):
     # Newton polish: when d log G is huge at a root, brentq's xtol leaves a
     # W-residual far above evaluation noise, which would bias the orbit
     # quadratures near that endpoint
-    hi_cap = hi if math.isfinite(hi) else math.inf
-    u1 = _polish_root(based, W, u1, lo, hi_cap)
-    u2 = _polish_root(based, W, u2, lo, hi_cap)
-    return u1, u2
+    return _polish_root(based, W, u1, lo, hi), _polish_root(based, W, u2, lo, hi)
+
+
+def _edge_bracket(W, edge: float, side: str) -> float:
+    """The first of edge (1 - t), t = 1/2, 1/4, ..., where W <= 0: the end
+    of the turning point's bracket on the side of the finite band edge."""
+    t = 0.5
+    while W(edge - edge * t) > 0:
+        t *= 0.5
+        if t < 1e-14:
+            raise ValidationError(f"{side} turning point collapsed onto the band edge")
+    return edge - edge * t
 
 
 def _polish_root(based: PeriodicSpec, W, u: float, lo: float, hi: float) -> float:
@@ -570,38 +569,23 @@ def search_periodic_data(lambdas, alpha: float, gamma_target, *, seed=None,
     else:
         x, r = _search_seed(params, target, residual)
 
-    rnorm = float(np.linalg.norm(r))
-    h = 1e-6
-    for _ in range(max_iter):
-        if float(np.abs(r[1:]).max()) < tol and abs(r[0]) < tol:
-            return PeriodicSpec(params, tuple(np.exp(x[:n])), math.exp(x[n]))
-        J = np.empty((n + 1, n + 1))
+    def jacobian(x, r):
+        """Central differences, one-sided at the feasibility boundary, where
+        the missing side takes the residual r held at x."""
+        J, h = np.empty((n + 1, n + 1)), 1e-6
         for k in range(n + 1):
             xp = x.copy(); xp[k] += h
             xm = x.copy(); xm[k] -= h
             rp, rm = residual(xp), residual(xm)
             if rp is None or rm is None:
-                # one-sided fallback at the feasibility boundary
                 J[:, k] = ((r if rp is None else rp) - (r if rm is None else rm)) / h
             else:
                 J[:, k] = (rp - rm) / (2 * h)
-        try:
-            step = np.linalg.solve(J, -r)
-        except np.linalg.LinAlgError:
-            step, *_ = np.linalg.lstsq(J, -r, rcond=None)
-        lam_d = 1.0
-        for _ in range(15):
-            trial = x + lam_d * step
-            tr = residual(trial)
-            if tr is not None and float(np.linalg.norm(tr)) < rnorm:
-                break
-            lam_d *= 0.5
-        else:
-            raise NonConvergence("periodic data search stalled (damping exhausted)")
-        x, r, rnorm = trial, tr, float(np.linalg.norm(tr))
-    if float(np.abs(r[1:]).max()) < tol and abs(r[0]) < tol:
-        return PeriodicSpec(params, tuple(np.exp(x[:n])), math.exp(x[n]))
-    raise NonConvergence(f"periodic data search did not converge in {max_iter} iterations")
+        return J
+
+    x = damped_newton(residual, jacobian, x, r, tol=tol, max_iter=max_iter,
+                      what="periodic data search")
+    return PeriodicSpec(params, tuple(np.exp(x[:n])), math.exp(x[n]))
 
 
 def _search_seed(params: SolitonParams, target: np.ndarray, residual):

@@ -147,11 +147,10 @@ def first_integral(spec: TrajectorySpec, y) -> float:
 class ReducedTrajectory:
     """Accepted samples of one reduced integration, ordered by s."""
 
-    def __init__(self, spec: TrajectorySpec, s: np.ndarray, y: np.ndarray, stats=None):
+    def __init__(self, spec: TrajectorySpec, s: np.ndarray, y: np.ndarray):
         self.spec = spec
         self.s = s
         self.y = y
-        self.stats = stats or {}
 
     @property
     def u(self):
@@ -185,24 +184,15 @@ def _run_two_sided(rhs, s0, y0, s_min, s_max, rtol, atol, targets, dense,
         r = odeint.integrate(rhs, s0, y0, s_min, rtol=rtol, atol=atol,
                              conserved=conserved,
                              targets=back, dense=dense, near_escape=near)
-        legs.append((r.s[::-1][:-1], r.y[::-1][:-1], r))
-    legs.append((np.array([s0]), y0[None, :].copy(), None))
+        legs.append((r.s[::-1][:-1], r.y[::-1][:-1]))
+    legs.append((np.array([s0]), y0[None, :].copy()))
     if s_max > s0:
         fwd = [t for t in targets if t > s0]
         r = odeint.integrate(rhs, s0, y0, s_max, rtol=rtol, atol=atol,
                              conserved=conserved,
                              targets=fwd, dense=dense, near_escape=near)
-        legs.append((r.s[1:], r.y[1:], r))
-
-    s = np.concatenate([l[0] for l in legs])
-    y = np.concatenate([l[1] for l in legs])
-    stats = {
-        "n_accepted": sum(l[2].n_accepted for l in legs if l[2]),
-        "n_rejected_error": sum(l[2].n_rejected_error for l in legs if l[2]),
-        "n_rejected_drift": sum(l[2].n_rejected_drift for l in legs if l[2]),
-        "max_step_drift": max((l[2].max_drift for l in legs if l[2]), default=0.0),
-    }
-    return s, y, stats
+        legs.append((r.s[1:], r.y[1:]))
+    return np.concatenate([s for s, _ in legs]), np.concatenate([y for _, y in legs])
 
 
 def integrate_reduced(spec: TrajectorySpec, s_min: float, s_max: float, *,
@@ -210,9 +200,9 @@ def integrate_reduced(spec: TrajectorySpec, s_min: float, s_max: float, *,
                       targets=(), dense: bool = True) -> ReducedTrajectory:
     """Integrate the reduced system over [s_min, s_max] (must contain 0)."""
     rhs, conserved, near = reduced_system(spec)
-    s, y, stats = _run_two_sided(rhs, 0.0, spec.initial_state(), s_min, s_max,
-                                 rtol, atol, targets, dense, conserved, near)
-    return ReducedTrajectory(spec, s, y, stats)
+    s, y = _run_two_sided(rhs, 0.0, spec.initial_state(), s_min, s_max,
+                          rtol, atol, targets, dense, conserved, near)
+    return ReducedTrajectory(spec, s, y)
 
 
 def sample_reduced(spec: TrajectorySpec, s_points, *, rtol: float = DEFAULT_RTOL,
@@ -224,4 +214,4 @@ def sample_reduced(spec: TrajectorySpec, s_points, *, rtol: float = DEFAULT_RTOL
     traj = integrate_reduced(spec, lo, hi, rtol=rtol, atol=atol,
                              targets=s_points, dense=False)
     keep = np.isin(traj.s, np.array(s_points))
-    return ReducedTrajectory(spec, traj.s[keep], traj.y[keep], traj.stats)
+    return ReducedTrajectory(spec, traj.s[keep], traj.y[keep])

@@ -122,13 +122,12 @@ class FullTrajectory:
     consecutive samples (steps are small at the default tolerances).
     """
 
-    def __init__(self, spec: TrajectorySpec, s, ws, theta, phis, stats=None):
+    def __init__(self, spec: TrajectorySpec, s, ws, theta, phis):
         self.spec = spec
         self.s = s
         self.ws = ws
         self.theta = theta
         self.phis = phis
-        self.stats = stats or {}
 
     @property
     def u(self):
@@ -212,8 +211,8 @@ def integrate_full(spec: TrajectorySpec, s_min: float, s_max: float, *,
         w = y[0:2 * n:2] + 1j * y[1:2 * n:2]
         return (w.real ** 2 + w.imag ** 2).min() < ESCAPE_COLLAR
 
-    s, y, stats = _run_two_sided(rhs, 0.0, y0, s_min, s_max, rtol, atol,
-                                 targets, dense, conserved, near)
+    s, y = _run_two_sided(rhs, 0.0, y0, s_min, s_max, rtol, atol,
+                          targets, dense, conserved, near)
 
     ws = y[:, 0:2 * n:2] + 1j * y[:, 1:2 * n:2]
     theta = y[:, 2 * n]
@@ -225,7 +224,7 @@ def integrate_full(spec: TrajectorySpec, s_min: float, s_max: float, *,
         phis[i] = phis[i - 1] + np.angle(ws[i] / ws[i - 1])
     for i in range(i0 - 1, -1, -1):
         phis[i] = phis[i + 1] + np.angle(ws[i] / ws[i + 1])
-    return FullTrajectory(spec, s, ws, theta, phis, stats)
+    return FullTrajectory(spec, s, ws, theta, phis)
 
 
 def lift_state(spec: TrajectorySpec, state: ReducedState) -> FullState:
@@ -504,3 +503,25 @@ def write_residual_csv(path, rows) -> None:
                          "angle_residual", "soliton_residual"])
         for pid, t, lag, ang, sol in rows:
             writer.writerow([str(pid), _fmt(t), _fmt(lag), _fmt(ang), _fmt(sol)])
+
+
+def write_plane_report_csv(path, angles) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["j", "plane1_angle", "plane2_angle"])
+        for j, (p, q) in enumerate(zip(angles.plane_plus, angles.plane_minus), start=1):
+            writer.writerow([str(j), _fmt(p), _fmt(q)])
+
+
+def write_orbit_report_csv(path, orbit, verdict=None, topology: str = "") -> None:
+    n = len(orbit.gamma)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["u1", "u2", "S"] + [f"gamma_{j}" for j in range(1, n + 1)]
+                        + ["case_tag", "periodic_r", "topology_tag"])
+        r = ""
+        if verdict is not None and verdict.periodic:
+            r = str(verdict.r)
+        writer.writerow([_fmt(orbit.u1), _fmt(orbit.u2), _fmt(orbit.S)]
+                        + [_fmt(g) for g in orbit.gamma]
+                        + [orbit.case, r, topology])

@@ -113,19 +113,33 @@ def test_negative_counts_exit_2(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("argv", [
     ["expander", "--alpha=1", "--a=1,2", "--y-max=1e300"],
+    ["expander", "--alpha=1", "--a=1,2", "--y-max=1e160"],
     ["translator", "--alpha=1", "--a=1", "--t-max=1e300"],
     ["translator", "--alpha=1", "--a=1,2", "--radius=1e300"],
+    ["periodic", *ORBIT, "--mesh", "--rho-max=1e300"],
 ], ids=lambda argv: " ".join(argv))
-def test_numpy_warnings_print_one_lagsol_line_each(tmp_path, capsys, argv):
-    # the overflowing curve reaches numpy, whose RuntimeWarnings come out as
-    # "lagsol: warning: ..." lines, never as a source path and line; the NaN
-    # mesh then fails verification
+def test_overflowing_exports_exit_2_and_write_nothing(tmp_path, capsys, argv):
+    # a height whose square overflows, or a mesh point that is not finite,
+    # is rejected before the first file is opened; numpy's RuntimeWarnings on
+    # the way come out as "lagsol: warning: ..." lines
     with warnings.catch_warnings():
         warnings.simplefilter("always")
-        assert main(argv + [f"--outdir={tmp_path}"]) == 4
+        assert main(argv + [f"--outdir={tmp_path}"]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert any(line.startswith("lagsol: warning: ") for line in err)
     assert all(line.startswith("lagsol: ") for line in err), err
+    assert not err[-1].startswith("lagsol: warning: ")
+    assert not list(tmp_path.iterdir())
+
+
+def test_a_numpy_warning_prints_as_one_lagsol_line(tmp_path, capsys):
+    # never as a source path and line
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        rc = main(["translator", "--alpha=1", "--a=1,2", "--radius=1e300", f"--outdir={tmp_path}"])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "lagsol: warning: overflow encountered in multiply",
+        "lagsol: mesh point 0, at curve parameter -1.2, is not finite"]
 
 
 # Each subcommand's options as (name, parsed type, default, required, flag),

@@ -9,9 +9,9 @@ import scipy.integrate
 from scipy.integrate import quad
 
 from lagsol import cli, expander, odeint, quadutil
-from lagsol.errors import InvalidTarget, ValidationError
-from lagsol.expander import (ExpanderProfile, angle_map, angle_map_jacobian,
-                             asymptotic_angles, invert_angle_map, s_of_y)
+from lagsol.errors import InvalidTarget, NonConvergence, ValidationError
+from lagsol.expander import (NEWTON_HALVINGS, ExpanderProfile, angle_map, angle_map_jacobian,
+                             asymptotic_angles, damped_newton, invert_angle_map, s_of_y)
 from lagsol.geometry import fd_step
 from lagsol.params import SolitonParams
 from lagsol.periodic import PeriodicSpec, compute_orbit
@@ -239,6 +239,53 @@ def test_invert_rejects_bad_targets():
         invert_angle_map(0.0, [0.3, 0.3])            # minimal needs sum pi/2
     with pytest.raises(ValidationError):
         invert_angle_map(-1.0, [0.3, 0.3])
+
+
+def test_a_singular_jacobian_stalls_the_inversion(tmp_path, capsys):
+    """At alpha > 0 a singular Jacobian takes the least-squares step (here 0),
+    whose trials never lower the residual: NonConvergence, exit 3."""
+    def singular(alpha, a):
+        return np.zeros((len(a), len(a)))
+
+    with mock.patch.object(expander, "angle_map_jacobian", side_effect=singular):
+        with pytest.raises(NonConvergence, match="^angle map inversion stalled"):
+            invert_angle_map(1.0, [0.5, 0.3])
+        assert cli.main(["invert-angles", "--alpha=1", "--target=0.5,0.3",
+                         f"--outdir={tmp_path}"]) == 3
+    assert capsys.readouterr().err == (
+        "lagsol: angle map inversion stalled (damping exhausted)\n")
+
+
+def test_the_inversion_tries_every_halving_before_it_stalls():
+    """With the Jacobian's sign flipped every step climbs, so the first
+    iteration evaluates NEWTON_HALVINGS trials and stalls."""
+    calls, marks = [], []
+
+    def counted(alpha, a):
+        calls.append(a)
+        return angle_map(alpha, a)
+
+    def uphill(alpha, a):
+        marks.append(len(calls))
+        return -angle_map_jacobian(alpha, a)
+
+    with mock.patch.object(expander, "angle_map", side_effect=counted), \
+            mock.patch.object(expander, "angle_map_jacobian", side_effect=uphill):
+        with pytest.raises(NonConvergence, match="stalled"):
+            invert_angle_map(1.0, [0.5, 0.3])
+    assert len(marks) == 1 and len(calls) - marks[0] == NEWTON_HALVINGS == 15
+
+
+def test_damped_newton_falls_back_to_least_squares_and_counts_iterations():
+    # a rank-one system: np.linalg.solve raises, least squares finds a root
+    x = damped_newton(lambda x: np.array([x.sum() - 2.0] * 2),
+                      lambda x, r: np.ones((2, 2)), np.zeros(2), np.array([-2.0, -2.0]),
+                      tol=1e-12, max_iter=5, what="toy")
+    np.testing.assert_allclose(x, [1.0, 1.0], rtol=1e-14)
+    # a Jacobian four times too steep shrinks |r| by 3/4 per iteration
+    with pytest.raises(NonConvergence, match="^toy did not converge in 3 iterations$"):
+        damped_newton(lambda x: x, lambda x, r: np.array([[4.0]]), np.ones(1), np.ones(1),
+                      tol=1e-3, max_iter=3, what="toy")
 
 
 def test_theta_range_matches_angle_data():

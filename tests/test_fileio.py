@@ -332,8 +332,7 @@ def special_table(rows, cols, shift=0):
 def special_mesh(n, rows=2 * len(SPECIAL)):
     points = np.empty((rows, n), dtype=complex)
     points.real, points.imag = special_table(rows, n), special_table(rows, n, 1)
-    return Mesh("centred", points, special_table(rows, 1, 2)[:, 0],
-                special_table(rows, 1, 5)[:, 0])
+    return Mesh(points, special_table(rows, 1, 2)[:, 0], special_table(rows, 1, 5)[:, 0])
 
 
 def same_bytes(tmp_path, package_writer, oracle_writer, *args, **kwargs):
@@ -421,3 +420,33 @@ def test_residual_csv_matches_the_per_value_writer(tmp_path):
         oracles.write_residual_csv(theirs, rows)
         assert mine.read_bytes() == theirs.read_bytes()
         assert mine.read_bytes().count(b"\r\n") == 1 + len(table)
+
+
+def test_plane_report_matches_the_per_value_writer(tmp_path):
+    same_bytes(tmp_path, write_plane_report_csv, oracles.write_plane_report_csv,
+               asymptotic_angles(ExpanderProfile(1.0, (1.0, 2.0), (0.2, -0.3))))
+    for n in (1, 3, len(SPECIAL)):
+        angles = SimpleNamespace(plane_plus=tuple(special_table(n, 1)[:, 0]),
+                                 plane_minus=tuple(special_table(n, 1, 1)[:, 0]))
+        text = same_bytes(tmp_path, write_plane_report_csv, oracles.write_plane_report_csv,
+                          angles)
+        assert text.count(b"\r\n") == 1 + n
+
+
+def test_orbit_report_matches_the_per_value_writer(tmp_path):
+    spec = PeriodicSpec(SolitonParams((1.0, -1.0), 1.0, 0.6), (1.0, 3.0), 0.8)
+    orbit = compute_orbit(spec)
+    verdict = detect_periodicity(orbit)
+    same_bytes(tmp_path, write_orbit_report_csv, oracles.write_orbit_report_csv,
+               orbit, verdict, topology_tag(spec))
+    same_bytes(tmp_path, write_orbit_report_csv, oracles.write_orbit_report_csv, orbit)
+    periodic = SimpleNamespace(periodic=True, r=np.int64(12))   # numpy scalars write alike
+    for n in (1, 3, len(SPECIAL) - 3):
+        values = special_table(1, n + 3)[0]
+        special = SimpleNamespace(u1=values[0], u2=values[1], S=values[2],
+                                  gamma=tuple(values[3:]), case="oscillating")
+        for verdict, topology in ((None, ""), (periodic, "S1 x S0 x R1"),
+                                  (SimpleNamespace(periodic=False, r=None), "S1 x S2")):
+            text = same_bytes(tmp_path, write_orbit_report_csv,
+                              oracles.write_orbit_report_csv, special, verdict, topology)
+            assert text.count(b"\r\n") == 2 and b'"' not in text

@@ -12,6 +12,7 @@ from scipy.optimize import brentq
 
 from lagsol import odeint
 from lagsol.errors import CaseMismatch, NonConvergence, ToleranceFailure, ValidationError
+from lagsol.expander import NEWTON_HALVINGS
 from lagsol.geometry import fd_step
 from lagsol.meshing import centred_mesh
 from lagsol.params import SolitonParams
@@ -476,6 +477,40 @@ def test_search_residual_analyses_each_trial_once():
         found = search_periodic_data((1.0, -1.0), 0.6, target, seed=seed)
     assert crit.call_count == hol.call_count > 0
     np.testing.assert_allclose(holonomies(found), target, atol=1e-8)
+
+
+def test_the_search_tries_every_halving_before_it_stalls():
+    """Every trial after the seed and the first Jacobian fails its quadrature,
+    so the search evaluates NEWTON_HALVINGS trials and stalls."""
+    known = spec_of((1.0, -1.0), (1.0, 3.0), 0.8, alpha=0.6)
+    based, _ = rebase(known)
+    target = holonomies(known)
+    seed = (tuple(1.1 * a for a in based.alphas), 0.95 * based.A)
+    before_trials = 1 + 2 * 3       # the seed, then central differences in 3 unknowns
+    seen = []
+    real = holonomies
+
+    def failing(spec, **kwargs):
+        seen.append(spec)
+        if len(seen) > before_trials:
+            raise ToleranceFailure("quadrature failed for holonomy: est. error 1e-9")
+        return real(spec, **kwargs)
+
+    with mock.patch("lagsol.periodic.holonomies", side_effect=failing):
+        with pytest.raises(NonConvergence,
+                           match=r"^periodic data search stalled \(damping exhausted\)$"):
+            search_periodic_data((1.0, -1.0), 0.6, target, seed=seed)
+    assert len(seen) == before_trials + NEWTON_HALVINGS
+
+
+@pytest.mark.parametrize("alpha, alphas, side", [
+    (0.5, (1.0, 2.0), "left"),
+    (50.0, (1.0, 1.0), "right"),    # e^(alpha u) keeps the left root off its edge
+])
+def test_turning_points_that_collapse_onto_a_band_edge_raise(alpha, alphas, side):
+    with pytest.raises(ValidationError,
+                       match=f"^{side} turning point collapsed onto the band edge$"):
+        compute_orbit(spec_of((1.0, -1.0), alphas, 1e-9, alpha=alpha))
 
 
 def test_search_rejects_unnormalized_lambdas():
