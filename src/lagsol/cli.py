@@ -97,7 +97,7 @@ _QMAX = _Opt("qmax", int, 64, "largest denominator tried by the rationality chec
 def _orbit_opts(required: bool = True):
     """lambdas, alphas, A, alpha and psi: the data of a closed orbit."""
     return (
-        _Opt("lambdas", _fs, None, "quadric signs (+-1, positives first)", required),
+        _Opt("lambdas", _fs, None, "quadric signs +-1, the +1s first", required),
         _Opt("alphas", _fs, None, "base radii squared alpha_1,...,alpha_n", required),
         _Opt("A", float, None, "first-integral value (> 0)", required),
         _Opt("alpha", float, None, "rescaling rate", required=True),
@@ -318,8 +318,7 @@ def cmd_shrinker(cfg) -> int:
 
 # -- periodic-search ---------------------------------------------------------
 
-_SEARCH_OPTS = _COMMON + (
-    _Opt("lambdas", _fs, None, "quadric signs (+-1, positives first)", required=True),
+_SEARCH_OPTS = _COMMON + _orbit_opts()[:1] + (
     _Opt("alpha", float, None, "rescaling rate", required=True),
     _Opt("gamma", _fs, None, "target holonomies gamma_1,...,gamma_n", required=True),
     _Opt("tol", float, 1e-8, "search tolerance on the holonomies"),

@@ -167,6 +167,18 @@ def _mv(A, v):
     return (A @ v[..., None])[..., 0]
 
 
+def _inv_or_nan(m: np.ndarray) -> np.ndarray:
+    """Inverses of a stack of matrices, NaN for a singular one.  The whole
+    stack goes to np.linalg.inv at once, and is split only when it holds a
+    singular matrix."""
+    try:
+        return np.linalg.inv(m)
+    except np.linalg.LinAlgError:
+        if m.ndim == 2:
+            return np.full_like(m, np.nan)
+        return np.stack([_inv_or_nan(mi) for mi in m])
+
+
 def _vm(v, A):
     """v A (v a row vector) over the leading axes of either."""
     return (v[..., None, :] @ A)[..., 0, :]
@@ -203,7 +215,7 @@ class FramedPoint:
         return angle_gap(np.angle(np.linalg.det(self.frame)) - self.theta)
 
     def metric_inverse(self) -> np.ndarray:
-        return np.linalg.inv(self.metric)
+        return _inv_or_nan(self.metric)
 
     def tangent_projection(self, v: np.ndarray) -> np.ndarray:
         """Real-orthogonal projection of v in C^n ~ R^2n onto the tangent space."""
@@ -282,7 +294,7 @@ def _fd_levels(F, n: int, steps) -> np.ndarray:
     d2[:, ia, ib] = d2[:, ib, ia] = mixed
     # Laplace-Beltrami g^ab (d2_ab - Gamma^c_ab d1_c) of the chart metric
     # g_ab = Re<d1_a, d1_b>, whose Christoffel symbols are Gamma_ab,d = Re<d2_ab, d1_d>
-    ginv = np.linalg.inv(np.einsum("lak,lbk->lab", d1, d1.conj()).real)
+    ginv = _inv_or_nan(np.einsum("lak,lbk->lab", d1, d1.conj()).real)
     gamma = np.einsum("lcd,labk,ldk->labc", ginv, d2, d1.conj()).real
     return np.einsum("lab,labk->lk", ginv, d2 - np.einsum("labc,lck->labk", gamma, d1))
 

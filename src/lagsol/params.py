@@ -2,8 +2,7 @@
 
 Every construction in this package works on normalized data: ``lambdas``
 consisting of +-1 with the positive signs first, ``C = 1`` and a single free
-rate ``alpha``.  ``SolitonParams`` accepts any real nonzero data so that
-callers can name what they reject; ``is_normalized`` is the test they apply.
+rate ``alpha``.  ``SolitonParams`` accepts only that form.
 """
 
 from __future__ import annotations
@@ -41,26 +40,17 @@ class SolitonParams:
         object.__setattr__(self, "C", float(self.C))
         object.__setattr__(self, "alpha", float(self.alpha))
         require_finite("lambdas", lam)
-        require_finite("C", (self.C,))
         require_finite("alpha", (self.alpha,))
         if len(lam) < 1:
             raise ValidationError("need at least one lambda")
-        if any(l == 0.0 for l in lam):
-            raise ValidationError("all lambdas must be nonzero")
-        if self.C == 0.0:
-            raise ValidationError("C must be nonzero")
+        if (any(abs(l) != 1.0 for l in lam) or lam != tuple(sorted(lam, reverse=True))
+                or self.C != 1.0):
+            raise ValidationError(
+                "each lambda must be +1 or -1, positives first, with C = 1")
 
     @property
     def n(self) -> int:
         return len(self.lambdas)
-
-    @property
-    def is_normalized(self) -> bool:
-        """True when lambdas are +-1 sorted positives-first and C == 1."""
-        lam = self.lambdas
-        signs_ok = all(l in (1.0, -1.0) for l in lam)
-        sorted_ok = all(lam[i] >= lam[i + 1] for i in range(len(lam) - 1))
-        return signs_ok and sorted_ok and self.C == 1.0
 
     @property
     def num_positive(self) -> int:

@@ -79,9 +79,6 @@ class PeriodicSpec:
         require_finite("alphas", alphas)
         require_finite("A", (self.A,))
         require_finite("psi", psi)
-        if not self.params.is_normalized:
-            raise ValidationError(
-                "each lambda must be +1 or -1, positives first, with C = 1")
         n = self.params.n
         if len(alphas) != n or len(psi) != n:
             raise ValidationError("alphas and psi must have length n")
@@ -139,7 +136,8 @@ def critical_point(spec: PeriodicSpec) -> float:
     while spec.dlog_G(a) <= 0:
         span *= 0.5
         a = lo + span * 1e-12
-        if span < 1e-200:
+        # a == lo once span * 1e-12 is below half an ulp of lo
+        if span < 1e-200 or a == lo:
             raise ValidationError("could not bracket the critical point from below")
     if math.isfinite(hi):
         span = hi - lo
@@ -150,11 +148,7 @@ def critical_point(spec: PeriodicSpec) -> float:
             if span < 1e-200:
                 raise ValidationError("could not bracket the critical point from above")
     else:
-        b = max(1.0, a + 1.0)
-        while spec.dlog_G(b) >= 0:
-            b *= 2.0
-            if b > 1e200:
-                raise ValidationError("critical point bracket ran away")
+        b = _outward_bracket(lambda u: spec.dlog_G(u) >= 0, max(1.0, a + 1.0), "critical point")
     try:
         return brentq(spec.dlog_G, a, b, xtol=1e-15, rtol=8.9e-16)
     except RuntimeError as exc:     # brentq's iteration budget
@@ -229,15 +223,9 @@ def _based_turning_points(based: PeriodicSpec):
     W = lambda u: based.log_G(u) - lnA2
     lo, hi = based.band()
     u1 = brentq(W, _edge_bracket(W, lo, "left"), 0.0, xtol=1e-15, rtol=8.9e-16)
-    if math.isfinite(hi):
-        u2 = brentq(W, 0.0, _edge_bracket(W, hi, "right"), xtol=1e-15, rtol=8.9e-16)
-    else:
-        b = 1.0
-        while W(b) > 0:
-            b *= 2.0
-            if b > 1e200:
-                raise ValidationError("right turning point bracket ran away")
-        u2 = brentq(W, 0.0, b, xtol=1e-15, rtol=8.9e-16)
+    right = (_edge_bracket(W, hi, "right") if math.isfinite(hi)
+             else _outward_bracket(lambda u: W(u) > 0, 1.0, "right turning point"))
+    u2 = brentq(W, 0.0, right, xtol=1e-15, rtol=8.9e-16)
     # Newton polish: when d log G is huge at a root, brentq's xtol leaves a
     # W-residual far above evaluation noise, which would bias the orbit
     # quadratures near that endpoint
@@ -253,6 +241,16 @@ def _edge_bracket(W, edge: float, side: str) -> float:
         if t < 1e-14:
             raise ValidationError(f"{side} turning point collapsed onto the band edge")
     return edge - edge * t
+
+
+def _outward_bracket(inside, b: float, what: str) -> float:
+    """The first of b, 2b, 4b, ... where inside is false: the end of a
+    bracket on the side of an infinite band edge."""
+    while inside(b):
+        b *= 2.0
+        if b > 1e200:
+            raise ValidationError(f"{what} bracket ran away")
+    return b
 
 
 def _polish_root(based: PeriodicSpec, W, u: float, lo: float, hi: float) -> float:
@@ -344,8 +342,7 @@ def detect_periodicity(orbit: PeriodicOrbit, *, qmax: int = 64,
 
     Oscillating case: periodic iff every gamma_j is within tol of 2 pi p_j / r
     for a common r <= qmax, and the period reported is r S.  The r tried
-    first is the lcm R of the denominators of the continued-fraction
-    approximations of gamma_j / 2 pi (Fraction.limit_denominator(qmax)),
+    first is the lcm R of _continued_fractions of gamma_j / 2 pi,
     taken when R <= qmax and R fits within tol; otherwise r is the least
     r in 1..qmax that fits.  r and p are then divided by gcd(r, p).  So the
     r reported need not be the least one within tol: at qmax 4096 the
@@ -359,11 +356,9 @@ def detect_periodicity(orbit: PeriodicOrbit, *, qmax: int = 64,
         lam = based.params.lambdas
         rho = [l / a for l, a in zip(lam, based.alphas)]
         c = [x / rho[0] for x in rho]
-        fracs = [Fraction(x).limit_denominator(qmax) for x in c]
-        R = math.lcm(*(f.denominator for f in fracs))
+        R, approx = _continued_fractions(c, qmax)
         if R > qmax:
-            resid = max(abs(x - float(f)) for x, f in zip(c, fracs))
-            return PeriodicityVerdict(False, orbit.case, None, None, None, resid, tol)
+            return PeriodicityVerdict(False, orbit.case, None, None, None, approx, tol)
         k = [round(x * R) for x in c]
         resid = max(abs(x * R - kk) / R for x, kk in zip(c, k))
         if resid > tol:
@@ -383,8 +378,7 @@ def detect_periodicity(orbit: PeriodicOrbit, *, qmax: int = 64,
         return p, max(abs(gj - 2.0 * math.pi * pp / r) for gj, pp in zip(orbit.gamma, p))
 
     # continued-fraction candidate first, then the exhaustive denominator scan
-    fracs = [Fraction(xx).limit_denominator(qmax) for xx in x]
-    R = math.lcm(*(f.denominator for f in fracs))
+    R, approx = _continued_fractions(x, qmax)
     r = R if R <= qmax and fit(R)[1] <= tol else _first_denominator(x, orbit.gamma, qmax, tol)
     if r is not None:
         p, resid = fit(r)
@@ -393,8 +387,15 @@ def detect_periodicity(orbit: PeriodicOrbit, *, qmax: int = 64,
         p_min = tuple(pp // g for pp in p)
         return PeriodicityVerdict(True, orbit.case, r_min, p_min,
                                   r_min * orbit.S, resid, tol)
-    resid = max(abs(xx - float(f)) for xx, f in zip(x, fracs))
-    return PeriodicityVerdict(False, orbit.case, None, None, None, resid, tol)
+    return PeriodicityVerdict(False, orbit.case, None, None, None, approx, tol)
+
+
+def _continued_fractions(x, qmax: int):
+    """(R, error): the lcm R of the denominators of the best rational
+    approximations of x with denominators <= qmax, and their largest error."""
+    fracs = [Fraction(xx).limit_denominator(qmax) for xx in x]
+    return (math.lcm(*(f.denominator for f in fracs)),
+            max(abs(xx - float(f)) for xx, f in zip(x, fracs)))
 
 
 def _first_denominator(x, gamma, qmax: int, tol: float):
@@ -537,8 +538,6 @@ def search_periodic_data(lambdas, alpha: float, gamma_target, *, seed=None,
     """
     lambdas = tuple(float(l) for l in lambdas)
     params = SolitonParams(lambdas, 1.0, float(alpha))
-    if not params.is_normalized:
-        raise ValidationError("search expects normalized lambdas (+-1, positives first)")
     target = np.asarray(gamma_target, dtype=float)
     require_finite("gamma_target", target.tolist())
     n = len(lambdas)
@@ -594,24 +593,31 @@ def _search_seed(params: SolitonParams, target: np.ndarray, residual):
     alpha = params.alpha
     n = params.n
     tsum = float(target.sum())
+
+    def trials(alphas, fracs):
+        """The feasible (x, r) at alphas, with A at each of fracs times the
+        ceiling sqrt(G(u_*)) in turn; the spec and rebase raise on the first."""
+        based, _ = rebase(PeriodicSpec(params, tuple(alphas), 1.0))
+        Amax = math.exp(0.5 * based.log_G(0.0))
+        for frac in fracs:
+            x = np.concatenate([np.log(alphas), [math.log(frac * Amax)]])
+            r = residual(x)
+            if r is not None:
+                yield x, r
+
     if alpha != 0.0 and tsum * alpha > 0:
         # harmonic-limit inversion: lambda_j/alpha_j = -gamma_j t/(2 pi),
         # scale t fixed by the constraint
         t = -2.0 * math.pi * alpha / tsum
         if t > 0:
-            b = -target * t / (2.0 * math.pi)
-            alphas = lam / b
+            alphas = lam / (-target * t / (2.0 * math.pi))
             if np.all(alphas > 0):
-                spec = PeriodicSpec(params, tuple(alphas), 1.0)  # A replaced below
-                based, _ = rebase(spec)
-                Amax = math.exp(0.5 * based.log_G(0.0))
-                for frac in (0.9, 0.7, 0.5):
-                    x = np.concatenate([np.log(alphas), [math.log(frac * Amax)]])
-                    r = residual(x)
-                    if r is not None:
-                        return x, r
-    # coarse scan over symmetric-ish alphas and A fractions
-    best = None
+                first = next(trials(alphas, (0.9, 0.7, 0.5)), None)
+                if first is not None:
+                    return first
+    # coarse scan over symmetric-ish alphas and A fractions: the first
+    # trial of least residual norm
+    found = []
     for scale in (0.25, 0.5, 1.0, 2.0, 4.0):
         alphas = np.full(n, scale)
         # adjust the first slot so the constraint is roughly met when possible
@@ -619,21 +625,12 @@ def _search_seed(params: SolitonParams, target: np.ndarray, residual):
         if params.lambdas[0] > 0 and s_rest < 0:
             alphas[0] = -1.0 / s_rest
         try:
-            spec = PeriodicSpec(params, tuple(alphas), 1.0)
-            based, _ = rebase(spec)
-            Amax = math.exp(0.5 * based.log_G(0.0))
+            found += trials(alphas, (0.3, 0.6, 0.9))
         except (ValidationError, ValueError):
             continue
-        for frac in (0.3, 0.6, 0.9):
-            x = np.concatenate([np.log(alphas), [math.log(frac * Amax)]])
-            r = residual(x)
-            if r is not None:
-                nrm = float(np.linalg.norm(r))
-                if best is None or nrm < best[0]:
-                    best = (nrm, x, r)
-    if best is None:
+    if not found:
         raise ValidationError("could not find a feasible starting point for the search")
-    return best[1], best[2]
+    return min(found, key=lambda xr: float(np.linalg.norm(xr[1])))
 
 
 def topology_tag(spec: PeriodicSpec) -> str:

@@ -53,8 +53,6 @@ class TrajectorySpec:
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
         object.__setattr__(self, "phi0", tuple(float(p) for p in self.phi0))
         object.__setattr__(self, "theta0", float(self.theta0))
-        if not self.params.is_normalized:
-            raise ValidationError("TrajectorySpec requires normalized params (lambdas +-1, C=1)")
         if len(self.alphas) != self.params.n or len(self.phi0) != self.params.n:
             raise ValidationError("alphas and phi0 must have length n")
         if any(a <= 0 for a in self.alphas):

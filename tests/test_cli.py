@@ -131,6 +131,20 @@ def test_overflowing_exports_exit_2_and_write_nothing(tmp_path, capsys, argv):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("radius", ["1e10", "1e50", "1e100", "1e154"])
+def test_a_singular_metric_fails_verification(tmp_path, capsys, radius):
+    # points far out on the base ball have a metric that np.linalg.inv calls
+    # singular; its inverse reads NaN, so verify fails instead of raising
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        rc = main(["translator", "--alpha=1", "--a=1,2", f"--radius={radius}",
+                   f"--outdir={tmp_path}"])
+    assert rc == 4
+    err = capsys.readouterr().err.splitlines()
+    assert all(line.startswith("lagsol: ") for line in err), err
+    assert err[-1].startswith("lagsol: verification failed: ")
+
+
 def test_a_numpy_warning_prints_as_one_lagsol_line(tmp_path, capsys):
     # never as a source path and line
     with warnings.catch_warnings():
@@ -551,9 +565,22 @@ def test_translator_without_base_exits_2(capsys):
 @pytest.mark.parametrize("argv, message", [
     (["periodic", "--lambdas=1,-1,1", "--alphas=1,1,1", "--A=0.4", "--alpha=0.5"],
      "each lambda must be +1 or -1, positives first"),
+    (["periodic", "--lambdas=1,0", "--alphas=1,1", "--A=0.4", "--alpha=0.5"],
+     "each lambda must be +1 or -1, positives first, with C = 1"),
+    (["periodic-search", "--lambdas=2,-1", "--alpha=0", "--gamma=-1,1"],
+     "each lambda must be +1 or -1, positives first, with C = 1"),
     (["periodic", "--lambdas=1,-1", "--alphas=1,1e12", "--A=0.4", "--alpha=0.5"],
      "re-basing A to the critical point u_* = 1e+12 underflows"),
-], ids=["unsorted lambdas", "rebase underflow"])
+    # dlog G stays >= 0 up to u = 1e200
+    (["shrinker", "--alphas=1,1.5", "--A=0.5", "--alpha=-1e-300"],
+     "critical point bracket ran away"),
+    # u_* lies within an ulp of the lower band edge, so the walk reaches it
+    (["shrinker", "--alphas=1,1.5", "--A=0.5", "--alpha=-1e17"],
+     "could not bracket the critical point from below"),
+    (["shrinker", "--alphas=1,1.5", "--A=0.5", "--alpha=-1e300"],
+     "could not bracket the critical point from below"),
+], ids=["unsorted lambdas", "zero lambda", "search magnitude", "rebase underflow",
+        "critical point runaway", "critical point at an edge ulp", "critical point at 1e300"])
 def test_validation_messages_name_the_cause(tmp_path, capsys, argv, message):
     assert main(argv + [f"--outdir={tmp_path}"]) == 2
     assert message in capsys.readouterr().err

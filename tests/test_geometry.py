@@ -8,8 +8,9 @@ import pytest
 from lagsol import geometry
 from lagsol.errors import ValidationError
 from lagsol.expander import ExpanderProfile, s_of_y
-from lagsol.geometry import (FramedPoint, _fd_levels, _quadric_base, _tangent_bases,
-                             centred_fd_mean_curvature, fd_step, mean_curvature_fd)
+from lagsol.geometry import (FramedPoint, _fd_levels, _inv_or_nan, _quadric_base,
+                             _tangent_bases, centred_fd_mean_curvature, fd_step,
+                             mean_curvature_fd)
 from lagsol.meshing import centred_mesh, translator_mesh
 from lagsol.params import SolitonParams
 from lagsol.periodic import PeriodicSpec, compute_orbit
@@ -382,3 +383,20 @@ def test_fd_step_scales_with_height():
     assert fd_step(0.0) == pytest.approx(2e-3)
     assert fd_step(3.0) == pytest.approx(4e-3)
     assert fd_step(-3.0) == fd_step(3.0)
+
+
+def test_a_singular_matrix_inverts_to_nan_and_leaves_the_rest_of_its_stack():
+    rng = np.random.default_rng(5)
+    stack = rng.normal(size=(4, 3, 3))
+    assert np.array_equal(_inv_or_nan(stack), np.linalg.inv(stack))
+    stack[2, 1] = stack[2, 0]
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(stack)
+    out = _inv_or_nan(stack)
+    assert np.isnan(out[2]).all()
+    for i in (0, 1, 3):
+        assert np.array_equal(out[i], np.linalg.inv(stack[i]))
+    frame = np.array([[[1.0, 0.0], [1.0, 0.0]]], dtype=complex)
+    fp = FramedPoint.of(np.zeros((1, 2), dtype=complex), frame, np.zeros(1), np.ones(1))
+    assert np.isnan(fp.metric_inverse()).all()
+    assert np.isnan(fp.mean_curvature()).all()

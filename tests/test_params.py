@@ -1,4 +1,4 @@
-"""Validation of soliton data and the normalized-form test."""
+"""Validation of soliton data: only the normalized form builds."""
 
 import pytest
 
@@ -15,8 +15,16 @@ def test_validation_rejects_degenerate_data():
         SolitonParams((1.0,), 0.0, 1.0)
 
 
-def test_is_normalized_flag():
-    assert SolitonParams((1.0, 1.0, -1.0), 1.0, 0.5).is_normalized
-    assert not SolitonParams((1.0, -1.0, 1.0), 1.0, 0.5).is_normalized  # order
-    assert not SolitonParams((1.0, -1.0), 2.0, 0.5).is_normalized       # C
-    assert not SolitonParams((2.0, -1.0), 1.0, 0.5).is_normalized       # magnitude
+NORMALIZED = "^each lambda must be \\+1 or -1, positives first, with C = 1$"
+
+
+def test_only_normalized_data_builds():
+    params = SolitonParams((1.0, 1.0, -1.0), 1.0, 0.5)
+    assert (params.lambdas, params.C, params.alpha) == ((1.0, 1.0, -1.0), 1.0, 0.5)
+    assert (params.n, params.num_positive) == (3, 2)
+    for lambdas, C in [((1.0, -1.0, 1.0), 1.0),    # order
+                       ((1.0, -1.0), 2.0),         # C
+                       ((2.0, -1.0), 1.0),         # magnitude
+                       ((1.0, 0.0), 1.0)]:         # zero lambda
+        with pytest.raises(ValidationError, match=NORMALIZED):
+            SolitonParams(lambdas, C, 0.5)

@@ -513,8 +513,15 @@ def test_turning_points_that_collapse_onto_a_band_edge_raise(alpha, alphas, side
         compute_orbit(spec_of((1.0, -1.0), alphas, 1e-9, alpha=alpha))
 
 
+def test_a_right_turning_point_past_1e200_raises():
+    # alpha = -1/alpha_1 puts u_* at 0; at so small a rate G stays above A^2
+    # up to u ~ 7.6e200, while the left root sits at radius ~1e198
+    with pytest.raises(ValidationError, match="^right turning point bracket ran away$"):
+        compute_orbit(spec_of((1.0,), (1e200,), 1e99, alpha=-1e-200))
+
+
 def test_search_rejects_unnormalized_lambdas():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="positives first"):
         search_periodic_data((2.0, -1.0), 0.0, (-1.0, 1.0))
 
 

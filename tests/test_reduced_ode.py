@@ -21,9 +21,9 @@ def make_spec(lambdas, alphas, A, alpha=0.0, phi0=None):
 
 
 def test_spec_validation():
-    params = SolitonParams((2.0, -1.0), 1.0, 0.0)  # not normalized
-    with pytest.raises(ValidationError):
-        TrajectorySpec(params, (1.0, 1.0), (0.0, 0.0), 0.0)
+    with pytest.raises(ValidationError, match="positives first"):
+        TrajectorySpec(SolitonParams((2.0, -1.0), 1.0, 0.0),  # not normalized
+                       (1.0, 1.0), (0.0, 0.0), 0.0)
     good = SolitonParams((1.0, -1.0), 1.0, 0.0)
     with pytest.raises(ValidationError):
         TrajectorySpec(good, (1.0,), (0.0, 0.0), 0.0)

@@ -15,6 +15,7 @@ from lagsol.geometry import _tangent_bases, centred_fd_mean_curvature, centred_f
 from lagsol.meshing import centred_mesh, quadric_base_points, translator_mesh
 from lagsol.params import SolitonParams
 from lagsol.periodic import PeriodicSpec, compute_orbit
+from lagsol.reduced_ode import reduced_system
 from lagsol.translator import TranslatorProfile, translator_fd_mean_curvature
 from lagsol.verify import _fd_subset, _worst, verify_mesh
 from oracles import quadric_tangent_basis, stationary_spec
@@ -272,3 +273,22 @@ def test_stacked_tangent_basis_matches_the_chart_basis(lambdas):
     stacked = _tangent_bases(lambdas, xs)
     for x, basis in zip(xs, stacked):
         np.testing.assert_allclose(basis, quadric_tangent_basis(lambdas, x), rtol=0, atol=1e-15)
+
+
+# -- mutation tests: an export that disagrees with its record in the equation only
+
+@pytest.mark.parametrize("delta", [
+    1e-2,
+    pytest.param(1e-4, marks=pytest.mark.xfail(strict=True, reason=(
+        "the FD soliton check reads 1.0e-4 here, under SOLITON_TOL = 1e-3: ROADMAP"
+        " item 9 asks for a failure at delta = 1e-4, after item 12's first-order check"))),
+])
+def test_an_orbit_integrated_at_a_wrong_rate_fails(delta):
+    """The orbit's ODE runs at alpha (1 + delta) while its profile keeps alpha."""
+    orbit = compute_orbit(PeriodicSpec(SolitonParams((1.0, -1.0), 1.0, 0.5), (1.0, 2.0), 0.4))
+    profile = orbit.profile()
+    mutant = dataclasses.replace(
+        profile.tspec, params=SolitonParams((1.0, -1.0), 1.0, 0.5 * (1.0 + delta)))
+    profile._rhs, profile._conserved, profile._near_escape = reduced_system(mutant)
+    mesh = centred_mesh(profile, np.linspace(0.0, orbit.S, 30), 20)
+    assert not verify_mesh(profile, mesh).passed
