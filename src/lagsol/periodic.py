@@ -531,10 +531,11 @@ def search_periodic_data(lambdas, alpha: float, gamma_target, *, seed=None,
 
     Unknowns are (log alpha_1..log alpha_n, log A); the system couples the
     critical-point constraint sum(lambda_j/alpha_j) + alpha = 0 (which fixes
-    the re-basing gauge) with the n holonomy equations.  The Jacobian is
-    finite-difference; infeasible trials (A beyond the G maximum) and trials
-    whose exponentials overflow or whose holonomy quadrature fails are
-    damped away.
+    the re-basing gauge) with the n holonomy equations.  The Jacobian is a
+    forward difference at the held residual, n + 1 holonomy solves, so an
+    undamped iteration costs n + 2; infeasible trials (A beyond the G
+    maximum) and trials whose exponentials overflow or whose holonomy
+    quadrature fails are damped away.
     """
     lambdas = tuple(float(l) for l in lambdas)
     params = SolitonParams(lambdas, 1.0, float(alpha))
@@ -566,20 +567,24 @@ def search_periodic_data(lambdas, alpha: float, gamma_target, *, seed=None,
         if r is None:
             raise ValidationError("seed data is infeasible")
     else:
-        x, r = _search_seed(params, target, residual)
+        x, r = _search_seed(params, residual)
 
     def jacobian(x, r):
-        """Central differences, one-sided at the feasibility boundary, where
-        the missing side takes the residual r held at x."""
-        J, h = np.empty((n + 1, n + 1)), 1e-6
+        """Forward differences against the residual r held at x, so n + 1
+        holonomy solves: column k is (residual(x + h e_k) - r)/h, backward
+        (r - residual(x - h e_k))/h where x + h e_k is infeasible, and zero
+        where both sides are."""
+        J, h = np.zeros((n + 1, n + 1)), 1e-6
         for k in range(n + 1):
             xp = x.copy(); xp[k] += h
+            rp = residual(xp)
+            if rp is not None:
+                J[:, k] = (rp - r) / h
+                continue
             xm = x.copy(); xm[k] -= h
-            rp, rm = residual(xp), residual(xm)
-            if rp is None or rm is None:
-                J[:, k] = ((r if rp is None else rp) - (r if rm is None else rm)) / h
-            else:
-                J[:, k] = (rp - rm) / (2 * h)
+            rm = residual(xm)
+            if rm is not None:
+                J[:, k] = (r - rm) / h
         return J
 
     x = damped_newton(residual, jacobian, x, r, tol=tol, max_iter=max_iter,
@@ -587,45 +592,26 @@ def search_periodic_data(lambdas, alpha: float, gamma_target, *, seed=None,
     return PeriodicSpec(params, tuple(np.exp(x[:n])), math.exp(x[n]))
 
 
-def _search_seed(params: SolitonParams, target: np.ndarray, residual):
-    """Seed from the harmonic limit when possible, else a coarse grid scan."""
-    lam = np.array(params.lambdas)
-    alpha = params.alpha
-    n = params.n
-    tsum = float(target.sum())
-
-    def trials(alphas, fracs):
-        """The feasible (x, r) at alphas, with A at each of fracs times the
-        ceiling sqrt(G(u_*)) in turn; the spec and rebase raise on the first."""
-        based, _ = rebase(PeriodicSpec(params, tuple(alphas), 1.0))
-        Amax = math.exp(0.5 * based.log_G(0.0))
-        for frac in fracs:
-            x = np.concatenate([np.log(alphas), [math.log(frac * Amax)]])
-            r = residual(x)
-            if r is not None:
-                yield x, r
-
-    if alpha != 0.0 and tsum * alpha > 0:
-        # harmonic-limit inversion: lambda_j/alpha_j = -gamma_j t/(2 pi),
-        # scale t fixed by the constraint
-        t = -2.0 * math.pi * alpha / tsum
-        if t > 0:
-            alphas = lam / (-target * t / (2.0 * math.pi))
-            if np.all(alphas > 0):
-                first = next(trials(alphas, (0.9, 0.7, 0.5)), None)
-                if first is not None:
-                    return first
-    # coarse scan over symmetric-ish alphas and A fractions: the first
-    # trial of least residual norm
+def _search_seed(params: SolitonParams, residual):
+    """The feasible (x, r) of least residual norm, the first of equal norms,
+    on a coarse scan: symmetric-ish alphas at five scales, each with A at
+    0.3, 0.6 and 0.9 of its ceiling sqrt(G(u_*)).  A scale whose spec or
+    rebase raises is skipped."""
     found = []
     for scale in (0.25, 0.5, 1.0, 2.0, 4.0):
-        alphas = np.full(n, scale)
+        alphas = np.full(params.n, scale)
         # adjust the first slot so the constraint is roughly met when possible
-        s_rest = sum(l / a for l, a in zip(params.lambdas[1:], alphas[1:])) + alpha
+        s_rest = sum(l / a for l, a in zip(params.lambdas[1:], alphas[1:])) + params.alpha
         if params.lambdas[0] > 0 and s_rest < 0:
             alphas[0] = -1.0 / s_rest
         try:
-            found += trials(alphas, (0.3, 0.6, 0.9))
+            based, _ = rebase(PeriodicSpec(params, tuple(alphas), 1.0))
+            Amax = math.exp(0.5 * based.log_G(0.0))
+            for frac in (0.3, 0.6, 0.9):
+                x = np.concatenate([np.log(alphas), [math.log(frac * Amax)]])
+                r = residual(x)
+                if r is not None:
+                    found.append((x, r))
         except (ValidationError, ValueError):
             continue
     if not found:

@@ -12,8 +12,9 @@ The real state is [Re w_1, Im w_1, ..., Re w_n, Im w_n, theta].
 The module also holds the point-by-point finite-difference mean curvature
 the package's batched one replaced, the one-point tangent basis of the
 quadric that the package's stacked _tangent_bases is checked against, the
-per-value file writers (csv.writer rows of repr(float) fields) that the
-package's whole-array row writer must match byte for byte, the breakpoint
+central-difference Jacobian the periodic search's forward one is checked
+against, the per-value file writers (csv.writer rows of repr(float) fields)
+that the package's whole-array row writer must match byte for byte, the breakpoint
 ladders of the QUADPACK references for expander integrals, and small
 helpers only tests call.
 """
@@ -40,6 +41,14 @@ def stationary_spec(params, alphas, psi=None) -> PeriodicSpec:
     u_star = critical_point(probe)
     A = math.exp(0.5 * probe.log_G(u_star))
     return PeriodicSpec(params, alphas, A, psi)
+
+
+def central_difference_jacobian(residual, x, h: float = 1e-6) -> np.ndarray:
+    """(residual(x + h e_k) - residual(x - h e_k)) / 2h column by column:
+    the reference for the periodic search's forward-difference Jacobian.
+    Both sides must be feasible (residual not None)."""
+    return np.array([(residual(x + h * e) - residual(x - h * e)) / (2.0 * h)
+                     for e in np.eye(len(x))]).T
 
 
 def log_growth(alpha: float, a, t: float) -> float:

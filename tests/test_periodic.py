@@ -12,7 +12,7 @@ from scipy.optimize import brentq
 
 from lagsol import odeint
 from lagsol.errors import CaseMismatch, NonConvergence, ToleranceFailure, ValidationError
-from lagsol.expander import NEWTON_HALVINGS
+from lagsol.expander import NEWTON_HALVINGS, damped_newton
 from lagsol.geometry import fd_step
 from lagsol.meshing import centred_mesh
 from lagsol.params import SolitonParams
@@ -21,7 +21,7 @@ from lagsol.periodic import (HamiltonianStationaryProfile, OrbitConditioningWarn
                              critical_point, detect_periodicity, holonomies, rebase,
                              search_periodic_data, topology_tag)
 from lagsol.reduced_ode import integrate_reduced, sample_reduced
-from oracles import reduced_rhs, stationary_spec
+from oracles import central_difference_jacobian, reduced_rhs, stationary_spec
 
 
 def spec_of(lambdas, alphas, A, alpha=0.0, psi=None):
@@ -420,6 +420,61 @@ def test_search_recovers_reference_holonomies():
     assert found.A == pytest.approx(based.A, rel=1e-5)
 
 
+def reference_search(spy_jacobian):
+    """The search of test_search_recovers_reference_holonomies with each
+    Jacobian call made as spy_jacobian(jacobian, residual, x, r); returns
+    (found spec, target)."""
+    target = holonomies(spec_of((1.0, -1.0), (1.0, 3.0), 0.8, alpha=0.6))
+
+    def newton(residual, jacobian, x, r, **kwargs):
+        return damped_newton(residual, lambda x, r: spy_jacobian(jacobian, residual, x, r),
+                             x, r, **kwargs)
+
+    with mock.patch("lagsol.periodic.damped_newton", side_effect=newton):
+        return search_periodic_data((1.0, -1.0), 0.6, target), target
+
+
+def test_a_feasible_jacobian_takes_one_holonomy_solve_per_unknown():
+    """Where every x + h e_k is feasible, a Jacobian is n + 1 holonomy solves,
+    one at each forward point and none at x, whose residual it holds."""
+    n, solves, calls = 2, [], []
+    real = holonomies
+
+    def spy(spec, **kwargs):
+        solves.append(np.log(spec.alphas + (spec.A,)))
+        return real(spec, **kwargs)
+
+    def jacobian(jac, residual, x, r):
+        start = len(solves)
+        J = jac(x, r)
+        calls.append((x, solves[start:]))
+        return J
+
+    with mock.patch("lagsol.periodic.holonomies", side_effect=spy):
+        found, target = reference_search(jacobian)
+    assert len(calls) > 1
+    for x, points in calls:
+        assert len(points) == n + 1
+        np.testing.assert_allclose(points, x + 1e-6 * np.eye(n + 1), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(holonomies(found), target, atol=1e-8)
+
+
+def test_the_forward_jacobian_matches_central_differences():
+    """At every iterate of the reference search each forward-difference
+    column lies within 1e-4 relative (2-norm) of the central-difference one."""
+    gaps = []
+
+    def jacobian(jac, residual, x, r):
+        J, ref = jac(x, r), central_difference_jacobian(residual, x)
+        gaps.append(np.linalg.norm(J - ref, axis=0) / np.linalg.norm(ref, axis=0))
+        return J
+
+    found, target = reference_search(jacobian)
+    assert len(gaps) > 1
+    assert max(g.max() for g in gaps) <= 1e-4
+    np.testing.assert_allclose(holonomies(found), target, atol=1e-8)
+
+
 def test_search_jacobian_fallback_reuses_residuals():
     """A seed just below the ceiling makes the +h step in log A infeasible, so
     that Jacobian column is one-sided; it must reuse the residual it holds
@@ -454,13 +509,13 @@ def test_search_halves_a_step_whose_quadrature_fails():
 
     def flaky(spec, **kwargs):
         seen.append(np.log(spec.alphas + (spec.A,)))
-        if len(seen) == 2 + 2 * (n + 1):   # the first trial after seed and Jacobian
+        if len(seen) == 2 + (n + 1):   # the first trial after seed and Jacobian
             raise ToleranceFailure("quadrature failed for holonomy: est. error 1e-9")
         return real(spec, **kwargs)
 
     with mock.patch("lagsol.periodic.holonomies", side_effect=flaky):
         found = search_periodic_data((1.0, -1.0), 0.6, target, seed=seed)
-    x0, failed, halved = seen[0], seen[2 * (n + 1) + 1], seen[2 * (n + 1) + 2]
+    x0, failed, halved = seen[0], seen[(n + 1) + 1], seen[(n + 1) + 2]
     np.testing.assert_allclose(halved - x0, 0.5 * (failed - x0), rtol=1e-12, atol=1e-15)
     np.testing.assert_allclose(holonomies(found), target, atol=1e-8)
 
@@ -486,7 +541,7 @@ def test_the_search_tries_every_halving_before_it_stalls():
     based, _ = rebase(known)
     target = holonomies(known)
     seed = (tuple(1.1 * a for a in based.alphas), 0.95 * based.A)
-    before_trials = 1 + 2 * 3       # the seed, then central differences in 3 unknowns
+    before_trials = 1 + 3       # the seed, then forward differences in 3 unknowns
     seen = []
     real = holonomies
 
