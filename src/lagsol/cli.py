@@ -177,10 +177,6 @@ def _print_pairs(pairs):
         print(f"{k} = {v}")
 
 
-def _fmt_list(vals):
-    return ",".join(repr(float(v)) for v in vals)
-
-
 def _export_verified(cfg, name, profile, mesh, extra_pairs=()) -> int:
     """Write the mesh (CSV, and PLY on request) and the profile record, verify
     the mesh independently, then write its summary followed by extra_pairs."""
@@ -259,9 +255,9 @@ def cmd_invert_angles(cfg) -> int:
     achieved = angle_map(cfg["alpha"], tuple(a))
     residual = float(np.max(np.abs(achieved - np.asarray(cfg["target"]))))
     pairs = [
-        ("a", _fmt_list(a)),
-        ("achieved", _fmt_list(achieved)),
-        ("target", _fmt_list(cfg["target"])),
+        ("a", fileio.fmt_floats(a)),
+        ("achieved", fileio.fmt_floats(achieved)),
+        ("target", fileio.fmt_floats(cfg["target"])),
         ("residual", repr(residual)),
     ]
     _print_pairs(pairs)
@@ -283,15 +279,12 @@ _SHRINKER_OPTS = tuple(o for o in _PERIODIC_OPTS if o.name != "lambdas")
 
 def _periodic_report(cfg, spec, name) -> int:
     orbit = compute_orbit(spec)
-    kwargs = {"qmax": cfg["qmax"]}
-    if cfg["tol"] is not None:
-        kwargs["tol"] = cfg["tol"]
-    verdict = detect_periodicity(orbit, **kwargs)
+    verdict = detect_periodicity(orbit, qmax=cfg["qmax"], tol=cfg["tol"])
     topo = topology_tag(spec) if verdict.periodic else ""
 
     pairs = [("case", orbit.case),
              ("u1", repr(orbit.u1)), ("u2", repr(orbit.u2)),
-             ("S", repr(orbit.S)), ("gamma", _fmt_list(orbit.gamma)),
+             ("S", repr(orbit.S)), ("gamma", fileio.fmt_floats(orbit.gamma)),
              ("gamma_sum", repr(orbit.gamma_sum)),
              *_verdict_pairs(verdict, ("topology", topo)),
              ("max_residual", repr(verdict.max_residual))]
@@ -332,8 +325,8 @@ def cmd_periodic_search(cfg) -> int:
                                 tol=cfg["tol"], max_iter=cfg["max-iter"])
     orbit = compute_orbit(spec)
     verdict = detect_periodicity(orbit, qmax=cfg["qmax"])
-    pairs = [("alphas", _fmt_list(spec.alphas)), ("A", repr(spec.A)),
-             ("gamma", _fmt_list(orbit.gamma)),
+    pairs = [("alphas", fileio.fmt_floats(spec.alphas)), ("A", repr(spec.A)),
+             ("gamma", fileio.fmt_floats(orbit.gamma)),
              ("residual", repr(float(np.max(np.abs(
                  np.asarray(orbit.gamma) - np.asarray(cfg["gamma"])))))),
              *_verdict_pairs(verdict)]

@@ -57,34 +57,22 @@ MAX_HEIGHT = math.sqrt(np.finfo(float).max)    # the largest height whose square
 
 @dataclass(frozen=True)
 class ExpanderProfile:
-    """Profile data (alpha, a, psi) with the base point at the turning value.
-
-    u_star records the turning value of u in an enclosing s-parametrization;
-    for profiles built directly from (alpha, a) it is zero and the implied
-    base radii are alpha_j = 1/a_j.
+    """Profile data (alpha, a, psi) with the base point at the turning value
+    y = 0, where u = 0; the implied base radii are alpha_j = 1/a_j.
     """
 
     alpha: float
     a: tuple
     psi: tuple = None
-    u_star: float = 0.0
     _phases: ChainCache = field(default=None, init=False, repr=False, compare=False)
     _arcs: ChainCache = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        a = tuple(float(x) for x in self.a)
-        psi = tuple(float(p) for p in self.psi) if self.psi is not None else (0.0,) * len(a)
+        alpha, a = _angle_map_args(self.alpha, self.a)
+        psi = require_finite("psi", self.psi) if self.psi is not None else (0.0,) * len(a)
+        object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "psi", psi)
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "u_star", float(self.u_star))
-        require_finite("alpha", (self.alpha,))
-        require_finite("a", a)
-        require_finite("psi", psi)
-        if self.alpha < 0:
-            raise ValidationError("expander profiles need alpha >= 0")
-        if any(x <= 0 for x in a):
-            raise ValidationError("profile curvatures a_j must be positive")
         if len(psi) != len(a):
             raise ValidationError("psi must have the same length as a")
         # the exact integrals from 0 to h = |y| of d phi_j and ds, by h
@@ -103,8 +91,8 @@ class ExpanderProfile:
 
     @property
     def first_integral_value(self) -> float:
-        """A < 0 branch: A^2 = G(u_*) = prod(1/a_j) e^{alpha u_*}."""
-        return -math.sqrt(math.prod(1.0 / x for x in self.a) * math.exp(self.alpha * self.u_star))
+        """A < 0 branch: A^2 = G(0) = prod(1/a_j)."""
+        return -math.sqrt(math.prod(1.0 / x for x in self.a))
 
     @property
     def kind(self) -> str:
@@ -176,7 +164,7 @@ def profile_eval(profile: ExpanderProfile, ys) -> CurveRecord:
     # math.atan2: numpy's arctan2 differs from it in the last bit for a few
     # percent of arguments, and theta reaches the translator FD through beta
     arg = [math.atan2(i, y) for i, y in zip(isp.tolist(), ys.tolist())]
-    return CurveRecord(ys, profile.u_star + t2, r, phis, r * turn,
+    return CurveRecord(ys, t2, r, phis, r * turn,
                        turn * (ys[:, None] / r + 1j * isp[:, None] / r),
                        phis.sum(axis=1) + arg, -alpha * isp, 2.0 * ys,
                        _arc_rate(alpha, a, hs, grown))
@@ -239,14 +227,14 @@ def asymptotic_angles(profile: ExpanderProfile) -> AngleVector:
 
 
 def _angle_map_args(alpha: float, a) -> tuple:
-    a = tuple(float(x) for x in a)
-    require_finite("alpha", (alpha,))
-    require_finite("a", a)
+    """(alpha, a) as floats, checked for the profile and the angle map."""
+    (alpha,) = require_finite("alpha", (alpha,))
+    a = require_finite("a", a)
     if alpha < 0:
-        raise ValidationError("angle map is defined for alpha >= 0")
+        raise ValidationError("alpha must be non-negative")
     if any(x <= 0 for x in a):
-        raise ValidationError("angle map needs positive a_j")
-    return float(alpha), a
+        raise ValidationError("every a_j must be positive")
+    return alpha, a
 
 
 def angle_map(alpha: float, a) -> np.ndarray:

@@ -194,7 +194,8 @@ def read_keyvalues(path) -> dict:
     return out
 
 
-def _fmt_tuple(vals) -> str:
+def fmt_floats(vals) -> str:
+    """vals as comma-separated float reprs, the form records and reports use."""
     return ",".join(_fmt(v) for v in vals)
 
 
@@ -210,15 +211,14 @@ def _profile_pairs(profile):
             ("base_" + k, v) for k, v in _profile_pairs(profile.base)]
     if isinstance(profile, ExpanderProfile):
         return [("kind", "expander"), ("alpha", _fmt(profile.alpha)),
-                ("a", _fmt_tuple(profile.a)), ("psi", _fmt_tuple(profile.psi)),
-                ("u_star", _fmt(profile.u_star))]
+                ("a", fmt_floats(profile.a)), ("psi", fmt_floats(profile.psi))]
     if isinstance(profile, (HamiltonianStationaryProfile, OrbitProfile)):
         sp = profile.spec
         kind = "orbit" if isinstance(profile, OrbitProfile) else "stationary"
         return [("kind", kind), ("alpha", _fmt(sp.params.alpha)),
-                ("lambdas", _fmt_tuple(sp.params.lambdas)),
-                ("alphas", _fmt_tuple(sp.alphas)), ("A", _fmt(sp.A)),
-                ("psi", _fmt_tuple(sp.psi))]
+                ("lambdas", fmt_floats(sp.params.lambdas)),
+                ("alphas", fmt_floats(sp.alphas)), ("A", _fmt(sp.A)),
+                ("psi", fmt_floats(sp.psi))]
     raise ValidationError(f"cannot serialize profile of type {type(profile).__name__}")
 
 
@@ -228,23 +228,23 @@ def read_profile_record(path):
 
 
 def _profile_from_keyvalues(kv: dict, path, prefix: str = ""):
-    def get(key, default=None):
-        v = kv.get(prefix + key, default)
+    def get(key):
+        v = kv.get(prefix + key)
         if v is None:
-            raise ValidationError(f"profile record is missing '{prefix}{key}'")
+            raise ValidationError(f"{path}: profile record is missing '{prefix}{key}'")
         return v
 
-    def nums(key, default=None):
+    def nums(key):
         """The comma-separated numbers stored under key."""
-        v = get(key, default)
+        v = get(key)
         try:
             return tuple(float(x) for x in v.split(",")) if v else ()
         except ValueError:
             raise ValidationError(
                 f"{path}: '{prefix}{key} = {v}' is not a list of numbers") from None
 
-    def num(key, default=None):
-        v = nums(key, default)
+    def num(key):
+        v = nums(key)
         if len(v) != 1:
             raise ValidationError(f"{path}: '{prefix}{key}' must hold one number")
         return v[0]
@@ -257,8 +257,7 @@ def _profile_from_keyvalues(kv: dict, path, prefix: str = ""):
         base = _profile_from_keyvalues(kv, path, prefix="base_")
         return TranslatorProfile(base, K=complex(num("K_re"), num("K_im")))
     if kind == "expander":
-        return ExpanderProfile(num("alpha"), nums("a"), nums("psi") or None,
-                               num("u_star", "0.0"))
+        return ExpanderProfile(num("alpha"), nums("a"), nums("psi") or None)
     if kind in ("orbit", "stationary"):
         params = SolitonParams(nums("lambdas"), 1.0, num("alpha"))
         # the record holds the exported profile's spec, already rebased; the
@@ -267,4 +266,4 @@ def _profile_from_keyvalues(kv: dict, path, prefix: str = ""):
         if kind == "stationary":
             return HamiltonianStationaryProfile(spec)
         return OrbitProfile(spec)
-    raise ValidationError(f"unknown profile kind {kind!r}")
+    raise ValidationError(f"{path}: unknown profile kind {kind!r}")

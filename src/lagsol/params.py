@@ -13,12 +13,13 @@ from dataclasses import dataclass
 from .errors import ValidationError
 
 
-def require_finite(name: str, values) -> None:
-    """Raise ValidationError unless every entry of values is a finite number."""
-    values = tuple(values)
+def require_finite(name: str, values) -> tuple:
+    """values as a tuple of floats; raise ValidationError unless each is finite."""
+    values = tuple(float(v) for v in values)
     if not all(math.isfinite(v) for v in values):
         shown = values[0] if len(values) == 1 else values
         raise ValidationError(f"{name} must be finite, got {shown!r}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -35,12 +36,10 @@ class SolitonParams:
     alpha: float
 
     def __post_init__(self):
-        lam = tuple(float(l) for l in self.lambdas)
+        lam = require_finite("lambdas", self.lambdas)
         object.__setattr__(self, "lambdas", lam)
         object.__setattr__(self, "C", float(self.C))
-        object.__setattr__(self, "alpha", float(self.alpha))
-        require_finite("lambdas", lam)
-        require_finite("alpha", (self.alpha,))
+        object.__setattr__(self, "alpha", require_finite("alpha", (self.alpha,))[0])
         if len(lam) < 1:
             raise ValidationError("need at least one lambda")
         if (any(abs(l) != 1.0 for l in lam) or lam != tuple(sorted(lam, reverse=True))

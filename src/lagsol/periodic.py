@@ -71,14 +71,11 @@ class PeriodicSpec:
     psi: tuple = None
 
     def __post_init__(self):
-        alphas = tuple(float(a) for a in self.alphas)
-        psi = tuple(float(p) for p in self.psi) if self.psi is not None else (0.0,) * len(alphas)
+        alphas = require_finite("alphas", self.alphas)
+        object.__setattr__(self, "A", require_finite("A", (self.A,))[0])
+        psi = require_finite("psi", self.psi) if self.psi is not None else (0.0,) * len(alphas)
         object.__setattr__(self, "alphas", alphas)
         object.__setattr__(self, "psi", psi)
-        object.__setattr__(self, "A", float(self.A))
-        require_finite("alphas", alphas)
-        require_finite("A", (self.A,))
-        require_finite("psi", psi)
         n = self.params.n
         if len(alphas) != n or len(psi) != n:
             raise ValidationError("alphas and psi must have length n")
@@ -158,19 +155,19 @@ def critical_point(spec: PeriodicSpec) -> float:
 def rebase(spec: PeriodicSpec):
     """Shift the base height so the critical point sits at u = 0.
 
-    Returns (rebased spec, u_star).  A is rescaled by e^{-alpha u_*/2}; the
+    Returns (rebased spec, u_crit).  A is rescaled by e^{-alpha u_*/2}; the
     orbit and all its invariants are unchanged.  Orbit data is rebased once,
     in _analyse: the critical point of a rebased spec is 0 only to roundoff,
     so rebasing it again would move its alphas by an ulp.
     """
-    u_star = critical_point(spec)
-    A = spec.A * math.exp(-0.5 * spec.params.alpha * u_star)
+    u_crit = critical_point(spec)
+    A = spec.A * math.exp(-0.5 * spec.params.alpha * u_crit)
     if A == 0.0:
         raise ValidationError(
-            f"re-basing A to the critical point u_* = {u_star:.6g} underflows:"
+            f"re-basing A to the critical point u_* = {u_crit:.6g} underflows:"
             " A e^(-alpha u_*/2) is below the smallest double")
-    alphas = tuple(a + l * u_star for a, l in zip(spec.alphas, spec.params.lambdas))
-    return PeriodicSpec(spec.params, alphas, A, spec.psi), u_star
+    alphas = tuple(a + l * u_crit for a, l in zip(spec.alphas, spec.params.lambdas))
+    return PeriodicSpec(spec.params, alphas, A, spec.psi), u_crit
 
 
 def _stationary_margin(spec: PeriodicSpec) -> float:
@@ -185,13 +182,13 @@ def _analyse(spec: PeriodicSpec):
     Returns (rebased spec, u_*, case, stationary margin); raises when A lies
     above the maximum of sqrt(G).
     """
-    based, u_star = rebase(spec)
+    based, u_crit = rebase(spec)
     margin = _stationary_margin(based)
     if margin < -CASE_I_REL_TOL:
         raise ValidationError(
             f"A = {spec.A:.12g} exceeds the maximum sqrt(G(u_*)); no bounded orbit")
     case = "hamiltonian_stationary" if abs(margin) <= CASE_I_REL_TOL else "oscillating"
-    return based, u_star, case, margin
+    return based, u_crit, case, margin
 
 
 def classify_case(spec: PeriodicSpec) -> str:

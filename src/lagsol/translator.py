@@ -23,7 +23,7 @@ base's curve record (u, theta and their rates, ds/dt); s itself is the
 curve parameter of an orbit base and s_of_y of an expander base, one read
 of its arc cache per record.
 
-The default K = -u_*/2 places the waist at Re beta = 0; with base phases
+The default K = 0 places the waist u = 0 at Re beta = 0; with base phases
 psi = 0 the point z(0, 0) then sits at -i pi / (2 alpha).
 
 The base coordinates x are already flat, so the FD mean curvature cross-check
@@ -53,12 +53,10 @@ class TranslatorProfile:
         self.base = base
         self.alpha = float(base.alpha)
         self.n = base.n + 1
-        self.base_lambdas = tuple(base.lambdas)
         # the first integral A: expanders compute it, orbit bases hold it in their spec
         self.first_integral = float(base.first_integral_value
                                     if isinstance(base, ExpanderProfile) else base.spec.A)
-        u_star = getattr(base, "u_star", 0.0)
-        self.K = complex(K) if K is not None else complex(-0.5 * u_star, 0.0)
+        self.K = complex(K) if K is not None else 0j
         require_finite("K", (self.K.real, self.K.imag))
 
     # -- constructors --------------------------------------------------------
@@ -97,7 +95,7 @@ class TranslatorProfile:
         x = np.asarray(x, dtype=float)
         if x.shape[-1:] != (self.n - 1,):
             raise ValidationError("base point must have n - 1 coordinates")
-        lam = np.asarray(self.base_lambdas)
+        lam = np.asarray(self.base.lambdas)
         z = np.empty(x.shape[:-1] + (self.n,), dtype=complex)
         z[..., :-1] = x * c.w
         z[..., -1] = -0.5 * np.sum(lam * x * x, axis=-1) + self.beta(c)
@@ -111,7 +109,7 @@ class TranslatorProfile:
         if xs.ndim != 2:
             raise ValidationError("base points must be an (m, n - 1) stack")
         z = self.immersion(xs, c)
-        lam = np.asarray(self.base_lambdas)
+        lam = np.asarray(self.base.lambdas)
         j = np.arange(n - 1)
         frame = np.zeros((len(xs), n, n), dtype=complex)
         frame[:, j, j] = c.w

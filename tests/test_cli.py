@@ -579,11 +579,17 @@ def test_translator_without_base_exits_2(capsys):
      "could not bracket the critical point from below"),
     (["shrinker", "--alphas=1,1.5", "--A=0.5", "--alpha=-1e300"],
      "could not bracket the critical point from below"),
+    (["invert-angles", "--alpha=1", "--target=0.4,0.6", "--tol=0"], "--tol must be positive"),
+    (["expander", "--alpha=1", "--a=1,2", "--y-max=-1"], "--y-max must be positive"),
+    (["translator", "--lambdas=1,-1", "--alphas=1,2", "--alpha=0.5"],
+     "an orbit base needs --lambdas, --alphas and --A together"),
 ], ids=["unsorted lambdas", "zero lambda", "search magnitude", "rebase underflow",
-        "critical point runaway", "critical point at an edge ulp", "critical point at 1e300"])
+        "critical point runaway", "critical point at an edge ulp", "critical point at 1e300",
+        "zero tol", "negative y-max", "orbit base without A"])
 def test_validation_messages_name_the_cause(tmp_path, capsys, argv, message):
     assert main(argv + [f"--outdir={tmp_path}"]) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("lagsol: ") and message in err[0]
 
 
 @pytest.mark.parametrize("argv", [
@@ -698,8 +704,15 @@ def _replace_field(text, line, value):
     (_TRANSLATOR, "record.txt",
      lambda text: text.replace("base_kind = orbit", "base_kind = translator"),
      "'base_kind = translator'"),
+    (_PERIODIC_MESH, "record.txt",
+     lambda text: re.sub(r"^alpha = .*\n", "", text, flags=re.M),
+     "profile record is missing 'alpha'"),
+    (_PERIODIC_MESH, "record.txt",
+     lambda text: re.sub(r"^A = .*$", "A = 0.4,0.5", text, flags=re.M),
+     "'A' must hold one number"),
 ], ids=["empty mesh", "header-only mesh", "non-numeric mesh field",
-        "non-numeric record value", "translator base"])
+        "non-numeric record value", "translator base", "record key missing",
+        "two numbers in a record key"])
 def test_verify_rejects_malformed_files(tmp_path, capsys, argv, name, corrupt, message):
     prefix = argv[0]
     assert main(argv + ["--mesh-samples=4", "--mesh-count=3", f"--outdir={tmp_path}"]) == 0
@@ -711,6 +724,48 @@ def test_verify_rejects_malformed_files(tmp_path, capsys, argv, name, corrupt, m
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith(f"lagsol: {bad}: ") and message in err
+
+
+def test_verify_rejects_a_mesh_of_another_dimension(tmp_path, capsys):
+    assert main(_PERIODIC_MESH + ["--mesh-samples=4", "--mesh-count=3",
+                                  f"--outdir={tmp_path}"]) == 0
+    capsys.readouterr()
+    record = tmp_path / "other_record.txt"
+    record.write_text("kind = expander\nalpha = 1.0\na = 1.0,2.0,3.0\npsi = 0.0,0.0,0.0\n")
+    rc = main(["verify", f"--mesh={tmp_path / 'periodic_mesh.csv'}", f"--record={record}"])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "lagsol: mesh has 2 complex coordinates but the profile needs 3"]
+
+
+@pytest.mark.parametrize("argv, old", [
+    (["expander", "--alpha=1", "--a=1,2"], lambda text: text + "u_star = 0.0\n"),
+    (["translator", "--alpha=1", "--a=1"],
+     lambda text: text.replace("K_re = 0.0", "K_re = -0.0") + "base_u_star = 0.0\n"),
+], ids=["expander", "translator"])
+def test_verify_reads_a_record_that_still_holds_u_star(tmp_path, capsys, argv, old):
+    """Records used to carry the turning value u_star, always 0.0, and an
+    expander-base translator's default K_re was -0.0; such a record still
+    verifies its mesh."""
+    name = argv[0]
+    assert main(argv + ["--mesh-samples=4", "--mesh-count=3", f"--outdir={tmp_path}"]) == 0
+    capsys.readouterr()
+    record = tmp_path / f"{name}_record.txt"
+    text = record.read_text()
+    record.write_text(old(text))
+    assert record.read_text() != text
+    assert main(["verify", f"--mesh={tmp_path / (name + '_mesh.csv')}",
+                 f"--record={record}"]) == 0
+    assert "verification: PASS" in capsys.readouterr().out
+
+
+def test_periodic_tol_reaches_the_verdict(tmp_path, capsys):
+    argv = ["periodic", *ORBIT, f"--outdir={tmp_path}"]
+    assert main(argv) == 0
+    assert out_pairs(capsys.readouterr().out)["periodic"] == "false"
+    assert main(argv + ["--tol=1e-2"]) == 0
+    pairs = out_pairs(capsys.readouterr().out)
+    assert (pairs["periodic"], pairs["r"], pairs["p"]) == ("true", "56", "-25,30")
 
 
 def test_config_file_supplies_options(tmp_path, capsys):
@@ -739,6 +794,13 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     rc = main(["invert-angles", "--config", str(cfg)])
     assert rc == 2
     assert "unknown config key 'bogus'" in capsys.readouterr().err
+
+
+def test_a_config_boolean_that_is_neither_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text("alpha = 1.0\ntarget = 0.4,0.4\nwrite_report = maybe\n")
+    assert main(["invert-angles", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["lagsol: expected a boolean, got 'maybe'"]
 
 
 def test_flow_family_slices(tmp_path, capsys):

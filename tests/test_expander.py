@@ -46,9 +46,13 @@ def test_profile_validation():
 @pytest.mark.parametrize("alpha, a", [(1.0, (0.0, 1.0)), (-1.0, (1.0, 1.0)),
                                       (1.0, (math.nan, 1.0))])
 def test_angle_map_and_jacobian_reject_points_outside_the_domain(alpha, a):
-    for f in (angle_map, angle_map_jacobian):
-        with pytest.raises(ValidationError):
+    # the profile checks (alpha, a) through the same call, so with one message
+    messages = set()
+    for f in (angle_map, angle_map_jacobian, ExpanderProfile):
+        with pytest.raises(ValidationError) as info:
             f(alpha, a)
+        messages.add(str(info.value))
+    assert len(messages) == 1
 
 
 def test_eval_P_values():

@@ -215,7 +215,6 @@ def test_profile_record_expander(tmp_path):
     assert back.alpha == prof.alpha
     assert back.a == prof.a
     assert back.psi == prof.psi
-    assert back.u_star == prof.u_star
 
 
 def test_profile_record_stationary(tmp_path):
@@ -303,8 +302,9 @@ def test_profile_record_translator(tmp_path):
 def test_profile_record_rejects_unknown_kind(tmp_path):
     path = tmp_path / "prof"
     path.write_text("kind = mystery\n")
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as info:
         read_profile_record(path)
+    assert str(info.value) == f"{path}: unknown profile kind 'mystery'"
 
 
 def test_translator_mesh_survives_csv(tmp_path):

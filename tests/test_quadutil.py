@@ -71,6 +71,17 @@ def test_improper_quad_raises_unless_it_converges(rates, why):
         improper_quad(rates, what="test integral")
 
 
+def test_a_quadpack_warning_passes_only_an_error_estimate_within_tolerance():
+    # quad returns (value, abserr, infodict, message) when it warns
+    bound = 100 * quadutil.REL_TOL * 2.0
+    assert quadutil._checked((2.0, 0.0, {}), "test integral") == 2.0
+    assert quadutil._checked((2.0, bound, {}, "roundoff"), "test integral") == 2.0
+    assert quadutil._checked((0.0, 1e-12, {}, "roundoff"), "test integral") == 0.0
+    for res in ((2.0, 2.0 * bound, {}, "roundoff"), (0.0, 2e-12, {}, "roundoff")):
+        with pytest.raises(ToleranceFailure, match="^quadrature failed for test integral: "):
+            quadutil._checked(res, "test integral")
+
+
 @pytest.mark.parametrize("alpha, a", EXPANDER_CASES)
 def test_numpy_phase_integrand_matches_the_scalar_one(alpha, a):
     # at every node of the double-exponential rule; P^(-1/2) = t e^(-E/2)
