@@ -31,9 +31,8 @@ from .expander import (ExpanderProfile, angle_map, asymptotic_angles,
                        invert_angle_map)
 from .meshing import centred_mesh, flow_slice_mesh, translator_mesh
 from .params import SolitonParams, require_finite
-from .periodic import (OrbitConditioningWarning, PeriodicSpec, brakke_family,
-                       compute_orbit, detect_periodicity, search_periodic_data,
-                       topology_tag)
+from .periodic import (OrbitConditioningWarning, PeriodicSpec, compute_orbit,
+                       detect_periodicity, search_periodic_data, topology_tag)
 from .translator import TranslatorProfile
 from .verify import FD_CHECKS, require_verified, verify_mesh
 
@@ -44,8 +43,6 @@ OUTDIR_ENV = "LAGSOL_OUTDIR"
 # -- option plumbing ---------------------------------------------------------
 
 def _fs(v):
-    if isinstance(v, (tuple, list)):
-        return tuple(float(x) for x in v)
     parts = [p for p in str(v).split(",") if p.strip()]
     if not parts:
         raise ValidationError("expected a comma-separated list of numbers")
@@ -119,21 +116,23 @@ def _add_options(sp, opts):
 
 
 def _merge_options(args, opts):
-    """Defaults, then config-file values, then explicit flags."""
+    """Defaults, then config-file values, then explicit flags.  A converter's
+    ValidationError is prefixed with where its value came from."""
     byname = {o.name: o for o in opts}
     vals = {o.name: o.default for o in opts}
+    source = {}
     cfg_path = getattr(args, "config", None)
     if cfg_path:
         for k, v in fileio.read_keyvalues(cfg_path).items():
             k = k.replace("_", "-")
             if k not in byname:
                 raise ValidationError(f"{cfg_path}: unknown config key {k!r}")
-            vals[k] = v
+            vals[k], source[k] = v, f"{cfg_path}: {k}: "
     ns = vars(args)
     for o in opts:
         attr = o.name.replace("-", "_")
         if attr in ns:
-            vals[o.name] = ns[attr]
+            vals[o.name], source[o.name] = ns[attr], f"--{o.name}: "
     out = {}
     for o in opts:
         v = vals[o.name]
@@ -142,7 +141,10 @@ def _merge_options(args, opts):
                 raise ValidationError(f"missing required option --{o.name}")
             out[o.name] = None
         else:
-            out[o.name] = o.conv(v)
+            try:
+                out[o.name] = o.conv(v)
+            except ValidationError as e:
+                raise ValidationError(source[o.name] + str(e)) from None
     _validate_counts(out)
     return out
 
@@ -418,20 +420,19 @@ def cmd_flow_family(cfg) -> int:
     orbit = compute_orbit(spec)
     profile = orbit.profile()
     ss = np.linspace(0.0, orbit.S, cfg["mesh-samples"])
-    families = [brakke_family(spec, t) for t in cfg["t"]]   # every t checked first
+    for t in cfg["t"]:   # every t checked before any file is written
+        require_finite("t", (t,))
     pairs = []
-    for i, (t, fam) in enumerate(zip(cfg["t"], families)):
+    for i, t in enumerate(cfg["t"]):
         mesh = flow_slice_mesh(profile, t, ss, cfg["mesh-count"],
                                seed=cfg["seed"], rho_max=cfg["rho-max"])
         p = _write(cfg, "flow_family", f"slice{i}.csv", fileio.write_mesh_csv, mesh)
+        topo = topology_tag(spec, np.sign(t))
         pairs += [(f"t_{i}", repr(float(t))),
-                  (f"topology_{i}", fam.topology),
-                  (f"singular_{i}", "true" if fam.singular else "false"),
+                  (f"topology_{i}", topo),
+                  (f"singular_{i}", "true" if t == 0 else "false"),
                   (f"file_{i}", str(p))]
-        line = f"t = {float(t)!r}: {fam.topology}"
-        if fam.singular:
-            line += " (singular at the origin)"
-        print(line)
+        print(f"t = {float(t)!r}: {topo}" + (" (singular at the origin)" if t == 0 else ""))
     _write(cfg, "flow_family", "family.txt", fileio.write_keyvalues, pairs)
     return 0
 

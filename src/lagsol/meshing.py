@@ -9,6 +9,12 @@ Base-point conventions: S^0 factors alternate {+1, -1} (except the n = 1
 quadric, which uses only +1 so that arg det of the frame matches theta
 rather than theta + pi), S^1 factors use equally spaced angles, and higher
 spheres use normalized Gaussian samples.
+
+Level conventions: quadric_base_points samples the level set
+{ sum lambda_j x_j^2 = level } for level +1, 0 or -1.  Level +1 is the
+quadric of the soliton meshes; -1 swaps the roles of the positive and
+negative directions; 0 is the cone without its apex.  The flow slice at time
+t lies on level sign(t), dilated by sqrt(|t|).
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import CaseMismatch, ValidationError
 from .params import require_finite
 
 
@@ -56,40 +62,37 @@ def _sphere_factor(dim: int, count: int, rng) -> np.ndarray:
 
 
 def quadric_base_points(lambdas, count: int, *, seed: int = 0,
-                        rho_max: float = 1.2) -> np.ndarray:
-    """count points on { sum lambda_j x_j^2 = 1 } with the signs of lambdas.
+                        rho_max: float = 1.2, level: int = 1) -> np.ndarray:
+    """count points on { sum lambda_j x_j^2 = level } for level +1, 0 or -1.
 
-    All-positive lambdas give the unit sphere (n = 1: the single point +1,
-    repeated).  Mixed signs give the hyperbolic quadric, parametrized by
-    x_pos = sqrt(1 + rho^2) * omega, x_neg = rho * eta with rho swept over
-    [0, rho_max].
+    All-positive lambdas at level 1 give the unit sphere (n = 1: the single
+    point +1, repeated).  Mixed signs, m of n positive, give rows
+    (a omega, b eta) with omega on S^{m-1} and eta on S^{n-m-1}.  The factor
+    of the level's sign (omega at +1, eta at -1) is scaled by
+    sqrt(1 + rho^2) and the other by rho, with rho swept over [0, rho_max];
+    at level 0, the cone, both are scaled by rho over (0, rho_max].
     """
     lam = np.asarray(lambdas, dtype=float)
     n = lam.size
     m = int(np.sum(lam > 0))
-    if m == 0:
-        raise ValidationError("need at least one positive lambda")
+    if m == 0 or (m == n and level != 1):
+        raise ValidationError("need at least one positive lambda" if m == 0
+                              else f"need at least one negative lambda at level {level}")
     rng = np.random.default_rng(seed)
     if m == n:
         if n == 1:
             return np.ones((count, 1))
         return _sphere_factor(n, count, rng)
     require_finite("rho_max", (rho_max,))
-    rho = rho_max * np.arange(count) / max(count - 1, 1)
-    return _mixed_points(m, n, rho, 1, rng)
-
-
-def _mixed_points(m: int, n: int, rho, lifted: int, rng) -> np.ndarray:
-    """Rows (a omega, b eta) with omega on S^{m-1} and eta on S^{n-m-1}.
-
-    Per row, the factor named by lifted (+1: omega, -1: eta, 0: neither)
-    is scaled by sqrt(1 + rho^2) and the other by rho.
-    """
-    omega = _sphere_factor(m, len(rho), rng)
-    eta = _sphere_factor(n - m, len(rho), rng)
+    if level:
+        rho = rho_max * np.arange(count) / max(count - 1, 1)
+    else:
+        rho = rho_max * (1.0 + np.arange(count)) / count
+    omega = _sphere_factor(m, count, rng)
+    eta = _sphere_factor(n - m, count, rng)
     lift, flat = np.sqrt(1.0 + rho * rho)[:, None], rho[:, None]
-    return np.hstack([(lift if lifted > 0 else flat) * omega,
-                      (lift if lifted < 0 else flat) * eta])
+    return np.hstack([(lift if level > 0 else flat) * omega,
+                      (lift if level < 0 else flat) * eta])
 
 
 def ball_points(dim: int, count: int, *, radius: float = 1.0,
@@ -142,25 +145,15 @@ def translator_mesh(profile, t_values, base_count: int, *, radius: float = 1.5,
 
 def flow_slice_mesh(profile, t: float, s_values, base_count: int, *, seed: int = 0,
                     rho_max: float = 1.2) -> Mesh:
-    """Mesh of the time-t slice of the eternal flow attached to a mixed-sign profile.
-
-    The slice is the profile immersion over the quadric level sign(t), dilated
-    by sqrt(|t|); t = 0 gives the cone { sum lambda_j x_j^2 = 0 } (its apex at
-    the origin is the singular point, and the rho = 0 ray collapses there).
-    """
-    require_finite("rho_max", (rho_max,))
-    lam = np.asarray(profile.lambdas, dtype=float)
-    n = lam.size
-    m = int(np.sum(lam > 0))
-    if not 1 <= m < n:
-        raise ValidationError("flow slices need mixed-sign lambdas")
-    lifted = (t > 0) - (t < 0)    # the factor carrying sqrt(1 + rho^2)
-    if lifted:
-        rho = rho_max * np.arange(base_count) / max(base_count - 1, 1)
-    else:
-        # the cone: both factors scale with rho, apex dropped
-        rho = rho_max * (1.0 + np.arange(base_count)) / base_count
-    xs = _mixed_points(m, n, rho, lifted, np.random.default_rng(seed))
-    if lifted:
+    """Mesh of the time-t slice of the eternal flow attached to a mixed-sign profile:
+    the profile immersion over the quadric level sign(t), dilated by sqrt(|t|).
+    t = 0 gives the cone, whose apex at the origin is the singular point."""
+    lam = np.asarray(profile.lambdas)
+    if not 0 < np.sum(lam > 0) < lam.size:
+        raise CaseMismatch("the eternal flow family needs mixed signs (1 <= m < n)")
+    level = np.sign(t)
+    xs = quadric_base_points(profile.lambdas, base_count, seed=seed, rho_max=rho_max,
+                             level=level)
+    if level:
         xs = math.sqrt(abs(t)) * xs
     return _mesh(profile, s_values, xs, lambda x, c: x * c.w)

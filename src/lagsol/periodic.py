@@ -616,42 +616,13 @@ def _search_seed(params: SolitonParams, residual):
     return min(found, key=lambda xr: float(np.linalg.norm(xr[1])))
 
 
-def topology_tag(spec: PeriodicSpec) -> str:
-    """Submanifold type of a closed orbit's immersion: compact only when m = n."""
+def topology_tag(spec: PeriodicSpec, level: int = 1) -> str:
+    """Submanifold type of a closed orbit's immersion over the quadric level
+    sum lambda_j x_j^2 = level (+1, 0 or -1); level -1 swaps the m positive
+    directions for the n - m negative ones, and level 0 is the cone."""
     m, n = spec.m, spec.n
-    if m == n:
-        return f"S1 x S{n - 1}"
-    return f"S1 x S{m - 1} x R{n - m}"
-
-
-# -- the associated eternal flow ---------------------------------------------
-
-@dataclass(frozen=True)
-class FlowSlice:
-    """Topology descriptor of the time-t slice of the associated flow."""
-
-    topology: str
-    singular: bool
-
-
-def brakke_family(spec: PeriodicSpec, t: float) -> FlowSlice:
-    """Descriptor for the quadric level set sum lambda_j x_j^2 = C(t) ~ t.
-
-    Positive t keeps the m positive directions compact, negative t the n - m
-    negative ones; t = 0 is the cone with an isolated singular point at the
-    origin.
-    """
-    require_finite("t", (t,))
-    m, n = spec.m, spec.n
-    if not 1 <= m < n:
-        raise CaseMismatch("the eternal flow family needs mixed signs (1 <= m < n)")
-    if t > 0:
-        topo = f"S1 x S{m - 1} x R{n - m}"
-        singular = False
-    elif t < 0:
-        topo = f"S1 x S{n - m - 1} x R{m}"
-        singular = False
-    else:
-        topo = f"cone over S1 x S{m - 1} x S{n - m - 1}"
-        singular = True
-    return FlowSlice(topo, singular)
+    if level == 0:
+        return f"cone over S1 x S{m - 1} x S{n - m - 1}"
+    if level < 0:
+        m = n - m
+    return f"S1 x S{n - 1}" if m == n else f"S1 x S{m - 1} x R{n - m}"

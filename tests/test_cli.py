@@ -583,9 +583,13 @@ def test_translator_without_base_exits_2(capsys):
     (["expander", "--alpha=1", "--a=1,2", "--y-max=-1"], "--y-max must be positive"),
     (["translator", "--lambdas=1,-1", "--alphas=1,2", "--alpha=0.5"],
      "an orbit base needs --lambdas, --alphas and --A together"),
+    (["expander", "--alpha=1", "--a=,"], "--a: expected a comma-separated list of numbers"),
+    (["invert-angles", "--alpha=0", "--target=1.0"],
+     "the one-dimensional minimal profile has angle pi/2"),
 ], ids=["unsorted lambdas", "zero lambda", "search magnitude", "rebase underflow",
         "critical point runaway", "critical point at an edge ulp", "critical point at 1e300",
-        "zero tol", "negative y-max", "orbit base without A"])
+        "zero tol", "negative y-max", "orbit base without A", "empty list",
+        "minimal profile angle"])
 def test_validation_messages_name_the_cause(tmp_path, capsys, argv, message):
     assert main(argv + [f"--outdir={tmp_path}"]) == 2
     err = capsys.readouterr().err.splitlines()
@@ -800,7 +804,8 @@ def test_a_config_boolean_that_is_neither_exits_2(tmp_path, capsys):
     cfg = tmp_path / "job.cfg"
     cfg.write_text("alpha = 1.0\ntarget = 0.4,0.4\nwrite_report = maybe\n")
     assert main(["invert-angles", "--config", str(cfg)]) == 2
-    assert capsys.readouterr().err.splitlines() == ["lagsol: expected a boolean, got 'maybe'"]
+    assert capsys.readouterr().err.splitlines() == [
+        f"lagsol: {cfg}: write-report: expected a boolean, got 'maybe'"]
 
 
 def test_flow_family_slices(tmp_path, capsys):
@@ -827,15 +832,20 @@ def test_flow_family_checks_every_time_before_writing(tmp_path, capsys):
     rc = main(["flow-family", "--lambdas=1,-1", "--alphas=1,2", "--A=0.4", "--alpha=0.5",
                "--t=1,inf", "--mesh-samples=4", "--mesh-count=3", f"--outdir={out}"])
     assert rc == 2
-    assert "must be finite" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == ["lagsol: t must be finite, got inf"]
     assert list(out.iterdir()) == []
 
 
-def test_flow_family_rejects_compact_case(capsys):
-    rc = main(["flow-family", "--lambdas", "1,1", "--alphas", "1,1",
-               "--A", "0.7", "--alpha", "-1", "--t", "0,1"])
-    assert rc == 2
-    assert "mixed signs" in capsys.readouterr().err
+def test_flow_family_rejects_compact_case(tmp_path, capsys):
+    compact = ["flow-family", "--lambdas", "1,1", "--alphas", "1,1", "--A", "0.7",
+               "--alpha", "-1", f"--outdir={tmp_path}"]
+    assert main(compact + ["--t", "0,1"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "lagsol: the eternal flow family needs mixed signs (1 <= m < n)"]
+    assert list(tmp_path.iterdir()) == []
+    # a non-finite time is reported first, wherever it stands in --t
+    assert main(compact + ["--t", "0,inf"]) == 2
+    assert capsys.readouterr().err.splitlines() == ["lagsol: t must be finite, got inf"]
 
 
 def test_reruns_are_byte_identical(tmp_path, capsys):

@@ -14,10 +14,10 @@ from lagsol import odeint
 from lagsol.errors import CaseMismatch, NonConvergence, ToleranceFailure, ValidationError
 from lagsol.expander import NEWTON_HALVINGS, damped_newton
 from lagsol.geometry import fd_step
-from lagsol.meshing import centred_mesh
+from lagsol.meshing import centred_mesh, flow_slice_mesh, quadric_base_points
 from lagsol.params import SolitonParams
 from lagsol.periodic import (HamiltonianStationaryProfile, OrbitConditioningWarning,
-                             PeriodicSpec, brakke_family, classify_case, compute_orbit,
+                             PeriodicSpec, classify_case, compute_orbit,
                              critical_point, detect_periodicity, holonomies, rebase,
                              search_periodic_data, topology_tag)
 from lagsol.reduced_ode import integrate_reduced, sample_reduced
@@ -127,6 +127,18 @@ def test_stationary_detection_irrational_ratio():
     spec = stationary_spec(params, (1.0, math.sqrt(2.0)))
     verdict = detect_periodicity(compute_orbit(spec))
     assert not verdict.periodic
+
+
+def test_stationary_detection_denominator_beyond_qmax():
+    """Ratios (1, 1/sqrt 2, -1/sqrt 3): the continued-fraction lcm is 754 >
+    qmax, so the stationary branch returns its approximation residual."""
+    lam, alphas = (1.0, 1.0, -1.0), (1.0, math.sqrt(2.0), math.sqrt(3.0))
+    alpha = -sum(l / a for l, a in zip(lam, alphas))
+    spec = spec_of(lam, alphas, math.sqrt(math.prod(alphas)), alpha=alpha)
+    verdict = detect_periodicity(compute_orbit(spec))
+    assert verdict.case == "hamiltonian_stationary"
+    assert not verdict.periodic and verdict.r is None
+    assert verdict.max_residual == pytest.approx(4.27e-4, rel=1e-3)
 
 
 def test_turning_points_against_bisection_oracle():
@@ -662,18 +674,42 @@ def test_topology_tags():
 
 
 def test_brakke_family_slices():
+    """The slice at t is named by topology_tag at level sign t."""
     spec = spec_of((1.0, -1.0), (1.0, 2.0), 0.5)
-    plus = brakke_family(spec, 1.0)
-    assert plus.topology == topology_tag(spec)
-    assert not plus.singular
-    minus = brakke_family(spec, -1.0)
-    assert minus.topology == "S1 x S0 x R1"
-    cone = brakke_family(spec, 0.0)
-    assert cone.singular
-    assert "cone" in cone.topology
+    assert topology_tag(spec, 1) == topology_tag(spec) == "S1 x S0 x R1"
+    assert topology_tag(spec, -1) == "S1 x S0 x R1"
+    assert topology_tag(spec, 0) == "cone over S1 x S0 x S0"
+    spec = spec_of((1.0, -1.0, -1.0), (1.0, 2.0, 2.0), 0.3)
+    assert topology_tag(spec, -1) == "S1 x S1 x R1"
+    assert topology_tag(spec, 0) == "cone over S1 x S0 x S1"
     compact = spec_of((1.0, 1.0), (1.0, 1.0), 0.5, alpha=-1.0)
-    with pytest.raises(CaseMismatch):
-        brakke_family(compact, 1.0)
+    prof = compute_orbit(compact).profile()
+    with pytest.raises(CaseMismatch, match=r"needs mixed signs \(1 <= m < n\)"):
+        flow_slice_mesh(prof, 1.0, [0.0, 0.1], 3)
+
+
+@pytest.mark.parametrize("lambdas", [(1, -1), (1, -1, -1), (1, 1, -1), (1, -1, -1, -1),
+                                     (1, 1, -1, -1), (1, 1, 1, -1)], ids=str)
+def test_flow_slices_lie_on_their_level_sets(rng, make_orbit_spec, lambdas):
+    """Every base row of the slice at t has sum lambda_j x_j^2 = t; the cone
+    (t = 0) has no zero row."""
+    prof = compute_orbit(make_orbit_spec(rng, lambdas, 0.5)).profile()
+    lam = np.asarray(lambdas, dtype=float)
+    for t in (-2.5, -1.0, -0.3, 0.0, 0.3, 1.0, 2.5):
+        base = flow_slice_mesh(prof, t, [0.0, 0.1], 7, seed=3).base
+        assert base.shape == (14, lam.size)
+        np.testing.assert_allclose(base ** 2 @ lam, t, rtol=0, atol=1e-12 * (1 + abs(t)))
+        if t == 0:
+            assert np.all(np.abs(base).max(axis=1) > 0)
+
+
+@pytest.mark.parametrize("lambdas, level", [
+    ((-1.0, -1.0), 1), ((-1.0, -1.0, -1.0), 0), ((-1.0,), -1),
+    ((1.0, 1.0), 0), ((1.0, 1.0, 1.0), -1), ((1.0,), 0),
+])
+def test_empty_level_sets_raise(lambdas, level):
+    with pytest.raises(ValidationError):
+        quadric_base_points(lambdas, 5, level=level)
 
 
 def test_orbit_profile_tracks_reduced_system():
