@@ -49,6 +49,18 @@ def _fs(v):
     return tuple(float(p) for p in parts)
 
 
+def _scalar(kind, expected):
+    def conv(v):
+        try:
+            return kind(v)
+        except ValueError:
+            raise ValidationError(f"expected {expected}, got {v!r}") from None
+    return conv
+
+
+_i, _f = _scalar(int, "an integer"), _scalar(float, "a number")
+
+
 def _b(v):
     if isinstance(v, bool):
         return v
@@ -77,18 +89,18 @@ _COMMON = (
 )
 _PSI = _Opt("psi", _fs, None, "phase offsets (default zeros)")
 _MESH = (
-    _Opt("mesh-samples", int, 25, "curve samples in the exported mesh"),
-    _Opt("mesh-count", int, 16, "base points per curve sample"),
-    _Opt("seed", int, 0, "mesh base-point seed"),
+    _Opt("mesh-samples", _i, 25, "curve samples in the exported mesh"),
+    _Opt("mesh-count", _i, 16, "base points per curve sample"),
+    _Opt("seed", _i, 0, "mesh base-point seed"),
 )
-_FD_CHECKS = _Opt("fd-checks", int, FD_CHECKS, "points cross-checked against the FD oracle")
+_FD_CHECKS = _Opt("fd-checks", _i, FD_CHECKS, "points cross-checked against the FD oracle")
 _EXPORT = (
     _FD_CHECKS,
     _Opt("ply", _b, False, "also write a PLY vertex cloud", flag=True),
     _Opt("project3d", _b, False, "project the PLY cloud to 3D", flag=True),
 )
-_RHO_MAX = _Opt("rho-max", float, 1.2, "radial extent of non-compact quadric factors")
-_QMAX = _Opt("qmax", int, 64, "largest denominator tried by the rationality check")
+_RHO_MAX = _Opt("rho-max", _f, 1.2, "radial extent of non-compact quadric factors")
+_QMAX = _Opt("qmax", _i, 64, "largest denominator tried by the rationality check")
 
 
 def _orbit_opts(required: bool = True):
@@ -96,8 +108,8 @@ def _orbit_opts(required: bool = True):
     return (
         _Opt("lambdas", _fs, None, "quadric signs +-1, the +1s first", required),
         _Opt("alphas", _fs, None, "base radii squared alpha_1,...,alpha_n", required),
-        _Opt("A", float, None, "first-integral value (> 0)", required),
-        _Opt("alpha", float, None, "rescaling rate", required=True),
+        _Opt("A", _f, None, "first-integral value (> 0)", required),
+        _Opt("alpha", _f, None, "rescaling rate", required=True),
         _PSI,
     )
 
@@ -217,11 +229,11 @@ def _verdict_pairs(verdict, *periodic_extra):
 # -- expander ----------------------------------------------------------------
 
 _EXPANDER_OPTS = _COMMON + (
-    _Opt("alpha", float, None, "expansion rate (>= 0)", required=True),
+    _Opt("alpha", _f, None, "expansion rate (>= 0)", required=True),
     _Opt("a", _fs, None, "profile curvatures a_1,...,a_n", required=True),
     _PSI,
-    _Opt("samples", int, 200, "rows in the profile table"),
-    _Opt("y-max", float, 1.5, "profile parameter range [-y_max, y_max]"),
+    _Opt("samples", _i, 200, "rows in the profile table"),
+    _Opt("y-max", _f, 1.5, "profile parameter range [-y_max, y_max]"),
 ) + _MESH + _EXPORT
 
 
@@ -245,9 +257,9 @@ def cmd_expander(cfg) -> int:
 # -- invert-angles -----------------------------------------------------------
 
 _INVERT_OPTS = _COMMON + (
-    _Opt("alpha", float, None, "expansion rate (>= 0)", required=True),
+    _Opt("alpha", _f, None, "expansion rate (>= 0)", required=True),
     _Opt("target", _fs, None, "target asymptotic angles", required=True),
-    _Opt("tol", float, 1e-10, "Newton tolerance"),
+    _Opt("tol", _f, 1e-10, "Newton tolerance"),
     _Opt("write-report", _b, False, "also write the report file", flag=True),
 )
 
@@ -272,7 +284,7 @@ def cmd_invert_angles(cfg) -> int:
 
 _PERIODIC_OPTS = _COMMON + _orbit_opts() + (
     _QMAX,
-    _Opt("tol", float, None, "rationality tolerance (default 1e-9 * qmax)"),
+    _Opt("tol", _f, None, "rationality tolerance (default 1e-9 * qmax)"),
     _Opt("mesh", _b, False, "export a mesh (full period when periodic)", flag=True),
 ) + _MESH + (_RHO_MAX,) + _EXPORT
 
@@ -314,10 +326,10 @@ def cmd_shrinker(cfg) -> int:
 # -- periodic-search ---------------------------------------------------------
 
 _SEARCH_OPTS = _COMMON + _orbit_opts()[:1] + (
-    _Opt("alpha", float, None, "rescaling rate", required=True),
+    _Opt("alpha", _f, None, "rescaling rate", required=True),
     _Opt("gamma", _fs, None, "target holonomies gamma_1,...,gamma_n", required=True),
-    _Opt("tol", float, 1e-8, "search tolerance on the holonomies"),
-    _Opt("max-iter", int, 60, "Newton iteration budget"),
+    _Opt("tol", _f, 1e-8, "search tolerance on the holonomies"),
+    _Opt("max-iter", _i, 60, "Newton iteration budget"),
     _QMAX,
 )
 
@@ -344,11 +356,11 @@ def cmd_periodic_search(cfg) -> int:
 _TRANSLATOR_OPTS = _COMMON + (
     _Opt("a", _fs, None, "expander-base curvatures (graphical branch)"),
 ) + _orbit_opts(required=False) + (
-    _Opt("K-re", float, None, "real part of the integration constant K"),
-    _Opt("K-im", float, None, "imaginary part of the integration constant K"),
-    _Opt("t-min", float, None, "curve parameter range start (default -t-max)"),
-    _Opt("t-max", float, 1.2, "curve parameter range end"),
-    _Opt("radius", float, 1.5, "radius of the flat base-coordinate ball"),
+    _Opt("K-re", _f, None, "real part of the integration constant K"),
+    _Opt("K-im", _f, None, "imaginary part of the integration constant K"),
+    _Opt("t-min", _f, None, "curve parameter range start (default -t-max)"),
+    _Opt("t-max", _f, 1.2, "curve parameter range end"),
+    _Opt("radius", _f, 1.5, "radius of the flat base-coordinate ball"),
 ) + _MESH + _EXPORT
 
 

@@ -30,16 +30,11 @@ from .params import require_finite
 
 @dataclass
 class Mesh:
-    """Vertex cloud: points z, per-point curve parameter and angle.
-
-    base holds the real base coordinates (quadric point or translator base)
-    used to generate each row; readers reconstruct it from z instead.
-    """
+    """Vertex cloud: points z, per-point curve parameter and angle."""
 
     points: np.ndarray             # (N, n) complex
     params: np.ndarray             # (N,) curve parameter s or y
     thetas: np.ndarray             # (N,)
-    base: np.ndarray = None        # (N, n_base) float, generation-side only
 
     @property
     def n(self) -> int:
@@ -119,14 +114,13 @@ def _mesh(profile, t_values, xs, immerse) -> Mesh:
     t_values = np.asarray(t_values, dtype=float)
     c = profile.curve(t_values)
     at = np.repeat(np.arange(len(t_values)), len(xs))
-    base = np.tile(xs, (len(t_values), 1))
-    points = immerse(base, c.row(at))
+    points = immerse(np.tile(xs, (len(t_values), 1)), c.row(at))
     finite = np.isfinite(points).all(axis=1)
     if not finite.all():
         k = int(np.argmin(finite))
         raise ValidationError(f"mesh point {k}, at curve parameter {t_values[at[k]]:g},"
                               " is not finite")
-    return Mesh(points, t_values[at], c.theta[at], base)
+    return Mesh(points, t_values[at], c.theta[at])
 
 
 def centred_mesh(profile, t_values, base_count: int, *, seed: int = 0,

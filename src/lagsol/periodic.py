@@ -95,10 +95,6 @@ class PeriodicSpec:
     def n(self) -> int:
         return self.params.n
 
-    @property
-    def m(self) -> int:
-        return self.params.num_positive
-
     def band(self):
         lam = self.params.lambdas
         lo = max(-a for a, l in zip(self.alphas, lam) if l > 0)
@@ -320,71 +316,54 @@ def compute_orbit(spec: PeriodicSpec) -> PeriodicOrbit:
 @dataclass(frozen=True)
 class PeriodicityVerdict:
     periodic: bool
-    case: str
     r: int | None
     p: tuple | None
     T: float | None
     max_residual: float
-    tol: float
 
 
 def detect_periodicity(orbit: PeriodicOrbit, *, qmax: int = 64,
                        tol: float = None) -> PeriodicityVerdict:
     """Decide whether the orbit closes up, and report a period.
 
-    Stationary case: periodic iff the ratios (lambda_j/alpha_j) /
-    (lambda_1/alpha_1) are rational with common denominator <= qmax; the
-    minimal period is then 2 pi R / (A |lambda_1/alpha_1| g) with R the common
-    denominator and g the gcd of the numerators.
+    Periodic iff each phase advance gamma_j per step S is within tol of
+    2 pi p_j / r for a common r <= qmax.  Then T = r S, p_j counts the turns
+    of phase j over T, and sum p_j is the Maslov index of the closed loop.
+    An oscillating orbit steps by one swing: S and gamma are its period and
+    holonomies.  A stationary orbit has no swing, so one turn of its first
+    phase stands in for one, at the rates of _phase_rates.
 
-    Oscillating case: periodic iff every gamma_j is within tol of 2 pi p_j / r
-    for a common r <= qmax, and the period reported is r S.  The r tried
-    first is the lcm R of _continued_fractions of gamma_j / 2 pi,
+    The r tried first is the lcm R of _continued_fractions of gamma_j / 2 pi,
     taken when R <= qmax and R fits within tol; otherwise r is the least
     r in 1..qmax that fits.  r and p are then divided by gcd(r, p).  So the
     r reported need not be the least one within tol: at qmax 4096 the
     gammas 2 pi (1/4095, 2048/4095) report r = 4095, though r = 4085 fits.
+    max_residual is in radians when periodic; otherwise it is the error of
+    the best rational approximations of gamma_j / 2 pi, denominators <= qmax.
     """
     if tol is None:
         tol = 1e-9 * qmax
-    based = orbit.based
-
     if orbit.case == "hamiltonian_stationary":
-        lam = based.params.lambdas
-        rho = [l / a for l, a in zip(lam, based.alphas)]
-        c = [x / rho[0] for x in rho]
-        R, approx = _continued_fractions(c, qmax)
-        if R > qmax:
-            return PeriodicityVerdict(False, orbit.case, None, None, None, approx, tol)
-        k = [round(x * R) for x in c]
-        resid = max(abs(x * R - kk) / R for x, kk in zip(c, k))
-        if resid > tol:
-            return PeriodicityVerdict(False, orbit.case, None, None, None, resid, tol)
-        g = math.gcd(*k)
-        T = 2.0 * math.pi * R / (based.A * abs(rho[0]) * g)
-        # with this normalization the rational multipliers q_j = k_j sign(rho_1)/g
-        # are integers; report them and r = 1
-        sgn = 1 if rho[0] > 0 else -1
-        q = tuple(sgn * kk // g for kk in k)
-        return PeriodicityVerdict(True, orbit.case, 1, q, T, resid, tol)
-
-    x = [gj / (2.0 * math.pi) for gj in orbit.gamma]
+        rates = _phase_rates(orbit.based)
+        S = 2.0 * math.pi / abs(rates[0])
+        gamma = [2.0 * math.pi * w / abs(rates[0]) for w in rates]
+    else:
+        S, gamma = orbit.S, orbit.gamma
+    x = [gj / (2.0 * math.pi) for gj in gamma]
 
     def fit(r):
         p = [round(xx * r) for xx in x]
-        return p, max(abs(gj - 2.0 * math.pi * pp / r) for gj, pp in zip(orbit.gamma, p))
+        return p, max(abs(gj - 2.0 * math.pi * pp / r) for gj, pp in zip(gamma, p))
 
     # continued-fraction candidate first, then the exhaustive denominator scan
     R, approx = _continued_fractions(x, qmax)
-    r = R if R <= qmax and fit(R)[1] <= tol else _first_denominator(x, orbit.gamma, qmax, tol)
+    r = R if R <= qmax and fit(R)[1] <= tol else _first_denominator(x, gamma, qmax, tol)
     if r is not None:
         p, resid = fit(r)
         g = math.gcd(r, *p)
         r_min = r // g
-        p_min = tuple(pp // g for pp in p)
-        return PeriodicityVerdict(True, orbit.case, r_min, p_min,
-                                  r_min * orbit.S, resid, tol)
-    return PeriodicityVerdict(False, orbit.case, None, None, None, approx, tol)
+        return PeriodicityVerdict(True, r_min, tuple(pp // g for pp in p), r_min * S, resid)
+    return PeriodicityVerdict(False, None, None, None, approx)
 
 
 def _continued_fractions(x, qmax: int):
@@ -410,6 +389,11 @@ def _first_denominator(x, gamma, qmax: int, tol: float):
 
 # -- closed-form stationary profiles and ODE-backed orbit profiles -----------
 
+def _phase_rates(based: PeriodicSpec) -> tuple:
+    """omega_j = -lambda_j A / alpha_j: the phase rates of rebased stationary data."""
+    return tuple(-l * based.A / a for l, a in zip(based.params.lambdas, based.alphas))
+
+
 class HamiltonianStationaryProfile:
     """Closed-form solution with u = 0: phases wind linearly, theta likewise.
 
@@ -429,13 +413,11 @@ class HamiltonianStationaryProfile:
         self.lambdas = self.spec.params.lambdas
         self.alpha = self.spec.params.alpha
         self.n = self.spec.n
-        self._rates = tuple(-l * self.spec.A / a
-                            for l, a in zip(self.lambdas, self.spec.alphas))
 
     def curve(self, ts) -> CurveRecord:
         """The curve record at the parameters ts, in closed form."""
         ts = np.asarray(ts, dtype=float)
-        rates = np.array(self._rates)
+        rates = np.array(_phase_rates(self.spec))
         phis = np.array(self.spec.psi) + rates * ts[:, None]
         r = np.broadcast_to(np.sqrt(np.array(self.spec.alphas)), phis.shape)
         w = r * np.exp(1j * phis)
@@ -620,7 +602,7 @@ def topology_tag(spec: PeriodicSpec, level: int = 1) -> str:
     """Submanifold type of a closed orbit's immersion over the quadric level
     sum lambda_j x_j^2 = level (+1, 0 or -1); level -1 swaps the m positive
     directions for the n - m negative ones, and level 0 is the cone."""
-    m, n = spec.m, spec.n
+    m, n = spec.params.num_positive, spec.n
     if level == 0:
         return f"cone over S1 x S{m - 1} x S{n - m - 1}"
     if level < 0:

@@ -467,7 +467,7 @@ def test_periodic_stationary_with_mesh(tmp_path, capsys):
     assert pairs["case"] == "hamiltonian_stationary"
     assert pairs["periodic"] == "true"
     assert pairs["r"] == "1"
-    assert pairs["p"] == "1,-1"
+    assert pairs["p"] == "-1,1"
     assert float(pairs["T"]) == pytest.approx(2.0 * math.pi, abs=1e-9)
     assert pairs["topology"] == "S1 x S0 x R1"
     assert "verification: PASS" in out
@@ -586,10 +586,18 @@ def test_translator_without_base_exits_2(capsys):
     (["expander", "--alpha=1", "--a=,"], "--a: expected a comma-separated list of numbers"),
     (["invert-angles", "--alpha=0", "--target=1.0"],
      "the one-dimensional minimal profile has angle pi/2"),
+    (["expander", "--alpha=foo", "--a=1,2"], "--alpha: expected a number, got 'foo'"),
+    (["expander", "--alpha=1", "--a=1,2", "--mesh-samples=abc"],
+     "--mesh-samples: expected an integer, got 'abc'"),
+    (["expander", "--alpha=1", "--a=1,2", "--fd-checks=0.5"],
+     "--fd-checks: expected an integer, got '0.5'"),
+    (["periodic-search", "--lambdas=1,-1", "--alpha=0", "--gamma=-1,1", "--max-iter=1.5"],
+     "--max-iter: expected an integer, got '1.5'"),
 ], ids=["unsorted lambdas", "zero lambda", "search magnitude", "rebase underflow",
         "critical point runaway", "critical point at an edge ulp", "critical point at 1e300",
         "zero tol", "negative y-max", "orbit base without A", "empty list",
-        "minimal profile angle"])
+        "minimal profile angle", "float option", "int option", "int option given a float",
+        "search int option"])
 def test_validation_messages_name_the_cause(tmp_path, capsys, argv, message):
     assert main(argv + [f"--outdir={tmp_path}"]) == 2
     err = capsys.readouterr().err.splitlines()

@@ -11,7 +11,7 @@ from lagsol.expander import ExpanderProfile, s_of_y
 from lagsol.geometry import (FramedPoint, _fd_levels, _inv_or_nan, _quadric_base,
                              _tangent_bases, centred_fd_mean_curvature, fd_step,
                              mean_curvature_fd)
-from lagsol.meshing import centred_mesh, translator_mesh
+from lagsol.meshing import ball_points, centred_mesh, quadric_base_points, translator_mesh
 from lagsol.params import SolitonParams
 from lagsol.periodic import PeriodicSpec, compute_orbit
 from lagsol.translator import TranslatorProfile
@@ -257,12 +257,15 @@ def test_stacked_fd_oracle_matches_the_pointwise_one(name):
     assert np.abs(H - H_ref).max() <= 1e-13 * (1.0 + np.linalg.norm(H_ref))
 
 
+# (profile, mesh builder, the builder's default base sample of count points)
+_QUADRIC_BASE = lambda prof, count: quadric_base_points(prof.lambdas, count)
 MESH_CASES = {
-    "expander-n1": (FD_CASES["expander-n1"][0], centred_mesh),
-    "expander-n3": (FD_CASES["expander-n3"][0], centred_mesh),
-    "orbit": (FD_CASES["orbit"][0], centred_mesh),
+    "expander-n1": (FD_CASES["expander-n1"][0], centred_mesh, _QUADRIC_BASE),
+    "expander-n3": (FD_CASES["expander-n3"][0], centred_mesh, _QUADRIC_BASE),
+    "orbit": (FD_CASES["orbit"][0], centred_mesh, _QUADRIC_BASE),
     "translator-minimal": (lambda: TranslatorProfile.from_expander_base(0.0, (1.0, 2.0)),
-                           translator_mesh),
+                           translator_mesh,
+                           lambda prof, count: ball_points(prof.n - 1, count, radius=1.5)),
 }
 
 
@@ -271,10 +274,11 @@ def test_one_call_checks_several_points_of_a_mesh(name):
     """Five FD points of one mesh, two pairs sharing a curve parameter, in
     one call: one curve read of the sorted distinct stencil parameters, and
     per point the values and H of the per-point oracle."""
-    make, build = MESH_CASES[name]
+    make, build, base = MESH_CASES[name]
     mesh = build(make(), np.linspace(-0.9, 0.9, 4), 3)
     pick = [0, 2, 3, 7, 11]
-    xs, ts = mesh.base[pick], mesh.params[pick]
+    # rows are t-major: row k holds base point k mod 3
+    xs, ts = base(make(), 3)[np.array(pick) % 3], mesh.params[pick]
     H, values, grid = stacked_fd_mean_curvature(make(), xs, ts)
     assert np.array_equal(grid, np.unique(grid)) and set(ts.tolist()) <= set(grid.tolist())
     assert len(grid) == 5 * len(set(ts.tolist()))

@@ -113,8 +113,7 @@ def test_stationary_detection_minimal_period():
     orbit = compute_orbit(spec)
     verdict = detect_periodicity(orbit)
     assert verdict.periodic
-    assert verdict.case == "hamiltonian_stationary"
-    assert verdict.p == (1, -1)
+    assert verdict.p == (-1, 1)
     assert verdict.T == pytest.approx(2.0 * math.pi / spec.A, rel=1e-12)
     prof = orbit.profile()
     np.testing.assert_allclose(prof.w_of(verdict.T), prof.w_of(0.0), atol=1e-12)
@@ -131,12 +130,13 @@ def test_stationary_detection_irrational_ratio():
 
 def test_stationary_detection_denominator_beyond_qmax():
     """Ratios (1, 1/sqrt 2, -1/sqrt 3): the continued-fraction lcm is 754 >
-    qmax, so the stationary branch returns its approximation residual."""
+    qmax and no r <= qmax fits, so the verdict returns the approximation residual."""
     lam, alphas = (1.0, 1.0, -1.0), (1.0, math.sqrt(2.0), math.sqrt(3.0))
     alpha = -sum(l / a for l, a in zip(lam, alphas))
     spec = spec_of(lam, alphas, math.sqrt(math.prod(alphas)), alpha=alpha)
-    verdict = detect_periodicity(compute_orbit(spec))
-    assert verdict.case == "hamiltonian_stationary"
+    orbit = compute_orbit(spec)
+    assert orbit.case == "hamiltonian_stationary"
+    verdict = detect_periodicity(orbit)
     assert not verdict.periodic and verdict.r is None
     assert verdict.max_residual == pytest.approx(4.27e-4, rel=1e-3)
 
@@ -362,13 +362,39 @@ def test_detect_periodicity_engineered_rational():
     assert verdict.T == pytest.approx(2.0 * orbit.S)
 
 
+def stationary_of(lambdas, alpha, alphas):
+    return stationary_spec(SolitonParams(lambdas, 1.0, alpha), alphas)
+
+
+@pytest.mark.parametrize("make, r, p, atol", [
+    (lambda: stationary_of((1.0, 1.0), -2.0, (1.0, 1.0)), 1, (-1, -1), 1e-9),
+    (lambda: stationary_of((1.0, 1.0), -1.5, (1.0, 2.0)), 2, (-2, -1), 1e-9),
+    (lambda: stationary_of((1.0, -1.0), 0.0, (1.0, 1.0)), 1, (-1, 1), 1e-9),
+    (lambda: stationary_of((1.0, 1.0, -1.0), -1.0, (1.0, 2.0, 2.0)), 2, (-2, -1, 1), 1e-9),
+    (lambda: search_periodic_data((1.0, 1.0), -2.0, (-1.2 * math.pi, -0.4 * math.pi)),
+     5, (-3, -1), 1e-6),
+    (lambda: search_periodic_data((1.0, -1.0), 0.0, (-math.pi, math.pi)), 2, (-1, 1), 1e-6),
+], ids=["stationary (1, 1)", "stationary (1, 2)", "stationary mixed",
+        "stationary n3", "oscillating r5", "oscillating mixed"])
+def test_p_counts_the_turns_and_sums_to_the_maslov_index(make, r, p, atol):
+    """Over T phase j turns p_j times and theta advances 2 pi sum p_j, for
+    stationary and oscillating orbits alike."""
+    orbit = compute_orbit(make())
+    verdict = detect_periodicity(orbit)
+    assert verdict.periodic and (verdict.r, verdict.p) == (r, p)
+    c = orbit.profile().curve([0.0, verdict.T])
+    turns = (c.phis[1] - c.phis[0]) / (2.0 * math.pi)
+    np.testing.assert_allclose(turns, p, rtol=0, atol=atol)
+    assert (c.theta[1] - c.theta[0]) / (2.0 * math.pi) == pytest.approx(sum(p), abs=atol)
+
+
 def test_detect_periodicity_generic_data_is_quasi_periodic():
     # nonzero drift so the holonomies are not pinned at (-pi, pi)
     spec = spec_of((1.0, -1.0), (1.0, 3.0), 0.8, alpha=0.6)
     verdict = detect_periodicity(compute_orbit(spec))
     assert not verdict.periodic
     assert verdict.r is None and verdict.T is None
-    assert verdict.max_residual > verdict.tol
+    assert verdict.max_residual > 1e-9 * 64     # the default tol at qmax 64
 
 
 def per_r_verdict(orbit, qmax, tol):
@@ -389,10 +415,10 @@ def per_r_verdict(orbit, qmax, tol):
             g = r
             for pp in p:
                 g = math.gcd(g, abs(pp))
-            return PeriodicityVerdict(True, orbit.case, r // g, tuple(pp // g for pp in p),
-                                      (r // g) * orbit.S, resid, tol)
+            return PeriodicityVerdict(True, r // g, tuple(pp // g for pp in p),
+                                      (r // g) * orbit.S, resid)
     resid = max(abs(xx - float(f)) for xx, f in zip(x, fracs))
-    return PeriodicityVerdict(False, orbit.case, None, None, None, resid, tol)
+    return PeriodicityVerdict(False, None, None, None, resid)
 
 
 def scan_gammas():
@@ -696,7 +722,8 @@ def test_flow_slices_lie_on_their_level_sets(rng, make_orbit_spec, lambdas):
     prof = compute_orbit(make_orbit_spec(rng, lambdas, 0.5)).profile()
     lam = np.asarray(lambdas, dtype=float)
     for t in (-2.5, -1.0, -0.3, 0.0, 0.3, 1.0, 2.5):
-        base = flow_slice_mesh(prof, t, [0.0, 0.1], 7, seed=3).base
+        mesh = flow_slice_mesh(prof, t, [0.0, 0.1], 7, seed=3)
+        base = (mesh.points / prof.curve(mesh.params).w).real
         assert base.shape == (14, lam.size)
         np.testing.assert_allclose(base ** 2 @ lam, t, rtol=0, atol=1e-12 * (1 + abs(t)))
         if t == 0:

@@ -9,7 +9,7 @@ import pytest
 from lagsol import expander
 from lagsol.errors import ValidationError
 from lagsol.fileio import read_profile_record, write_profile_record
-from lagsol.meshing import translator_mesh
+from lagsol.meshing import ball_points, translator_mesh
 from lagsol.params import SolitonParams
 from lagsol.periodic import PeriodicSpec
 from lagsol.translator import TranslatorProfile, translator_fd_mean_curvature
@@ -207,7 +207,8 @@ def test_translator_mesh_reads_each_curve_sample_once():
     with mock.patch("lagsol.expander.profile_eval", wraps=expander.profile_eval) as ev:
         mesh = translator_mesh(prof, np.linspace(-1.2, 1.2, 30), 20)
     assert ev.call_count == 1
-    rows = [immersion(prof, x, t) for x, t in zip(mesh.base, mesh.params)]
+    base = np.tile(ball_points(prof.n - 1, 20, radius=1.5), (30, 1))   # rows t-major
+    rows = [immersion(prof, x, t) for x, t in zip(base, mesh.params)]
     assert np.array_equal(mesh.points, np.array(rows))
 
 
