@@ -5,8 +5,10 @@ keeps outputs byte-stable across runs.  Mesh CSV columns are
 Re z1, Im z1, ..., Re zn, Im zn, s_or_y, theta in that order.
 
 Every table (mesh CSV and PLY, the profile, trajectory, residual, plane and
-orbit reports) goes through one row writer, and each file is written in one
-block; the CSV bytes are those of csv.writer.
+orbit reports) goes through one row writer.  It streams the rows in blocks
+of BLOCK_ROWS, one write each, so memory does not grow with the table, and
+within a block it formats each distinct float once; the CSV bytes are those
+of csv.writer.
 """
 
 from __future__ import annotations
@@ -27,21 +29,39 @@ from .translator import TranslatorProfile
 # break byte-stability of archived outputs
 _PROJECTION_SEED = 1729
 
+# rows per write: a block's text is built and written in one piece
+BLOCK_ROWS = 4096
+
 
 def _fmt(v) -> str:
     return repr(float(v))
 
 
-def _write_rows(path, header, rows, *, sep: str = ",", end: str = "\r\n") -> None:
-    """Write the header lines, then one line per row of rows (lists of Python
-    floats, ints and strings; array.tolist() gives the first two): the str()
-    of its values joined by sep, which for a float is its repr().  Every line
-    ends with end, and the file is written in one block.  With the defaults
+def _reprs(block: np.ndarray) -> list:
+    """The repr() of each value of a (k, c) float block, as k lists of c
+    strings.  Each distinct bit pattern is formatted once; keying on the bits
+    rather than the value keeps 0.0 and -0.0 apart."""
+    bits = np.ascontiguousarray(block, dtype=float).view(np.int64).ravel()
+    keys, inverse = np.unique(bits, return_inverse=True)
+    text = np.array(list(map(repr, keys.view(float).tolist())), dtype=object)
+    return text[inverse.reshape(block.shape)].tolist()
+
+
+def _write_rows(path, header, table, *, sep: str = ",", end: str = "\r\n") -> None:
+    """Write the header lines, then one line per row of table: its cells
+    joined by sep, ending with end.  table is a (rows, cols) float array,
+    whose cells are the repr() of its values, or a list of rows of str cells.
+    The rows stream out BLOCK_ROWS at a time, one write each, and each
+    distinct float of a block is formatted once (_reprs).  With the defaults
     the bytes are those csv.writer writes, as no header field, number or tag
     needs quoting."""
-    lines = [*header, *(sep.join(map(str, row)) for row in rows)]
     with Path(path).open("w", newline="") as fh:
-        fh.write(end.join(lines) + end)
+        fh.write(end.join(header) + end)
+        for start in range(0, len(table), BLOCK_ROWS):
+            block = table[start:start + BLOCK_ROWS]
+            if isinstance(block, np.ndarray):
+                block = _reprs(block)
+            fh.write(end.join(map(sep.join, block)) + end)
 
 
 def _real_coordinates(mesh: Mesh) -> np.ndarray:
@@ -63,7 +83,7 @@ def mesh_csv_header(n: int):
 
 def write_mesh_csv(path, mesh: Mesh) -> None:
     table = np.column_stack([_real_coordinates(mesh), mesh.params, mesh.thetas])
-    _write_rows(path, [",".join(mesh_csv_header(mesh.n))], table.tolist())
+    _write_rows(path, [",".join(mesh_csv_header(mesh.n))], table)
 
 
 def read_mesh_csv(path) -> Mesh:
@@ -119,7 +139,7 @@ def write_mesh_ply(path, mesh: Mesh, *, project3d: bool = False) -> None:
     header += [f"property double {name}" for name in ["x", "y", "z"] + [
         f"c{k}" for k in range(4, coords.shape[1] + 1)] + ["s_or_y", "theta"]]
     table = np.column_stack([coords, mesh.params, mesh.thetas])
-    _write_rows(path, header + ["end_header"], table.tolist(), sep=" ", end="\n")
+    _write_rows(path, header + ["end_header"], table, sep=" ", end="\n")
 
 
 # -- tabular reports ---------------------------------------------------------
@@ -131,7 +151,7 @@ def write_trajectory_csv(path, traj) -> None:
               + ["theta", "first_integral_residual"])
     table = np.column_stack([traj.s, traj.u, traj.phis, traj.theta,
                              traj.first_integral_residuals()])
-    _write_rows(path, [",".join(header)], table.tolist())
+    _write_rows(path, [",".join(header)], table)
 
 
 def write_profile_csv(path, profile, y_values) -> None:
@@ -141,13 +161,13 @@ def write_profile_csv(path, profile, y_values) -> None:
     header = (["y"] + [f"r_{j}" for j in range(1, n + 1)]
               + [f"phi_{j}" for j in range(1, n + 1)] + ["theta"])
     table = np.column_stack([c.t, c.r, c.phis, c.theta])
-    _write_rows(path, [",".join(header)], table.tolist())
+    _write_rows(path, [",".join(header)], table)
 
 
 def write_plane_report_csv(path, angles) -> None:
     """Asymptotic-plane angles of an expander: psi_j +/- phibar_j per axis."""
     _write_rows(path, ["j,plane1_angle,plane2_angle"],
-                [[j, float(p), float(q)] for j, (p, q) in
+                [[str(j), _fmt(p), _fmt(q)] for j, (p, q) in
                  enumerate(zip(angles.plane_plus, angles.plane_minus), start=1)])
 
 
@@ -157,8 +177,8 @@ def write_orbit_report_csv(path, orbit, verdict=None, topology: str = "") -> Non
               + ["case_tag", "periodic_r", "topology_tag"])
     r = verdict.r if verdict is not None and verdict.periodic else ""
     _write_rows(path, [",".join(header)], [
-        [float(v) for v in (orbit.u1, orbit.u2, orbit.S, *orbit.gamma)]
-        + [orbit.case, r, topology]])
+        [_fmt(v) for v in (orbit.u1, orbit.u2, orbit.S, *orbit.gamma)]
+        + [orbit.case, str(r), topology]])
 
 
 def write_residual_csv(path, table) -> None:
@@ -166,7 +186,7 @@ def write_residual_csv(path, table) -> None:
     angle_residual, soliton_residual], each row led by its point_id 0..count-1."""
     rows = np.asarray(table, dtype=float).tolist()
     _write_rows(path, ["point_id,s_or_y,lagrangian_residual,angle_residual,soliton_residual"],
-                [[i, *row] for i, row in enumerate(rows)])
+                [[str(i), *map(repr, row)] for i, row in enumerate(rows)])
 
 
 # -- key=value records -------------------------------------------------------

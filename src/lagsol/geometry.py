@@ -33,7 +33,6 @@ values.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -108,7 +107,7 @@ class ChainCache:
         chains = [[t0, *(leg if up else leg[::-1])] for (t0, up), leg in legs.items()]
         for chain, rows in zip(chains, self.advance(chains, [self.rows[c[0]] for c in chains])):
             self.rows.update(zip(chain[1:], rows))
-        self.ts = list(heapq.merge(self.ts, ts))
+        self.ts = sorted(self.ts + ts)
 
 
 def curve_views(*fields):

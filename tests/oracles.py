@@ -14,7 +14,7 @@ the package's batched one replaced, the one-point tangent basis of the
 quadric that the package's stacked _tangent_bases is checked against, the
 central-difference Jacobian the periodic search's forward one is checked
 against, the per-value file writers (csv.writer rows of repr(float) fields)
-that the package's whole-array row writer must match byte for byte, the breakpoint
+that the package's streamed row writer must match byte for byte, the breakpoint
 ladders of the QUADPACK references for expander integrals, and small
 helpers only tests call.
 """

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from lagsol.errors import ValidationError
 from lagsol.expander import ExpanderProfile, asymptotic_angles
-from lagsol.fileio import (mesh_csv_header, projection_matrix, read_keyvalues,
+from lagsol.fileio import (BLOCK_ROWS, mesh_csv_header, projection_matrix, read_keyvalues,
                            read_mesh_csv, read_profile_record, write_keyvalues,
                            write_mesh_csv, write_mesh_ply, write_orbit_report_csv,
                            write_plane_report_csv, write_profile_csv,
@@ -329,6 +329,33 @@ def special_table(rows, cols, shift=0):
     return np.array(SPECIAL)[(i + 3 * j + shift) % len(SPECIAL)]
 
 
+# bit patterns that a writer keyed on values rather than bits would merge:
+# the two zeros, and NaNs of both signs with two payloads
+PAYLOAD_NAN = float(np.array([0x7FF8000000000001], dtype=np.int64).view(float)[0])
+TWINS = (0.0, -0.0, math.nan, -math.nan, PAYLOAD_NAN, -PAYLOAD_NAN)
+
+# a table long enough that two block edges fall inside it
+LONG = 2 * BLOCK_ROWS + 3
+
+
+def twins_table(rows, cols):
+    """Column 0 cycles through TWINS; the others hold a few values, each on
+    three rows running and shifted by one place per column, so values repeat
+    within and across columns."""
+    pool = np.array(TWINS + (0.1, -2.5, 1e300, 1.0))
+    i, j = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
+    table = pool[(i // 3 + j) % len(pool)]
+    table[:, 0] = np.array(TWINS)[np.arange(rows) % len(TWINS)]
+    return table
+
+
+def table_mesh(table):
+    """The mesh whose CSV columns are the (rows, 2n + 2) table."""
+    points = np.empty((len(table), (table.shape[1] - 2) // 2), dtype=complex)
+    points.real, points.imag = table[:, 0:-2:2], table[:, 1:-2:2]
+    return Mesh(points, table[:, -2].copy(), table[:, -1].copy())
+
+
 def special_mesh(n, rows=2 * len(SPECIAL)):
     points = np.empty((rows, n), dtype=complex)
     points.real, points.imag = special_table(rows, n), special_table(rows, n, 1)
@@ -343,7 +370,7 @@ def same_bytes(tmp_path, package_writer, oracle_writer, *args, **kwargs):
     return mine.read_bytes()
 
 
-@pytest.mark.parametrize("rows", [0, 2 * len(SPECIAL)])
+@pytest.mark.parametrize("rows", [0, 2 * len(SPECIAL), LONG])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_mesh_csv_matches_the_per_value_writer(tmp_path, n, rows):
     text = same_bytes(tmp_path, write_mesh_csv, oracles.write_mesh_csv, special_mesh(n, rows))
@@ -352,14 +379,27 @@ def test_mesh_csv_matches_the_per_value_writer(tmp_path, n, rows):
         assert all(repr(v).encode() in text for v in SPECIAL)
 
 
+@pytest.mark.parametrize("rows", [0, 5, LONG])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_mesh_csv_keeps_zeros_and_nans_of_both_signs_apart(tmp_path, n, rows):
+    assert len(set(twins_table(len(TWINS), 1).view(np.int64).ravel().tolist())) == len(TWINS)
+    mesh = table_mesh(twins_table(rows, 2 * n + 2))
+    text = same_bytes(tmp_path, write_mesh_csv, oracles.write_mesh_csv, mesh)
+    assert text.count(b"\r\n") == 1 + rows
+    first = [line.split(b",")[0] for line in text.split(b"\r\n")[1:1 + min(rows, 6)]]
+    assert first == [b"0.0", b"-0.0", b"nan", b"nan", b"nan", b"nan"][:rows]
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
 @pytest.mark.parametrize("project3d", [False, True])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_mesh_ply_matches_the_per_value_writer(tmp_path, n, project3d):
-    for mesh in (special_mesh(n), small_mesh() if n == 2 else special_mesh(n, 0)):
+    for mesh in (special_mesh(n), small_mesh() if n == 2 else special_mesh(n, 0),
+                 table_mesh(twins_table(LONG, 2 * n + 2)), special_mesh(n, LONG)):
         text = same_bytes(tmp_path, write_mesh_ply, oracles.write_mesh_ply, mesh,
                           project3d=project3d)
         assert b"\r" not in text
+        assert text.count(b"\n") == text.split(b"\n").index(b"end_header") + 1 + len(mesh)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
@@ -386,6 +426,15 @@ def test_profile_csv_matches_the_per_value_writer(tmp_path):
                                  phis=special_table(m, n, 2), theta=special_table(m, 1, 3)[:, 0])
         profile = SimpleNamespace(n=n, curve=lambda ys, record=record: record)
         same_bytes(tmp_path, write_profile_csv, oracles.write_profile_csv, profile, None)
+    for rows in (0, LONG):
+        for n in (1, 3):
+            table = twins_table(rows, 2 * n + 2)
+            record = SimpleNamespace(t=table[:, 0], r=table[:, 1:n + 1],
+                                     phis=table[:, n + 1:-1], theta=table[:, -1])
+            profile = SimpleNamespace(n=n, curve=lambda ys, record=record: record)
+            text = same_bytes(tmp_path, write_profile_csv, oracles.write_profile_csv,
+                              profile, None)
+            assert text.count(b"\r\n") == 1 + rows
 
 
 class _Trajectory(SimpleNamespace):
