@@ -120,10 +120,11 @@ def _tangent_bases(lambdas, xs) -> np.ndarray:
     """Orthonormal tangent bases of { sum lambda_j x_j^2 = 1 } at the rows of
     xs, as one (m, n-1, n) array.
 
-    Each basis is Gram-Schmidt on the coordinate axes, with the axis of
-    largest |lambda_j x_j| dropped (a deterministic pivot), against the
-    gradient direction nu ~ (lambda_1 x_1, ..., lambda_n x_n); its rows
-    followed by nu are right-handed.  At n = 1 the bases are empty.
+    Each basis is the rows other than row k of the Householder reflection
+    H = I - v v^T / (1 + |nu_k|), v = nu + sign(nu_k) e_k, where nu is the
+    unit normal ~ (lambda_j x_j) and k its axis of largest |nu_k|.  Row k is
+    -sign(nu_k) nu, so row 0 is negated where sign(nu_k) (-1)^(n-1-k) < 0,
+    and the rows followed by nu are right-handed.  At n = 1 they are empty.
     """
     lam = np.asarray(lambdas, dtype=float)
     m, n = xs.shape
@@ -132,23 +133,14 @@ def _tangent_bases(lambdas, xs) -> np.ndarray:
     if np.any(norm == 0):
         raise ValidationError("quadric gradient vanishes; point is singular")
     nu = grad / norm
-    drop = np.argmax(np.abs(grad), axis=-1)
-    slots = np.arange(n - 1)
-    axes = slots + (slots >= drop[:, None])       # the kept axes, in order
-    basis = np.empty((m, n - 1, n))
-    for k in range(n - 1):
-        v = np.zeros((m, n))
-        v[np.arange(m), axes[:, k]] = 1.0
-        v -= np.sum(v * nu, axis=-1, keepdims=True) * nu
-        for e in basis[:, :k].swapaxes(0, 1):
-            v -= np.sum(v * e, axis=-1, keepdims=True) * e
-        vn = np.linalg.norm(v, axis=-1, keepdims=True)
-        if np.any(vn < 1e-12):
-            raise ValidationError("degenerate tangent basis at quadric point")
-        basis[:, k] = v / vn
-    if n > 1:
-        flip = np.linalg.det(np.concatenate([basis, nu[:, None, :]], axis=1)) < 0
-        basis[flip, 0] *= -1.0
+    pts, k = np.arange(m), np.argmax(np.abs(nu), axis=-1)
+    nu_k = nu[pts, k]
+    v = nu.copy()
+    v[pts, k] += np.sign(nu_k)          # v^T v = 2 (1 + |nu_k|) >= 2: no degenerate point
+    H = np.eye(n) - v[:, :, None] * v[:, None, :] / (1.0 + np.abs(nu_k))[:, None, None]
+    rows = np.arange(n - 1)
+    basis = H[pts[:, None], rows + (rows >= k[:, None])]
+    basis[np.sign(nu_k) * (-1.0) ** (n - 1 - k) < 0, :1] *= -1.0
     return basis
 
 

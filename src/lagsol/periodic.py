@@ -24,6 +24,8 @@ and each phase advances per period by the holonomy
     gamma_j = -integral_{u1}^{u2} A lambda_j dv
               / ((alpha_j + lambda_j v) sqrt(G(v) - A^2)).
 
+The turning points are the Newton roots of the concave W = log G - 2 log A:
+started where W <= 0, Newton moves monotonically onto each of them.
 G - A^2 is evaluated as A^2 expm1(log G - 2 log A) so the integrands stay
 accurate through the endpoint cancellation, and the sin^2 substitution of
 quadutil removes the inverse-square-root singularities exactly.
@@ -50,6 +52,7 @@ from .reduced_ode import TrajectorySpec, reduced_system
 CASE_I_REL_TOL = 1e-12
 CONDITIONING_MARGIN = 1e-10
 SCAN_CHUNK = 4096      # denominators tried per array pass of the periodicity scan
+TURNING_POINT_MAX_ITER = 100   # Newton steps per turning point; the pools need 25 at most
 
 
 class OrbitConditioningWarning(UserWarning):
@@ -211,18 +214,14 @@ def holonomies(spec: PeriodicSpec) -> np.ndarray:
 
 
 def _based_turning_points(based: PeriodicSpec):
-    """Turning points of a rebased oscillating spec."""
+    """Turning points of a rebased oscillating spec: Newton from each bracket end."""
     lnA2 = 2.0 * math.log(based.A)
     W = lambda u: based.log_G(u) - lnA2
     lo, hi = based.band()
-    u1 = brentq(W, _edge_bracket(W, lo, "left"), 0.0, xtol=1e-15, rtol=8.9e-16)
+    u1 = _newton_root(based, W, _edge_bracket(W, lo, "left"))
     right = (_edge_bracket(W, hi, "right") if math.isfinite(hi)
              else _outward_bracket(lambda u: W(u) > 0, 1.0, "right turning point"))
-    u2 = brentq(W, 0.0, right, xtol=1e-15, rtol=8.9e-16)
-    # Newton polish: when d log G is huge at a root, brentq's xtol leaves a
-    # W-residual far above evaluation noise, which would bias the orbit
-    # quadratures near that endpoint
-    return _polish_root(based, W, u1, lo, hi), _polish_root(based, W, u2, lo, hi)
+    return u1, _newton_root(based, W, right)
 
 
 def _edge_bracket(W, edge: float, side: str) -> float:
@@ -246,19 +245,16 @@ def _outward_bracket(inside, b: float, what: str) -> float:
     return b
 
 
-def _polish_root(based: PeriodicSpec, W, u: float, lo: float, hi: float) -> float:
-    for _ in range(4):
-        dW = based.dlog_G(u)
-        if dW == 0.0:
-            break
-        step = W(u) / dW
-        un = u - step
-        if not (lo < un < hi):
-            break
+def _newton_root(based: PeriodicSpec, W, u: float) -> float:
+    """The root of the concave W between u, where W(u) <= 0, and 0: each
+    Newton step lands between its start and the root, so |u| decreases until
+    roundoff stops it.  Returns the last iterate that moved."""
+    for _ in range(TURNING_POINT_MAX_ITER):
+        un = u - W(u) / based.dlog_G(u)
+        if not abs(un) < abs(u):
+            return u
         u = un
-        if abs(step) <= 1e-16 * (1.0 + abs(u)):
-            break
-    return u
+    raise NonConvergence(f"turning point: Newton did not settle in {TURNING_POINT_MAX_ITER} steps")
 
 
 def _harmonic_limits(based: PeriodicSpec):
@@ -504,7 +500,7 @@ class OrbitProfile:
 
 # -- data search -------------------------------------------------------------
 
-def search_periodic_data(lambdas, alpha: float, gamma_target, *, seed=None,
+def search_periodic_data(lambdas, alpha: float, gamma_target, *,
                          tol: float = 1e-8, max_iter: int = 60) -> PeriodicSpec:
     """Find (alphas, A) whose holonomies hit gamma_target, by damped Newton.
 
@@ -538,15 +534,7 @@ def search_periodic_data(lambdas, alpha: float, gamma_target, *, seed=None,
         constraint = sum(l / a for l, a in zip(lambdas, alphas)) + alpha
         return np.concatenate([[constraint], gam - target])
 
-    if seed is not None:
-        alphas0 = np.asarray(seed[0], dtype=float)
-        A0 = float(seed[1])
-        x = np.concatenate([np.log(alphas0), [math.log(A0)]])
-        r = residual(x)
-        if r is None:
-            raise ValidationError("seed data is infeasible")
-    else:
-        x, r = _search_seed(params, residual)
+    x, r = _search_seed(params, residual)
 
     def jacobian(x, r):
         """Forward differences against the residual r held at x, so n + 1

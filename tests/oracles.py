@@ -10,13 +10,11 @@ stepper, so the tests can check the reduction against it:
 The real state is [Re w_1, Im w_1, ..., Re w_n, Im w_n, theta].
 
 The module also holds the point-by-point finite-difference mean curvature
-the package's batched one replaced, the one-point tangent basis of the
-quadric that the package's stacked _tangent_bases is checked against, the
-central-difference Jacobian the periodic search's forward one is checked
-against, the per-value file writers (csv.writer rows of repr(float) fields)
-that the package's streamed row writer must match byte for byte, the breakpoint
-ladders of the QUADPACK references for expander integrals, and small
-helpers only tests call.
+the package's batched one replaced, the central-difference Jacobian the
+periodic search's forward one is checked against, the per-value file writers
+(csv.writer rows of repr(float) fields) that the package's streamed row
+writer must match byte for byte, the breakpoint ladders of the QUADPACK
+references for expander integrals, and small helpers only tests call.
 """
 
 import csv
@@ -244,45 +242,6 @@ def lift_state(spec: TrajectorySpec, state: ReducedState) -> FullState:
         for a, l, p in zip(spec.alphas, lam, state.phis)
     )
     return FullState(state.s, ws, state.theta)
-
-
-def quadric_tangent_basis(lambdas, x):
-    """Orthonormal tangent basis of { sum lambda_j x_j^2 = C } at x.
-
-    Returns an (n-1, n) array of row vectors orthogonal to the gradient
-    direction nu ~ (lambda_1 x_1, ..., lambda_n x_n), built by Gram-Schmidt
-    from the coordinate axes with the axis of largest |lambda_j x_j| dropped
-    (deterministic pivot).  The orientation is fixed so that the rows followed
-    by nu form a right-handed basis of R^n.
-    """
-    lam = np.asarray(lambdas, dtype=float)
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    grad = lam * x
-    norm = np.linalg.norm(grad)
-    if norm == 0:
-        raise ValidationError("quadric gradient vanishes; point is singular")
-    nu = grad / norm
-    drop = int(np.argmax(np.abs(grad)))
-    rows = []
-    for k in range(n):
-        if k == drop:
-            continue
-        v = np.zeros(n)
-        v[k] = 1.0
-        v -= (v @ nu) * nu
-        for e in rows:
-            v -= (v @ e) * e
-        vn = np.linalg.norm(v)
-        if vn < 1e-12:
-            raise ValidationError("degenerate tangent basis at quadric point")
-        rows.append(v / vn)
-    basis = np.array(rows).reshape(n - 1, n)
-    if n > 1:
-        full = np.vstack([basis, nu[None, :]])
-        if np.linalg.det(full) < 0:
-            basis[0] = -basis[0]
-    return basis
 
 
 # -- the per-point finite-difference oracle ----------------------------------

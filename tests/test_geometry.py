@@ -121,6 +121,34 @@ def test_tangent_basis_orthonormal_and_oriented(rng):
             np.testing.assert_array_equal(B, _tangent_bases(lam, x[None])[0])
 
 
+# every signature of n = 1..5, m of n lambdas positive, at level 1, and the
+# mixed ones at levels 0 and -1 too
+SIGNATURES = [((1.0,) * m + (-1.0,) * (n - m), level)
+              for n in range(1, 6) for m in range(1, n + 1)
+              for level in ((1,) if m == n else (1, 0, -1))]
+
+
+@pytest.mark.parametrize("lambdas, level", SIGNATURES, ids=[
+    f"{''.join('+' if l > 0 else '-' for l in lam)} level {level}" for lam, level in SIGNATURES])
+def test_stacked_tangent_bases_are_oriented_orthonormal_and_pointwise(lambdas, level):
+    """At 200 quadric points the stacked bases' rows are orthonormal and
+    orthogonal to the unit normal nu, the rows followed by nu have positive
+    determinant, and the stack equals one-point calls bit for bit."""
+    n = len(lambdas)
+    xs = quadric_base_points(lambdas, 200, seed=3, level=level)
+    bases = _tangent_bases(lambdas, xs)
+    assert bases.shape == (200, n - 1, n)
+    nu = np.asarray(lambdas) * xs
+    nu /= np.linalg.norm(nu, axis=-1, keepdims=True)
+    np.testing.assert_allclose(bases @ bases.swapaxes(-1, -2),
+                               np.broadcast_to(np.eye(n - 1), (200, n - 1, n - 1)),
+                               rtol=0, atol=1e-15)
+    np.testing.assert_allclose(np.einsum("mak,mk->ma", bases, nu), 0.0, rtol=0, atol=1e-15)
+    assert np.all(np.linalg.det(np.concatenate([bases, nu[:, None]], axis=1)) > 0)
+    np.testing.assert_array_equal(bases, np.stack([_tangent_bases(lambdas, x[None])[0]
+                                                   for x in xs]))
+
+
 def test_tangent_basis_rejects_singular_point():
     with pytest.raises(ValidationError):
         _tangent_bases((1.0, -1.0), np.zeros((1, 2)))

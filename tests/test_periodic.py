@@ -28,6 +28,13 @@ def spec_of(lambdas, alphas, A, alpha=0.0, psi=None):
     return PeriodicSpec(SolitonParams(lambdas, 1.0, alpha), alphas, A, psi)
 
 
+def seeded_at(alphas, A):
+    """Patch the search's seed scan to start at (alphas, A) instead."""
+    x0 = np.concatenate([np.log(np.asarray(alphas, dtype=float)), [math.log(A)]])
+    return mock.patch("lagsol.periodic._search_seed",
+                      side_effect=lambda params, residual: (x0, residual(x0)))
+
+
 def test_spec_validation():
     with pytest.raises(ValidationError):
         spec_of((-1.0,), (1.0,), 0.5)                       # no positive slot
@@ -527,9 +534,9 @@ def test_search_jacobian_fallback_reuses_residuals():
         seen.append((spec.alphas, spec.A))
         return real(spec, **kwargs)
 
-    with mock.patch("lagsol.periodic.holonomies", side_effect=spy):
-        found = search_periodic_data((1.0, -1.0), 0.5, target,
-                                     seed=(alphas, (1.0 - 1e-7) * ceiling))
+    with mock.patch("lagsol.periodic.holonomies", side_effect=spy), \
+            seeded_at(alphas, (1.0 - 1e-7) * ceiling):
+        found = search_periodic_data((1.0, -1.0), 0.5, target)
     assert len(seen) == len(set(seen)) > 0
     np.testing.assert_allclose(holonomies(found), target, atol=1e-8)
 
@@ -551,8 +558,8 @@ def test_search_halves_a_step_whose_quadrature_fails():
             raise ToleranceFailure("quadrature failed for holonomy: est. error 1e-9")
         return real(spec, **kwargs)
 
-    with mock.patch("lagsol.periodic.holonomies", side_effect=flaky):
-        found = search_periodic_data((1.0, -1.0), 0.6, target, seed=seed)
+    with mock.patch("lagsol.periodic.holonomies", side_effect=flaky), seeded_at(*seed):
+        found = search_periodic_data((1.0, -1.0), 0.6, target)
     x0, failed, halved = seen[0], seen[(n + 1) + 1], seen[(n + 1) + 2]
     np.testing.assert_allclose(halved - x0, 0.5 * (failed - x0), rtol=1e-12, atol=1e-15)
     np.testing.assert_allclose(holonomies(found), target, atol=1e-8)
@@ -566,8 +573,9 @@ def test_search_residual_analyses_each_trial_once():
     target = holonomies(known)
     seed = (tuple(1.1 * a for a in based.alphas), 0.95 * based.A)
     with mock.patch("lagsol.periodic.critical_point", wraps=critical_point) as crit, \
-            mock.patch("lagsol.periodic.holonomies", wraps=holonomies) as hol:
-        found = search_periodic_data((1.0, -1.0), 0.6, target, seed=seed)
+            mock.patch("lagsol.periodic.holonomies", wraps=holonomies) as hol, \
+            seeded_at(*seed):
+        found = search_periodic_data((1.0, -1.0), 0.6, target)
     assert crit.call_count == hol.call_count > 0
     np.testing.assert_allclose(holonomies(found), target, atol=1e-8)
 
@@ -589,10 +597,10 @@ def test_the_search_tries_every_halving_before_it_stalls():
             raise ToleranceFailure("quadrature failed for holonomy: est. error 1e-9")
         return real(spec, **kwargs)
 
-    with mock.patch("lagsol.periodic.holonomies", side_effect=failing):
+    with mock.patch("lagsol.periodic.holonomies", side_effect=failing), seeded_at(*seed):
         with pytest.raises(NonConvergence,
                            match=r"^periodic data search stalled \(damping exhausted\)$"):
-            search_periodic_data((1.0, -1.0), 0.6, target, seed=seed)
+            search_periodic_data((1.0, -1.0), 0.6, target)
     assert len(seen) == before_trials + NEWTON_HALVINGS
 
 
@@ -611,6 +619,15 @@ def test_a_right_turning_point_past_1e200_raises():
     # up to u ~ 7.6e200, while the left root sits at radius ~1e198
     with pytest.raises(ValidationError, match="^right turning point bracket ran away$"):
         compute_orbit(spec_of((1.0,), (1e200,), 1e99, alpha=-1e-200))
+
+
+def test_a_turning_point_newton_past_its_cap_raises():
+    """Newton from a bracket end takes several steps here, so a cap of one
+    step raises NonConvergence, which the CLI reports with exit 3."""
+    with mock.patch("lagsol.periodic.TURNING_POINT_MAX_ITER", 1), \
+            pytest.raises(NonConvergence,
+                          match="^turning point: Newton did not settle in 1 steps$"):
+        compute_orbit(spec_of((1.0, -1.0), (1.0, 2.0), 0.4, alpha=0.5))
 
 
 def test_search_rejects_unnormalized_lambdas():

@@ -11,14 +11,14 @@ from unittest import mock
 
 from lagsol import verify as V
 from lagsol.expander import ExpanderProfile, s_of_y
-from lagsol.geometry import _tangent_bases, centred_fd_mean_curvature, centred_frame
-from lagsol.meshing import centred_mesh, quadric_base_points, translator_mesh
+from lagsol.geometry import centred_fd_mean_curvature, centred_frame
+from lagsol.meshing import centred_mesh, translator_mesh
 from lagsol.params import SolitonParams
 from lagsol.periodic import PeriodicSpec, compute_orbit
 from lagsol.reduced_ode import reduced_system
 from lagsol.translator import TranslatorProfile, translator_fd_mean_curvature
 from lagsol.verify import _fd_subset, _worst, verify_mesh
-from oracles import quadric_tangent_basis, stationary_spec
+from oracles import stationary_spec
 
 
 def _with_nan_point(mesh, i):
@@ -265,14 +265,6 @@ def test_one_frame_call_on_the_gated_points(case, edit):
     x = frame.call_args.args[1]          # after the profile, or the bound translator
     assert len(x) == len(mesh) - (2 if edit == "nan_rows" else 0)
     assert report.passed == (edit == "plain")
-
-
-@pytest.mark.parametrize("lambdas", [(1, 1), (1, -1), (1, 1, 1), (1, 1, -1), (1, -1, -1)])
-def test_stacked_tangent_basis_matches_the_chart_basis(lambdas):
-    xs = quadric_base_points(lambdas, 40, seed=3)
-    stacked = _tangent_bases(lambdas, xs)
-    for x, basis in zip(xs, stacked):
-        np.testing.assert_allclose(basis, quadric_tangent_basis(lambdas, x), rtol=0, atol=1e-15)
 
 
 # -- mutation tests: an export that disagrees with its record in the equation only
