@@ -194,10 +194,10 @@ def _print_pairs(pairs):
 def _export_verified(cfg, name, profile, mesh, extra_pairs=()) -> int:
     """Write the mesh (CSV, and PLY on request) and the profile record, verify
     the mesh independently, then write its summary followed by extra_pairs."""
-    _write(cfg, name, "mesh.csv", fileio.write_mesh_csv, mesh)
+    csv_file = _write(cfg, name, "mesh.csv", fileio.write_mesh_csv, mesh)
     if cfg["ply"]:
         _write(cfg, name, "mesh.ply", fileio.write_mesh_ply, mesh,
-               project3d=cfg["project3d"])
+               project3d=cfg["project3d"], csv_file=csv_file)
     _write(cfg, name, "record.txt", fileio.write_profile_record, profile)
     report = verify_mesh(profile, mesh, cfg["fd-checks"])
     _write(cfg, name, "summary.txt", fileio.write_keyvalues,

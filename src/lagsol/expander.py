@@ -17,15 +17,21 @@ and the profile is asymptotic to the two Lagrangian planes with coordinate
 angles psi_j + phibar_j and psi_j - phibar_j.  The map a -> phibar is the
 angle map; it satisfies sum phibar_j < pi/2 for alpha > 0 with equality in
 the minimal case alpha = 0, and is inverted here by a damped Newton
-iteration in logarithmic coordinates.
+iteration in logarithmic coordinates.  Dilating an expander rescales alpha
+and a together and keeps its asymptotic planes, so phibar(k alpha, k a) =
+phibar(alpha, a): the Newton start, the symmetric scale a = (c,..,c), is a
+one-dimensional solve in beta = alpha / c, and so reaches any alpha the
+quadrature rule does.
 
 P is computed via expm1/log1p, so small t loses nothing to cancellation,
 and as t e^(-E/2) once E = log(1 + t^2 P) exceeds 700.  Each quantity runs
 on one rule of ``quadutil``:
 
-- the angle map phibar and its Jacobian: one double-exponential family each
-  (``improper_quad``); the DE map spreads the decades between the peak
-  scales 1/sqrt(a_j) evenly, so a ~ 1e13 needs no special handling;
+- the angle map phibar: one double-exponential family (``improper_quad``);
+  the DE map spreads the decades between the peak scales 1/sqrt(a_j)
+  evenly, so a ~ 1e13 needs no special handling.  A Newton iterate of the
+  inversion is one family of n + n^2 members, phibar and its Jacobian on
+  the same nodes (``_angle_pass``), which its residual and Jacobian share;
 - the phases phi_j(y) - psi_j and the arc parameter s(y), which only
   minimal-base translators read: Gauss-Legendre panels over the gaps
   between heights (``gauss_panels``), on phibar's integrand
@@ -41,7 +47,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import InvalidTarget, NonConvergence, ValidationError
 from .geometry import ChainCache, CurveRecord, curve_views
@@ -51,6 +56,9 @@ from .quadutil import gauss_panels, improper_quad
 NEWTON_MAX_ITER = 50
 NEWTON_TOL = 1e-10
 NEWTON_HALVINGS = 15    # step halvings before a damped Newton solve stalls
+# the symmetric seed: its accuracy and largest step in log beta (so in log c),
+# the |log beta| and |log c| past which it gives up, and its iteration cap
+SEED_TOL, SEED_MAX_STEP, SEED_MAX_LOG, SEED_MAX_ITER = 1e-3, 10.0, 700.0, 100
 EPS = float(np.finfo(float).eps)
 MAX_HEIGHT = math.sqrt(np.finfo(float).max)    # the largest height whose square is finite
 
@@ -243,14 +251,20 @@ def angle_map(alpha: float, a) -> np.ndarray:
 
 
 def angle_map_jacobian(alpha: float, a) -> np.ndarray:
-    """d phibar_j / d a_k by differentiating under the integral sign.
+    """d phibar_j / d a_k by differentiating under the integral sign, read
+    from the joint pass (_angle_pass)."""
+    return np.array(_angle_pass(*_angle_map_args(alpha, a))[1])
+
+
+def _angle_family(alpha: float, a: tuple):
+    """t -> (n + n^2, nodes) array: the integrands of phibar_j, then those of
+    d phibar_j / d a_k, row-major in (j, k), t > 0.
 
     With W = prod(1+a_k t^2) e^{alpha t^2} = 1 + t^2 P one has
     dP/da_k = W / (1 + a_k t^2), which gives integrands proportional to
-    t^2 / ((1 - e^{-E})(1 + a_k t^2)); the k = j entry picks up the extra
-    derivative of the 1/(1/a_j + t^2) prefactor.
+    t^2 / ((1 - e^{-E})(1 + a_k t^2)) times phibar_j's own; the k = j entry
+    picks up the extra derivative of the 1/(1/a_j + t^2) prefactor.
     """
-    alpha, a = _angle_map_args(alpha, a)
     n = len(a)
     av = np.array(a)[:, None]
     diag = np.arange(n)
@@ -260,11 +274,21 @@ def angle_map_jacobian(alpha: float, a) -> np.ndarray:
         one_minus = np.maximum(-np.expm1(-E), 1e-300)
         q = 1.0 / (1.0 + av * t2)                     # (n, nodes)
         g = av * q * isp
-        out = -g[:, None, :] * (t2 / (2.0 * one_minus)) * q[None, :, :]
-        out[diag, diag] += isp * q * q                # entry (j, j)
-        return out.reshape(n * n, -1)
+        jac = -g[:, None, :] * (t2 / (2.0 * one_minus)) * q[None, :, :]
+        jac[diag, diag] += isp * q * q                # entry (j, j)
+        return np.concatenate([g, jac.reshape(n * n, -1)])
+    return rates
 
-    return improper_quad(rates, what="angle map jacobian").reshape(n, n)
+
+@lru_cache(maxsize=256)
+def _angle_pass(alpha: float, a: tuple) -> tuple:
+    """(phibar, d phibar / d a) at checked (alpha, a), from one DE family of
+    n + n^2 members: a Newton iterate's residual and Jacobian in one pass."""
+    n = len(a)
+    out = improper_quad(_angle_family(alpha, a), what="angle map and jacobian")
+    phibar, jac = out[:n], out[n:].reshape(n, n)
+    phibar.flags.writeable = jac.flags.writeable = False
+    return phibar, jac
 
 
 def _validate_target(alpha: float, target: np.ndarray):
@@ -288,33 +312,62 @@ def _validate_target(alpha: float, target: np.ndarray):
 def _symmetric_seed(alpha: float, n: int, target_sum: float) -> float:
     """Scale c with sum of angle_map(alpha, (c,..,c)) matching the target sum.
 
-    Angle sums within ~1e-9 of the pi/2 ceiling cannot be bracketed reliably
-    (the deficit is below quadrature noise); those are seeded by extrapolating
-    the near-ceiling power law of the deficit from two resolvable values.
-    """
-    def sum_of(lc):
-        return n * float(angle_map(alpha, (math.exp(lc),) * n)[0])
+    Dilating an expander rescales alpha and a together and keeps its
+    asymptotic planes, so phibar(k alpha, k a) = phibar(alpha, a) and the
+    sum is S(beta) = n phibar_1(beta, (1,..,1)) at beta = alpha / c, falling
+    from pi/2 at beta = 0 to 0 at infinity.  x = log beta solves S = target
+    by a bracketed Newton iteration on the logit log(S / (pi/2 - S)), about
+    linear in x in both tails, to SEED_TOL.  Each iterate is one joint pass
+    (_angle_pass): the Euler identity beta d phibar/d beta = -sum_k a_k
+    d phibar/d a_k gives dS/dx = -n sum_k J_1k at a = (1,..,1).
 
-    def seed_for(tsum):
-        def g(lc):
-            return sum_of(lc) - tsum
-        lo, hi = -5.0, 5.0
-        while g(lo) > 0 and lo > -70:
-            lo -= 10.0
-        while g(hi) < 0 and hi < 70:
-            hi += 10.0
-        if g(lo) > 0 or g(hi) < 0:
-            raise NonConvergence("could not bracket the symmetric seed scale")
-        return brentq(g, lo, hi, xtol=1e-3)
+    Angle sums within ~1e-9 of the pi/2 ceiling cannot be resolved (the
+    deficit is below quadrature noise); those are seeded by extrapolating
+    the near-ceiling power law of the deficit in beta from two resolvable
+    values.
+    """
+    ones = (1.0,) * n
+
+    def log_beta(tsum):
+        goal = math.log(tsum / (0.5 * math.pi - tsum))
+        lo, hi, x = -math.inf, math.inf, 0.0
+        for _ in range(SEED_MAX_ITER):
+            phibar, jac = _angle_pass(math.exp(x), ones)
+            total = n * float(phibar[0])
+            deficit = 0.5 * math.pi - total
+            if total <= 0.0 or deficit <= 0.0:     # at 0 or pi/2 to quadrature noise
+                f, slope = (math.inf if deficit <= 0.0 else -math.inf), 0.0
+            else:
+                f = math.log(total / deficit) - goal
+                slope = -n * float(jac[0].sum()) * 0.5 * math.pi / (total * deficit)
+            if f > 0.0:
+                lo = x
+            else:
+                hi = x
+            new = x - f / slope if slope < 0.0 else math.nan
+            if not lo < new < hi or abs(new - x) > SEED_MAX_STEP:
+                new = (0.5 * (lo + hi) if math.isfinite(lo + hi)
+                       else x + math.copysign(SEED_MAX_STEP, f))
+            if abs(new - x) < SEED_TOL:
+                return new
+            if abs(new) > SEED_MAX_LOG:
+                break
+            x = new
+        raise NonConvergence("could not bracket the symmetric seed scale")
 
     deficit = 0.5 * math.pi - target_sum
     if alpha > 0 and 0 < deficit < 1e-9:
         ref1, ref2 = 1e-6, 1e-5
-        lc1 = seed_for(0.5 * math.pi - ref1)
-        lc2 = seed_for(0.5 * math.pi - ref2)
-        slope = (lc1 - lc2) / math.log(ref2 / ref1)  # d log(a) / d log(1/deficit)
-        return math.exp(lc1 + slope * math.log(ref1 / deficit))
-    return math.exp(seed_for(target_sum))
+        x1 = log_beta(0.5 * math.pi - ref1)
+        x2 = log_beta(0.5 * math.pi - ref2)
+        slope = (x1 - x2) / math.log(ref1 / ref2)   # d log(beta) / d log(deficit)
+        x = x1 + slope * math.log(deficit / ref1)
+    else:
+        x = log_beta(target_sum)
+    log_c = math.log(alpha) - x
+    if abs(log_c) > SEED_MAX_LOG:
+        raise NonConvergence("could not bracket the symmetric seed scale")
+    return math.exp(log_c)
 
 
 def damped_newton(residual, jacobian, x, r, *, tol: float, max_iter: int, what: str,
@@ -347,11 +400,14 @@ def damped_newton(residual, jacobian, x, r, *, tol: float, max_iter: int, what: 
 def invert_angle_map(alpha: float, target, *, tol: float = NEWTON_TOL) -> np.ndarray:
     """Solve angle_map(alpha, a) = target for a by damped log-space Newton.
 
+    Each iterate is one joint pass (_angle_pass), which the residual and the
+    Jacobian both read.  A trial whose a has an entry that is not positive
+    and finite (exp underflows or overflows) is infeasible and damped away.
     For alpha = 0 the map is scale invariant (only defined up to the ray
     through a); the returned representative satisfies sum(a) = 1.
     """
     target = np.asarray(target, dtype=float)
-    require_finite("alpha", (alpha,))
+    (alpha,) = require_finite("alpha", (alpha,))
     require_finite("target angles", target.tolist())
     n = target.size
     if alpha == 0.0 and n == 1:
@@ -367,11 +423,15 @@ def invert_angle_map(alpha: float, target, *, tol: float = NEWTON_TOL) -> np.nda
         a = np.full(n, _symmetric_seed(alpha, n, float(target.sum())))
 
     def residual(ell):
-        return angle_map(alpha, tuple(np.exp(ell))) - target
+        with np.errstate(over="ignore"):    # an overflowing trial is infeasible
+            a = np.exp(ell)
+        if not (np.isfinite(a).all() and (a > 0.0).all()):
+            return None
+        return _angle_pass(alpha, tuple(a.tolist()))[0] - target
 
     def jacobian(ell, r):
         a = np.exp(ell)
-        return angle_map_jacobian(alpha, tuple(a)) * a[None, :]  # d/d log a
+        return angle_map_jacobian(alpha, tuple(a.tolist())) * a[None, :]  # d/d log a
 
     def least_squares(J, b):    # at alpha = 0, where the map is scale invariant
         return np.linalg.lstsq(J, b, rcond=None)[0]

@@ -8,12 +8,14 @@ Every table (mesh CSV and PLY, the profile, trajectory, residual, plane and
 orbit reports) goes through one row writer.  It streams the rows in blocks
 of BLOCK_ROWS, one write each, so memory does not grow with the table, and
 within a block it formats each distinct float once; the CSV bytes are those
-of csv.writer.
+of csv.writer.  A PLY cloud written beside its mesh CSV is that file's text
+re-separated, so an export formats each float once for both files.
 """
 
 from __future__ import annotations
 
 import csv
+import re
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +31,10 @@ from .translator import TranslatorProfile
 # break byte-stability of archived outputs
 _PROJECTION_SEED = 1729
 
-# rows per write: a block's text is built and written in one piece
+# rows per write: a block's text is built and written in one piece; and the
+# bytes of mesh CSV text per block a PLY writer re-separates
 BLOCK_ROWS = 4096
+BLOCK_BYTES = 1 << 20
 
 
 def _fmt(v) -> str:
@@ -123,23 +127,53 @@ def projection_matrix(real_dim: int) -> np.ndarray:
     return q[:3]
 
 
-def write_mesh_ply(path, mesh: Mesh, *, project3d: bool = False) -> None:
+def write_mesh_ply(path, mesh: Mesh, *, project3d: bool = False,
+                   csv_file=None) -> None:
     """ASCII PLY vertex cloud.
 
     The coordinates are the real ones of the R^{2n} embedding, or with
     project3d their image under a fixed orthonormal projection onto R^3 (R^2
     at n = 1).  The first three, zero-padded, are x/y/z and the rest are
     kept as extra float properties c4..c{2n}, followed by s_or_y and theta.
+
+    csv_file, when given, is the file write_mesh_csv wrote for this mesh.
+    Without project3d the vertex lines hold the numbers of its rows, so they
+    are its rows re-separated and zero-padded (_ply_rows_of_csv), and no
+    float is formatted a second time.
     """
+    dim = 2 * mesh.n
+    if project3d:
+        dim = min(3, dim)
+    pad = max(3 - dim, 0)
+    header = ["ply", "format ascii 1.0", f"element vertex {len(mesh)}"]
+    header += [f"property double {name}" for name in ["x", "y", "z"] + [
+        f"c{k}" for k in range(4, dim + pad + 1)] + ["s_or_y", "theta"]]
+    header.append("end_header")
+    if csv_file is not None and not project3d:
+        _ply_rows_of_csv(csv_file, path, header, dim, pad)
+        return
     coords = _real_coordinates(mesh)
     if project3d:
         coords = coords @ projection_matrix(2 * mesh.n).T
-    coords = np.column_stack([coords, np.zeros((len(mesh), max(3 - coords.shape[1], 0)))])
-    header = ["ply", "format ascii 1.0", f"element vertex {len(mesh)}"]
-    header += [f"property double {name}" for name in ["x", "y", "z"] + [
-        f"c{k}" for k in range(4, coords.shape[1] + 1)] + ["s_or_y", "theta"]]
-    table = np.column_stack([coords, mesh.params, mesh.thetas])
-    _write_rows(path, header + ["end_header"], table, sep=" ", end="\n")
+    table = np.column_stack([coords, np.zeros((len(mesh), pad)), mesh.params, mesh.thetas])
+    _write_rows(path, header, table, sep=" ", end="\n")
+
+
+def _ply_rows_of_csv(csv_file, path, header, dim: int, pad: int) -> None:
+    """Write the header lines, then the rows of the mesh CSV file csv_file as
+    PLY vertex lines: pad zeros after the first dim cells, cells separated
+    by spaces, lines ended by newlines.  The text streams through BLOCK_BYTES
+    at a time; a repr() holds no comma or line break, so the bytes are those
+    of formatting the same floats again."""
+    padding = re.compile("^((?:[^,]*,){%d})" % dim, re.M)
+    with Path(csv_file).open(newline="") as src, Path(path).open("w", newline="") as fh:
+        src.readline()
+        fh.write("\n".join(header) + "\n")
+        while lines := src.readlines(BLOCK_BYTES):
+            block = "".join(lines)
+            if pad:
+                block = padding.sub(r"\g<1>" + "0.0," * pad, block)
+            fh.write(block.replace(",", " ").replace("\r\n", "\n"))
 
 
 # -- tabular reports ---------------------------------------------------------

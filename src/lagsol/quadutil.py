@@ -2,11 +2,11 @@
 
 Each quantity runs on one rule:
 
-- the angle map phibar_j and its Jacobian, integrals over [0, inf): one
-  double-exponential (DE) family each, ``improper_quad`` (Takahasi-Mori
-  1974): nodes t = exp(pi/2 sinh x), the trapezoid rule in x, h halved
-  until, for every member, two levels differ by at most REL_TOL times that
-  member's integral of |f|;
+- the angle map phibar_j, and phibar_j with its Jacobian for the angle map
+  inversion, integrals over [0, inf): one double-exponential (DE) family
+  each, ``improper_quad`` (Takahasi-Mori 1974): nodes t = exp(pi/2 sinh x),
+  the trapezoid rule in x, h halved until, for every member, two levels
+  differ by at most REL_TOL times that member's integral of |f|;
 - the expander phase increments phi_j(y) - psi_j and arc parameter s(y),
   integrals over finite gaps between heights: Gauss-Legendre panels,
   ``gauss_panels``, every gap of a batch and every member in one numpy

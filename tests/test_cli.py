@@ -422,6 +422,23 @@ def test_invert_angles_round_trip(capsys):
     assert all(v > 0 for v in a)
 
 
+@pytest.mark.parametrize("argv, codes", [
+    # a Newton trial underflows exp(log a) to 0; it is damped away, not rejected
+    (["invert-angles", "--alpha=0", "--target=1e-12,1.5707963267948954"], (0, 3)),
+    # the seed solves for alpha / c, so it needs no bracket in c at extreme alpha
+    (["invert-angles", "--alpha=1e-40", "--target=0.5,0.6"], (0,)),
+    (["invert-angles", "--alpha=1e40", "--target=0.5,0.6"], (0,)),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_admissible_targets_exit_0_or_3(capsys, argv, codes):
+    rc = main(argv)
+    out, err = capsys.readouterr()
+    assert rc in codes, err
+    if rc == 0:
+        assert float(out_pairs(out)["residual"]) <= 1e-10
+    else:
+        assert len(err.splitlines()) == 1 and err.startswith("lagsol:")
+
+
 def test_invert_angles_rejects_unattainable_target(capsys):
     # the angle sum is capped by pi/2, so 0.9 + 0.9 is out of range
     rc = main(["invert-angles", "--alpha", "1.0", "--target", "0.9,0.9"])

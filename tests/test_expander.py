@@ -1,6 +1,7 @@
 """Expander and minimal profiles on the centred quadric, and the angle map."""
 
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -248,10 +249,12 @@ def test_invert_rejects_bad_targets():
 def test_a_singular_jacobian_stalls_the_inversion(tmp_path, capsys):
     """At alpha > 0 a singular Jacobian takes the least-squares step (here 0),
     whose trials never lower the residual: NonConvergence, exit 3."""
-    def singular(alpha, a):
-        return np.zeros((len(a), len(a)))
+    joint = expander._angle_pass
 
-    with mock.patch.object(expander, "angle_map_jacobian", side_effect=singular):
+    def singular(alpha, a):
+        return joint(alpha, a)[0], np.zeros((len(a), len(a)))
+
+    with mock.patch.object(expander, "_angle_pass", side_effect=singular):
         with pytest.raises(NonConvergence, match="^angle map inversion stalled"):
             invert_angle_map(1.0, [0.5, 0.3])
         assert cli.main(["invert-angles", "--alpha=1", "--target=0.5,0.3",
@@ -262,22 +265,78 @@ def test_a_singular_jacobian_stalls_the_inversion(tmp_path, capsys):
 
 def test_the_inversion_tries_every_halving_before_it_stalls():
     """With the Jacobian's sign flipped every step climbs, so the first
-    iteration evaluates NEWTON_HALVINGS trials and stalls."""
+    iteration evaluates NEWTON_HALVINGS trials and stalls.  The seed's passes,
+    at a = (1,..,1), keep their sign."""
+    joint, jacobian = expander._angle_pass, expander.angle_map_jacobian
     calls, marks = [], []
 
-    def counted(alpha, a):
+    def flipped(alpha, a):
+        phibar, J = joint(alpha, a)
+        if a == (1.0,) * len(a):
+            return phibar, J
         calls.append(a)
-        return angle_map(alpha, a)
+        return phibar, -J
 
-    def uphill(alpha, a):
+    def marked(alpha, a):
+        J = jacobian(alpha, a)
         marks.append(len(calls))
-        return -angle_map_jacobian(alpha, a)
+        return J
 
-    with mock.patch.object(expander, "angle_map", side_effect=counted), \
-            mock.patch.object(expander, "angle_map_jacobian", side_effect=uphill):
+    with mock.patch.object(expander, "_angle_pass", side_effect=flipped), \
+            mock.patch.object(expander, "angle_map_jacobian", side_effect=marked):
         with pytest.raises(NonConvergence, match="stalled"):
             invert_angle_map(1.0, [0.5, 0.3])
     assert len(marks) == 1 and len(calls) - marks[0] == NEWTON_HALVINGS == 15
+
+
+def test_a_trial_outside_the_domain_is_infeasible():
+    """A Newton trial whose exp(log a) underflows to 0 or overflows is
+    infeasible: its residual is None, with no warning, so the halvings pull
+    the step back instead of a ValidationError ending the solve."""
+    residuals = []
+
+    def spy(residual, jacobian, x, r, **kwargs):
+        residuals.append(residual)
+        return damped_newton(residual, jacobian, x, r, **kwargs)
+
+    with mock.patch.object(expander, "damped_newton", side_effect=spy), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        invert_angle_map(1.0, [0.5, 0.3])
+        (residual,) = residuals
+        assert residual(np.array([-800.0, 0.0])) is None
+        assert residual(np.array([800.0, 0.0])) is None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_the_symmetric_seed_takes_a_few_joint_passes(n):
+    """The seed is Newton in log(alpha / c), its slope read off the joint
+    pass by the Euler identity, so it needs a few passes for angle sums from
+    1e-2 to 1e-6 below the pi/2 ceiling, and it lands well inside its 1e-3
+    in log c."""
+    for total in (1e-2, 0.5, 1.0, 1.5, math.pi / 2 - 1e-6):
+        expander._angle_pass.cache_clear()
+        c = expander._symmetric_seed(1.0, n, total)
+        assert expander._angle_pass.cache_info().misses <= 4
+        got = n * angle_map(1.0, (c,) * n)[0]
+        logit = math.log(got / (math.pi / 2 - got)) - math.log(total / (math.pi / 2 - total))
+        assert abs(logit) < 1e-6
+
+
+def test_angle_map_is_invariant_under_dilation(rng):
+    """Dilating an expander by k rescales alpha and a together and keeps its
+    asymptotic planes: phibar(k alpha, k a) = phibar(alpha, a), and so
+    k J(k alpha, k a) = J(alpha, a), compared in log a."""
+    for _ in range(40):
+        n = int(rng.integers(1, 6))
+        alpha = 0.0 if rng.random() < 0.25 else math.exp(rng.uniform(math.log(1e-2),
+                                                                      math.log(20.0)))
+        a = math.exp(rng.uniform(-3.0, 3.0)) * np.exp(rng.uniform(0.0, math.log(1e6), size=n))
+        k = 10.0 ** rng.uniform(-30.0, 30.0)
+        np.testing.assert_allclose(angle_map(k * alpha, k * a), angle_map(alpha, a),
+                                   rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(k * angle_map_jacobian(k * alpha, k * a) * a,
+                                   angle_map_jacobian(alpha, a) * a, rtol=0.0, atol=1e-12)
 
 
 def test_damped_newton_falls_back_to_least_squares_and_counts_iterations():

@@ -2,6 +2,7 @@
 
 import math
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from lagsol import fileio
 from lagsol.errors import ValidationError
 from lagsol.expander import ExpanderProfile, asymptotic_angles
 from lagsol.fileio import (BLOCK_ROWS, mesh_csv_header, projection_matrix, read_keyvalues,
@@ -400,6 +402,21 @@ def test_mesh_ply_matches_the_per_value_writer(tmp_path, n, project3d):
                           project3d=project3d)
         assert b"\r" not in text
         assert text.count(b"\n") == text.split(b"\n").index(b"end_header") + 1 + len(mesh)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
+@pytest.mark.parametrize("project3d", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_ply_written_from_the_mesh_csv_has_the_same_bytes(tmp_path, n, project3d):
+    # a small BLOCK_BYTES makes the long meshes span many blocks
+    csv, mine, theirs = tmp_path / "mesh.csv", tmp_path / "from_csv.ply", tmp_path / "direct.ply"
+    for mesh in (special_mesh(n), special_mesh(n, 0), table_mesh(twins_table(LONG, 2 * n + 2)),
+                 special_mesh(n, LONG)):
+        write_mesh_csv(csv, mesh)
+        with mock.patch.object(fileio, "BLOCK_BYTES", 4096):
+            write_mesh_ply(mine, mesh, project3d=project3d, csv_file=csv)
+        oracles.write_mesh_ply(theirs, mesh, project3d=project3d)
+        assert mine.read_bytes() == theirs.read_bytes()
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
