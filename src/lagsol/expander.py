@@ -19,9 +19,9 @@ angle map; it satisfies sum phibar_j < pi/2 for alpha > 0 with equality in
 the minimal case alpha = 0, and is inverted here by a damped Newton
 iteration in logarithmic coordinates.  Dilating an expander rescales alpha
 and a together and keeps its asymptotic planes, so phibar(k alpha, k a) =
-phibar(alpha, a): the Newton start, the symmetric scale a = (c,..,c), is a
-one-dimensional solve in beta = alpha / c, and so reaches any alpha the
-quadrature rule does.
+phibar(alpha, a): phibar is integrated at the scale where P(0) = 1, and the
+Newton start, the symmetric scale a = (c,..,c), is a one-dimensional solve
+in beta = alpha / c.
 
 P is computed via expm1/log1p, so small t loses nothing to cancellation,
 and as t e^(-E/2) once E = log(1 + t^2 P) exceeds 700.  Each quantity runs
@@ -226,7 +226,9 @@ def _phase_family(alpha: float, a: tuple):
 
 @lru_cache(maxsize=10_000)
 def _phibar(alpha: float, a: tuple) -> tuple:
-    return tuple(improper_quad(_phase_family(alpha, a), what="asymptotic angle").tolist())
+    k = alpha + sum(a)      # phibar(alpha, a) = phibar(alpha / k, a / k), where P(0) = 1
+    return tuple(improper_quad(_phase_family(alpha / k, tuple(x / k for x in a)),
+                               what="asymptotic angle").tolist())
 
 
 def asymptotic_angles(profile: ExpanderProfile) -> AngleVector:
@@ -242,6 +244,8 @@ def _angle_map_args(alpha: float, a) -> tuple:
         raise ValidationError("alpha must be non-negative")
     if any(x <= 0 for x in a):
         raise ValidationError("every a_j must be positive")
+    if math.isinf(alpha + sum(a)):
+        raise ValidationError("alpha + sum(a) overflows")
     return alpha, a
 
 
@@ -284,9 +288,10 @@ def _angle_family(alpha: float, a: tuple):
 def _angle_pass(alpha: float, a: tuple) -> tuple:
     """(phibar, d phibar / d a) at checked (alpha, a), from one DE family of
     n + n^2 members: a Newton iterate's residual and Jacobian in one pass."""
-    n = len(a)
-    out = improper_quad(_angle_family(alpha, a), what="angle map and jacobian")
-    phibar, jac = out[:n], out[n:].reshape(n, n)
+    n, k = len(a), alpha + sum(a)     # at (alpha / k, a / k), like _phibar
+    out = improper_quad(_angle_family(alpha / k, tuple(x / k for x in a)),
+                        what="angle map and jacobian")
+    phibar, jac = out[:n], out[n:].reshape(n, n) / k
     phibar.flags.writeable = jac.flags.writeable = False
     return phibar, jac
 
@@ -401,8 +406,8 @@ def invert_angle_map(alpha: float, target, *, tol: float = NEWTON_TOL) -> np.nda
     """Solve angle_map(alpha, a) = target for a by damped log-space Newton.
 
     Each iterate is one joint pass (_angle_pass), which the residual and the
-    Jacobian both read.  A trial whose a has an entry that is not positive
-    and finite (exp underflows or overflows) is infeasible and damped away.
+    Jacobian both read.  A trial is infeasible and damped away when exp
+    underflows an entry of a to 0, or alpha + sum(a) or the Jacobian overflows.
     For alpha = 0 the map is scale invariant (only defined up to the ray
     through a); the returned representative satisfies sum(a) = 1.
     """
@@ -425,9 +430,10 @@ def invert_angle_map(alpha: float, target, *, tol: float = NEWTON_TOL) -> np.nda
     def residual(ell):
         with np.errstate(over="ignore"):    # an overflowing trial is infeasible
             a = np.exp(ell)
-        if not (np.isfinite(a).all() and (a > 0.0).all()):
-            return None
-        return _angle_pass(alpha, tuple(a.tolist()))[0] - target
+            if not (np.isfinite(alpha + a.sum()) and (a > 0.0).all()):
+                return None
+            phibar, jac = _angle_pass(alpha, tuple(a.tolist()))
+        return phibar - target if np.isfinite(jac).all() else None
 
     def jacobian(ell, r):
         a = np.exp(ell)

@@ -36,7 +36,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import brentq
@@ -322,20 +321,16 @@ def detect_periodicity(orbit: PeriodicOrbit, *, qmax: int = 64,
                        tol: float = None) -> PeriodicityVerdict:
     """Decide whether the orbit closes up, and report a period.
 
-    Periodic iff each phase advance gamma_j per step S is within tol of
-    2 pi p_j / r for a common r <= qmax.  Then T = r S, p_j counts the turns
-    of phase j over T, and sum p_j is the Maslov index of the closed loop.
-    An oscillating orbit steps by one swing: S and gamma are its period and
-    holonomies.  A stationary orbit has no swing, so one turn of its first
-    phase stands in for one, at the rates of _phase_rates.
-
-    The r tried first is the lcm R of _continued_fractions of gamma_j / 2 pi,
-    taken when R <= qmax and R fits within tol; otherwise r is the least
-    r in 1..qmax that fits.  r and p are then divided by gcd(r, p).  So the
-    r reported need not be the least one within tol: at qmax 4096 the
-    gammas 2 pi (1/4095, 2048/4095) report r = 4095, though r = 4085 fits.
-    max_residual is in radians when periodic; otherwise it is the error of
-    the best rational approximations of gamma_j / 2 pi, denominators <= qmax.
+    The fit of r is max_j |gamma_j - 2 pi p_j / r| in radians, p_j = rint(r
+    gamma_j / 2 pi), for the phase advances gamma_j per step S.  The orbit is
+    periodic iff some r <= qmax fits within tol; then r is the least such r
+    (so gcd(r, p) = 1: a common factor g would make r / g fit), T = r S, p_j
+    counts the turns of phase j over T, sum p_j is the Maslov index of the
+    closed loop, and max_residual is the fit of r.  Otherwise max_residual is
+    the best fit over 1..qmax, so periodic holds iff max_residual <= tol.
+    An oscillating orbit steps by one swing, of period S and holonomies gamma;
+    a stationary orbit has no swing, so one turn of its first phase stands in
+    for one, at the rates of _phase_rates.
     """
     if tol is None:
         tol = 1e-9 * qmax
@@ -345,42 +340,18 @@ def detect_periodicity(orbit: PeriodicOrbit, *, qmax: int = 64,
         gamma = [2.0 * math.pi * w / abs(rates[0]) for w in rates]
     else:
         S, gamma = orbit.S, orbit.gamma
-    x = [gj / (2.0 * math.pi) for gj in gamma]
-
-    def fit(r):
-        p = [round(xx * r) for xx in x]
-        return p, max(abs(gj - 2.0 * math.pi * pp / r) for gj, pp in zip(gamma, p))
-
-    # continued-fraction candidate first, then the exhaustive denominator scan
-    R, approx = _continued_fractions(x, qmax)
-    r = R if R <= qmax and fit(R)[1] <= tol else _first_denominator(x, gamma, qmax, tol)
-    if r is not None:
-        p, resid = fit(r)
-        g = math.gcd(r, *p)
-        r_min = r // g
-        return PeriodicityVerdict(True, r_min, tuple(pp // g for pp in p), r_min * S, resid)
-    return PeriodicityVerdict(False, None, None, None, approx)
-
-
-def _continued_fractions(x, qmax: int):
-    """(R, error): the lcm R of the denominators of the best rational
-    approximations of x with denominators <= qmax, and their largest error."""
-    fracs = [Fraction(xx).limit_denominator(qmax) for xx in x]
-    return (math.lcm(*(f.denominator for f in fracs)),
-            max(abs(xx - float(f)) for xx, f in zip(x, fracs)))
-
-
-def _first_denominator(x, gamma, qmax: int, tol: float):
-    """Least r in 1..qmax that ``fit`` in detect_periodicity passes, or None: the
-    same arithmetic (rint rounds half to even, like round) on chunks of r."""
-    xs, gs = np.array(x)[:, None], np.array(gamma)[:, None]
+    gs, best = np.array(gamma)[:, None], math.inf
     for lo in range(1, qmax + 1, SCAN_CHUNK):
         r = np.arange(lo, min(lo + SCAN_CHUNK, qmax + 1), dtype=float)
-        resid = np.abs(gs - 2.0 * math.pi * np.rint(xs * r) / r).max(axis=0)
+        p = np.rint(gs / (2.0 * math.pi) * r)
+        resid = np.abs(gs - 2.0 * math.pi * p / r).max(axis=0)
         hit = np.flatnonzero(resid <= tol)
         if hit.size:
-            return lo + int(hit[0])
-    return None
+            i = int(hit[0])
+            return PeriodicityVerdict(True, lo + i, tuple(int(pj) for pj in p[:, i]),
+                                      (lo + i) * S, float(resid[i]))
+        best = min(best, float(resid.min()))
+    return PeriodicityVerdict(False, None, None, None, best)
 
 
 # -- closed-form stationary profiles and ODE-backed orbit profiles -----------

@@ -117,11 +117,14 @@ def test_negative_counts_exit_2(tmp_path, capsys, argv):
     ["translator", "--alpha=1", "--a=1", "--t-max=1e300"],
     ["translator", "--alpha=1", "--a=1,2", "--radius=1e300"],
     ["periodic", *ORBIT, "--mesh", "--rho-max=1e300"],
+    ["expander", "--alpha=1e308", "--a=1e308,1e308"],
+    ["translator", "--alpha=1e308", "--a=1e308"],
 ], ids=lambda argv: " ".join(argv))
 def test_overflowing_exports_exit_2_and_write_nothing(tmp_path, capsys, argv):
-    # a height whose square overflows, or a mesh point that is not finite,
-    # is rejected before the first file is opened; numpy's RuntimeWarnings on
-    # the way come out as "lagsol: warning: ..." lines
+    # a height whose square overflows, a mesh point that is not finite, or
+    # an alpha + sum(a) that overflows (the angle map's integration scale)
+    # is rejected before the first file is opened; numpy's RuntimeWarnings
+    # on the way come out as "lagsol: warning: ..." lines
     with warnings.catch_warnings():
         warnings.simplefilter("always")
         assert main(argv + [f"--outdir={tmp_path}"]) == 2
@@ -425,9 +428,16 @@ def test_invert_angles_round_trip(capsys):
 @pytest.mark.parametrize("argv, codes", [
     # a Newton trial underflows exp(log a) to 0; it is damped away, not rejected
     (["invert-angles", "--alpha=0", "--target=1e-12,1.5707963267948954"], (0, 3)),
-    # the seed solves for alpha / c, so it needs no bracket in c at extreme alpha
+    # a Newton trial reaches a scale where the Jacobian overflows; it is damped away
+    (["invert-angles", "--alpha=0", "--target=1e-13,1.5707963267948"], (0, 3)),
+    # the seed solves for alpha / c, so it needs no bracket in c at extreme alpha,
+    # and the angle map is integrated on its dilation orbit where alpha + sum(a) = 1
     (["invert-angles", "--alpha=1e-40", "--target=0.5,0.6"], (0,)),
     (["invert-angles", "--alpha=1e40", "--target=0.5,0.6"], (0,)),
+    (["invert-angles", "--alpha=1e-60", "--target=0.5,0.6"], (0,)),
+    (["invert-angles", "--alpha=1e60", "--target=0.5,0.6"], (0,)),
+    (["invert-angles", "--alpha=1e-100", "--target=1e-6,0.3,0.9"], (0,)),
+    (["invert-angles", "--alpha=1e100", "--target=1e-6,0.3,0.9"], (0,)),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_admissible_targets_exit_0_or_3(capsys, argv, codes):
     rc = main(argv)

@@ -147,6 +147,12 @@ def test_jacobian_matches_oracle_in_hard_regimes(alpha, a):
     assert_close(expander.angle_map_jacobian(alpha, a), oracle_jacobian(alpha, a))
 
 
+def test_phibar_at_a_dilated_scale_matches_oracle_at_unit_scale():
+    """phibar(k alpha, k a) = phibar(alpha, a): at k = 1e60 the engine
+    integrates at the unit point of the dilation orbit."""
+    assert_close(engine_phibar(1e60, (1e60, 2e60)), oracle_phibar(1.0, (1.0, 2.0)))
+
+
 @pytest.mark.parametrize("alpha, a", MINIMAL_CASES)
 def test_minimal_angles_sum_to_half_pi(alpha, a):
     # the identity checks the oracle itself, at its own precision

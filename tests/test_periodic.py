@@ -136,8 +136,9 @@ def test_stationary_detection_irrational_ratio():
 
 
 def test_stationary_detection_denominator_beyond_qmax():
-    """Ratios (1, 1/sqrt 2, -1/sqrt 3): the continued-fraction lcm is 754 >
-    qmax and no r <= qmax fits, so the verdict returns the approximation residual."""
+    """Ratios (1, 1/sqrt 2, -1/sqrt 3): no r <= qmax fits, so max_residual is
+    the best fit over 1..qmax in radians, that of the per-r loop stepping by
+    one turn of the first phase."""
     lam, alphas = (1.0, 1.0, -1.0), (1.0, math.sqrt(2.0), math.sqrt(3.0))
     alpha = -sum(l / a for l, a in zip(lam, alphas))
     spec = spec_of(lam, alphas, math.sqrt(math.prod(alphas)), alpha=alpha)
@@ -145,7 +146,11 @@ def test_stationary_detection_denominator_beyond_qmax():
     assert orbit.case == "hamiltonian_stationary"
     verdict = detect_periodicity(orbit)
     assert not verdict.periodic and verdict.r is None
-    assert verdict.max_residual == pytest.approx(4.27e-4, rel=1e-3)
+    rates = [-l * orbit.based.A / a for l, a in zip(lam, orbit.based.alphas)]
+    turn = dataclasses.replace(orbit, S=2.0 * math.pi / abs(rates[0]),
+                               gamma=tuple(2.0 * math.pi * w / abs(rates[0]) for w in rates))
+    assert verdict == per_r_verdict(turn, 64, 64e-9)
+    assert verdict.max_residual == pytest.approx(2.07e-2, rel=1e-3)
 
 
 def test_turning_points_against_bisection_oracle():
@@ -405,27 +410,18 @@ def test_detect_periodicity_generic_data_is_quasi_periodic():
 
 
 def per_r_verdict(orbit, qmax, tol):
-    """The oscillating-case verdict by the plain per-r loop over [R] + 1..qmax."""
-    from fractions import Fraction
+    """The oscillating-case verdict by the plain per-r loop over 1..qmax: the
+    first r whose fit is within tol, or else the best fit."""
     from lagsol.periodic import PeriodicityVerdict
 
-    x = [gj / (2.0 * math.pi) for gj in orbit.gamma]
-    fracs = [Fraction(xx).limit_denominator(qmax) for xx in x]
-    R = 1
-    for f in fracs:
-        R = R * f.denominator // math.gcd(R, f.denominator)
-    candidates = list(range(1, qmax + 1)) if R > qmax else [R] + list(range(1, qmax + 1))
-    for r in candidates:
-        p = [round(xx * r) for xx in x]
-        resid = max(abs(gj - 2.0 * math.pi * pp / r) for gj, pp in zip(orbit.gamma, p))
+    best = math.inf
+    for r in range(1, qmax + 1):
+        p = [round(gj / (2.0 * math.pi) * r) for gj in orbit.gamma]
+        resid = max(abs(gj - 2.0 * math.pi * pj / r) for gj, pj in zip(orbit.gamma, p))
         if resid <= tol:
-            g = r
-            for pp in p:
-                g = math.gcd(g, abs(pp))
-            return PeriodicityVerdict(True, r // g, tuple(pp // g for pp in p),
-                                      (r // g) * orbit.S, resid)
-    resid = max(abs(xx - float(f)) for xx, f in zip(x, fracs))
-    return PeriodicityVerdict(False, None, None, None, resid)
+            return PeriodicityVerdict(True, r, tuple(p), r * orbit.S, resid)
+        best = min(best, resid)
+    return PeriodicityVerdict(False, None, None, None, best)
 
 
 def scan_gammas():
@@ -451,6 +447,54 @@ def test_chunked_scan_matches_the_per_r_loop(qmax, tight):
         orbit = dataclasses.replace(base, gamma=gamma)
         got = detect_periodicity(orbit, qmax=qmax, tol=tol if tight else None)
         assert got == per_r_verdict(orbit, qmax, tol), gamma
+
+
+def test_the_reported_denominator_is_the_least_that_fits():
+    """2 pi (1/4095, 2048/4095) at qmax 4096 closes at r = 4095, but r = 4085
+    already fits within the default tol 4.096e-6."""
+    spec = spec_of((1.0, -1.0, -1.0), (1.0, 2.0, 3.0), 0.4, alpha=0.5)
+    orbit = dataclasses.replace(compute_orbit(spec),
+                                gamma=(2.0 * math.pi / 4095, 2.0 * math.pi * 2048 / 4095))
+    verdict = detect_periodicity(orbit, qmax=4096)
+    assert (verdict.r, verdict.p) == (4085, (1, 2043))
+    assert verdict.max_residual <= 4096e-9
+
+
+def fits(gamma, qmax):
+    """max_j |gamma_j - 2 pi rint(r gamma_j / 2 pi) / r| for r = 1..qmax."""
+    g = np.array(gamma)[:, None]
+    r = np.arange(1, qmax + 1, dtype=float)
+    return np.abs(g - 2.0 * math.pi * np.rint(g / (2.0 * math.pi) * r) / r).max(axis=0)
+
+
+@pytest.mark.parametrize("qmax", [1, 64, 4096, 100000])
+def test_the_verdict_is_the_least_denominator_within_tol(qmax):
+    """Seeded property over random gammas and rationals 2 pi p / r nudged by
+    0, up to tol / 2 or up to 2 tol, at the default tol and at 1e-12:
+    periodic iff max_residual <= tol; then no smaller r fits, gcd(r, p) = 1
+    and T = r S; otherwise max_residual is the best fit over 1..qmax."""
+    rng = np.random.default_rng(qmax)
+    spec = spec_of((1.0, -1.0, -1.0), (1.0, 2.0, 3.0), 0.4, alpha=0.5)
+    base = compute_orbit(spec)
+    for _ in range(60):
+        n, tol = int(rng.integers(1, 4)), float(rng.choice([1e-9 * qmax, 1e-12]))
+        if rng.random() < 0.25:
+            gamma = rng.uniform(-4 * math.pi, 4 * math.pi, size=n)
+        else:
+            r0, nudge = int(rng.integers(1, qmax + qmax // 4 + 2)), rng.choice([0, 0.5, 2])
+            gamma = (2.0 * math.pi * rng.integers(-3 * r0, 3 * r0 + 1, size=n) / r0
+                     + rng.uniform(-nudge * tol, nudge * tol, size=n))
+        orbit = dataclasses.replace(base, gamma=tuple(gamma.tolist()))
+        verdict = detect_periodicity(orbit, qmax=qmax, tol=tol)
+        fit = fits(gamma, qmax)
+        assert verdict.periodic == (verdict.max_residual <= tol), gamma
+        if verdict.periodic:
+            r = verdict.r
+            assert verdict.max_residual == fit[r - 1] and not (fit[:r - 1] <= tol).any()
+            assert math.gcd(r, *verdict.p) == 1
+            assert verdict.T == r * base.S
+        else:
+            assert verdict.max_residual == fit.min()
 
 
 def test_search_recovers_reference_holonomies():
