@@ -244,8 +244,11 @@ def _angle_map_args(alpha: float, a) -> tuple:
         raise ValidationError("alpha must be non-negative")
     if any(x <= 0 for x in a):
         raise ValidationError("every a_j must be positive")
-    if math.isinf(alpha + sum(a)):
+    k = alpha + sum(a)
+    if math.isinf(k):
         raise ValidationError("alpha + sum(a) overflows")
+    if min(a) < np.finfo(float).tiny * max(1.0, k):    # a_j or a_j / k subnormal
+        raise ValidationError("every a_j and a_j / (alpha + sum(a)) must be a normal double")
     return alpha, a
 
 
@@ -326,8 +329,8 @@ def _symmetric_seed(alpha: float, n: int, target_sum: float) -> float:
     (_angle_pass): the Euler identity beta d phibar/d beta = -sum_k a_k
     d phibar/d a_k gives dS/dx = -n sum_k J_1k at a = (1,..,1).
 
-    Angle sums within ~1e-9 of the pi/2 ceiling cannot be resolved (the
-    deficit is below quadrature noise); those are seeded by extrapolating
+    Angle sums within 1e-8 of the pi/2 ceiling cannot be resolved (the
+    deficit nears quadrature noise); those are seeded by extrapolating
     the near-ceiling power law of the deficit in beta from two resolvable
     values.
     """
@@ -361,7 +364,7 @@ def _symmetric_seed(alpha: float, n: int, target_sum: float) -> float:
         raise NonConvergence("could not bracket the symmetric seed scale")
 
     deficit = 0.5 * math.pi - target_sum
-    if alpha > 0 and 0 < deficit < 1e-9:
+    if alpha > 0 and 0 < deficit < 1e-8:
         ref1, ref2 = 1e-6, 1e-5
         x1 = log_beta(0.5 * math.pi - ref1)
         x2 = log_beta(0.5 * math.pi - ref2)
@@ -375,10 +378,10 @@ def _symmetric_seed(alpha: float, n: int, target_sum: float) -> float:
     return math.exp(log_c)
 
 
-def damped_newton(residual, jacobian, x, r, *, tol: float, max_iter: int, what: str,
-                  solve=np.linalg.solve) -> np.ndarray:
+def damped_newton(residual, jacobian, x, r, *, tol: float, max_iter: int,
+                  what: str) -> np.ndarray:
     """The x with max |residual(x)| < tol, by damped Newton from x, whose
-    residual is r.  Each step is solve(J, -r), J = jacobian(x, r), by least
+    residual is r.  Each step solves J step = -r, J = jacobian(x, r), by least
     squares where J is singular, and is halved until the trial's residual is
     not None (infeasible) and its norm falls, at most NEWTON_HALVINGS times."""
     for _ in range(max_iter):
@@ -386,7 +389,7 @@ def damped_newton(residual, jacobian, x, r, *, tol: float, max_iter: int, what: 
             return x
         J, rnorm = jacobian(x, r), float(np.linalg.norm(r))
         try:
-            step = solve(J, -r)
+            step = np.linalg.solve(J, -r)
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(J, -r, rcond=None)[0]
         for k in range(NEWTON_HALVINGS):
@@ -406,10 +409,11 @@ def invert_angle_map(alpha: float, target, *, tol: float = NEWTON_TOL) -> np.nda
     """Solve angle_map(alpha, a) = target for a by damped log-space Newton.
 
     Each iterate is one joint pass (_angle_pass), which the residual and the
-    Jacobian both read.  A trial is infeasible and damped away when exp
-    underflows an entry of a to 0, or alpha + sum(a) or the Jacobian overflows.
-    For alpha = 0 the map is scale invariant (only defined up to the ray
-    through a); the returned representative satisfies sum(a) = 1.
+    Jacobian both read.  A trial is feasible iff _angle_map_args accepts
+    exp(log a) and its Jacobian is finite; others are damped away.  At
+    alpha = 0 the angles sum to pi/2 at every scale, so sum(a) = 1 replaces
+    the dependent last equation and picks the returned representative; the
+    others are solved to tol / (n - 1).
     """
     target = np.asarray(target, dtype=float)
     (alpha,) = require_finite("alpha", (alpha,))
@@ -422,30 +426,31 @@ def invert_angle_map(alpha: float, target, *, tol: float = NEWTON_TOL) -> np.nda
         return np.array([1.0])
     _validate_target(alpha, target)
 
-    if alpha == 0.0:
-        a = np.full(n, 1.0 / n)
+    if alpha == 0.0:    # the last angle carries the errors of the n - 1 solved ones
+        a, tol = np.full(n, 1.0 / n), tol / (n - 1)
     else:
         a = np.full(n, _symmetric_seed(alpha, n, float(target.sum())))
 
     def residual(ell):
-        with np.errstate(over="ignore"):    # an overflowing trial is infeasible
-            a = np.exp(ell)
-            if not (np.isfinite(alpha + a.sum()) and (a > 0.0).all()):
-                return None
-            phibar, jac = _angle_pass(alpha, tuple(a.tolist()))
-        return phibar - target if np.isfinite(jac).all() else None
+        try:
+            with np.errstate(over="ignore"):    # an overflowing trial is infeasible
+                args = _angle_map_args(alpha, np.exp(ell))
+        except ValidationError:
+            return None
+        phibar, jac = _angle_pass(*args)
+        r = phibar - target
+        if alpha == 0.0:    # sum(a) = 1 replaces the dependent last equation
+            r[-1] = sum(args[1]) - 1.0
+        return r if np.isfinite(jac).all() else None
 
     def jacobian(ell, r):
         a = np.exp(ell)
-        return angle_map_jacobian(alpha, tuple(a.tolist())) * a[None, :]  # d/d log a
-
-    def least_squares(J, b):    # at alpha = 0, where the map is scale invariant
-        return np.linalg.lstsq(J, b, rcond=None)[0]
+        J = angle_map_jacobian(alpha, tuple(a.tolist())) * a[None, :]  # d/d log a
+        return J if alpha > 0.0 else np.vstack([J[:-1], a])    # d sum(a) / d log a
 
     ell = np.log(a)
     a = np.exp(damped_newton(residual, jacobian, ell, residual(ell), tol=tol,
-                             max_iter=NEWTON_MAX_ITER, what="angle map inversion",
-                             solve=least_squares if alpha == 0.0 else np.linalg.solve))
+                             max_iter=NEWTON_MAX_ITER, what="angle map inversion"))
     return a / a.sum() if alpha == 0.0 else a
 
 

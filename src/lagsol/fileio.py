@@ -266,9 +266,9 @@ def _profile_pairs(profile):
     if isinstance(profile, ExpanderProfile):
         return [("kind", "expander"), ("alpha", _fmt(profile.alpha)),
                 ("a", fmt_floats(profile.a)), ("psi", fmt_floats(profile.psi))]
-    if isinstance(profile, (HamiltonianStationaryProfile, OrbitProfile)):
+    if isinstance(profile, OrbitProfile):
         sp = profile.spec
-        kind = "orbit" if isinstance(profile, OrbitProfile) else "stationary"
+        kind = "stationary" if isinstance(profile, HamiltonianStationaryProfile) else "orbit"
         return [("kind", kind), ("alpha", _fmt(sp.params.alpha)),
                 ("lambdas", fmt_floats(sp.params.lambdas)),
                 ("alphas", fmt_floats(sp.alphas)), ("A", _fmt(sp.A)),

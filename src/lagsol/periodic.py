@@ -354,50 +354,11 @@ def detect_periodicity(orbit: PeriodicOrbit, *, qmax: int = 64,
     return PeriodicityVerdict(False, None, None, None, best)
 
 
-# -- closed-form stationary profiles and ODE-backed orbit profiles -----------
+# -- orbit profiles: ODE-backed, and the closed-form stationary one ---------
 
 def _phase_rates(based: PeriodicSpec) -> tuple:
     """omega_j = -lambda_j A / alpha_j: the phase rates of rebased stationary data."""
     return tuple(-l * based.A / a for l, a in zip(based.params.lambdas, based.alphas))
-
-
-class HamiltonianStationaryProfile:
-    """Closed-form solution with u = 0: phases wind linearly, theta likewise.
-
-    phi_j(s) = psi_j - lambda_j A s / alpha_j
-    theta(s) = sum(psi) - pi/2 + alpha A s
-
-    spec is kept as handed, so it must be rebased stationary data: A^2 = G(0).
-    """
-
-    kind = "centred"
-
-    def __init__(self, spec: PeriodicSpec):
-        if abs(_stationary_margin(spec)) > CASE_I_REL_TOL:
-            raise CaseMismatch("data does not satisfy A^2 = G(0); the u = 0 closed"
-                               " form needs rebased stationary data")
-        self.spec = spec
-        self.lambdas = self.spec.params.lambdas
-        self.alpha = self.spec.params.alpha
-        self.n = self.spec.n
-
-    def curve(self, ts) -> CurveRecord:
-        """The curve record at the parameters ts, in closed form."""
-        ts = np.asarray(ts, dtype=float)
-        rates = np.array(_phase_rates(self.spec))
-        phis = np.array(self.spec.psi) + rates * ts[:, None]
-        r = np.broadcast_to(np.sqrt(np.array(self.spec.alphas)), phis.shape)
-        w = r * np.exp(1j * phis)
-        wdot = 1j * rates * w
-        rate, zero = self.alpha * self.spec.A, np.zeros(len(ts))
-        return CurveRecord(ts, zero, r, phis, w, wdot,
-                           sum(self.spec.psi) - 0.5 * math.pi + rate * ts,
-                           zero + rate, zero, zero + 1.0)
-
-    # called nowhere in lagsol: perfbench's tracer wraps these names, so they
-    # stay until it stops (ROADMAP item 1)
-    w_of, wdot_of, theta_of, u_of, phis_of, theta_rate_of = curve_views(
-        "w", "wdot", "theta", "u", "phis", "theta_rate")
 
 
 class OrbitProfile:
@@ -419,13 +380,14 @@ class OrbitProfile:
     atol = 1e-13
 
     def __init__(self, spec: PeriodicSpec):
-        self.spec = spec
-        self.tspec = self.spec.trajectory_spec()
-        self.lambdas = self.spec.params.lambdas
-        self.alpha = self.spec.params.alpha
-        self.n = self.spec.n
+        self._hold(spec)
+        self.tspec = spec.trajectory_spec()
         self._rhs, self._conserved, self._near_escape = reduced_system(self.tspec)
         self._states = ChainCache(self._advance, self.tspec.initial_state(), "curve parameter")
+
+    def _hold(self, spec: PeriodicSpec):
+        self.spec, self.lambdas, self.alpha, self.n = (
+            spec, spec.params.lambdas, spec.params.alpha, spec.n)
 
     def _advance(self, chains, starts):
         """The states along each chain: one integration, sampled at its parameters."""
@@ -462,6 +424,37 @@ class OrbitProfile:
         u_rate = np.mean(2.0 * lam * (np.conj(w) * wdot).real, axis=1)
         return CurveRecord(ts, u, r, phis, w, wdot, theta, theta_rate, u_rate,
                            np.ones(len(ts)))
+
+    # called nowhere in lagsol: perfbench's tracer wraps these names, so they
+    # stay until it stops (ROADMAP item 1)
+    w_of, wdot_of, theta_of, u_of, phis_of, theta_rate_of = curve_views(
+        "w", "wdot", "theta", "u", "phis", "theta_rate")
+
+
+class HamiltonianStationaryProfile(OrbitProfile):
+    """The u = 0 solution of the orbit system at A^2 = G(0), in closed form:
+
+    phi_j(s) = psi_j + omega_j s,  omega_j = -lambda_j A / alpha_j (_phase_rates),
+    theta(s) = sum(psi) - pi/2 + alpha A s.
+
+    OrbitProfile.curve assembles the record from these states, so dw_j/ds
+    is i omega_j w_j.  spec is kept as handed, so it must be rebased
+    stationary data.  No ODE is built: A may sit a rounding error above the
+    sqrt(Q(0)) that the ODE's initial data allows.
+    """
+
+    def __init__(self, spec: PeriodicSpec):
+        if abs(_stationary_margin(spec)) > CASE_I_REL_TOL:
+            raise CaseMismatch("data does not satisfy A^2 = G(0); the u = 0 closed"
+                               " form needs rebased stationary data")
+        self._hold(spec)
+
+    def prefetch(self, s_values) -> np.ndarray:
+        """The states (u, phi, theta) at s_values, in closed form."""
+        ts = np.asarray(s_values, dtype=float)[:, None]
+        phis = np.array(self.spec.psi) + np.array(_phase_rates(self.spec)) * ts
+        theta = sum(self.spec.psi) - 0.5 * math.pi + self.alpha * self.spec.A * ts
+        return np.hstack([np.zeros_like(ts), phis, theta])
 
     # called nowhere in lagsol: perfbench's tracer wraps these names, so they
     # stay until it stops (ROADMAP item 1)

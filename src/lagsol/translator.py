@@ -39,7 +39,8 @@ from .errors import ValidationError
 from .params import require_finite
 from .expander import ExpanderProfile, s_of_y
 from .geometry import FramedPoint, curve_chart, fd_step, mean_curvature_fd
-from .periodic import OrbitProfile, PeriodicSpec, compute_orbit
+from .periodic import (HamiltonianStationaryProfile, OrbitProfile, PeriodicSpec,
+                       compute_orbit)
 
 
 class TranslatorProfile:
@@ -138,9 +139,10 @@ class TranslatorProfile:
 
     @property
     def oscillates(self) -> bool:
-        """True when the base orbit oscillates in u (case (ii) base), the one
-        kind of base that is an OrbitProfile."""
-        return isinstance(self.base, OrbitProfile)
+        """True when the base orbit oscillates in u (case (ii) base): an
+        OrbitProfile other than the u = 0 stationary one."""
+        return (isinstance(self.base, OrbitProfile)
+                and not isinstance(self.base, HamiltonianStationaryProfile))
 
 
 def translator_fd_mean_curvature(profile: TranslatorProfile, xs, c) -> np.ndarray:

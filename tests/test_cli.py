@@ -427,9 +427,9 @@ def test_invert_angles_round_trip(capsys):
 
 @pytest.mark.parametrize("argv, codes", [
     # a Newton trial underflows exp(log a) to 0; it is damped away, not rejected
-    (["invert-angles", "--alpha=0", "--target=1e-12,1.5707963267948954"], (0, 3)),
+    (["invert-angles", "--alpha=0", "--target=1e-12,1.5707963267948954"], (0,)),
     # a Newton trial reaches a scale where the Jacobian overflows; it is damped away
-    (["invert-angles", "--alpha=0", "--target=1e-13,1.5707963267948"], (0, 3)),
+    (["invert-angles", "--alpha=0", "--target=1e-13,1.5707963267948"], (0,)),
     # the seed solves for alpha / c, so it needs no bracket in c at extreme alpha,
     # and the angle map is integrated on its dilation orbit where alpha + sum(a) = 1
     (["invert-angles", "--alpha=1e-40", "--target=0.5,0.6"], (0,)),
@@ -438,6 +438,12 @@ def test_invert_angles_round_trip(capsys):
     (["invert-angles", "--alpha=1e60", "--target=0.5,0.6"], (0,)),
     (["invert-angles", "--alpha=1e-100", "--target=1e-6,0.3,0.9"], (0,)),
     (["invert-angles", "--alpha=1e100", "--target=1e-6,0.3,0.9"], (0,)),
+    # angle-sum deficits of 2.2e-9 and 1.0e-9, just above the seed's old
+    # extrapolation threshold of 1e-9, where its logit Newton cannot resolve them
+    (["invert-angles", "--alpha=1",
+      "--target=0.5235987748520584,0.5235987748520584,0.5235987748520584"], (0,)),
+    (["invert-angles", "--alpha=1", "--target=0.3926990814487241,0.3926990814487241,"
+      "0.3926990814487241,0.3926990814487241"], (0,)),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_admissible_targets_exit_0_or_3(capsys, argv, codes):
     rc = main(argv)
@@ -447,6 +453,22 @@ def test_admissible_targets_exit_0_or_3(capsys, argv, codes):
         assert float(out_pairs(out)["residual"]) <= 1e-10
     else:
         assert len(err.splitlines()) == 1 and err.startswith("lagsol:")
+
+
+@pytest.mark.parametrize("target", [
+    (0.6, math.pi / 2 - 0.6 + 5e-9),
+    (0.4, 0.5, math.pi / 2 - 0.9 - 5e-9),
+], ids=["n2 above", "n3 below"])
+def test_minimal_targets_off_pi_over_2_converge_to_the_sum_defect(capsys, target):
+    """At alpha = 0 the angles sum to pi/2, so Newton fixes all but the last
+    angle and sum(a) = 1: a target sum inside the 1e-8 window converges, and
+    the residual is the sum defect, carried by the last angle."""
+    rc = main(["invert-angles", "--alpha=0", "--target=" + ",".join(map(repr, target))])
+    out, err = capsys.readouterr()
+    assert rc == 0, err
+    defect = abs(sum(target) - math.pi / 2)
+    assert 4e-9 < defect < 6e-9
+    assert abs(float(out_pairs(out)["residual"]) - defect) <= 1e-10
 
 
 def test_invert_angles_rejects_unattainable_target(capsys):
@@ -583,6 +605,22 @@ def test_translator_orbit_base(tmp_path, capsys):
     assert summary["oscillating_base"] == "true"
 
 
+def test_translator_stationary_base(tmp_path, capsys):
+    """A stationary base is an OrbitProfile that does not oscillate: the
+    summary says so, and the record keeps its stationary kind."""
+    rc = main(["translator", "--alpha", "0", "--lambdas", "1,-1", "--alphas", "1,1",
+               "--A", "1", "--mesh-samples", "5", "--mesh-count", "4", "--fd-checks", "2",
+               "--outdir", str(tmp_path)])
+    assert rc == 0
+    summary = fileio.read_keyvalues(tmp_path / "translator_summary.txt")
+    assert summary["passed"] == "true"
+    assert summary["oscillating_base"] == "false"
+    assert fileio.read_keyvalues(tmp_path / "translator_record.txt")["base_kind"] == "stationary"
+    record = fileio.read_profile_record(tmp_path / "translator_record.txt")
+    assert type(record.base).__name__ == "HamiltonianStationaryProfile"
+    assert not record.oscillates
+
+
 def test_translator_without_base_exits_2(capsys):
     rc = main(["translator", "--alpha", "1.0"])
     assert rc == 2
@@ -620,15 +658,21 @@ def test_translator_without_base_exits_2(capsys):
      "--fd-checks: expected an integer, got '0.5'"),
     (["periodic-search", "--lambdas=1,-1", "--alpha=0", "--gamma=-1,1", "--max-iter=1.5"],
      "--max-iter: expected an integer, got '1.5'"),
+    # a subnormal a_j, or a_j / (alpha + sum(a)), is rejected before the angle map
+    (["expander", "--alpha=0", "--a=1e-320,1"],
+     "every a_j and a_j / (alpha + sum(a)) must be a normal double"),
+    (["expander", "--alpha=1", "--a=1e-310,1"],
+     "every a_j and a_j / (alpha + sum(a)) must be a normal double"),
 ], ids=["unsorted lambdas", "zero lambda", "search magnitude", "rebase underflow",
         "critical point runaway", "critical point at an edge ulp", "critical point at 1e300",
         "zero tol", "negative y-max", "orbit base without A", "empty list",
         "minimal profile angle", "float option", "int option", "int option given a float",
-        "search int option"])
+        "search int option", "subnormal a", "subnormal a at alpha 1"])
 def test_validation_messages_name_the_cause(tmp_path, capsys, argv, message):
     assert main(argv + [f"--outdir={tmp_path}"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("lagsol: ") and message in err[0]
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("argv", [

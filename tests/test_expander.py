@@ -228,6 +228,22 @@ def test_invert_minimal_returns_unit_sum_representative():
     np.testing.assert_allclose(angle_map(0.0, tuple(a)), target, atol=1e-10)
 
 
+def test_invert_minimal_converges_near_every_face():
+    """At alpha = 0 sum(a) = 1 replaces the dependent last angle equation, so
+    Newton is a square solve at every alpha: targets summing to pi/2 whose
+    least angle (the distance to the nearest face) is log-uniform down to
+    1e-12 all converge, to the unit-sum representative, with every angle
+    within 1e-10."""
+    rng = np.random.default_rng(8013721)
+    for _ in range(60):
+        n, least = int(rng.integers(2, 6)), 10.0 ** rng.uniform(-12.0, -1.0)
+        rest = least + (math.pi / 2 - n * least) * rng.dirichlet(np.ones(n - 1))
+        target = rng.permutation(np.concatenate([[least], rest]))
+        a = invert_angle_map(0.0, target)
+        assert abs(a.sum() - 1.0) <= 1e-15, (target, a)
+        assert np.abs(angle_map(0.0, tuple(a)) - target).max() <= 1e-10, (target, a)
+
+
 def test_invert_minimal_one_dimensional():
     a = invert_angle_map(0.0, [math.pi / 2])
     np.testing.assert_allclose(a, [1.0])
@@ -321,6 +337,20 @@ def test_the_symmetric_seed_takes_a_few_joint_passes(n):
         got = n * angle_map(1.0, (c,) * n)[0]
         logit = math.log(got / (math.pi / 2 - got)) - math.log(total / (math.pi / 2 - total))
         assert abs(logit) < 1e-6
+
+
+def test_the_symmetric_seed_resolves_every_deficit_below_the_ceiling():
+    """The seed's solve depends only on n and the target sum, and below an
+    angle-sum deficit of 1e-8 it extrapolates instead, so no deficit falls
+    between what it resolves and what it extrapolates: symmetric targets at
+    33 deficits from 1e-14 to 1e-6 below pi/2, for n = 2..7 at three alpha,
+    all invert."""
+    for alpha in (1e-3, 1.0, 20.0):
+        for n in range(2, 8):
+            for deficit in np.logspace(-14.0, -6.0, 33):
+                target = np.full(n, (math.pi / 2 - deficit) / n)
+                a = invert_angle_map(alpha, target)
+                assert np.abs(angle_map(alpha, tuple(a)) - target).max() <= 1e-10
 
 
 def test_angle_map_is_invariant_under_dilation(rng):

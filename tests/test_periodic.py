@@ -11,6 +11,7 @@ from scipy.linalg import null_space
 from scipy.optimize import brentq
 
 from lagsol import odeint
+from lagsol.cli import main
 from lagsol.errors import CaseMismatch, NonConvergence, ToleranceFailure, ValidationError
 from lagsol.expander import NEWTON_HALVINGS, damped_newton
 from lagsol.geometry import fd_step
@@ -285,6 +286,50 @@ def test_stationary_profile_takes_its_spec_as_handed():
         HamiltonianStationaryProfile(spec)
     based = compute_orbit(spec).based
     assert HamiltonianStationaryProfile(based).spec is based
+
+
+@pytest.mark.parametrize("lambdas, alpha, alphas, psi", [
+    ((1.0, -1.0), 0.0, (1.0, 1.0), None),
+    ((1.0, -1.0), 0.7, (1.0, 2.0), (0.4, -0.1)),
+    ((1.0, 1.0), -1.5, (1.0, 2.0), (0.2, 0.3)),
+    ((1.0, 1.0, -1.0), -1.0, (1.0, 2.0, 2.0), None),
+], ids=["mixed", "mixed alpha", "compact", "n3"])
+def test_the_stationary_record_is_the_orbit_assembly_of_the_closed_form(
+        lambdas, alpha, alphas, psi):
+    """The stationary profile supplies only u = 0 and the linear phases;
+    OrbitProfile.curve's assembly of the ODE's dw_j/ds then reads i omega_j
+    w_j, u stays put, theta runs at alpha A and s is the parameter.  The
+    phases hold omega_j s to an ulp, so the rates are compared at 1e-15
+    relative per unit of |s|: the scale of u's rate is sum_j |w_j dw_j/ds|."""
+    prof = compute_orbit(stationary_spec(SolitonParams(lambdas, 1.0, alpha), alphas,
+                                         psi)).profile()
+    assert isinstance(prof, HamiltonianStationaryProfile)
+    based = prof.spec
+    omega = -np.array(based.params.lambdas) * based.A / np.array(based.alphas)
+    s = np.array([-3.0, -0.4, 0.0, 0.25, 1.0, 2.5, 40.0])
+    c, grow = prof.curve(s), 1e-15 * (1.0 + np.abs(s))
+    np.testing.assert_array_equal(c.u, 0.0)
+    np.testing.assert_allclose(c.phis, np.array(based.psi) + omega * s[:, None],
+                               rtol=1e-15, atol=1e-15)
+    np.testing.assert_allclose(c.theta, sum(based.psi) - math.pi / 2 + alpha * based.A * s,
+                               rtol=1e-15, atol=1e-15)
+    assert (np.abs(c.wdot - 1j * omega * c.w) <= grow[:, None] * np.abs(c.wdot)).all()
+    assert (np.abs(c.u_rate) <= grow * np.abs(c.w * c.wdot).sum(axis=1)).all()
+    np.testing.assert_array_equal(c.theta_rate, alpha * based.A)
+    np.testing.assert_array_equal(c.s_rate, 1.0)
+
+
+def test_a_stationary_export_integrates_no_ode(tmp_path, capsys):
+    """The stationary mesh, its FD oracle and its verification read the
+    closed form: odeint.integrate is never called."""
+    with mock.patch.object(odeint, "integrate", side_effect=odeint.integrate) as spy:
+        assert main(["periodic", "--lambdas=1,-1", "--alphas=1,1", "--A=1",
+                     "--alpha=0", "--mesh", "--mesh-samples=6", "--mesh-count=5",
+                     f"--outdir={tmp_path}"]) == 0
+        assert main(["verify", f"--mesh={tmp_path / 'periodic_mesh.csv'}",
+                     f"--record={tmp_path / 'periodic_record.txt'}"]) == 0
+    assert "verification: PASS" in capsys.readouterr().out
+    assert spy.call_count == 0
 
 
 def test_G_structure(rng, make_orbit_spec):
