@@ -10,8 +10,18 @@ step; the soliton ODEs carry an exact first integral, and enforcing it at
 step granularity is what keeps long trajectories honest.
 
 States are Python float lists.  The right-hand side takes ``(s, y)`` with y
-a list and returns a list (any sequence of floats will do); at the state
-sizes used here, numpy's per-call overhead outweighs the arithmetic.
+a list and returns a sequence of len(y) floats; at the state sizes used here,
+numpy's per-call overhead outweighs the arithmetic.
+
+The step itself is generated: for each state size, on first use, the tableau
+is written out as one straight-line function whose state components and
+stage slopes are locals.  A loop over the tableau rows spent about half of
+each step on per-component interpreter work (zips, maps and sum() calls);
+the straight-line form does the same float operations in far fewer
+interpreter operations.  Every sum is spelled left to right from 0.0, the
+order in which CPython 3.11's sum() adds floats, so on 3.11 the generated
+step is bit-identical to the loop form, which the tests keep as its
+reference.
 
 Targets strictly inside an accepted step are read from the pair's 7th-order
 continuous extension (3 more stages, evaluated once per step that contains
@@ -29,7 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul
 
 import numpy as np
 
@@ -141,13 +150,87 @@ _D = (
 )
 
 
-def _split(row):
-    return tuple(j for j, _ in row), tuple(a for _, a in row)
+# the stages the continuous extension reads besides its own three, which the
+# step hands on: the first slope and those of the solution weights
+_KEPT = (0, *range(5, 13))
+# (step, extend) for each state size, generated on first use
+_STEPPERS = {}
 
 
-# each row as (stage indices, coefficients), the form _combine takes
-_A_ROWS = tuple(map(_split, _A))
-_D_ROWS = tuple(map(_split, _D))
+def _dot(row, m):
+    """Source of sum(a k_j) over the (j, a) of a tableau row, component m:
+    added left to right from 0.0, as CPython 3.11's sum() adds floats."""
+    return "".join(["0.0", *(f" + {a!r}*k{j}_{m}" for j, a in row)])
+
+
+def _generate(d):
+    """Source of the straight-line step and extension for d-component states.
+
+    step(rhs, s, hd, s_new, y, f, rtol, atol) runs stages 1-11 and the FSAL
+    stage at s_new, and returns (y_new, f_new, error norm, kept stages flat)
+    or None at the first non-finite stage.  extend(rhs, s, hd, y, y_new, ks)
+    runs stages 13-15 and returns the interpolant's coefficients per
+    component, or None likewise.  Stage i's state is y + hd sum(a_ij k_j) and
+    its slope k_i; ks holds the slopes of the _KEPT stages, stage by stage.
+    """
+    M = range(d)
+
+    def names(fmt):
+        # one name per component, each followed by a comma so d = 1 unpacks
+        return "".join(fmt.format(m=m) + ", " for m in M)
+
+    def finite(i):
+        return [f"    if not ({' and '.join(f'isfinite(k{i}_{m})' for m in M)}):",
+                "        return None"]
+
+    def stage(i):
+        state = ", ".join(f"y{m} + hd*({_dot(_A[i], m)})" for m in M)
+        return [f"    {names(f'k{i}_{{m}}')}= rhs(s + {_C[i]!r}*hd, [{state}])", *finite(i)]
+
+    kept = "".join(names(f"k{j}_{{m}}") for j in _KEPT)
+    e5 = " + ".join(f"(({_dot(zip(_E_STAGES, _E5), m)}) / sc{m}) ** 2" for m in M)
+    e3 = " + ".join(f"(({_dot(zip(_E_STAGES, _E3), m)}) / sc{m}) ** 2" for m in M)
+    lines = [
+        "def step(rhs, s, hd, s_new, y, f, rtol, atol):",
+        f"    {names('y{m}')}= y",
+        f"    {names('k0_{m}')}= f",
+        *[ln for i in range(1, 12) for ln in stage(i)],
+        f"    y_new = [{', '.join(f'y{m} + hd*({_dot(_A[12], m)})' for m in M)}]",
+        f"    {names('yn{m}')}= y_new",
+        "    f_new = rhs(s_new, y_new)",
+        f"    {names('k12_{m}')}= f_new",
+        *finite(12),
+        # Hairer's combined estimate, scaled by atol + rtol max(|y|, |y_new|)
+        *[f"    a = abs(y{m}); b = abs(yn{m}); sc{m} = atol + rtol*(a if a >= b else b)"
+          for m in M],
+        f"    e5 = 0.0 + {e5}",
+        f"    e3 = 0.0 + {e3}",
+        f"    err = 0.0 if e5 == 0.0 and e3 == 0.0 else abs(hd)*e5 / sqrt({d}*(e5 + 0.01*e3))",
+        f"    return y_new, f_new, err, ({kept})",
+        "",
+        "def extend(rhs, s, hd, y, y_new, ks):",
+        f"    {names('y{m}')}= y",
+        f"    {names('yn{m}')}= y_new",
+        f"    {kept}= ks",
+        *[ln for i in range(13, 16) for ln in stage(i)],
+        *[f"    d{m} = yn{m} - y{m}" for m in M],
+        "    return [" + ", ".join(
+            f"(d{m}, hd*k0_{m} - d{m}, 2.0*d{m} - hd*(k0_{m} + k12_{m}), "
+            + ", ".join(f"0.0 + hd*({_dot(row, m)})" for row in _D) + ")"
+            for m in M) + "]",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def _stepper(d):
+    """The (step, extend) pair for d-component states, compiled once per size."""
+    fns = _STEPPERS.get(d)
+    if fns is None:
+        ns = {"isfinite": math.isfinite, "sqrt": math.sqrt}
+        exec(compile(_generate(d), f"<odeint step, d = {d}>", "exec"), ns)
+        fns = _STEPPERS[d] = ns["step"], ns["extend"]
+    return fns
+
 
 _ORDER_EXP = 1 / 8  # the combined error estimate is O(h^8)
 _PI_ALPHA = 0.7 / 8
@@ -179,22 +262,6 @@ def _finite(v) -> bool:
     return all(map(math.isfinite, v))
 
 
-def _combine(y, hd, K, row):
-    """y + hd * sum(a K[j]) over the (j, a) of row, on float lists."""
-    idx, coefs = row
-    return [v + hd * sum(map(mul, coefs, col))
-            for v, col in zip(y, zip(*[K[j] for j in idx]))]
-
-
-def _stages(rhs, s, hd, y, K, stages):
-    """Evaluate the given stages into K; False at the first non-finite one."""
-    for i in stages:
-        K[i] = k = rhs(s + _C[i] * hd, _combine(y, hd, K, _A_ROWS[i]))
-        if not _finite(k):
-            return False
-    return True
-
-
 def _rms(v, scale):
     return math.sqrt(sum((a / b) ** 2 for a, b in zip(v, scale)) / len(v))
 
@@ -217,40 +284,14 @@ def _initial_step(rhs, s0, y0, f0, direction, rtol, atol):
     return min(100 * h0, h1)
 
 
-def _error_norm(K, hd, y0, y1, rtol, atol):
-    """Hairer's combined estimate |h| e5^2 / sqrt(n (e5^2 + 0.01 e3^2)), with
-    e5, e3 the norms of the two error rows over atol + rtol max(|y0|, |y1|).
-
-    A NaN in y1 propagates into the norm.
-    """
-    e5 = e3 = 0.0
-    for col, a, b in zip(zip(*[K[j] for j in _E_STAGES]), y0, y1):
-        a, b = abs(a), abs(b)
-        sc = atol + rtol * (a if a >= b else b)
-        e5 += (sum(map(mul, _E5, col)) / sc) ** 2
-        e3 += (sum(map(mul, _E3, col)) / sc) ** 2
-    if e5 == 0.0 and e3 == 0.0:
-        return 0.0
-    return abs(hd) * e5 / math.sqrt(len(y0) * (e5 + 0.01 * e3))
-
-
-def _interpolant(s, hd, y, y_new, K):
-    """The 7th-order continuous extension over the step [s, s + hd].
-
-    K holds the 16 stages (the last three are the extension stages).
-    """
-    f0, f1 = K[0], K[12]
-    dy = [b - a for a, b in zip(y, y_new)]
-    F = [dy,
-         [hd * a - d for a, d in zip(f0, dy)],
-         [2.0 * d - hd * (a + b) for d, a, b in zip(dy, f0, f1)],
-         *[_combine([0.0] * len(y), hd, K, row) for row in _D_ROWS]]
-
+def _interpolant(s, hd, y, cols):
+    """The 7th-order continuous extension over the step [s, s + hd], from the
+    coefficients extend returns."""
     def at(t):
         x = (t - s) / hd
         x1 = 1.0 - x
         return [v + x * (c0 + x1 * (c1 + x * (c2 + x1 * (c3 + x * (c4 + x1 * (c5 + x * c6))))))
-                for v, c0, c1, c2, c3, c4, c5, c6 in zip(y, *F)]
+                for v, (c0, c1, c2, c3, c4, c5, c6) in zip(y, cols)]
 
     return at
 
@@ -317,7 +358,7 @@ def integrate(
 
     h = min(_initial_step(rhs, s, y, f, direction, rtol, atol), span)
     err_prev = 1.0
-    K = [None] * 16
+    step, extend = _stepper(len(y))
     steps = 0
 
     while (s_end - s) * direction > 1e-14 * max(1.0, abs(s_end)):
@@ -335,14 +376,10 @@ def integrate(
 
         hd = h * direction
         s_new = s_end if last else s + hd
-        K[0] = f
-        bad = not _stages(rhs, s, hd, y, K, range(1, 12))
+        out = step(rhs, s, hd, s_new, y, f, rtol, atol)
+        bad = out is None
         if not bad:
-            y_new = _combine(y, hd, K, _A_ROWS[12])
-            K[12] = f_new = rhs(s_new, y_new)
-            bad = not _finite(f_new)
-        if not bad:
-            err_norm = _error_norm(K, hd, y, y_new, rtol, atol)
+            y_new, f_new, err_norm, kept = out
             if not err_norm <= 1.0:
                 res.n_rejected_error += 1
                 h *= (max(_MIN_FACTOR, _SAFETY * max(err_norm, 1e-10) ** -_ORDER_EXP)
@@ -357,7 +394,9 @@ def integrate(
                     continue
             # targets short of the step's end need the extension stages
             inner = ti < len(tgt) and (tgt[ti] - s_new) * direction < 0
-            bad = inner and not _stages(rhs, s, hd, y, K, range(13, 16))
+            if inner:
+                cols = extend(rhs, s, hd, y, y_new, kept)
+                bad = cols is None
         if bad:
             res.n_rejected_error += 1
             h *= 0.5
@@ -374,7 +413,7 @@ def integrate(
             res.max_drift = max(res.max_drift, drift)
             I_prev = I_new
         if inner:
-            at = _interpolant(s, hd, y, y_new, K)
+            at = _interpolant(s, hd, y, cols)
             while ti < len(tgt) and (tgt[ti] - s_new) * direction < 0:
                 out_s.append(tgt[ti])
                 out_y.append(at(tgt[ti]))

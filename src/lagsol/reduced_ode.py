@@ -96,11 +96,14 @@ def reduced_system(spec: TrajectorySpec):
 
     The stepper calls these on one state of n + 2 floats per stage, a size
     at which numpy's per-call overhead outweighs the arithmetic, so they
-    work on Python floats: rhs(s, y) takes the state y = [u, phi_1.., theta]
-    as a list (any sequence of floats) and returns its derivative as a list,
-    all NaN outside the band; conserved(y) is first_integral on a single
-    state; near_escape(y) says whether some radius squared is under
-    ESCAPE_COLLAR.
+    work on Python floats.  With the stepper's straight-line step they are
+    most of a step: a step attempt makes 12 rhs calls and one conserved
+    call, about 1.7 and 0.9 us each at n = 2, some 60% of its 34 us
+    (CPython 3.11 on a 2-core x86-64 VM).
+    rhs(s, y) takes the state y = [u, phi_1.., theta] as a list (any
+    sequence of floats) and returns its derivative as a list, all NaN
+    outside the band; conserved(y) is first_integral on a single state;
+    near_escape(y) says whether some radius squared is under ESCAPE_COLLAR.
     """
     pairs = tuple(zip(spec.alphas, spec.params.lambdas))
     alpha = spec.params.alpha

@@ -9,12 +9,14 @@ stepper, so the tests can check the reduction against it:
 
 The real state is [Re w_1, Im w_1, ..., Re w_n, Im w_n, theta].
 
-The module also holds the point-by-point finite-difference mean curvature
-the package's batched one replaced, the central-difference Jacobian the
-periodic search's forward one is checked against, the per-value file writers
-(csv.writer rows of repr(float) fields) that the package's streamed row
-writer must match byte for byte, the breakpoint ladders of the QUADPACK
-references for expander integrals, and small helpers only tests call.
+The module also holds the loop form of the DOP853 step that odeint's
+generated straight-line step must match bit for bit, the point-by-point
+finite-difference mean curvature the package's batched one replaced, the
+central-difference Jacobian the periodic search's forward one is checked
+against, the per-value file writers (csv.writer rows of repr(float) fields)
+that the package's streamed row writer must match byte for byte, the
+breakpoint ladders of the QUADPACK references for expander integrals, and
+small helpers only tests call.
 """
 
 import csv
@@ -24,7 +26,7 @@ from unittest import mock
 
 import numpy as np
 
-from lagsol import geometry, translator
+from lagsol import geometry, odeint, translator
 from lagsol.errors import ValidationError
 from lagsol.fileio import projection_matrix
 from lagsol.geometry import _tangent_bases, fd_step
@@ -154,7 +156,8 @@ class FullTrajectory:
         return len(self.s)
 
 
-def _make_full_rhs(spec: TrajectorySpec):
+def full_rhs(spec: TrajectorySpec):
+    """rhs(s, y) of the full system on the real state, a list; NaN outside the band."""
     lam = spec.lambdas
     alpha = spec.params.alpha
     n = spec.n
@@ -198,19 +201,24 @@ def full_first_integral(spec: TrajectorySpec, y) -> float:
     return math.exp(0.5 * spec.params.alpha * u) * (eit * W).imag
 
 
+def full_initial_state(spec: TrajectorySpec) -> np.ndarray:
+    """The real full state at the base point: w_j = sqrt(alpha_j) e^{i phi0_j}."""
+    n = spec.n
+    w0 = np.sqrt(np.array(spec.alphas)) * np.exp(1j * np.array(spec.phi0))
+    y0 = np.empty(2 * n + 1)
+    y0[0:2 * n:2] = w0.real
+    y0[1:2 * n:2] = w0.imag
+    y0[2 * n] = spec.theta0
+    return y0
+
+
 def integrate_full(spec: TrajectorySpec, s_min: float, s_max: float, *,
                    rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
                    targets=(), dense: bool = True) -> FullTrajectory:
     """Integrate the full system over [s_min, s_max] (must contain 0)."""
     n = spec.n
-    alphas = np.array(spec.alphas)
-    w0 = np.sqrt(alphas) * np.exp(1j * np.array(spec.phi0))
-    y0 = np.empty(2 * n + 1)
-    y0[0:2 * n:2] = w0.real
-    y0[1:2 * n:2] = w0.imag
-    y0[2 * n] = spec.theta0
-
-    rhs = _make_full_rhs(spec)
+    y0 = full_initial_state(spec)
+    rhs = full_rhs(spec)
     conserved = lambda y: full_first_integral(spec, y)
 
     def near(y):
@@ -242,6 +250,81 @@ def lift_state(spec: TrajectorySpec, state: ReducedState) -> FullState:
         for a, l, p in zip(spec.alphas, lam, state.phis)
     )
     return FullState(state.s, ws, state.theta)
+
+
+# -- the loop-form DOP853 step -------------------------------------------------
+
+def _lsum(terms) -> float:
+    """0.0 + t_0 + t_1 + ..., left to right: the sum CPython 3.11's sum()
+    forms from floats, spelled as a loop because 3.12's sum() compensates."""
+    acc = 0.0
+    for t in terms:
+        acc += t
+    return acc
+
+
+def _finite(v) -> bool:
+    return all(map(math.isfinite, v))
+
+
+def _combine(y, hd, K, row):
+    """y + hd sum(a K[j]) over the (j, a) of a tableau row, component by component."""
+    return [v + hd * _lsum(a * K[j][m] for j, a in row) for m, v in enumerate(y)]
+
+
+def _stages(rhs, s, hd, y, K, stages) -> bool:
+    """Evaluate the given stages into K; False at the first non-finite one."""
+    for i in stages:
+        K[i] = rhs(s + odeint._C[i] * hd, _combine(y, hd, K, odeint._A[i]))
+        if not _finite(K[i]):
+            return False
+    return True
+
+
+def _error_norm(K, hd, y0, y1, rtol, atol) -> float:
+    """Hairer's combined estimate |h| e5^2 / sqrt(n (e5^2 + 0.01 e3^2)), with
+    e5, e3 the norms of the two error rows over atol + rtol max(|y0|, |y1|)."""
+    e5 = e3 = 0.0
+    for m, (a, b) in enumerate(zip(y0, y1)):
+        a, b = abs(a), abs(b)
+        sc = atol + rtol * (a if a >= b else b)
+        e5 += (_lsum(c * K[j][m] for j, c in zip(odeint._E_STAGES, odeint._E5)) / sc) ** 2
+        e3 += (_lsum(c * K[j][m] for j, c in zip(odeint._E_STAGES, odeint._E3)) / sc) ** 2
+    if e5 == 0.0 and e3 == 0.0:
+        return 0.0
+    return abs(hd) * e5 / math.sqrt(len(y0) * (e5 + 0.01 * e3))
+
+
+def reference_step(rhs, s, hd, s_new, y, f, rtol, atol):
+    """The loop form of odeint's generated step: same arguments, same result."""
+    K = [None] * 16
+    K[0] = f
+    if not _stages(rhs, s, hd, y, K, range(1, 12)):
+        return None
+    y_new = _combine(y, hd, K, odeint._A[12])
+    K[12] = f_new = rhs(s_new, y_new)
+    if not _finite(f_new):
+        return None
+    return (y_new, f_new, _error_norm(K, hd, y, y_new, rtol, atol),
+            tuple(v for j in odeint._KEPT for v in K[j]))
+
+
+def reference_extend(rhs, s, hd, y, y_new, ks):
+    """The loop form of odeint's generated extension: the three extension
+    stages, then the interpolant's seven coefficients per component."""
+    d = len(y)
+    K = [None] * 16
+    for i, j in enumerate(odeint._KEPT):
+        K[j] = ks[i * d:(i + 1) * d]
+    if not _stages(rhs, s, hd, y, K, range(13, 16)):
+        return None
+    f0, f1 = K[0], K[12]
+    dy = [b - a for a, b in zip(y, y_new)]
+    rows = [dy,
+            [hd * a - d for a, d in zip(f0, dy)],
+            [2.0 * d - hd * (a + b) for d, a, b in zip(dy, f0, f1)],
+            *[_combine([0.0] * d, hd, K, row) for row in odeint._D]]
+    return list(zip(*rows))
 
 
 # -- the per-point finite-difference oracle ----------------------------------

@@ -1,12 +1,23 @@
-"""Semantics of the adaptive DOP853 stepper, on toy right-hand sides."""
+"""Semantics of the adaptive DOP853 stepper, on toy right-hand sides, and its
+generated step against the loop-form reference."""
 
 import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from lagsol import odeint
 from lagsol.errors import DomainEscape, ToleranceFailure
+from lagsol.params import SolitonParams
+from lagsol.reduced_ode import TrajectorySpec, reduced_system
+
+from oracles import full_initial_state, full_rhs, reference_extend, reference_step
 
 
 def test_nan_stage_rejects_and_halves_the_step():
@@ -122,3 +133,141 @@ def test_interior_targets_leave_the_steps_unchanged():
     np.testing.assert_array_equal(res.y[on_grid], clean.y)
     assert sorted(res.s[~on_grid].tolist()) == targets
     np.testing.assert_allclose(res.y[~on_grid, 0], np.exp(res.s[~on_grid]), rtol=1e-9)
+
+
+def _hex(v):
+    """Floats, nested in lists and tuples, as float.hex strings: equal iff
+    equal bit for bit, signed zeros included (NaNs compare as one)."""
+    if isinstance(v, (list, tuple)):
+        return [_hex(x) for x in v]
+    return None if v is None else float(v).hex()
+
+
+def _attempt(pair, rhs, s, hd, y, rtol=1e-10, atol=1e-12):
+    """One step of the (step, extend) pair from (s, y) and its extension
+    stages, with every right-hand side call logged: all as float.hex."""
+    step, extend = pair
+    calls = []
+
+    def logged(t, z):
+        k = rhs(t, z)
+        calls.append((t, list(z), list(k)))
+        return k
+
+    out = step(logged, s, hd, s + hd, y, logged(s, y), rtol, atol)
+    cols = None if out is None else extend(logged, s, hd, y, out[0], out[3])
+    return _hex([calls, out, cols])
+
+
+def _random_rhs(rng, d):
+    """A smooth nonlinear right-hand side on d components."""
+    M = [[rng.uniform(-1.0, 1.0) for _ in range(d)] for _ in range(d)]
+    c = [rng.uniform(-3.0, 3.0) for _ in range(d)]
+    return lambda s, y: [ci * math.sin(s + sum(a * v for a, v in zip(row, y)))
+                         for ci, row in zip(c, M)]
+
+
+def _orbit_spec(rng, n):
+    lambdas = tuple(sorted((rng.choice((1.0, -1.0)) for _ in range(n)), reverse=True))
+    alphas = tuple(rng.uniform(0.3, 3.0) for _ in range(n))
+    A = rng.uniform(-0.9, 0.9) * math.sqrt(math.prod(alphas))
+    return TrajectorySpec.with_first_integral(
+        SolitonParams(lambdas, 1.0, rng.uniform(-2.0, 2.0)), alphas, A,
+        [rng.uniform(-3.0, 3.0) for _ in range(n)])
+
+
+def _cases():
+    """(id, rhs, s, hd, y): random systems at d = 1..9, the reduced system at
+    n = 1..5 (d = 3..7), the full w-system at n = 1..4 (d = 3, 5, 7, 9),
+    and signed zeros throughout at d = 1..9."""
+    rng = random.Random(20080121)
+    for d in range(1, 10):
+        yield (f"random-d{d}", _random_rhs(rng, d), rng.uniform(-5.0, 5.0),
+               rng.choice((-1.0, 1.0)) * rng.uniform(0.01, 0.5),
+               [rng.uniform(-2.0, 2.0) for _ in range(d)])
+    for n in range(1, 6):
+        spec = _orbit_spec(rng, n)
+        yield (f"reduced-n{n}", reduced_system(spec)[0], 0.0, rng.uniform(0.02, 0.1),
+               spec.initial_state().tolist())
+    for n in range(1, 5):
+        spec = _orbit_spec(rng, n)
+        yield (f"full-n{n}", full_rhs(spec), 0.0, -rng.uniform(0.02, 0.1),
+               full_initial_state(spec).tolist())
+    for d in range(1, 10):
+        # 0.0 + a k = 0.0 at k = -0.0 and y + 0.0 = 0.0 at y = -0.0: a
+        # step that drops the leading 0.0 keeps -0.0 where the loop does not
+        yield (f"zeros-d{d}", lambda s, y: [-0.0] * len(y), 0.0, 0.25, [-0.0] * d)
+
+
+CASES = list(_cases())
+
+
+@pytest.mark.parametrize("rhs,s,hd,y", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
+def test_the_generated_step_is_the_loop_step_bit_for_bit(rhs, s, hd, y):
+    # every stage state and slope, y_new, f_new, the error norm, the kept
+    # stages, the extension stages and the interpolant's coefficients
+    got = _attempt(odeint._stepper(len(y)), rhs, s, hd, y)
+    assert got == _attempt((reference_step, reference_extend), rhs, s, hd, y)
+    assert got[1] is not None and got[2] is not None
+
+
+@pytest.mark.parametrize("d", [1, 4, 9])
+@pytest.mark.parametrize("stage", range(1, 16))
+def test_a_nan_at_any_stage_stops_both_steps_there(d, stage):
+    # the call after the initial slope that returns NaN is the stage'th
+    # stage: 1-11, the FSAL stage 12, or an extension stage 13-15
+    base = _random_rhs(random.Random(d), d)
+    y = [0.1 * (m + 1) for m in range(d)]
+
+    def run(pair):
+        calls = []
+
+        def rhs(s, z):
+            calls.append(None)
+            k = base(s, z)
+            if len(calls) == stage + 1:
+                k[stage % d] = math.nan
+            return k
+
+        return _attempt(pair, rhs, 0.0, 0.1, y), len(calls)
+
+    got, n_calls = run(odeint._stepper(d))
+    assert (got, n_calls) == run((reference_step, reference_extend))
+    assert n_calls == stage + 1
+    assert (got[1] is None) == (stage <= 12) and got[2] is None
+
+
+def test_integration_on_the_loop_step_reproduces_the_generated_run(monkeypatch):
+    # a long reduced orbit with interior targets, rejected steps included,
+    # read through integrate on each stepper
+    spec = _orbit_spec(random.Random(3), 3)
+    rhs, conserved, near = reduced_system(spec)
+    y0 = spec.initial_state()
+
+    def run():
+        res = odeint.integrate(rhs, 0.0, y0, 12.0, rtol=1e-11, atol=1e-13,
+                               conserved=conserved, near_escape=near,
+                               targets=np.linspace(0.1, 11.9, 37), dense=False)
+        return res.n_accepted, res.n_rejected_error, _hex(res.s.tolist()), _hex(res.y.tolist())
+
+    got = run()
+    monkeypatch.setitem(odeint._STEPPERS, len(y0), (reference_step, reference_extend))
+    assert run() == got
+    assert got[0] > 50 and len(got[2]) == 39
+
+
+def test_steps_are_built_on_first_use_once_per_state_size():
+    # importing the CLI compiles no step, so the benchmark's set-up time
+    # carries no generator cost
+    code = "import lagsol.cli; from lagsol import odeint; print(len(odeint._STEPPERS))"
+    env = dict(os.environ, PYTHONPATH=str(Path(odeint.__file__).parents[1]))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert res.stdout.strip() == "0"
+    with mock.patch.dict(odeint._STEPPERS, clear=True), \
+            mock.patch.object(odeint, "_generate", wraps=odeint._generate) as generate:
+        odeint.integrate(_rotation, 0.0, [1.0, 0.0], 1.0)
+        built = dict(odeint._STEPPERS)
+        odeint.integrate(_rotation, 0.0, [0.0, 1.0], 2.0)
+        assert generate.call_count == 1 and list(built) == [2]
+        assert odeint._STEPPERS == built and odeint._STEPPERS[2] is built[2]
