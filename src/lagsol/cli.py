@@ -129,22 +129,22 @@ def _add_options(sp, opts):
 
 def _merge_options(args, opts):
     """Defaults, then config-file values, then explicit flags.  A converter's
-    ValidationError is prefixed with where its value came from."""
+    ValidationError, or a bound's breach, names where its value came from."""
     byname = {o.name: o for o in opts}
     vals = {o.name: o.default for o in opts}
-    source = {}
+    source = {o.name: f"--{o.name}" for o in opts}
     cfg_path = getattr(args, "config", None)
     if cfg_path:
         for k, v in fileio.read_keyvalues(cfg_path).items():
             k = k.replace("_", "-")
             if k not in byname:
                 raise ValidationError(f"{cfg_path}: unknown config key {k!r}")
-            vals[k], source[k] = v, f"{cfg_path}: {k}: "
+            vals[k], source[k] = v, f"{cfg_path}: {k}"
     ns = vars(args)
     for o in opts:
         attr = o.name.replace("-", "_")
         if attr in ns:
-            vals[o.name], source[o.name] = ns[attr], f"--{o.name}: "
+            vals[o.name], source[o.name] = ns[attr], f"--{o.name}"
     out = {}
     for o in opts:
         v = vals[o.name]
@@ -156,23 +156,23 @@ def _merge_options(args, opts):
             try:
                 out[o.name] = o.conv(v)
             except ValidationError as e:
-                raise ValidationError(source[o.name] + str(e)) from None
-    _validate_counts(out)
+                raise ValidationError(f"{source[o.name]}: {e}") from None
+    _validate_counts(out, source)
     return out
 
 
-def _validate_counts(cfg):
+def _validate_counts(cfg, source):
     for key in ("samples", "mesh-samples", "mesh-count"):
         if cfg.get(key) is not None and cfg[key] < 2:
-            raise ValidationError(f"--{key} must be at least 2")
+            raise ValidationError(f"{source[key]} must be at least 2")
     for key in ("seed", "max-iter"):
         if cfg.get(key) is not None and cfg[key] < 0:
-            raise ValidationError(f"--{key} must be non-negative")
+            raise ValidationError(f"{source[key]} must be non-negative")
     for key in ("tol", "qmax", "y-max", "t-max", "radius", "rho-max", "fd-checks"):
         if cfg.get(key) is not None:
-            require_finite(f"--{key}", (cfg[key],))
+            require_finite(source[key], (cfg[key],))
             if cfg[key] <= 0:
-                raise ValidationError(f"--{key} must be positive")
+                raise ValidationError(f"{source[key]} must be positive")
 
 
 def _write(cfg, name, suffix, writer, *args, **kwargs):

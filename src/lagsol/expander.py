@@ -27,11 +27,11 @@ P is computed via expm1/log1p, so small t loses nothing to cancellation,
 and as t e^(-E/2) once E = log(1 + t^2 P) exceeds 700.  Each quantity runs
 on one rule of ``quadutil``:
 
-- the angle map phibar: one double-exponential family (``improper_quad``);
-  the DE map spreads the decades between the peak scales 1/sqrt(a_j)
-  evenly, so a ~ 1e13 needs no special handling.  A Newton iterate of the
-  inversion is one family of n + n^2 members, phibar and its Jacobian on
-  the same nodes (``_angle_pass``), which its residual and Jacobian share;
+- the angle map phibar: one double-exponential family (``improper_quad``)
+  of n + n^2 members, phibar and its Jacobian on the same nodes
+  (``_angle_pass``); exports, inversion reports and each Newton iterate's
+  residual and Jacobian all read it.  The DE map spreads the decades between
+  the peak scales 1/sqrt(a_j) evenly, so a ~ 1e13 needs no special handling;
 - the phases phi_j(y) - psi_j and the arc parameter s(y), which only
   minimal-base translators read: Gauss-Legendre panels over the gaps
   between heights (``gauss_panels``), on phibar's integrand
@@ -224,16 +224,9 @@ def _phase_family(alpha: float, a: tuple):
     return rates
 
 
-@lru_cache(maxsize=10_000)
-def _phibar(alpha: float, a: tuple) -> tuple:
-    k = alpha + sum(a)      # phibar(alpha, a) = phibar(alpha / k, a / k), where P(0) = 1
-    return tuple(improper_quad(_phase_family(alpha / k, tuple(x / k for x in a)),
-                               what="asymptotic angle").tolist())
-
-
 def asymptotic_angles(profile: ExpanderProfile) -> AngleVector:
-    """Asymptotic plane data of the profile (improper quadrature)."""
-    return AngleVector(_phibar(profile.alpha, profile.a), profile.psi)
+    """Asymptotic plane data of the profile, read from the joint pass."""
+    return AngleVector(tuple(_angle_pass(profile.alpha, profile.a)[0].tolist()), profile.psi)
 
 
 def _angle_map_args(alpha: float, a) -> tuple:
@@ -253,8 +246,9 @@ def _angle_map_args(alpha: float, a) -> tuple:
 
 
 def angle_map(alpha: float, a) -> np.ndarray:
-    """The angle map a -> phibar for the zero-phase profile."""
-    return np.array(_phibar(*_angle_map_args(alpha, a)))
+    """The angle map a -> phibar for the zero-phase profile, read from the
+    joint pass (_angle_pass)."""
+    return np.array(_angle_pass(*_angle_map_args(alpha, a))[0])
 
 
 def angle_map_jacobian(alpha: float, a) -> np.ndarray:
@@ -289,9 +283,9 @@ def _angle_family(alpha: float, a: tuple):
 
 @lru_cache(maxsize=256)
 def _angle_pass(alpha: float, a: tuple) -> tuple:
-    """(phibar, d phibar / d a) at checked (alpha, a), from one DE family of
-    n + n^2 members: a Newton iterate's residual and Jacobian in one pass."""
-    n, k = len(a), alpha + sum(a)     # at (alpha / k, a / k), like _phibar
+    """The one phibar routine: (phibar, d phibar / d a) at checked (alpha, a)
+    from one DE family of n + n^2 members, a Newton iterate in one pass."""
+    n, k = len(a), alpha + sum(a)     # integrated at (alpha / k, a / k), where P(0) = 1
     out = improper_quad(_angle_family(alpha / k, tuple(x / k for x in a)),
                         what="angle map and jacobian")
     phibar, jac = out[:n], out[n:].reshape(n, n) / k

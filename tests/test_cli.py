@@ -887,6 +887,23 @@ def test_a_config_boolean_that_is_neither_exits_2(tmp_path, capsys):
         f"lagsol: {cfg}: write-report: expected a boolean, got 'maybe'"]
 
 
+@pytest.mark.parametrize("argv, entry, message", [
+    (["expander", "--alpha=1", "--a=1,2"], "mesh-samples = 1", "mesh-samples must be at least 2"),
+    (["expander", "--alpha=1", "--a=1,2"], "seed = -1", "seed must be non-negative"),
+    (["invert-angles", "--alpha=1", "--target=0.4,0.6"], "tol = inf",
+     "tol must be finite, got inf"),
+    (["invert-angles", "--alpha=1", "--target=0.4,0.6"], "tol = 0", "tol must be positive"),
+], ids=["count", "seed", "non-finite", "non-positive"])
+def test_a_config_value_out_of_bounds_names_the_file(tmp_path, capsys, argv, entry, message):
+    # as a conversion error from the file does; no flag was passed to blame
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text(entry + "\n")
+    out = tmp_path / "out"
+    assert main(argv + ["--config", str(cfg), f"--outdir={out}"]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"lagsol: {cfg}: {message}"]
+    assert not out.exists()
+
+
 def test_flow_family_slices(tmp_path, capsys):
     rc = main(["flow-family", "--lambdas", "1,-1", "--alphas", "1,3",
                "--A", "0.8", "--alpha", "0.6", "--t=-1,0,1",
@@ -983,3 +1000,23 @@ def test_known_tracebacks_exit_with_one_message(tmp_path, capsys, argv):
     err = [line for line in capsys.readouterr().err.splitlines() if line.startswith("lagsol:")]
     assert rc in (2, 3)
     assert len(err) == 1, err
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "invert_angle_map stops at an absolute tolerance of 1e-10 on the angles, so a"
+    " target angle below it is reached only to about 41 times itself"))
+def test_a_minimal_target_angle_below_the_tolerance_is_reached_relatively(capsys):
+    target = (1e-12, 1.5707963267948954)
+    assert main(["invert-angles", "--alpha=0", "--target=" + ",".join(map(repr, target))]) == 0
+    achieved = [float(v) for v in out_pairs(capsys.readouterr().out)["achieved"].split(",")]
+    assert all(abs(got - t) <= 0.01 * t for got, t in zip(achieved, target)), achieved
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 13: the mesh reaches heights where the FD soliton check has no"
+    " finite value, so the export writes every file and then exits 4"))
+def test_an_expander_of_huge_base_radius_verifies_or_writes_nothing(tmp_path, capsys):
+    rc = main(["expander", "--alpha=1", "--a=1e-300,1", f"--outdir={tmp_path}"])
+    out = capsys.readouterr().out
+    assert ((rc == 0 and "verification: PASS" in out)
+            or (rc == 2 and not list(tmp_path.iterdir()))), (rc, out)

@@ -244,6 +244,29 @@ def test_invert_minimal_converges_near_every_face():
         assert np.abs(angle_map(0.0, tuple(a)) - target).max() <= 1e-10, (target, a)
 
 
+@pytest.mark.parametrize("alpha, target", [(1.0, (0.4, 0.6)), (0.3, (0.2, 0.9)),
+                                           (2.0, (0.1, 0.3, 0.5)), (0.8, (0.45, 0.45, 0.45))])
+def test_invert_reports_the_pass_it_converged_on(capsys, alpha, target):
+    """At alpha > 0 the returned a is Newton's last iterate, so the angle map
+    there reads that iterate's cached joint pass: neither a direct call nor
+    the invert-angles report integrates another DE family, and the reported
+    angles meet the tolerance."""
+    tol = 1e-10
+    with mock.patch.object(expander, "improper_quad", wraps=expander.improper_quad) as iq:
+        expander._angle_pass.cache_clear()
+        a = invert_angle_map(alpha, target, tol=tol)
+        solved = iq.call_count
+        achieved = angle_map(alpha, tuple(a))
+        assert iq.call_count == solved
+        expander._angle_pass.cache_clear()
+        argv = [f"--alpha={alpha!r}", "--target=" + ",".join(map(repr, target)), f"--tol={tol!r}"]
+        assert cli.main(["invert-angles", *argv]) == 0
+        assert iq.call_count == 2 * solved
+    assert np.abs(achieved - np.array(target)).max() < tol
+    printed = capsys.readouterr().out.splitlines()
+    assert f"achieved = {','.join(map(repr, achieved.tolist()))}" in printed
+
+
 def test_invert_minimal_one_dimensional():
     a = invert_angle_map(0.0, [math.pi / 2])
     np.testing.assert_allclose(a, [1.0])

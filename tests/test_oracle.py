@@ -116,8 +116,8 @@ def assert_close(got, ref, tol=TOL):
 
 
 def engine_phibar(alpha, a):
-    expander._phibar.cache_clear()
-    return np.array(expander._phibar(alpha, a))
+    expander._angle_pass.cache_clear()
+    return np.array(expander._angle_pass(alpha, a)[0])
 
 
 @pytest.mark.parametrize("alpha, a", EXPANDER_CASES)
