@@ -55,6 +55,7 @@ from .quadutil import gauss_panels, improper_quad
 
 NEWTON_MAX_ITER = 50
 NEWTON_TOL = 1e-10
+RELATIVE_BELOW = 1e-6   # angle j is solved to tol min(1, |target_j| / RELATIVE_BELOW)
 NEWTON_HALVINGS = 15    # step halvings before a damped Newton solve stalls
 # the symmetric seed: its accuracy and largest step in log beta (so in log c),
 # the |log beta| and |log c| past which it gives up, and its iteration cap
@@ -374,12 +375,13 @@ def _symmetric_seed(alpha: float, n: int, target_sum: float) -> float:
 
 def damped_newton(residual, jacobian, x, r, *, tol: float, max_iter: int,
                   what: str) -> np.ndarray:
-    """The x with max |residual(x)| < tol, by damped Newton from x, whose
-    residual is r.  Each step solves J step = -r, J = jacobian(x, r), by least
-    squares where J is singular, and is halved until the trial's residual is
-    not None (infeasible) and its norm falls, at most NEWTON_HALVINGS times."""
+    """The x with |residual(x)| < tol in every component (tol a scalar or one
+    per component), by damped Newton from x, whose residual is r.  Each step
+    solves J step = -r, J = jacobian(x, r), by least squares where J is
+    singular, and is halved until the trial's residual is not None
+    (infeasible) and its norm falls, at most NEWTON_HALVINGS times."""
     for _ in range(max_iter):
-        if float(np.abs(r).max()) < tol:
+        if (np.abs(r) < tol).all():
             return x
         J, rnorm = jacobian(x, r), float(np.linalg.norm(r))
         try:
@@ -394,7 +396,7 @@ def damped_newton(residual, jacobian, x, r, *, tol: float, max_iter: int,
         else:
             raise NonConvergence(f"{what} stalled (damping exhausted)")
         x, r = trial, tr
-    if float(np.abs(r).max()) < tol:
+    if (np.abs(r) < tol).all():
         return x
     raise NonConvergence(f"{what} did not converge in {max_iter} iterations")
 
@@ -404,10 +406,12 @@ def invert_angle_map(alpha: float, target, *, tol: float = NEWTON_TOL) -> np.nda
 
     Each iterate is one joint pass (_angle_pass), which the residual and the
     Jacobian both read.  A trial is feasible iff _angle_map_args accepts
-    exp(log a) and its Jacobian is finite; others are damped away.  At
-    alpha = 0 the angles sum to pi/2 at every scale, so sum(a) = 1 replaces
-    the dependent last equation and picks the returned representative; the
-    others are solved to tol / (n - 1).
+    exp(log a) and its Jacobian is finite; others are damped away.  Angle j
+    is solved to tol min(1, |target_j| / RELATIVE_BELOW), so a target below
+    tol is still reached to a fraction of itself.  At alpha = 0 the angles
+    sum to pi/2 at every scale, so sum(a) = 1 replaces the dependent last
+    equation and picks the returned representative; every tolerance is then
+    divided by n - 1, and the sum(a) = 1 row keeps tol / (n - 1).
     """
     target = np.asarray(target, dtype=float)
     (alpha,) = require_finite("alpha", (alpha,))
@@ -420,8 +424,10 @@ def invert_angle_map(alpha: float, target, *, tol: float = NEWTON_TOL) -> np.nda
         return np.array([1.0])
     _validate_target(alpha, target)
 
+    tols = tol * np.minimum(1.0, np.abs(target) / RELATIVE_BELOW)
     if alpha == 0.0:    # the last angle carries the errors of the n - 1 solved ones
-        a, tol = np.full(n, 1.0 / n), tol / (n - 1)
+        a, tols = np.full(n, 1.0 / n), tols / (n - 1)
+        tols[-1] = tol / (n - 1)
     else:
         a = np.full(n, _symmetric_seed(alpha, n, float(target.sum())))
 
@@ -443,7 +449,7 @@ def invert_angle_map(alpha: float, target, *, tol: float = NEWTON_TOL) -> np.nda
         return J if alpha > 0.0 else np.vstack([J[:-1], a])    # d sum(a) / d log a
 
     ell = np.log(a)
-    a = np.exp(damped_newton(residual, jacobian, ell, residual(ell), tol=tol,
+    a = np.exp(damped_newton(residual, jacobian, ell, residual(ell), tol=tols,
                              max_iter=NEWTON_MAX_ITER, what="angle map inversion"))
     return a / a.sum() if alpha == 0.0 else a
 

@@ -11,7 +11,10 @@ step granularity is what keeps long trajectories honest.
 
 States are Python float lists.  The right-hand side takes ``(s, y)`` with y
 a list and returns a sequence of len(y) floats; at the state sizes used here,
-numpy's per-call overhead outweighs the arithmetic.
+numpy's per-call overhead outweighs the arithmetic.  The soliton system's
+right-hand side and first integral (reduced_ode.reduced_system) are
+generated per n as straight-line code in the same way as the step below,
+so at n = 2 its 12 calls are about a third of a step attempt.
 
 The step itself is generated: for each state size, on first use, the tableau
 is written out as one straight-line function whose state components and

@@ -91,47 +91,81 @@ class TrajectorySpec:
         return y
 
 
+# make(pairs, alpha) for each n, generated on first use
+_KERNELS = {}
+
+
+def _generate(n):
+    """Source of make(pairs, alpha) for n phases, which returns the reduced
+    system's (rhs, conserved, near_escape) with a_j, lambda_j and alpha in
+    closure locals.  Each is straight-line code on the unpacked state
+    u, p0.., th: r_j = a_j + l_j u, and every product and sum is spelled left
+    to right from the start math.prod and CPython 3.11's sum() use (the 1.0
+    of a product is exact and dropped; the 0.0 of a sum is kept, as it turns
+    a -0.0 first phase into 0.0).
+    """
+    J = range(n)
+    state = "u, " + "".join(f"p{j}, " for j in J) + "th"
+    rads = [f"r{j}" for j in J]
+    phase = "".join(["0.0", *(f" + p{j}" for j in J), " - th"])
+    lines = [
+        "def make(pairs, alpha):",
+        f"    {''.join(f'(a{j}, l{j}), ' for j in J)}= pairs",
+        "    half = 0.5*alpha",
+        "",
+        "    def rhs(s, y):",
+        f"        {state} = y",
+        *[f"        r{j} = a{j} + l{j}*u" for j in J],
+        f"        if {' or '.join(f'{r} <= {DOMAIN_FLOOR!r}' for r in rads)}:",
+        "            return NAN",
+        f"        sq = sqrt({'*'.join(rads)})",
+        f"        d = {phase}",
+        "        sin_d = sin(d)",
+        "        c = -sq*sin_d",
+        f"        return [2.0*sq*cos(d), {''.join(f'c*(l{j}/r{j}), ' for j in J)}alpha*sq*sin_d]",
+        "",
+        "    def conserved(y):",
+        f"        {state} = y",
+        f"        return sqrt({'*'.join(f'(a{j} + l{j}*u)' for j in J)})*exp(half*u)*sin({phase})",
+        "",
+        "    def near_escape(y):",
+        "        u = y[0]",
+        f"        return {' or '.join(f'a{j} + l{j}*u < {ESCAPE_COLLAR!r}' for j in J)}",
+        "",
+        "    return rhs, conserved, near_escape",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def _kernel(n):
+    """make(pairs, alpha) for n phases, compiled once per n."""
+    make = _KERNELS.get(n)
+    if make is None:
+        ns = {"sqrt": math.sqrt, "sin": math.sin, "cos": math.cos, "exp": math.exp,
+              "NAN": (math.nan,) * (n + 2)}
+        exec(compile(_generate(n), f"<reduced system, n = {n}>", "exec"), ns)
+        make = _KERNELS[n] = ns["make"]
+    return make
+
+
 def reduced_system(spec: TrajectorySpec):
     """(rhs, conserved, near_escape) of the reduced system for odeint.integrate.
 
     The stepper calls these on one state of n + 2 floats per stage, a size
     at which numpy's per-call overhead outweighs the arithmetic, so they
-    work on Python floats.  With the stepper's straight-line step they are
-    most of a step: a step attempt makes 12 rhs calls and one conserved
-    call, about 1.7 and 0.9 us each at n = 2, some 60% of its 34 us
-    (CPython 3.11 on a 2-core x86-64 VM).
+    work on Python floats.  A step attempt makes 12 rhs calls and one
+    conserved call.  Written as closures over the coordinates (a radius
+    list, min, math.prod and sum on slices) they took 1.7 and 0.9 us per
+    call at n = 2, two thirds of a 31 us attempt.  Like the step they are
+    generated per n as straight-line code (_generate), bit-identical to the
+    closure form the tests keep as their reference: 0.37 and 0.22 us, a
+    third of a 14 us attempt (CPython 3.11 on a 2-core x86-64 VM).
     rhs(s, y) takes the state y = [u, phi_1.., theta] as a list (any
     sequence of floats) and returns its derivative as a list, all NaN
     outside the band; conserved(y) is first_integral on a single state;
     near_escape(y) says whether some radius squared is under ESCAPE_COLLAR.
     """
-    pairs = tuple(zip(spec.alphas, spec.params.lambdas))
-    alpha = spec.params.alpha
-    n = spec.n
-    nan = (math.nan,) * (n + 2)
-
-    def rhs(s, y):
-        u = y[0]
-        rad = [a + l * u for a, l in pairs]
-        if min(rad) <= DOMAIN_FLOOR:
-            return nan
-        sq = math.sqrt(math.prod(rad))
-        d = sum(y[1:n + 1]) - y[n + 1]
-        sin_d = math.sin(d)
-        c = -sq * sin_d
-        return [2.0 * sq * math.cos(d), *[c * (l / r) for (_, l), r in zip(pairs, rad)],
-                alpha * sq * sin_d]
-
-    def conserved(y):
-        u = y[0]
-        q = math.prod([a + l * u for a, l in pairs])
-        return math.sqrt(q) * math.exp(0.5 * alpha * u) * math.sin(sum(y[1:n + 1]) - y[n + 1])
-
-    def near_escape(y):
-        u = y[0]
-        return min(a + l * u for a, l in pairs) < ESCAPE_COLLAR
-
-    return rhs, conserved, near_escape
+    return _kernel(spec.n)(tuple(zip(spec.alphas, spec.params.lambdas)), spec.params.alpha)
 
 
 def first_integral(spec: TrajectorySpec, y) -> float:

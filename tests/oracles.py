@@ -10,13 +10,14 @@ stepper, so the tests can check the reduction against it:
 The real state is [Re w_1, Im w_1, ..., Re w_n, Im w_n, theta].
 
 The module also holds the loop form of the DOP853 step that odeint's
-generated straight-line step must match bit for bit, the point-by-point
-finite-difference mean curvature the package's batched one replaced, the
-central-difference Jacobian the periodic search's forward one is checked
-against, the per-value file writers (csv.writer rows of repr(float) fields)
-that the package's streamed row writer must match byte for byte, the
-breakpoint ladders of the QUADPACK references for expander integrals, and
-small helpers only tests call.
+generated straight-line step must match bit for bit, the closure form of
+the reduced system that its generated kernel must match likewise, the
+point-by-point finite-difference mean curvature the package's batched one
+replaced, the central-difference Jacobian the periodic search's forward one
+is checked against, the per-value file writers (csv.writer rows of
+repr(float) fields) that the package's streamed row writer must match byte
+for byte, the breakpoint ladders of the QUADPACK references for expander
+integrals, and small helpers only tests call.
 """
 
 import csv
@@ -87,6 +88,40 @@ def scale_breaks(alpha: float, a: tuple):
                 out.add(v)
     out.add(1.0)
     return sorted(out)
+
+
+def reference_reduced_system(spec: TrajectorySpec):
+    """The closure form of reduced_ode.reduced_system, the reference its
+    generated straight-line kernel must match bit for bit: the radii as a
+    list, min, math.prod and sum on a slice (on 3.11, 0.0 + p_1 + ... in
+    order, as 3.12's sum() compensates)."""
+    pairs = tuple(zip(spec.alphas, spec.params.lambdas))
+    alpha = spec.params.alpha
+    n = spec.n
+    nan = (math.nan,) * (n + 2)
+
+    def rhs(s, y):
+        u = y[0]
+        rad = [a + l * u for a, l in pairs]
+        if min(rad) <= DOMAIN_FLOOR:
+            return nan
+        sq = math.sqrt(math.prod(rad))
+        d = sum(y[1:n + 1]) - y[n + 1]
+        sin_d = math.sin(d)
+        c = -sq * sin_d
+        return [2.0 * sq * math.cos(d), *[c * (l / r) for (_, l), r in zip(pairs, rad)],
+                alpha * sq * sin_d]
+
+    def conserved(y):
+        u = y[0]
+        q = math.prod([a + l * u for a, l in pairs])
+        return math.sqrt(q) * math.exp(0.5 * alpha * u) * math.sin(sum(y[1:n + 1]) - y[n + 1])
+
+    def near_escape(y):
+        u = y[0]
+        return min(a + l * u for a, l in pairs) < ESCAPE_COLLAR
+
+    return rhs, conserved, near_escape
 
 
 def reduced_rhs(spec: TrajectorySpec, y):

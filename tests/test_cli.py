@@ -1002,14 +1002,20 @@ def test_known_tracebacks_exit_with_one_message(tmp_path, capsys, argv):
     assert len(err) == 1, err
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "invert_angle_map stops at an absolute tolerance of 1e-10 on the angles, so a"
-    " target angle below it is reached only to about 41 times itself"))
 def test_a_minimal_target_angle_below_the_tolerance_is_reached_relatively(capsys):
     target = (1e-12, 1.5707963267948954)
     assert main(["invert-angles", "--alpha=0", "--target=" + ",".join(map(repr, target))]) == 0
     achieved = [float(v) for v in out_pairs(capsys.readouterr().out)["achieved"].split(",")]
     assert all(abs(got - t) <= 0.01 * t for got, t in zip(achieved, target)), achieved
+
+
+@pytest.mark.parametrize("target", [(1e-12, 0.3), (1e-18, 0.5), (1e-11, 0.2, 0.4)])
+def test_an_expanding_target_angle_below_the_tolerance_is_reached_relatively(capsys, target):
+    # each angle is solved to tol min(1, |t_j| / 1e-6); the absolute 1e-10
+    # stopped (1e-12, 0.3) at 9.66e-11
+    assert main(["invert-angles", "--alpha=1", "--target=" + ",".join(map(repr, target))]) == 0
+    achieved = [float(v) for v in out_pairs(capsys.readouterr().out)["achieved"].split(",")]
+    assert all(abs(got - t) <= 1e-4 * t for got, t in zip(achieved, target)), achieved
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(

@@ -1,18 +1,22 @@
 """Phase-space ODE system: right-hand sides, conservation, full-system lift."""
 
 import math
+import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from lagsol import periodic, reduced_ode
 from lagsol.errors import DomainEscape, ValidationError
 from lagsol.fileio import write_trajectory_csv
 from lagsol.params import SolitonParams
+from lagsol.periodic import compute_orbit
 from lagsol.reduced_ode import (DOMAIN_FLOOR, TrajectorySpec, first_integral,
                                 integrate_reduced, reduced_system, sample_reduced)
 from oracles import (full_first_integral, integrate_full, lift_state, reduced_rhs,
-                     state_at)
+                     reference_reduced_system, state_at)
 
 
 def make_spec(lambdas, alphas, A, alpha=0.0, phi0=None):
@@ -213,3 +217,106 @@ def test_trajectory_csv_export(tmp_path):
     assert len(lines) == 1 + len(traj)
     resid = [abs(float(row.split(",")[-1])) for row in lines[1:]]
     assert max(resid) < 1e-9
+
+
+def _outcome(f, *args):
+    """What f(*args) gives as float.hex strings (so equal iff equal bit for
+    bit, signed zeros included), or the type of what it raises."""
+    try:
+        v = f(*args)
+    except (ValueError, OverflowError) as exc:
+        return type(exc).__name__
+    if isinstance(v, bool):
+        return v
+    return [float(x).hex() for x in v] if isinstance(v, (list, tuple)) else float(v).hex()
+
+
+def _kernel_cases(n):
+    """(spec, state, finite input) at n phases: in-band states with random
+    and signed-zero phases, a radius squared exactly at DOMAIN_FLOOR and one
+    ulp above it (at u = 0 and, by 2 floor - floor, at u = +-floor), states
+    outside the band, and u = +-inf and NaN."""
+    rng = random.Random(n)
+    for alpha in (rng.uniform(-2.0, 2.0), 0.0):
+        lambdas = tuple(sorted((rng.choice((1.0, -1.0)) for _ in range(n)), reverse=True))
+        alphas = [rng.uniform(0.3, 3.0) for _ in range(n)]
+        params = SolitonParams(lambdas, 1.0, alpha)
+        spec = TrajectorySpec(params, alphas, (0.0,) * n, 0.0)
+        lo = max([-a for a, l in zip(alphas, lambdas) if l > 0], default=-5.0)
+        hi = min([a for a, l in zip(alphas, lambdas) if l < 0], default=5.0)
+
+        def phases():
+            return [rng.uniform(-4.0, 4.0) for _ in range(n + 1)]
+
+        for _ in range(20):
+            yield spec, [rng.uniform(lo, hi), *phases()], True
+        for zeros in ([-0.0] * (n + 1), [0.0] * (n + 1), [-0.0] * n + [0.0],
+                      [0.0] * n + [-0.0], [-0.0, *phases()[1:]]):
+            yield spec, [0.5 * (lo + hi), *zeros], True
+        for u in (lo - 0.25, hi + 0.25, lo - 1e-9, hi + 1e-9):
+            yield spec, [u, *phases()], True
+        for u in (math.inf, -math.inf, math.nan):
+            yield spec, [u, *phases()], False
+        j = rng.randrange(n)
+        for a_j, u in ((DOMAIN_FLOOR, 0.0), (math.nextafter(DOMAIN_FLOOR, 1.0), 0.0),
+                       (2.0 * DOMAIN_FLOOR, -lambdas[j] * DOMAIN_FLOOR)):
+            edge = TrajectorySpec(params, alphas[:j] + [a_j] + alphas[j + 1:], (0.0,) * n, 0.0)
+            assert a_j + lambdas[j] * u in (DOMAIN_FLOOR, math.nextafter(DOMAIN_FLOOR, 1.0))
+            yield edge, [u, *phases()], True
+            yield edge, [u, *[-0.0] * (n + 1)], True
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_the_generated_kernel_is_the_closure_form_bit_for_bit(n):
+    # rhs, conserved (or the exception it raises) and near_escape on every
+    # case; a non-finite u need only give non-finite values on both sides
+    for spec, y, finite in _kernel_cases(n):
+        got, ref = reduced_system(spec), reference_reduced_system(spec)
+        pairs = [(_outcome(got[0], 0.0, y), _outcome(ref[0], 0.0, y)),
+                 (_outcome(got[1], y), _outcome(ref[1], y)),
+                 (_outcome(got[2], y), _outcome(ref[2], y))]
+        if finite:
+            assert all(g == r for g, r in pairs), (spec, y, pairs)
+        else:
+            (rhs_g, rhs_r), (con_g, con_r), (near_g, near_r) = pairs
+            assert not all(map(math.isfinite, map(float.fromhex, rhs_g)))
+            assert not all(map(math.isfinite, map(float.fromhex, rhs_r)))
+            for c in (con_g, con_r):
+                assert c in ("ValueError", "OverflowError") or not math.isfinite(
+                    float.fromhex(c))
+            assert near_g == near_r
+
+
+def test_an_orbit_profile_on_the_closure_form_reproduces_the_generated_run(
+        monkeypatch, rng, make_orbit_spec):
+    # chained states over two and a half swings, with interior targets and
+    # both directions from the base point, read through one OrbitProfile on
+    # each form of the reduced system
+    orbit = compute_orbit(make_orbit_spec(rng, (1.0, 1.0, -1.0), 0.6))
+    ts = np.concatenate([np.linspace(0.0, 2.5 * orbit.S, 41), -np.linspace(0.1, 1.0, 7)])
+
+    def states():
+        return [[float(v).hex() for v in row] for row in orbit.profile().prefetch(ts)]
+
+    got = states()
+    built = []
+
+    def reference(spec):
+        built.append(spec)
+        return reference_reduced_system(spec)
+
+    monkeypatch.setattr(periodic, "reduced_system", reference)
+    assert states() == got
+    assert len(built) == 1 and len(got) == len(ts)
+
+
+def test_kernels_are_generated_on_first_use_once_per_n():
+    with mock.patch.dict(reduced_ode._KERNELS, clear=True), \
+            mock.patch.object(reduced_ode, "_generate", wraps=reduced_ode._generate) as generate:
+        specs = {n: make_spec((1.0,) * n, (1.0,) * n, 0.5) for n in (2, 3)}
+        reduced_system(specs[2])
+        make = reduced_ode._KERNELS[2]
+        reduced_system(specs[3])
+        reduced_system(specs[2])
+        assert generate.call_count == 2 and sorted(reduced_ode._KERNELS) == [2, 3]
+        assert reduced_ode._KERNELS[2] is make
