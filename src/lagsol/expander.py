@@ -408,7 +408,10 @@ def invert_angle_map(alpha: float, target, *, tol: float = NEWTON_TOL) -> np.nda
     Jacobian both read.  A trial is feasible iff _angle_map_args accepts
     exp(log a) and its Jacobian is finite; others are damped away.  Angle j
     is solved to tol min(1, |target_j| / RELATIVE_BELOW), so a target below
-    tol is still reached to a fraction of itself.  At alpha = 0 the angles
+    tol is still reached to a fraction of itself: below RELATIVE_BELOW its
+    equation is log(phibar_j / target_j) = 0, solved to tol /
+    RELATIVE_BELOW, on which Newton steps near the face phibar_j -> 0 are
+    about exact (phibar_j is about a power of a_j there).  At alpha = 0 the angles
     sum to pi/2 at every scale, so sum(a) = 1 replaces the dependent last
     equation and picks the returned representative; every tolerance is then
     divided by n - 1, and the sum(a) = 1 row keeps tol / (n - 1).
@@ -424,12 +427,24 @@ def invert_angle_map(alpha: float, target, *, tol: float = NEWTON_TOL) -> np.nda
         return np.array([1.0])
     _validate_target(alpha, target)
 
-    tols = tol * np.minimum(1.0, np.abs(target) / RELATIVE_BELOW)
-    if alpha == 0.0:    # the last angle carries the errors of the n - 1 solved ones
-        a, tols = np.full(n, 1.0 / n), tols / (n - 1)
-        tols[-1] = tol / (n - 1)
+    tiny = np.abs(target) < RELATIVE_BELOW
+    tols = np.where(tiny, tol / RELATIVE_BELOW, tol)
+    if tiny.any():
+        # seeded from the solution with the tiny targets raised to
+        # RELATIVE_BELOW (the largest target gives the raise up where the
+        # sum must stay), each tiny a_j then scaled by target_j /
+        # RELATIVE_BELOW, as phibar_j is about proportional to a_j there
+        raised = np.where(tiny, RELATIVE_BELOW, target)
+        if alpha == 0.0 or raised.sum() >= 0.5 * math.pi:
+            raised[np.argmax(target)] -= raised.sum() - target.sum()
+        a = invert_angle_map(alpha, raised, tol=tol) * np.where(tiny, target / RELATIVE_BELOW, 1.0)
+    elif alpha == 0.0:
+        a = np.full(n, 1.0 / n)
     else:
         a = np.full(n, _symmetric_seed(alpha, n, float(target.sum())))
+    if alpha == 0.0:    # the last angle carries the errors of the n - 1 solved ones
+        tols = tols / (n - 1)
+        tols[-1] = tol / (n - 1)
 
     def residual(ell):
         try:
@@ -439,6 +454,10 @@ def invert_angle_map(alpha: float, target, *, tol: float = NEWTON_TOL) -> np.nda
             return None
         phibar, jac = _angle_pass(*args)
         r = phibar - target
+        if tiny.any():
+            if not (phibar[tiny] > 0.0).all():
+                return None
+            r[tiny] = np.log(phibar[tiny] / target[tiny])
         if alpha == 0.0:    # sum(a) = 1 replaces the dependent last equation
             r[-1] = sum(args[1]) - 1.0
         return r if np.isfinite(jac).all() else None
@@ -446,6 +465,8 @@ def invert_angle_map(alpha: float, target, *, tol: float = NEWTON_TOL) -> np.nda
     def jacobian(ell, r):
         a = np.exp(ell)
         J = angle_map_jacobian(alpha, tuple(a.tolist())) * a[None, :]  # d/d log a
+        if tiny.any():      # d log phibar_j / d log a
+            J[tiny] /= angle_map(alpha, tuple(a.tolist()))[tiny, None]
         return J if alpha > 0.0 else np.vstack([J[:-1], a])    # d sum(a) / d log a
 
     ell = np.log(a)

@@ -12,6 +12,8 @@ The real state is [Re w_1, Im w_1, ..., Re w_n, Im w_n, theta].
 The module also holds the loop form of the DOP853 step that odeint's
 generated straight-line step must match bit for bit, the closure form of
 the reduced system that its generated kernel must match likewise, the
+closure form of the orbit quadrature's integrand and the loop form of
+log G that their generated kernels must match likewise, the
 point-by-point finite-difference mean curvature the package's batched one
 replaced, the central-difference Jacobian the periodic search's forward one
 is checked against, the per-value file writers (csv.writer rows of
@@ -26,12 +28,14 @@ from dataclasses import dataclass
 from unittest import mock
 
 import numpy as np
+from scipy.integrate import quad
 
 from lagsol import geometry, odeint, translator
 from lagsol.errors import ValidationError
 from lagsol.fileio import projection_matrix
 from lagsol.geometry import _tangent_bases, fd_step
 from lagsol.periodic import PeriodicSpec, critical_point
+from lagsol.quadutil import REL_TOL, _checked
 from lagsol.reduced_ode import (DEFAULT_ATOL, DEFAULT_RTOL, DOMAIN_FLOOR, ESCAPE_COLLAR,
                                 TrajectorySpec, _run_two_sided, reduced_system)
 
@@ -122,6 +126,91 @@ def reference_reduced_system(spec: TrajectorySpec):
         return min(a + l * u for a, l in pairs) < ESCAPE_COLLAR
 
     return rhs, conserved, near_escape
+
+
+def reference_log_G(spec: PeriodicSpec, u: float) -> float:
+    """The loop form of PeriodicSpec.log_G, the reference its generated
+    straight-line function must match bit for bit."""
+    s = spec.params.alpha * u
+    for a, l in zip(spec.alphas, spec.params.lambdas):
+        s += math.log(a + l * u)
+    return s
+
+
+def reference_dlog_G(spec: PeriodicSpec, u: float) -> float:
+    """The loop form of PeriodicSpec.dlog_G."""
+    s = spec.params.alpha
+    for a, l in zip(spec.alphas, spec.params.lambdas):
+        s += l / (a + l * u)
+    return s
+
+
+def reference_orbit_numers(based: PeriodicSpec, period: bool = True) -> list:
+    """(what, numer(v, radii)) of the period (when period) and the n
+    holonomies: the numerators quadutil's generated orbit integrand spells out."""
+    alpha, A = based.params.alpha, based.A
+    numers = [("holonomy", lambda v, rad, j=j, lj=lj: -A * lj / rad[j])
+              for j, lj in enumerate(based.params.lambdas)]
+    if period:
+        numers.insert(0, ("oscillation period", lambda v, rad: math.exp(0.5 * alpha * v)))
+    return numers
+
+
+def reference_orbit_rates(spec: PeriodicSpec, u1: float, u2: float, numers):
+    """The closure form of quadutil's orbit integrand, the reference its
+    generated straight-line kernel must match bit for bit: xi -> the list
+    of numer(v, radii) / sqrt(G(v) - A^2) * dv/dxi over numers, with a
+    radius list and a log1p loop anchored at the nearer turning point."""
+    du = u2 - u1
+    lam = spec.params.lambdas
+    alpha = spec.params.alpha
+    A2 = spec.A ** 2
+    d1 = [a + l * u1 for a, l in zip(spec.alphas, lam)]
+    d2 = [a + l * u2 for a, l in zip(spec.alphas, lam)]
+
+    def rates(xi):
+        sx, cx = math.sin(xi), math.cos(xi)
+        dl = du * sx * sx       # v - u1, full relative precision
+        dr = du * cx * cx       # u2 - v
+        if dl <= dr:
+            w = alpha * dl
+            rad = [dj + lj * dl for dj, lj in zip(d1, lam)]
+            for dj, lj in zip(d1, lam):
+                w += math.log1p(lj * dl / dj)
+            v = u1 + dl
+        else:
+            w = -alpha * dr
+            rad = [dj - lj * dr for dj, lj in zip(d2, lam)]
+            for dj, lj in zip(d2, lam):
+                w += math.log1p(-lj * dr / dj)
+            v = u2 - dr
+        gap = A2 * math.expm1(w) if w > 0.0 else A2 * 1e-300
+        root = math.sqrt(gap)
+        return [numer(v, rad) / root * du * 2.0 * sx * cx for _, numer in numers]
+
+    return rates
+
+
+def reference_orbit_quad(spec: PeriodicSpec, u1: float, u2: float, numer) -> float:
+    """One stand-alone QUADPACK call of the reference integrand of one
+    (what, numer) member, with orbit_quad's breakpoints and tolerances."""
+    rates = reference_orbit_rates(spec, u1, u2, [numer])
+    du = u2 - u1
+    lam = spec.params.lambdas
+    pts = []
+    for dj in (a + l * u1 for a, l in zip(spec.alphas, lam)):
+        t = dj / du
+        if 0.0 < t < 0.05:
+            pts += [math.asin(math.sqrt(t)), math.asin(math.sqrt(min(10 * t, 0.5)))]
+    for dj in (a + l * u2 for a, l in zip(spec.alphas, lam)):
+        t = dj / du
+        if 0.0 < t < 0.05:
+            pts += [math.pi / 2 - math.asin(math.sqrt(t)),
+                    math.pi / 2 - math.asin(math.sqrt(min(10 * t, 0.5)))]
+    pts = sorted(set(p for p in pts if 0.0 < p < math.pi / 2))
+    res = quad(lambda x: rates(x)[0], 0.0, math.pi / 2, epsabs=0.0, epsrel=REL_TOL,
+               limit=400, points=pts or None, full_output=1)
+    return _checked(res, numer[0])
 
 
 def reduced_rhs(spec: TrajectorySpec, y):

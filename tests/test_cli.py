@@ -1018,6 +1018,19 @@ def test_an_expanding_target_angle_below_the_tolerance_is_reached_relatively(cap
     assert all(abs(got - t) <= 1e-4 * t for got, t in zip(achieved, target)), achieved
 
 
+@pytest.mark.parametrize("alpha, target", [
+    ("1", (1e-30, 0.5)), ("1", (1e-24, 0.3, 0.4)), ("1", (1e-300, 0.5)),
+    ("5", (1e-200, 1e-100, 0.5)), ("0", (1e-30, 1.570796326794896)),
+    ("0", (1e-24, 0.5, 1.0707963267948966))])
+def test_a_target_angle_near_the_zero_face_is_reached(capsys, alpha, target):
+    # Newton in log a on phibar_j - t_j shrank phibar_j by about e per step,
+    # so these ran out of iterations or of damping
+    argv = ["invert-angles", f"--alpha={alpha}", "--target=" + ",".join(map(repr, target))]
+    assert main(argv) == 0
+    achieved = [float(v) for v in out_pairs(capsys.readouterr().out)["achieved"].split(",")]
+    assert all(abs(got - t) <= 1e-4 * t for got, t in zip(achieved, target)), achieved
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "ROADMAP item 13: the mesh reaches heights where the FD soliton check has no"
     " finite value, so the export writes every file and then exits 4"))

@@ -257,14 +257,16 @@ def test_integration_on_the_loop_step_reproduces_the_generated_run(monkeypatch):
 
 
 def test_steps_are_built_on_first_use_once_per_state_size():
-    # importing the CLI compiles no step and no reduced-system kernel, so the
-    # benchmark's set-up time carries no generator cost
-    code = ("import lagsol.cli; from lagsol import odeint, reduced_ode; "
-            "print(len(odeint._STEPPERS), len(reduced_ode._KERNELS))")
+    # importing the CLI compiles no step, no reduced-system kernel, no orbit
+    # integrand and no log G, so the benchmark's set-up time carries no
+    # generator cost
+    code = ("import lagsol.cli; from lagsol import odeint, periodic, quadutil, reduced_ode; "
+            "print(len(odeint._STEPPERS), len(reduced_ode._KERNELS), "
+            "len(quadutil._ORBIT_KERNELS), len(periodic._LOG_G_KERNELS))")
     env = dict(os.environ, PYTHONPATH=str(Path(odeint.__file__).parents[1]))
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
-    assert res.stdout.split() == ["0", "0"]
+    assert res.stdout.split() == ["0", "0", "0", "0"]
     with mock.patch.dict(odeint._STEPPERS, clear=True), \
             mock.patch.object(odeint, "_generate", wraps=odeint._generate) as generate:
         odeint.integrate(_rotation, 0.0, [1.0, 0.0], 1.0)

@@ -2,7 +2,9 @@
 
 import dataclasses
 import math
+import random
 import warnings
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 from scipy.linalg import null_space
 from scipy.optimize import brentq
 
-from lagsol import odeint
+from lagsol import odeint, periodic
 from lagsol.cli import main
 from lagsol.errors import CaseMismatch, NonConvergence, ToleranceFailure, ValidationError
 from lagsol.expander import NEWTON_HALVINGS, damped_newton
@@ -22,7 +24,8 @@ from lagsol.periodic import (HamiltonianStationaryProfile, OrbitConditioningWarn
                              critical_point, detect_periodicity, holonomies, rebase,
                              search_periodic_data, topology_tag)
 from lagsol.reduced_ode import integrate_reduced, sample_reduced
-from oracles import central_difference_jacobian, reduced_rhs, stationary_spec
+from oracles import (central_difference_jacobian, reduced_rhs, reference_dlog_G,
+                     reference_log_G, stationary_spec)
 
 
 def spec_of(lambdas, alphas, A, alpha=0.0, psi=None):
@@ -67,6 +70,50 @@ def test_critical_point_is_a_maximum(rng, make_orbit_spec):
         second = (spec.log_G(u_star + h) - 2 * spec.log_G(u_star)
                   + spec.log_G(u_star - h)) / (h * h)
         assert second < 0
+
+
+def _outcome(f, u):
+    """f(u) as float.hex (equal iff equal bit for bit), or the type of what it raises."""
+    try:
+        return float(f(u)).hex()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_the_generated_log_G_is_the_loop_form_bit_for_bit(n):
+    # in the band, at +-0.0, on an exact zero radius at each finite band edge
+    # (where log raises ValueError and dlog_G ZeroDivisionError), an ulp
+    # inside and 0.5 outside it, and at +-inf and NaN
+    rng = random.Random(n)
+    for _ in range(4):
+        m = rng.randint(1, n)
+        alpha = -rng.uniform(0.2, 2.0) if m == n else rng.uniform(-2.0, 2.0)
+        spec = spec_of((1.0,) * m + (-1.0,) * (n - m),
+                       tuple(rng.uniform(0.3, 3.0) for _ in range(n)), 1.0, alpha)
+        lo, hi = spec.band()
+        top = hi if math.isfinite(hi) else lo + 10.0
+        us = [rng.uniform(lo, top) for _ in range(20)] + [0.0, -0.0, math.inf, -math.inf,
+                                                          math.nan]
+        for edge, inward in ((lo, 1.0), (hi, -1.0)):
+            if math.isfinite(edge):
+                assert _outcome(spec.log_G, edge) == "ValueError"
+                assert _outcome(spec.dlog_G, edge) == "ZeroDivisionError"
+                us += [edge, math.nextafter(edge, inward * math.inf), edge - 0.5 * inward]
+        for u in us:
+            assert _outcome(spec.log_G, u) == _outcome(partial(reference_log_G, spec), u), u
+            assert _outcome(spec.dlog_G, u) == _outcome(partial(reference_dlog_G, spec), u), u
+
+
+def test_log_G_is_generated_once_per_n():
+    with mock.patch.dict(periodic._LOG_G_KERNELS, clear=True), \
+            mock.patch.object(periodic, "_generate_log_G",
+                              wraps=periodic._generate_log_G) as generate:
+        for alphas in ((1.0, 2.0), (3.0, 0.5), (1.0, 2.0, 3.0)):
+            spec = spec_of((1.0, -1.0, -1.0)[:len(alphas)], alphas, 0.5)
+            assert spec.log_G is spec.log_G
+            spec.dlog_G(0.0)
+        assert generate.call_count == 2 and sorted(periodic._LOG_G_KERNELS) == [2, 3]
 
 
 def test_rebase_moves_critical_point_to_zero():

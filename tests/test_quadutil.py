@@ -3,13 +3,15 @@ panels and the QUADPACK orbit family.
 
 The orbit family (period and holonomies) must give bit-for-bit the values of
 one QUADPACK call per component with a stand-alone integrand, and make
-exactly as many calls; the stand-alone integrands below are written out one
-function per component.  The angle map and its Jacobian run on
+exactly as many calls; the stand-alone integrands are the closure form in
+oracles.py, which the generated integrand must also match node by node.  The angle map and its Jacobian run on
 ``improper_quad``, the expander phases on ``gauss_panels``; both are checked
 against an mpmath oracle in test_oracle.py.
 """
 
 import math
+import random
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -20,8 +22,9 @@ from lagsol.errors import ToleranceFailure
 from lagsol.expander import _phase_family
 from lagsol.params import SolitonParams
 from lagsol.periodic import PeriodicSpec
-from lagsol.quadutil import gauss_panels, improper_quad, orbit_quad, shared_nodes
-from oracles import inv_sqrt_P
+from lagsol.quadutil import gauss_panels, improper_quad, shared_nodes
+from oracles import (inv_sqrt_P, reference_orbit_numers, reference_orbit_quad,
+                     reference_orbit_rates)
 
 EXPANDER_CASES = [
     (1.0, (1.0, 2.0)),
@@ -147,6 +150,8 @@ ORBIT_CASES = [
 
 @pytest.mark.parametrize("lambdas, alphas, A, alpha", ORBIT_CASES)
 def test_orbit_family_is_bit_identical(lambdas, alphas, A, alpha):
+    # each member equals one stand-alone QUADPACK call of the closure-form
+    # reference integrand, and the family makes one call per member
     spec = PeriodicSpec(SolitonParams(lambdas, 1.0, alpha), alphas, A)
     n = len(lambdas)
     with counted_quad() as q:
@@ -154,15 +159,108 @@ def test_orbit_family_is_bit_identical(lambdas, alphas, A, alpha):
     assert q.call_count == 1 + n
     based = orbit.based
     u1, u2 = periodic._based_turning_points(based)
-
-    def one(numer):
-        return orbit_quad(based, u1, u2, [("integral", numer)])[0]
-
-    S = one(lambda v, rad: math.exp(0.5 * based.params.alpha * v))
-    gamma = tuple(one(lambda v, rad, j=j, lj=lj: -based.A * lj / rad[j])
-                  for j, lj in enumerate(based.params.lambdas))
+    S, *gamma = [reference_orbit_quad(based, u1, u2, numer)
+                 for numer in reference_orbit_numers(based)]
     assert orbit.S == S
-    assert orbit.gamma == gamma
+    assert orbit.gamma == tuple(gamma)
     with counted_quad() as q:
-        assert tuple(periodic.holonomies(spec)) == gamma
+        assert tuple(periodic.holonomies(spec)) == tuple(gamma)
     assert q.call_count == n
+
+
+def _generated(spec, u1, u2, period):
+    """The generated orbit integrand that orbit_quad builds for spec."""
+    return quadutil._orbit_kernel(spec.n, period)(spec.alphas, spec.params.lambdas,
+                                                 spec.params.alpha, spec.A, u1, u2)
+
+
+def _outcome(f, *args):
+    """What f(*args) gives as float.hex strings (equal iff equal bit for bit),
+    or the type of what it raises."""
+    try:
+        v = f(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc).__name__
+    return [float(x).hex() for x in v]
+
+
+def _orbit_specs(n):
+    """Rebased orbit specs at n radii with their turning points: random data
+    in case (a) or (b), with A near the stationary ceiling, in between, and
+    far below it, where a radius nearly vanishes at a turning point (the
+    near-cone regime)."""
+    rng = random.Random(n)
+    for _ in range(3):
+        m = rng.randint(1, n)
+        lambdas = (1.0,) * m + (-1.0,) * (n - m)
+        alpha = -rng.uniform(0.2, 2.0) if m == n else rng.uniform(-2.0, 2.0)
+        probe = PeriodicSpec(SolitonParams(lambdas, 1.0, alpha),
+                             tuple(rng.uniform(0.3, 3.0) for _ in range(n)), 1.0)
+        based, _ = periodic.rebase(probe)
+        ceiling = math.exp(0.5 * based.log_G(0.0))
+        for frac in (1.0 - 1e-6, 0.5, 1e-4):
+            spec = PeriodicSpec(based.params, based.alphas, frac * ceiling)
+            yield spec, periodic._based_turning_points(spec)
+
+
+def _nodes(rng):
+    """xi at both ends, where the expansion has w <= 0 and takes the floor,
+    next to them and to the anchor switch at pi/4, and inside."""
+    ends = [0.0, 5e-324, 1e-300, 1e-12, 1e-6, math.pi / 2, math.nextafter(math.pi / 2, 0.0),
+            math.pi / 2 - 1e-12, math.pi / 2 - 1e-6]
+    mid = [math.pi / 4, math.nextafter(math.pi / 4, 0.0), math.nextafter(math.pi / 4, 2.0)]
+    return ends + mid + [rng.uniform(0.0, math.pi / 2) for _ in range(40)]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_the_generated_orbit_integrand_is_the_closure_form_bit_for_bit(n):
+    rng = random.Random(-n)
+    for spec, (u1, u2) in _orbit_specs(n):
+        for period in (True, False):
+            got = _generated(spec, u1, u2, period)
+            ref = reference_orbit_rates(spec, u1, u2, reference_orbit_numers(spec, period))
+            for xi in _nodes(rng):
+                assert _outcome(got, xi) == _outcome(ref, xi), (spec, u1, u2, period, xi)
+
+
+def _stand_in(lambdas, alphas, A, alpha):
+    """A spec without PeriodicSpec's checks, so A may be 0."""
+    return SimpleNamespace(params=SimpleNamespace(lambdas=lambdas, alpha=alpha),
+                           alphas=alphas, A=A, n=len(lambdas))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("case, data, xi, raises", [
+    # a zero radius at u1: log1p's argument divides by it
+    ("zero radius", dict(alphas=0.0, u1=0.0, u2=1.0), 0.0, "ZeroDivisionError"),
+    # a radius crossing zero inside [u1, u2]: log1p(-1) or below
+    ("radius crossing zero", dict(alphas=0.25, u1=0.0, u2=1.0, lam=-1.0), 0.6, "ValueError"),
+    # G - A^2 on the floor with A = 0: root = 0
+    ("zero amplitude", dict(A=0.0), 0.3, "ZeroDivisionError"),
+    # expm1 and the period's exp overflow
+    ("expm1 overflow", dict(alpha=1e4, u1=-0.5, u2=0.5), 0.7, "OverflowError"),
+    ("exp overflow", dict(alpha=1e4, u1=0.3, u2=0.5), 0.0, "OverflowError"),
+])
+def test_the_generated_orbit_integrand_raises_what_the_closure_form_raises(
+        n, case, data, xi, raises):
+    lam = (data.get("lam", 1.0),) + (1.0,) * (n - 1)
+    alphas = (data.get("alphas", 1.0),) + (1.0,) * (n - 1)
+    spec = _stand_in(lam, alphas, data.get("A", 0.5), data.get("alpha", -1.0))
+    u1, u2 = data.get("u1", -0.5), data.get("u2", 0.5)
+    ref = reference_orbit_rates(spec, u1, u2, reference_orbit_numers(spec))
+    assert _outcome(ref, xi) == raises
+    for period in (True, False):
+        ref = reference_orbit_rates(spec, u1, u2, reference_orbit_numers(spec, period))
+        assert _outcome(_generated(spec, u1, u2, period), xi) == _outcome(ref, xi)
+
+
+def test_orbit_integrands_are_generated_once_per_n_and_member_set():
+    with mock.patch.dict(quadutil._ORBIT_KERNELS, clear=True), \
+            mock.patch.object(quadutil, "_generate_orbit",
+                              wraps=quadutil._generate_orbit) as generate:
+        for A in (0.4, 0.3):
+            spec = PeriodicSpec(SolitonParams((1.0, -1.0), 1.0, 0.5), (1.0, 2.0), A)
+            periodic.compute_orbit(spec)
+            periodic.holonomies(spec)
+        assert generate.call_count == 2
+        assert sorted(quadutil._ORBIT_KERNELS) == [(2, False), (2, True)]
