@@ -48,7 +48,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidTarget, NonConvergence, ValidationError
+from .errors import InvalidTarget, NonConvergence, ToleranceFailure, ValidationError
 from .geometry import ChainCache, CurveRecord, curve_views
 from .params import require_finite
 from .quadutil import gauss_panels, improper_quad
@@ -379,7 +379,10 @@ def damped_newton(residual, jacobian, x, r, *, tol: float, max_iter: int,
     per component), by damped Newton from x, whose residual is r.  Each step
     solves J step = -r, J = jacobian(x, r), by least squares where J is
     singular, and is halved until the trial's residual is not None
-    (infeasible) and its norm falls, at most NEWTON_HALVINGS times."""
+    (infeasible) and its norm falls, at most NEWTON_HALVINGS times.  An
+    infeasible start (r None) fails like a stalled solve."""
+    if r is None:
+        raise NonConvergence(f"{what} starts outside the feasible set")
     for _ in range(max_iter):
         if (np.abs(r) < tol).all():
             return x
@@ -406,15 +409,17 @@ def invert_angle_map(alpha: float, target, *, tol: float = NEWTON_TOL) -> np.nda
 
     Each iterate is one joint pass (_angle_pass), which the residual and the
     Jacobian both read.  A trial is feasible iff _angle_map_args accepts
-    exp(log a) and its Jacobian is finite; others are damped away.  Angle j
-    is solved to tol min(1, |target_j| / RELATIVE_BELOW), so a target below
-    tol is still reached to a fraction of itself: below RELATIVE_BELOW its
-    equation is log(phibar_j / target_j) = 0, solved to tol /
-    RELATIVE_BELOW, on which Newton steps near the face phibar_j -> 0 are
-    about exact (phibar_j is about a power of a_j there).  At alpha = 0 the angles
-    sum to pi/2 at every scale, so sum(a) = 1 replaces the dependent last
-    equation and picks the returned representative; every tolerance is then
-    divided by n - 1, and the sum(a) = 1 row keeps tol / (n - 1).
+    exp(log a), its pass meets the quadrature tolerance and its Jacobian is
+    finite; others are damped away, and an infeasible start raises
+    NonConvergence.  Angle j is solved to tol min(1, |target_j| /
+    RELATIVE_BELOW), so a target below tol is still reached to a fraction of
+    itself: below RELATIVE_BELOW its equation is log(phibar_j / target_j) =
+    0, solved to tol / RELATIVE_BELOW, on which Newton steps near the face
+    phibar_j -> 0 are about exact (phibar_j is about a power of a_j there).
+    At alpha = 0 the angles sum to pi/2 at every scale, so sum(a) = 1
+    replaces the dependent last equation and picks the returned
+    representative; every tolerance is then divided by n - 1, and the
+    sum(a) = 1 row keeps tol / (n - 1).
     """
     target = np.asarray(target, dtype=float)
     (alpha,) = require_finite("alpha", (alpha,))
@@ -450,9 +455,9 @@ def invert_angle_map(alpha: float, target, *, tol: float = NEWTON_TOL) -> np.nda
         try:
             with np.errstate(over="ignore"):    # an overflowing trial is infeasible
                 args = _angle_map_args(alpha, np.exp(ell))
-        except ValidationError:
+            phibar, jac = _angle_pass(*args)
+        except (ValidationError, ToleranceFailure):
             return None
-        phibar, jac = _angle_pass(*args)
         r = phibar - target
         if tiny.any():
             if not (phibar[tiny] > 0.0).all():
@@ -469,7 +474,8 @@ def invert_angle_map(alpha: float, target, *, tol: float = NEWTON_TOL) -> np.nda
             J[tiny] /= angle_map(alpha, tuple(a.tolist()))[tiny, None]
         return J if alpha > 0.0 else np.vstack([J[:-1], a])    # d sum(a) / d log a
 
-    ell = np.log(a)
+    with np.errstate(divide="ignore"):     # a seed a_j that underflowed to 0 is infeasible
+        ell = np.log(a)
     a = np.exp(damped_newton(residual, jacobian, ell, residual(ell), tol=tols,
                              max_iter=NEWTON_MAX_ITER, what="angle map inversion"))
     return a / a.sum() if alpha == 0.0 else a

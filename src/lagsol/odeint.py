@@ -11,20 +11,10 @@ step granularity is what keeps long trajectories honest.
 
 States are Python float lists.  The right-hand side takes ``(s, y)`` with y
 a list and returns a sequence of len(y) floats; at the state sizes used here,
-numpy's per-call overhead outweighs the arithmetic.  The soliton system's
-right-hand side and first integral (reduced_ode.reduced_system) are
-generated per n as straight-line code in the same way as the step below,
-so at n = 2 its 12 calls are about a third of a step attempt.
-
-The step itself is generated: for each state size, on first use, the tableau
-is written out as one straight-line function whose state components and
-stage slopes are locals.  A loop over the tableau rows spent about half of
-each step on per-component interpreter work (zips, maps and sum() calls);
-the straight-line form does the same float operations in far fewer
-interpreter operations.  Every sum is spelled left to right from 0.0, the
-order in which CPython 3.11's sum() adds floats, so on 3.11 the generated
-step is bit-identical to the loop form, which the tests keep as its
-reference.
+numpy's per-call overhead outweighs the arithmetic.  The step is generated
+for each state size as one straight-line function whose state components
+and stage slopes are locals (see codegen), bit-identical to the loop form
+over the tableau rows that the tests keep as its reference.
 
 Targets strictly inside an accepted step are read from the pair's 7th-order
 continuous extension (3 more stages, evaluated once per step that contains
@@ -45,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codegen import compiled
 from .errors import DomainEscape, ToleranceFailure
 
 # DOP853 tableau (Hairer's dop853.f, as also transcribed by scipy): the
@@ -156,8 +147,6 @@ _D = (
 # the stages the continuous extension reads besides its own three, which the
 # step hands on: the first slope and those of the solution weights
 _KEPT = (0, *range(5, 13))
-# (step, extend) for each state size, generated on first use
-_STEPPERS = {}
 
 
 def _dot(row, m):
@@ -226,13 +215,9 @@ def _generate(d):
 
 
 def _stepper(d):
-    """The (step, extend) pair for d-component states, compiled once per size."""
-    fns = _STEPPERS.get(d)
-    if fns is None:
-        ns = {"isfinite": math.isfinite, "sqrt": math.sqrt}
-        exec(compile(_generate(d), f"<odeint step, d = {d}>", "exec"), ns)
-        fns = _STEPPERS[d] = ns["step"], ns["extend"]
-    return fns
+    """The (step, extend) pair for d-component states."""
+    ns = compiled(_generate, d)
+    return ns["step"], ns["extend"]
 
 
 _ORDER_EXP = 1 / 8  # the combined error estimate is O(h^8)

@@ -106,17 +106,9 @@ class PeriodicSpec:
 
     @property
     def log_G(self):
-        """u -> log G(u), G(u) = prod(alpha_j + lambda_j u) e^{alpha u}.
-
-        The critical point, the turning points and the stationary margin
-        read log G and its derivative at every bracket and Newton step.  As
-        a loop over the coordinates they took 0.58 and 0.43 us per call at
-        n = 2; generated per n as straight-line code (_generate_log_G),
-        bit-identical to that loop form, which the tests keep as their
-        reference, they take 0.25 and 0.13 us (timeit, CPython 3.11 on a
-        2-core x86-64 VM).  Bind the function once where it is called in a
-        loop; the spec builds it on first use.
-        """
+        """u -> log G(u), G(u) = prod(alpha_j + lambda_j u) e^{alpha u}, from
+        the reduced system's generated kernel (see codegen).  Bind it once
+        where it is called in a loop; the spec builds it on first use."""
         return self._log_G_pair[0]
 
     @property
@@ -126,50 +118,12 @@ class PeriodicSpec:
 
     @cached_property
     def _log_G_pair(self):
-        return _log_G_kernel(self.n)(tuple(zip(self.alphas, self.params.lambdas)),
-                                     self.params.alpha)
+        return reduced_system(self)[3:]
 
     def trajectory_spec(self) -> TrajectorySpec:
         """ODE initial data with the same base point and first integral."""
         return TrajectorySpec.with_first_integral(
             self.params, self.alphas, self.A, phi0=self.psi)
-
-
-# make(pairs, alpha) of log G and its derivative for each n, generated on
-# first use
-_LOG_G_KERNELS = {}
-
-
-def _generate_log_G(n):
-    """Source of make(pairs, alpha) for n radii, which returns (log_G, dlog_G)
-    with a_j, lambda_j and alpha in closure locals: each a sum spelled left
-    to right from the start of the loop form it replaced, alpha u + log(a_j
-    + lambda_j u) + ... and alpha + lambda_j / (a_j + lambda_j u) + ...
-    """
-    J = range(n)
-    lines = [
-        "def make(pairs, alpha):",
-        f"    {''.join(f'(a{j}, l{j}), ' for j in J)}= pairs",
-        "",
-        "    def log_G(u):",
-        f"        return alpha*u{''.join(f' + log(a{j} + l{j}*u)' for j in J)}",
-        "",
-        "    def dlog_G(u):",
-        f"        return alpha{''.join(f' + l{j}/(a{j} + l{j}*u)' for j in J)}",
-        "",
-        "    return log_G, dlog_G",
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def _log_G_kernel(n):
-    """make(pairs, alpha) of log G for n radii, compiled once per n."""
-    make = _LOG_G_KERNELS.get(n)
-    if make is None:
-        ns = {"log": math.log}
-        exec(compile(_generate_log_G(n), f"<log G, n = {n}>", "exec"), ns)
-        make = _LOG_G_KERNELS[n] = ns["make"]
-    return make
 
 
 def critical_point(spec: PeriodicSpec) -> float:
@@ -424,7 +378,7 @@ class OrbitProfile:
     def __init__(self, spec: PeriodicSpec):
         self._hold(spec)
         self.tspec = spec.trajectory_spec()
-        self._rhs, self._conserved, self._near_escape = reduced_system(self.tspec)
+        self._rhs, self._conserved, self._near_escape = reduced_system(self.tspec)[:3]
         self._states = ChainCache(self._advance, self.tspec.initial_state(), "curve parameter")
 
     def _hold(self, spec: PeriodicSpec):

@@ -23,9 +23,7 @@ computes it once per node and serves each integral, still one QUADPACK
 call apiece, with the float a stand-alone integrand would give, so every
 integral is bit-for-bit that of a separate call.  That per-node function,
 the period and holonomy integrands at one xi, is generated once per n as
-straight-line code (``_generate_orbit``), as reduced_ode does for the
-soliton ODE's right-hand side: at n = 2 a node costs 0.8 us, where the
-closure form the tests keep as their reference took 2.1 us.  Every rule
+straight-line code (``_generate_orbit``, see codegen).  Every rule
 raises ToleranceFailure when it cannot meet REL_TOL.
 """
 
@@ -37,6 +35,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import quad
 
+from .codegen import compiled
 from .errors import ToleranceFailure
 
 REL_TOL = 1e-11         # relative tolerance of every integral here
@@ -168,11 +167,6 @@ def gauss_panels(rates, lo, hi, *, what: str = "integral") -> np.ndarray:
                            f"differ by {float(np.max(gap)):.2e}")
 
 
-# make(...) of each orbit integrand, keyed by (n, with the period), generated
-# on first use
-_ORBIT_KERNELS = {}
-
-
 def _generate_orbit(n, period):
     """Source of make(alphas, lam, alpha, A, u1, u2) for n radii, which
     returns rates(xi): the tuple of the period integrand (when period) and
@@ -216,19 +210,6 @@ def _generate_orbit(n, period):
     return "\n".join(lines) + "\n"
 
 
-def _orbit_kernel(n, period):
-    """make(alphas, lam, alpha, A, u1, u2) of the orbit integrand for n
-    radii, with or without the period, compiled once per (n, period)."""
-    make = _ORBIT_KERNELS.get((n, period))
-    if make is None:
-        ns = {"sin": math.sin, "cos": math.cos, "sqrt": math.sqrt, "exp": math.exp,
-              "log1p": math.log1p, "expm1": math.expm1}
-        name = f"<orbit integrand, n = {n}{'' if period else ', holonomies only'}>"
-        exec(compile(_generate_orbit(n, period), name, "exec"), ns)
-        make = _ORBIT_KERNELS[(n, period)] = ns["make"]
-    return make
-
-
 def orbit_quad(spec, u1: float, u2: float, *, period: bool = True) -> list:
     """[S, gamma_1, ..., gamma_n] of one half-swing, or [gamma_1, ...,
     gamma_n] without the period, one QUADPACK call each on shared nodes.
@@ -246,17 +227,13 @@ def orbit_quad(spec, u1: float, u2: float, *, period: bool = True) -> list:
     adaptive scheme as breakpoints.
 
     QUADPACK calls the integrand at every node, about 250,000 times per 75
-    periodic-search jobs.  Written as a closure over lists (a radius list
-    and a log1p loop per node, then one numer closure per member) a node
-    took 2.07 us at n = 2 and 1.91 us without the period.  The integrand
-    is generated per (n, period) as straight-line code (_generate_orbit),
-    bit-identical to that closure form, which the tests keep as their
-    reference: 0.76 and 0.66 us (timeit, CPython 3.11 on a 2-core x86-64
-    VM).  Without the period it computes no e^{alpha v / 2}, so
-    holonomies raise only where the closure form did.
+    periodic-search jobs; it is generated per (n, period) as straight-line
+    code (_generate_orbit, see codegen).  Without the period it computes no
+    e^{alpha v / 2}, so holonomies raise only where the closure form did.
     """
     du, lam = u2 - u1, spec.params.lambdas
-    rates = _orbit_kernel(spec.n, period)(spec.alphas, lam, spec.params.alpha, spec.A, u1, u2)
+    make = compiled(_generate_orbit, spec.n, period)["make"]
+    rates = make(spec.alphas, lam, spec.params.alpha, spec.A, u1, u2)
     whats = (["oscillation period"] if period else []) + ["holonomy"] * spec.n
     pts = []
     for dj in (a + l * u1 for a, l in zip(spec.alphas, lam)):

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import odeint
+from .codegen import compiled
 from .errors import ValidationError
 from .params import SolitonParams
 
@@ -91,24 +92,24 @@ class TrajectorySpec:
         return y
 
 
-# make(pairs, alpha) for each n, generated on first use
-_KERNELS = {}
-
-
 def _generate(n):
     """Source of make(pairs, alpha) for n phases, which returns the reduced
-    system's (rhs, conserved, near_escape) with a_j, lambda_j and alpha in
-    closure locals.  Each is straight-line code on the unpacked state
-    u, p0.., th: r_j = a_j + l_j u, and every product and sum is spelled left
-    to right from the start math.prod and CPython 3.11's sum() use (the 1.0
-    of a product is exact and dropped; the 0.0 of a sum is kept, as it turns
-    a -0.0 first phase into 0.0).
+    system's (rhs, conserved, near_escape) and the orbit weight's (log_G,
+    dlog_G) with a_j, lambda_j and alpha in closure locals.  Each is
+    straight-line code on the unpacked state u, p0.., th or on u: r_j = a_j +
+    l_j u, and every product and sum is spelled left to right from the start
+    math.prod and CPython 3.11's sum() use (the 1.0 of a product is exact and
+    dropped; the 0.0 of a sum is kept, as it turns a -0.0 first phase into
+    0.0).  log_G and dlog_G are alpha u + log(a_j + l_j u) + ... and alpha +
+    l_j / (a_j + l_j u) + ..., in the order of the loop form they replaced.
     """
     J = range(n)
     state = "u, " + "".join(f"p{j}, " for j in J) + "th"
     rads = [f"r{j}" for j in J]
     phase = "".join(["0.0", *(f" + p{j}" for j in J), " - th"])
     lines = [
+        f"NAN = (nan,)*{n + 2}",
+        "",
         "def make(pairs, alpha):",
         f"    {''.join(f'(a{j}, l{j}), ' for j in J)}= pairs",
         "    half = 0.5*alpha",
@@ -132,40 +133,31 @@ def _generate(n):
         "        u = y[0]",
         f"        return {' or '.join(f'a{j} + l{j}*u < {ESCAPE_COLLAR!r}' for j in J)}",
         "",
-        "    return rhs, conserved, near_escape",
+        "    def log_G(u):",
+        f"        return alpha*u{''.join(f' + log(a{j} + l{j}*u)' for j in J)}",
+        "",
+        "    def dlog_G(u):",
+        f"        return alpha{''.join(f' + l{j}/(a{j} + l{j}*u)' for j in J)}",
+        "",
+        "    return rhs, conserved, near_escape, log_G, dlog_G",
     ]
     return "\n".join(lines) + "\n"
 
 
-def _kernel(n):
-    """make(pairs, alpha) for n phases, compiled once per n."""
-    make = _KERNELS.get(n)
-    if make is None:
-        ns = {"sqrt": math.sqrt, "sin": math.sin, "cos": math.cos, "exp": math.exp,
-              "NAN": (math.nan,) * (n + 2)}
-        exec(compile(_generate(n), f"<reduced system, n = {n}>", "exec"), ns)
-        make = _KERNELS[n] = ns["make"]
-    return make
+def reduced_system(spec):
+    """(rhs, conserved, near_escape, log_G, dlog_G) of the reduced system of
+    spec, a TrajectorySpec or a periodic.PeriodicSpec: straight-line code
+    generated once per n (see codegen).
 
-
-def reduced_system(spec: TrajectorySpec):
-    """(rhs, conserved, near_escape) of the reduced system for odeint.integrate.
-
-    The stepper calls these on one state of n + 2 floats per stage, a size
-    at which numpy's per-call overhead outweighs the arithmetic, so they
-    work on Python floats.  A step attempt makes 12 rhs calls and one
-    conserved call.  Written as closures over the coordinates (a radius
-    list, min, math.prod and sum on slices) they took 1.7 and 0.9 us per
-    call at n = 2, two thirds of a 31 us attempt.  Like the step they are
-    generated per n as straight-line code (_generate), bit-identical to the
-    closure form the tests keep as their reference: 0.37 and 0.22 us, a
-    third of a 14 us attempt (CPython 3.11 on a 2-core x86-64 VM).
     rhs(s, y) takes the state y = [u, phi_1.., theta] as a list (any
     sequence of floats) and returns its derivative as a list, all NaN
     outside the band; conserved(y) is first_integral on a single state;
-    near_escape(y) says whether some radius squared is under ESCAPE_COLLAR.
+    near_escape(y) says whether some radius squared is under ESCAPE_COLLAR;
+    the first three are what odeint.integrate takes.  log_G(u) is log of the
+    orbit weight G(u) = Q(u) e^{alpha u}, and dlog_G(u) its derivative.
     """
-    return _kernel(spec.n)(tuple(zip(spec.alphas, spec.params.lambdas)), spec.params.alpha)
+    make = compiled(_generate, spec.n)["make"]
+    return make(tuple(zip(spec.alphas, spec.params.lambdas)), spec.params.alpha)
 
 
 def first_integral(spec: TrajectorySpec, y) -> float:
@@ -234,7 +226,7 @@ def integrate_reduced(spec: TrajectorySpec, s_min: float, s_max: float, *,
                       rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
                       targets=(), dense: bool = True) -> ReducedTrajectory:
     """Integrate the reduced system over [s_min, s_max] (must contain 0)."""
-    rhs, conserved, near = reduced_system(spec)
+    rhs, conserved, near = reduced_system(spec)[:3]
     s, y = _run_two_sided(rhs, 0.0, spec.initial_state(), s_min, s_max,
                           rtol, atol, targets, dense, conserved, near)
     return ReducedTrajectory(spec, s, y)

@@ -16,6 +16,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lagsol import cli, fileio
 from lagsol.cli import main
@@ -444,6 +446,14 @@ def test_invert_angles_round_trip(capsys):
       "--target=0.5235987748520584,0.5235987748520584,0.5235987748520584"], (0,)),
     (["invert-angles", "--alpha=1", "--target=0.3926990814487241,0.3926990814487241,"
       "0.3926990814487241,0.3926990814487241"], (0,)),
+    # the power-law seed of a tiny target scales a_j below the smallest normal
+    # double, so Newton starts at an infeasible point and fails with exit 3
+    (["invert-angles", "--alpha=1", "--target=1e-308,0.5"], (3,)),
+    (["invert-angles", "--alpha=1e300", "--target=5e-324,0.5"], (3,)),
+    (["invert-angles", "--alpha=1", "--target=1e-310,1e-310,0.5"], (3,)),
+    (["invert-angles", "--alpha=1e-300", "--target=1e-200,0.5"], (3,)),
+    (["invert-angles", "--alpha=5.65846300934958e-169",
+      "--target=3.348133429478251e-166,1.1479627917102038"], (3,)),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_admissible_targets_exit_0_or_3(capsys, argv, codes):
     rc = main(argv)
@@ -469,6 +479,39 @@ def test_minimal_targets_off_pi_over_2_converge_to_the_sum_defect(capsys, target
     defect = abs(sum(target) - math.pi / 2)
     assert 4e-9 < defect < 6e-9
     assert abs(float(out_pairs(out)["residual"]) - defect) <= 1e-10
+
+
+LOG10_TINY = math.log10(5e-324)
+
+
+@st.composite
+def admissible_inversions(draw):
+    """invert-angles argv: n from 1 to 4, alpha 0 or 10^U[-300, 300], and
+    targets whose sum is admissible (pi/2 at alpha = 0, below it otherwise),
+    each drawn either as a share of that sum or log-uniform from 5e-324 up to
+    its share."""
+    n = draw(st.integers(1, 4))
+    alpha = 0.0 if draw(st.booleans()) else 10.0 ** draw(st.floats(-300.0, 300.0))
+    total = 0.5 * math.pi * (1.0 if alpha == 0.0 else draw(st.floats(0.01, 0.99)))
+    shares = [draw(st.floats(0.05, 1.0)) for _ in range(n)]
+    target = [total * w / sum(shares) for w in shares]
+    for j in range(n - 1 if alpha == 0.0 else n):
+        if draw(st.booleans()):
+            target[j] = max(5e-324, 10.0 ** draw(st.floats(LOG10_TINY, math.log10(target[j]))))
+    if alpha == 0.0:    # the last angle takes up the sum
+        target[-1] = 0.5 * math.pi - sum(target[:-1])
+    return ["invert-angles", f"--alpha={alpha!r}", "--target=" + ",".join(map(repr, target))]
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=admissible_inversions())
+def test_invert_angles_exits_0_2_or_3_with_one_message(capsys, argv):
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc in (0, 2, 3), (argv, err)
+    if rc:
+        assert len(err.splitlines()) == 1 and err.startswith("lagsol:"), (argv, err)
 
 
 def test_invert_angles_rejects_unattainable_target(capsys):

@@ -10,7 +10,7 @@ import scipy.integrate
 from scipy.integrate import quad
 
 from lagsol import cli, expander, odeint, quadutil
-from lagsol.errors import InvalidTarget, NonConvergence, ValidationError
+from lagsol.errors import InvalidTarget, NonConvergence, ToleranceFailure, ValidationError
 from lagsol.expander import (NEWTON_HALVINGS, ExpanderProfile, angle_map, angle_map_jacobian,
                              asymptotic_angles, damped_newton, invert_angle_map, s_of_y)
 from lagsol.geometry import fd_step
@@ -345,6 +345,25 @@ def test_a_trial_outside_the_domain_is_infeasible():
         (residual,) = residuals
         assert residual(np.array([-800.0, 0.0])) is None
         assert residual(np.array([800.0, 0.0])) is None
+
+
+def test_a_trial_whose_angle_pass_fails_is_damped_away():
+    """A Newton trial whose joint pass misses the quadrature tolerance is
+    infeasible like one outside the domain: the step is halved, and the
+    solve goes on.  The seed's passes and the start are at symmetric a, so
+    the first pass at an asymmetric a is the first trial."""
+    joint, failed = expander._angle_pass, []
+
+    def flaky(alpha, a):
+        if len(set(a)) > 1 and not failed:
+            failed.append(a)
+            raise ToleranceFailure("quadrature failed for a trial")
+        return joint(alpha, a)
+
+    with mock.patch.object(expander, "_angle_pass", side_effect=flaky):
+        a = invert_angle_map(1.0, [0.5, 0.3])
+    assert len(failed) == 1
+    np.testing.assert_allclose(angle_map(1.0, a), [0.5, 0.3], rtol=0.0, atol=1e-10)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])

@@ -167,3 +167,20 @@ def test_the_check_finds_an_unnamed_definition():
 
 def test_every_definition_is_named_in_the_package():
     assert unnamed_definitions([p.read_text() for p in SOURCES]) == sorted(UNNAMED)
+
+
+def exec_sites(source: str):
+    """Line numbers where source names the exec or compile builtin (an
+    attribute such as re.compile does not count)."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Name) and node.id in ("exec", "compile"))
+
+
+def test_the_check_finds_exec_and_compile():
+    src = "import re\nre.compile('a')\nexec(compile('1', '<s>', 'eval'))\nrun = exec\n"
+    assert exec_sites(src) == [3, 3, 4]
+
+
+def test_only_codegen_compiles_source():
+    # every generated kernel goes through codegen.compiled's one cache
+    assert [p.name for p in SOURCES if exec_sites(p.read_text())] == ["codegen.py"]

@@ -2,12 +2,7 @@
 generated step against the loop-form reference."""
 
 import math
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -241,7 +236,7 @@ def test_integration_on_the_loop_step_reproduces_the_generated_run(monkeypatch):
     # a long reduced orbit with interior targets, rejected steps included,
     # read through integrate on each stepper
     spec = _orbit_spec(random.Random(3), 3)
-    rhs, conserved, near = reduced_system(spec)
+    rhs, conserved, near = reduced_system(spec)[:3]
     y0 = spec.initial_state()
 
     def run():
@@ -251,26 +246,6 @@ def test_integration_on_the_loop_step_reproduces_the_generated_run(monkeypatch):
         return res.n_accepted, res.n_rejected_error, _hex(res.s.tolist()), _hex(res.y.tolist())
 
     got = run()
-    monkeypatch.setitem(odeint._STEPPERS, len(y0), (reference_step, reference_extend))
+    monkeypatch.setattr(odeint, "_stepper", lambda d: (reference_step, reference_extend))
     assert run() == got
     assert got[0] > 50 and len(got[2]) == 39
-
-
-def test_steps_are_built_on_first_use_once_per_state_size():
-    # importing the CLI compiles no step, no reduced-system kernel, no orbit
-    # integrand and no log G, so the benchmark's set-up time carries no
-    # generator cost
-    code = ("import lagsol.cli; from lagsol import odeint, periodic, quadutil, reduced_ode; "
-            "print(len(odeint._STEPPERS), len(reduced_ode._KERNELS), "
-            "len(quadutil._ORBIT_KERNELS), len(periodic._LOG_G_KERNELS))")
-    env = dict(os.environ, PYTHONPATH=str(Path(odeint.__file__).parents[1]))
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True)
-    assert res.stdout.split() == ["0", "0", "0", "0"]
-    with mock.patch.dict(odeint._STEPPERS, clear=True), \
-            mock.patch.object(odeint, "_generate", wraps=odeint._generate) as generate:
-        odeint.integrate(_rotation, 0.0, [1.0, 0.0], 1.0)
-        built = dict(odeint._STEPPERS)
-        odeint.integrate(_rotation, 0.0, [0.0, 1.0], 2.0)
-        assert generate.call_count == 1 and list(built) == [2]
-        assert odeint._STEPPERS == built and odeint._STEPPERS[2] is built[2]

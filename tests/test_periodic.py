@@ -91,6 +91,7 @@ def test_the_generated_log_G_is_the_loop_form_bit_for_bit(n):
         alpha = -rng.uniform(0.2, 2.0) if m == n else rng.uniform(-2.0, 2.0)
         spec = spec_of((1.0,) * m + (-1.0,) * (n - m),
                        tuple(rng.uniform(0.3, 3.0) for _ in range(n)), 1.0, alpha)
+        assert spec.log_G is spec.log_G and spec.dlog_G is spec.dlog_G   # built once per spec
         lo, hi = spec.band()
         top = hi if math.isfinite(hi) else lo + 10.0
         us = [rng.uniform(lo, top) for _ in range(20)] + [0.0, -0.0, math.inf, -math.inf,
@@ -103,17 +104,6 @@ def test_the_generated_log_G_is_the_loop_form_bit_for_bit(n):
         for u in us:
             assert _outcome(spec.log_G, u) == _outcome(partial(reference_log_G, spec), u), u
             assert _outcome(spec.dlog_G, u) == _outcome(partial(reference_dlog_G, spec), u), u
-
-
-def test_log_G_is_generated_once_per_n():
-    with mock.patch.dict(periodic._LOG_G_KERNELS, clear=True), \
-            mock.patch.object(periodic, "_generate_log_G",
-                              wraps=periodic._generate_log_G) as generate:
-        for alphas in ((1.0, 2.0), (3.0, 0.5), (1.0, 2.0, 3.0)):
-            spec = spec_of((1.0, -1.0, -1.0)[:len(alphas)], alphas, 0.5)
-            assert spec.log_G is spec.log_G
-            spec.dlog_G(0.0)
-        assert generate.call_count == 2 and sorted(periodic._LOG_G_KERNELS) == [2, 3]
 
 
 def test_rebase_moves_critical_point_to_zero():

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from lagsol import periodic, quadutil
+from lagsol.codegen import compiled
 from lagsol.errors import ToleranceFailure
 from lagsol.expander import _phase_family
 from lagsol.params import SolitonParams
@@ -170,8 +171,8 @@ def test_orbit_family_is_bit_identical(lambdas, alphas, A, alpha):
 
 def _generated(spec, u1, u2, period):
     """The generated orbit integrand that orbit_quad builds for spec."""
-    return quadutil._orbit_kernel(spec.n, period)(spec.alphas, spec.params.lambdas,
-                                                 spec.params.alpha, spec.A, u1, u2)
+    make = compiled(quadutil._generate_orbit, spec.n, period)["make"]
+    return make(spec.alphas, spec.params.lambdas, spec.params.alpha, spec.A, u1, u2)
 
 
 def _outcome(f, *args):
@@ -252,15 +253,3 @@ def test_the_generated_orbit_integrand_raises_what_the_closure_form_raises(
     for period in (True, False):
         ref = reference_orbit_rates(spec, u1, u2, reference_orbit_numers(spec, period))
         assert _outcome(_generated(spec, u1, u2, period), xi) == _outcome(ref, xi)
-
-
-def test_orbit_integrands_are_generated_once_per_n_and_member_set():
-    with mock.patch.dict(quadutil._ORBIT_KERNELS, clear=True), \
-            mock.patch.object(quadutil, "_generate_orbit",
-                              wraps=quadutil._generate_orbit) as generate:
-        for A in (0.4, 0.3):
-            spec = PeriodicSpec(SolitonParams((1.0, -1.0), 1.0, 0.5), (1.0, 2.0), A)
-            periodic.compute_orbit(spec)
-            periodic.holonomies(spec)
-        assert generate.call_count == 2
-        assert sorted(quadutil._ORBIT_KERNELS) == [(2, False), (2, True)]

@@ -2,13 +2,12 @@
 
 import math
 import random
-from unittest import mock
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from lagsol import periodic, reduced_ode
+from lagsol import periodic
 from lagsol.errors import DomainEscape, ValidationError
 from lagsol.fileio import write_trajectory_csv
 from lagsol.params import SolitonParams
@@ -97,7 +96,7 @@ def _numpy_reduced_rhs(spec, y):
 def test_float_system_matches_array_formulas():
     rng = np.random.default_rng(7)
     spec = make_spec((1.0, 1.0, -1.0), (1.2, 0.8, 2.0), 0.45, alpha=0.5)
-    rhs, conserved, near_escape = reduced_system(spec)
+    rhs, conserved, near_escape = reduced_system(spec)[:3]
     lo, hi = -0.8, 2.0      # the band of radii squared 1.2 + u, 0.8 + u and 2 - u
     for u in np.concatenate([rng.uniform(lo, hi, 20), [lo - 0.1, hi + 0.1]]):
         y = np.concatenate([[u], rng.uniform(-4.0, 4.0, spec.n + 1)])
@@ -308,15 +307,3 @@ def test_an_orbit_profile_on_the_closure_form_reproduces_the_generated_run(
     monkeypatch.setattr(periodic, "reduced_system", reference)
     assert states() == got
     assert len(built) == 1 and len(got) == len(ts)
-
-
-def test_kernels_are_generated_on_first_use_once_per_n():
-    with mock.patch.dict(reduced_ode._KERNELS, clear=True), \
-            mock.patch.object(reduced_ode, "_generate", wraps=reduced_ode._generate) as generate:
-        specs = {n: make_spec((1.0,) * n, (1.0,) * n, 0.5) for n in (2, 3)}
-        reduced_system(specs[2])
-        make = reduced_ode._KERNELS[2]
-        reduced_system(specs[3])
-        reduced_system(specs[2])
-        assert generate.call_count == 2 and sorted(reduced_ode._KERNELS) == [2, 3]
-        assert reduced_ode._KERNELS[2] is make

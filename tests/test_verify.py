@@ -281,6 +281,6 @@ def test_an_orbit_integrated_at_a_wrong_rate_fails(delta):
     profile = orbit.profile()
     mutant = dataclasses.replace(
         profile.tspec, params=SolitonParams((1.0, -1.0), 1.0, 0.5 * (1.0 + delta)))
-    profile._rhs, profile._conserved, profile._near_escape = reduced_system(mutant)
+    profile._rhs, profile._conserved, profile._near_escape = reduced_system(mutant)[:3]
     mesh = centred_mesh(profile, np.linspace(0.0, orbit.S, 30), 20)
     assert not verify_mesh(profile, mesh).passed
