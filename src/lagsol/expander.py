@@ -236,8 +236,8 @@ def _angle_map_args(alpha: float, a) -> tuple:
     a = require_finite("a", a)
     if alpha < 0:
         raise ValidationError("alpha must be non-negative")
-    if any(x <= 0 for x in a):
-        raise ValidationError("every a_j must be positive")
+    if not a or any(x <= 0 for x in a):
+        raise ValidationError("a must be non-empty, with every a_j positive")
     k = alpha + sum(a)
     if math.isinf(k):
         raise ValidationError("alpha + sum(a) overflows")

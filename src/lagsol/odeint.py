@@ -30,13 +30,14 @@ right-hand side, hence lies strictly inside the domain.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .codegen import compiled
-from .errors import DomainEscape, ToleranceFailure
+from .errors import DomainEscape, ToleranceFailure, ValidationError
 
 # DOP853 tableau (Hairer's dop853.f, as also transcribed by scipy): the
 # non-zero (j, a_ij) pairs of each row.  Rows 1-11 are the step stages, row
@@ -284,6 +285,19 @@ def _interpolant(s, hd, y, cols):
     return at
 
 
+def _float_range_fails(integrate):
+    """integrate raising ToleranceFailure for an ArithmeticError: an initial
+    step, error norm or conserved value out of the float range."""
+    @functools.wraps(integrate)
+    def guarded(*args, **kwargs):
+        try:
+            return integrate(*args, **kwargs)
+        except ArithmeticError as exc:
+            raise ToleranceFailure(f"step control left the float range ({exc})") from exc
+    return guarded
+
+
+@_float_range_fails
 def integrate(
     rhs,
     s0: float,
@@ -297,7 +311,8 @@ def integrate(
     dense: bool = True,
     near_escape=None,
 ) -> OdeResult:
-    """Integrate dy/ds = rhs(s, y) from s0 to s_end adaptively.
+    """Integrate dy/ds = rhs(s, y) from s0 to s_end adaptively; a non-finite
+    s0, s_end or target raises ValidationError.
 
     Parameters
     ----------
@@ -318,6 +333,9 @@ def integrate(
     y = [float(v) for v in y0]
     s = float(s0)
     s_end = float(s_end)
+    tgt = [float(t) for t in targets]
+    if not _finite([s, s_end, *tgt]):
+        raise ValidationError("integration bounds and targets must be finite")
     direction = 1.0 if s_end >= s else -1.0
     span = abs(s_end - s)
 
@@ -330,7 +348,6 @@ def integrate(
         res.y = np.array(out_y)
         return res
 
-    tgt = [float(t) for t in targets]
     for a, b in zip(tgt, tgt[1:]):
         if (b - a) * direction < 0:
             raise ValueError("targets must be monotone in the integration direction")

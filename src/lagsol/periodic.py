@@ -41,13 +41,12 @@ from functools import cached_property
 import numpy as np
 from scipy.optimize import brentq
 
-from . import odeint
 from .errors import CaseMismatch, NonConvergence, ToleranceFailure, ValidationError
 from .expander import damped_newton
-from .geometry import ChainCache, CurveRecord, curve_views
+from .geometry import CurveRecord, curve_views
 from .params import SolitonParams, require_finite
 from .quadutil import orbit_quad
-from .reduced_ode import TrajectorySpec, reduced_system
+from .reduced_ode import TrajectorySpec, reduced_system, states
 
 CASE_I_REL_TOL = 1e-12
 CONDITIONING_MARGIN = 1e-10
@@ -360,43 +359,20 @@ def _phase_rates(based: PeriodicSpec) -> tuple:
 class OrbitProfile:
     """ODE-backed centred profile of an oscillating spec, kept as handed: the
     rebased spec of a PeriodicOrbit or a profile record, integrated from u = 0.
-
-    States are held by s in a geometry.ChainCache, starting with the base
-    state: each chain of missing parameters is one integration from its
-    start that ends exactly on its farthest parameter, and the parameters
-    inside a step are read from the stepper's 7th-order interpolant.  So
-    mesh samples chain into one pass over their span, and the points of the
-    FD oracle's one sorted stencil batch on each side of a held centre are
-    one integration from it.  The last digits of a state depend on the
-    order of the queries.
+    Its states are read from reduced_ode.states, whose chained cache makes
+    the last digits of a state depend on the order of the queries.
     """
 
     kind = "centred"
-    rtol = 1e-11    # stepper tolerances: the FD oracle divides state errors by h^2
-    atol = 1e-13
 
     def __init__(self, spec: PeriodicSpec):
         self._hold(spec)
         self.tspec = spec.trajectory_spec()
-        self._rhs, self._conserved, self._near_escape = reduced_system(self.tspec)[:3]
-        self._states = ChainCache(self._advance, self.tspec.initial_state(), "curve parameter")
+        self._states = states(self.tspec)
 
     def _hold(self, spec: PeriodicSpec):
         self.spec, self.lambdas, self.alpha, self.n = (
             spec, spec.params.lambdas, spec.params.alpha, spec.n)
-
-    def _advance(self, chains, starts):
-        """The states along each chain: one integration, sampled at its parameters."""
-        out = []
-        for ch, y0 in zip(chains, starts):
-            res = odeint.integrate(self._rhs, ch[0], y0, ch[-1], targets=ch[1:],
-                                   rtol=self.rtol, atol=self.atol,
-                                   conserved=self._conserved, dense=False,
-                                   near_escape=self._near_escape)
-            # odeint does not sample targets within 1e-14 of the start, so
-            # leading targets may have no sample: they take the start state
-            out.append([res.y[0]] * (len(ch) - len(res.y)) + list(res.y[1:]))
-        return out
 
     # curve reads the states through prefetch because perfbench's tracer
     # spans it (ROADMAP item 1)

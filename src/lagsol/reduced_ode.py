@@ -15,9 +15,11 @@ single shared height u with u = 0 at the base point, and the system closes on
 
 Both systems conserve sqrt(Q) e^{alpha u / 2} sin(phi - theta); the
 integrator enforces that at step granularity.  Only the reduced system is
-integrated here (the full one is the test suite's independent oracle).  u
-must stay inside the band where every alpha_j + lambda_j u > 0; leaving it
-raises DomainEscape.
+integrated here (the full one is the test suite's independent oracle), at
+one tolerance pair RTOL, ATOL, and states(spec) is the package's one reader
+of its states: a chained cache, so the last digits of a state depend on the
+order of the queries.  u must stay inside the band where every alpha_j +
+lambda_j u > 0; leaving it raises DomainEscape.
 """
 
 from __future__ import annotations
@@ -30,13 +32,13 @@ import numpy as np
 from . import odeint
 from .codegen import compiled
 from .errors import ValidationError
+from .geometry import ChainCache
 from .params import SolitonParams
 
 DOMAIN_FLOOR = 1e-12  # radius-squared value treated as having left the band
 ESCAPE_COLLAR = 1e-6
 
-DEFAULT_RTOL = 1e-10
-DEFAULT_ATOL = 1e-12
+RTOL, ATOL = 1e-11, 1e-13    # stepper tolerances: the FD oracle divides state errors by h^2
 
 @dataclass(frozen=True)
 class TrajectorySpec:
@@ -198,47 +200,51 @@ class ReducedTrajectory:
         return len(self.s)
 
 
-def _run_two_sided(rhs, s0, y0, s_min, s_max, rtol, atol, targets, dense,
-                   conserved, near):
-    if not (s_min <= s0 <= s_max):
+def _run_two_sided(rhs, y0, s_min, s_max, conserved, near):
+    """Every accepted step of one integration from s = 0 to each of s_min
+    and s_max, as (s, y) ordered by s."""
+    if not (s_min <= 0.0 <= s_max):
         raise ValidationError("integration interval must contain the base point s = 0")
-    targets = sorted(float(t) for t in targets)
-
-    legs = []
-    if s_min < s0:
-        back = [t for t in targets if t < s0]
-        back.sort(reverse=True)
-        r = odeint.integrate(rhs, s0, y0, s_min, rtol=rtol, atol=atol,
-                             conserved=conserved,
-                             targets=back, dense=dense, near_escape=near)
-        legs.append((r.s[::-1][:-1], r.y[::-1][:-1]))
-    legs.append((np.array([s0]), y0[None, :].copy()))
-    if s_max > s0:
-        fwd = [t for t in targets if t > s0]
-        r = odeint.integrate(rhs, s0, y0, s_max, rtol=rtol, atol=atol,
-                             conserved=conserved,
-                             targets=fwd, dense=dense, near_escape=near)
-        legs.append((r.s[1:], r.y[1:]))
-    return np.concatenate([s for s, _ in legs]), np.concatenate([y for _, y in legs])
+    back, fwd = (odeint.integrate(rhs, 0.0, y0, end, rtol=RTOL, atol=ATOL,
+                                  conserved=conserved, near_escape=near)
+                 for end in (s_min, s_max))
+    return np.concatenate([back.s[:0:-1], fwd.s]), np.concatenate([back.y[:0:-1], fwd.y])
 
 
-def integrate_reduced(spec: TrajectorySpec, s_min: float, s_max: float, *,
-                      rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
-                      targets=(), dense: bool = True) -> ReducedTrajectory:
-    """Integrate the reduced system over [s_min, s_max] (must contain 0)."""
+def integrate_reduced(spec: TrajectorySpec, s_min: float, s_max: float) -> ReducedTrajectory:
+    """The reduced system over [s_min, s_max] (must contain 0): every
+    accepted step of one integration from s = 0 to each end."""
     rhs, conserved, near = reduced_system(spec)[:3]
-    s, y = _run_two_sided(rhs, 0.0, spec.initial_state(), s_min, s_max,
-                          rtol, atol, targets, dense, conserved, near)
-    return ReducedTrajectory(spec, s, y)
+    return ReducedTrajectory(spec, *_run_two_sided(rhs, spec.initial_state(), s_min, s_max,
+                                                   conserved, near))
 
 
-def sample_reduced(spec: TrajectorySpec, s_points, *, rtol: float = DEFAULT_RTOL,
-                   atol: float = DEFAULT_ATOL) -> ReducedTrajectory:
-    """States at exactly the requested s values (plus the base point)."""
-    s_points = sorted(set(float(t) for t in s_points))
-    lo = min(s_points + [0.0])
-    hi = max(s_points + [0.0])
-    traj = integrate_reduced(spec, lo, hi, rtol=rtol, atol=atol,
-                             targets=s_points, dense=False)
-    keep = np.isin(traj.s, np.array(s_points))
-    return ReducedTrajectory(spec, traj.s[keep], traj.y[keep])
+def states(spec: TrajectorySpec) -> ChainCache:
+    """The states of spec's reduced system, held by s in a geometry.ChainCache
+    that starts with the base state.  Each chain of missing parameters is one
+    integration from its start that ends exactly on its farthest parameter,
+    and the parameters inside a step are read from the stepper's 7th-order
+    interpolant.  So mesh samples chain into one pass over their span, and
+    the points of the FD oracle's one sorted stencil batch on each side of a
+    held centre are one integration from it.  The last digits of a state
+    depend on the order of the queries."""
+    rhs, conserved, near = reduced_system(spec)[:3]
+
+    def advance(chains, starts):
+        out = []
+        for ch, y0 in zip(chains, starts):
+            res = odeint.integrate(rhs, ch[0], y0, ch[-1], targets=ch[1:], rtol=RTOL,
+                                   atol=ATOL, conserved=conserved, dense=False,
+                                   near_escape=near)
+            # odeint does not sample targets within 1e-14 of the start, so
+            # leading targets may have no sample: they take the start state
+            out.append([res.y[0]] * (len(ch) - len(res.y)) + list(res.y[1:]))
+        return out
+
+    return ChainCache(advance, spec.initial_state(), "curve parameter")
+
+
+def sample_reduced(spec: TrajectorySpec, s_points) -> ReducedTrajectory:
+    """The states at the sorted distinct s_points, read from a fresh states(spec)."""
+    s = sorted(set(float(t) for t in s_points))
+    return ReducedTrajectory(spec, np.array(s), states(spec).get(s))

@@ -36,8 +36,8 @@ from lagsol.fileio import projection_matrix
 from lagsol.geometry import _tangent_bases, fd_step
 from lagsol.periodic import PeriodicSpec, critical_point
 from lagsol.quadutil import REL_TOL, _checked
-from lagsol.reduced_ode import (DEFAULT_ATOL, DEFAULT_RTOL, DOMAIN_FLOOR, ESCAPE_COLLAR,
-                                TrajectorySpec, _run_two_sided, reduced_system)
+from lagsol.reduced_ode import (DOMAIN_FLOOR, ESCAPE_COLLAR, TrajectorySpec, _run_two_sided,
+                                reduced_system)
 
 
 def stationary_spec(params, alphas, psi=None) -> PeriodicSpec:
@@ -336,9 +336,7 @@ def full_initial_state(spec: TrajectorySpec) -> np.ndarray:
     return y0
 
 
-def integrate_full(spec: TrajectorySpec, s_min: float, s_max: float, *,
-                   rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
-                   targets=(), dense: bool = True) -> FullTrajectory:
+def integrate_full(spec: TrajectorySpec, s_min: float, s_max: float) -> FullTrajectory:
     """Integrate the full system over [s_min, s_max] (must contain 0)."""
     n = spec.n
     y0 = full_initial_state(spec)
@@ -350,8 +348,7 @@ def integrate_full(spec: TrajectorySpec, s_min: float, s_max: float, *,
         w = y[0:2 * n:2] + 1j * y[1:2 * n:2]
         return (w.real ** 2 + w.imag ** 2).min() < ESCAPE_COLLAR
 
-    s, y = _run_two_sided(rhs, 0.0, y0, s_min, s_max, rtol, atol,
-                          targets, dense, conserved, near)
+    s, y = _run_two_sided(rhs, y0, s_min, s_max, conserved, near)
 
     ws = y[:, 0:2 * n:2] + 1j * y[:, 1:2 * n:2]
     theta = y[:, 2 * n]

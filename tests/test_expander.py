@@ -56,6 +56,13 @@ def test_angle_map_and_jacobian_reject_points_outside_the_domain(alpha, a):
     assert len(messages) == 1
 
 
+def test_an_empty_a_is_a_validation_error():
+    # min() of the empty a raised ValueError
+    for f in (angle_map, angle_map_jacobian, ExpanderProfile):
+        with pytest.raises(ValidationError, match="non-empty"):
+            f(1.0, ())
+
+
 def test_eval_P_values():
     prof = ExpanderProfile(0.0, (1.0, 1.0))
     # ((1+t^2)^2 - 1)/t^2 at t = 1

@@ -125,6 +125,7 @@ UNNAMED = {
     "classify_case": "the benchmark tracer spans it (SPAN_FUNCTIONS)",
     "finite_quad": "the benchmark tracer spans it (SPAN_FUNCTIONS), and the tests'"
                    " QUADPACK references call it",
+    "integrate_reduced": "the benchmark tracer spans it (SPAN_FUNCTIONS), and tests call it",
     "sample_reduced": "the benchmark tracer spans it (SPAN_FUNCTIONS)",
     "write_trajectory_csv": "the benchmark tracer spans it (SPAN_FUNCTIONS)",
 }
@@ -184,3 +185,27 @@ def test_the_check_finds_exec_and_compile():
 def test_only_codegen_compiles_source():
     # every generated kernel goes through codegen.compiled's one cache
     assert [p.name for p in SOURCES if exec_sites(p.read_text())] == ["codegen.py"]
+
+
+def imports_odeint(source: str) -> bool:
+    """Whether an import statement in source names a module or a name
+    odeint: import ...odeint, from ...odeint import ..., or from ... import
+    odeint."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            parts = (getattr(node, "module", None) or "").split(".")
+            if "odeint" in parts + [p for a in node.names for p in a.name.split(".")]:
+                return True
+    return False
+
+
+def test_the_check_finds_an_odeint_import():
+    for src in ("from . import odeint\n", "from .odeint import integrate\n",
+                "import lagsol.odeint\n", "from lagsol import codegen, odeint as ode\n"):
+        assert imports_odeint(src), src
+    assert not imports_odeint("from . import codegen\nodeint = codegen\n# import odeint\n")
+
+
+def test_only_reduced_ode_drives_odeint():
+    # the reduced ODE's states are read in one module, at one tolerance pair
+    assert [p.name for p in SOURCES if imports_odeint(p.read_text())] == ["reduced_ode.py"]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from lagsol import odeint
-from lagsol.errors import DomainEscape, ToleranceFailure
+from lagsol.errors import DomainEscape, ToleranceFailure, ValidationError
 from lagsol.params import SolitonParams
 from lagsol.reduced_ode import TrajectorySpec, reduced_system
 
@@ -69,6 +69,25 @@ def test_targets_are_landed_on_exactly(s0, s_end, targets):
 def test_targets_must_follow_the_direction():
     with pytest.raises(ValueError):
         odeint.integrate(lambda s, y: y, 0.0, [1.0], 2.0, targets=[1.1, 0.3])
+
+
+@pytest.mark.parametrize("s0, s_end, targets", [
+    (math.nan, 1.0, ()), (0.0, math.inf, ()), (0.0, -math.inf, ()), (0.0, math.nan, ()),
+    (0.0, 1.0, (0.5, math.nan)), (0.0, 1.0, (math.inf,)),
+])
+def test_non_finite_bounds_and_targets_are_rejected(s0, s_end, targets):
+    # an infinite or NaN end returned the start sample after no step, and a
+    # NaN target was never sampled
+    with pytest.raises(ValidationError):
+        odeint.integrate(_rotation, s0, [1.0, 0.0], s_end, targets=targets)
+
+
+@pytest.mark.parametrize("rate", [1e200, 1e300, -1e300])
+def test_a_step_control_out_of_the_float_range_is_a_tolerance_failure(rate):
+    # the initial step's slope norm overflows (1e200), or it is infinite and
+    # the first step underflows to 0 (1e300): an ArithmeticError before
+    with pytest.raises(ToleranceFailure):
+        odeint.integrate(lambda s, y: [rate * y[1], -rate * y[0]], 0.0, [1.0, 0.0], 1.0)
 
 
 def _wall(s, y):

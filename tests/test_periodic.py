@@ -915,7 +915,7 @@ def test_orbit_profile_resumes_agree_with_one_integration(rng, make_orbit_spec,
     w = np.array([prof.w_of(s) for s in queries])
     theta = np.array([prof.theta_of(s) for s in queries])
 
-    ref = sample_reduced(prof.tspec, queries, rtol=prof.rtol, atol=prof.atol)
+    ref = sample_reduced(prof.tspec, queries)
     at = {float(s): i for i, s in enumerate(ref.s)}
     idx = [at[float(s)] for s in queries]
     radii = np.sqrt(np.array(ref.spec.alphas) + np.outer(ref.u, ref.spec.params.lambdas))
@@ -941,7 +941,7 @@ def test_orbit_mesh_costs_about_one_integration_of_its_span(rng, make_orbit_spec
         centred_mesh(prof, np.linspace(0.0, S, 25), 3)
         mesh_steps = sum(steps)
         steps.clear()
-        integrate_reduced(prof.tspec, 0.0, S, rtol=prof.rtol, atol=prof.atol)
+        integrate_reduced(prof.tspec, 0.0, S)
     assert mesh_steps <= 1.2 * sum(steps)
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from lagsol import periodic
+from lagsol import reduced_ode
 from lagsol.errors import DomainEscape, ValidationError
 from lagsol.fileio import write_trajectory_csv
 from lagsol.params import SolitonParams
@@ -169,6 +169,23 @@ def test_sample_reduced_hits_targets():
     np.testing.assert_allclose(np.sort(traj.s), np.sort(np.array(pts)), atol=0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sample_reduced_rejects_a_non_finite_point(bad):
+    spec = make_spec((1.0, -1.0), (1.0, 2.0), 0.6, alpha=1.0)
+    with pytest.raises(ValidationError):
+        sample_reduced(spec, [0.5, bad])
+
+
+def test_sample_reduced_gives_points_next_to_the_base_the_base_state():
+    # odeint samples no target within 1e-14 of its start: those points take
+    # the base state instead of being dropped
+    spec = make_spec((1.0, -1.0), (1.0, 2.0), 0.6, alpha=1.0)
+    traj = sample_reduced(spec, [0.5, 5e-15, -1e-15])
+    assert traj.s.tolist() == [-1e-15, 5e-15, 0.5]
+    assert traj.y[:2].tolist() == [spec.initial_state().tolist()] * 2
+    assert traj.u[2] != 0.0
+
+
 def test_full_system_agrees_with_reduced():
     spec = make_spec((1.0, -1.0), (1.0, 2.0), 0.6, alpha=1.0,
                      phi0=(0.3, -0.2))
@@ -304,6 +321,6 @@ def test_an_orbit_profile_on_the_closure_form_reproduces_the_generated_run(
         built.append(spec)
         return reference_reduced_system(spec)
 
-    monkeypatch.setattr(periodic, "reduced_system", reference)
+    monkeypatch.setattr(reduced_ode, "reduced_system", reference)
     assert states() == got
     assert len(built) == 1 and len(got) == len(ts)

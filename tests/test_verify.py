@@ -6,16 +6,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from unittest import mock
 
 from lagsol import verify as V
+from lagsol.cli import main
 from lagsol.expander import ExpanderProfile, s_of_y
 from lagsol.geometry import centred_fd_mean_curvature, centred_frame
 from lagsol.meshing import centred_mesh, translator_mesh
 from lagsol.params import SolitonParams
 from lagsol.periodic import PeriodicSpec, compute_orbit
-from lagsol.reduced_ode import reduced_system
+from lagsol.reduced_ode import states
 from lagsol.translator import TranslatorProfile, translator_fd_mean_curvature
 from lagsol.verify import _fd_subset, _worst, verify_mesh
 from oracles import stationary_spec
@@ -281,6 +284,105 @@ def test_an_orbit_integrated_at_a_wrong_rate_fails(delta):
     profile = orbit.profile()
     mutant = dataclasses.replace(
         profile.tspec, params=SolitonParams((1.0, -1.0), 1.0, 0.5 * (1.0 + delta)))
-    profile._rhs, profile._conserved, profile._near_escape = reduced_system(mutant)[:3]
+    profile._states = states(mutant)
     mesh = centred_mesh(profile, np.linspace(0.0, orbit.S, 30), 20)
     assert not verify_mesh(profile, mesh).passed
+
+
+# -- verify on hand-edited exports: an exit code and a lagsol line, never a traceback
+
+# small exports, each written once per module: argv (its subcommand is the
+# file prefix), mesh columns and the numeric record keys
+EXPORTS = {
+    "expander": (["expander", "--alpha=1", "--a=1,2", "--samples=5"], 6,
+                 ("alpha", "a", "psi")),
+    "orbit": (["periodic", "--lambdas=1,-1", "--alphas=1,2", "--A=0.4", "--alpha=0.5",
+               "--mesh"], 6, ("alpha", "lambdas", "alphas", "A", "psi")),
+    "translator": (["translator", "--alpha=0", "--a=1,2"], 8,
+                   ("K_re", "K_im", "base_alpha", "base_a", "base_psi")),
+}
+MESH_ROWS = 12      # --mesh-samples=4 --mesh-count=3
+NOT_FINITE = ("nan", "inf", "-inf", "", "x1")
+CELL_VALUES = NOT_FINITE + ("1e308", "-1e308", "5e-324")
+RECORD_VALUES = CELL_VALUES + ("1e200", "-1e200", "1e300", "-1e300", "0", "-1")
+
+
+@pytest.fixture(scope="module")
+def exports(tmp_path_factory):
+    """{name: (mesh CSV lines, record lines)} of each export."""
+    out = {}
+    for name, (argv, _, _) in EXPORTS.items():
+        d = tmp_path_factory.mktemp(name)
+        assert main(argv + ["--mesh-samples=4", "--mesh-count=3", f"--outdir={d}"]) == 0
+        out[name] = tuple((d / f"{argv[0]}_{f}").read_text().splitlines()
+                          for f in ("mesh.csv", "record.txt"))
+    return out
+
+
+@st.composite
+def export_edits(draw):
+    """(export, edit): one mesh cell ("cell", row, column, value) or one
+    record value ("record", key, element, value) replaced, where a float
+    value is a factor 1 +- 10^U[-8, -2] on the old number, element None
+    means the whole value, and "longer" repeats its last element.  An
+    orbit's s_or_y cell stays finite and moderate: a row at s = 1e308 runs
+    the stepper to its step budget, which takes tens of seconds."""
+    name = draw(st.sampled_from(sorted(EXPORTS)))
+    _, ncols, keys = EXPORTS[name]
+    factor = 1.0 + draw(st.sampled_from((-1.0, 1.0))) * 10.0 ** draw(st.floats(-8.0, -2.0))
+    if draw(st.booleans()):
+        col = draw(st.integers(0, ncols - 1))
+        values = CELL_VALUES
+        if name == "orbit" and col == ncols - 2:
+            values = NOT_FINITE + ("5e-324",)
+        return name, ("cell", draw(st.integers(0, MESH_ROWS - 1)), col,
+                      draw(st.sampled_from(values + (factor,))))
+    key = draw(st.sampled_from(keys))
+    whole = draw(st.sampled_from((None, None, None, "", "longer")))
+    if whole is not None:
+        return name, ("record", key, None, whole)
+    return name, ("record", key, draw(st.integers(0, 3)),
+                  draw(st.sampled_from(RECORD_VALUES + (factor,))))
+
+
+def _edited(cells, at, value):
+    """cells (a list of strings) with cells[at] replaced by value, or scaled by it."""
+    cells = list(cells)
+    cells[at] = repr(float(cells[at]) * value) if isinstance(value, float) else value
+    return cells
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=export_edits())
+@example(case=("orbit", ("record", "alpha", 0, "1e200")))
+@example(case=("orbit", ("record", "alpha", 0, "1e300")))
+@example(case=("orbit", ("record", "alpha", 0, "-1e300")))
+@example(case=("expander", ("record", "a", None, "")))
+@example(case=("translator", ("record", "base_a", None, "")))
+def test_verify_of_an_edited_export_exits_with_a_code_and_a_message(
+        exports, tmp_path, capsys, case):
+    name, (where, at, part, value) = case
+    mesh, record = exports[name]
+    if where == "cell":
+        row = 1 + at
+        mesh = mesh[:row] + [",".join(_edited(mesh[row].split(","), part, value))] + mesh[row + 1:]
+    else:
+        line = next(i for i, ln in enumerate(record) if ln.startswith(at + " = "))
+        items = record[line].split(" = ", 1)[1].split(",")
+        if part is not None:
+            items = _edited(items, part % len(items), value)
+        else:
+            items = items + items[-1:] if value == "longer" else []
+        record = record[:line] + [f"{at} = {','.join(items)}"] + record[line + 1:]
+    (tmp_path / "mesh.csv").write_text("\n".join(mesh) + "\n")
+    (tmp_path / "record.txt").write_text("\n".join(record) + "\n")
+    capsys.readouterr()
+    rc = main(["verify", f"--mesh={tmp_path / 'mesh.csv'}",
+               f"--record={tmp_path / 'record.txt'}"])
+    err = capsys.readouterr().err
+    assert rc in (0, 2, 3, 4), (case, err)
+    if rc:
+        assert err.splitlines()[-1].startswith("lagsol:"), (case, err)
+    if where == "cell" and value in NOT_FINITE:
+        assert rc != 0, case
