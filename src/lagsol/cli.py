@@ -240,8 +240,8 @@ _EXPANDER_OPTS = _COMMON + (
 def cmd_expander(cfg) -> int:
     profile = ExpanderProfile(cfg["alpha"], cfg["a"], cfg["psi"])
     ys = np.linspace(-cfg["y-max"], cfg["y-max"], cfg["samples"])
-    _write(cfg, "expander", "profile.csv", fileio.write_profile_csv, profile, ys)
     angles = asymptotic_angles(profile)
+    _write(cfg, "expander", "profile.csv", fileio.write_profile_csv, profile, ys)
     _write(cfg, "expander", "planes.csv", fileio.write_plane_report_csv, angles)
 
     mesh_ts = np.linspace(-cfg["y-max"], cfg["y-max"], cfg["mesh-samples"])

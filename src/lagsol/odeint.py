@@ -4,10 +4,14 @@ The stepper is the 8(5,3) pair of Hairer, Norsett and Wanner ("DOP853",
 *Solving Ordinary Differential Equations I*, sec. II.10): 12 stages with the
 last one evaluated at the step's end (FSAL), the combined 5th/3rd-order
 error estimate and a PI step-size controller.  Beyond the embedded error
-estimate, a step is also rejected when a user-supplied conserved functional
+estimate, a step is also rejected when the caller's conserved functional
 drifts by more than ``DRIFT_FACTOR`` times the local tolerance across the
 step; the soliton ODEs carry an exact first integral, and enforcing it at
 step granularity is what keeps long trajectories honest.
+
+Every integration runs at the one tolerance pair ``RTOL, ATOL`` of this
+module.  It is that tight because the FD oracle of geometry differentiates
+the integrated curve twice: it divides state errors by h^2.
 
 States are Python float lists.  The right-hand side takes ``(s, y)`` with y
 a list and returns a sequence of len(y) floats; at the state sizes used here,
@@ -228,6 +232,7 @@ _SAFETY = 0.9
 _MIN_FACTOR = 0.333
 _MAX_FACTOR = 6.0
 
+RTOL, ATOL = 1e-11, 1e-13    # stepper tolerances: the FD oracle divides state errors by h^2
 DRIFT_FACTOR = 10.0  # allowed first-integral change per step, in local tolerances
 MAX_STEPS = 2_000_000  # step attempts per integration
 
@@ -304,31 +309,29 @@ def integrate(
     y0,
     s_end: float,
     *,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-    conserved=None,
+    conserved,
+    near_escape,
     targets=(),
     dense: bool = True,
-    near_escape=None,
 ) -> OdeResult:
-    """Integrate dy/ds = rhs(s, y) from s0 to s_end adaptively; a non-finite
-    s0, s_end or target raises ValidationError.
+    """Integrate dy/ds = rhs(s, y) from s0 to s_end adaptively at RTOL,
+    ATOL; a non-finite s0, s_end or target raises ValidationError.
 
     Parameters
     ----------
-    conserved : callable or None
+    conserved : callable
         Scalar functional of the state; steps changing it by more than
-        ``DRIFT_FACTOR * (atol + rtol |I|)`` are rejected and retried.
+        ``DRIFT_FACTOR * (ATOL + RTOL |I|)`` are rejected and retried.
+    near_escape : callable
+        Predicate on the state; consulted on step-size underflow to decide
+        between DomainEscape (state hugging the domain boundary) and
+        ToleranceFailure.
     targets : sequence of floats
         Parameter values (monotone in the direction of integration) to be
         sampled.  Those strictly inside a step are read from the continuous
         extension; s_end is always a step's end.
     dense : bool
         When False only samples at targets (plus the endpoints) are recorded.
-    near_escape : callable or None
-        Predicate on the state; consulted on step-size underflow to decide
-        between DomainEscape (state hugging the domain boundary) and
-        ToleranceFailure.
     """
     y = [float(v) for v in y0]
     s = float(s0)
@@ -359,7 +362,8 @@ def integrate(
     f = rhs(s, y)
     if not _finite(f):
         raise DomainEscape(s, "initial state is outside the admissible domain")
-    I_prev = float(conserved(y)) if conserved is not None else 0.0
+    I_prev = float(conserved(y))
+    rtol, atol = RTOL, ATOL
 
     h = min(_initial_step(rhs, s, y, f, direction, rtol, atol), span)
     err_prev = 1.0
@@ -375,7 +379,7 @@ def integrate(
         if last:
             h = abs(s_end - s)
         if h < 1e-14 * max(1.0, abs(s)):
-            if near_escape is not None and near_escape(y):
+            if near_escape(y):
                 raise DomainEscape(s)
             raise ToleranceFailure(f"step size underflow near s = {s:.6g}")
 
@@ -390,13 +394,12 @@ def integrate(
                 h *= (max(_MIN_FACTOR, _SAFETY * max(err_norm, 1e-10) ** -_ORDER_EXP)
                       if math.isfinite(err_norm) else 0.5)
                 continue
-            if conserved is not None:
-                I_new = float(conserved(y_new))
-                drift = abs(I_new - I_prev)
-                if drift > DRIFT_FACTOR * (atol + rtol * abs(I_prev)):
-                    res.n_rejected_drift += 1
-                    h *= 0.5
-                    continue
+            I_new = float(conserved(y_new))
+            drift = abs(I_new - I_prev)
+            if drift > DRIFT_FACTOR * (atol + rtol * abs(I_prev)):
+                res.n_rejected_drift += 1
+                h *= 0.5
+                continue
             # targets short of the step's end need the extension stages
             inner = ti < len(tgt) and (tgt[ti] - s_new) * direction < 0
             if inner:
@@ -408,15 +411,13 @@ def integrate(
             err_prev = 1.0
             # tangential boundary approach: the state is already inside the
             # escape collar and repeated halvings make no headway
-            if (h < 1e-9 * max(1.0, abs(s)) and near_escape is not None
-                    and near_escape(y)):
+            if h < 1e-9 * max(1.0, abs(s)) and near_escape(y):
                 raise DomainEscape(s)
             continue
 
         # accepted
-        if conserved is not None:
-            res.max_drift = max(res.max_drift, drift)
-            I_prev = I_new
+        res.max_drift = max(res.max_drift, drift)
+        I_prev = I_new
         if inner:
             at = _interpolant(s, hd, y, cols)
             while ti < len(tgt) and (tgt[ti] - s_new) * direction < 0:

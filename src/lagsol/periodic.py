@@ -46,7 +46,7 @@ from .expander import damped_newton
 from .geometry import CurveRecord, curve_views
 from .params import SolitonParams, require_finite
 from .quadutil import orbit_quad
-from .reduced_ode import TrajectorySpec, reduced_system, states
+from .reduced_ode import reduced_system, states
 
 CASE_I_REL_TOL = 1e-12
 CONDITIONING_MARGIN = 1e-10
@@ -118,11 +118,6 @@ class PeriodicSpec:
     @cached_property
     def _log_G_pair(self):
         return reduced_system(self)[3:]
-
-    def trajectory_spec(self) -> TrajectorySpec:
-        """ODE initial data with the same base point and first integral."""
-        return TrajectorySpec.with_first_integral(
-            self.params, self.alphas, self.A, phi0=self.psi)
 
 
 def critical_point(spec: PeriodicSpec) -> float:
@@ -367,8 +362,7 @@ class OrbitProfile:
 
     def __init__(self, spec: PeriodicSpec):
         self._hold(spec)
-        self.tspec = spec.trajectory_spec()
-        self._states = states(self.tspec)
+        self._states = states(spec)
 
     def _hold(self, spec: PeriodicSpec):
         self.spec, self.lambdas, self.alpha, self.n = (

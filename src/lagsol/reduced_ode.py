@@ -15,17 +15,17 @@ single shared height u with u = 0 at the base point, and the system closes on
 
 Both systems conserve sqrt(Q) e^{alpha u / 2} sin(phi - theta); the
 integrator enforces that at step granularity.  Only the reduced system is
-integrated here (the full one is the test suite's independent oracle), at
-one tolerance pair RTOL, ATOL, and states(spec) is the package's one reader
-of its states: a chained cache, so the last digits of a state depend on the
-order of the queries.  u must stay inside the band where every alpha_j +
-lambda_j u > 0; leaving it raises DomainEscape.
+integrated here (the full one is the test suite's independent oracle), from
+the base state of a periodic.PeriodicSpec, at odeint's one tolerance pair
+(odeint.RTOL, ATOL: see there why it is that tight).  states(spec) is the
+package's one reader of its states: a chained cache, so the last digits of a
+state depend on the order of the queries.  u must stay inside the band where
+every alpha_j + lambda_j u > 0; leaving it raises DomainEscape.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,65 +33,19 @@ from . import odeint
 from .codegen import compiled
 from .errors import ValidationError
 from .geometry import ChainCache
-from .params import SolitonParams
 
 DOMAIN_FLOOR = 1e-12  # radius-squared value treated as having left the band
 ESCAPE_COLLAR = 1e-6
 
-RTOL, ATOL = 1e-11, 1e-13    # stepper tolerances: the FD oracle divides state errors by h^2
 
-@dataclass(frozen=True)
-class TrajectorySpec:
-    """Initial data for one trajectory of the (normalized) soliton system.
-
-    alphas are the squared radii at the base point s = 0, i.e. u(0) = 0.
-    """
-
-    params: SolitonParams
-    alphas: tuple
-    phi0: tuple
-    theta0: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
-        object.__setattr__(self, "phi0", tuple(float(p) for p in self.phi0))
-        object.__setattr__(self, "theta0", float(self.theta0))
-        if len(self.alphas) != self.params.n or len(self.phi0) != self.params.n:
-            raise ValidationError("alphas and phi0 must have length n")
-        if any(a <= 0 for a in self.alphas):
-            raise ValidationError("alphas must be positive")
-
-    @classmethod
-    def with_first_integral(cls, params, alphas, A, phi0=None):
-        """theta0 with cos(phi - theta) > 0 and the conserved quantity A at s = 0."""
-        alphas = tuple(float(a) for a in alphas)
-        n = len(alphas)
-        phi0 = tuple(float(p) for p in (phi0 if phi0 is not None else (0.0,) * n))
-        root_q = math.sqrt(math.prod(alphas))
-        ratio = A / root_q
-        if abs(ratio) > 1.0:
-            raise ValidationError(f"|A| = {abs(A):.6g} exceeds sqrt(Q(0)) = {root_q:.6g}")
-        return cls(params, alphas, phi0, sum(phi0) - math.asin(ratio))
-
-    @property
-    def n(self) -> int:
-        return self.params.n
-
-    @property
-    def lambdas(self):
-        return np.array(self.params.lambdas)
-
-    @property
-    def first_integral_value(self) -> float:
-        """Value of sqrt(Q) e^{alpha u/2} sin(phi - theta) at the base point."""
-        return math.sqrt(math.prod(self.alphas)) * math.sin(sum(self.phi0) - self.theta0)
-
-    def initial_state(self):
-        y = np.empty(self.n + 2)
-        y[0] = 0.0
-        y[1:self.n + 1] = self.phi0
-        y[self.n + 1] = self.theta0
-        return y
+def base_state(spec) -> np.ndarray:
+    """[0, psi_1.., sum(psi) - asin(A / sqrt(Q(0)))]: the state at s = 0 of
+    a periodic.PeriodicSpec, with first integral A and cos(phi - theta) > 0."""
+    root_q = math.sqrt(math.prod(spec.alphas))
+    ratio = spec.A / root_q
+    if abs(ratio) > 1.0:
+        raise ValidationError(f"|A| = {abs(spec.A):.6g} exceeds sqrt(Q(0)) = {root_q:.6g}")
+    return np.array([0.0, *spec.psi, sum(spec.psi) - math.asin(ratio)])
 
 
 def _generate(n):
@@ -148,8 +102,8 @@ def _generate(n):
 
 def reduced_system(spec):
     """(rhs, conserved, near_escape, log_G, dlog_G) of the reduced system of
-    spec, a TrajectorySpec or a periodic.PeriodicSpec: straight-line code
-    generated once per n (see codegen).
+    a periodic.PeriodicSpec: straight-line code generated once per n (see
+    codegen).  Only the spec's n, alphas and params are read.
 
     rhs(s, y) takes the state y = [u, phi_1.., theta] as a list (any
     sequence of floats) and returns its derivative as a list, all NaN
@@ -162,7 +116,7 @@ def reduced_system(spec):
     return make(tuple(zip(spec.alphas, spec.params.lambdas)), spec.params.alpha)
 
 
-def first_integral(spec: TrajectorySpec, y) -> float:
+def first_integral(spec, y) -> float:
     """Conserved quantity sqrt(Q) e^{alpha u/2} sin(phi - theta) of a reduced state."""
     y = np.asarray(y, dtype=float)
     n = spec.n
@@ -176,7 +130,7 @@ def first_integral(spec: TrajectorySpec, y) -> float:
 class ReducedTrajectory:
     """Accepted samples of one reduced integration, ordered by s."""
 
-    def __init__(self, spec: TrajectorySpec, s: np.ndarray, y: np.ndarray):
+    def __init__(self, spec, s: np.ndarray, y: np.ndarray):
         self.spec = spec
         self.s = s
         self.y = y
@@ -194,7 +148,7 @@ class ReducedTrajectory:
         return self.y[:, -1]
 
     def first_integral_residuals(self):
-        return first_integral(self.spec, self.y) - self.spec.first_integral_value
+        return first_integral(self.spec, self.y) - self.spec.A
 
     def __len__(self):
         return len(self.s)
@@ -205,21 +159,20 @@ def _run_two_sided(rhs, y0, s_min, s_max, conserved, near):
     and s_max, as (s, y) ordered by s."""
     if not (s_min <= 0.0 <= s_max):
         raise ValidationError("integration interval must contain the base point s = 0")
-    back, fwd = (odeint.integrate(rhs, 0.0, y0, end, rtol=RTOL, atol=ATOL,
-                                  conserved=conserved, near_escape=near)
+    back, fwd = (odeint.integrate(rhs, 0.0, y0, end, conserved=conserved, near_escape=near)
                  for end in (s_min, s_max))
     return np.concatenate([back.s[:0:-1], fwd.s]), np.concatenate([back.y[:0:-1], fwd.y])
 
 
-def integrate_reduced(spec: TrajectorySpec, s_min: float, s_max: float) -> ReducedTrajectory:
+def integrate_reduced(spec, s_min: float, s_max: float) -> ReducedTrajectory:
     """The reduced system over [s_min, s_max] (must contain 0): every
     accepted step of one integration from s = 0 to each end."""
     rhs, conserved, near = reduced_system(spec)[:3]
-    return ReducedTrajectory(spec, *_run_two_sided(rhs, spec.initial_state(), s_min, s_max,
+    return ReducedTrajectory(spec, *_run_two_sided(rhs, base_state(spec), s_min, s_max,
                                                    conserved, near))
 
 
-def states(spec: TrajectorySpec) -> ChainCache:
+def states(spec) -> ChainCache:
     """The states of spec's reduced system, held by s in a geometry.ChainCache
     that starts with the base state.  Each chain of missing parameters is one
     integration from its start that ends exactly on its farthest parameter,
@@ -233,18 +186,17 @@ def states(spec: TrajectorySpec) -> ChainCache:
     def advance(chains, starts):
         out = []
         for ch, y0 in zip(chains, starts):
-            res = odeint.integrate(rhs, ch[0], y0, ch[-1], targets=ch[1:], rtol=RTOL,
-                                   atol=ATOL, conserved=conserved, dense=False,
-                                   near_escape=near)
+            res = odeint.integrate(rhs, ch[0], y0, ch[-1], conserved=conserved,
+                                   near_escape=near, targets=ch[1:], dense=False)
             # odeint does not sample targets within 1e-14 of the start, so
             # leading targets may have no sample: they take the start state
             out.append([res.y[0]] * (len(ch) - len(res.y)) + list(res.y[1:]))
         return out
 
-    return ChainCache(advance, spec.initial_state(), "curve parameter")
+    return ChainCache(advance, base_state(spec), "curve parameter")
 
 
-def sample_reduced(spec: TrajectorySpec, s_points) -> ReducedTrajectory:
+def sample_reduced(spec, s_points) -> ReducedTrajectory:
     """The states at the sorted distinct s_points, read from a fresh states(spec)."""
     s = sorted(set(float(t) for t in s_points))
     return ReducedTrajectory(spec, np.array(s), states(spec).get(s))

@@ -25,6 +25,7 @@ integrals, and small helpers only tests call.
 import csv
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -35,8 +36,9 @@ from lagsol.errors import ValidationError
 from lagsol.fileio import projection_matrix
 from lagsol.geometry import _tangent_bases, fd_step
 from lagsol.periodic import PeriodicSpec, critical_point
+from lagsol.params import SolitonParams
 from lagsol.quadutil import REL_TOL, _checked
-from lagsol.reduced_ode import (DOMAIN_FLOOR, ESCAPE_COLLAR, TrajectorySpec, _run_two_sided,
+from lagsol.reduced_ode import (DOMAIN_FLOOR, ESCAPE_COLLAR, _run_two_sided, base_state,
                                 reduced_system)
 
 
@@ -94,7 +96,7 @@ def scale_breaks(alpha: float, a: tuple):
     return sorted(out)
 
 
-def reference_reduced_system(spec: TrajectorySpec):
+def reference_reduced_system(spec: PeriodicSpec):
     """The closure form of reduced_ode.reduced_system, the reference its
     generated straight-line kernel must match bit for bit: the radii as a
     list, min, math.prod and sum on a slice (on 3.11, 0.0 + p_1 + ... in
@@ -213,7 +215,22 @@ def reference_orbit_quad(spec: PeriodicSpec, u1: float, u2: float, numer) -> flo
     return _checked(res, numer[0])
 
 
-def reduced_rhs(spec: TrajectorySpec, y):
+def kernel_spec(lambdas, alphas, alpha):
+    """What reduced_ode.reduced_system reads of a PeriodicSpec (n, alphas,
+    params), for the systems it rejects: every lambda -1, or every lambda +1
+    at alpha >= 0.  The kernels take any state."""
+    params = SolitonParams(lambdas, 1.0, alpha)
+    return SimpleNamespace(n=params.n, alphas=tuple(alphas), params=params)
+
+
+def state_with_first_integral(alphas, A, psi) -> list:
+    """[0, psi.., sum(psi) - asin(A / sqrt(Q(0)))], built by hand: the
+    state at u = 0 with first integral A, for any |A| <= sqrt(Q(0)), zero
+    and negative A included (a PeriodicSpec holds A > 0)."""
+    return [0.0, *psi, sum(psi) - math.asin(A / math.sqrt(math.prod(alphas)))]
+
+
+def reduced_rhs(spec: PeriodicSpec, y):
     """Right-hand side of the reduced system at state y = [u, phi_1.., theta]."""
     return np.asarray(reduced_system(spec)[0](0.0, np.asarray(y, dtype=float).tolist()))
 
@@ -251,11 +268,11 @@ class FullTrajectory:
     """Accepted samples of one full-system integration, ordered by s.
 
     phis holds the continuous argument lift of each w_j, anchored at the base
-    point's phi0 and accumulated through principal-branch increments between
-    consecutive samples (steps are small at the default tolerances).
+    point's psi and accumulated through principal-branch increments between
+    consecutive samples (steps are small at odeint's tolerances).
     """
 
-    def __init__(self, spec: TrajectorySpec, s, ws, theta, phis):
+    def __init__(self, spec: PeriodicSpec, s, ws, theta, phis):
         self.spec = spec
         self.s = s
         self.ws = ws
@@ -280,9 +297,9 @@ class FullTrajectory:
         return len(self.s)
 
 
-def full_rhs(spec: TrajectorySpec):
+def full_rhs(spec: PeriodicSpec):
     """rhs(s, y) of the full system on the real state, a list; NaN outside the band."""
-    lam = spec.lambdas
+    lam = np.array(spec.params.lambdas)
     alpha = spec.params.alpha
     n = spec.n
     nan = (math.nan,) * (2 * n + 1)
@@ -313,7 +330,7 @@ def full_rhs(spec: TrajectorySpec):
     return rhs
 
 
-def full_first_integral(spec: TrajectorySpec, y) -> float:
+def full_first_integral(spec: PeriodicSpec, y) -> float:
     y = np.asarray(y)
     n = spec.n
     w = y[0:2 * n:2] + 1j * y[1:2 * n:2]
@@ -325,21 +342,22 @@ def full_first_integral(spec: TrajectorySpec, y) -> float:
     return math.exp(0.5 * spec.params.alpha * u) * (eit * W).imag
 
 
-def full_initial_state(spec: TrajectorySpec) -> np.ndarray:
-    """The real full state at the base point: w_j = sqrt(alpha_j) e^{i phi0_j}."""
-    n = spec.n
-    w0 = np.sqrt(np.array(spec.alphas)) * np.exp(1j * np.array(spec.phi0))
-    y0 = np.empty(2 * n + 1)
-    y0[0:2 * n:2] = w0.real
-    y0[1:2 * n:2] = w0.imag
-    y0[2 * n] = spec.theta0
-    return y0
+def full_initial_state(alphas, y0) -> np.ndarray:
+    """The real full state of the reduced state y0 = [0, phi_1.., theta] at
+    the base point: w_j = sqrt(alpha_j) e^{i phi_j}."""
+    n = len(alphas)
+    w0 = np.sqrt(np.array(alphas)) * np.exp(1j * np.array(y0[1:n + 1]))
+    y = np.empty(2 * n + 1)
+    y[0:2 * n:2] = w0.real
+    y[1:2 * n:2] = w0.imag
+    y[2 * n] = y0[n + 1]
+    return y
 
 
-def integrate_full(spec: TrajectorySpec, s_min: float, s_max: float) -> FullTrajectory:
+def integrate_full(spec: PeriodicSpec, s_min: float, s_max: float) -> FullTrajectory:
     """Integrate the full system over [s_min, s_max] (must contain 0)."""
     n = spec.n
-    y0 = full_initial_state(spec)
+    y0 = full_initial_state(spec.alphas, base_state(spec))
     rhs = full_rhs(spec)
     conserved = lambda y: full_first_integral(spec, y)
 
@@ -355,7 +373,7 @@ def integrate_full(spec: TrajectorySpec, s_min: float, s_max: float) -> FullTraj
     # continuous argument lift anchored at the base point
     i0 = int(np.argmin(np.abs(s)))
     phis = np.empty((len(s), n))
-    phis[i0] = spec.phi0
+    phis[i0] = spec.psi
     for i in range(i0 + 1, len(s)):
         phis[i] = phis[i - 1] + np.angle(ws[i] / ws[i - 1])
     for i in range(i0 - 1, -1, -1):
@@ -363,7 +381,7 @@ def integrate_full(spec: TrajectorySpec, s_min: float, s_max: float) -> FullTraj
     return FullTrajectory(spec, s, ws, theta, phis)
 
 
-def lift_state(spec: TrajectorySpec, state: ReducedState) -> FullState:
+def lift_state(spec: PeriodicSpec, state: ReducedState) -> FullState:
     """Rebuild the full state; r_j^2 = alpha_j + lambda_j u holds by construction."""
     lam = spec.params.lambdas
     ws = tuple(

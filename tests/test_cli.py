@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -134,6 +135,69 @@ def test_overflowing_exports_exit_2_and_write_nothing(tmp_path, capsys, argv):
     assert all(line.startswith("lagsol: ") for line in err), err
     assert not err[-1].startswith("lagsol: warning: ")
     assert not list(tmp_path.iterdir())
+
+
+def test_an_expander_whose_angle_map_fails_writes_nothing(tmp_path, capsys):
+    # the angle map is computed before profile.csv is written; the DE rule
+    # fails here at alpha = 0 with one a_j decades below the others
+    argv = ["expander", "--alpha=0", "--a=0.3851905761923852,1e-170,5026900986.951941"]
+    assert main(argv + [f"--outdir={tmp_path}"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("lagsol: quadrature failed for angle map"), err
+    assert not list(tmp_path.iterdir())
+
+
+SPECIAL_SCALES = (1e154, 1e300, 1e-300, 5e-324, 0.0)
+
+
+def _scale(draw):
+    """0, 10^U[-12, 12] or one of SPECIAL_SCALES."""
+    kind = draw(st.sampled_from(("zero", "uniform", "special")))
+    if kind == "zero":
+        return 0.0
+    if kind == "uniform":
+        return 10.0 ** draw(st.floats(-12.0, 12.0))
+    return draw(st.sampled_from(SPECIAL_SCALES))
+
+
+@st.composite
+def expander_exports(draw):
+    """expander or expander-base translator argv at a small mesh: n from 1
+    to 4, alpha and each a_j drawn by _scale, and optionally --psi and
+    --y-max (expander) or --t-max and --radius (translator)."""
+    cmd = draw(st.sampled_from(("expander", "translator")))
+    n = draw(st.integers(1, 4))
+    a = [_scale(draw) for _ in range(n)]
+    argv = [cmd, f"--alpha={_scale(draw)!r}", "--a=" + ",".join(map(repr, a)),
+            "--mesh-samples=5", "--mesh-count=3", "--fd-checks=2"]
+    if cmd == "expander":
+        argv.append("--samples=5")
+    if draw(st.booleans()):
+        argv.append("--psi=" + ",".join(repr(draw(st.floats(-4.0, 4.0))) for _ in range(n)))
+    for opt in (("y-max",) if cmd == "expander" else ("t-max", "radius")):
+        if draw(st.booleans()):
+            argv.append(f"--{opt}={10.0 ** draw(st.floats(-3.0, 3.0))!r}")
+    return argv
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=expander_exports())
+def test_expander_exports_exit_with_a_code_and_one_message(capsys, argv):
+    # every draw exits 0, 2, 3 or 4; a non-zero exit ends in exactly one
+    # lagsol: line besides warnings, and an exit 2 writes no file
+    with tempfile.TemporaryDirectory() as outdir, warnings.catch_warnings():
+        warnings.simplefilter("always")
+        rc = main(argv + [f"--outdir={outdir}"])
+        written = os.listdir(outdir)
+    err = capsys.readouterr().err.splitlines()
+    assert rc in (0, 2, 3, 4), (argv, err)
+    assert all(line.startswith("lagsol: ") for line in err), (argv, err)
+    if rc:
+        errors = [line for line in err if not line.startswith("lagsol: warning: ")]
+        assert len(errors) == 1, (argv, err)
+    if rc == 2:
+        assert not written, (argv, err, written)
 
 
 @pytest.mark.parametrize("radius", ["1e10", "1e50", "1e100", "1e154"])
@@ -862,6 +926,19 @@ def test_verify_rejects_a_mesh_of_another_dimension(tmp_path, capsys):
     assert rc == 2
     assert capsys.readouterr().err.splitlines() == [
         "lagsol: mesh has 2 complex coordinates but the profile needs 3"]
+
+
+def test_verify_of_a_record_whose_A_exceeds_sqrt_Q0_exits_2(tmp_path, capsys):
+    # the orbit's base state admits |A| <= sqrt(Q(0)) only
+    assert main(_PERIODIC_MESH + ["--mesh-samples=4", "--mesh-count=3",
+                                  f"--outdir={tmp_path}"]) == 0
+    capsys.readouterr()
+    record = tmp_path / "periodic_record.txt"
+    record.write_text(re.sub(r"^A = .*$", "A = 5.0", record.read_text(), flags=re.M))
+    rc = main(["verify", f"--mesh={tmp_path / 'periodic_mesh.csv'}", f"--record={record}"])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "lagsol: |A| = 5 exceeds sqrt(Q(0)) = 1.41421"]
 
 
 @pytest.mark.parametrize("argv, old", [

@@ -26,7 +26,8 @@ for lambdas, alphas in (((1.0, -1.0), (1.0, 2.0)), ((1.0, -1.0), (3.0, 0.5)),
     orbit = periodic.compute_orbit(spec)
     periodic.holonomies(spec)
     orbit.profile().prefetch([0.5, 1.0])
-odeint.integrate(lambda s, y: [-y[1], y[0]], 0.0, [1.0, 0.0], 1.0)
+odeint.integrate(lambda s, y: [-y[1], y[0]], 0.0, [1.0, 0.0], 1.0,
+                 conserved=lambda y: 0.0, near_escape=lambda y: False)
 print(json.dumps([at_import, built]))
 """
 

@@ -462,7 +462,7 @@ class _Trajectory(SimpleNamespace):
 def test_trajectory_csv_matches_the_per_value_writer(tmp_path):
     spec = PeriodicSpec(SolitonParams((1.0, -1.0), 1.0, 0.6), (1.0, 3.0), 0.5)
     same_bytes(tmp_path, write_trajectory_csv, oracles.write_trajectory_csv,
-               sample_reduced(spec.trajectory_spec(), np.linspace(-1.0, 1.0, 9)))
+               sample_reduced(spec, np.linspace(-1.0, 1.0, 9)))
     for n in (1, 2, 3):
         m = 2 * len(SPECIAL)
         resid = special_table(m, 1, 4)[:, 0]

@@ -9,10 +9,30 @@ import pytest
 
 from lagsol import odeint
 from lagsol.errors import DomainEscape, ToleranceFailure, ValidationError
-from lagsol.params import SolitonParams
-from lagsol.reduced_ode import TrajectorySpec, reduced_system
+from lagsol.reduced_ode import reduced_system
 
-from oracles import full_initial_state, full_rhs, reference_extend, reference_step
+from oracles import (full_initial_state, full_rhs, kernel_spec, reference_extend,
+                     reference_step, state_with_first_integral)
+
+
+def _no_integral(y):
+    return 0.0
+
+
+def _no_boundary(y):
+    return False
+
+
+# a system with no first integral to hold and no domain boundary to escape
+FREE = {"conserved": _no_integral, "near_escape": _no_boundary}
+
+
+@pytest.fixture
+def loose(monkeypatch):
+    """The stepper at rtol = 1e-6, atol = 1e-9 instead of odeint's pair."""
+    monkeypatch.setattr(odeint, "RTOL", 1e-6)
+    monkeypatch.setattr(odeint, "ATOL", 1e-9)
+    return odeint.RTOL, odeint.ATOL
 
 
 def test_nan_stage_rejects_and_halves_the_step():
@@ -26,8 +46,8 @@ def test_nan_stage_rejects_and_halves_the_step():
             return np.array([math.nan])
         return np.array([1.0])
 
-    clean = odeint.integrate(lambda s, y: np.array([1.0]), 0.0, [0.0], 100.0)
-    res = odeint.integrate(rhs, 0.0, [0.0], 100.0)
+    clean = odeint.integrate(lambda s, y: np.array([1.0]), 0.0, [0.0], 100.0, **FREE)
+    res = odeint.integrate(rhs, 0.0, [0.0], 100.0, **FREE)
     assert poisoned and res.n_rejected_error == 1 and res.n_rejected_drift == 0
     assert clean.n_rejected_error == 0
     k = int(np.searchsorted(clean.s, poisoned[0])) - 1   # the attempt from s[k]
@@ -42,12 +62,12 @@ def _rotation(s, y):
     return np.array([-y[1], y[0]])
 
 
-def test_violated_conserved_functional_rejects_steps():
-    plain = odeint.integrate(_rotation, 0.0, [1.0, 0.0], 1.0, rtol=1e-6, atol=1e-9)
+def test_violated_conserved_functional_rejects_steps(loose):
+    plain = odeint.integrate(_rotation, 0.0, [1.0, 0.0], 1.0, **FREE)
     assert plain.n_rejected_drift == 0
     # |y|^2 is conserved, the 1e-3 y_1 term is not: it moves by about 1e-3 h
-    rtol, atol, factor = 1e-6, 1e-9, odeint.DRIFT_FACTOR
-    res = odeint.integrate(_rotation, 0.0, [1.0, 0.0], 1.0, rtol=rtol, atol=atol,
+    (rtol, atol), factor = loose, odeint.DRIFT_FACTOR
+    res = odeint.integrate(_rotation, 0.0, [1.0, 0.0], 1.0, near_escape=_no_boundary,
                            conserved=lambda y: y[0] ** 2 + y[1] ** 2 + 1e-3 * y[0])
     assert res.n_rejected_drift > 0
     assert res.n_accepted > plain.n_accepted
@@ -61,14 +81,14 @@ def test_violated_conserved_functional_rejects_steps():
 ], ids=["forward", "backward"])
 def test_targets_are_landed_on_exactly(s0, s_end, targets):
     res = odeint.integrate(lambda s, y: y, s0, [math.exp(s0)], s_end,
-                           targets=targets, dense=False)
+                           targets=targets, dense=False, **FREE)
     assert res.s.tolist() == [s0] + targets + [s_end]
     np.testing.assert_allclose(res.y[:, 0], np.exp(res.s), rtol=1e-9)
 
 
 def test_targets_must_follow_the_direction():
     with pytest.raises(ValueError):
-        odeint.integrate(lambda s, y: y, 0.0, [1.0], 2.0, targets=[1.1, 0.3])
+        odeint.integrate(lambda s, y: y, 0.0, [1.0], 2.0, targets=[1.1, 0.3], **FREE)
 
 
 @pytest.mark.parametrize("s0, s_end, targets", [
@@ -79,7 +99,7 @@ def test_non_finite_bounds_and_targets_are_rejected(s0, s_end, targets):
     # an infinite or NaN end returned the start sample after no step, and a
     # NaN target was never sampled
     with pytest.raises(ValidationError):
-        odeint.integrate(_rotation, s0, [1.0, 0.0], s_end, targets=targets)
+        odeint.integrate(_rotation, s0, [1.0, 0.0], s_end, targets=targets, **FREE)
 
 
 @pytest.mark.parametrize("rate", [1e200, 1e300, -1e300])
@@ -87,7 +107,8 @@ def test_a_step_control_out_of_the_float_range_is_a_tolerance_failure(rate):
     # the initial step's slope norm overflows (1e200), or it is infinite and
     # the first step underflows to 0 (1e300): an ArithmeticError before
     with pytest.raises(ToleranceFailure):
-        odeint.integrate(lambda s, y: [rate * y[1], -rate * y[0]], 0.0, [1.0, 0.0], 1.0)
+        odeint.integrate(lambda s, y: [rate * y[1], -rate * y[0]], 0.0, [1.0, 0.0], 1.0,
+                         **FREE)
 
 
 def _wall(s, y):
@@ -97,21 +118,20 @@ def _wall(s, y):
 
 def test_step_underflow_near_the_boundary_is_a_domain_escape():
     with pytest.raises(DomainEscape):
-        odeint.integrate(_wall, 0.0, [0.0], 2.0, near_escape=lambda y: y[0] > 1.0 - 1e-6)
+        odeint.integrate(_wall, 0.0, [0.0], 2.0, conserved=_no_integral,
+                         near_escape=lambda y: y[0] > 1.0 - 1e-6)
 
 
 def test_step_underflow_away_from_the_boundary_is_a_tolerance_failure():
     with pytest.raises(ToleranceFailure):
-        odeint.integrate(_wall, 0.0, [0.0], 2.0)
-    with pytest.raises(ToleranceFailure):
-        odeint.integrate(_wall, 0.0, [0.0], 2.0, near_escape=lambda y: False)
+        odeint.integrate(_wall, 0.0, [0.0], 2.0, **FREE)
 
 
 def _duffing(y):
     return np.array([y[1], -100.0 * y[0] * (1.0 + y[0] ** 2)])
 
 
-def test_each_attempt_starts_from_the_slope_at_its_start():
+def test_each_attempt_starts_from_the_slope_at_its_start(loose):
     # the first stage of every attempt, a retry after a rejection included,
     # is y_a + c2 h f(y_a) at the accepted state (s_a, y_a) it starts from
     c2, c3 = 0.0526001519587677318785587544488, 0.0789002279381515978178381316732
@@ -122,7 +142,7 @@ def test_each_attempt_starts_from_the_slope_at_its_start():
         return _duffing(y)
 
     # amplitude 2: at amplitude 1 the 8th-order pair rejects no step
-    res = odeint.integrate(rhs, 0.0, [2.0, 0.0], 3.0, rtol=1e-6, atol=1e-9)
+    res = odeint.integrate(rhs, 0.0, [2.0, 0.0], 3.0, **FREE)
     assert res.n_rejected_error > 0
     # the initial slope and the initial-step probe, then 12 calls per attempt
     attempts = calls[2:]
@@ -139,8 +159,8 @@ def test_interior_targets_leave_the_steps_unchanged():
     # targets inside a step are read from the continuous extension, so the
     # accepted grid is the untargeted one and only the samples are added
     targets = np.linspace(0.05, 1.95, 25).tolist()
-    clean = odeint.integrate(lambda s, y: y, 0.0, [1.0], 2.0)
-    res = odeint.integrate(lambda s, y: y, 0.0, [1.0], 2.0, targets=targets)
+    clean = odeint.integrate(lambda s, y: y, 0.0, [1.0], 2.0, **FREE)
+    res = odeint.integrate(lambda s, y: y, 0.0, [1.0], 2.0, targets=targets, **FREE)
     assert res.n_accepted == clean.n_accepted and res.n_rejected_error == 0
     on_grid = ~np.isin(res.s, targets)
     np.testing.assert_array_equal(res.s[on_grid], clean.s)
@@ -181,13 +201,14 @@ def _random_rhs(rng, d):
                          for ci, row in zip(c, M)]
 
 
-def _orbit_spec(rng, n):
+def _orbit(rng, n):
+    """A reduced system at n phases on any sign pattern, and its state at
+    s = 0 with a first integral of either sign."""
     lambdas = tuple(sorted((rng.choice((1.0, -1.0)) for _ in range(n)), reverse=True))
     alphas = tuple(rng.uniform(0.3, 3.0) for _ in range(n))
     A = rng.uniform(-0.9, 0.9) * math.sqrt(math.prod(alphas))
-    return TrajectorySpec.with_first_integral(
-        SolitonParams(lambdas, 1.0, rng.uniform(-2.0, 2.0)), alphas, A,
-        [rng.uniform(-3.0, 3.0) for _ in range(n)])
+    spec = kernel_spec(lambdas, alphas, rng.uniform(-2.0, 2.0))
+    return spec, state_with_first_integral(alphas, A, [rng.uniform(-3.0, 3.0) for _ in range(n)])
 
 
 def _cases():
@@ -200,13 +221,12 @@ def _cases():
                rng.choice((-1.0, 1.0)) * rng.uniform(0.01, 0.5),
                [rng.uniform(-2.0, 2.0) for _ in range(d)])
     for n in range(1, 6):
-        spec = _orbit_spec(rng, n)
-        yield (f"reduced-n{n}", reduced_system(spec)[0], 0.0, rng.uniform(0.02, 0.1),
-               spec.initial_state().tolist())
+        spec, y0 = _orbit(rng, n)
+        yield f"reduced-n{n}", reduced_system(spec)[0], 0.0, rng.uniform(0.02, 0.1), y0
     for n in range(1, 5):
-        spec = _orbit_spec(rng, n)
+        spec, y0 = _orbit(rng, n)
         yield (f"full-n{n}", full_rhs(spec), 0.0, -rng.uniform(0.02, 0.1),
-               full_initial_state(spec).tolist())
+               full_initial_state(spec.alphas, y0).tolist())
     for d in range(1, 10):
         # 0.0 + a k = 0.0 at k = -0.0 and y + 0.0 = 0.0 at y = -0.0: a
         # step that drops the leading 0.0 keeps -0.0 where the loop does not
@@ -254,13 +274,11 @@ def test_a_nan_at_any_stage_stops_both_steps_there(d, stage):
 def test_integration_on_the_loop_step_reproduces_the_generated_run(monkeypatch):
     # a long reduced orbit with interior targets, rejected steps included,
     # read through integrate on each stepper
-    spec = _orbit_spec(random.Random(3), 3)
+    spec, y0 = _orbit(random.Random(3), 3)
     rhs, conserved, near = reduced_system(spec)[:3]
-    y0 = spec.initial_state()
 
     def run():
-        res = odeint.integrate(rhs, 0.0, y0, 12.0, rtol=1e-11, atol=1e-13,
-                               conserved=conserved, near_escape=near,
+        res = odeint.integrate(rhs, 0.0, y0, 12.0, conserved=conserved, near_escape=near,
                                targets=np.linspace(0.1, 11.9, 37), dense=False)
         return res.n_accepted, res.n_rejected_error, _hex(res.s.tolist()), _hex(res.y.tolist())
 

@@ -48,6 +48,10 @@ def test_spec_validation():
         spec_of((1.0, -1.0), (1.0, -2.0), 0.5)
     with pytest.raises(ValidationError):
         spec_of((1.0, -1.0), (1.0, 2.0), 0.0)
+    with pytest.raises(ValidationError, match="^alphas and psi must have length n$"):
+        spec_of((1.0, -1.0), (1.0,), 0.5)
+    with pytest.raises(ValidationError, match="^alphas and psi must have length n$"):
+        spec_of((1.0, -1.0), (1.0, 2.0), 0.5, psi=(0.0,))
 
 
 def test_critical_point_examples():
@@ -147,7 +151,7 @@ def test_stationary_profile_closed_form():
         assert prof.u_of(s) == 0.0
     # winding phases solve the phase system exactly
     y = np.array([0.0, -0.5, 0.5, -math.pi / 2])
-    rhs = reduced_rhs(spec.trajectory_spec(), y)
+    rhs = reduced_rhs(spec, y)
     np.testing.assert_allclose(rhs, [0.0, -1.0, 1.0, 0.0], atol=1e-14)
 
 
@@ -387,7 +391,7 @@ def test_G_structure(rng, make_orbit_spec):
 def test_orbit_confinement_long_time():
     spec = spec_of((1.0, -1.0), (1.0, 2.0), 0.7, alpha=0.3)
     orbit = compute_orbit(spec)
-    traj = sample_reduced(spec.trajectory_spec(), np.linspace(-25.0, 25.0, 201))
+    traj = sample_reduced(spec, np.linspace(-25.0, 25.0, 201))
     assert traj.u.min() >= orbit.u1 - 1e-9
     assert traj.u.max() <= orbit.u2 + 1e-9
 
@@ -395,7 +399,7 @@ def test_orbit_confinement_long_time():
 def test_sin_phase_gap_positive_along_orbit():
     """sin(phi - theta) keeps one sign on orbits with A > 0."""
     spec = spec_of((1.0, 1.0), (1.0, 1.4), 0.6, alpha=-1.0)
-    traj = sample_reduced(spec.trajectory_spec(), np.linspace(-8.0, 8.0, 81))
+    traj = sample_reduced(spec, np.linspace(-8.0, 8.0, 81))
     d = traj.phis.sum(axis=1) - traj.theta
     assert np.all(np.sin(d) > 0)
 
@@ -887,7 +891,7 @@ def test_orbit_profile_tracks_reduced_system():
     spec = spec_of((1.0, -1.0), (1.0, 3.0), 0.5, alpha=0.6)
     prof = compute_orbit(spec).profile()
     based, _ = rebase(spec)
-    traj = sample_reduced(based.trajectory_spec(), [0.9])
+    traj = sample_reduced(based, [0.9])
     r = np.sqrt(np.array(based.alphas) + np.array(based.params.lambdas) * traj.u[0])
     np.testing.assert_allclose(prof.w_of(0.9), r * np.exp(1j * traj.phis[0]), atol=1e-8)
     assert prof.theta_of(0.9) == pytest.approx(traj.theta[0], abs=1e-8)
@@ -915,7 +919,7 @@ def test_orbit_profile_resumes_agree_with_one_integration(rng, make_orbit_spec,
     w = np.array([prof.w_of(s) for s in queries])
     theta = np.array([prof.theta_of(s) for s in queries])
 
-    ref = sample_reduced(prof.tspec, queries)
+    ref = sample_reduced(prof.spec, queries)
     at = {float(s): i for i, s in enumerate(ref.s)}
     idx = [at[float(s)] for s in queries]
     radii = np.sqrt(np.array(ref.spec.alphas) + np.outer(ref.u, ref.spec.params.lambdas))
@@ -941,7 +945,7 @@ def test_orbit_mesh_costs_about_one_integration_of_its_span(rng, make_orbit_spec
         centred_mesh(prof, np.linspace(0.0, S, 25), 3)
         mesh_steps = sum(steps)
         steps.clear()
-        integrate_reduced(prof.tspec, 0.0, S)
+        integrate_reduced(prof.spec, 0.0, S)
     assert mesh_steps <= 1.2 * sum(steps)
 
 

@@ -11,41 +11,49 @@ from lagsol import reduced_ode
 from lagsol.errors import DomainEscape, ValidationError
 from lagsol.fileio import write_trajectory_csv
 from lagsol.params import SolitonParams
-from lagsol.periodic import compute_orbit
-from lagsol.reduced_ode import (DOMAIN_FLOOR, TrajectorySpec, first_integral,
-                                integrate_reduced, reduced_system, sample_reduced)
-from oracles import (full_first_integral, integrate_full, lift_state, reduced_rhs,
-                     reference_reduced_system, state_at)
+from lagsol.periodic import PeriodicSpec, compute_orbit
+from lagsol.reduced_ode import (DOMAIN_FLOOR, ReducedTrajectory, _run_two_sided, base_state,
+                                first_integral, integrate_reduced, reduced_system,
+                                sample_reduced, states)
+from oracles import (full_first_integral, integrate_full, kernel_spec, lift_state, reduced_rhs,
+                     reference_reduced_system, state_at, state_with_first_integral)
 
 
-def make_spec(lambdas, alphas, A, alpha=0.0, phi0=None):
-    params = SolitonParams(lambdas, 1.0, alpha)
-    return TrajectorySpec.with_first_integral(params, alphas, A, phi0=phi0)
+def make_spec(lambdas, alphas, A, alpha=0.0, psi=None):
+    return PeriodicSpec(SolitonParams(lambdas, 1.0, alpha), alphas, A, psi)
 
 
-def test_spec_validation():
-    with pytest.raises(ValidationError, match="positives first"):
-        TrajectorySpec(SolitonParams((2.0, -1.0), 1.0, 0.0),  # not normalized
-                       (1.0, 1.0), (0.0, 0.0), 0.0)
-    good = SolitonParams((1.0, -1.0), 1.0, 0.0)
-    with pytest.raises(ValidationError):
-        TrajectorySpec(good, (1.0,), (0.0, 0.0), 0.0)
-    with pytest.raises(ValidationError):
-        TrajectorySpec(good, (1.0, -1.0), (0.0, 0.0), 0.0)
-    with pytest.raises(ValidationError):
-        TrajectorySpec.with_first_integral(good, (1.0, 1.0), 1.5)  # A > sqrt(Q(0))
+def run_from(spec, y0, s_min, s_max):
+    """integrate_reduced from the hand-built state y0 at s = 0: the kernels
+    take any state, a first integral A <= 0 included."""
+    rhs, conserved, near = reduced_system(spec)[:3]
+    return ReducedTrajectory(spec, *_run_two_sided(rhs, y0, s_min, s_max, conserved, near))
 
 
-def eval_Q(spec: TrajectorySpec, u):
+def test_a_first_integral_above_sqrt_Q0_has_no_base_state():
+    spec = make_spec((1.0, -1.0), (1.0, 1.0), 1.5)
+    for build in (base_state, states):
+        with pytest.raises(ValidationError, match=r"^\|A\| = 1\.5 exceeds sqrt\(Q\(0\)\) = 1$"):
+            build(spec)
+
+
+def test_the_base_state_is_the_hand_built_one_bit_for_bit():
+    spec = make_spec((1.0, 1.0, -1.0), (1.2, 0.8, 2.0), 0.45, alpha=0.5, psi=(0.3, -0.0, -1.1))
+    want = state_with_first_integral(spec.alphas, spec.A, spec.psi)
+    assert [v.hex() for v in base_state(spec).tolist()] == [v.hex() for v in want]
+
+
+def eval_Q(spec: PeriodicSpec, u):
     """Radius-squared product Q(u) = prod(alpha_j + lambda_j u)."""
     u = np.asarray(u, dtype=float)
-    rad = np.array(spec.alphas) + np.outer(u, spec.lambdas) if u.ndim else \
-        np.array(spec.alphas) + u * np.array(spec.lambdas)
+    lam = np.array(spec.params.lambdas)
+    rad = np.array(spec.alphas) + np.outer(u, lam) if u.ndim else \
+        np.array(spec.alphas) + u * lam
     return rad.prod(axis=-1)
 
 
 def test_eval_Q_values():
-    spec = make_spec((1.0, 1.0), (1.0, 1.0), 0.5)
+    spec = make_spec((1.0, 1.0), (1.0, 1.0), 0.5, alpha=-1.0)
     assert eval_Q(spec, 0.0) == pytest.approx(1.0, abs=0)
     spec2 = make_spec((1.0, -1.0), (1.0, 2.0), 0.5)
     assert eval_Q(spec2, 0.5) == pytest.approx(2.25)
@@ -55,11 +63,12 @@ def test_eval_Q_values():
 
 
 def test_first_integral_matches_requested_value():
+    spec = make_spec((1.0, -1.0), (1.0, 2.0), 0.3, alpha=1.0)
+    assert first_integral(spec, base_state(spec)) == pytest.approx(spec.A, abs=1e-15)
     for A in (0.0, 0.3, -0.6):
-        spec = make_spec((1.0, -1.0), (1.0, 2.0), A, alpha=1.0)
-        y0 = spec.initial_state()
+        y0 = state_with_first_integral(spec.alphas, A, spec.psi)
         assert first_integral(spec, y0) == pytest.approx(A, abs=1e-15)
-        assert spec.first_integral_value == pytest.approx(A, abs=1e-15)
+        assert reduced_system(spec)[1](y0) == pytest.approx(A, abs=1e-15)
 
 
 def test_reduced_rhs_stationary_slopes():
@@ -68,15 +77,15 @@ def test_reduced_rhs_stationary_slopes():
     -lambda_j A / alpha_j."""
     A = 1.0  # sqrt(G(0)) for base radii (1, 1)
     spec = make_spec((1.0, -1.0), (1.0, 1.0), A, alpha=0.0)
-    dy = reduced_rhs(spec, spec.initial_state())
+    dy = reduced_rhs(spec, base_state(spec))
     assert dy[0] == pytest.approx(0.0, abs=1e-15)
     np.testing.assert_allclose(dy[1:3], [-A / 1.0, A / 1.0], rtol=1e-14)
     assert dy[3] == pytest.approx(0.0, abs=1e-15)  # alpha = 0
 
 
 def test_reduced_rhs_zero_first_integral():
-    spec = make_spec((1.0, -1.0), (1.0, 2.0), 0.0, alpha=1.0)
-    dy = reduced_rhs(spec, spec.initial_state())
+    spec = make_spec((1.0, -1.0), (1.0, 2.0), 0.3, alpha=1.0)
+    dy = reduced_rhs(spec, state_with_first_integral(spec.alphas, 0.0, spec.psi))
     assert dy[0] == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-14)
     np.testing.assert_allclose(dy[1:], 0.0, atol=1e-15)
 
@@ -114,7 +123,7 @@ def test_reduced_rhs_against_finite_differences():
     h = 1e-5
     traj = sample_reduced(spec, [-h, h])
     fd = (traj.y[-1] - traj.y[0]) / (2.0 * h)
-    dy = reduced_rhs(spec, spec.initial_state())
+    dy = reduced_rhs(spec, base_state(spec))
     np.testing.assert_allclose(fd, dy, rtol=1e-7, atol=1e-9)
 
 
@@ -122,12 +131,12 @@ def test_conservation_along_trajectory():
     spec = make_spec((1.0, -1.0), (1.0, 2.0), 0.6, alpha=1.0)
     traj = integrate_reduced(spec, -10.0, 10.0)
     drift = np.abs(traj.first_integral_residuals()).max()
-    assert drift < 1e-8 * (1.0 + abs(spec.first_integral_value))
+    assert drift < 1e-8 * (1.0 + abs(spec.A))
 
 
 def test_zero_first_integral_freezes_phases():
-    spec = make_spec((1.0, 1.0), (1.0, 1.5), 0.0, alpha=-1.0)
-    traj = integrate_reduced(spec, -0.2, 0.2)
+    spec = make_spec((1.0, 1.0), (1.0, 1.5), 0.5, alpha=-1.0)
+    traj = run_from(spec, state_with_first_integral(spec.alphas, 0.0, spec.psi), -0.2, 0.2)
     np.testing.assert_allclose(traj.phis, np.broadcast_to(traj.phis[0], traj.phis.shape),
                                atol=1e-12)
     np.testing.assert_allclose(traj.theta, np.full_like(traj.theta, traj.theta[0]),
@@ -157,9 +166,9 @@ def test_orbit_confined_to_turning_band():
 
 def test_domain_escape_reports_boundary():
     """A = 0 mixed-sign data marches to the negative slot's radius zero."""
-    spec = make_spec((1.0, -1.0), (1.0, 2.0), 0.0, alpha=0.0)
+    spec = make_spec((1.0, -1.0), (1.0, 2.0), 0.5, alpha=0.0)
     with pytest.raises(DomainEscape):
-        integrate_reduced(spec, -50.0, 50.0)
+        run_from(spec, state_with_first_integral(spec.alphas, 0.0, spec.psi), -50.0, 50.0)
 
 
 def test_sample_reduced_hits_targets():
@@ -182,13 +191,13 @@ def test_sample_reduced_gives_points_next_to_the_base_the_base_state():
     spec = make_spec((1.0, -1.0), (1.0, 2.0), 0.6, alpha=1.0)
     traj = sample_reduced(spec, [0.5, 5e-15, -1e-15])
     assert traj.s.tolist() == [-1e-15, 5e-15, 0.5]
-    assert traj.y[:2].tolist() == [spec.initial_state().tolist()] * 2
+    assert traj.y[:2].tolist() == [base_state(spec).tolist()] * 2
     assert traj.u[2] != 0.0
 
 
 def test_full_system_agrees_with_reduced():
     spec = make_spec((1.0, -1.0), (1.0, 2.0), 0.6, alpha=1.0,
-                     phi0=(0.3, -0.2))
+                     psi=(0.3, -0.2))
     full = integrate_full(spec, -5.0, 5.0)
     red = sample_reduced(spec, full.s)
     assert np.array_equal(red.s, full.s)
@@ -210,7 +219,7 @@ def test_full_first_integral_conserved():
         y[1:2 * spec.n:2] = full.ws[i].imag
         y[2 * spec.n] = full.theta[i]
         vals.append(full_first_integral(spec, y))
-    np.testing.assert_allclose(vals, spec.first_integral_value, atol=1e-9)
+    np.testing.assert_allclose(vals, spec.A, atol=1e-9)
 
 
 def test_lift_state_radius_relation():
@@ -248,16 +257,16 @@ def _outcome(f, *args):
 
 
 def _kernel_cases(n):
-    """(spec, state, finite input) at n phases: in-band states with random
-    and signed-zero phases, a radius squared exactly at DOMAIN_FLOOR and one
-    ulp above it (at u = 0 and, by 2 floor - floor, at u = +-floor), states
-    outside the band, and u = +-inf and NaN."""
+    """(spec, state, finite input) at n phases, on every sign pattern (see
+    oracles.kernel_spec): in-band states with random and signed-zero phases,
+    a radius squared exactly at DOMAIN_FLOOR and one ulp above it (at u = 0
+    and, by 2 floor - floor, at u = +-floor), states outside the band, and
+    u = +-inf and NaN."""
     rng = random.Random(n)
     for alpha in (rng.uniform(-2.0, 2.0), 0.0):
         lambdas = tuple(sorted((rng.choice((1.0, -1.0)) for _ in range(n)), reverse=True))
         alphas = [rng.uniform(0.3, 3.0) for _ in range(n)]
-        params = SolitonParams(lambdas, 1.0, alpha)
-        spec = TrajectorySpec(params, alphas, (0.0,) * n, 0.0)
+        spec = kernel_spec(lambdas, alphas, alpha)
         lo = max([-a for a, l in zip(alphas, lambdas) if l > 0], default=-5.0)
         hi = min([a for a, l in zip(alphas, lambdas) if l < 0], default=5.0)
 
@@ -276,7 +285,7 @@ def _kernel_cases(n):
         j = rng.randrange(n)
         for a_j, u in ((DOMAIN_FLOOR, 0.0), (math.nextafter(DOMAIN_FLOOR, 1.0), 0.0),
                        (2.0 * DOMAIN_FLOOR, -lambdas[j] * DOMAIN_FLOOR)):
-            edge = TrajectorySpec(params, alphas[:j] + [a_j] + alphas[j + 1:], (0.0,) * n, 0.0)
+            edge = kernel_spec(lambdas, alphas[:j] + [a_j] + alphas[j + 1:], alpha)
             assert a_j + lambdas[j] * u in (DOMAIN_FLOOR, math.nextafter(DOMAIN_FLOOR, 1.0))
             yield edge, [u, *phases()], True
             yield edge, [u, *[-0.0] * (n + 1)], True

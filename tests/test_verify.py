@@ -283,7 +283,7 @@ def test_an_orbit_integrated_at_a_wrong_rate_fails(delta):
     orbit = compute_orbit(PeriodicSpec(SolitonParams((1.0, -1.0), 1.0, 0.5), (1.0, 2.0), 0.4))
     profile = orbit.profile()
     mutant = dataclasses.replace(
-        profile.tspec, params=SolitonParams((1.0, -1.0), 1.0, 0.5 * (1.0 + delta)))
+        profile.spec, params=SolitonParams((1.0, -1.0), 1.0, 0.5 * (1.0 + delta)))
     profile._states = states(mutant)
     mesh = centred_mesh(profile, np.linspace(0.0, orbit.S, 30), 20)
     assert not verify_mesh(profile, mesh).passed
