@@ -191,15 +191,19 @@ def _print_pairs(pairs):
         print(f"{k} = {v}")
 
 
-def _export_verified(cfg, name, profile, mesh, extra_pairs=()) -> int:
-    """Write the mesh (CSV, and PLY on request) and the profile record, verify
-    the mesh independently, then write its summary followed by extra_pairs."""
+def _export_verified(cfg, name, profile, mesh, extra_pairs=(), first=()) -> int:
+    """Verify the mesh independently, then write the files of first, each
+    (suffix, writer, *args), the mesh (CSV, and PLY on request), the profile
+    record and the verification summary followed by extra_pairs.  So a
+    failure before the verdict writes no file, and a failed check every file."""
+    report = verify_mesh(profile, mesh, cfg["fd-checks"])
+    for suffix, writer, *args in first:
+        _write(cfg, name, suffix, writer, *args)
     csv_file = _write(cfg, name, "mesh.csv", fileio.write_mesh_csv, mesh)
     if cfg["ply"]:
         _write(cfg, name, "mesh.ply", fileio.write_mesh_ply, mesh,
                project3d=cfg["project3d"], csv_file=csv_file)
     _write(cfg, name, "record.txt", fileio.write_profile_record, profile)
-    report = verify_mesh(profile, mesh, cfg["fd-checks"])
     _write(cfg, name, "summary.txt", fileio.write_keyvalues,
            report.summary_pairs() + list(extra_pairs))
     print(f"verification: {'PASS' if report.passed else 'FAIL'}")
@@ -241,9 +245,7 @@ def cmd_expander(cfg) -> int:
     profile = ExpanderProfile(cfg["alpha"], cfg["a"], cfg["psi"])
     ys = np.linspace(-cfg["y-max"], cfg["y-max"], cfg["samples"])
     angles = asymptotic_angles(profile)
-    _write(cfg, "expander", "profile.csv", fileio.write_profile_csv, profile, ys)
-    _write(cfg, "expander", "planes.csv", fileio.write_plane_report_csv, angles)
-
+    c = profile.curve(ys)   # before the mesh: the phase cache sees this order
     mesh_ts = np.linspace(-cfg["y-max"], cfg["y-max"], cfg["mesh-samples"])
     mesh = centred_mesh(profile, mesh_ts, cfg["mesh-count"], seed=cfg["seed"])
     span = float(mesh.thetas.max() - mesh.thetas.min())
@@ -251,7 +253,8 @@ def cmd_expander(cfg) -> int:
         ("theta_span", repr(span)),
         ("theta_constant", "true" if span < 1e-10 else "false"),
         ("angle_sum", repr(angles.total)),
-    ])
+    ], [("profile.csv", fileio.write_profile_csv, c),
+        ("planes.csv", fileio.write_plane_report_csv, angles)])
 
 
 # -- invert-angles -----------------------------------------------------------
@@ -303,14 +306,16 @@ def _periodic_report(cfg, spec, name) -> int:
              *_verdict_pairs(verdict, ("topology", topo)),
              ("max_residual", repr(verdict.max_residual))]
     _print_pairs(pairs)
-    if cfg["mesh"]:     # before any file is written, so a failing mesh writes none
-        profile = orbit.profile()
-        span = verdict.T if verdict.periodic else orbit.S
-        ts = np.linspace(0.0, span, cfg["mesh-samples"])
-        mesh = centred_mesh(profile, ts, cfg["mesh-count"], seed=cfg["seed"],
-                            rho_max=cfg["rho-max"])
-    _write(cfg, name, "orbit.csv", fileio.write_orbit_report_csv, orbit, verdict, topo)
-    return _export_verified(cfg, name, profile, mesh) if cfg["mesh"] else 0
+    orbit_csv = ("orbit.csv", fileio.write_orbit_report_csv, orbit, verdict, topo)
+    if not cfg["mesh"]:
+        _write(cfg, name, *orbit_csv)
+        return 0
+    profile = orbit.profile()
+    span = verdict.T if verdict.periodic else orbit.S
+    ts = np.linspace(0.0, span, cfg["mesh-samples"])
+    mesh = centred_mesh(profile, ts, cfg["mesh-count"], seed=cfg["seed"],
+                        rho_max=cfg["rho-max"])
+    return _export_verified(cfg, name, profile, mesh, first=[orbit_csv])
 
 
 def cmd_periodic(cfg) -> int:
@@ -432,12 +437,12 @@ def cmd_flow_family(cfg) -> int:
     orbit = compute_orbit(spec)
     profile = orbit.profile()
     ss = np.linspace(0.0, orbit.S, cfg["mesh-samples"])
-    for t in cfg["t"]:   # every t checked before any file is written
+    for t in cfg["t"]:   # a non-finite t is reported before any slice is built
         require_finite("t", (t,))
+    meshes = [flow_slice_mesh(profile, t, ss, cfg["mesh-count"], seed=cfg["seed"],
+                              rho_max=cfg["rho-max"]) for t in cfg["t"]]
     pairs = []
-    for i, t in enumerate(cfg["t"]):
-        mesh = flow_slice_mesh(profile, t, ss, cfg["mesh-count"],
-                               seed=cfg["seed"], rho_max=cfg["rho-max"])
+    for i, (t, mesh) in enumerate(zip(cfg["t"], meshes)):
         p = _write(cfg, "flow_family", f"slice{i}.csv", fileio.write_mesh_csv, mesh)
         topo = topology_tag(spec, np.sign(t))
         pairs += [(f"t_{i}", repr(float(t))),

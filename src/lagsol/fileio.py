@@ -188,10 +188,10 @@ def write_trajectory_csv(path, traj) -> None:
     _write_rows(path, [",".join(header)], table)
 
 
-def write_profile_csv(path, profile, y_values) -> None:
-    """Expander-style profile table: y, r_1..r_n, phi_1..phi_n, theta."""
-    n = profile.n
-    c = profile.curve(y_values)
+def write_profile_csv(path, c) -> None:
+    """Expander-style profile table of the curve record c: y, r_1..r_n,
+    phi_1..phi_n, theta."""
+    n = c.r.shape[1]
     header = (["y"] + [f"r_{j}" for j in range(1, n + 1)]
               + [f"phi_{j}" for j in range(1, n + 1)] + ["theta"])
     table = np.column_stack([c.t, c.r, c.phis, c.theta])

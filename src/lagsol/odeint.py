@@ -243,13 +243,10 @@ class OdeResult:
 
     s: np.ndarray
     y: np.ndarray
-    n_accepted: int = 0
-    n_rejected_error: int = 0
-    n_rejected_drift: int = 0
-    max_drift: float = 0.0
-
-    def __len__(self):
-        return len(self.s)
+    n_accepted: int
+    n_rejected_error: int
+    n_rejected_drift: int
+    max_drift: float
 
 
 def _finite(v) -> bool:
@@ -312,10 +309,14 @@ def integrate(
     conserved,
     near_escape,
     targets=(),
-    dense: bool = True,
 ) -> OdeResult:
     """Integrate dy/ds = rhs(s, y) from s0 to s_end adaptively at RTOL,
     ATOL; a non-finite s0, s_end or target raises ValidationError.
+
+    The rows run from the start to a row at s_end, which is not repeated
+    when it is the last target or s0.  In between come, with targets, one row
+    per target (one within 1e-14 of s0 gets the start state) and, without
+    targets, every accepted step.
 
     Parameters
     ----------
@@ -327,11 +328,9 @@ def integrate(
         between DomainEscape (state hugging the domain boundary) and
         ToleranceFailure.
     targets : sequence of floats
-        Parameter values (monotone in the direction of integration) to be
-        sampled.  Those strictly inside a step are read from the continuous
-        extension; s_end is always a step's end.
-    dense : bool
-        When False only samples at targets (plus the endpoints) are recorded.
+        Parameter values from s0 to s_end, monotone in the direction of
+        integration.  Those strictly inside a step are read from the
+        continuous extension; s_end is always a step's end.
     """
     y = [float(v) for v in y0]
     s = float(s0)
@@ -340,24 +339,13 @@ def integrate(
     if not _finite([s, s_end, *tgt]):
         raise ValidationError("integration bounds and targets must be finite")
     direction = 1.0 if s_end >= s else -1.0
-    span = abs(s_end - s)
-
-    out_s = [s]
-    out_y = [y]
-    res = OdeResult(s=None, y=None)
-
-    if span == 0.0:
-        res.s = np.array(out_s)
-        res.y = np.array(out_y)
-        return res
-
     for a, b in zip(tgt, tgt[1:]):
         if (b - a) * direction < 0:
             raise ValueError("targets must be monotone in the integration direction")
-    ti = 0
-    # skip targets at or before the start
+    ti = 0      # targets within 1e-14 of the start take the start state
     while ti < len(tgt) and (tgt[ti] - s) * direction <= 1e-14 * max(1.0, abs(s)):
         ti += 1
+    out_s, out_y = [s, *tgt[:ti]], [y] * (ti + 1)
 
     f = rhs(s, y)
     if not _finite(f):
@@ -365,10 +353,11 @@ def integrate(
     I_prev = float(conserved(y))
     rtol, atol = RTOL, ATOL
 
-    h = min(_initial_step(rhs, s, y, f, direction, rtol, atol), span)
+    h = min(_initial_step(rhs, s, y, f, direction, rtol, atol), abs(s_end - s))
     err_prev = 1.0
     step, extend = _stepper(len(y))
-    steps = 0
+    steps = accepted = rejected_error = rejected_drift = 0
+    max_drift = 0.0
 
     while (s_end - s) * direction > 1e-14 * max(1.0, abs(s_end)):
         if steps >= MAX_STEPS:
@@ -390,14 +379,14 @@ def integrate(
         if not bad:
             y_new, f_new, err_norm, kept = out
             if not err_norm <= 1.0:
-                res.n_rejected_error += 1
+                rejected_error += 1
                 h *= (max(_MIN_FACTOR, _SAFETY * max(err_norm, 1e-10) ** -_ORDER_EXP)
                       if math.isfinite(err_norm) else 0.5)
                 continue
             I_new = float(conserved(y_new))
             drift = abs(I_new - I_prev)
             if drift > DRIFT_FACTOR * (atol + rtol * abs(I_prev)):
-                res.n_rejected_drift += 1
+                rejected_drift += 1
                 h *= 0.5
                 continue
             # targets short of the step's end need the extension stages
@@ -406,7 +395,7 @@ def integrate(
                 cols = extend(rhs, s, hd, y, y_new, kept)
                 bad = cols is None
         if bad:
-            res.n_rejected_error += 1
+            rejected_error += 1
             h *= 0.5
             err_prev = 1.0
             # tangential boundary approach: the state is already inside the
@@ -416,7 +405,7 @@ def integrate(
             continue
 
         # accepted
-        res.max_drift = max(res.max_drift, drift)
+        max_drift = max(max_drift, drift)
         I_prev = I_new
         if inner:
             at = _interpolant(s, hd, y, cols)
@@ -425,14 +414,12 @@ def integrate(
                 out_y.append(at(tgt[ti]))
                 ti += 1
         s, y, f = s_new, y_new, f_new
-        res.n_accepted += 1
-        at_end = (s_end - s) * direction <= 1e-14 * max(1.0, abs(s_end))
-        if at_end:
+        accepted += 1
+        if (s_end - s) * direction <= 1e-14 * max(1.0, abs(s_end)):
             s = s_end
         landed = ti < len(tgt) and tgt[ti] == s
-        if landed:
-            ti += 1
-        if dense or landed or at_end:
+        ti += landed
+        if not tgt or landed or s == s_end:
             out_s.append(s)
             out_y.append(y)
 
@@ -441,6 +428,10 @@ def integrate(
         err_prev = err_norm
         h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
 
-    res.s = np.array(out_s)
-    res.y = np.array(out_y)
-    return res
+    if not accepted:        # the end, and so every target, is within 1e-14 of the start
+        out_s, out_y = [s, *tgt], [y] * (len(tgt) + 1)
+    if out_s[-1] != s_end:
+        out_s.append(s_end)
+        out_y.append(y)
+    return OdeResult(np.array(out_s), np.array(out_y), accepted, rejected_error,
+                     rejected_drift, max_drift)

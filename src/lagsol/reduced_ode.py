@@ -184,14 +184,9 @@ def states(spec) -> ChainCache:
     rhs, conserved, near = reduced_system(spec)[:3]
 
     def advance(chains, starts):
-        out = []
-        for ch, y0 in zip(chains, starts):
-            res = odeint.integrate(rhs, ch[0], y0, ch[-1], conserved=conserved,
-                                   near_escape=near, targets=ch[1:], dense=False)
-            # odeint does not sample targets within 1e-14 of the start, so
-            # leading targets may have no sample: they take the start state
-            out.append([res.y[0]] * (len(ch) - len(res.y)) + list(res.y[1:]))
-        return out
+        return [odeint.integrate(rhs, ch[0], y0, ch[-1], conserved=conserved,
+                                 near_escape=near, targets=ch[1:]).y[1:]
+                for ch, y0 in zip(chains, starts)]
 
     return ChainCache(advance, base_state(spec), "curve parameter")
 

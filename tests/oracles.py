@@ -663,9 +663,8 @@ def write_mesh_ply(path, mesh, *, project3d: bool = False) -> None:
             fh.write(" ".join(_fmt(v) for v in vals) + "\n")
 
 
-def write_profile_csv(path, profile, y_values) -> None:
-    n = profile.n
-    c = profile.curve(y_values)
+def write_profile_csv(path, c) -> None:
+    n = c.r.shape[1]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["y"] + [f"r_{j}" for j in range(1, n + 1)]

@@ -147,6 +147,33 @@ def test_an_expander_whose_angle_map_fails_writes_nothing(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+_TINY = ["--alpha=4796737804.430742",
+         "--a=4.2958083433008186e-10,3.9682365330106695e-10,1.634731567051491e-08"]
+_SMALL_MESH = ["--mesh-samples=5", "--mesh-count=3", "--fd-checks=2"]
+
+
+@pytest.mark.parametrize("argv,rc,error", [
+    (["expander", *_TINY, "--y-max=1e-300", *_SMALL_MESH], 3,
+     "lagsol: quadrature failed for phi increment: panels and their halves differ by 4.94e-324"),
+    (["translator", *_TINY, "--t-max=1e-300", *_SMALL_MESH], 3,
+     "lagsol: quadrature failed for phi increment: panels and their halves differ by 4.94e-324"),
+    (["flow-family", "--lambdas=1,-1", "--alphas=1,2", "--A=0.4", "--alpha=0.5",
+      "--t=1,1e308", "--rho-max=1.3e154"], 2,
+     "lagsol: mesh point 15, at curve parameter 0, is not finite"),
+], ids=["expander", "translator", "flow-family"])
+def test_an_export_that_fails_before_its_verdict_writes_nothing(tmp_path, capsys, argv,
+                                                                rc, error):
+    # each fails once its first outputs are built: the expander and the
+    # translator in the FD check of verify, the flow family on its second slice
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        assert main(argv + [f"--outdir={tmp_path}"]) == rc
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert [ln for ln in err.splitlines() if not ln.startswith("lagsol: warning: ")] == [error]
+    assert not list(tmp_path.iterdir())
+
+
 SPECIAL_SCALES = (1e154, 1e300, 1e-300, 5e-324, 0.0)
 
 
@@ -185,7 +212,8 @@ def expander_exports(draw):
 @given(argv=expander_exports())
 def test_expander_exports_exit_with_a_code_and_one_message(capsys, argv):
     # every draw exits 0, 2, 3 or 4; a non-zero exit ends in exactly one
-    # lagsol: line besides warnings, and an exit 2 writes no file
+    # lagsol: line besides warnings; an exit 2 or 3 writes no file, and an
+    # exit 4 every file
     with tempfile.TemporaryDirectory() as outdir, warnings.catch_warnings():
         warnings.simplefilter("always")
         rc = main(argv + [f"--outdir={outdir}"])
@@ -196,8 +224,11 @@ def test_expander_exports_exit_with_a_code_and_one_message(capsys, argv):
     if rc:
         errors = [line for line in err if not line.startswith("lagsol: warning: ")]
         assert len(errors) == 1, (argv, err)
-    if rc == 2:
+    if rc in (2, 3):
         assert not written, (argv, err, written)
+    if rc == 4:
+        assert {f"{argv[0]}_{f}" for f in ("mesh.csv", "record.txt", "summary.txt")} \
+            <= set(written), (argv, err, written)
 
 
 @pytest.mark.parametrize("radius", ["1e10", "1e50", "1e100", "1e154"])

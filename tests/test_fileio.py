@@ -123,7 +123,7 @@ def test_profile_csv_columns(tmp_path):
     prof = ExpanderProfile(1.0, (1.0, 2.0))
     path = tmp_path / "profile.csv"
     ys = [-0.5, 0.0, 1.25]
-    write_profile_csv(path, prof, ys)
+    write_profile_csv(path, prof.curve(ys))
     lines = path.read_text().splitlines()
     assert lines[0].split(",") == ["y", "r_1", "r_2", "phi_1", "phi_2", "theta"]
     assert len(lines) == 1 + len(ys)
@@ -436,21 +436,18 @@ def test_every_ply_vertex_line_holds_one_value_per_property(tmp_path, n, project
 
 def test_profile_csv_matches_the_per_value_writer(tmp_path):
     same_bytes(tmp_path, write_profile_csv, oracles.write_profile_csv,
-               ExpanderProfile(1.0, (1.0, 2.0, 3.0)), np.linspace(-1.5, 1.5, 7))
+               ExpanderProfile(1.0, (1.0, 2.0, 3.0)).curve(np.linspace(-1.5, 1.5, 7)))
     for n in (1, 2, 3):
         m = 2 * len(SPECIAL)
         record = SimpleNamespace(t=special_table(m, 1)[:, 0], r=special_table(m, n, 1),
                                  phis=special_table(m, n, 2), theta=special_table(m, 1, 3)[:, 0])
-        profile = SimpleNamespace(n=n, curve=lambda ys, record=record: record)
-        same_bytes(tmp_path, write_profile_csv, oracles.write_profile_csv, profile, None)
+        same_bytes(tmp_path, write_profile_csv, oracles.write_profile_csv, record)
     for rows in (0, LONG):
         for n in (1, 3):
             table = twins_table(rows, 2 * n + 2)
             record = SimpleNamespace(t=table[:, 0], r=table[:, 1:n + 1],
                                      phis=table[:, n + 1:-1], theta=table[:, -1])
-            profile = SimpleNamespace(n=n, curve=lambda ys, record=record: record)
-            text = same_bytes(tmp_path, write_profile_csv, oracles.write_profile_csv,
-                              profile, None)
+            text = same_bytes(tmp_path, write_profile_csv, oracles.write_profile_csv, record)
             assert text.count(b"\r\n") == 1 + rows
 
 

@@ -78,12 +78,53 @@ def test_violated_conserved_functional_rejects_steps(loose):
 @pytest.mark.parametrize("s0,s_end,targets", [
     (0.0, 2.0, [0.3, 1.1, 1.7]),
     (2.0, 0.0, [1.7, 1.1, 0.3]),
-], ids=["forward", "backward"])
+    (0.0, 2.0, [0.3, 2.0]),
+    (2.0, 0.0, [1.7, 0.3, 0.0]),
+    (0.0, 2.0, [2.0]),
+], ids=["forward", "backward", "forward-to-end", "backward-to-end", "end-only"])
 def test_targets_are_landed_on_exactly(s0, s_end, targets):
+    # one row per target between the start and the end; the end is one row
+    # when it is the last target
     res = odeint.integrate(lambda s, y: y, s0, [math.exp(s0)], s_end,
-                           targets=targets, dense=False, **FREE)
-    assert res.s.tolist() == [s0] + targets + [s_end]
+                           targets=targets, **FREE)
+    assert res.s.tolist() == [s0] + targets + ([] if targets[-1] == s_end else [s_end])
     np.testing.assert_allclose(res.y[:, 0], np.exp(res.s), rtol=1e-9)
+
+
+@pytest.mark.parametrize("s0,s_end,near", [
+    (1.0, 2.0, [1.0, 1.0 + 5e-15]), (1.0, 0.0, [1.0, 1.0 - 5e-15]), (0.0, 2.0, [-5e-15, 0.0]),
+], ids=["forward", "backward", "behind"])
+def test_targets_at_or_next_to_the_start_get_the_start_state(s0, s_end, near):
+    y0 = [math.exp(s0)]
+    targets = [*near, 0.5 * (s0 + s_end)]
+    res = odeint.integrate(lambda s, y: y, s0, y0, s_end, targets=targets, **FREE)
+    assert res.s.tolist() == [s0, *targets, s_end]
+    assert res.y[:3, 0].tolist() == y0 * 3
+    np.testing.assert_allclose(res.y[3:, 0], np.exp(res.s[3:]), rtol=1e-9)
+
+
+def test_without_targets_every_accepted_step_is_a_row(loose):
+    # the Duffing run of the slope test rejects steps; each accepted one,
+    # and only those, follows the start row
+    res = odeint.integrate(lambda s, y: _duffing(y), 0.0, [2.0, 0.0], 3.0, **FREE)
+    assert res.n_rejected_error > 0
+    assert len(res.s) == len(res.y) == res.n_accepted + 1
+    assert res.s[0] == 0.0 and res.s[-1] == 3.0 and np.all(np.diff(res.s) > 0)
+
+
+@pytest.mark.parametrize("s_end,targets,rows", [
+    (1.0, (), [1.0]), (1.0, (1.0,), [1.0, 1.0]), (1.0 + 4e-15, (), [1.0, 1.0 + 4e-15]),
+    (1.0 + 4e-15, (1.0 + 2e-15, 1.0 + 4e-15), [1.0, 1.0 + 2e-15, 1.0 + 4e-15]),
+])
+def test_an_end_within_1e_14_of_the_start_takes_no_step(s_end, targets, rows):
+    res = odeint.integrate(_rotation, 1.0, [1.0, 0.0], s_end, targets=targets, **FREE)
+    assert res.n_accepted == res.n_rejected_error == 0
+    assert res.s.tolist() == rows and res.y.tolist() == [[1.0, 0.0]] * len(rows)
+
+
+def test_a_start_outside_the_domain_is_a_domain_escape_even_at_zero_span():
+    with pytest.raises(DomainEscape):
+        odeint.integrate(_wall, 0.0, [1.0], 0.0, **FREE)
 
 
 def test_targets_must_follow_the_direction():
@@ -157,15 +198,19 @@ def test_each_attempt_starts_from_the_slope_at_its_start(loose):
 
 def test_interior_targets_leave_the_steps_unchanged():
     # targets inside a step are read from the continuous extension, so the
-    # accepted grid is the untargeted one and only the samples are added
-    targets = np.linspace(0.05, 1.95, 25).tolist()
+    # accepted grid is the untargeted one: asking for its step ends as well
+    # gives them back bit for bit
+    interior = np.linspace(0.05, 1.95, 25).tolist()
     clean = odeint.integrate(lambda s, y: y, 0.0, [1.0], 2.0, **FREE)
+    ends = clean.s[1:].tolist()
+    assert not set(ends) & set(interior)
+    targets = sorted(interior + ends)
     res = odeint.integrate(lambda s, y: y, 0.0, [1.0], 2.0, targets=targets, **FREE)
     assert res.n_accepted == clean.n_accepted and res.n_rejected_error == 0
-    on_grid = ~np.isin(res.s, targets)
+    assert res.s.tolist() == [0.0, *targets]
+    on_grid = np.isin(res.s, clean.s)
     np.testing.assert_array_equal(res.s[on_grid], clean.s)
     np.testing.assert_array_equal(res.y[on_grid], clean.y)
-    assert sorted(res.s[~on_grid].tolist()) == targets
     np.testing.assert_allclose(res.y[~on_grid, 0], np.exp(res.s[~on_grid]), rtol=1e-9)
 
 
@@ -279,7 +324,7 @@ def test_integration_on_the_loop_step_reproduces_the_generated_run(monkeypatch):
 
     def run():
         res = odeint.integrate(rhs, 0.0, y0, 12.0, conserved=conserved, near_escape=near,
-                               targets=np.linspace(0.1, 11.9, 37), dense=False)
+                               targets=np.linspace(0.1, 11.9, 37))
         return res.n_accepted, res.n_rejected_error, _hex(res.s.tolist()), _hex(res.y.tolist())
 
     got = run()
