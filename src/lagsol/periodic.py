@@ -39,19 +39,23 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .errors import CaseMismatch, NonConvergence, ToleranceFailure, ValidationError
+from . import quadutil
+from .errors import (CaseMismatch, InvalidTarget, NonConvergence, ToleranceFailure,
+                     ValidationError)
 from .expander import damped_newton
 from .geometry import CurveRecord, curve_views
 from .params import SolitonParams, require_finite
-from .quadutil import orbit_quad
 from .reduced_ode import reduced_system, states
 
 CASE_I_REL_TOL = 1e-12
 CONDITIONING_MARGIN = 1e-10
 SCAN_CHUNK = 4096      # denominators tried per array pass of the periodicity scan
 TURNING_POINT_MAX_ITER = 100   # Newton steps per turning point; the pools need 25 at most
+# the open interval of the angle an n = 1 shrinker turns per swing, at every
+# alpha < 0 by dilation (Abresch-Langer 1986): -sqrt(2) pi at the circle,
+# -pi in the small-amplitude limit
+AL_GAMMA = (-math.sqrt(2.0) * math.pi, -math.pi)
 
 
 class OrbitConditioningWarning(UserWarning):
@@ -144,7 +148,7 @@ def critical_point(spec: PeriodicSpec) -> float:
     else:
         b = _outward_bracket(lambda u: dlog_G(u) >= 0, max(1.0, a + 1.0), "critical point")
     try:
-        return brentq(dlog_G, a, b, xtol=1e-15, rtol=8.9e-16)
+        return quadutil.brentq(dlog_G, a, b, xtol=1e-15, rtol=8.9e-16)
     except RuntimeError as exc:     # brentq's iteration budget
         raise NonConvergence(f"critical point: {exc}") from exc
 
@@ -198,7 +202,7 @@ def holonomies(spec: PeriodicSpec) -> np.ndarray:
     based, _, case, _ = _analyse(spec)
     if case == "hamiltonian_stationary":
         raise CaseMismatch("stationary data has no oscillation band")
-    return np.array(orbit_quad(based, *_based_turning_points(based), period=False))
+    return np.array(quadutil.orbit_quad(based, *_based_turning_points(based), period=False))
 
 
 def _based_turning_points(based: PeriodicSpec):
@@ -292,7 +296,7 @@ def compute_orbit(spec: PeriodicSpec) -> PeriodicOrbit:
             " ill-conditioned this close to the stationary case",
             OrbitConditioningWarning, stacklevel=2)
     u1, u2 = _based_turning_points(based)
-    S, *gamma = orbit_quad(based, u1, u2)
+    S, *gamma = quadutil.orbit_quad(based, u1, u2)
     return PeriodicOrbit(based, case, u1 + shift, u2 + shift, S, tuple(gamma))
 
 
@@ -449,6 +453,11 @@ def search_periodic_data(lambdas, alpha: float, gamma_target, *,
     n = len(lambdas)
     if target.size != n:
         raise ValidationError("gamma_target must have length n")
+    if lambdas == (1.0,) and alpha < 0 and not AL_GAMMA[0] < target[0] < AL_GAMMA[1]:
+        raise InvalidTarget(
+            f"gamma = {float(target[0])!r} is outside the open interval (-sqrt(2) pi, -pi)"
+            f" = {AL_GAMMA!r} of the angles the n = 1 shrinkers (Abresch-Langer curves)"
+            " turn per swing")
 
     def residual(x):
         try:

@@ -16,6 +16,15 @@ Each quantity runs on one rule:
 ``finite_quad`` (QUADPACK over a finite interval) is left for perfbench's
 tracer, which spans it, and for the tests' QUADPACK references.
 
+scipy loads on first use.  The module-level ``__getattr__`` serves ``quad``
+(``scipy.integrate``) and ``brentq`` (``scipy.optimize``, for
+``periodic.critical_point``), importing them when a caller first reads
+them: the two take about 0.4 s to import, and ``expander``,
+``invert-angles`` and an expander-base ``translator`` never call them.  It
+caches nothing, and every caller reads the name from this module at call
+time, so a patch of ``quadutil.quad`` or of ``scipy.integrate.quad`` is
+what the next call runs.
+
 Orbit integrals go through v = u1 + (u2 - u1) sin^2(xi), whose Jacobian
 sin(2 xi) cancels the inverse-square-root endpoint singularities.  The
 orbit family over one interval shares a per-node core: ``shared_nodes``
@@ -30,10 +39,10 @@ raises ToleranceFailure when it cannot meet REL_TOL.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .codegen import compiled
 from .errors import ToleranceFailure
@@ -62,6 +71,19 @@ _GL_W = np.array([0.36268378337836166, 0.3137066458778869, 0.22238103445337443,
 _GL_X, _GL_W = np.concatenate([-_GL_X[::-1], _GL_X]), np.concatenate([_GL_W[::-1], _GL_W])
 GL_ORDER = len(_GL_X)
 
+_module = sys.modules[__name__]     # read quad through it: see __getattr__
+
+
+def __getattr__(name):
+    """quad and brentq from scipy, imported at first read (PEP 562)."""
+    if name == "quad":
+        import scipy.integrate
+        return scipy.integrate.quad
+    if name == "brentq":
+        import scipy.optimize
+        return scipy.optimize.brentq
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 def _checked(res, what):
     if len(res) > 3:
@@ -85,8 +107,8 @@ def finite_quad(f, a: float, b: float, *, breaks=(), what: str = "integral") -> 
     if a == b:
         return 0.0
     pts = sorted(p for p in breaks if min(a, b) < p < max(a, b))
-    res = quad(f, a, b, epsabs=0.0, epsrel=REL_TOL, limit=200,
-               points=pts or None, full_output=1)
+    res = _module.quad(f, a, b, epsabs=0.0, epsrel=REL_TOL, limit=200,
+                       points=pts or None, full_output=1)
     return _checked(res, what)
 
 
@@ -246,6 +268,7 @@ def orbit_quad(spec, u1: float, u2: float, *, period: bool = True) -> list:
             pts += [math.pi / 2 - math.asin(math.sqrt(t)),
                     math.pi / 2 - math.asin(math.sqrt(min(10 * t, 0.5)))]
     pts = sorted(set(p for p in pts if 0.0 < p < math.pi / 2))
+    quad = _module.quad     # read once per call: each read runs __getattr__
     return [_checked(quad(g, 0.0, math.pi / 2, epsabs=0.0, epsrel=REL_TOL, limit=400,
                           points=pts or None, full_output=1), what)
             for g, what in zip(shared_nodes(rates, len(whats)), whats)]

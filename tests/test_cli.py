@@ -5,6 +5,7 @@ the files written, and the captured output.  Mesh resolutions are kept small
 here; the full-size runs live in the acceptance tests.
 """
 
+import json
 import math
 import os
 import re
@@ -509,6 +510,43 @@ def test_importing_the_cli_builds_no_parser():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
     assert res.stdout.strip() == "0"
+
+
+# run in a fresh interpreter: after building the parser, and after each main
+# call, it appends [step, exit code, whether a scipy module is loaded] to the
+# JSON file sys.argv[1]
+SCIPY_PROBE = """\
+import json, sys
+import lagsol.cli as c
+c.build_parser()
+steps = []
+for argv in [None] + json.loads(sys.argv[2]):
+    rc = None if argv is None else c.main(argv)
+    steps.append([argv and argv[0], rc,
+                  any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)])
+with open(sys.argv[1], "w") as fh:
+    json.dump(steps, fh)
+"""
+
+
+def test_only_the_orbit_quadrature_loads_scipy(tmp_path):
+    # quadutil defers scipy to the first read of quad or brentq: the
+    # expander-side subcommands, and verify of an expander export, never load
+    # it; a periodic orbit's period and holonomies are QUADPACK integrals
+    runs = [["expander", "--alpha=1", "--a=1,2", f"--outdir={tmp_path}"],
+            ["invert-angles", "--alpha=1", "--target=0.3,0.4"],
+            ["translator", "--alpha=1", "--a=1,2", f"--outdir={tmp_path}"],
+            ["verify", f"--mesh={tmp_path / 'expander_mesh.csv'}",
+             f"--record={tmp_path / 'expander_record.txt'}"],
+            ["periodic", "--lambdas=1,-1", "--alphas=1,2", "--A=0.4", "--alpha=0.5",
+             f"--outdir={tmp_path}"]]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    report = tmp_path / "steps.json"
+    subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(report), json.dumps(runs)],
+                   capture_output=True, env=env, check=True)
+    assert json.loads(report.read_text()) == [
+        [None, None, False], ["expander", 0, False], ["invert-angles", 0, False],
+        ["translator", 0, False], ["verify", 0, False], ["periodic", 0, True]]
 
 
 def test_invert_angles_round_trip(capsys):

@@ -382,6 +382,27 @@ def test_no_abresch_langer_curve_has_rotation_number_one_half(tmp_path):
                  f"--gamma={-math.pi!r}", f"--outdir={tmp_path}"]) != 0
 
 
+@pytest.mark.parametrize("gamma", [-2.0, -4.5, -3.14159, -math.pi, -math.sqrt(2.0) * math.pi,
+                                   -2.0 * math.pi * 3 / 4, -2.0 * math.pi / 3])
+def test_an_n1_target_outside_the_abresch_langer_range_exits_2(tmp_path, capsys, gamma):
+    # the open interval (-sqrt(2) pi, -pi) holds every n = 1 shrinker's gamma
+    # at every alpha < 0, so a target outside it is invalid, not a stalled
+    # search
+    assert main(["periodic-search", "--lambdas=1", "--alpha=-1", f"--gamma={gamma!r}",
+                 f"--outdir={tmp_path}"]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"lagsol: gamma = {gamma!r} is outside the open interval (-sqrt(2) pi, -pi)"
+                   " = (-4.442882938158366, -3.141592653589793) of the angles the n = 1"
+                   " shrinkers (Abresch-Langer curves) turn per swing\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("alpha", [-1.0, -0.3, -5.0])
+def test_an_n1_target_inside_the_abresch_langer_range_is_found(tmp_path, alpha):
+    assert main(["periodic-search", "--lambdas=1", f"--alpha={alpha!r}", "--gamma=-3.5",
+                 f"--outdir={tmp_path}"]) == 0
+
+
 def test_conditioning_warning_near_stationary():
     """compute_orbit warns once on near-stationary data; holonomies, which the
     search residual calls on every trial, leaves the warning to it."""
